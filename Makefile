@@ -1,4 +1,4 @@
-.PHONY: all build test test-quick check bench examples coverage clean
+.PHONY: all build test test-quick check bench examples coverage net-lines clean
 
 all: build
 
@@ -33,6 +33,14 @@ coverage:
 	BISECT_FILE=$(CURDIR)/_coverage/bisect \
 	  dune runtest --force --instrument-with bisect_ppx
 	bisect-ppx-report summary --per-file --coverage-path _coverage
+
+# Net production lines (lib/ and bin/) added and removed since BASE:
+# `make net-lines BASE=main`.
+BASE ?= HEAD
+net-lines:
+	@git diff --numstat $(BASE) -- lib bin | awk \
+	  '{ a += $$1; d += $$2 } \
+	   END { printf "lib/+bin/: +%d -%d net %+d\n", a, d, a - d }'
 
 clean:
 	dune clean

@@ -195,6 +195,23 @@ let eval_cmd =
     run_checked @@ fun () ->
     let* budget = make_budget budget_spec in
     let* entry = Report.find_checked name in
+    (* the bounds are only meaningful where the program is: reject points
+       outside the kernel's domain instead of printing NaN *)
+    let* params = Report.concrete_params entry ~m ~n in
+    let* () =
+      let holds c =
+        Iolb_poly.Constr.satisfied (fun p -> List.assoc p params) c
+      in
+      let invalid msg = Error (Engine_error.Invalid_input msg) in
+      if s < 1 then invalid (Printf.sprintf "need s >= 1, got s = %d" s)
+      else
+        match List.find_opt (fun c -> not (holds c)) entry.program.assumptions with
+        | Some c ->
+            invalid
+              (Format.asprintf "%s at m=%d n=%d violates its assumption %a"
+                 entry.display m n Iolb_poly.Constr.pp c)
+        | None -> Ok ()
+    in
     let* a = Report.analyze_checked ~budget entry in
     Printf.printf "%s at m=%d n=%d s=%d:\n" entry.display m n s;
     (match a.degradation with
@@ -289,7 +306,7 @@ let simulate_cmd =
     let* trace =
       Engine_error.guard (fun () -> Trace.of_program ~budget ~params program)
     in
-    let* sweep = Sweep.run_checked ~budget trace in
+    let* sweep = Engine_error.guard (fun () -> Sweep.run ~budget trace) in
     let* plan = Engine_error.guard (fun () -> Cache.opt_plan ~budget trace) in
     Printf.printf
       "cache sweep over %d events, footprint %d cells (program order):\n"
@@ -313,7 +330,8 @@ let simulate_cmd =
   let run_sweep_streamed ~program ~params ~budget ~jobs ~chunk_size ~lb spec =
     let* sizes = parse_spec spec in
     let* sweep =
-      Sweep.run_program_checked ~budget ?jobs ?chunk_size ~params program
+      Engine_error.guard (fun () ->
+          Sweep.run_program ~budget ?jobs ?chunk_size ~params program)
     in
     Printf.printf
       "streamed cache sweep over %d events, footprint %d cells (no OPT \
@@ -333,7 +351,8 @@ let simulate_cmd =
   let run_sweep_sampled ~program ~params ~budget ~rate ~seed ~lb spec =
     let* sizes = parse_spec spec in
     let* sampled =
-      Sweep.run_sampled_checked ~budget ~rate ~seed ~params program
+      Engine_error.guard (fun () ->
+          Sweep.run_sampled ~budget ~rate ~seed ~params program)
     in
     Printf.printf
       "sampled cache sweep: kept %d of %d accesses (rate %g, seed %d), \

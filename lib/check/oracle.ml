@@ -329,26 +329,13 @@ let prop_jobs_det c =
   else fail "report differs between --jobs 1 and --jobs 3"
 
 (* ------------------------------------------------------------------ *)
-(* sweep-stream: the sharded (run_segmented) and streaming (run_program)
-   sweeps must equal the sequential in-memory sweep - same footprint,
-   histogram and per-size stats - at every jobs width, for both flush
-   modes and for adversarially small chunk sizes.  This is the
-   determinism contract behind byte-identical --jobs output.            *)
-
-let sweep_eq issues ~what ~sizes ref_sweep got =
-  if Sweep.footprint got <> Sweep.footprint ref_sweep then
-    push issues "%s: footprint %d vs %d" what (Sweep.footprint got)
-      (Sweep.footprint ref_sweep);
-  if Sweep.accesses got <> Sweep.accesses ref_sweep then
-    push issues "%s: accesses %d vs %d" what (Sweep.accesses got)
-      (Sweep.accesses ref_sweep);
-  if Sweep.distance_histogram got <> Sweep.distance_histogram ref_sweep then
-    push issues "%s: distance histogram differs" what;
-  List.iter
-    (fun s ->
-      if Sweep.stats got ~size:s <> Sweep.stats ref_sweep ~size:s then
-        push issues "%s: stats differ at S=%d" what s)
-    sizes
+(* sweep-stream: the sharded in-memory sweep ([run ~jobs]), the compiled
+   program sweep ([run_program]) and the chunked streaming one
+   ([run_program_stream]) share one engine, so each is checked against the
+   independent per-size LRU simulator, at every jobs width, for both flush
+   modes and for adversarially small chunk sizes; the three are also
+   compared pairwise on footprint, accesses and reuse histogram.  This is
+   the determinism contract behind byte-identical --jobs output.        *)
 
 let prop_sweep_stream c =
   let trace = Lazy.force c.trace in
@@ -356,23 +343,51 @@ let prop_sweep_stream c =
   let issues = ref [] in
   List.iter
     (fun flush ->
-      let ref_sweep = Sweep.run ~budget:c.budget ~flush trace in
+      let lru =
+        List.map
+          (fun s -> (s, Cache.lru ~budget:c.budget ~size:s ~flush trace))
+          sizes
+      in
       List.iter
         (fun jobs ->
-          sweep_eq issues
-            ~what:(Printf.sprintf "segmented jobs=%d flush=%b" jobs flush)
-            ~sizes ref_sweep
-            (Sweep.run_segmented ~budget:c.budget ~flush ~jobs trace);
-          sweep_eq issues
-            ~what:(Printf.sprintf "compiled jobs=%d flush=%b" jobs flush)
-            ~sizes ref_sweep
-            (Sweep.run_program ~budget:c.budget ~flush ~jobs ~chunk_size:7
-               ~params:c.params c.prog);
-          sweep_eq issues
-            ~what:(Printf.sprintf "streamed jobs=%d flush=%b" jobs flush)
-            ~sizes ref_sweep
-            (Sweep.run_program_stream ~budget:c.budget ~flush ~jobs
-               ~chunk_size:7 ~params:c.params c.prog))
+          let sweeps =
+            List.map
+              (fun (kind, sweep) ->
+                (Printf.sprintf "%s jobs=%d flush=%b" kind jobs flush, sweep))
+              [
+                ("run", Sweep.run ~budget:c.budget ~flush ~jobs trace);
+                ( "compiled",
+                  Sweep.run_program ~budget:c.budget ~flush ~jobs ~chunk_size:7
+                    ~params:c.params c.prog );
+                ( "streamed",
+                  Sweep.run_program_stream ~budget:c.budget ~flush ~jobs
+                    ~chunk_size:7 ~params:c.params c.prog );
+              ]
+          in
+          List.iter
+            (fun (what, sweep) ->
+              List.iter
+                (fun (s, direct) ->
+                  if Sweep.stats sweep ~size:s <> direct then
+                    push issues "%s: stats differ from lru at S=%d" what s)
+                lru)
+            sweeps;
+          (* equal to the first, hence pairwise equal *)
+          match sweeps with
+          | [] -> ()
+          | (wa, a) :: rest ->
+              List.iter
+                (fun (wb, b) ->
+                  let what = wb ^ " vs " ^ wa in
+                  if Sweep.footprint b <> Sweep.footprint a then
+                    push issues "%s: footprint %d vs %d" what
+                      (Sweep.footprint b) (Sweep.footprint a);
+                  if Sweep.accesses b <> Sweep.accesses a then
+                    push issues "%s: accesses %d vs %d" what
+                      (Sweep.accesses b) (Sweep.accesses a);
+                  if Sweep.distance_histogram b <> Sweep.distance_histogram a
+                  then push issues "%s: distance histogram differs" what)
+                rest)
         [ 1; 2; 4; 8 ])
     [ true; false ];
   collect issues
@@ -754,7 +769,7 @@ let all =
     { name = "sweep-lru"; doc = "reuse-distance sweep = per-size LRU" };
     {
       name = "sweep-stream";
-      doc = "sharded/compiled/streaming sweeps = sequential sweep at every jobs width";
+      doc = "sharded/compiled/streaming sweeps = per-size LRU at every jobs width";
     };
     {
       name = "game-compiled";

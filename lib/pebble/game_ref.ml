@@ -230,9 +230,3 @@ let run_plan ?(budget = Budget.unlimited) { cdag; schedule; use_positions } ~s =
   { loads = !loads; peak_red = !peak }
 
 let run ?budget cdag ~s ~schedule = run_plan ?budget (plan cdag ~schedule) ~s
-
-let run_checked ?budget cdag ~s ~schedule =
-  match run ?budget cdag ~s ~schedule with
-  | r -> Ok r
-  | exception Infeasible msg -> Error (Iolb_util.Engine_error.Invalid_input msg)
-  | exception e -> Error (Iolb_util.Engine_error.of_exn e)

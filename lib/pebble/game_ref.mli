@@ -47,15 +47,6 @@ val plan : Iolb_cdag.Cdag.t -> schedule:int array -> plan
     done by {!plan}). *)
 val run_plan : ?budget:Iolb_util.Budget.t -> plan -> s:int -> result
 
-(** [run_checked] is {!run} behind the no-raise boundary ([Infeasible] and
-    bad schedules map to [Invalid_input]). *)
-val run_checked :
-  ?budget:Iolb_util.Budget.t ->
-  Iolb_cdag.Cdag.t ->
-  s:int ->
-  schedule:int array ->
-  (result, Iolb_util.Engine_error.t) Stdlib.result
-
 (** The compute nodes in program order (always a valid schedule). *)
 val program_schedule : Iolb_cdag.Cdag.t -> int array
 

@@ -1,4 +1,9 @@
 module Budget = Iolb_util.Budget
+module Pool = Iolb_util.Pool
+module Interner = Iolb_ir.Interner
+module Program = Iolb_ir.Program
+module Stream = Iolb_ir.Stream
+module Cplan = Iolb_ir.Cplan
 
 (* Single-pass LRU cache sweep via reuse (stack) distances, after Mattson
    et al. 1970.  LRU has the inclusion property: the content of a cache of
@@ -8,12 +13,13 @@ module Budget = Iolb_util.Budget
    the previous access of the same cell - satisfies d < S, so one pass
    computing every access's distance answers every size at once.
 
-   Distances come from a Fenwick (binary indexed) tree over trace
-   positions: position i is marked iff it is the current last access of
-   some cell, so the number of marked positions strictly between two
-   consecutive accesses of a cell is exactly its reuse distance.  Each
-   access does one range query and at most two point updates: O(T log T)
-   for the whole trace.
+   There is one engine.  Distances come from a Fenwick (binary indexed)
+   tree over live marks ([Core]): each cell's most recent access holds one
+   mark, so the number of marks above a cell's mark - the distinct cells
+   touched since - is its reuse distance.  Mark positions are compacted to the
+   footprint (Olken): they are renumbered when the position space runs
+   out, so the tree follows the number of distinct cells, not the trace
+   length - O(T log F) time, O(F) space.
 
    Write-back stores are recovered from the same distances.  The simulator
    semantics (Cache.lru) are write-allocate-no-fetch: a write dirties the
@@ -29,7 +35,25 @@ module Budget = Iolb_util.Budget
    <= d now hold a clean reloaded copy).  At end of trace the cell's final
    stack depth closes the epoch: with flush the interval is (mval, ncells]
    (stored on eviction or at the flush), without it (mval, depth] (stored
-   only if actually evicted). *)
+   only if actually evicted).
+
+   The pass runs over contiguous time segments of the trace:
+   - [pass] consumes one segment and produces (a) exact local tallies for
+     every access whose previous access lies in the same segment, and (b)
+     a per-cell boundary summary for the one access per cell whose
+     distance crosses the segment start (PARDA-style time partitioning; an
+     address partition cannot be exact for fully-associative LRU, whose
+     distances mix all addresses - the address-hashed split is the SAMPLED
+     mode below).
+   - [merge_segment] folds the summaries left to right through a global
+     [Core], resolving each boundary distance and replaying the
+     dirty-epoch algebra, which collapses a segment's unresolved prefix to
+     one store interval.  The result is bit-for-bit the same for any
+     segment partition - hence byte-identical output at any [--jobs]
+     width.
+   A sequential sweep of a materialized trace is the one-segment case.  One
+   shard driver ([drive]) serves the three producers: a materialized trace,
+   the compiled plan ({!Cplan}) and the chunked stream ({!Stream}). *)
 
 type t = {
   accesses : int;
@@ -46,107 +70,6 @@ let accesses t = t.accesses
 let flushed t = t.flush
 let distance_histogram t = Array.copy t.dist_hist
 
-let run ?(budget = Budget.unlimited) ?(flush = true) trace =
-  let n = Trace.length trace and ncells = Trace.footprint trace in
-  let cells = Trace.cells trace and wflags = Trace.write_flags trace in
-  (* Fenwick tree over 1-based positions 1..n; event i maps to i+1.
-     Unsafe indexing is in bounds: Fenwick walks stay within [1, n],
-     event indices within [0, n-1], cell ids within [0, ncells-1]. *)
-  let bit = Array.make (n + 1) 0 in
-  let bit_add i v =
-    let i = ref i in
-    while !i <= n do
-      Array.unsafe_set bit !i (Array.unsafe_get bit !i + v);
-      i := !i + (!i land - !i)
-    done
-  in
-  let bit_sum i =
-    let i = ref i and acc = ref 0 in
-    while !i > 0 do
-      acc := !acc + Array.unsafe_get bit !i;
-      i := !i land (!i - 1)
-    done;
-    !acc
-  in
-  let nc = max ncells 1 in
-  let last = Array.make nc (-1) in
-  let has_write = Array.make nc false in
-  let mval = Array.make nc 0 in
-  let dist_hist = Array.make (max ncells 1) 0 in
-  let store_diff = Array.make (ncells + 2) 0 in
-  let reads_total = ref 0 in
-  (* one store for every size in [lo, hi] (clamped to 1..ncells) *)
-  let add_store_interval lo hi =
-    let lo = max lo 1 and hi = min hi ncells in
-    if lo <= hi then begin
-      store_diff.(lo) <- store_diff.(lo) + 1;
-      store_diff.(hi + 1) <- store_diff.(hi + 1) - 1
-    end
-  in
-  let unlimited = Budget.is_unlimited budget in
-  for i = 0 to n - 1 do
-    if not unlimited then Budget.checkpoint budget Budget.Cache_sim;
-    let c = Array.unsafe_get cells i in
-    let p = Array.unsafe_get last c in
-    if p < 0 then begin
-      (* cold access: misses at every size *)
-      if Array.unsafe_get wflags i then begin
-        Array.unsafe_set has_write c true;
-        Array.unsafe_set mval c 0
-      end
-      else incr reads_total
-    end
-    else begin
-      (* marked positions strictly between the two accesses, i.e. BIT
-         positions p+2 .. i (1-based), are the distinct other cells. *)
-      let d = bit_sum i - bit_sum (p + 1) in
-      if Array.unsafe_get wflags i then begin
-        if Array.unsafe_get has_write c then
-          add_store_interval (Array.unsafe_get mval c + 1) d;
-        Array.unsafe_set has_write c true;
-        Array.unsafe_set mval c 0
-      end
-      else begin
-        incr reads_total;
-        Array.unsafe_set dist_hist d (Array.unsafe_get dist_hist d + 1);
-        if Array.unsafe_get has_write c then begin
-          add_store_interval (Array.unsafe_get mval c + 1) d;
-          if d > Array.unsafe_get mval c then Array.unsafe_set mval c d
-        end
-      end;
-      bit_add (p + 1) (-1)
-    end;
-    bit_add (i + 1) 1;
-    Array.unsafe_set last c i
-  done;
-  (* Close the dirty epochs: a cell's final stack depth is the number of
-     marked positions after its last access. *)
-  let total_marked = bit_sum n in
-  for c = 0 to ncells - 1 do
-    Budget.checkpoint budget Budget.Cache_sim;
-    if has_write.(c) then begin
-      let depth = total_marked - bit_sum (last.(c) + 1) in
-      add_store_interval (mval.(c) + 1) (if flush then ncells else depth)
-    end
-  done;
-  (* Prefix sums: hits_at.(s) = #reads with distance < s; stores_at.(s) =
-     #store intervals covering s. *)
-  let hits_at = Array.make (ncells + 1) 0 in
-  let stores_at = Array.make (ncells + 1) 0 in
-  for s = 1 to ncells do
-    hits_at.(s) <- hits_at.(s - 1) + dist_hist.(s - 1);
-    stores_at.(s) <- stores_at.(s - 1) + store_diff.(s)
-  done;
-  {
-    accesses = n;
-    ncells;
-    reads_total = !reads_total;
-    flush;
-    hits_at;
-    stores_at;
-    dist_hist = (if ncells = 0 then [||] else dist_hist);
-  }
-
 let stats t ~size =
   if size < 1 then invalid_arg "Sweep.stats: size < 1";
   (* A cache at least as large as the footprint never evicts: sizes above
@@ -158,42 +81,6 @@ let stats t ~size =
     read_hits = t.hits_at.(s);
     accesses = t.accesses;
   }
-
-let run_checked ?budget ?flush trace =
-  Iolb_util.Engine_error.guard (fun () -> run ?budget ?flush trace)
-
-(* ===================================================================== *)
-(* Sharded / streaming / sampled sweeps.                                 *)
-(*                                                                       *)
-(* The engine above needs the whole trace in memory and a Fenwick tree   *)
-(* over trace POSITIONS - O(T) state.  Everything below replaces that    *)
-(* with O(footprint) state so sweeps scale to traces that are streamed,  *)
-(* sharded across domains, or sampled:                                   *)
-(*                                                                       *)
-(* - [Core] is the Fenwick tree compacted to the footprint (Olken):      *)
-(*   only last-access positions are ever marked, so positions are        *)
-(*   renumbered on exhaustion and the tree size follows the number of    *)
-(*   live marks, not the trace length.                                   *)
-(* - [pass] consumes one contiguous time segment of the trace and        *)
-(*   produces (a) exact local tallies for every access whose previous    *)
-(*   access lies in the same segment, and (b) a per-cell boundary        *)
-(*   summary for the one access per cell whose distance crosses the      *)
-(*   segment start (PARDA-style time partitioning; an address partition  *)
-(*   cannot be exact for fully-associative LRU, whose distances mix all  *)
-(*   addresses - the address-hashed split is the SAMPLED mode below).    *)
-(* - [merge] folds the summaries left to right through a global [Core],  *)
-(*   resolving each boundary distance and replaying the dirty-epoch      *)
-(*   algebra, which collapses a segment's unresolved prefix to one       *)
-(*   store interval.  The result is bit-for-bit the sequential sweep,    *)
-(*   for any segment partition - hence byte-identical output at any      *)
-(*   [--jobs] width.                                                     *)
-(* ===================================================================== *)
-
-module Pool = Iolb_util.Pool
-module Interner = Iolb_ir.Interner
-module Program = Iolb_ir.Program
-module Stream = Iolb_ir.Stream
-module Cplan = Iolb_ir.Cplan
 
 module Core = struct
   (* Fenwick tree over COMPACTED positions: [pos.(id)] is the mark of
@@ -424,7 +311,7 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Per-segment pass.  Cells carry shard-LOCAL dense ids assigned in    *)
-(* first-occurrence order (callers guarantee this; [pass_event]        *)
+(* first-occurrence order (producers guarantee this; [pass_event]      *)
 (* recognizes a new cell by [c = nloc]).  For every access other than  *)
 (* a cell's first, both endpoints of the reuse interval lie in the     *)
 (* segment, so its distance - and hence its histogram entry and, once  *)
@@ -683,169 +570,123 @@ let merge_finish gs ~flush ~accesses =
     dist_hist = (if ncells = 0 then [||] else Array.sub gs.g_hist 0 ncells);
   }
 
-let merge_all ~budget ~flush ~accesses parts =
-  let gs = gstate_create budget in
-  List.iter (fun (gids, ps) -> merge_segment gs gids ps) parts;
-  merge_finish gs ~flush ~accesses
-
 (* ------------------------------------------------------------------ *)
-(* Drivers.                                                            *)
+(* The shard driver.  [shard ps ~lo ~hi] feeds events [lo, hi) to the  *)
+(* fresh pass [ps] under shard-local first-occurrence ids (the id      *)
+(* discipline [pass_event] expects) and returns the shard's keys;      *)
+(* [to_global] maps them to global ids.  It is applied in segment      *)
+(* order, which reproduces the sequential first-occurrence numbering.  *)
 
-let run_segmented ?(budget = Budget.unlimited) ?(flush = true) ?jobs trace =
-  let jobs =
-    match jobs with Some j -> j | None -> Pool.default_jobs ()
+let drive ~budget ~flush ~jobs ~n ~shard ~to_global =
+  if jobs < 1 then invalid_arg "Sweep: jobs < 1";
+  let parts =
+    Pool.map ~jobs
+      (fun (lo, hi) ->
+        (* checkpoints poll the clock once per stride; check the deadline
+           outright at shard entry so an expired budget kills the fan-out
+           before any work *)
+        if not (Budget.is_unlimited budget) then
+          Budget.check_deadline budget Budget.Cache_sim;
+        let ps = pass_create budget in
+        let keys = shard ps ~lo ~hi in
+        (keys, ps))
+      (Pool.split ~shards:jobs n)
   in
-  if jobs < 1 then invalid_arg "Sweep.run_segmented: jobs < 1";
-  let n = Trace.length trace in
-  let ncells = Trace.footprint trace in
+  let gs = gstate_create budget in
+  List.iter (fun (keys, ps) -> merge_segment gs (to_global keys) ps) parts;
+  merge_finish gs ~flush ~accesses:n
+
+(* First-occurrence numbering of a dense key space [0, space): a flat
+   table key -> id, and the inverse.  Trace cell ids and compiled
+   addresses are both dense ints: each shard numbers its keys locally
+   with one, and the driver numbers the shards' keys globally with
+   another. *)
+type remap = { ids : int array; mutable keys : int array; mutable count : int }
+
+let remap_create space =
+  { ids = Array.make (max space 1) (-1); keys = Array.make 64 0; count = 0 }
+
+let remap_add r k =
+  let c = r.count in
+  r.ids.(k) <- c;
+  if c = Array.length r.keys then begin
+    let a = Array.make (2 * c) 0 in
+    Array.blit r.keys 0 a 0 c;
+    r.keys <- a
+  end;
+  r.keys.(c) <- k;
+  r.count <- c + 1;
+  c
+
+let[@inline] remap_id r k =
+  let c = Array.unsafe_get r.ids k in
+  if c >= 0 then c else remap_add r k
+
+let drive_dense ~budget ~flush ~jobs ~n ~space produce =
+  let global = remap_create space in
+  drive ~budget ~flush ~jobs ~n
+    ~shard:(fun ps ~lo ~hi ->
+      let r = remap_create space in
+      produce ps r ~lo ~hi;
+      Array.sub r.keys 0 r.count)
+    ~to_global:(Array.map (remap_id global))
+
+let run ?(budget = Budget.unlimited) ?(flush = true) ?(jobs = 1) trace =
   let cells = Trace.cells trace and wflags = Trace.write_flags trace in
-  let shard (lo, hi) =
-    (* checkpoints poll the clock once per stride; check the deadline
-       outright at shard entry so an expired budget kills the fan-out
-       before any work *)
-    if not (Budget.is_unlimited budget) then
-      Budget.check_deadline budget Budget.Cache_sim;
-    let ps = pass_create budget in
-    (* trace cell ids are global; remap to dense local first-occurrence
-       ids and remember the correspondence for the merge *)
-    let remap = Array.make (max ncells 1) (-1) in
-    let gids = ref (Array.make 64 0) in
-    for i = lo to hi - 1 do
-      let g = Array.unsafe_get cells i in
-      let c =
-        match Array.unsafe_get remap g with
-        | -1 ->
-            let c = ps.p_n in
-            remap.(g) <- c;
-            if c = Array.length !gids then begin
-              let a = Array.make (2 * c) 0 in
-              Array.blit !gids 0 a 0 c;
-              gids := a
-            end;
-            !gids.(c) <- g;
-            c
-        | c -> c
-      in
-      pass_event ps c (Array.unsafe_get wflags i)
-    done;
-    (Array.sub !gids 0 ps.p_n, ps)
-  in
-  let parts = Pool.map ~jobs shard (Pool.split ~shards:jobs n) in
-  merge_all ~budget ~flush ~accesses:n parts
+  drive_dense ~budget ~flush ~jobs ~n:(Trace.length trace)
+    ~space:(Trace.footprint trace) (fun ps r ~lo ~hi ->
+      for i = lo to hi - 1 do
+        pass_event ps
+          (remap_id r (Array.unsafe_get cells i))
+          (Array.unsafe_get wflags i)
+      done)
+
+let default_jobs = function Some j -> j | None -> Pool.default_jobs ()
 
 let run_program_stream ?(budget = Budget.unlimited) ?(flush = true) ?jobs
     ?chunk_size ~params prog =
-  let jobs =
-    match jobs with Some j -> j | None -> Pool.default_jobs ()
-  in
-  if jobs < 1 then invalid_arg "Sweep.run_program_stream: jobs < 1";
-  let n = Program.n_accesses ~params prog in
-  let shard (lo, hi) =
-    if not (Budget.is_unlimited budget) then
-      Budget.check_deadline budget Budget.Cache_sim;
-    let pool = Interner.create () in
-    let ps = pass_create budget in
-    (* the shard-local interner assigns dense first-occurrence ids, which
-       is exactly the id discipline [pass_event] expects *)
-    Stream.iter_chunks ~budget ?chunk_size ~lo ~hi ~params ~interner:pool prog
-      (fun ch ->
-        for k = 0 to ch.len - 1 do
-          pass_event ps (Array.unsafe_get ch.ids k)
-            (Array.unsafe_get ch.writes k)
-        done);
-    (pool, ps)
-  in
-  let parts = Pool.map ~jobs shard (Pool.split ~shards:jobs n) in
-  (* a single global interner, fed in segment order, reproduces the
-     sequential first-occurrence numbering *)
   let gpool = Interner.create () in
-  let parts =
-    List.map
-      (fun (pool, ps) ->
-        ( Array.init ps.p_n (fun c -> Interner.intern gpool (Interner.key pool c)),
-          ps ))
-      parts
-  in
-  merge_all ~budget ~flush ~accesses:n parts
+  drive ~budget ~flush ~jobs:(default_jobs jobs)
+    ~n:(Program.n_accesses ~params prog)
+    ~shard:(fun ps ~lo ~hi ->
+      (* the shard-local interner assigns dense first-occurrence ids *)
+      let pool = Interner.create () in
+      Stream.iter_chunks ~budget ?chunk_size ~lo ~hi ~params ~interner:pool
+        prog (fun ch ->
+          for k = 0 to ch.len - 1 do
+            pass_event ps (Array.unsafe_get ch.ids k)
+              (Array.unsafe_get ch.writes k)
+          done);
+      pool)
+    ~to_global:(fun pool ->
+      Array.init (Interner.count pool) (fun c ->
+          Interner.intern gpool (Interner.key pool c)))
 
 let run_program ?(budget = Budget.unlimited) ?(flush = true) ?jobs ?chunk_size
     ~params prog =
-  let jobs =
-    match jobs with Some j -> j | None -> Pool.default_jobs ()
-  in
-  if jobs < 1 then invalid_arg "Sweep.run_program: jobs < 1";
+  let jobs = default_jobs jobs in
   match Trace.dense_plan ~params prog with
   | None ->
       (* the compiler cannot represent this program (or its address
          space misses the memory policy): stream instead *)
       run_program_stream ~budget ~flush ~jobs ?chunk_size ~params prog
   | Some plan ->
-      let n = Cplan.n_accesses plan in
-      let aspace = Cplan.addr_space plan in
       let unlimited = Budget.is_unlimited budget in
-      let shard (lo, hi) =
-        if not unlimited then Budget.check_deadline budget Budget.Cache_sim;
-        let ps = pass_create budget in
-        (* compiled addresses are dense ints: remap through a flat table
-           to shard-local first-occurrence ids - the id discipline
-           [pass_event] expects - and remember the inverse for the
-           merge.  Same trace-build budget gate as the streaming
-           producer: one [Cdag_build] checkpoint per statement instance,
-           counted against the node cap. *)
-        let remap = Array.make (max aspace 1) (-1) in
-        let addrs = ref (Array.make 64 0) in
-        let ninst = ref 0 in
-        Cplan.iter plan ~lo ~hi
-          ~on_instance:(fun () ->
-            if not unlimited then begin
-              Budget.checkpoint budget Budget.Cdag_build;
-              incr ninst;
-              Budget.check_node_cap budget Budget.Cdag_build !ninst
-            end)
-          ~on_access:(fun _pos addr w ->
-            let c =
-              match Array.unsafe_get remap addr with
-              | -1 ->
-                  let c = ps.p_n in
-                  remap.(addr) <- c;
-                  if c = Array.length !addrs then begin
-                    let a = Array.make (2 * c) 0 in
-                    Array.blit !addrs 0 a 0 c;
-                    addrs := a
-                  end;
-                  !addrs.(c) <- addr;
-                  c
-              | c -> c
-            in
-            pass_event ps c w);
-        (Array.sub !addrs 0 ps.p_n, ps)
-      in
-      let parts = Pool.map ~jobs shard (Pool.split ~shards:jobs n) in
-      (* a single global address map, fed in segment order, reproduces
-         the sequential first-occurrence numbering *)
-      let gmap = Array.make (max aspace 1) (-1) in
-      let gn = ref 0 in
-      let parts =
-        List.map
-          (fun (addrs, ps) ->
-            ( Array.map
-                (fun addr ->
-                  match gmap.(addr) with
-                  | -1 ->
-                      let g = !gn in
-                      gmap.(addr) <- g;
-                      incr gn;
-                      g
-                  | g -> g)
-                addrs,
-              ps ))
-          parts
-      in
-      merge_all ~budget ~flush ~accesses:n parts
-
-let run_program_checked ?budget ?flush ?jobs ?chunk_size ~params prog =
-  Iolb_util.Engine_error.guard (fun () ->
-      run_program ?budget ?flush ?jobs ?chunk_size ~params prog)
+      drive_dense ~budget ~flush ~jobs
+        ~n:(Cplan.n_accesses plan) ~space:(Cplan.addr_space plan)
+        (fun ps r ~lo ~hi ->
+          (* same trace-build budget gate as the streaming producer: one
+             [Cdag_build] checkpoint per statement instance, counted
+             against the node cap *)
+          let ninst = ref 0 in
+          Cplan.iter plan ~lo ~hi
+            ~on_instance:(fun () ->
+              if not unlimited then begin
+                Budget.checkpoint budget Budget.Cdag_build;
+                incr ninst;
+                Budget.check_node_cap budget Budget.Cdag_build !ninst
+              end)
+            ~on_access:(fun _pos addr w -> pass_event ps (remap_id r addr) w))
 
 (* ------------------------------------------------------------------ *)
 (* Sampled sweeps (SHARDS).  Cells are kept iff their spatial hash     *)
@@ -1010,8 +851,9 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ?(groups = 8)
     (* each lane is a whole (sub-)trace on its own: finalize as a
        single-segment merge, in which every cell is cold *)
     let finalize ps =
-      merge_all ~budget ~flush ~accesses:ps.p_events
-        [ (Array.init ps.p_n (fun c -> c), ps) ]
+      let gs = gstate_create budget in
+      merge_segment gs (Array.init ps.p_n Fun.id) ps;
+      merge_finish gs ~flush ~accesses:ps.p_events
     in
     {
       s_rate = rate;
@@ -1025,10 +867,6 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ?(groups = 8)
       s_gwidth = gwidth;
     }
   end
-
-let run_sampled_checked ?budget ?flush ?groups ~rate ~seed ~params prog =
-  Iolb_util.Engine_error.guard (fun () ->
-      run_sampled ?budget ?flush ?groups ~rate ~seed ~params prog)
 
 (* Confidence scaling: centre from the union sample, spread from the
    per-group estimates.  The half-width is max(z * se, floor) with z = 4
@@ -1103,7 +941,7 @@ let sampled_stats s ~size =
   end
 
 (* Answer a size list with whichever engine is cheaper: a single size runs
-   the O(T) LRU simulator directly; two or more sizes share one O(T log T)
+   the O(T) LRU simulator directly; two or more sizes share one O(T log F)
    sweep pass.  Results are identical either way. *)
 let lru_stats ?budget ?flush trace ~sizes =
   match sizes with

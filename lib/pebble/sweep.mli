@@ -5,32 +5,38 @@
     size S iff its reuse (stack) distance d - the number of distinct other
     cells accessed since the previous access of the same cell - satisfies
     d < S.  One pass over the trace, computing every access's distance with
-    a Fenwick tree over last-access positions (O(T log T) total), therefore
-    yields exact {!Cache.stats} for {e every} size simultaneously,
-    including write-back stores (recovered from a parallel dirty-epoch
-    interval construction; see the implementation header).  This is what
-    makes validating bounds across a whole grid of cache sizes - the
-    validation tables, the Appendix sweeps - cost one trace pass instead of
-    one simulation per size.
+    a Fenwick tree over live last-access marks compacted to the footprint
+    (O(T log F) time, O(F) space for F distinct cells), therefore yields
+    exact {!Cache.stats} for {e every} size simultaneously, including
+    write-back stores (recovered from a parallel dirty-epoch interval
+    construction; see the implementation header).  This is what makes
+    validating bounds across a whole grid of cache sizes - the validation
+    tables, the Appendix sweeps - cost one trace pass instead of one
+    simulation per size.
 
-    Results agree exactly, field by field, with {!Cache.lru} at every size
-    and with both [~flush] settings. *)
+    The exact entry points share one shard driver: the trace is cut into
+    [jobs] contiguous time segments, swept in parallel and merged
+    deterministically, so results are {e equal, field by field}, for any
+    segment count (byte-identical output at every [--jobs] width), and
+    agree exactly with {!Cache.lru} at every size and with both [~flush]
+    settings.  A sequential sweep is the one-segment case.
+
+    Budget exhaustion raises; callers that need the no-raise boundary wrap
+    the call in {!Iolb_util.Engine_error.guard}. *)
 
 type t
 
-(** [run ?flush trace] performs the sweep pass ([flush] defaults to [true],
-    matching {!Cache.lru}).  One [Cache_sim] budget checkpoint per trace
-    event (plus one per distinct cell for the epilogue).
-    @raise Iolb_util.Budget.Exhausted when the budget runs out. *)
-val run : ?budget:Iolb_util.Budget.t -> ?flush:bool -> Trace.t -> t
-
-(** No-raise variant of {!run}: a budget kill mid-sweep surfaces as
-    [Error (Budget_exhausted Cache_sim)] for the degradation ladder. *)
-val run_checked :
-  ?budget:Iolb_util.Budget.t ->
-  ?flush:bool ->
-  Trace.t ->
-  (t, Iolb_util.Engine_error.t) result
+(** [run ?flush ?jobs trace] sweeps a materialized trace in [jobs]
+    segments (default 1: sequential) across domains.  [flush] defaults to
+    [true], matching {!Cache.lru}.  One [Cache_sim] budget checkpoint per
+    trace event, plus per distinct cell per segment at the merge and per
+    distinct cell when closing the dirty epochs; every segment also polls
+    the deadline at entry.
+    @raise Invalid_argument if [jobs < 1].
+    @raise Iolb_util.Budget.Exhausted when the budget runs out (possibly
+    inside a shard domain). *)
+val run :
+  ?budget:Iolb_util.Budget.t -> ?flush:bool -> ?jobs:int -> Trace.t -> t
 
 (** [stats t ~size] is [Cache.lru ~size ?flush:(flushed t)] on the swept
     trace, answered in O(1) from the precomputed histograms.
@@ -67,28 +73,14 @@ val distance_histogram : t -> int array
     range ["lo:hi:step"].  All sizes must be positive. *)
 val parse_sizes : string -> (int list, string) result
 
-(** {1 Sharded and streaming sweeps}
+(** {1 Program sweeps}
 
-    The functions below replace the O(T) position tree of {!run} with a
-    footprint-compacted one and partition the pass into contiguous time
-    segments, merged deterministically: the result is {e equal, field by
-    field}, to {!run} on the same trace for any segment count, so output
-    stays byte-identical at every [--jobs] width.  [run_program] never
-    materializes the trace at all - segments are streamed straight out of
-    the program (see {!Iolb_ir.Stream}), so memory follows the footprint
-    and the chunk size, not the trace length. *)
-
-(** [run_segmented ?jobs trace] sweeps a materialized trace in [jobs]
-    segments ({!Iolb_util.Pool.default_jobs} by default) across domains.
-    Equal to [run trace] for every partition.
-    @raise Invalid_argument if [jobs < 1].
-    @raise Iolb_util.Budget.Exhausted when the budget runs out (possibly
-    inside a shard domain). *)
-val run_segmented :
-  ?budget:Iolb_util.Budget.t -> ?flush:bool -> ?jobs:int -> Trace.t -> t
+    These never materialize the trace: segments are produced straight out
+    of the program, so memory follows the footprint, not the trace
+    length.  [jobs] defaults to {!Iolb_util.Pool.default_jobs}. *)
 
 (** [run_program ~params p] sweeps the access trace of program [p] at
-    concrete [params] without materializing it: each of [jobs] domains
+    concrete [params]: each of [jobs] domains
     produces its own contiguous slice of the trace in place through the
     compiled plan ({!Iolb_ir.Cplan}) - flat integer address arithmetic
     with an O(depth) seek to the slice start, no hashing, no chunk
@@ -124,16 +116,6 @@ val run_program_stream :
   Iolb_ir.Program.t ->
   t
 
-(** No-raise variant of {!run_program} for the degradation ladder. *)
-val run_program_checked :
-  ?budget:Iolb_util.Budget.t ->
-  ?flush:bool ->
-  ?jobs:int ->
-  ?chunk_size:int ->
-  params:(string * int) list ->
-  Iolb_ir.Program.t ->
-  (t, Iolb_util.Engine_error.t) result
-
 (** {1 Sampled sweeps}
 
     SHARDS-style spatial sampling: a cell is kept iff
@@ -168,17 +150,6 @@ val run_sampled :
   params:(string * int) list ->
   Iolb_ir.Program.t ->
   sampled
-
-(** No-raise variant of {!run_sampled} for the degradation ladder. *)
-val run_sampled_checked :
-  ?budget:Iolb_util.Budget.t ->
-  ?flush:bool ->
-  ?groups:int ->
-  rate:float ->
-  seed:int ->
-  params:(string * int) list ->
-  Iolb_ir.Program.t ->
-  (sampled, Iolb_util.Engine_error.t) result
 
 (** [sampled_stats s ~size] estimates [(loads, read hits, stores)] of the
     exact sweep at [size].  Centres come from the union sample; interval

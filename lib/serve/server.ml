@@ -181,8 +181,9 @@ let empirical_for t entry ~m ~n ~s (budget : Protocol.budget_spec)
   let* params = Report.concrete_params entry ~m ~n in
   let* b = make_budget t budget in
   let* sampled =
-    Sweep.run_sampled_checked ~budget:b ~rate:e.rate ~seed:e.seed ~params
-      entry.Report.program
+    Engine_error.guard (fun () ->
+        Sweep.run_sampled ~budget:b ~rate:e.rate ~seed:e.seed ~params
+          entry.Report.program)
   in
   let estimate (a : Sweep.estimate) =
     Json.Obj

@@ -207,13 +207,14 @@ let test_game_and_cache_faults () =
     ];
   (* A budget kill mid-sweep degrades the same way: typed error, no escaped
      exception.  Fire both early (in the distance pass) and late (in the
-     per-cell epilogue, past the trace length). *)
+     merge, past the trace length). *)
   List.iter
     (fun k ->
       match
-        Iolb_pebble.Sweep.run_checked
-          ~budget:(Budget.make ~fault:(Budget.Cache_sim, k) ())
-          trace
+        EE.guard (fun () ->
+            Iolb_pebble.Sweep.run
+              ~budget:(Budget.make ~fault:(Budget.Cache_sim, k) ())
+              trace)
       with
       | Error (EE.Budget_exhausted Budget.Cache_sim) -> ()
       | Ok _ ->
@@ -235,8 +236,8 @@ let test_game_and_cache_faults () =
 
 (* The sharded, streaming and sampled sweep paths poll the same budget:
    a fault fired mid-shard (inside a worker domain) must surface as the
-   same typed error through the _checked entry points, never as an
-   escaped exception, at any jobs width. *)
+   same typed error through [Engine_error.guard], never as an escaped
+   exception, at any jobs width. *)
 let test_sharded_sweep_faults () =
   let spec = K.Mgs.tiled_spec ~m:6 ~n:4 ~b:2 in
   let trace = Trace.of_program ~params:[] spec in
@@ -256,30 +257,34 @@ let test_sharded_sweep_faults () =
         (fun k ->
           expect (Printf.sprintf "segmented jobs=%d k=%d" jobs k) (fun () ->
               EE.guard (fun () ->
-                  Iolb_pebble.Sweep.run_segmented
+                  Iolb_pebble.Sweep.run
                     ~budget:(Budget.make ~fault:(Budget.Cache_sim, k) ())
                     ~jobs trace));
           expect (Printf.sprintf "streamed jobs=%d k=%d" jobs k) (fun () ->
-              Iolb_pebble.Sweep.run_program_checked
-                ~budget:(Budget.make ~fault:(Budget.Cache_sim, k) ())
-                ~jobs ~params:[] spec))
+              EE.guard (fun () ->
+                  Iolb_pebble.Sweep.run_program
+                    ~budget:(Budget.make ~fault:(Budget.Cache_sim, k) ())
+                    ~jobs ~params:[] spec)))
         ks;
       (* a deadline that has already passed must also kill the shards *)
       expect (Printf.sprintf "deadline jobs=%d" jobs) (fun () ->
-          Iolb_pebble.Sweep.run_program_checked
-            ~budget:(Budget.make ~timeout_ms:0 ())
-            ~jobs ~params:[] spec))
+          EE.guard (fun () ->
+              Iolb_pebble.Sweep.run_program
+                ~budget:(Budget.make ~timeout_ms:0 ())
+                ~jobs ~params:[] spec)))
     [ 1; 2; 4 ];
   (* the sampled scan checkpoints Cache_sim too (per kept event and per
      64k-access tick) *)
   expect "sampled k=2" (fun () ->
-      Iolb_pebble.Sweep.run_sampled_checked
-        ~budget:(Budget.make ~fault:(Budget.Cache_sim, 2) ())
-        ~rate:0.6 ~seed:0 ~params:[] spec);
+      EE.guard (fun () ->
+          Iolb_pebble.Sweep.run_sampled
+            ~budget:(Budget.make ~fault:(Budget.Cache_sim, 2) ())
+            ~rate:0.6 ~seed:0 ~params:[] spec));
   expect "sampled deadline" (fun () ->
-      Iolb_pebble.Sweep.run_sampled_checked
-        ~budget:(Budget.make ~timeout_ms:0 ())
-        ~rate:0.6 ~seed:0 ~params:[] spec)
+      EE.guard (fun () ->
+          Iolb_pebble.Sweep.run_sampled
+            ~budget:(Budget.make ~timeout_ms:0 ())
+            ~rate:0.6 ~seed:0 ~params:[] spec))
 
 (* An already-passed wall-clock deadline is the one budget not even the
    trivial rung survives: the ladder must fail with the typed error (the

@@ -34,9 +34,13 @@ module Front = Iolb_front.Front
 module Driver = Iolb_front.Driver
 
 let ( let* ) = Result.bind
+let invalid = Engine_error.invalid
 
 let kernel_arg =
-  let doc = "Kernel name: mgs, qr_hh_a2v, qr_hh_v2q, gebd2, gehd2." in
+  let doc =
+    "Kernel name: a paper kernel (mgs, qr_hh_a2v, qr_hh_v2q, gebd2, gehd2) \
+     or a baseline (see $(b,iolb list))."
+  in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc)
 
 let m_arg = Arg.(value & opt int 64 & info [ "m" ] ~docv:"M" ~doc:"Rows M.")
@@ -76,6 +80,10 @@ let budget_args =
   in
   let tuple t s n = (t, s, n) in
   Term.(const tuple $ timeout_arg $ max_steps_arg $ max_nodes_arg)
+
+let check_jobs = function
+  | Some j when j < 1 -> invalid "--jobs must be >= 1, got %d" j
+  | _ -> Ok ()
 
 let make_budget (timeout_ms, max_steps, max_nodes) =
   Engine_error.guard (fun () ->
@@ -150,14 +158,7 @@ let file_arg =
 let bounds_cmd =
   let run jobs files budget_spec =
     run_checked @@ fun () ->
-    let* () =
-      match jobs with
-      | Some j when j < 1 ->
-          Error
-            (Engine_error.Invalid_input
-               (Printf.sprintf "--jobs must be >= 1, got %d" j))
-      | _ -> Ok ()
-    in
+    let* () = check_jobs jobs in
     let* budget = make_budget budget_spec in
     (* The budget's counters are atomic, so one instance is shared soundly
        across the fan-out; reports print sequentially in registry (or
@@ -167,8 +168,9 @@ let bounds_cmd =
       | [] ->
           Iolb_util.Pool.map ?jobs
             (fun entry ->
-              let* a = Report.analyze_checked ~budget entry in
-              Ok (Driver.render_analysis ~logs:false a))
+              Engine_error.guard (fun () ->
+                  Driver.render_analysis ~logs:false
+                    (Report.analyze ~budget entry)))
             Report.registry
       | files ->
           Iolb_util.Pool.map ?jobs
@@ -194,25 +196,20 @@ let eval_cmd =
   let run name m n s budget_spec =
     run_checked @@ fun () ->
     let* budget = make_budget budget_spec in
-    let* entry = Report.find_checked name in
-    (* the bounds are only meaningful where the program is: reject points
-       outside the kernel's domain instead of printing NaN *)
-    let* params = Report.concrete_params entry ~m ~n in
-    let* () =
-      let holds c =
-        Iolb_poly.Constr.satisfied (fun p -> List.assoc p params) c
-      in
-      let invalid msg = Error (Engine_error.Invalid_input msg) in
-      if s < 1 then invalid (Printf.sprintf "need s >= 1, got s = %d" s)
-      else
-        match List.find_opt (fun c -> not (holds c)) entry.program.assumptions with
-        | Some c ->
-            invalid
-              (Format.asprintf "%s at m=%d n=%d violates its assumption %a"
-                 entry.display m n Iolb_poly.Constr.pp c)
-        | None -> Ok ()
+    let* subject = Driver.lookup name in
+    let* entry =
+      match subject with
+      | Driver.Paper entry -> Ok entry
+      | Driver.Program _ ->
+          Error
+            (Engine_error.Unsupported
+               (Printf.sprintf
+                  "eval needs a paper kernel's theorem formula; %s is a \
+                   baseline (try analyze or simulate)"
+                  name))
     in
-    let* a = Report.analyze_checked ~budget entry in
+    let* _params = Driver.point ~s subject ~m ~n in
+    let* a = Engine_error.guard (fun () -> Report.analyze ~budget entry) in
     Printf.printf "%s at m=%d n=%d s=%d:\n" entry.display m n s;
     (match a.degradation with
     | Some why -> Printf.printf "  degraded: %s\n" why
@@ -295,7 +292,7 @@ let simulate_cmd =
   let parse_spec spec =
     match Sweep.parse_sizes spec with
     | Ok sizes -> Ok sizes
-    | Error msg -> Error (Engine_error.Invalid_input ("--sizes: " ^ msg))
+    | Error msg -> invalid "--sizes: %s" msg
   in
   (* One sweep answers every size: exact LRU stats from the reuse-distance
      pass, exact OPT loads from per-size forward runs over a shared plan.
@@ -385,71 +382,59 @@ let simulate_cmd =
         let v = String.sub spec (i + 1) (String.length spec - i - 1) in
         match int_of_string_opt v with
         | Some v when name <> "" -> Ok (name, v)
-        | _ ->
-            Error
-              (Engine_error.Invalid_input
-                 (Printf.sprintf "--param expects NAME=INT, got %S" spec)))
-    | None ->
-        Error
-          (Engine_error.Invalid_input
-             (Printf.sprintf "--param expects NAME=INT, got %S" spec))
+        | _ -> invalid "--param expects NAME=INT, got %S" spec)
+    | None -> invalid "--param expects NAME=INT, got %S" spec
   in
   let run name file param_overrides m n s seed sizes sample_rate sample_seed
       chunk_size jobs budget_spec =
     run_checked @@ fun () ->
     let* () =
-      match sample_rate with
-      | Some r when not (r > 0. && r <= 1.) ->
-          Error
-            (Engine_error.Invalid_input "--sample-rate must be in (0, 1]")
+      match (sample_rate, jobs, chunk_size) with
+      | Some r, _, _ when not (r > 0. && r <= 1.) ->
+          invalid "--sample-rate must be in (0, 1]"
+      | _, Some j, _ when j < 1 -> invalid "--jobs must be at least 1"
+      | _, _, Some c when c < 1 -> invalid "--chunk-size must be at least 1"
+      | (Some _, _, _ | _, Some _, _ | _, _, Some _) when sizes = None ->
+          invalid
+            "--sample-rate/--chunk-size/--jobs apply to the cache sweep: \
+             pass --sizes"
       | _ -> Ok ()
-    in
-    let* () =
-      match (jobs, chunk_size) with
-      | Some j, _ when j < 1 ->
-          Error (Engine_error.Invalid_input "--jobs must be at least 1")
-      | _, Some c when c < 1 ->
-          Error (Engine_error.Invalid_input "--chunk-size must be at least 1")
-      | _ -> Ok ()
-    in
-    let* () =
-      if
-        sizes = None
-        && (sample_rate <> None || chunk_size <> None || jobs <> None)
-      then
-        Error
-          (Engine_error.Invalid_input
-             "--sample-rate/--chunk-size/--jobs apply to the cache sweep: \
-              pass --sizes")
-      else Ok ()
     in
     let* budget = make_budget budget_spec in
-    (* Resolve the subject: a built-in kernel evaluated at -m/-n, or a
-       parsed --file source at its verify sizes (overridable per parameter
-       with --param).  Both produce the program, its concrete sizes, a
-       degradation notice, and labelled lower bounds at a given S. *)
-    let* program, params, degradation, pebble_lines =
+    (* Resolve the subject - a paper kernel evaluated at -m/-n, or a
+       program (a baseline or a parsed --file source) at its verify sizes,
+       overridable per parameter with --param - then its point, which must
+       lie in the program's domain, and its labelled lower bounds at S. *)
+    let* subject =
       match (name, file) with
       | Some _, Some _ ->
-          Error
-            (Engine_error.Invalid_input
-               "KERNEL and --file are exclusive: simulate one subject")
-      | None, None ->
-          Error
-            (Engine_error.Invalid_input
-               "need a KERNEL name or --file PROG.iolb")
-      | Some name, None ->
-          let* () =
-            if param_overrides <> [] then
-              Error
-                (Engine_error.Invalid_input
-                   "--param applies to --file sources; built-in kernels \
-                    take -m/-n")
-            else Ok ()
+          invalid "KERNEL and --file are exclusive: simulate one subject"
+      | None, None -> invalid "need a KERNEL name or --file PROG.iolb"
+      | Some name, None -> Driver.lookup name
+      | None, Some path ->
+          let* src = Front.parse_file path in
+          Ok (Driver.Program src)
+    in
+    let* overrides =
+      List.fold_left
+        (fun acc spec ->
+          let* acc = acc in
+          let* o = parse_param spec in
+          Ok (o :: acc))
+        (Ok []) param_overrides
+    in
+    let* params =
+      Driver.point
+        ?s:(if sizes = None then Some s else None)
+        ~overrides subject ~m ~n
+    in
+    let program = (Driver.source subject).Front.program in
+    let* degradation, pebble_lines =
+      match subject with
+      | Driver.Paper entry ->
+          let* a =
+            Engine_error.guard (fun () -> Report.analyze ~budget entry)
           in
-          let* entry = Report.find_checked name in
-          let* params = Report.concrete_params entry ~m ~n in
-          let* a = Report.analyze_checked ~budget entry in
           let pebble_lines ~s =
             List.filter_map
               (fun tech ->
@@ -461,40 +446,17 @@ let simulate_cmd =
                          v )))
               [ `Classical; `Hourglass ]
           in
-          Ok (entry.Report.program, params, a.Report.degradation, pebble_lines)
-      | None, Some path ->
-          let* src = Front.parse_file path in
-          let* overrides =
-            List.fold_left
-              (fun acc spec ->
-                let* acc = acc in
-                let* (name, v) = parse_param spec in
-                if List.mem_assoc name src.Front.verify then
-                  Ok ((name, v) :: acc)
-                else
-                  Error
-                    (Engine_error.Invalid_input
-                       (Printf.sprintf
-                          "--param %s=%d: %s is not a parameter of kernel %s"
-                          name v name
-                          src.Front.program.Iolb_ir.Program.name)))
-              (Ok []) param_overrides
-          in
-          let params =
-            List.map
-              (fun (p, v) ->
-                (p, Option.value ~default:v (List.assoc_opt p overrides)))
-              src.Front.verify
-          in
+          Ok (a.Report.degradation, pebble_lines)
+      | Driver.Program _ ->
           let* (o : D.outcome) =
-            D.analyze_ladder ~budget ~verify_params:params src.Front.program
+            D.analyze_ladder ~budget ~verify_params:params program
           in
           let pebble_lines ~s =
             match D.best ~params ~s o.D.bounds with
             | Some b -> [ ("derived", D.eval b ~params ~s) ]
             | None -> []
           in
-          Ok (src.Front.program, params, o.D.degradation, pebble_lines)
+          Ok (o.D.degradation, pebble_lines)
     in
     let show_degradation () =
       match degradation with
@@ -518,16 +480,16 @@ let simulate_cmd =
               ~lb spec
         | None -> run_sweep ~program ~params ~budget ~lb spec)
     | None ->
-        let* cdag = Cdag.of_program_checked ~budget ~params program in
+        let* cdag =
+          Engine_error.guard (fun () -> Cdag.of_program ~budget ~params program)
+        in
         Format.printf "%a@." Cdag.pp_stats cdag;
         show_degradation ();
-        let* prog_run =
-          Game.run_checked ~budget cdag ~s
-            ~schedule:(Game.program_schedule cdag)
-        in
-        let* random =
-          Game.run_checked ~budget cdag ~s
-            ~schedule:(Game.random_topological ~seed cdag)
+        let* prog_run, random =
+          Engine_error.guard (fun () ->
+              let run schedule = Game.run ~budget cdag ~s ~schedule in
+              let prog_run = run (Game.program_schedule cdag) in
+              (prog_run, run (Game.random_topological ~seed cdag)))
         in
         Printf.printf "pebble game at S=%d:\n" s;
         Printf.printf "  program order : %d loads (peak red %d)\n"
@@ -542,7 +504,8 @@ let simulate_cmd =
   in
   let sim_kernel_arg =
     let doc =
-      "Kernel name: mgs, qr_hh_a2v, qr_hh_v2q, gebd2, gehd2 (omit with \
+      "Kernel name: a paper kernel (mgs, qr_hh_a2v, qr_hh_v2q, gebd2, gehd2) \
+       or a baseline, simulated like its $(b,--file) source (omit with \
        $(b,--file))."
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc)
@@ -556,8 +519,8 @@ let simulate_cmd =
   in
   let sim_param_arg =
     let doc =
-      "With $(b,--file): override one verify binding, e.g. $(b,--param \
-       N=16).  Repeatable."
+      "With $(b,--file) or a baseline: override one verify binding, e.g. \
+       $(b,--param N=16).  Repeatable."
     in
     Arg.(value & opt_all string [] & info [ "param" ] ~docv:"NAME=V" ~doc)
   in
@@ -580,13 +543,25 @@ let tile_cmd =
   let run name m n s b budget_spec =
     run_checked @@ fun () ->
     let* budget = make_budget budget_spec in
-    let* () =
-      if m < 1 || n < 1 || s < 1 then
-        Error
-          (Engine_error.Invalid_input
-             (Printf.sprintf "need m, n, s >= 1, got m=%d n=%d s=%d" m n s))
-      else Ok ()
+    let* kernel, label, tiled_spec, predicted =
+      match name with
+      | "mgs" ->
+          let predicted b =
+            Printf.sprintf " predicted=%.0f"
+              ((0.5 *. float_of_int (m * n * n) /. float_of_int b)
+              +. float_of_int (m * n))
+          in
+          Ok ("mgs", "MGS", K.Mgs.tiled_spec, predicted)
+      | "qr_hh_a2v" | "a2v" ->
+          Ok ("qr_hh_a2v", "A2V", K.Householder.tiled_spec, fun _ -> "")
+      | other ->
+          Error
+            (Engine_error.Unsupported
+               (Printf.sprintf "no tiled ordering for %S (mgs, a2v)" other))
     in
+    (* the tiled ordering runs the registry kernel's point *)
+    let* subject = Driver.lookup kernel in
+    let* _params = Driver.point ~s subject ~m ~n in
     (* Block size: an explicit -b must divide n (no silent fallback); the
        paper's automatic choice degrades to b=1 with a warning when it does
        not divide. *)
@@ -594,12 +569,9 @@ let tile_cmd =
       if b > 0 then
         if n mod b = 0 then Ok b
         else
-          Error
-            (Engine_error.Invalid_input
-               (Printf.sprintf
-                  "block size b=%d does not divide n=%d (pick b with n mod b \
-                   = 0)"
-                  b n))
+          invalid
+            "block size b=%d does not divide n=%d (pick b with n mod b = 0)" b
+            n
       else
         let auto = max 1 ((s / m) - 1) in
         if n mod auto = 0 then Ok auto
@@ -610,32 +582,17 @@ let tile_cmd =
             auto n;
           Ok 1)
     in
-    let simulate label spec predicted =
-      let* trace =
-        Engine_error.guard (fun () -> Trace.of_program ~budget ~params:[] spec)
-      in
-      let* opt = Cache.opt_checked ~budget ~size:s trace in
-      let* lru = Cache.lru_checked ~budget ~size:s trace in
-      Printf.printf "tiled %s m=%d n=%d s=%d b=%d: opt=%d lru=%d%s\n" label m n
-        s b opt.Cache.loads lru.Cache.loads
-        (match predicted with
-        | Some p -> Printf.sprintf " predicted=%.0f" p
-        | None -> "");
-      Ok ()
+    let* opt, lru =
+      Engine_error.guard (fun () ->
+          let trace =
+            Trace.of_program ~budget ~params:[] (tiled_spec ~m ~n ~b)
+          in
+          let opt = Cache.opt ~budget ~size:s trace in
+          (opt, Cache.lru ~budget ~size:s trace))
     in
-    match name with
-    | "mgs" ->
-        simulate "MGS"
-          (K.Mgs.tiled_spec ~m ~n ~b)
-          (Some
-             ((0.5 *. float_of_int (m * n * n) /. float_of_int b)
-             +. float_of_int (m * n)))
-    | "qr_hh_a2v" | "a2v" ->
-        simulate "A2V" (K.Householder.tiled_spec ~m ~n ~b) None
-    | other ->
-        Error
-          (Engine_error.Unsupported
-             (Printf.sprintf "no tiled ordering for %S (mgs, a2v)" other))
+    Printf.printf "tiled %s m=%d n=%d s=%d b=%d: opt=%d lru=%d%s\n" label m n s
+      b opt.Cache.loads lru.Cache.loads (predicted b);
+    Ok ()
   in
   Cmd.v
     (Cmd.info "tile" ~doc:"Cache-simulate a tiled ordering (Appendix A)"
@@ -714,16 +671,13 @@ let check_cmd =
     let rc =
       run_checked @@ fun () ->
       let* () =
-        if count < 1 then
-          Error
-            (Engine_error.Invalid_input
-               (Printf.sprintf "--count must be >= 1, got %d" count))
+        if count < 1 then invalid "--count must be >= 1, got %d" count
         else Ok ()
       in
       let* props =
         match Iolb_check.Oracle.find props with
         | Ok ps -> Ok ps
-        | Error msg -> Error (Engine_error.Invalid_input msg)
+        | Error msg -> invalid "%s" msg
       in
       (* Validate the budget flags once, then mint a fresh budget per
          (spec, property) evaluation: budgets are stateful counters, and
@@ -771,17 +725,9 @@ let print_cmd =
     run_checked @@ fun () ->
     (* Emitting then re-parsing a built-in is the round-trip identity the
        shipped examples/kernels/*.iolb files are generated from. *)
-    match Report.find_checked name with
-    | Ok entry ->
-        Ok
-          (print_string
-             (Front.print ~verify:entry.Report.verify_params
-                entry.Report.program))
-    | Error e -> (
-        match List.find_opt (fun (n, _, _) -> n = name) Report.baselines with
-        | Some (_, program, verify) ->
-            Ok (print_string (Front.print ~verify program))
-        | None -> Error e)
+    let* subject = Driver.lookup name in
+    let src = Driver.source subject in
+    Ok (print_string (Front.print ~verify:src.Front.verify src.Front.program))
   in
   Cmd.v
     (Cmd.info "print"
@@ -827,18 +773,10 @@ let parse_address (socket, tcp) =
           let port = String.sub spec (i + 1) (String.length spec - i - 1) in
           match int_of_string_opt port with
           | Some p when p >= 0 && host <> "" -> Ok (Server.Tcp (host, p))
-          | _ ->
-              Error
-                (Engine_error.Invalid_input
-                   (Printf.sprintf "--tcp expects HOST:PORT, got %S" spec)))
-      | None ->
-          Error
-            (Engine_error.Invalid_input
-               (Printf.sprintf "--tcp expects HOST:PORT, got %S" spec)))
-  | Some _, Some _ ->
-      Error (Engine_error.Invalid_input "--socket and --tcp are exclusive")
-  | None, None ->
-      Error (Engine_error.Invalid_input "need --socket PATH or --tcp HOST:PORT")
+          | _ -> invalid "--tcp expects HOST:PORT, got %S" spec)
+      | None -> invalid "--tcp expects HOST:PORT, got %S" spec)
+  | Some _, Some _ -> invalid "--socket and --tcp are exclusive"
+  | None, None -> invalid "need --socket PATH or --tcp HOST:PORT"
 
 let serve_cmd =
   let pos_int_opt name default doc =
@@ -886,21 +824,13 @@ let serve_cmd =
       default_timeout_ms allow_crash quiet =
     run_checked @@ fun () ->
     let* address = parse_address addr_spec in
-    let* () =
-      match jobs with
-      | Some j when j < 1 ->
-          Error
-            (Engine_error.Invalid_input
-               (Printf.sprintf "--jobs must be >= 1, got %d" j))
-      | _ -> Ok ()
-    in
+    let* () = check_jobs jobs in
     let* () =
       if queue_cap < 1 || cache_cap < 0 || max_conns < 1 || retry_after < 0
       then
-        Error
-          (Engine_error.Invalid_input
-             "need --queue-cap >= 1, --cache-cap >= 0, --max-conns >= 1, \
-              --retry-after-ms >= 0")
+        invalid
+          "need --queue-cap >= 1, --cache-cap >= 0, --max-conns >= 1, \
+           --retry-after-ms >= 0"
       else Ok ()
     in
     let jobs =
@@ -1010,14 +940,8 @@ let client_cmd =
             let k = String.sub spec (i + 1) (String.length spec - i - 1) in
             match (Protocol.stage_of_wire stage, int_of_string_opt k) with
             | Some stage, Some k when k >= 1 -> Ok (Some (stage, k))
-            | _ ->
-                Error
-                  (Engine_error.Invalid_input
-                     (Printf.sprintf "--fault expects STAGE:K, got %S" spec)))
-        | None ->
-            Error
-              (Engine_error.Invalid_input
-                 (Printf.sprintf "--fault expects STAGE:K, got %S" spec)))
+            | _ -> invalid "--fault expects STAGE:K, got %S" spec)
+        | None -> invalid "--fault expects STAGE:K, got %S" spec)
   in
   let run addr_spec op arg m n s budget_spec fault retries =
     let code = ref 0 in
@@ -1030,10 +954,7 @@ let client_cmd =
         let kernel_fields () =
           match arg with
           | Some k -> Ok (("kernel", Json.String k) :: fields)
-          | None ->
-              Error
-                (Engine_error.Invalid_input
-                   (Printf.sprintf "%s needs a kernel argument" op))
+          | None -> invalid "%s needs a kernel argument" op
         in
         let simple name =
           Ok
@@ -1062,9 +983,7 @@ let client_cmd =
                filesystem.  Json.escape keeps the multi-line source on one
                wire line. *)
             match arg with
-            | None ->
-                Error
-                  (Engine_error.Invalid_input "source needs a DSL file path")
+            | None -> invalid "source needs a DSL file path"
             | Some path -> (
                 match
                   let ic = open_in_bin path in
@@ -1074,9 +993,7 @@ let client_cmd =
                       really_input_string ic (in_channel_length ic))
                 with
                 | exception Sys_error msg ->
-                    Error
-                      (Engine_error.Invalid_input
-                         (Printf.sprintf "cannot read %s: %s" path msg))
+                    invalid "cannot read %s: %s" path msg
                 | src ->
                     Ok
                       (Json.to_string
@@ -1088,16 +1005,12 @@ let client_cmd =
         | "raw" -> (
             match arg with
             | Some l -> Ok l
-            | None ->
-                Error
-                  (Engine_error.Invalid_input "raw needs the request line"))
+            | None -> invalid "raw needs the request line")
         | other ->
-            Error
-              (Engine_error.Invalid_input
-                 (Printf.sprintf
-                    "unknown client op %S (ping, list, stats, shutdown, \
-                     analyze, eval, source, crash, raw)"
-                    other))
+            invalid
+              "unknown client op %S (ping, list, stats, shutdown, analyze, \
+               eval, source, crash, raw)"
+              other
       in
       let* client =
         Engine_error.guard (fun () ->
@@ -1145,9 +1058,12 @@ let dot_cmd =
   in
   let run name m n out =
     run_checked @@ fun () ->
-    let* entry = Report.find_checked name in
-    let* params = Report.concrete_params entry ~m ~n in
-    let* cdag = Cdag.of_program_checked ~params entry.Report.program in
+    let* subject = Driver.lookup name in
+    let* params = Driver.point subject ~m ~n in
+    let* cdag =
+      Engine_error.guard (fun () ->
+          Cdag.of_program ~params (Driver.source subject).Front.program)
+    in
     Iolb_cdag.Dot.to_file out cdag;
     Printf.printf "wrote %s (%d nodes)\n" out (Cdag.n_nodes cdag);
     Ok ()

@@ -202,9 +202,6 @@ let of_program ?(budget = Budget.unlimited) ~params p =
     n_inputs = !inputs;
   }
 
-let of_program_checked ?budget ~params p =
-  Iolb_util.Engine_error.guard (fun () -> of_program ?budget ~params p)
-
 let n_nodes t = Array.length t.kinds
 let kind t id = t.kinds.(id)
 let preds t id = t.preds.(id)

@@ -28,14 +28,6 @@ type t
 val of_program :
   ?budget:Iolb_util.Budget.t -> params:(string * int) list -> Iolb_ir.Program.t -> t
 
-(** [of_program_checked] is {!of_program} behind the no-raise boundary:
-    budget exhaustion and malformed inputs come back as typed errors. *)
-val of_program_checked :
-  ?budget:Iolb_util.Budget.t ->
-  params:(string * int) list ->
-  Iolb_ir.Program.t ->
-  (t, Iolb_util.Engine_error.t) result
-
 val n_nodes : t -> int
 val kind : t -> int -> kind
 

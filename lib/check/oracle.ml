@@ -8,6 +8,7 @@ module Trace = Iolb_pebble.Trace
 module Cache = Iolb_pebble.Cache
 module Sweep = Iolb_pebble.Sweep
 module Budget = Iolb_util.Budget
+module Engine_error = Iolb_util.Engine_error
 module Pool = Iolb_util.Pool
 module P = Iolb_symbolic.Polynomial
 module R = Iolb_symbolic.Ratfun
@@ -83,7 +84,7 @@ let game_at c s =
             ~schedule:(Lazy.force c.schedule)
         with
         | r -> Some r
-        | exception Game.Infeasible _ -> None
+        | exception Engine_error.Error (Invalid_input _) -> None
       in
       Hashtbl.add c.games s r;
       r
@@ -309,7 +310,7 @@ let render_report c ~jobs =
         let game =
           match Game.run cdag ~s ~schedule with
           | r -> string_of_int r.Game.loads
-          | exception Game.Infeasible _ -> "infeasible"
+          | exception Engine_error.Error (Invalid_input _) -> "infeasible"
         in
         Printf.sprintf "S=%d lru=%d/%d/%d game=%s" s lru.Cache.loads
           lru.Cache.stores lru.Cache.read_hits game)
@@ -422,7 +423,7 @@ let prop_game_compiled c =
           let compiled =
             match Game.run_runner ~budget:c.budget runner ~s with
             | res -> Some (res.Game.loads, res.Game.peak_red)
-            | exception Game.Infeasible _ -> None
+            | exception Engine_error.Error (Invalid_input _) -> None
           in
           let reference =
             match Game_ref.run ~budget:c.budget cdag ~s ~schedule with

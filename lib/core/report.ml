@@ -105,17 +105,12 @@ let find name =
       registry
   with
   | Some e -> e
-  | None -> raise Not_found
-
-let find_checked name =
-  match find name with
-  | e -> Ok e
-  | exception Not_found ->
+  | None ->
       let paper =
         List.map (fun e -> Paper_formulas.kernel_name e.kernel) registry
       in
       let baseline = List.map (fun (n, _, _) -> n) baselines in
-      Error
+      Engine_error.raise_error
         (Engine_error.Invalid_input
            (Printf.sprintf
               "unknown kernel %S (paper kernels: %s; baselines: %s; or pass \
@@ -131,8 +126,7 @@ type analysis = {
   degradation : string option;
 }
 
-let analyze_checked ?(budget = Budget.unlimited) entry =
-  Engine_error.protect @@ fun () ->
+let analyze ?(budget = Budget.unlimited) entry =
   (* Detection for display only: if it blows the budget here, the ladder
      below records the abort; an empty pattern list is an honest display. *)
   let hourglasses =
@@ -143,8 +137,12 @@ let analyze_checked ?(budget = Budget.unlimited) entry =
     | hgs -> hgs
     | exception Budget.Exhausted _ -> []
   in
-  Result.map
-    (fun (o : Derive.outcome) ->
+  match
+    Derive.analyze_ladder ~budget ~verify_params:entry.verify_params
+      entry.program
+  with
+  | Error e -> Engine_error.raise_error e
+  | Ok (o : Derive.outcome) ->
       {
         entry;
         hourglasses;
@@ -167,14 +165,7 @@ let analyze_checked ?(budget = Budget.unlimited) entry =
               })
             o.bounds;
         degradation = o.degradation;
-      })
-    (Derive.analyze_ladder ~budget ~verify_params:entry.verify_params
-       entry.program)
-
-let analyze ?budget entry =
-  match analyze_checked ?budget entry with
-  | Ok a -> a
-  | Error e -> Engine_error.raise_error e
+      }
 
 (* Memoized unlimited-budget analyses.  The registry is a fixed set of
    entries analysed identically by many consumers (every bench section, the
@@ -233,17 +224,13 @@ let concrete_params entry ~m ~n =
   match entry.kernel with
   | Paper_formulas.Gehd2 ->
       if n < 4 then
-        Error
-          (Engine_error.Invalid_input
-             (Printf.sprintf
-                "GEHD2 needs n >= 4 (loop split M = n/2 - 1 must be >= 1), got n = %d"
-                n))
+        Engine_error.invalid
+          "GEHD2 needs n >= 4 (loop split M = n/2 - 1 must be >= 1), got n = %d"
+          n
       else Ok [ ("N", n); ("M", (n / 2) - 1) ]
   | _ ->
       if m < 1 || n < 1 then
-        Error
-          (Engine_error.Invalid_input
-             (Printf.sprintf "need m >= 1 and n >= 1, got m = %d, n = %d" m n))
+        Engine_error.invalid "need m >= 1 and n >= 1, got m = %d, n = %d" m n
       else Ok [ ("M", m); ("N", n) ]
 
 let eval_best a ~technique ~m ~n ~s =

@@ -25,13 +25,12 @@ val registry : entry list
 val baselines : (string * Iolb_ir.Program.t * (string * int) list) list
 
 (** [find name] looks up a paper kernel by kernel/display/program name.
-    @raise Not_found otherwise (baselines are not entries: they have no
-    paper formulas attached; see {!baselines}). *)
+    Baselines are not entries (they have no paper formulas attached; see
+    {!baselines}).
+    @raise Iolb_util.Engine_error.Error with [Invalid_input] for any other
+    name; the message lists the paper kernels and the baselines and
+    suggests [--file]. *)
 val find : string -> entry
-
-(** Like {!find}, but returns [Invalid_input] (listing the known kernels)
-    instead of raising. *)
-val find_checked : string -> (entry, Iolb_util.Engine_error.t) result
 
 type analysis = {
   entry : entry;
@@ -44,15 +43,11 @@ type analysis = {
 
 (** Resilient analysis through {!Derive.analyze_ladder}: under budget
     pressure falls back to weaker (but sound) bounds, recording the
-    degradation; never raises. *)
-val analyze_checked :
-  ?budget:Iolb_util.Budget.t ->
-  entry ->
-  (analysis, Iolb_util.Engine_error.t) result
-
-(** Raising variant of {!analyze_checked} (kept for in-process callers and
-    tests); under the default unlimited budget it never degrades and
-    behaves as the original full pipeline. *)
+    degradation.  Under the default unlimited budget it never degrades and
+    behaves as the original full pipeline.  Callers that need the no-raise
+    boundary wrap it in {!Iolb_util.Engine_error.guard}.
+    @raise Iolb_util.Engine_error.Error when no rung answers (e.g. a passed
+    deadline). *)
 val analyze : ?budget:Iolb_util.Budget.t -> entry -> analysis
 
 (** [analyze_cached entry] is [analyze entry] memoized per process, keyed

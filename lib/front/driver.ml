@@ -2,6 +2,8 @@ module Report = Iolb.Report
 module D = Iolb.Derive
 module Program = Iolb_ir.Program
 module Deps = Iolb_ir.Deps
+module Constr = Iolb_poly.Constr
+module Engine_error = Iolb_util.Engine_error
 
 let ( let* ) = Result.bind
 
@@ -51,8 +53,64 @@ let render_outcome ~logs (o : D.outcome) =
       | _ :: _ -> ""))
   ^ render_bounds ~logs o.D.bounds
 
+type subject = Paper of Report.entry | Program of Front.source
+
+let source = function
+  | Paper e ->
+      { Front.program = e.Report.program; verify = e.Report.verify_params }
+  | Program src -> src
+
+let lookup name =
+  match Engine_error.guard (fun () -> Report.find name) with
+  | Ok entry -> Ok (Paper entry)
+  | Error e -> (
+      match List.find_opt (fun (n, _, _) -> n = name) Report.baselines with
+      | Some (_, program, verify) -> Ok (Program { Front.program; verify })
+      | None -> Error e)
+
+let point ?s ?(overrides = []) subject ~m ~n =
+  let invalid = Engine_error.invalid in
+  let* params, at =
+    match subject with
+    | Paper _ when overrides <> [] ->
+        invalid
+          "--param applies to --file sources and baselines; paper kernels \
+           take -m/-n"
+    | Paper e ->
+        let* params = Report.concrete_params e ~m ~n in
+        Ok (params, Printf.sprintf "%s at m=%d n=%d" e.Report.display m n)
+    | Program { Front.program; verify } -> (
+        let unknown (p, _) = not (List.mem_assoc p verify) in
+        match List.find_opt unknown overrides with
+        | Some (p, v) ->
+            invalid "--param %s=%d: %s is not a parameter of kernel %s" p v p
+              program.Program.name
+        | None ->
+            let value (p, v) =
+              (p, Option.value ~default:v (List.assoc_opt p overrides))
+            in
+            let params = List.map value verify in
+            let binding (p, v) = Printf.sprintf "%s=%d" p v in
+            Ok
+              ( params,
+                Printf.sprintf "%s at %s" program.Program.name
+                  (String.concat " " (List.map binding params)) ))
+  in
+  (* the bounds and the simulators are only meaningful on the program's
+     domain: reject points outside it instead of printing NaN *)
+  let violated c = not (Constr.satisfied (fun p -> List.assoc p params) c) in
+  match s with
+  | Some s when s < 1 -> invalid "need s >= 1, got s = %d" s
+  | _ -> (
+      let program = (source subject).Front.program in
+      match List.find_opt violated program.Program.assumptions with
+      | Some c ->
+          invalid "%s violates its assumption %s" at
+            (Format.asprintf "%a" Constr.pp c)
+      | None -> Ok params)
+
 let render_entry ~budget ~logs entry =
-  let* a = Report.analyze_checked ~budget entry in
+  let* a = Engine_error.guard (fun () -> Report.analyze ~budget entry) in
   Ok (render_analysis ~logs a)
 
 let render_ladder ~budget ~logs ~verify_params program =
@@ -60,13 +118,12 @@ let render_ladder ~budget ~logs ~verify_params program =
   Ok (render_outcome ~logs o)
 
 let render_kernel ~budget ~logs name =
-  match Report.find_checked name with
-  | Ok entry -> render_entry ~budget ~logs entry
-  | Error e -> (
-      match List.find_opt (fun (n, _, _) -> n = name) Report.baselines with
-      | Some (_, program, verify_params) ->
-          render_ladder ~budget ~logs ~verify_params program
-      | None -> Error e)
+  let* subject = lookup name in
+  match subject with
+  | Paper entry -> render_entry ~budget ~logs entry
+  | Program src ->
+      render_ladder ~budget ~logs ~verify_params:src.Front.verify
+        src.Front.program
 
 let render_source ~budget ~logs (src : Front.source) =
   match resolve src with

@@ -23,8 +23,39 @@ val render_analysis : logs:bool -> Iolb.Report.analysis -> string
     the no-bound notice, then each bound). *)
 val render_outcome : logs:bool -> Iolb.Derive.outcome -> string
 
-(** [render_kernel ~budget ~logs name] is the report for a built-in kernel
-    name: registry first, then baselines, then the unknown-kernel error. *)
+(** What a KERNEL name on the command line denotes: a paper kernel with
+    its registry entry, or a program analysed through the degradation
+    ladder - a baseline, or a parsed [--file] source - with its verify
+    sizes. *)
+type subject = Paper of Iolb.Report.entry | Program of Front.source
+
+(** [source subject] is the subject's program with its verify sizes. *)
+val source : subject -> Front.source
+
+(** [lookup name] resolves a paper kernel (by {!Iolb.Report.find}'s names)
+    or a baseline.  Any other name is [Invalid_input] with
+    {!Iolb.Report.find}'s message. *)
+val lookup : string -> (subject, Iolb_util.Engine_error.t) result
+
+(** [point ?s ?overrides subject ~m ~n] is the concrete parameter binding
+    of a subject: {!Iolb.Report.concrete_params} at [(m, n)] for a paper
+    kernel, the verify sizes with [overrides] applied for a program
+    ([m]/[n] are ignored there; [overrides] are rejected for paper
+    kernels and must name parameters of the program).  The point must
+    then satisfy every assumption of the program, and [s >= 1] when [s] is
+    given; otherwise the result is [Invalid_input] naming the violated
+    constraint. *)
+val point :
+  ?s:int ->
+  ?overrides:(string * int) list ->
+  subject ->
+  m:int ->
+  n:int ->
+  ((string * int) list, Iolb_util.Engine_error.t) result
+
+(** [render_kernel ~budget ~logs name] is the report for a {!lookup}ed
+    name: the registry report for a paper kernel, the ladder report for a
+    baseline. *)
 val render_kernel :
   budget:Iolb_util.Budget.t ->
   logs:bool ->

@@ -268,9 +268,3 @@ let opt_heap_peak ~size ?(flush = true) trace =
   snd
     (opt_run_internal Budget.unlimited ~size ~flush
        (opt_plan trace))
-
-let lru_checked ?budget ~size ?flush trace =
-  Iolb_util.Engine_error.guard (fun () -> lru ?budget ~size ?flush trace)
-
-let opt_checked ?budget ~size ?flush trace =
-  Iolb_util.Engine_error.guard (fun () -> opt ?budget ~size ?flush trace)

@@ -65,21 +65,6 @@ val opt_run :
     (diagnostics; tests pin it to O(size)). *)
 val opt_heap_peak : size:int -> ?flush:bool -> Trace.t -> int
 
-(** No-raise variants of {!lru} and {!opt}. *)
-val lru_checked :
-  ?budget:Iolb_util.Budget.t ->
-  size:int ->
-  ?flush:bool ->
-  Trace.t ->
-  (stats, Iolb_util.Engine_error.t) result
-
-val opt_checked :
-  ?budget:Iolb_util.Budget.t ->
-  size:int ->
-  ?flush:bool ->
-  Trace.t ->
-  (stats, Iolb_util.Engine_error.t) result
-
 (** [cold trace] is the compulsory-miss statistics (infinite cache). *)
 val cold : Trace.t -> stats
 

@@ -1,6 +1,7 @@
 module Cdag = Iolb_cdag.Cdag
 module Budget = Iolb_util.Budget
 module Maxheap = Iolb_util.Maxheap
+module Engine_error = Iolb_util.Engine_error
 
 (* Compiled red-white pebble engine.  Same game, same clairvoyant
    (Belady) discard policy, same heap push sequence - and therefore the
@@ -20,7 +21,7 @@ module Maxheap = Iolb_util.Maxheap
 
 type result = { loads : int; peak_red : int }
 
-exception Infeasible of string
+let infeasible msg = Engine_error.raise_error (Engine_error.Invalid_input msg)
 
 let is_compute cdag id =
   match Cdag.kind cdag id with Cdag.Compute _ -> true | Cdag.Input _ -> false
@@ -271,12 +272,11 @@ let run_runner ?(budget = Budget.unlimited) r ~s =
     while step_off.(!t + 1) - step_off.(!t) + 1 <= s do
       incr t
     done;
-    raise
-      (Infeasible
-         (Printf.sprintf "node %d needs %d red pebbles but S = %d"
-            schedule.(!t)
-            (step_off.(!t + 1) - step_off.(!t) + 1)
-            s))
+    infeasible
+      (Printf.sprintf "node %d needs %d red pebbles but S = %d"
+         schedule.(!t)
+         (step_off.(!t + 1) - step_off.(!t) + 1)
+         s)
   end;
   let next_use_after node t =
     let hi = Array.unsafe_get use_off (node + 1) in
@@ -303,7 +303,7 @@ let run_runner ?(budget = Budget.unlimited) r ~s =
     let skipped = ref [] in
     let rec pick () =
       if Maxheap.is_empty heap then
-        raise (Infeasible "no discardable red pebble");
+        infeasible "no discardable red pebble";
       let pos, node = Maxheap.pop heap in
       if bget red node && Array.unsafe_get heap_key node = pos then
         if Array.unsafe_get protect node <> t then node
@@ -357,9 +357,3 @@ let run_runner ?(budget = Budget.unlimited) r ~s =
 let run_plan ?budget plan ~s = run_runner ?budget (runner plan) ~s
 
 let run ?budget cdag ~s ~schedule = run_plan ?budget (plan cdag ~schedule) ~s
-
-let run_checked ?budget cdag ~s ~schedule =
-  match run ?budget cdag ~s ~schedule with
-  | r -> Ok r
-  | exception Infeasible msg -> Error (Iolb_util.Engine_error.Invalid_input msg)
-  | exception e -> Error (Iolb_util.Engine_error.of_exn e)

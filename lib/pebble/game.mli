@@ -19,13 +19,11 @@ type result = {
   peak_red : int;  (** maximum number of simultaneous red pebbles *)
 }
 
-exception Infeasible of string
-(** Raised when some node needs more than [s] red pebbles at once. *)
-
 (** [run cdag ~s ~schedule] plays the game with fast-memory size [s] over
     the compute nodes in [schedule] order.  One [Pebble_game] budget
     checkpoint is accounted per scheduled node.
-    @raise Infeasible if [s] is too small for some node's fan-in.
+    @raise Iolb_util.Engine_error.Error with [Invalid_input] if [s] is too
+    small for some node's fan-in (an infeasible S).
     @raise Iolb_util.Budget.Exhausted when the budget runs out.
     @raise Invalid_argument if [schedule] is not a valid topological order
     of the compute nodes. *)
@@ -64,15 +62,6 @@ val runner : plan -> runner
     the runner's buffers.  Same results, budget accounting and
     exceptions. *)
 val run_runner : ?budget:Iolb_util.Budget.t -> runner -> s:int -> result
-
-(** [run_checked] is {!run} behind the no-raise boundary ([Infeasible] and
-    bad schedules map to [Invalid_input]). *)
-val run_checked :
-  ?budget:Iolb_util.Budget.t ->
-  Iolb_cdag.Cdag.t ->
-  s:int ->
-  schedule:int array ->
-  (result, Iolb_util.Engine_error.t) Stdlib.result
 
 (** The compute nodes in program order (always a valid schedule). *)
 val program_schedule : Iolb_cdag.Cdag.t -> int array

@@ -153,13 +153,7 @@ let analysis_for t entry (budget : Protocol.budget_spec) =
     Engine_error.guard (fun () -> Report.analyze_cached entry)
   else
     Result.bind (make_budget t budget) (fun b ->
-        Report.analyze_checked ~budget:b entry)
-
-(* A result is cacheable when it is the complete answer: no degradation
-   note and no fault hook in play (fault-injected requests must exercise
-   the real path, and a degraded result is budget-specific). *)
-let cacheable (budget : Protocol.budget_spec) (a : Report.analysis) =
-  budget.fault = None && a.degradation = None
+        Engine_error.guard (fun () -> Report.analyze ~budget:b entry))
 
 let respond_ok t ~id ~op result_string =
   Atomic.incr t.counters.served_ok;
@@ -208,11 +202,37 @@ let empirical_for t entry ~m ~n ~s (budget : Protocol.budget_spec)
          ("stores", estimate stores);
        ])
 
-(* Engine ops (analyze / eval / crash).  Returns the full response line.
-   Unexpected exceptions escape to the worker shell on purpose: the
-   worker loop answers the poisoned request with a typed [internal]
-   error and then lets the domain die, to be respawned. *)
+let with_entry t ~id kernel k =
+  match Engine_error.guard (fun () -> Report.find kernel) with
+  | Error e -> respond_error t ~id (Protocol.Engine e)
+  | Ok entry -> k entry
+
+(* The one cached-response path of the engine ops.  The LRU answers
+   unless a fault hook is in play (fault-injected requests must exercise
+   the real path); [compute] gets the spec hash and returns the payload
+   with its degradation note, and only a complete answer - no degradation,
+   which is budget-specific, and no fault hook - is cached. *)
+let cached t (req : Protocol.request) ~op ~display
+    (budget : Protocol.budget_spec) compute =
+  let key = Option.get (Protocol.spec_key req.op ~display) in
+  let lookup = if budget.fault = None then Lru.find t.cache key else None in
+  match lookup with
+  | Some result -> respond_ok t ~id:req.id ~op result
+  | None -> (
+      match compute (Protocol.spec_hash key) with
+      | Error e -> respond_error t ~id:req.id (Protocol.Engine e)
+      | Ok (payload, degradation) ->
+          let result = Json.to_string payload in
+          if budget.fault = None && degradation = None then
+            Lru.add t.cache key result;
+          respond_ok t ~id:req.id ~op result)
+
+(* Engine ops (analyze / source / eval / crash).  Returns the full
+   response line.  Unexpected exceptions escape to the worker shell on
+   purpose: the worker loop answers the poisoned request with a typed
+   [internal] error and then lets the domain die, to be respawned. *)
 let handle_engine t (req : Protocol.request) =
+  let ( let* ) = Result.bind in
   let id = req.id in
   match req.op with
   | Protocol.Crash ->
@@ -223,106 +243,51 @@ let handle_engine t (req : Protocol.request) =
              (Engine_error.Unsupported
                 "crash injection disabled (start the server with \
                  --allow-crash)"))
-  | Protocol.Analyze { kernel; budget } -> (
-      match Report.find_checked kernel with
-      | Error e -> respond_error t ~id (Protocol.Engine e)
-      | Ok entry -> (
-          let key =
-            Option.get (Protocol.spec_key req.op ~display:entry.display)
-          in
-          let spec = Protocol.spec_hash key in
-          let lookup =
-            if budget.fault = None then Lru.find t.cache key else None
-          in
-          match lookup with
-          | Some result -> respond_ok t ~id ~op:"analyze" result
-          | None -> (
-              match analysis_for t entry budget with
-              | Error e -> respond_error t ~id (Protocol.Engine e)
-              | Ok a ->
-                  let result =
-                    Json.to_string (Protocol.analysis_result ~spec a)
-                  in
-                  if cacheable budget a then Lru.add t.cache key result;
-                  respond_ok t ~id ~op:"analyze" result)))
+  | Protocol.Analyze { kernel; budget } ->
+      with_entry t ~id kernel @@ fun entry ->
+      cached t req ~op:"analyze" ~display:entry.display budget @@ fun spec ->
+      let* a = analysis_for t entry budget in
+      Ok (Protocol.analysis_result ~spec a, a.degradation)
   | Protocol.Source { src; budget } -> (
       (* Inline DSL source: parse, then run the graceful-degradation
          ladder.  Parse failures are Invalid_input with the diagnostic's
-         line:col position; caching mirrors Analyze (content = the source
-         text itself, complete results only). *)
+         line:col position; the cache key is the source text itself. *)
       match Front.parse_string ~file:"<source>" src with
       | Error d ->
           respond_error t ~id (Protocol.Engine (Diag.to_engine_error d))
-      | Ok source -> (
-          let key = Option.get (Protocol.spec_key req.op ~display:"") in
-          let spec = Protocol.spec_hash key in
-          let lookup =
-            if budget.fault = None then Lru.find t.cache key else None
+      | Ok source ->
+          cached t req ~op:"source" ~display:"" budget @@ fun spec ->
+          let* b = make_budget t budget in
+          let hourglasses =
+            match
+              Hourglass.detect_verified ~budget:b ~params:source.Front.verify
+                source.Front.program
+            with
+            | hgs -> List.length hgs
+            | exception Budget.Exhausted _ -> 0
           in
-          match lookup with
-          | Some result -> respond_ok t ~id ~op:"source" result
-          | None -> (
-              match make_budget t budget with
-              | Error e -> respond_error t ~id (Protocol.Engine e)
-              | Ok b -> (
-                  let hourglasses =
-                    match
-                      Hourglass.detect_verified ~budget:b
-                        ~params:source.Front.verify source.Front.program
-                    with
-                    | hgs -> List.length hgs
-                    | exception Budget.Exhausted _ -> 0
-                  in
-                  match
-                    Derive.analyze_ladder ~budget:b
-                      ~verify_params:source.Front.verify source.Front.program
-                  with
-                  | Error e -> respond_error t ~id (Protocol.Engine e)
-                  | Ok o ->
-                      let result =
-                        Json.to_string
-                          (Protocol.source_result ~spec
-                             ~kernel:
-                               source.Front.program.Iolb_ir.Program.name
-                             ~hourglasses o)
-                      in
-                      if budget.fault = None && o.Derive.degradation = None
-                      then Lru.add t.cache key result;
-                      respond_ok t ~id ~op:"source" result))))
-  | Protocol.Eval { kernel; m; n; s; empirical; budget } -> (
-      match Report.find_checked kernel with
-      | Error e -> respond_error t ~id (Protocol.Engine e)
-      | Ok entry -> (
-          let key =
-            Option.get (Protocol.spec_key req.op ~display:entry.display)
+          let* o =
+            Derive.analyze_ladder ~budget:b ~verify_params:source.Front.verify
+              source.Front.program
           in
-          let spec = Protocol.spec_hash key in
-          let lookup =
-            if budget.fault = None then Lru.find t.cache key else None
-          in
-          match lookup with
-          | Some result -> respond_ok t ~id ~op:"eval" result
-          | None -> (
-              match analysis_for t entry budget with
-              | Error e -> respond_error t ~id (Protocol.Engine e)
-              | Ok a -> (
-                  let measured =
-                    match empirical with
-                    | None -> Ok None
-                    | Some e ->
-                        Result.map Option.some
-                          (empirical_for t entry ~m ~n ~s budget e)
-                  in
-                  match measured with
-                  | Error e -> respond_error t ~id (Protocol.Engine e)
-                  | Ok measured ->
-                      let result =
-                        Json.to_string
-                          (Protocol.eval_result ?empirical:measured ~spec a
-                             ~m ~n ~s)
-                      in
-                      if cacheable budget a then Lru.add t.cache key result;
-                      respond_ok t ~id ~op:"eval" result))))
+          Ok
+            ( Protocol.source_result ~spec
+                ~kernel:source.Front.program.Iolb_ir.Program.name ~hourglasses
+                o,
+              o.Derive.degradation ))
+  | Protocol.Eval { kernel; m; n; s; empirical; budget } ->
+      with_entry t ~id kernel @@ fun entry ->
+      cached t req ~op:"eval" ~display:entry.display budget @@ fun spec ->
+      let* a = analysis_for t entry budget in
+      let* measured =
+        match empirical with
+        | None -> Ok None
+        | Some e ->
+            Result.map Option.some (empirical_for t entry ~m ~n ~s budget e)
+      in
+      Ok
+        ( Protocol.eval_result ?empirical:measured ~spec a ~m ~n ~s,
+          a.degradation )
   | Protocol.Ping | Protocol.List_kernels | Protocol.Stats | Protocol.Shutdown
     ->
       (* Inline ops never reach the queue. *)

@@ -34,6 +34,9 @@ let of_exn = function
 
 let raise_error e = raise (Error e)
 
+let invalid fmt =
+  Printf.ksprintf (fun msg -> Stdlib.Error (Invalid_input msg)) fmt
+
 let guard f =
   match f () with
   | v -> Ok v

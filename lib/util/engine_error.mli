@@ -1,10 +1,13 @@
 (** Typed errors for the engine's public entry points.
 
-    Instead of leaking [Invalid_argument], [Not_found], or an uncaught
-    [Budget.Exhausted] to callers, result-returning entry points
-    ([Derive.analyze_ladder], [Report.analyze_checked], the [_checked]
-    variants of the simulators, and the CLI) classify every failure into
-    one of four constructors with a stable exit-code contract:
+    The engine raises {!Error} for failures it classifies itself (an
+    unknown kernel in [Report.find], an infeasible S in [Game.run], a
+    ladder with no answering rung in [Report.analyze]).  Callers put the
+    no-raise boundary at the call site with {!guard}, which also
+    classifies [Invalid_argument], [Not_found] and [Budget.Exhausted];
+    only [Derive.analyze_ladder] returns a result itself, because its
+    degradation is its value.  Every failure ends in one of four
+    constructors with a stable exit-code contract:
 
     - [Invalid_input]: the request itself is malformed (unknown kernel,
       incompatible sizes, block size not dividing the matrix, ...).
@@ -28,11 +31,15 @@ val pp : Format.formatter -> t -> unit
     (0 is success; 124/125 are cmdliner's own CLI-parse errors). *)
 val exit_code : t -> int
 
-(** Exception carrier for the raising compatibility entry points; {!guard}
-    and {!protect} unwrap it back into the typed error. *)
+(** Exception carrier for the engine's typed failures; {!guard} and
+    {!protect} unwrap it back into the typed error. *)
 exception Error of t
 
 val raise_error : t -> 'a
+
+(** [invalid fmt ...] is [Error (Invalid_input msg)], [msg] formatted as by
+    [Printf.sprintf fmt ...]. *)
+val invalid : ('a, unit, string, ('b, t) result) format4 -> 'a
 
 (** Classify an exception: [Budget.Exhausted] to [Budget_exhausted],
     [Invalid_argument]/[Not_found] to [Invalid_input], everything else

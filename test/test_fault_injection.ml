@@ -2,7 +2,7 @@
    Budget.Exhausted at exactly the k-th checkpoint of each stage, for every
    paper kernel and two baselines.  The contract under attack:
 
-   - no exception ever escapes a _checked entry point;
+   - no exception ever escapes an entry point behind Engine_error.guard;
    - the outcome is either a typed error or a degraded-but-SOUND analysis:
      every surviving bound must stay below the I/O measured by playing the
      pebble game on a valid schedule at small concrete sizes. *)
@@ -38,7 +38,8 @@ let loads_at ~name ~params program s =
       let v =
         let cdag = Cdag.of_program ~params program in
         match
-          Game.run_checked cdag ~s ~schedule:(Game.program_schedule cdag)
+          EE.guard (fun () ->
+              Game.run cdag ~s ~schedule:(Game.program_schedule cdag))
         with
         | Ok r -> Some r.Game.loads
         | Error _ -> None
@@ -85,7 +86,7 @@ let test_ladder_faults_paper_kernels () =
           List.iter
             (fun k ->
               let budget = Budget.make ~fault:(stage, k) () in
-              match Report.analyze_checked ~budget entry with
+              match EE.guard (fun () -> Report.analyze ~budget entry) with
               | Ok a ->
                   check_sound
                     ~ctx:(describe stage k)
@@ -140,7 +141,7 @@ let test_ladder_faults_baselines () =
 let test_degrades_to_trivial () =
   let entry = Report.find "mgs" in
   let budget = Budget.make ~max_steps:200 () in
-  match Report.analyze_checked ~budget entry with
+  match EE.guard (fun () -> Report.analyze ~budget entry) with
   | Error e -> Alcotest.failf "expected degradation, got %s" (EE.to_string e)
   | Ok a ->
       Alcotest.(check bool) "degradation recorded" true (a.degradation <> None);
@@ -157,7 +158,7 @@ let test_generous_budget_is_transparent () =
     (fun (entry : Report.entry) ->
       let unlimited = Report.analyze entry in
       let budget = Budget.make ~max_steps:100_000_000 ~timeout_ms:600_000 () in
-      match Report.analyze_checked ~budget entry with
+      match EE.guard (fun () -> Report.analyze ~budget entry) with
       | Error e -> Alcotest.failf "generous budget failed: %s" (EE.to_string e)
       | Ok a ->
           Alcotest.(check (option string))
@@ -183,9 +184,10 @@ let test_game_and_cache_faults () =
   let cdag = Cdag.of_program ~params:entry.verify_params entry.program in
   let schedule = Game.program_schedule cdag in
   (match
-     Game.run_checked
-       ~budget:(Budget.make ~fault:(Budget.Pebble_game, 3) ())
-       cdag ~s:16 ~schedule
+     EE.guard (fun () ->
+         Game.run
+           ~budget:(Budget.make ~fault:(Budget.Pebble_game, 3) ())
+           cdag ~s:16 ~schedule)
    with
   | Error (EE.Budget_exhausted Budget.Pebble_game) -> ()
   | Ok _ -> Alcotest.fail "pebble fault: expected budget exhaustion, got Ok"
@@ -195,15 +197,17 @@ let test_game_and_cache_faults () =
   List.iter
     (fun sim ->
       match
-        sim ~budget:(Budget.make ~fault:(Budget.Cache_sim, 2) ()) ~size:8 trace
+        EE.guard (fun () ->
+            sim ~budget:(Budget.make ~fault:(Budget.Cache_sim, 2) ()) ~size:8
+              trace)
       with
       | Error (EE.Budget_exhausted Budget.Cache_sim) -> ()
       | Ok _ -> Alcotest.fail "cache fault: expected budget exhaustion, got Ok"
       | Error e ->
           Alcotest.failf "cache fault: wrong error %s" (EE.to_string e))
     [
-      (fun ~budget ~size t -> Cache.lru_checked ~budget ~size t);
-      (fun ~budget ~size t -> Cache.opt_checked ~budget ~size t);
+      (fun ~budget ~size t -> Cache.lru ~budget ~size t);
+      (fun ~budget ~size t -> Cache.opt ~budget ~size t);
     ];
   (* A budget kill mid-sweep degrades the same way: typed error, no escaped
      exception.  Fire both early (in the distance pass) and late (in the
@@ -293,7 +297,7 @@ let test_deadline_always_fails () =
   List.iter
     (fun (entry : Report.entry) ->
       let budget = Budget.make ~timeout_ms:0 () in
-      match Report.analyze_checked ~budget entry with
+      match EE.guard (fun () -> Report.analyze ~budget entry) with
       | Error (EE.Budget_exhausted _) -> ()
       | Ok _ ->
           Alcotest.failf "%s: passed deadline not detected" entry.display

@@ -255,8 +255,8 @@ let test_inline_diags () =
    --file escape hatch (the regression this PR's small fix pinned). *)
 
 let test_unknown_kernel_message () =
-  match Report.find_checked "nope" with
-  | Ok _ -> Alcotest.fail "find_checked accepted an unknown name"
+  match EE.guard (fun () -> Report.find "nope") with
+  | Ok _ -> Alcotest.fail "find accepted an unknown name"
   | Error e ->
       let msg = EE.to_string e in
       let mentions needle =
@@ -270,6 +270,92 @@ let test_unknown_kernel_message () =
            scan 0)
       in
       List.iter mentions [ "mgs"; "gehd2"; "gemm"; "jacobi1d"; "--file" ]
+
+(* One resolver for every KERNEL positional: paper kernels and baselines
+   resolve, unknown names keep Report.find's message, and [point] rejects
+   points outside a program's domain (naming the violated constraint)
+   while accepting points inside it. *)
+let test_lookup_point () =
+  let lookup name =
+    match Driver.lookup name with
+    | Ok subject -> subject
+    | Error e -> Alcotest.failf "%s: %s" name (EE.to_string e)
+  in
+  List.iter
+    (fun (e : Report.entry) ->
+      match lookup (Iolb.Paper_formulas.kernel_name e.kernel) with
+      | Driver.Paper e' as subject ->
+          Alcotest.(check string) "paper entry" e.display e'.display;
+          List.iter
+            (fun (m, n, s) ->
+              match Driver.point ~s subject ~m ~n with
+              | Ok _ -> ()
+              | Error err ->
+                  Alcotest.failf "%s grid point: %s" e.display
+                    (EE.to_string err))
+            e.grid
+      | Driver.Program _ -> Alcotest.failf "%s: not a paper kernel" e.display)
+    Report.registry;
+  List.iter
+    (fun (name, program, verify) ->
+      match lookup name with
+      | Driver.Program src as subject ->
+          Alcotest.(check bool)
+            (name ^ " resolves to its program")
+            true
+            (Program.equal src.Front.program program
+            && verify_equal src.Front.verify verify);
+          Alcotest.(check (result (list (pair string int)) reject))
+            (name ^ " verify sizes are in its domain")
+            (Ok verify)
+            (Result.map_error ignore (Driver.point ~s:1 subject ~m:0 ~n:0))
+      | Driver.Paper _ -> Alcotest.failf "%s: not a baseline" name)
+    Report.baselines;
+  (match (Driver.lookup "nope", EE.guard (fun () -> Report.find "nope")) with
+  | Error e, Error e' ->
+      Alcotest.(check string) "unknown-name message" (EE.to_string e')
+        (EE.to_string e)
+  | _ -> Alcotest.fail "nope resolved");
+  let rejects what ?s ?overrides subject ~m ~n needle =
+    match Driver.point ?s ?overrides subject ~m ~n with
+    | Ok _ -> Alcotest.failf "%s: point accepted" what
+    | Error (EE.Invalid_input msg) ->
+        let nl = String.length needle and ml = String.length msg in
+        let rec scan i =
+          i + nl <= ml && (String.sub msg i nl = needle || scan (i + 1))
+        in
+        Alcotest.(check bool) (what ^ " names " ^ needle) true (scan 0)
+    | Error e -> Alcotest.failf "%s: %s" what (EE.to_string e)
+  in
+  let file path =
+    match Front.parse_file (locate path) with
+    | Ok src -> Driver.Program src
+    | Error e -> Alcotest.failf "%s: %s" path (EE.to_string e)
+  in
+  let mgs = lookup "mgs" in
+  rejects "MGS (3, 5)" mgs ~s:16 ~m:3 ~n:5 "M - N >= 0";
+  rejects "MGS s = 0" mgs ~s:0 ~m:6 ~n:4 "s >= 1";
+  rejects "GEHD2 n < 4" (lookup "gehd2") ~m:0 ~n:3 "n >= 4";
+  rejects "--param on a paper kernel" mgs ~overrides:[ ("M", 8) ] ~m:6 ~n:4
+    "--param";
+  let gemm = file "../examples/kernels/gemm.iolb" in
+  rejects "gemm.iolb K=-4" gemm ~overrides:[ ("K", -4) ] ~m:0 ~n:0
+    "K - 1 >= 0";
+  rejects "gemm.iolb Q=1" gemm ~overrides:[ ("Q", 1) ] ~m:0 ~n:0 "Q";
+  (match
+     Driver.point ~s:16 ~overrides:[ ("M", 8) ]
+       (file "../examples/kernels/mgs.iolb")
+       ~m:0 ~n:0
+   with
+  | Ok params ->
+      Alcotest.(check (list (pair string int)))
+        "mgs.iolb M=8" [ ("M", 8); ("N", 4) ] params
+  | Error e -> Alcotest.failf "mgs.iolb M=8: %s" (EE.to_string e));
+  match Driver.point ~s:256 mgs ~m:128 ~n:64 with
+  | Ok params ->
+      Alcotest.(check (list (pair string int)))
+        "MGS (128, 64)" [ ("M", 128); ("N", 64) ] params
+  | Error e -> Alcotest.failf "MGS (128, 64): %s" (EE.to_string e)
 
 (* A shrunk counterexample's source artifact must itself parse - the
    reproducer the certifier prints is always a valid .iolb file. *)
@@ -302,4 +388,5 @@ let suite =
     Alcotest.test_case "unknown-kernel-message" `Quick
       test_unknown_kernel_message;
     Alcotest.test_case "shrunk-source-parses" `Quick test_shrunk_source_parses;
+    Alcotest.test_case "lookup-point" `Quick test_lookup_point;
   ]

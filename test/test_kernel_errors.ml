@@ -1,7 +1,7 @@
 (* Input validation of the kernel APIs: shape preconditions must be
-   rejected loudly, not produce garbage - and the engine's _checked entry
-   points must classify failures into the exact Engine_error constructor
-   the exit-code contract promises. *)
+   rejected loudly, not produce garbage - and the engine's entry points,
+   behind Engine_error.guard, must classify failures into the exact
+   Engine_error constructor the exit-code contract promises. *)
 
 module K = Iolb_kernels
 module Matrix = Iolb_kernels.Matrix
@@ -91,12 +91,12 @@ let test_tiled_spec_preconditions () =
 
 (* The typed-error layer: exact constructors, not just "some failure". *)
 let test_typed_error_paths () =
-  (match Report.find_checked "no-such-kernel" with
+  (match EE.guard (fun () -> Report.find "no-such-kernel") with
   | Error (EE.Invalid_input _) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "find_checked: expected Invalid_input");
-  (match Report.find_checked "mgs" with
-  | Ok e -> Alcotest.(check string) "find_checked resolves" "MGS" e.display
-  | Error _ -> Alcotest.fail "find_checked rejected a known kernel");
+  | Ok _ | Error _ -> Alcotest.fail "find: expected Invalid_input");
+  (match EE.guard (fun () -> Report.find "mgs") with
+  | Ok e -> Alcotest.(check string) "find resolves" "MGS" e.display
+  | Error _ -> Alcotest.fail "find rejected a known kernel");
   let gehd2 = Report.find "gehd2" in
   (match Report.concrete_params gehd2 ~m:0 ~n:3 with
   | Error (EE.Invalid_input _) -> ()
@@ -118,25 +118,32 @@ let test_typed_error_paths () =
   | Error (EE.Invalid_input _) -> ()
   | Ok _ | Error _ ->
       Alcotest.fail "Budget.make: negative cap must be Invalid_input");
-  (* ... and the no-raise simulation boundaries classify their failures. *)
+  (* ... and the simulators, behind the no-raise boundary, classify their
+     failures. *)
   let cdag =
     Iolb_cdag.Cdag.of_program
       ~params:[ ("M", 4); ("N", 3) ]
       Iolb_kernels.Mgs.spec
   in
   let schedule = Iolb_pebble.Game.program_schedule cdag in
-  (match Iolb_pebble.Game.run_checked cdag ~s:1 ~schedule with
+  (match EE.guard (fun () -> Iolb_pebble.Game.run cdag ~s:1 ~schedule) with
   | Error (EE.Invalid_input _) -> ()
   | Ok _ | Error _ ->
-      Alcotest.fail "run_checked: infeasible S must be Invalid_input");
+      Alcotest.fail "Game.run: infeasible S must be Invalid_input");
+  (* ... which stays distinguishable from a bad schedule *)
+  let reversed = Array.of_list (List.rev (Array.to_list schedule)) in
+  (match Iolb_pebble.Game.run cdag ~s:16 ~schedule:reversed with
+  | _ -> Alcotest.fail "Game.run: reversed schedule accepted"
+  | exception Invalid_argument _ -> ());
   (match
-     Iolb_pebble.Cache.lru_checked ~size:0
-       (Iolb_pebble.Trace.of_program ~params:[]
-          (K.Mgs.tiled_spec ~m:4 ~n:2 ~b:1))
+     EE.guard (fun () ->
+         Iolb_pebble.Cache.lru ~size:0
+           (Iolb_pebble.Trace.of_program ~params:[]
+              (K.Mgs.tiled_spec ~m:4 ~n:2 ~b:1)))
    with
   | Error (EE.Invalid_input _) -> ()
   | Ok _ | Error _ ->
-      Alcotest.fail "lru_checked: size < 1 must be Invalid_input");
+      Alcotest.fail "Cache.lru: size < 1 must be Invalid_input");
   (* The exit-code contract is part of the CLI's public interface. *)
   Alcotest.(check (list int))
     "exit codes" [ 2; 3; 4; 5 ]

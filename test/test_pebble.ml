@@ -91,7 +91,7 @@ let test_game_infeasible () =
     (try
        ignore (Game.run cdag ~s:2 ~schedule);
        false
-     with Game.Infeasible _ -> true)
+     with Iolb_util.Engine_error.(Error (Invalid_input _)) -> true)
 
 let test_random_schedules_valid () =
   let cdag = mgs_cdag 5 3 in

@@ -15,11 +15,14 @@ let test_registry () =
   List.iter
     (fun key -> ignore (Report.find key))
     [ "mgs"; "MGS"; "qr_hh_a2v"; "QR HH V2Q"; "gebd2"; "GEHD2" ];
-  Alcotest.(check bool) "unknown raises" true
-    (try
-       ignore (Report.find "nope");
-       false
-     with Not_found -> true)
+  match Report.find "nope" with
+  | _ -> Alcotest.fail "unknown name resolved"
+  | exception Iolb_util.Engine_error.(Error (Invalid_input msg)) ->
+      Alcotest.(check string) "typed error lists the baselines"
+        "unknown kernel \"nope\" (paper kernels: mgs, qr_hh_a2v, qr_hh_v2q, \
+         gebd2, gehd2; baselines: gemm, cholesky, lu, syrk, syr2k, trsm, \
+         trmm, atax, jacobi1d; or pass a DSL source with --file PROG.iolb)"
+        msg
 
 let test_every_kernel_has_both_bounds () =
   List.iter

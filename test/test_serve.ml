@@ -352,7 +352,7 @@ let test_server_end_to_end () =
               let exact =
                 let module Sweep = Iolb_pebble.Sweep in
                 let module Trace = Iolb_pebble.Trace in
-                let entry = Result.get_ok (Iolb.Report.find_checked "mgs") in
+                let entry = Iolb.Report.find "mgs" in
                 let params =
                   Result.get_ok (Iolb.Report.concrete_params entry ~m:24 ~n:12)
                 in

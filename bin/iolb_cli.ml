@@ -269,25 +269,18 @@ let simulate_cmd =
             "Hash seed for $(b,--sample-rate); the kept cell set is a pure \
              function of (seed, cell).")
   in
-  let chunk_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "chunk-size" ] ~docv:"N"
-          ~doc:
-            "Stream the trace through reusable buffers of $(docv) accesses \
-             instead of materializing it; memory then follows the \
-             footprint, not the trace length.  Requires $(b,--sizes).")
-  in
   let jobs_arg =
     Arg.(
       value
       & opt (some int) None
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Shard the sweep across $(docv) domains.  The merge is \
-             deterministic: output is identical at every width.  Requires \
-             $(b,--sizes).")
+            "Shard the sweep across $(docv) domains, each producing its \
+             slice of the trace straight from the program: the trace is \
+             never materialized, so memory follows the footprint, not the \
+             trace length (the OPT column, which needs the whole trace, is \
+             dropped).  The merge is deterministic: output is identical at \
+             every width.  Requires $(b,--sizes).")
   in
   let parse_spec spec =
     match Sweep.parse_sizes spec with
@@ -324,11 +317,11 @@ let simulate_cmd =
      shared OPT plan (which needs the whole trace) is unavailable and its
      column is dropped.  The LRU columns are exact and byte-identical at
      every jobs width. *)
-  let run_sweep_streamed ~program ~params ~budget ~jobs ~chunk_size ~lb spec =
+  let run_sweep_streamed ~program ~params ~budget ~jobs ~lb spec =
     let* sizes = parse_spec spec in
     let* sweep =
       Engine_error.guard (fun () ->
-          Sweep.run_program ~budget ?jobs ?chunk_size ~params program)
+          Sweep.run_program ~budget ~jobs ~params program)
     in
     Printf.printf
       "streamed cache sweep over %d events, footprint %d cells (no OPT \
@@ -386,18 +379,16 @@ let simulate_cmd =
     | None -> invalid "--param expects NAME=INT, got %S" spec
   in
   let run name file param_overrides m n s seed sizes sample_rate sample_seed
-      chunk_size jobs budget_spec =
+      jobs budget_spec =
     run_checked @@ fun () ->
     let* () =
-      match (sample_rate, jobs, chunk_size) with
-      | Some r, _, _ when not (r > 0. && r <= 1.) ->
+      match (sample_rate, jobs) with
+      | Some r, _ when not (r > 0. && r <= 1.) ->
           invalid "--sample-rate must be in (0, 1]"
-      | _, Some j, _ when j < 1 -> invalid "--jobs must be at least 1"
-      | _, _, Some c when c < 1 -> invalid "--chunk-size must be at least 1"
-      | (Some _, _, _ | _, Some _, _ | _, _, Some _) when sizes = None ->
+      | _, Some j when j < 1 -> invalid "--jobs must be at least 1"
+      | (Some _, _ | _, Some _) when sizes = None ->
           invalid
-            "--sample-rate/--chunk-size/--jobs apply to the cache sweep: \
-             pass --sizes"
+            "--sample-rate/--jobs apply to the cache sweep: pass --sizes"
       | _ -> Ok ()
     in
     let* budget = make_budget budget_spec in
@@ -471,14 +462,13 @@ let simulate_cmd =
     match sizes with
     | Some spec -> (
         show_degradation ();
-        match sample_rate with
-        | Some rate ->
+        match (sample_rate, jobs) with
+        | Some rate, _ ->
             run_sweep_sampled ~program ~params ~budget ~rate
               ~seed:sample_seed ~lb spec
-        | None when jobs <> None || chunk_size <> None ->
-            run_sweep_streamed ~program ~params ~budget ~jobs ~chunk_size
-              ~lb spec
-        | None -> run_sweep ~program ~params ~budget ~lb spec)
+        | None, Some jobs ->
+            run_sweep_streamed ~program ~params ~budget ~jobs ~lb spec
+        | None, None -> run_sweep ~program ~params ~budget ~lb spec)
     | None ->
         let* cdag =
           Engine_error.guard (fun () -> Cdag.of_program ~budget ~params program)
@@ -534,7 +524,7 @@ let simulate_cmd =
     Term.(
       const run $ sim_kernel_arg $ sim_file_arg $ sim_param_arg $ m_arg
       $ n_arg $ s_arg $ seed_arg $ sizes_arg $ sample_rate_arg
-      $ sample_seed_arg $ chunk_arg $ jobs_arg $ budget_args)
+      $ sample_seed_arg $ jobs_arg $ budget_args)
 
 let tile_cmd =
   let b_arg =

@@ -331,12 +331,12 @@ let prop_jobs_det c =
 
 (* ------------------------------------------------------------------ *)
 (* sweep-stream: the sharded in-memory sweep ([run ~jobs]), the compiled
-   program sweep ([run_program]) and the chunked streaming one
+   program sweep ([run_program]) and the interpreted one
    ([run_program_stream]) share one engine, so each is checked against the
    independent per-size LRU simulator, at every jobs width, for both flush
-   modes and for adversarially small chunk sizes; the three are also
-   compared pairwise on footprint, accesses and reuse histogram.  This is
-   the determinism contract behind byte-identical --jobs output.        *)
+   modes; the three are also compared pairwise on footprint, accesses and
+   reuse histogram.  This is the determinism contract behind
+   byte-identical --jobs output.                                        *)
 
 let prop_sweep_stream c =
   let trace = Lazy.force c.trace in
@@ -358,11 +358,11 @@ let prop_sweep_stream c =
               [
                 ("run", Sweep.run ~budget:c.budget ~flush ~jobs trace);
                 ( "compiled",
-                  Sweep.run_program ~budget:c.budget ~flush ~jobs ~chunk_size:7
+                  Sweep.run_program ~budget:c.budget ~flush ~jobs
                     ~params:c.params c.prog );
-                ( "streamed",
+                ( "interpreted",
                   Sweep.run_program_stream ~budget:c.budget ~flush ~jobs
-                    ~chunk_size:7 ~params:c.params c.prog );
+                    ~params:c.params c.prog );
               ]
           in
           List.iter
@@ -770,7 +770,7 @@ let all =
     { name = "sweep-lru"; doc = "reuse-distance sweep = per-size LRU" };
     {
       name = "sweep-stream";
-      doc = "sharded/compiled/streaming sweeps = per-size LRU at every jobs width";
+      doc = "sharded/compiled/interpreted sweeps = per-size LRU at every jobs width";
     };
     {
       name = "game-compiled";

@@ -381,6 +381,12 @@ let analyze_ladder ?(budget = Budget.unlimited) ~verify_params p =
         note "%s rung aborted (budget exhausted during %s)" label
           (Budget.stage_name stage);
         []
+    | exception Engine_error.Error (Unsupported why) ->
+        note "%s rung skipped (%s)" label why;
+        []
+    | exception Rat.Overflow ->
+        note "%s rung skipped (exact arithmetic left 63-bit integers)" label;
+        []
   in
   let hg_bounds =
     attempt "hourglass" (fun () ->

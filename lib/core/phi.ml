@@ -50,9 +50,10 @@ let of_statement ?(version_pinning = true) p (info : Program.stmt_info) =
       (fun access ->
         match Access.selected_dims ~dims:info.dims access with
         | None ->
-            invalid_arg
-              (Format.asprintf "Phi.of_statement: non-coordinate access %a"
-                 Access.pp access)
+            Iolb_util.Engine_error.raise_error
+              (Unsupported
+                 (Format.asprintf "Phi.of_statement: non-coordinate access %a"
+                    Access.pp access))
         | Some sel ->
             let prods = producers access in
             let self_produced =

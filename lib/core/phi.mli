@@ -26,7 +26,8 @@ type t = {
     the empty projection and are dropped.  Reads whose index expressions
     are not coordinate selections are rejected.
 
-    @raise Invalid_argument on a non-coordinate access, with its text. *)
+    @raise Iolb_util.Engine_error.Error [Unsupported] on a
+    non-coordinate access, with its text. *)
 val of_statement :
   ?version_pinning:bool ->
   Iolb_ir.Program.t ->

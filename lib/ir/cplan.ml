@@ -1,10 +1,9 @@
 (* Compiled trace production over a flat integer address space.
 
-   [Program.iter_accesses_range] already skips toward a position range by
-   closed-form counting, but every emitted access still materializes an
-   index vector and the consumer pays a hash (interning) to identify the
-   cell.  At the exact-sweep production rates the empirical pipeline
-   targets, that hash dominates.
+   [Program.iter_accesses] is the reference semantics: every emitted
+   access materializes an index vector and the consumer pays a hash
+   (interning) to identify the cell.  At the exact-sweep production rates
+   the empirical pipeline targets, that hash dominates.
 
    A [Cplan.t] removes both costs.  At plan-build time every array gets a
    rectangular hull - per-dimension inclusive bounds that contain every
@@ -18,17 +17,33 @@
    Along an innermost loop the address form moves by a constant, so the
    hot path emits an access with one addition.
 
-   Addresses are injective on cells by construction (distinct arrays get
-   disjoint ranges; within an array the row-major map is injective on the
-   hull), and [decode] inverts them, so a consumer that needs the
-   symbolic cell - say, to intern a first occurrence - pays the decode
-   only once per distinct cell, never per access.
+   Hulls are keyed by (array, rank): an array name used at two ranks
+   names two disjoint cell sets, exactly as the interner keys them.
+   Interval bounds, hull volumes and the layout are computed with checked
+   arithmetic, so a hull that would leave 63-bit integers is rejected at
+   plan time (callers fall back to the interpreter) instead of wrapping
+   into a small address space that emits out-of-range addresses.  The
+   composed address forms themselves may wrap harmlessly: every address
+   the plan emits lies in [0, addr_space), and integer arithmetic modulo
+   2^63 computes it exactly.
 
-   A plan is immutable; [iter] keeps all mutable state (environment,
-   per-site address cursors) in per-call buffers, so one plan can drive
-   several domains concurrently. *)
+   Addresses are injective on cells by construction (distinct hulls get
+   disjoint ranges; within a hull the row-major map is injective), and
+   [decode] inverts them, so a consumer that needs the symbolic cell -
+   say, to intern a first occurrence - pays the decode only once per
+   distinct cell, never per access.
+
+   The plan keeps every site's array name and index forms too, for the
+   sampled scan: the spatial hash is linear in the index vector before
+   its final mix, so per call it composes into one affine form per site
+   and, along an innermost loop, steps by a per-site constant.
+
+   A plan is immutable; [iter] and [iter_sampled] keep all mutable state
+   (environment, per-site cursors) in per-call buffers, so one plan can
+   drive several domains concurrently. *)
 
 module Affine = Iolb_poly.Affine
+module Rat = Iolb_util.Rat
 
 exception Past_range
 
@@ -44,9 +59,38 @@ let ceval env a =
   done;
   !acc
 
+(* [combine nslots c0 w idx] is the affine form [c0 + sum_d w.(d) *
+   idx.(d)] over [nslots] slots: a site's address (row-major strides) or
+   the linear part of its cell hash (per-dimension multipliers). *)
+let combine nslots c0 w idx =
+  let acc = Array.make nslots 0 in
+  let const = ref c0 in
+  Array.iteri
+    (fun d e ->
+      const := !const + (w.(d) * e.cconst);
+      Array.iteri
+        (fun k s -> acc.(s) <- acc.(s) + (w.(d) * e.ccoefs.(k)))
+        e.cslots)
+    idx;
+  let terms = ref [] in
+  for s = nslots - 1 downto 0 do
+    if acc.(s) <> 0 then terms := (acc.(s), s) :: !terms
+  done;
+  {
+    cconst = !const;
+    ccoefs = Array.of_list (List.map fst !terms);
+    cslots = Array.of_list (List.map snd !terms);
+  }
+
+let coeff_of slot a =
+  let c = ref 0 in
+  Array.iteri (fun k s -> if s = slot then c := !c + a.ccoefs.(k)) a.cslots;
+  !c
+
 type cnode =
-  | Cstmt of { sa : caff array; sw : bool array }
-      (* reads then writes, in [Program.iter_accesses] emission order *)
+  | Cstmt of { sa : caff array; sw : bool array; s0 : int }
+      (* reads then writes, in [Program.iter_accesses] emission order;
+         site [i] is [sites.(s0 + i)] of the plan *)
   | Cloop of {
       slot : int;
       lo : caff;
@@ -65,7 +109,7 @@ type cnode =
       ia : caff array; (* per-site composed address form *)
       iw : bool array; (* per-site write flag *)
       idelta : int array; (* per-site address step when the var steps +1 *)
-      iid : int; (* index into the per-call cursor scratch *)
+      i0 : int; (* site [i] is [sites.(i0 + i)] of the plan *)
     }
       (* an innermost loop whose body is one statement: the per-iteration
          site addresses advance by constants *)
@@ -74,11 +118,11 @@ type t = {
   body : cnode array;
   nslots : int;
   pinits : (int * int) list;
-  inner_k : int array; (* sites per Cinner, indexed by [iid] *)
+  sites : (string * caff array) array; (* per site: array, index forms *)
   total : int; (* n_accesses at the plan's parameters *)
   addr_space : int;
   d_names : string array;
-  d_base : int array; (* length narrays + 1; last entry = addr_space *)
+  d_base : int array; (* length nhulls + 1; last entry = addr_space *)
   d_lo : int array array;
   d_stride : int array array;
 }
@@ -86,24 +130,54 @@ type t = {
 let n_accesses t = t.total
 let addr_space t = t.addr_space
 
+(* Access count of a subtree at the current [env], by the rectangular
+   collapse of [Program.n_accesses]. *)
+let rec count env = function
+  | Cstmt { sa; _ } -> Array.length sa
+  | Cinner c ->
+      let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
+      if hi_v < lo_v then 0 else (hi_v - lo_v + 1) * Array.length c.ia
+  | Cloop l ->
+      let lo_v = ceval env l.lo and hi_v = ceval env l.hi in
+      if hi_v < lo_v then 0
+      else if l.collapse then begin
+        env.(l.slot) <- lo_v;
+        (hi_v - lo_v + 1)
+        * Array.fold_left (fun a c -> a + count env c) 0 l.body
+      end
+      else begin
+        let total = ref 0 in
+        for v = lo_v to hi_v do
+          env.(l.slot) <- v;
+          Array.iter (fun c -> total := !total + count env c) l.body
+        done;
+        !total
+      end
+
 (* --------------------------------------------------------------------- *)
 (* Compilation.                                                           *)
+
+type hull = {
+  h_name : string;
+  h_order : int; (* first-appearance rank: the hull's place in the layout *)
+  h_lo : int array;
+  h_hi : int array;
+}
 
 (* Intermediate tree: like the compiled form of [Program], with per-site
    index forms still separate (the address layout is not known until the
    whole tree has been hulled). *)
 type pre =
-  | Pstmt of (string * caff array * bool) array
-  | Ploop of { pslot : int; plo : caff; phi : caff; prev : bool; pbody : pre array }
+  | Pstmt of (hull * caff array * bool) array
+  | Ploop of {
+      pslot : int;
+      plo : caff;
+      phi : caff;
+      prev : bool;
+      pbody : pre array;
+    }
 
-type hull = { h_order : int; mutable h_lo : int array; mutable h_hi : int array }
-
-(* Hull volumes are bounded; a pathological program (huge affine
-   coefficients) must fail loudly at plan time so callers can fall back
-   to the streaming producer rather than allocate an absurd table. *)
-let max_addr_space = 1 lsl 40
-
-let make ~params (p : Program.t) =
+let compile ~params (p : Program.t) =
   let nslots = ref 0 in
   let scope = ref [] in
   let ivlo = ref (Array.make 16 0) and ivhi = ref (Array.make 16 0) in
@@ -140,40 +214,31 @@ let make ~params (p : Program.t) =
     let mn = ref a.cconst and mx = ref a.cconst in
     for k = 0 to Array.length a.cslots - 1 do
       let c = a.ccoefs.(k) and s = a.cslots.(k) in
-      if c > 0 then begin
-        mn := !mn + (c * !ivlo.(s));
-        mx := !mx + (c * !ivhi.(s))
-      end
-      else begin
-        mn := !mn + (c * !ivhi.(s));
-        mx := !mx + (c * !ivlo.(s))
-      end
+      let at_lo = Rat.mul_exn c !ivlo.(s) and at_hi = Rat.mul_exn c !ivhi.(s) in
+      mn := Rat.add_exn !mn (min at_lo at_hi);
+      mx := Rat.add_exn !mx (max at_lo at_hi)
     done;
     (!mn, !mx)
   in
-  let hulls : (string, hull) Hashtbl.t = Hashtbl.create 8 in
-  let n_arrays = ref 0 in
-  let hull_site (a : Access.t) idx =
+  let hulls : (string * int, hull) Hashtbl.t = Hashtbl.create 8 in
+  let order = ref [] in
+  let psite is_write (a : Access.t) =
+    let idx = Array.of_list (List.map caffine a.index) in
     let nd = Array.length idx in
     let h =
-      match Hashtbl.find_opt hulls a.array with
-      | Some h ->
-          if Array.length h.h_lo <> nd then
-            invalid_arg
-              (Printf.sprintf
-                 "Cplan.make: array %s used with both %d and %d dimensions"
-                 a.array (Array.length h.h_lo) nd);
-          h
+      match Hashtbl.find_opt hulls (a.array, nd) with
+      | Some h -> h
       | None ->
           let h =
             {
-              h_order = !n_arrays;
+              h_name = a.array;
+              h_order = Hashtbl.length hulls;
               h_lo = Array.make nd max_int;
               h_hi = Array.make nd min_int;
             }
           in
-          incr n_arrays;
-          Hashtbl.add hulls a.array h;
+          Hashtbl.add hulls (a.array, nd) h;
+          order := h :: !order;
           h
     in
     Array.iteri
@@ -182,12 +247,7 @@ let make ~params (p : Program.t) =
         if mn < h.h_lo.(d) then h.h_lo.(d) <- mn;
         if mx > h.h_hi.(d) then h.h_hi.(d) <- mx)
       idx;
-    (a.array, idx)
-  in
-  let psite is_write (a : Access.t) =
-    let idx = Array.of_list (List.map caffine a.index) in
-    let name, idx = hull_site a idx in
-    (name, idx, is_write)
+    (h, idx, is_write)
   in
   let pinits = List.map (fun (x, v) -> (fresh x v v, v)) params in
   let rec pre = function
@@ -208,83 +268,56 @@ let make ~params (p : Program.t) =
         Ploop { pslot; plo; phi; prev = rev; pbody }
   in
   let pbody = Array.of_list (List.map pre p.body) in
-  (* Layout: arrays in first-appearance order, back to back, row-major. *)
-  let names = Array.make !n_arrays "" in
-  Hashtbl.iter (fun name h -> names.(h.h_order) <- name) hulls;
-  let d_lo = Array.make !n_arrays [||] and d_stride = Array.make !n_arrays [||] in
-  let d_base = Array.make (!n_arrays + 1) 0 in
+  (* Layout: hulls in first-appearance order, back to back, row-major.
+     Every hull was widened by at least one interval, so lo <= hi. *)
+  let hull_list = List.rev !order in
+  let n_hulls = List.length hull_list in
+  let d_lo = Array.make n_hulls [||] and d_stride = Array.make n_hulls [||] in
+  let d_base = Array.make (n_hulls + 1) 0 in
   let base = ref 0 in
-  Array.iteri
-    (fun i name ->
-      let h = Hashtbl.find hulls name in
+  List.iter
+    (fun h ->
       let nd = Array.length h.h_lo in
       let stride = Array.make nd 1 in
       let size = ref 1 in
       for d = nd - 1 downto 0 do
         stride.(d) <- !size;
-        let ext = h.h_hi.(d) - h.h_lo.(d) + 1 in
-        (* a dimension only ever touched by dead code keeps extent 1 *)
-        let ext = max ext 1 in
-        size := !size * ext;
-        if !size > max_addr_space || !size < 0 then
-          invalid_arg
-            (Printf.sprintf "Cplan.make: array %s hull volume overflows" name)
+        let ext =
+          Rat.add_exn (Rat.add_exn h.h_hi.(d) (Rat.mul_exn (-1) h.h_lo.(d))) 1
+        in
+        size := Rat.mul_exn !size ext
       done;
-      Array.iteri (fun d lo -> if lo = max_int then h.h_lo.(d) <- 0) h.h_lo;
-      d_base.(i) <- !base;
-      d_lo.(i) <- h.h_lo;
-      d_stride.(i) <- stride;
-      base := !base + !size;
-      if !base > max_addr_space then
-        invalid_arg "Cplan.make: total address space overflows")
-    names;
-  d_base.(!n_arrays) <- !base;
+      d_base.(h.h_order) <- !base;
+      d_lo.(h.h_order) <- h.h_lo;
+      d_stride.(h.h_order) <- stride;
+      base := Rat.add_exn !base !size)
+    hull_list;
+  d_base.(n_hulls) <- !base;
   (* Compose each site's index forms with the layout into one address
      form: addr = base - sum_d stride_d * hull_lo_d + sum_d stride_d * idx_d. *)
-  let order name = (Hashtbl.find hulls name).h_order in
-  let compose name (idx : caff array) =
-    let i = order name in
-    let stride = d_stride.(i) and hlo = d_lo.(i) in
-    let const = ref d_base.(i) in
-    let acc = Array.make !nslots 0 in
-    Array.iteri
-      (fun d e ->
-        const := !const + (stride.(d) * (e.cconst - hlo.(d)));
-        for k = 0 to Array.length e.cslots - 1 do
-          acc.(e.cslots.(k)) <- acc.(e.cslots.(k)) + (stride.(d) * e.ccoefs.(k))
-        done)
-      idx;
-    let terms = ref [] in
-    for s = !nslots - 1 downto 0 do
-      if acc.(s) <> 0 then terms := (acc.(s), s) :: !terms
-    done;
-    {
-      cconst = !const;
-      ccoefs = Array.of_list (List.map fst !terms);
-      cslots = Array.of_list (List.map snd !terms);
-    }
+  let compose h idx =
+    let stride = d_stride.(h.h_order) in
+    let base = ref d_base.(h.h_order) in
+    Array.iteri (fun d lo -> base := !base - (stride.(d) * lo)) h.h_lo;
+    combine !nslots !base stride idx
   in
-  let coeff_of slot a =
-    let c = ref 0 in
-    Array.iteri (fun k s -> if s = slot then c := !c + a.ccoefs.(k)) a.cslots;
-    !c
-  in
-  let inner_k = ref [] in
-  let n_inner = ref 0 in
+  let sites = ref [] in
+  let n_sites = ref 0 in
   let rec cnode = function
-    | Pstmt sites ->
+    | Pstmt ps ->
+        let s0 = !n_sites in
+        Array.iter (fun (h, idx, _) -> sites := (h.h_name, idx) :: !sites) ps;
+        n_sites := s0 + Array.length ps;
         Cstmt
           {
-            sa = Array.map (fun (n, idx, _) -> compose n idx) sites;
-            sw = Array.map (fun (_, _, w) -> w) sites;
+            sa = Array.map (fun (h, idx, _) -> compose h idx) ps;
+            sw = Array.map (fun (_, _, w) -> w) ps;
+            s0;
           }
     | Ploop { pslot; plo; phi; prev; pbody } -> (
         let body = Array.map cnode pbody in
         match body with
-        | [| Cstmt { sa; sw } |] ->
-            let iid = !n_inner in
-            incr n_inner;
-            inner_k := Array.length sa :: !inner_k;
+        | [| Cstmt { sa; sw; s0 } |] ->
             Cinner
               {
                 islot = pslot;
@@ -294,7 +327,7 @@ let make ~params (p : Program.t) =
                 ia = sa;
                 iw = sw;
                 idelta = Array.map (coeff_of pslot) sa;
-                iid;
+                i0 = s0;
               }
         | _ ->
             let aff_uses slot a = Array.exists (fun s -> s = slot) a.cslots in
@@ -316,46 +349,27 @@ let make ~params (p : Program.t) =
               })
   in
   let body = Array.map cnode pbody in
-  let inner_k = Array.of_list (List.rev !inner_k) in
-  (* Total access count, by the same rectangular collapse as
-     [Program.n_accesses]. *)
   let env = Array.make (max !nslots 1) 0 in
   List.iter (fun (s, v) -> env.(s) <- v) pinits;
-  let rec count = function
-    | Cstmt { sa; _ } -> Array.length sa
-    | Cinner c ->
-        let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
-        if hi_v < lo_v then 0
-        else (hi_v - lo_v + 1) * Array.length c.ia
-    | Cloop l ->
-        let lo_v = ceval env l.lo and hi_v = ceval env l.hi in
-        if hi_v < lo_v then 0
-        else if l.collapse then begin
-          env.(l.slot) <- lo_v;
-          (hi_v - lo_v + 1) * Array.fold_left (fun a c -> a + count c) 0 l.body
-        end
-        else begin
-          let total = ref 0 in
-          for v = lo_v to hi_v do
-            env.(l.slot) <- v;
-            Array.iter (fun c -> total := !total + count c) l.body
-          done;
-          !total
-        end
-  in
-  let total = Array.fold_left (fun a c -> a + count c) 0 body in
   {
     body;
     nslots = !nslots;
     pinits;
-    inner_k;
-    total;
+    sites = Array.of_list (List.rev !sites);
+    total = Array.fold_left (fun a c -> a + count env c) 0 body;
     addr_space = !base;
-    d_names = names;
+    d_names = Array.of_list (List.map (fun h -> h.h_name) hull_list);
     d_base;
     d_lo;
     d_stride;
   }
+
+(* Interval bounds, hull extents and volumes, and the layout bases are
+   all computed with checked arithmetic. *)
+let make ~params p =
+  try compile ~params p
+  with Rat.Overflow ->
+    invalid_arg "Cplan.make: a hull bound or volume leaves 63-bit integers"
 
 (* --------------------------------------------------------------------- *)
 (* Decoding.                                                              *)
@@ -381,38 +395,20 @@ let decode t addr =
 (* --------------------------------------------------------------------- *)
 (* Iteration.                                                             *)
 
+let fresh_env t =
+  let env = Array.make (max t.nslots 1) 0 in
+  List.iter (fun (s, v) -> env.(s) <- v) t.pinits;
+  env
+
 let iter t ~lo ~hi ~on_instance ~on_access =
   if lo < 0 then invalid_arg "Cplan.iter: lo < 0";
   if hi < lo then invalid_arg "Cplan.iter: hi < lo";
-  let env = Array.make (max t.nslots 1) 0 in
-  List.iter (fun (s, v) -> env.(s) <- v) t.pinits;
-  let cursors = Array.map (fun k -> Array.make (max k 1) 0) t.inner_k in
+  let env = fresh_env t in
+  (* per-site address cursors of the innermost loops *)
+  let cur = Array.make (Array.length t.sites) 0 in
   let pos = ref 0 in
-  (* Access count of a subtree at the current [env]; used only while
-     still skipping toward [lo]. *)
-  let rec count = function
-    | Cstmt { sa; _ } -> Array.length sa
-    | Cinner c ->
-        let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
-        if hi_v < lo_v then 0 else (hi_v - lo_v + 1) * Array.length c.ia
-    | Cloop l ->
-        let lo_v = ceval env l.lo and hi_v = ceval env l.hi in
-        if hi_v < lo_v then 0
-        else if l.collapse then begin
-          env.(l.slot) <- lo_v;
-          (hi_v - lo_v + 1) * Array.fold_left (fun a c -> a + count c) 0 l.body
-        end
-        else begin
-          let total = ref 0 in
-          for v = lo_v to hi_v do
-            env.(l.slot) <- v;
-            Array.iter (fun c -> total := !total + count c) l.body
-          done;
-          !total
-        end
-  in
   let rec exec = function
-    | Cstmt { sa; sw } ->
+    | Cstmt { sa; sw; _ } ->
         let k = Array.length sa in
         if !pos >= hi then raise_notrace Past_range;
         if !pos + k <= lo then pos := !pos + k
@@ -421,7 +417,9 @@ let iter t ~lo ~hi ~on_instance ~on_access =
           for i = 0 to k - 1 do
             let p = !pos in
             if p >= lo && p < hi then
-              on_access p (ceval env (Array.unsafe_get sa i)) (Array.unsafe_get sw i);
+              on_access p
+                (ceval env (Array.unsafe_get sa i))
+                (Array.unsafe_get sw i);
             pos := p + 1
           done
         end
@@ -436,9 +434,9 @@ let iter t ~lo ~hi ~on_instance ~on_access =
             let skip = if lo > !pos then (lo - !pos) / k else 0 in
             pos := !pos + (skip * k);
             env.(c.islot) <- (if c.irev then hi_v - skip else lo_v + skip);
-            let cur = cursors.(c.iid) in
+            let i0 = c.i0 in
             for i = 0 to k - 1 do
-              cur.(i) <- ceval env (Array.unsafe_get c.ia i)
+              cur.(i0 + i) <- ceval env (Array.unsafe_get c.ia i)
             done;
             let sw = c.iw in
             let deltas =
@@ -453,12 +451,15 @@ let iter t ~lo ~hi ~on_instance ~on_access =
                   on_instance ();
                   for i = 0 to k - 1 do
                     let p = !pos in
-                    on_access p (Array.unsafe_get cur i) (Array.unsafe_get sw i);
+                    on_access p
+                      (Array.unsafe_get cur (i0 + i))
+                      (Array.unsafe_get sw i);
                     pos := p + 1
                   done;
                   for i = 0 to k - 1 do
-                    Array.unsafe_set cur i
-                      (Array.unsafe_get cur i + Array.unsafe_get deltas i)
+                    let s = i0 + i in
+                    Array.unsafe_set cur s
+                      (Array.unsafe_get cur s + Array.unsafe_get deltas i)
                   done
                 done;
                 it := !it + full
@@ -471,14 +472,17 @@ let iter t ~lo ~hi ~on_instance ~on_access =
                   for i = 0 to k - 1 do
                     let p = !pos in
                     if p >= lo && p < hi then
-                      on_access p (Array.unsafe_get cur i) (Array.unsafe_get sw i);
+                      on_access p
+                        (Array.unsafe_get cur (i0 + i))
+                        (Array.unsafe_get sw i);
                     pos := p + 1
                   done
                 end
                 else pos := !pos + k;
                 for i = 0 to k - 1 do
-                  Array.unsafe_set cur i
-                    (Array.unsafe_get cur i + Array.unsafe_get deltas i)
+                  let s = i0 + i in
+                  Array.unsafe_set cur s
+                    (Array.unsafe_get cur s + Array.unsafe_get deltas i)
                 done;
                 incr it
               end
@@ -491,7 +495,7 @@ let iter t ~lo ~hi ~on_instance ~on_access =
           if !pos >= hi then raise_notrace Past_range;
           env.(l.slot) <- v;
           if !pos < lo then begin
-            let c = Array.fold_left (fun a n -> a + count n) 0 l.body in
+            let c = Array.fold_left (fun a n -> a + count env n) 0 l.body in
             (* [count] mutates slots below ours; restore *)
             env.(l.slot) <- v;
             if !pos + c <= lo then pos := !pos + c else Array.iter exec l.body
@@ -508,3 +512,143 @@ let iter t ~lo ~hi ~on_instance ~on_access =
           done
   in
   try Array.iter exec t.body with Past_range -> ()
+
+(* --------------------------------------------------------------------- *)
+(* Spatially-hashed sampled iteration (SHARDS-style).                     *)
+
+(* All hashing is native-int (62-bit) so the hot loop never boxes: a
+   mutable [Int64] field would allocate on every store.  [mix] is a
+   splitmix-style finalizer with constants truncated to fit OCaml's int
+   literals; the result is masked to 62 bits, i.e. uniform on [0, 2^62). *)
+let hash_bits_mask = (1 lsl 62) - 1
+
+let mix h =
+  let h = h lxor (h lsr 30) in
+  let h = h * 0x2545F4914F6CDD1D in
+  let h = h lxor (h lsr 27) in
+  let h = h * 0x106689D45497FDB5 in
+  (h lxor (h lsr 31)) land hash_bits_mask
+
+(* The cell hash must be a pure function of (name, index) - every
+   consumer (the plan scan, the interpreted fallback, oracles, tests) has
+   to agree on which cells a given seed selects - and linear in the index
+   vector modulo the final [mix]:
+     h = mix (name_h + sum_d r_d * i_d)
+   with per-dimension odd multipliers r_d derived from the seed.  Integer
+   arithmetic is a ring modulo 2^63, so the linear part composes with a
+   site's affine index forms into one affine form over the loop slots,
+   giving the same hash bit for bit. *)
+let sample_dim_coef seed0 d = mix (seed0 + 0x9e37 + d) lor 1
+
+let sample_seed0 seed = mix ((seed land hash_bits_mask) + 1)
+
+let sample_name_hash seed0 name =
+  let h = ref seed0 in
+  String.iter (fun c -> h := mix (!h + Char.code c + 1)) name;
+  !h
+
+let sample_hash ~seed name idx =
+  let seed0 = sample_seed0 seed in
+  let s = ref (sample_name_hash seed0 name) in
+  for d = 0 to Array.length idx - 1 do
+    s := !s + (sample_dim_coef seed0 d * idx.(d))
+  done;
+  mix !s
+
+(* Budget polling granularity, in accesses scanned: fine enough that a
+   deadline is noticed in well under a millisecond, coarse enough that
+   the indirect call vanishes from the per-access cost. *)
+let tick_stride = 65_536
+
+let iter_sampled t ~seed ~thresh ~on_tick ~on_access =
+  let seed0 = sample_seed0 seed in
+  (* Per call, once: each site's hash linear part as an affine form over
+     the slots, and its step along the enclosing innermost loop (signed
+     by the loop direction). *)
+  let hform =
+    Array.map
+      (fun (name, idx) ->
+        combine t.nslots
+          (sample_name_hash seed0 name)
+          (Array.init (Array.length idx) (sample_dim_coef seed0))
+          idx)
+      t.sites
+  in
+  let hstep = Array.make (Array.length t.sites) 0 in
+  let rec steps = function
+    | Cstmt _ -> ()
+    | Cloop l -> Array.iter steps l.body
+    | Cinner c ->
+        for s = c.i0 to c.i0 + Array.length c.iw - 1 do
+          let d = coeff_of c.islot hform.(s) in
+          hstep.(s) <- (if c.irev then -d else d)
+        done
+  in
+  Array.iter steps t.body;
+  let cur = Array.make (Array.length t.sites) 0 in
+  let env = fresh_env t in
+  let pending = ref 0 in
+  let tick n =
+    pending := !pending + n;
+    if !pending >= tick_stride then begin
+      on_tick !pending;
+      pending := 0
+    end
+  in
+  let rec exec = function
+    | Cstmt { sw; s0; _ } ->
+        let k = Array.length sw in
+        tick k;
+        for i = 0 to k - 1 do
+          let h = mix (ceval env (Array.unsafe_get hform (s0 + i))) in
+          if h < thresh then on_access h (Array.unsafe_get sw i)
+        done
+    | Cloop l ->
+        let lo_v = ceval env l.lo and hi_v = ceval env l.hi in
+        if l.rev then
+          for v = hi_v downto lo_v do
+            env.(l.slot) <- v;
+            Array.iter exec l.body
+          done
+        else
+          for v = lo_v to hi_v do
+            env.(l.slot) <- v;
+            Array.iter exec l.body
+          done
+    | Cinner c ->
+        let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
+        let k = Array.length c.iw in
+        if hi_v >= lo_v && k > 0 then begin
+          let i0 = c.i0 and i1 = c.i0 + k - 1 and sw = c.iw in
+          env.(c.islot) <- (if c.irev then hi_v else lo_v);
+          for s = i0 to i1 do
+            Array.unsafe_set cur s (ceval env (Array.unsafe_get hform s))
+          done;
+          (* Ticks are hoisted out of the iteration and charged per
+             block, so the per-access cost is one [mix] and one compare,
+             and the per-site cost of a step one addition. *)
+          let step () =
+            for s = i0 to i1 do
+              let h = mix (Array.unsafe_get cur s) in
+              if h < thresh then on_access h (Array.unsafe_get sw (s - i0))
+            done
+          in
+          step ();
+          let left = ref (hi_v - lo_v) in
+          while !left > 0 do
+            let block = min !left (1 + (tick_stride / k)) in
+            for _ = 1 to block do
+              for s = i0 to i1 do
+                Array.unsafe_set cur s
+                  (Array.unsafe_get cur s + Array.unsafe_get hstep s)
+              done;
+              step ()
+            done;
+            left := !left - block;
+            tick (block * k)
+          done;
+          tick k
+        end
+  in
+  Array.iter exec t.body;
+  if !pending > 0 then on_tick !pending

@@ -12,9 +12,15 @@
     advances by a constant per iteration.
 
     Addresses are injective on cells: distinct arrays occupy disjoint
-    ranges and the row-major map is injective on each hull.  The emission
-    order and the position numbering are exactly those of
-    {!Program.iter_accesses}. *)
+    ranges and the row-major map is injective on each hull.  Hulls are
+    keyed by (array, rank), so an array name used at two ranks names two
+    disjoint cell sets.  The emission order and the position numbering
+    are exactly those of {!Program.iter_accesses}, the reference
+    semantics.
+
+    The plan also drives the SHARDS-style sampled scan ({!iter_sampled}):
+    the spatial cell hash ({!sample_hash}) composes with the index forms,
+    so a rejected access costs one addition, one mix and one compare. *)
 
 type t
 
@@ -22,9 +28,9 @@ type t
 
     @raise Not_found on a variable bound neither by [params] nor by an
     enclosing loop (like the interpreted evaluators).
-    @raise Invalid_argument when an array is used at two different ranks
-    or a hull volume overflows the supported address-space bound -
-    callers should fall back to the streaming producer. *)
+    @raise Invalid_argument when a hull bound, a hull volume or the total
+    address space leaves 63-bit integers - callers fall back to
+    {!Program.iter_accesses}. *)
 val make : params:(string * int) list -> Program.t -> t
 
 (** Exact number of accesses [iter] emits over the full range; equals
@@ -41,17 +47,16 @@ val addr_space : t -> int
 val decode : t -> int -> string * int array
 
 (** [iter t ~lo ~hi ~on_instance ~on_access] visits the accesses whose
-    global position lies in [\[lo, hi)], in program order:
-    [on_access pos addr is_write] per access, [on_instance ()] once per
-    statement instance with at least one access in range (fired before
-    its accesses).  Whole loop iterations left of [lo] are skipped by
-    closed-form counting, iteration stops once [hi] is passed - the
+    global position - the 0-based index in the order
+    {!Program.iter_accesses} emits them - lies in [\[lo, hi)], in program
+    order: [on_access pos addr is_write] per access, [on_instance ()]
+    once per statement instance with at least one access in range (fired
+    before its accesses).  Whole loop iterations left of [lo] are skipped
+    by closed-form counting, iteration stops once [hi] is passed - the
     [seek] arithmetic: reaching position [k] costs the loop structure
     around it (O(depth) for rectangular nests), not [k] emissions.
-
-    Positions, instance granularity and emission order agree exactly
-    with {!Program.iter_accesses_range}; [decode t addr] agrees with the
-    (name, index) that iterator would emit at the same position.
+    [decode t addr] is the (name, index) {!Program.iter_accesses} emits
+    at the same position.
 
     All mutable iteration state lives in per-call buffers: one plan may
     be iterated concurrently from several domains.
@@ -62,4 +67,30 @@ val iter :
   hi:int ->
   on_instance:(unit -> unit) ->
   on_access:(int -> int -> bool -> unit) ->
+  unit
+
+(** [sample_hash ~seed name index] is the canonical 62-bit spatial hash of
+    a concrete cell, uniform on [\[0, 2^62)].  Sampling keeps a cell iff
+    its hash is below [rate * 2^62], so whether a cell is sampled is a
+    pure function of (seed, cell) - the SHARDS property that makes reuse
+    distances of the sampled sub-trace scale by the rate.  Every consumer
+    ({!iter_sampled}, the interpreted fallback, tests) agrees on this
+    function. *)
+val sample_hash : seed:int -> string -> int array -> int
+
+(** [iter_sampled t ~seed ~thresh ~on_tick ~on_access] visits, in program
+    order, exactly the accesses whose cell satisfies
+    [sample_hash ~seed name index < thresh], calling
+    [on_access hash is_write] for each.  The hash is advanced
+    incrementally along innermost loops, so a {e rejected} access costs a
+    few nanoseconds - no index evaluation - which is what makes sampled
+    sweeps of billion-access traces feasible.  [on_tick n] fires at least
+    every 64k accesses scanned (kept or not), for budget polling.  Like
+    {!iter}, safe to call concurrently on one plan. *)
+val iter_sampled :
+  t ->
+  seed:int ->
+  thresh:int ->
+  on_tick:(int -> unit) ->
+  on_access:(int -> bool -> unit) ->
   unit

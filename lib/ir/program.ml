@@ -362,341 +362,6 @@ let count_instances ~params p =
   iter_instances ~params p (fun _ -> incr n);
   !n
 
-(* Ranged access iteration: visit only the accesses whose global position
-   (the index [iter_accesses] would assign) lies in [lo, hi).  The point is
-   sharded trace consumption: a shard owning a contiguous position range
-   must not pay full interning/simulation cost for the rest of the trace.
-   Whole loop iterations strictly before [lo] are skipped by *counting*
-   their accesses (the rectangular-collapse arithmetic of [n_accesses], so
-   a skipped subtree costs its loop-iteration structure, not its access
-   count), and iteration stops outright once [hi] is passed. *)
-exception Past_range
-
-let iter_accesses_range ~params p ~lo ~hi ~on_instance ~on_access =
-  if lo < 0 then invalid_arg "Program.iter_accesses_range: lo < 0";
-  if hi < lo then invalid_arg "Program.iter_accesses_range: hi < lo";
-  let cbody, nslots, pinits = compile ~params p in
-  let env = Array.make (max nslots 1) 0 in
-  List.iter (fun (s, v) -> env.(s) <- v) pinits;
-  let aff_uses slot a = Array.exists (fun s -> s = slot) a.cslots in
-  let rec node_uses slot = function
-    | Cstmt _ -> false
-    | Cloop l ->
-        aff_uses slot l.clo || aff_uses slot l.chi
-        || Array.exists (node_uses slot) l.cbody
-  in
-  (* Access count of a subtree at the current [env] (same collapse as
-     [n_accesses]); used only while still skipping toward [lo]. *)
-  let rec count = function
-    | Cstmt s -> Array.length s.creads + Array.length s.cwrites
-    | Cloop l ->
-        let lo_v = ceval env l.clo and hi_v = ceval env l.chi in
-        if hi_v < lo_v then 0
-        else if not (Array.exists (node_uses l.cslot) l.cbody) then begin
-          env.(l.cslot) <- lo_v;
-          (hi_v - lo_v + 1) * Array.fold_left (fun a c -> a + count c) 0 l.cbody
-        end
-        else begin
-          let total = ref 0 in
-          for v = lo_v to hi_v do
-            env.(l.cslot) <- v;
-            Array.iter (fun c -> total := !total + count c) l.cbody
-          done;
-          !total
-        end
-  in
-  let pos = ref 0 in
-  let rec exec = function
-    | Cstmt s ->
-        let na = Array.length s.creads + Array.length s.cwrites in
-        if !pos >= hi then raise_notrace Past_range;
-        if !pos + na <= lo then pos := !pos + na
-        else begin
-          on_instance ();
-          let emit is_write a =
-            let p = !pos in
-            if p >= lo && p < hi then begin
-              for d = 0 to Array.length a.cindex - 1 do
-                a.cbuf.(d) <- ceval env a.cindex.(d)
-              done;
-              on_access p a.carray a.cbuf is_write
-            end;
-            pos := p + 1
-          in
-          Array.iter (emit false) s.creads;
-          Array.iter (emit true) s.cwrites
-        end
-    | Cloop l ->
-        let lo_v = ceval env l.clo and hi_v = ceval env l.chi in
-        let body v =
-          if !pos >= hi then raise_notrace Past_range;
-          env.(l.cslot) <- v;
-          if !pos < lo then begin
-            (* Still left of the range: try to skip this whole iteration
-               with one count; descend only when the range starts inside. *)
-            let c = Array.fold_left (fun a n -> a + count n) 0 l.cbody in
-            (* [count] mutates [env] slots below [l.cslot]; restore ours. *)
-            env.(l.cslot) <- v;
-            if !pos + c <= lo then pos := !pos + c
-            else Array.iter exec l.cbody
-          end
-          else Array.iter exec l.cbody
-        in
-        if l.crev then
-          for v = hi_v downto lo_v do
-            body v
-          done
-        else
-          for v = lo_v to hi_v do
-            body v
-          done
-  in
-  try Array.iter exec cbody with Past_range -> ()
-
-(* --------------------------------------------------------------------- *)
-(* Spatially-hashed sampled iteration (SHARDS-style).                     *)
-
-(* All hashing is native-int (62-bit) so the hot loop never boxes: a
-   mutable [Int64] field would allocate on every store.  [mix] is a
-   splitmix-style finalizer with constants truncated to fit OCaml's int
-   literals; the result is masked to 62 bits, i.e. uniform on [0, 2^62). *)
-let hash_bits_mask = (1 lsl 62) - 1
-
-let mix h =
-  let h = h lxor (h lsr 30) in
-  let h = h * 0x2545F4914F6CDD1D in
-  let h = h lxor (h lsr 27) in
-  let h = h * 0x106689D45497FDB5 in
-  (h lxor (h lsr 31)) land hash_bits_mask
-
-(* The cell hash must be a pure function of (name, index) - every
-   consumer (fast iterator, oracles, tests) has to agree on which cells a
-   given seed selects - and linear in the index vector modulo the final
-   [mix], so the sampled iterator can advance it along an innermost loop
-   with one addition instead of a per-dimension dot product:
-     h = mix (name_h + sum_d r_d * i_d)
-   with per-dimension odd multipliers r_d derived from the seed. *)
-let sample_dim_coef seed0 d = mix (seed0 + 0x9e37 + d) lor 1
-
-let sample_seed0 seed = mix ((seed land hash_bits_mask) + 1)
-
-let sample_name_hash seed0 name =
-  let h = ref seed0 in
-  String.iter (fun c -> h := mix (!h + Char.code c + 1)) name;
-  !h
-
-let sample_hash ~seed name idx =
-  let seed0 = sample_seed0 seed in
-  let s = ref (sample_name_hash seed0 name) in
-  for d = 0 to Array.length idx - 1 do
-    s := !s + (sample_dim_coef seed0 d * idx.(d))
-  done;
-  mix !s
-
-(* Mirrored plan of the compiled tree with per-access hash state.  An
-   innermost loop (body entirely statements) gets the fast path: per
-   access, the linear part of the hash changes by a constant when the
-   loop variable steps by one, so a rejected access costs one addition,
-   one [mix] and one compare - no index evaluation, no interning. *)
-type sacc = {
-  xacc : caccess;
-  xwrite : bool;
-  xnh : int; (* name-hash part, constant per access site *)
-  xrd : int array; (* r_d per index dimension *)
-}
-
-type snode =
-  | Sstmt of sacc array
-  | Sloop of {
-      yslot : int;
-      ylo : caffine;
-      yhi : caffine;
-      yrev : bool;
-      ybody : snode array;
-    }
-  | Sfast of {
-      fslot : int;
-      flo : caffine;
-      fhi : caffine;
-      frev : bool;
-      faccs : sacc array; (* flattened body accesses in program order *)
-      fds : int array; (* per access: hash delta for one +1 step of fslot *)
-      fcur : int array; (* per access: current linear hash part (scratch) *)
-      frow : int; (* accesses per iteration *)
-    }
-
-(* Budget polling granularity of the fast path, in accesses: fine enough
-   that a deadline is noticed in well under a millisecond, coarse enough
-   that the indirect call vanishes from the per-access cost. *)
-let tick_stride = 65_536
-
-let iter_accesses_sampled ~params p ~seed ~thresh ~on_tick ~on_access =
-  let cbody, nslots, pinits = compile ~params p in
-  let env = Array.make (max nslots 1) 0 in
-  List.iter (fun (s, v) -> env.(s) <- v) pinits;
-  let seed0 = sample_seed0 seed in
-  let sacc is_write (a : caccess) =
-    {
-      xacc = a;
-      xwrite = is_write;
-      xnh = sample_name_hash seed0 a.carray;
-      xrd = Array.init (Array.length a.cindex) (sample_dim_coef seed0);
-    }
-  in
-  let stmt_accs (s : cstmt) =
-    Array.append (Array.map (sacc false) s.creads) (Array.map (sacc true) s.cwrites)
-  in
-  (* coefficient of [slot] in the affine form, 0 if absent *)
-  let coef_of (a : caffine) slot =
-    let c = ref 0 in
-    Array.iteri (fun k s -> if s = slot then c := !c + a.ccoefs.(k)) a.cslots;
-    !c
-  in
-  let rec plan = function
-    | Cstmt s -> Sstmt (stmt_accs s)
-    | Cloop l ->
-        let innermost =
-          Array.for_all (function Cstmt _ -> true | Cloop _ -> false) l.cbody
-        in
-        if not innermost then
-          Sloop
-            {
-              yslot = l.cslot;
-              ylo = l.clo;
-              yhi = l.chi;
-              yrev = l.crev;
-              ybody = Array.map plan l.cbody;
-            }
-        else begin
-          let faccs =
-            Array.concat
-              (Array.to_list
-                 (Array.map
-                    (function Cstmt s -> stmt_accs s | Cloop _ -> assert false)
-                    l.cbody))
-          in
-          let fds =
-            Array.map
-              (fun x ->
-                let d = ref 0 in
-                Array.iteri
-                  (fun k aff -> d := !d + (x.xrd.(k) * coef_of aff l.cslot))
-                  x.xacc.cindex;
-                !d)
-              faccs
-          in
-          Sfast
-            {
-              fslot = l.cslot;
-              flo = l.clo;
-              fhi = l.chi;
-              frev = l.crev;
-              faccs;
-              fds;
-              fcur = Array.make (Array.length faccs) 0;
-              frow = Array.length faccs;
-            }
-        end
-  in
-  let splan = Array.map plan cbody in
-  (* linear hash part of access [x] at the current [env] *)
-  let linear x =
-    let s = ref x.xnh in
-    Array.iteri (fun k aff -> s := !s + (x.xrd.(k) * ceval env aff)) x.xacc.cindex;
-    !s
-  in
-  let emit x h =
-    let a = x.xacc in
-    for d = 0 to Array.length a.cindex - 1 do
-      a.cbuf.(d) <- ceval env a.cindex.(d)
-    done;
-    on_access h a.carray a.cbuf x.xwrite
-  in
-  let pending = ref 0 in
-  let tick n =
-    pending := !pending + n;
-    if !pending >= tick_stride then begin
-      on_tick !pending;
-      pending := 0
-    end
-  in
-  let rec exec = function
-    | Sstmt accs ->
-        tick (Array.length accs);
-        Array.iter
-          (fun x ->
-            let h = mix (linear x) in
-            if h < thresh then emit x h)
-          accs
-    | Sloop l ->
-        let lo = ceval env l.ylo and hi = ceval env l.yhi in
-        if l.yrev then
-          for v = hi downto lo do
-            env.(l.yslot) <- v;
-            Array.iter exec l.ybody
-          done
-        else
-          for v = lo to hi do
-            env.(l.yslot) <- v;
-            Array.iter exec l.ybody
-          done
-    | Sfast f ->
-        let lo = ceval env f.flo and hi = ceval env f.fhi in
-        if hi >= lo then begin
-          let na = Array.length f.faccs in
-          let faccs = f.faccs and fds = f.fds and fcur = f.fcur in
-          let slot = f.fslot in
-          let first = if f.frev then hi else lo in
-          env.(slot) <- first;
-          for k = 0 to na - 1 do
-            Array.unsafe_set fcur k (linear (Array.unsafe_get faccs k))
-          done;
-          (* [env.(slot)] is refreshed lazily, only when an access is
-             kept: [emit] is the sole reader and rejected iterations -
-             the overwhelming majority - never touch it.  Ticks are
-             hoisted out of the iteration and charged per block, so the
-             per-access cost is one add, one [mix] and one compare. *)
-          let step v =
-            for k = 0 to na - 1 do
-              let h = mix (Array.unsafe_get fcur k) in
-              if h < thresh then begin
-                env.(slot) <- v;
-                emit (Array.unsafe_get faccs k) h
-              end
-            done
-          in
-          let dir = if f.frev then -1 else 1 in
-          let left = ref (hi - lo) in
-          let v = ref first in
-          step first;
-          while !left > 0 do
-            let block = min !left (1 + (tick_stride / max 1 na)) in
-            if dir > 0 then
-              for w = !v + 1 to !v + block do
-                for k = 0 to na - 1 do
-                  Array.unsafe_set fcur k
-                    (Array.unsafe_get fcur k + Array.unsafe_get fds k)
-                done;
-                step w
-              done
-            else
-              for w = !v - 1 downto !v - block do
-                for k = 0 to na - 1 do
-                  Array.unsafe_set fcur k
-                    (Array.unsafe_get fcur k - Array.unsafe_get fds k)
-                done;
-                step w
-              done;
-            v := !v + (dir * block);
-            left := !left - block;
-            tick (block * f.frow)
-          done;
-          tick f.frow
-        end
-  in
-  Array.iter exec splan;
-  if !pending > 0 then on_tick !pending
-
 (* Exact access count without enumerating instances: a loop whose body's
    count does not depend on its variable contributes extent * body-count,
    so rectangular sub-nests collapse to multiplications and only the

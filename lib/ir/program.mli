@@ -125,58 +125,14 @@ val iter_instances : params:(string * int) list -> t -> (instance -> unit) -> un
     and node-cap hooks), then [on_access array index is_write] once per
     read (in statement order) and then per write.  [index] is a buffer
     {e borrowed} for the duration of the callback - copy it to keep it.
-    This is the allocation-free path used by trace construction. *)
+    This is the reference access order: {!Cplan} reproduces it position
+    for position, and the trace builder and the sweeps fall back to it
+    (plus an interner) for the programs a plan cannot lay out. *)
 val iter_accesses :
   params:(string * int) list ->
   t ->
   on_instance:(unit -> unit) ->
   on_access:(string -> int array -> bool -> unit) ->
-  unit
-
-(** [iter_accesses_range ~params p ~lo ~hi ~on_instance ~on_access] is
-    {!iter_accesses} restricted to the accesses whose global position - the
-    0-based index in the order [iter_accesses] emits them - lies in
-    [\[lo, hi)].  [on_access] additionally receives that position.  Whole
-    loop iterations left of [lo] are skipped by closed-form counting
-    (rectangular sub-nests cost one multiplication, not one visit per
-    access) and iteration stops once [hi] is passed, so a shard owning a
-    contiguous slice of a huge trace pays for its slice plus the loop
-    structure around it, not for the whole trace.  [on_instance] fires only
-    for instances with at least one access in range.
-    @raise Invalid_argument if [lo < 0] or [hi < lo]. *)
-val iter_accesses_range :
-  params:(string * int) list ->
-  t ->
-  lo:int ->
-  hi:int ->
-  on_instance:(unit -> unit) ->
-  on_access:(int -> string -> int array -> bool -> unit) ->
-  unit
-
-(** [sample_hash ~seed name index] is the canonical 62-bit spatial hash of
-    a concrete cell, uniform on [\[0, 2^62)].  Sampling keeps a cell iff
-    its hash is below [rate * 2^62], so whether a cell is sampled is a
-    pure function of (seed, cell) - the SHARDS property that makes reuse
-    distances of the sampled sub-trace scale by the rate.  Every consumer
-    (the fast iterator below, oracles, tests) agrees on this function. *)
-val sample_hash : seed:int -> string -> int array -> int
-
-(** [iter_accesses_sampled ~params p ~seed ~thresh ~on_tick ~on_access]
-    visits, in program order, exactly the accesses whose cell satisfies
-    [sample_hash ~seed name index < thresh], calling
-    [on_access hash name index is_write] for each ([index] is borrowed).
-    The hash is advanced incrementally along innermost loops, so a
-    {e rejected} access costs a few nanoseconds - no index evaluation -
-    which is what makes sampled sweeps of billion-access traces feasible.
-    [on_tick n] fires at least every 64k accesses scanned (kept or not),
-    for budget polling. *)
-val iter_accesses_sampled :
-  params:(string * int) list ->
-  t ->
-  seed:int ->
-  thresh:int ->
-  on_tick:(int -> unit) ->
-  on_access:(int -> string -> int array -> bool -> unit) ->
   unit
 
 (** [iter_cells ~params p ~on_load ~on_stmt ~on_store] streams, for every

@@ -2,7 +2,6 @@ module Budget = Iolb_util.Budget
 module Pool = Iolb_util.Pool
 module Interner = Iolb_ir.Interner
 module Program = Iolb_ir.Program
-module Stream = Iolb_ir.Stream
 module Cplan = Iolb_ir.Cplan
 
 (* Single-pass LRU cache sweep via reuse (stack) distances, after Mattson
@@ -53,7 +52,8 @@ module Cplan = Iolb_ir.Cplan
      width.
    A sequential sweep of a materialized trace is the one-segment case.  One
    shard driver ([drive]) serves the three producers: a materialized trace,
-   the compiled plan ({!Cplan}) and the chunked stream ({!Stream}). *)
+   the compiled plan ({!Cplan}) and the reference interpreter
+   ({!Program.iter_accesses}). *)
 
 type t = {
   accesses : int;
@@ -643,49 +643,58 @@ let run ?(budget = Budget.unlimited) ?(flush = true) ?(jobs = 1) trace =
 
 let default_jobs = function Some j -> j | None -> Pool.default_jobs ()
 
+exception Past_slice
+
 let run_program_stream ?(budget = Budget.unlimited) ?(flush = true) ?jobs
-    ?chunk_size ~params prog =
+    ~params prog =
   let gpool = Interner.create () in
   drive ~budget ~flush ~jobs:(default_jobs jobs)
     ~n:(Program.n_accesses ~params prog)
     ~shard:(fun ps ~lo ~hi ->
-      (* the shard-local interner assigns dense first-occurrence ids *)
+      (* Every shard interprets the program from its start and interns,
+         in a shard-local pool (dense first-occurrence ids), only the
+         accesses of its own slice.  The gate fires once per instance
+         with an access in the slice; the walk to the slice only polls
+         the deadline. *)
       let pool = Interner.create () in
-      Stream.iter_chunks ~budget ?chunk_size ~lo ~hi ~params ~interner:pool
-        prog (fun ch ->
-          for k = 0 to ch.len - 1 do
-            pass_event ps (Array.unsafe_get ch.ids k)
-              (Array.unsafe_get ch.writes k)
-          done);
+      let gate = Trace.instance_gate budget in
+      let unlimited = Budget.is_unlimited budget in
+      let pos = ref 0 and skipped = ref 0 and fresh = ref false in
+      (try
+         Program.iter_accesses ~params prog
+           ~on_instance:(fun () ->
+             if !pos >= hi then raise_notrace Past_slice;
+             fresh := true;
+             if !pos < lo && not unlimited then begin
+               incr skipped;
+               if !skipped land (Budget.deadline_stride - 1) = 0 then
+                 Budget.check_deadline budget Budget.Cdag_build
+             end)
+           ~on_access:(fun name idx w ->
+             let p = !pos in
+             pos := p + 1;
+             if p >= lo && p < hi then begin
+               if !fresh then begin
+                 fresh := false;
+                 gate ()
+               end;
+               pass_event ps (Interner.intern_view pool name idx) w
+             end)
+       with Past_slice -> ());
       pool)
     ~to_global:(fun pool ->
       Array.init (Interner.count pool) (fun c ->
           Interner.intern gpool (Interner.key pool c)))
 
-let run_program ?(budget = Budget.unlimited) ?(flush = true) ?jobs ?chunk_size
-    ~params prog =
-  let jobs = default_jobs jobs in
+let run_program ?(budget = Budget.unlimited) ?(flush = true) ?jobs ~params
+    prog =
   match Trace.dense_plan ~params prog with
-  | None ->
-      (* the compiler cannot represent this program (or its address
-         space misses the memory policy): stream instead *)
-      run_program_stream ~budget ~flush ~jobs ?chunk_size ~params prog
+  | None -> run_program_stream ~budget ~flush ?jobs ~params prog
   | Some plan ->
-      let unlimited = Budget.is_unlimited budget in
-      drive_dense ~budget ~flush ~jobs
+      drive_dense ~budget ~flush ~jobs:(default_jobs jobs)
         ~n:(Cplan.n_accesses plan) ~space:(Cplan.addr_space plan)
         (fun ps r ~lo ~hi ->
-          (* same trace-build budget gate as the streaming producer: one
-             [Cdag_build] checkpoint per statement instance, counted
-             against the node cap *)
-          let ninst = ref 0 in
-          Cplan.iter plan ~lo ~hi
-            ~on_instance:(fun () ->
-              if not unlimited then begin
-                Budget.checkpoint budget Budget.Cdag_build;
-                incr ninst;
-                Budget.check_node_cap budget Budget.Cdag_build !ninst
-              end)
+          Cplan.iter plan ~lo ~hi ~on_instance:(Trace.instance_gate budget)
             ~on_access:(fun _pos addr w -> pass_event ps (remap_id r addr) w))
 
 (* ------------------------------------------------------------------ *)
@@ -807,47 +816,64 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ?(groups = 8)
     let cgslot = ref (Array.make 64 0) in
     let gnext = Array.make groups 0 in
     let unlimited = Budget.is_unlimited budget in
-    Program.iter_accesses_sampled ~params prog ~seed ~thresh
-      ~on_tick:(fun _ ->
-        (* at most once per 64k scanned accesses: cheap enough to poll
-           the wall clock outright, so a deadline stops the scan even
-           when almost nothing is kept (checkpoints alone only reach the
-           clock every 1024 steps) *)
-        if not unlimited then begin
-          Budget.checkpoint budget Budget.Cache_sim;
-          Budget.check_deadline budget Budget.Cache_sim
-        end)
-      ~on_access:(fun h _name _idx w ->
-        let i = lookup h in
-        let c =
-          if Array.unsafe_get !keys i >= 0 then Array.unsafe_get !slot i
-          else begin
-            let c = !count in
-            !keys.(i) <- h;
-            !slot.(i) <- c;
-            incr count;
-            if 2 * !count >= !cap then rehash ();
-            (* first occurrence: group assignment is a pure function of
-               the (per-cell constant) hash *)
-            if c = Array.length !cgroup then begin
-              let a = Array.make (2 * c) 0 and b = Array.make (2 * c) 0 in
-              Array.blit !cgroup 0 a 0 c;
-              Array.blit !cgslot 0 b 0 c;
-              cgroup := a;
-              cgslot := b
+    let on_tick _ =
+      (* at most once per 64k scanned accesses: cheap enough to poll the
+         wall clock outright, so a deadline stops the scan even when
+         almost nothing is kept (checkpoints alone only reach the clock
+         every 1024 steps) *)
+      if not unlimited then begin
+        Budget.checkpoint budget Budget.Cache_sim;
+        Budget.check_deadline budget Budget.Cache_sim
+      end
+    in
+    let on_access h w =
+      let i = lookup h in
+      let c =
+        if Array.unsafe_get !keys i >= 0 then Array.unsafe_get !slot i
+        else begin
+          let c = !count in
+          !keys.(i) <- h;
+          !slot.(i) <- c;
+          incr count;
+          if 2 * !count >= !cap then rehash ();
+          (* first occurrence: group assignment is a pure function of
+             the (per-cell constant) hash *)
+          if c = Array.length !cgroup then begin
+            let a = Array.make (2 * c) 0 and b = Array.make (2 * c) 0 in
+            Array.blit !cgroup 0 a 0 c;
+            Array.blit !cgslot 0 b 0 c;
+            cgroup := a;
+            cgslot := b
+          end;
+          let g = min (groups - 1) (h / gw) in
+          !cgroup.(c) <- g;
+          !cgslot.(c) <- gnext.(g);
+          gnext.(g) <- gnext.(g) + 1;
+          c
+        end
+      in
+      pass_event upass c w;
+      pass_event
+        gpass.(Array.unsafe_get !cgroup c)
+        (Array.unsafe_get !cgslot c)
+        w
+    in
+    (match Cplan.make ~params prog with
+    | plan -> Cplan.iter_sampled plan ~seed ~thresh ~on_tick ~on_access
+    | exception Invalid_argument _ ->
+        (* a hull leaves 63-bit integers: hash every interpreted access,
+           ticking at the plan's 64k-access stride *)
+        let scanned = ref 0 in
+        Program.iter_accesses ~params prog ~on_instance:ignore
+          ~on_access:(fun name idx w ->
+            incr scanned;
+            if !scanned = 65_536 then begin
+              on_tick !scanned;
+              scanned := 0
             end;
-            let g = min (groups - 1) (h / gw) in
-            !cgroup.(c) <- g;
-            !cgslot.(c) <- gnext.(g);
-            gnext.(g) <- gnext.(g) + 1;
-            c
-          end
-        in
-        pass_event upass c w;
-        pass_event
-          gpass.(Array.unsafe_get !cgroup c)
-          (Array.unsafe_get !cgslot c)
-          w);
+            let h = Cplan.sample_hash ~seed name idx in
+            if h < thresh then on_access h w);
+        if !scanned > 0 then on_tick !scanned);
     (* each lane is a whole (sub-)trace on its own: finalize as a
        single-segment merge, in which every cell is cold *)
     let finalize ps =

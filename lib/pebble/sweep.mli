@@ -80,38 +80,35 @@ val parse_sizes : string -> (int list, string) result
     length.  [jobs] defaults to {!Iolb_util.Pool.default_jobs}. *)
 
 (** [run_program ~params p] sweeps the access trace of program [p] at
-    concrete [params]: each of [jobs] domains
-    produces its own contiguous slice of the trace in place through the
-    compiled plan ({!Iolb_ir.Cplan}) - flat integer address arithmetic
-    with an O(depth) seek to the slice start, no hashing, no chunk
-    buffers.  Programs the compiler rejects (rank mismatch, hull
-    overflow, an address space too sparse for the flat remap tables)
-    fall back to {!run_program_stream} transparently.  Equal to
-    [run (Trace.of_program ~params p)] in every field either way.
-    Budget semantics combine the trace-build stage ([Cdag_build]
-    checkpoints per statement instance, counted against the node cap)
-    and the sweep stage ([Cache_sim] per event).  [chunk_size] only
-    affects the streaming fallback. *)
+    concrete [params]: each of [jobs] domains produces its own contiguous
+    slice of the trace in place through the compiled plan
+    ({!Iolb_ir.Cplan}) - flat integer address arithmetic with an
+    O(depth) seek to the slice start, no hashing.  Programs the plan
+    cannot lay out (a hull beyond 63-bit integers) or whose address space
+    is too sparse for the flat remap tables ({!Trace.dense_plan}) go to
+    {!run_program_stream}.  Equal to [run (Trace.of_program ~params p)]
+    in every field either way.  Budget semantics combine the trace-build
+    stage ([Cdag_build] checkpoints per statement instance, counted
+    against the node cap) and the sweep stage ([Cache_sim] per event). *)
 val run_program :
   ?budget:Iolb_util.Budget.t ->
   ?flush:bool ->
   ?jobs:int ->
-  ?chunk_size:int ->
   params:(string * int) list ->
   Iolb_ir.Program.t ->
   t
 
-(** The chunked streaming producer behind the pre-compilation
-    [run_program]: shards stream their slices through
-    {!Iolb_ir.Stream.iter_chunks} with interned cell ids.  Kept as the
-    differential oracle for the compiled path (and as its fallback);
-    equal to {!run_program} in every field, for any [jobs] and
-    [chunk_size]. *)
+(** The interpreted reference: every shard walks the program with
+    {!Iolb_ir.Program.iter_accesses} from its start and interns only the
+    accesses of its own slice, so it shares no producer code with the
+    compiled plan.  The differential oracle for {!run_program} and its
+    fallback; equal to it in every field, for any [jobs].  Without a
+    closed-form seek, a shard pays for the whole trace prefix before its
+    slice. *)
 val run_program_stream :
   ?budget:Iolb_util.Budget.t ->
   ?flush:bool ->
   ?jobs:int ->
-  ?chunk_size:int ->
   params:(string * int) list ->
   Iolb_ir.Program.t ->
   t
@@ -119,16 +116,19 @@ val run_program_stream :
 (** {1 Sampled sweeps}
 
     SHARDS-style spatial sampling: a cell is kept iff
-    [Iolb_ir.Program.sample_hash ~seed name index < rate * 2^62], so the
+    [Iolb_ir.Cplan.sample_hash ~seed name index < rate * 2^62], so the
     kept set is a pure function of (seed, cell) and reuse distances of
     the kept subsequence scale by [rate].  A sweep of the sampled trace
     evaluated at size [round (S * rate)], scaled back by [1/rate],
     estimates the exact sweep at size [S].  The kept hash window is
     further split into [groups] disjoint sub-windows - independent
     samples at [rate/groups] - whose estimate spread yields the reported
-    error bars.  Rejected accesses cost a few nanoseconds (see
-    {!Iolb_ir.Program.iter_accesses_sampled}), which is what makes
-    billion-access validation runs feasible. *)
+    error bars.  The scan runs on the compiled plan
+    ({!Iolb_ir.Cplan.iter_sampled}), where a rejected access costs a few
+    nanoseconds, which is what makes billion-access validation runs
+    feasible.  It needs no remap table, so any plan serves; only a
+    program whose hull leaves 63-bit integers is interpreted, hashing
+    every access. *)
 
 type sampled
 

@@ -52,8 +52,9 @@ let freeze b = { cells = b.ids; writes = b.flags; len = b.len; pool = b.p }
    index flat [Cplan.addr_space]-sized remap tables, one per domain in
    the sharded sweep, so pathologically sparse hulls (giant strides
    around a tiny footprint) must not allocate gigabytes.  2^23 entries =
-   64 MB of table at most; beyond that the streaming producer's per-cell
-   hashing is the better trade. *)
+   64 MB of table at most; beyond that the interpreter's per-access
+   hashing is the better trade.  The sampled sweep allocates no table
+   and uses any plan [Cplan.make] accepts. *)
 let max_dense_addr_space = 1 lsl 23
 
 let dense_plan ~params p =
@@ -62,10 +63,19 @@ let dense_plan ~params p =
     if Cplan.addr_space plan > max_dense_addr_space then None else Some plan
   with
   | (exception Invalid_argument _) ->
-      (* rank mismatch or hull overflow: the compiler cannot represent
-         this program; stream it instead *)
+      (* a hull leaves 63-bit integers: the plan cannot lay this program
+         out; interpret it instead *)
       None
   | r -> r
+
+let instance_gate budget =
+  if Budget.is_unlimited budget then ignore
+  else
+    let ninst = ref 0 in
+    fun () ->
+      Budget.checkpoint budget Budget.Cdag_build;
+      incr ninst;
+      Budget.check_node_cap budget Budget.Cdag_build !ninst
 
 let of_program ?(budget = Budget.unlimited) ~params p =
   (* Exact pre-count (closed-form over the loop nest): the arrays never
@@ -73,26 +83,18 @@ let of_program ?(budget = Budget.unlimited) ~params p =
      and zero copies.  Events come from the compiled producer when the
      program admits one - flat address arithmetic, one [decode]+intern
      per DISTINCT cell instead of one hash per event - and otherwise
-     from the chunked [Stream] the sharded/sampled sweeps consume.
-     Either way the budget gate is the same: one [Cdag_build] checkpoint
-     per statement instance, counted against the node cap. *)
+     from the reference interpreter, interning every access.  Either way
+     the budget gate is the same: one [Cdag_build] checkpoint per
+     statement instance, counted against the node cap. *)
   let n = Iolb_ir.Program.n_accesses ~params p in
   let b = builder n in
+  let on_instance = instance_gate budget in
   (match dense_plan ~params p with
   | Some plan ->
-      let unlimited = Budget.is_unlimited budget in
       let remap = Array.make (max (Cplan.addr_space plan) 1) (-1) in
-      let ninst = ref 0 in
       let ids = b.ids and flags = b.flags in
       let len = ref 0 in
-      Cplan.iter plan ~lo:0 ~hi:n
-        ~on_instance:(fun () ->
-          if not unlimited then begin
-            Budget.checkpoint budget Budget.Cdag_build;
-            incr ninst;
-            Budget.check_node_cap budget Budget.Cdag_build !ninst
-          end)
-        ~on_access:(fun _pos addr w ->
+      Cplan.iter plan ~lo:0 ~hi:n ~on_instance ~on_access:(fun _pos addr w ->
           let id =
             match Array.unsafe_get remap addr with
             | -1 ->
@@ -106,10 +108,9 @@ let of_program ?(budget = Budget.unlimited) ~params p =
           incr len);
       b.len <- !len
   | None ->
-      Iolb_ir.Stream.iter_chunks ~budget ~params ~interner:b.p p (fun ch ->
-          Array.blit ch.ids 0 b.ids b.len ch.len;
-          Array.blit ch.writes 0 b.flags b.len ch.len;
-          b.len <- b.len + ch.len));
+      Iolb_ir.Program.iter_accesses ~params p ~on_instance
+        ~on_access:(fun name idx w ->
+          push_id b (Interner.intern_view b.p name idx) w));
   freeze b
 
 let of_events evs =

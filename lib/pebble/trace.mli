@@ -30,6 +30,12 @@ val of_program :
   Iolb_ir.Program.t ->
   t
 
+(** [instance_gate budget] is the budget hook of trace production, to be
+    called once per statement instance: a [Cdag_build] checkpoint,
+    counted against the node cap.  A no-op on an unlimited budget.
+    Shared by {!of_program} and the program sweeps. *)
+val instance_gate : Iolb_util.Budget.t -> unit -> unit
+
 (** [of_events evs] interns an explicit event sequence (hand-written traces
     in tests and experiments). *)
 val of_events : event list -> t
@@ -37,9 +43,10 @@ val of_events : event list -> t
 (** [dense_plan ~params p] is the compiled dense-address producer
     ({!Iolb_ir.Cplan}) for [p] at [params] when the program compiles and
     its address space fits the flat remap-table memory policy (2^23
-    addresses) - the shared gate for every compiled consumer
-    ({!of_program}, the sharded sweep).  [None] means: use the streaming
-    producer. *)
+    addresses) - the shared gate for every consumer that remaps addresses
+    through a flat table ({!of_program}, the sharded sweep).  [None]
+    means: interpret the program ({!Iolb_ir.Program.iter_accesses}) and
+    intern its cells. *)
 val dense_plan :
   params:(string * int) list -> Iolb_ir.Program.t -> Iolb_ir.Cplan.t option
 

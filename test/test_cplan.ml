@@ -1,9 +1,10 @@
 (* The compiled address-space producer: full production must equal
    [Program.iter_accesses] access for access (cell, write flag, position,
-   instance granularity) with injective addresses, and - the seek
-   contract - producing [0, k) and then the rest must reproduce the full
-   stream for every split point, on the paper kernels and on random
-   generated programs. *)
+   instance granularity) with injective in-range addresses, and - the
+   seek contract - producing [0, k) and then the rest must reproduce the
+   full stream for every split point, on the paper kernels and on random
+   generated programs.  The sampled scan must keep exactly the reference
+   accesses whose cell hash falls below the threshold, in order. *)
 
 module P = Iolb_ir.Program
 module C = Iolb_ir.Cplan
@@ -45,6 +46,9 @@ let check_full ~what ~params prog =
     ~on_access:(fun p addr w ->
       Alcotest.(check int) (what ^ ": position") !pos p;
       if p >= n then Alcotest.failf "%s: access beyond reference length" what;
+      if addr < 0 || addr >= C.addr_space plan then
+        Alcotest.failf "%s: address %d outside [0, %d)" what addr
+          (C.addr_space plan);
       let en, ei, ew = full.(p) in
       if ew <> w then Alcotest.failf "%s: write flag differs at %d" what p;
       (* the address must be injective on cells and decode to the cell *)
@@ -99,6 +103,35 @@ let check_slices ~what ~params prog cuts_list =
       Alcotest.(check int) (what ^ ": slices cover") n !pos)
     cuts_list
 
+(* The sampled scan keeps exactly the reference accesses whose cell hash
+   is below [thresh], in program order, and ticks for every access. *)
+let check_sampled ~what ~params prog =
+  let plan = C.make ~params prog in
+  List.iter
+    (fun (seed, rate) ->
+      let thresh = int_of_float (rate *. 4611686018427387904.0) in
+      let want = ref [] in
+      P.iter_accesses ~params prog
+        ~on_instance:(fun () -> ())
+        ~on_access:(fun name idx w ->
+          let h = C.sample_hash ~seed name idx in
+          if h < thresh then want := (h, w) :: !want);
+      let got = ref [] and ticked = ref 0 in
+      C.iter_sampled plan ~seed ~thresh
+        ~on_tick:(fun n -> ticked := !ticked + n)
+        ~on_access:(fun h w -> got := (h, w) :: !got);
+      let what = Printf.sprintf "%s seed=%d rate=%g" what seed rate in
+      Alcotest.(check (list (pair int bool))) (what ^ ": kept") !want !got;
+      Alcotest.(check int) (what ^ ": ticks") (C.n_accesses plan) !ticked)
+    [ (0, 0.05); (7, 0.4); (42, 0.9) ]
+
+(* test/data programs, parsed as [bounds --file] would. *)
+let data_program name =
+  let src =
+    Test_front.parse_file_ok (Test_front.locate ("data/" ^ name ^ ".iolb"))
+  in
+  (src.Iolb_front.Front.program, src.Iolb_front.Front.verify)
+
 let paper_kernels () =
   List.iter
     (fun (e : Report.entry) ->
@@ -112,6 +145,42 @@ let paper_kernels () =
 let tiled_kernels () =
   check_full ~what:"mgs tiled" ~params:[] (K.Mgs.tiled_spec ~m:16 ~n:8 ~b:2);
   check_full ~what:"a2v tiled" ~params:[]
+    (K.Householder.tiled_spec ~m:16 ~n:8 ~b:2)
+
+(* An array name used at two ranks names two disjoint cell sets; an
+   innermost loop running downwards steps its cursors backwards, in the
+   exact production, its seeks and the sampled scan. *)
+let data_programs () =
+  List.iter
+    (fun name ->
+      let prog, params = data_program name in
+      let n = P.n_accesses ~params prog in
+      check_full ~what:name ~params prog;
+      check_slices ~what:name ~params prog
+        [ [ n / 2 ]; [ 1; 2; 3 ]; [ n / 3; (2 * n) / 3; n - 2 ] ];
+      check_sampled ~what:name ~params prog)
+    [ "rank_mismatch"; "reverse_inner" ]
+
+(* A hull whose volume is 2^63 must be rejected, not wrapped into a tiny
+   address space. *)
+let hull_overflow () =
+  let prog, params = data_program "hull_overflow" in
+  Alcotest.(check bool) "make raises" true
+    (match C.make ~params prog with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let sampled_kernels () =
+  List.iter
+    (fun (e : Report.entry) ->
+      check_sampled ~what:e.Report.display ~params:e.Report.verify_params
+        e.Report.program)
+    Report.registry;
+  List.iter
+    (fun (name, prog, params) -> check_sampled ~what:name ~params prog)
+    Report.baselines;
+  check_sampled ~what:"mgs tiled" ~params:[] (K.Mgs.tiled_spec ~m:16 ~n:8 ~b:2);
+  check_sampled ~what:"a2v tiled" ~params:[]
     (K.Householder.tiled_spec ~m:16 ~n:8 ~b:2)
 
 let kernel_slices () =
@@ -142,11 +211,26 @@ let prop_random_slices =
            [ [ k ]; [ k / 2; k ] ];
          true))
 
+let prop_random_sampled =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"cplan: sampled scan = filtered reference (random)"
+       ~count:60 (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
+         let spec = Gen.spec ~seed in
+         let prog, params = Spec.to_program spec in
+         check_sampled ~what:(Spec.to_string spec) ~params prog;
+         true))
+
 let suite =
   [
     Alcotest.test_case "paper + baseline kernels" `Quick paper_kernels;
     Alcotest.test_case "tiled kernels (concrete params)" `Quick tiled_kernels;
     Alcotest.test_case "kernel slicings (incl. reverse loops)" `Quick
       kernel_slices;
+    Alcotest.test_case "two ranks, reverse inner loops" `Quick
+      data_programs;
+    Alcotest.test_case "hull overflow is rejected" `Quick hull_overflow;
+    Alcotest.test_case "sampled scan = filtered reference" `Quick
+      sampled_kernels;
     prop_random_slices;
+    prop_random_sampled;
   ]

@@ -271,6 +271,30 @@ let test_unknown_kernel_message () =
       in
       List.iter mentions [ "mgs"; "gehd2"; "gemm"; "jacobi1d"; "--file" ]
 
+(* A rung that cannot run on a valid program - a non-coordinate
+   subscript, or exact arithmetic leaving 63-bit integers - is skipped
+   with a note, and the ladder degrades instead of failing. *)
+let degraded_reports =
+  [
+    ( "data/skew.iolb",
+      "degraded: classical rung skipped (Phi.of_statement: non-coordinate \
+       access A[i + j]); degraded to the trivial input-footprint bound\n\n\
+       [skew/inputs, trivial] Q >= N^2  (any S >= 1)\n" );
+    ( "data/rat_overflow.iolb",
+      "degraded: classical rung skipped (exact arithmetic left 63-bit \
+       integers); degraded to the trivial input-footprint bound\n\n\
+       [bigskip/inputs, trivial] Q >= N^2 + 2*N  (any S >= 1)\n" );
+  ]
+
+let test_degraded_reports () =
+  List.iter
+    (fun (file, expected) ->
+      let path = locate file in
+      match Driver.render_file ~budget:Budget.unlimited ~logs:false path with
+      | Ok got -> Alcotest.(check string) path expected got
+      | Error e -> Alcotest.failf "%s: %s" path (EE.to_string e))
+    degraded_reports
+
 (* One resolver for every KERNEL positional: paper kernels and baselines
    resolve, unknown names keep Report.find's message, and [point] rejects
    points outside a program's domain (naming the violated constraint)
@@ -389,4 +413,5 @@ let suite =
       test_unknown_kernel_message;
     Alcotest.test_case "shrunk-source-parses" `Quick test_shrunk_source_parses;
     Alcotest.test_case "lookup-point" `Quick test_lookup_point;
+    Alcotest.test_case "degraded-reports" `Quick test_degraded_reports;
   ]

@@ -67,11 +67,10 @@ let test_rejects_non_coordinate () =
       ]
   in
   let info = Program.find_stmt prog "S" in
-  Alcotest.(check bool) "raises on skewed access" true
-    (try
-       ignore (Phi.of_statement prog info);
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check bool) "raises Unsupported on skewed access" true
+    (match Phi.of_statement prog info with
+    | _ -> false
+    | exception Iolb_util.Engine_error.Error (Unsupported _) -> true)
 
 let suite =
   [

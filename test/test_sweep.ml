@@ -112,7 +112,7 @@ let test_parse_sizes () =
   err "1:2:3:4"
 
 (* --------------------------------------------------------------------- *)
-(* Sharded, streaming and sampled sweeps.                                  *)
+(* Sharded, program and sampled sweeps.                                    *)
 
 module P = Iolb_ir.Program
 
@@ -142,22 +142,76 @@ let test_segmented_edges () =
     [ []; [ r "A" 0 ]; [ w "A" 0; r "A" 0; r "B" 0 ] ]
 
 let test_run_program_streams () =
-  (* streamed chunked sweep = materialized sweep, across jobs widths and
-     an adversarially small chunk size *)
+  (* compiled and interpreted program sweeps = materialized sweep, across
+     jobs widths *)
   let trace = T.of_program ~params:mgs_params mgs in
   List.iter
     (fun flush ->
       let seq = S.run ~flush trace in
       List.iter
         (fun jobs ->
-          let got =
-            S.run_program ~flush ~jobs ~chunk_size:7 ~params:mgs_params mgs
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "jobs=%d flush=%b" jobs flush)
-            true (sweeps_equal seq got))
+          List.iter
+            (fun (what, got) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s jobs=%d flush=%b" what jobs flush)
+                true (sweeps_equal seq got))
+            [
+              ("compiled", S.run_program ~flush ~jobs ~params:mgs_params mgs);
+              ( "interpreted",
+                S.run_program_stream ~flush ~jobs ~params:mgs_params mgs );
+            ])
         [ 1; 2; 4; 8 ])
     [ true; false ]
+
+(* An array at two ranks (compiled), a hull past 63-bit integers
+   (interpreted) and a skewed subscript, against the per-size simulator
+   on a trace built straight from the reference interpreter. *)
+let test_data_programs () =
+  List.iter
+    (fun name ->
+      let prog, params = Test_cplan.data_program name in
+      let events = ref [] in
+      P.iter_accesses ~params prog
+        ~on_instance:(fun () -> ())
+        ~on_access:(fun a idx is_w ->
+          let c = (a, Array.copy idx) in
+          events := (if is_w then T.Write c else T.Read c) :: !events);
+      let reference = tr (List.rev !events) in
+      let sizes = List.init (T.footprint reference + 2) (fun i -> i + 1) in
+      let check what sweep =
+        List.iter
+          (fun size ->
+            if not (stats_eq (S.stats sweep ~size) (C.lru ~size reference))
+            then Alcotest.failf "%s %s: differs from lru at S=%d" name what size)
+          sizes
+      in
+      List.iter
+        (fun jobs ->
+          check
+            (Printf.sprintf "run_program jobs=%d" jobs)
+            (S.run_program ~jobs ~params prog))
+        [ 1; 2; 4 ];
+      check "run_program_stream" (S.run_program_stream ~jobs:2 ~params prog);
+      check "run of_program" (S.run (T.of_program ~params prog));
+      check "run_sampled rate 1"
+        (S.sampled_union (S.run_sampled ~rate:1.0 ~seed:5 ~params prog));
+      (* a sampled scan, from the plan or (hull overflow) the
+         interpreter, keeps exactly the accesses the hash selects *)
+      let thresh = int_of_float (0.5 *. 4611686018427387904.0) in
+      let selected =
+        List.length
+          (List.filter
+             (function
+               | T.Read (a, idx) | T.Write (a, idx) ->
+                   Iolb_ir.Cplan.sample_hash ~seed:5 a idx < thresh)
+             !events)
+      in
+      let sampled = S.run_sampled ~rate:0.5 ~seed:5 ~params prog in
+      Alcotest.(check int) (name ^ ": sampled kept") selected
+        (S.sampled_kept_accesses sampled);
+      Alcotest.(check int) (name ^ ": sampled total") (T.length reference)
+        (S.sampled_total_accesses sampled))
+    [ "rank_mismatch"; "hull_overflow"; "skew" ]
 
 let test_sampled_rate_one_exact () =
   let s = S.run_sampled ~rate:1.0 ~seed:3 ~params:mgs_params mgs in
@@ -203,37 +257,6 @@ let test_sampled_coverage_fixed_seeds () =
       done)
     [ (0.5, 0); (0.5, 3); (0.3, 1); (0.2, 2) ]
 
-let test_iter_accesses_range_slices () =
-  (* concatenating any slicing of [0, n) reproduces the full stream *)
-  let full = ref [] in
-  P.iter_accesses ~params:mgs_params mgs
-    ~on_instance:(fun () -> ())
-    ~on_access:(fun name idx w -> full := (name, Array.copy idx, w) :: !full);
-  let full = Array.of_list (List.rev !full) in
-  let n = Array.length full in
-  Alcotest.(check int) "n_accesses" n (P.n_accesses ~params:mgs_params mgs);
-  List.iter
-    (fun cuts ->
-      let bounds = (0 :: cuts) @ [ n ] in
-      let rec pairs = function
-        | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-        | _ -> []
-      in
-      let pos = ref 0 in
-      List.iter
-        (fun (lo, hi) ->
-          P.iter_accesses_range ~params:mgs_params mgs ~lo ~hi
-            ~on_instance:(fun () -> ())
-            ~on_access:(fun p name idx w ->
-              Alcotest.(check int) "position" !pos p;
-              let en, ei, ew = full.(p) in
-              if not (en = name && ei = idx && ew = w) then
-                Alcotest.failf "access %d differs in slice [%d, %d)" p lo hi;
-              incr pos))
-        (pairs bounds);
-      Alcotest.(check int) "all accesses covered" n !pos)
-    [ []; [ n / 2 ]; [ 1; 2; 3 ]; [ n / 3; n / 2; n - 1 ]; [ 7; 7 ] ]
-
 let suite =
   [
     Alcotest.test_case "hand-computed sweep" `Quick test_sweep_hand;
@@ -260,6 +283,6 @@ let suite =
       test_sampled_rate_one_exact;
     Alcotest.test_case "sampled CIs cover exact (fixed seeds)" `Quick
       test_sampled_coverage_fixed_seeds;
-    Alcotest.test_case "iter_accesses_range slices" `Quick
-      test_iter_accesses_range_slices;
+    Alcotest.test_case "test/data programs = per-size LRU" `Quick
+      test_data_programs;
   ]

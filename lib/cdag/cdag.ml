@@ -45,13 +45,18 @@ let ensure arr len =
 
 let dummy_kind = Input ("", [||])
 
+(* Every table below doubles on demand.  They start small so that the
+   small verification CDAGs the derivation builds stay in the minor heap
+   instead of allocating their tables straight into the major one. *)
+let initial_slots = 64
+
 let of_program ?(budget = Budget.unlimited) ~params p =
   (* Node storage grows geometrically; node ids are assigned in exactly
      the order the old list-based builder assigned them (input nodes at
      first read, in load order, before their compute node), so node
      numbering - and hence every DOT and report output - is unchanged. *)
-  let kinds = ref (Array.make 1024 dummy_kind) in
-  let preds = ref (Array.make 1024 [||]) in
+  let kinds = ref (Array.make initial_slots dummy_kind) in
+  let preds = ref (Array.make initial_slots [||]) in
   let n = ref 0 in
   (* Data cells and statement instances are interned to dense ids once,
      here, so dependence resolution runs on int-indexed arrays instead of
@@ -59,9 +64,9 @@ let of_program ?(budget = Budget.unlimited) ~params p =
      with the iterator's borrowed buffers and copies only on first
      sight. *)
   let cells = Interner.create () in
-  let last_writer = ref (Array.make 1024 (-1)) in
+  let last_writer = ref (Array.make initial_slots (-1)) in
   let instances = Interner.create () in
-  let instance_node = ref (Array.make 1024 (-1)) in
+  let instance_node = ref (Array.make initial_slots (-1)) in
   let inputs = ref 0 in
   let add_node kind pred_arr =
     let id = !n in

@@ -444,11 +444,12 @@ let prop_game_compiled c =
 
 (* ------------------------------------------------------------------ *)
 (* sampled-ci: rate 1 falls back to the exact engine; statistical rates
-   must produce confidence intervals whose double-widened form covers
-   the exact sweep at every size (degenerate intervals are the whole
-   [0, total] range and cover trivially).  Doubling the width turns the
-   z=4 statistical statement into a hard oracle: a miss means the
-   estimator is broken, not unlucky.                                    *)
+   must produce confidence intervals that contain their own centre and
+   whose double-widened form covers the exact sweep at every size
+   (degenerate intervals are the whole [0, total] range and cover
+   trivially).  Doubling the width turns the z=4 statistical statement
+   into a hard oracle: a miss means the estimator is broken, not
+   unlucky.                                                             *)
 
 let prop_sampled_ci c =
   let trace = Lazy.force c.trace in
@@ -480,6 +481,10 @@ let prop_sampled_ci c =
               let check what e (a : Sweep.estimate) =
                 let w = a.hi -. a.lo in
                 let e = float_of_int e in
+                if not (a.lo <= a.est && a.est <= a.hi) then
+                  push issues
+                    "rate=%.2f seed=%d S=%d %s estimate %g outside [%g, %g]"
+                    rate seed s what a.est a.lo a.hi;
                 if e < a.lo -. w || e > a.hi +. w then
                   push issues "rate=%.2f seed=%d S=%d %s=%g outside [%g, %g]"
                     rate seed s what e a.lo a.hi

@@ -367,7 +367,7 @@ let analyze ?budget ~verify_params p =
 
 type outcome = { bounds : t list; degradation : string option }
 
-let analyze_ladder ?(budget = Budget.unlimited) ~verify_params p =
+let ladder ?(budget = Budget.unlimited) ~verify_params p =
   Engine_error.protect @@ fun () ->
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
@@ -388,10 +388,13 @@ let analyze_ladder ?(budget = Budget.unlimited) ~verify_params p =
         note "%s rung skipped (exact arithmetic left 63-bit integers)" label;
         []
   in
+  (* The patterns the hourglass rung verified, kept even if deriving their
+     bounds later aborts: reports list exactly these. *)
+  let verified = ref [] in
   let hg_bounds =
     attempt "hourglass" (fun () ->
-        let hgs = Hourglass.detect_verified ~budget ~params:verify_params p in
-        List.concat_map (hourglass ~budget p) hgs)
+        verified := Hourglass.detect_verified ~budget ~params:verify_params p;
+        List.concat_map (hourglass ~budget p) !verified)
   in
   let classical_bounds =
     attempt "classical" (fun () -> classical_deepest ~budget p)
@@ -401,15 +404,21 @@ let analyze_ladder ?(budget = Budget.unlimited) ~verify_params p =
      wall-clock deadline between two sparse checks; a timed-out analysis
      must not report success. *)
   Budget.check_deadline budget Budget.Derivation;
-  if bounds <> [] then Ok { bounds; degradation = collected () }
-  else
-    match trivial p with
-    | Some b ->
-        note "degraded to the trivial input-footprint bound";
-        Ok { bounds = [ b ]; degradation = collected () }
-    | None ->
-        note "no bound derivable (no hourglass; Brascamp-Lieb exponent <= 1; no recognizable input array)";
-        Ok { bounds = []; degradation = collected () }
+  let outcome =
+    if bounds <> [] then { bounds; degradation = collected () }
+    else
+      match trivial p with
+      | Some b ->
+          note "degraded to the trivial input-footprint bound";
+          { bounds = [ b ]; degradation = collected () }
+      | None ->
+          note "no bound derivable (no hourglass; Brascamp-Lieb exponent <= 1; no recognizable input array)";
+          { bounds = []; degradation = collected () }
+  in
+  Ok (!verified, outcome)
+
+let analyze_ladder ?budget ~verify_params p =
+  Result.map snd (ladder ?budget ~verify_params p)
 
 let eval b ~params ~s =
   let env x =

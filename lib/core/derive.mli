@@ -20,7 +20,7 @@
       when [S <= W], forcing [I'] empty) the small-cache bound.
 
     A third, last-resort technique backs the degradation ladder
-    ({!analyze_ladder}): the {b trivial} input-footprint bound
+    ({!ladder}): the {b trivial} input-footprint bound
     [Q >= distinct input cells], S-independent but unconditionally sound
     and computable without CDAGs, projections or LPs. *)
 
@@ -113,13 +113,26 @@ val analyze :
     pipeline ran. *)
 type outcome = { bounds : t list; degradation : string option }
 
-(** [analyze_ladder ~budget ~verify_params p] is the resilient entry point:
-    attempt the hourglass derivation, fall back to the classical
-    Brascamp-Lieb bound when the hourglass rung exhausts its budget (or
-    detects nothing), and fall back to the {!trivial} input-footprint bound
-    when both partitioning rungs fail.  Never raises: budget exhaustion
-    that not even the trivial rung survives (a passed wall-clock deadline)
-    and internal failures come back as typed errors. *)
+(** [ladder ~budget ~verify_params p] is the resilient entry point and the
+    one place that detects hourglasses: attempt the hourglass derivation,
+    fall back to the classical Brascamp-Lieb bound when the hourglass rung
+    exhausts its budget (or detects nothing), and fall back to the
+    {!trivial} input-footprint bound when both partitioning rungs fail.
+    Returns the patterns the hourglass rung verified
+    ({!Hourglass.detect_verified} at [verify_params]) with the outcome;
+    the list is [[]] when that rung aborts or is skipped before
+    verification completes, and is kept when it aborts later, while
+    deriving the patterns' bounds.  Never raises: budget exhaustion that
+    not even the trivial rung survives (a passed wall-clock deadline) and
+    internal failures come back as typed errors. *)
+val ladder :
+  ?budget:Iolb_util.Budget.t ->
+  verify_params:(string * int) list ->
+  Iolb_ir.Program.t ->
+  (Hourglass.t list * outcome, Iolb_util.Engine_error.t) result
+
+(** [analyze_ladder ~budget ~verify_params p] is {!ladder} without the
+    verified patterns. *)
 val analyze_ladder :
   ?budget:Iolb_util.Budget.t ->
   verify_params:(string * int) list ->

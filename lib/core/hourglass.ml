@@ -132,8 +132,10 @@ let detect p =
     [] candidates
   |> List.rev
 
-let verify ?(budget = Iolb_util.Budget.unlimited) ~params p h =
-  let cdag = Cdag.of_program ~budget ~params p in
+(* The dependence-chain check of one candidate against a concrete CDAG
+   and its reachability oracle; [verify] and [detect_verified] share it,
+   the latter across every candidate of a program. *)
+let check ~budget cdag reach p h =
   let info = Program.find_stmt p h.update_stmt in
   let dim_index d =
     match List.find_index (String.equal d) info.dims with
@@ -161,27 +163,23 @@ let verify ?(budget = Iolb_util.Budget.unlimited) ~params p h =
      coordinate and the same neutral coordinate, and check reachability for
      a sample of (source, target) instance pairs. *)
   let sample l = match l with [] -> [] | [ x ] -> [ x ] | x :: tl -> [ x; List.nth tl (List.length tl - 1) ] in
-  let temporal_keys =
-    Hashtbl.fold (fun (t, _) _ acc -> if List.mem t acc then acc else t :: acc) groups []
-    |> List.sort compare
+  (* Successor index over the distinct temporal coordinates, in
+     lexicographic order. *)
+  let next_temporal = Hashtbl.create 16 in
+  let rec link = function
+    | a :: (b :: _ as tl) ->
+        Hashtbl.replace next_temporal a b;
+        link tl
+    | _ -> ()
   in
-  let next_temporal t =
-    let rec go = function
-      | a :: b :: _ when a = t -> Some b
-      | _ :: tl -> go tl
-      | [] -> None
-    in
-    go temporal_keys
-  in
+  Hashtbl.fold (fun (t, _) _ acc -> t :: acc) groups []
+  |> List.sort_uniq compare |> link;
   (* The temporal loop may run forward or backward (V2Q iterates k
-     downwards), so accept a consistent dependence direction either way.
-     Reachability queries share one oracle, so the visited marks and DFS
-     stack are allocated once for all sampled pairs. *)
-  let reach = Cdag.reachability cdag in
+     downwards), so accept a consistent dependence direction either way. *)
   let forward_ok = ref true and backward_ok = ref true and checked = ref 0 in
   Hashtbl.iter
     (fun (t, n) ids ->
-      match next_temporal t with
+      match Hashtbl.find_opt next_temporal t with
       | None -> ()
       | Some t' -> (
           match Hashtbl.find_opt groups (t', n) with
@@ -203,8 +201,19 @@ let verify ?(budget = Iolb_util.Budget.unlimited) ~params p h =
     groups;
   (!forward_ok || !backward_ok) && !checked > 0
 
-let detect_verified ?budget ~params p =
-  List.filter (verify ?budget ~params p) (detect p)
+let verify ?(budget = Iolb_util.Budget.unlimited) ~params p h =
+  let cdag = Cdag.of_program ~budget ~params p in
+  check ~budget cdag (Cdag.reachability cdag) p h
+
+(* One CDAG and one reachability oracle serve every candidate: the
+   oracle's visited marks and DFS stack are allocated once per program. *)
+let detect_verified ?(budget = Iolb_util.Budget.unlimited) ~params p =
+  match detect p with
+  | [] -> []
+  | candidates ->
+      let cdag = Cdag.of_program ~budget ~params p in
+      let reach = Cdag.reachability cdag in
+      List.filter (check ~budget cdag reach p) candidates
 
 let pp fmt h =
   Format.fprintf fmt

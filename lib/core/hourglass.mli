@@ -39,9 +39,12 @@ val width_poly : t -> Iolb_symbolic.Polynomial.t
 val detect : Iolb_ir.Program.t -> t list
 
 (** [detect_verified ~params p] keeps only the candidates whose dependence
-    chains are confirmed by {!verify} on the concrete CDAG at [params].
-    This is the production entry point: {!detect} generates candidates from
-    access shapes, the pebble-level check prunes the spurious ones. *)
+    chains are confirmed by {!verify}'s check on the concrete CDAG at
+    [params].  One CDAG and one reachability oracle serve every candidate,
+    and none is built when {!detect} finds no candidate.  This is the
+    production entry point, run once per analysis by
+    {!Derive.ladder}: {!detect} generates candidates from access shapes,
+    the pebble-level check prunes the spurious ones. *)
 val detect_verified :
   ?budget:Iolb_util.Budget.t -> params:(string * int) list -> Iolb_ir.Program.t -> t list
 
@@ -49,7 +52,9 @@ val detect_verified :
     CDAG: for instances of the update statement with equal neutral
     coordinates and consecutive temporal coordinates, there is a dependence
     path from the earlier to the later instance for every pair of reduction
-    coordinates sampled.  Returns false if any sampled pair lacks a path. *)
+    coordinates sampled.  Returns false if any sampled pair lacks a path.
+    Builds the CDAG for this one candidate; {!detect_verified} shares one
+    across all of a program's candidates. *)
 val verify :
   ?budget:Iolb_util.Budget.t ->
   params:(string * int) list ->

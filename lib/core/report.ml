@@ -1,7 +1,6 @@
 module P = Iolb_symbolic.Polynomial
 module R = Iolb_symbolic.Ratfun
 module Rat = Iolb_util.Rat
-module Budget = Iolb_util.Budget
 module Engine_error = Iolb_util.Engine_error
 module K = Iolb_kernels
 
@@ -126,23 +125,12 @@ type analysis = {
   degradation : string option;
 }
 
-let analyze ?(budget = Budget.unlimited) entry =
-  (* Detection for display only: if it blows the budget here, the ladder
-     below records the abort; an empty pattern list is an honest display. *)
-  let hourglasses =
-    match
-      Hourglass.detect_verified ~budget ~params:entry.verify_params
-        entry.program
-    with
-    | hgs -> hgs
-    | exception Budget.Exhausted _ -> []
-  in
+let analyze ?budget entry =
   match
-    Derive.analyze_ladder ~budget ~verify_params:entry.verify_params
-      entry.program
+    Derive.ladder ?budget ~verify_params:entry.verify_params entry.program
   with
   | Error e -> Engine_error.raise_error e
-  | Ok (o : Derive.outcome) ->
+  | Ok (hourglasses, (o : Derive.outcome)) ->
       {
         entry;
         hourglasses;

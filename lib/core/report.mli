@@ -34,18 +34,21 @@ val find : string -> entry
 
 type analysis = {
   entry : entry;
-  hourglasses : Hourglass.t list;  (** empirically verified patterns *)
+  hourglasses : Hourglass.t list;
+      (** the patterns the ladder's hourglass rung verified *)
   bounds : Derive.t list;  (** finalized derived bounds *)
   degradation : string option;
       (** [None] when the full pipeline ran; otherwise which ladder rungs
-          were skipped or aborted and why (see {!Derive.analyze_ladder}) *)
+          were skipped or aborted and why (see {!Derive.ladder}) *)
 }
 
-(** Resilient analysis through {!Derive.analyze_ladder}: under budget
-    pressure falls back to weaker (but sound) bounds, recording the
-    degradation.  Under the default unlimited budget it never degrades and
-    behaves as the original full pipeline.  Callers that need the no-raise
-    boundary wrap it in {!Iolb_util.Engine_error.guard}.
+(** Resilient analysis through {!Derive.ladder}, in one derivation pass:
+    the pattern list and the bounds come from the same hourglass
+    detection, so a step cap pays for it once.  Under budget pressure it
+    falls back to weaker (but sound) bounds, recording the degradation.
+    Under the default unlimited budget it never degrades and behaves as
+    the original full pipeline.  Callers that need the no-raise boundary
+    wrap it in {!Iolb_util.Engine_error.guard}.
     @raise Iolb_util.Engine_error.Error when no rung answers (e.g. a passed
     deadline). *)
 val analyze : ?budget:Iolb_util.Budget.t -> entry -> analysis

@@ -49,14 +49,16 @@ let equal_view (b, v) name idx =
 
 let dummy_key : key = ("", [||])
 
-let rec capacity_for n c = if c >= 2 * n then c else capacity_for n (2 * c)
+(* Both tables double on demand.  They start small so that a short-lived
+   interner (two per CDAG build) is allocated in the minor heap instead of
+   straight into the major one. *)
+let initial_keys = 16
 
-let create ?(size = 1024) () =
-  let cap = capacity_for (max size 8) 16 in
+let create () =
   {
-    table = Array.make cap (-1);
-    mask = cap - 1;
-    rev = Array.make (max size 1) dummy_key;
+    table = Array.make (2 * initial_keys) (-1);
+    mask = (2 * initial_keys) - 1;
+    rev = Array.make initial_keys dummy_key;
     n = 0;
     hname = "";
     hval = Hashtbl.hash "";

@@ -18,8 +18,9 @@ type key = string * int array
 
 type t
 
-(** [create ?size ()] is an empty interner ([size] is a capacity hint). *)
-val create : ?size:int -> unit -> t
+(** [create ()] is an empty interner.  It starts small and grows
+    geometrically as keys are interned. *)
+val create : unit -> t
 
 (** [intern t k] is the dense id of [k], allocating the next id
     ([count t]) on first sight.  Ids are assigned in first-seen order. *)

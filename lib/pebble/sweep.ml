@@ -934,7 +934,9 @@ let sampled_stats s ~size =
       |> List.filter (fun (t, _, _) -> accesses t > 0)
     in
     let estimate extract =
-      let est = float_of_int (extract su) *. scale in
+      (* No count exceeds the trace length, so neither may its estimate:
+         clamped, the centre lies inside the interval in both branches. *)
+      let est = Float.min total (float_of_int (extract su) *. scale) in
       if degenerate then { est; lo = 0.0; hi = total }
       else begin
         let vals =

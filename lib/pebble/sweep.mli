@@ -152,7 +152,8 @@ val run_sampled :
   sampled
 
 (** [sampled_stats s ~size] estimates [(loads, read hits, stores)] of the
-    exact sweep at [size].  Centres come from the union sample; interval
+    exact sweep at [size].  Centres come from the union sample, capped at
+    the total access count (no count can exceed it); interval
     half-widths are [max (4 * se, 2/rate + 2% of centre)] where [se] is
     the standard error across the per-group estimates.  When the sample
     is too thin to support a spread estimate ({!sampled_degenerate}),

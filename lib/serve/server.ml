@@ -4,8 +4,8 @@ module Budget = Iolb_util.Budget
 module Engine_error = Iolb_util.Engine_error
 module Report = Iolb.Report
 module Derive = Iolb.Derive
-module Hourglass = Iolb.Hourglass
 module Front = Iolb_front.Front
+module Driver = Iolb_front.Driver
 module Diag = Iolb_front.Diag
 module Sweep = Iolb_pebble.Sweep
 
@@ -169,10 +169,9 @@ let respond_error t ~id err =
    The payload is a pure function of (kernel, m, n, s, rate, seed) -
    sampling is hash-based, not randomized - so responses stay
    byte-reproducible and cacheable. *)
-let empirical_for t entry ~m ~n ~s (budget : Protocol.budget_spec)
+let empirical_for t entry ~params ~s (budget : Protocol.budget_spec)
     (e : Protocol.empirical_spec) =
   let ( let* ) = Result.bind in
-  let* params = Report.concrete_params entry ~m ~n in
   let* b = make_budget t budget in
   let* sampled =
     Engine_error.guard (fun () ->
@@ -258,36 +257,33 @@ let handle_engine t (req : Protocol.request) =
       | Ok source ->
           cached t req ~op:"source" ~display:"" budget @@ fun spec ->
           let* b = make_budget t budget in
-          let hourglasses =
-            match
-              Hourglass.detect_verified ~budget:b ~params:source.Front.verify
-                source.Front.program
-            with
-            | hgs -> List.length hgs
-            | exception Budget.Exhausted _ -> 0
-          in
-          let* o =
-            Derive.analyze_ladder ~budget:b ~verify_params:source.Front.verify
+          let* hgs, o =
+            Derive.ladder ~budget:b ~verify_params:source.Front.verify
               source.Front.program
           in
           Ok
             ( Protocol.source_result ~spec
-                ~kernel:source.Front.program.Iolb_ir.Program.name ~hourglasses
-                o,
+                ~kernel:source.Front.program.Iolb_ir.Program.name
+                ~hourglasses:(List.length hgs) o,
               o.Derive.degradation ))
-  | Protocol.Eval { kernel; m; n; s; empirical; budget } ->
+  | Protocol.Eval { kernel; m; n; s; empirical; budget } -> (
       with_entry t ~id kernel @@ fun entry ->
-      cached t req ~op:"eval" ~display:entry.display budget @@ fun spec ->
-      let* a = analysis_for t entry budget in
-      let* measured =
-        match empirical with
-        | None -> Ok None
-        | Some e ->
-            Result.map Option.some (empirical_for t entry ~m ~n ~s budget e)
-      in
-      Ok
-        ( Protocol.eval_result ?empirical:measured ~spec a ~m ~n ~s,
-          a.degradation )
+      (* The CLI's domain check: an impossible point is invalid input,
+         answered before the cache sees it. *)
+      match Driver.point ~s (Driver.Paper entry) ~m ~n with
+      | Error e -> respond_error t ~id (Protocol.Engine e)
+      | Ok params ->
+          cached t req ~op:"eval" ~display:entry.display budget @@ fun spec ->
+          let* a = analysis_for t entry budget in
+          let* measured =
+            match empirical with
+            | None -> Ok None
+            | Some e ->
+                Result.map Option.some (empirical_for t entry ~params ~s budget e)
+          in
+          Ok
+            ( Protocol.eval_result ?empirical:measured ~spec a ~m ~n ~s,
+              a.degradation ))
   | Protocol.Ping | Protocol.List_kernels | Protocol.Stats | Protocol.Shutdown
     ->
       (* Inline ops never reach the queue. *)

@@ -11,7 +11,10 @@
     queueing without limit; a {!Iolb_util.Pool.Workers} group drains the
     queue.  Responses for complete (non-degraded, non-fault) analyses are
     cached in a content-addressed {!Lru}, so repeated requests for the
-    same spec are served as byte-identical string splices.
+    same spec are served as byte-identical string splices.  An [eval]
+    point outside the kernel's domain ({!Iolb_front.Driver.point}, the
+    CLI's check) is answered [invalid_input] before the cache is
+    consulted, and is never cached.
 
     Failure semantics: engine failures and per-request budget exhaustion
     come back as typed error responses through the PR 1 degradation

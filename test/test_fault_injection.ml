@@ -140,16 +140,60 @@ let test_ladder_faults_baselines () =
    rung. *)
 let test_degrades_to_trivial () =
   let entry = Report.find "mgs" in
-  let budget = Budget.make ~max_steps:200 () in
+  let budget = Budget.make ~max_steps:100 () in
   match EE.guard (fun () -> Report.analyze ~budget entry) with
   | Error e -> Alcotest.failf "expected degradation, got %s" (EE.to_string e)
   | Ok a ->
       Alcotest.(check bool) "degradation recorded" true (a.degradation <> None);
       Alcotest.(check bool) "trivial bound produced" true
         (List.exists (fun (b : D.t) -> b.technique = D.Trivial) a.bounds);
-      check_sound ~ctx:"max-steps 200" ~name:entry.display
+      check_sound ~ctx:"max-steps 100" ~name:entry.display
         ~cdag_params:entry.verify_params ~eval_params:(eval_params entry)
         entry.program a.bounds
+
+(* One derivation pass: the report's pattern list is the one the ladder
+   verified, so a step cap pays for hourglass detection once.  MGS's whole
+   analysis then fits in 400 steps, and at no cap does the report show a
+   pattern whose verification the ladder lost. *)
+let test_one_pass_under_step_cap () =
+  let entry = Report.find "mgs" in
+  let shown hgs = List.map (Format.asprintf "%a" Iolb.Hourglass.pp) hgs in
+  let unlimited = Report.analyze entry in
+  let analyze cap =
+    match
+      EE.guard (fun () ->
+          Report.analyze ~budget:(Budget.make ~max_steps:cap ()) entry)
+    with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "max-steps %d: %s" cap (EE.to_string e)
+  in
+  let a = analyze 400 in
+  Alcotest.(check (option string)) "max-steps 400: no degradation" None
+    a.degradation;
+  Alcotest.(check (list string)) "max-steps 400: the verified pattern"
+    (shown unlimited.hourglasses) (shown a.hourglasses);
+  List.iter
+    (fun tech ->
+      Alcotest.(check bool) "max-steps 400: hourglass and classical bounds"
+        true
+        (List.exists (fun (b : D.t) -> b.technique = tech) a.bounds))
+    [ D.Hourglass; D.Classical ];
+  let lost_in_cdag =
+    Printf.sprintf "hourglass rung aborted (budget exhausted during %s)"
+      (Budget.stage_name Budget.Cdag_build)
+  in
+  for i = 1 to 28 do
+    let cap = 25 * i in
+    let a = analyze cap in
+    let note = Option.value ~default:"" a.degradation in
+    let ctx = Printf.sprintf "max-steps %d" cap in
+    if Test_check.has_substring ~sub:lost_in_cdag note then
+      Alcotest.(check (list string)) (ctx ^ ": no unverified pattern shown")
+        [] (shown a.hourglasses)
+    else if not (Test_check.has_substring ~sub:"hourglass rung" note) then
+      Alcotest.(check (list string)) (ctx ^ ": every verified pattern shown")
+        (shown unlimited.hourglasses) (shown a.hourglasses)
+  done
 
 (* A generous budget must not change the result at all: same bounds as the
    unlimited pipeline, and no degradation note. *)
@@ -313,6 +357,8 @@ let suite =
       test_ladder_faults_baselines;
     Alcotest.test_case "step cap degrades to trivial rung" `Quick
       test_degrades_to_trivial;
+    Alcotest.test_case "one derivation pass under a step cap" `Quick
+      test_one_pass_under_step_cap;
     Alcotest.test_case "generous budget is transparent" `Quick
       test_generous_budget_is_transparent;
     Alcotest.test_case "pebble/cache/trace fault injection" `Quick

@@ -86,6 +86,25 @@ let test_verify_empirically () =
       (K.Gehd2.split_spec, "SU1a", [ "i" ], [ ("N", 8); ("M", 3) ]);
     ]
 
+(* Verification builds one CDAG per program, not one per candidate:
+   detecting on split GEHD2 (several candidates) charges the CDAG stage
+   exactly what one build at the same sizes does. *)
+let test_one_cdag_per_program () =
+  let module Budget = Iolb_util.Budget in
+  let entry = Iolb.Report.find "gehd2" in
+  let params = entry.verify_params and p = entry.program in
+  let counting () = Budget.make ~max_steps:max_int () in
+  let detect = counting () in
+  let verified = H.detect_verified ~budget:detect ~params p in
+  let build = counting () in
+  ignore (Iolb_cdag.Cdag.of_program ~budget:build ~params p);
+  Alcotest.(check bool) "several candidates" true
+    (List.length (H.detect p) > 1);
+  Alcotest.(check bool) "a verified pattern" true (verified <> []);
+  Alcotest.(check int) "CDAG steps of one build"
+    (Budget.stage_steps build Budget.Cdag_build)
+    (Budget.stage_steps detect Budget.Cdag_build)
+
 let suite =
   [
     Alcotest.test_case "mgs: SU hourglass, width M" `Quick test_mgs;
@@ -99,4 +118,6 @@ let suite =
       test_verify_empirically;
     Alcotest.test_case "spurious candidates pruned by verification" `Quick
       test_spurious_candidates_pruned;
+    Alcotest.test_case "one verification CDAG per program" `Quick
+      test_one_cdag_per_program;
   ]

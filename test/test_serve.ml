@@ -426,6 +426,69 @@ let test_server_end_to_end () =
           let r = rpc c ~op:"shutdown" [] in
           Alcotest.(check bool) "shutdown acknowledged" true r.Protocol.ok))
 
+(* eval applies the CLI's domain check: a point outside the kernel's
+   assumptions, or s < 1, is invalid_input on its own id and never enters
+   the cache; an in-domain point answers the registry analysis. *)
+let test_eval_domain_check () =
+  with_server (fun _ address ->
+      with_client address (fun c ->
+          let entries () =
+            match Json.member "cache" (rpc c ~op:"stats" []).Protocol.body with
+            | Some cache -> (
+                match Json.member "entries" cache with
+                | Some (Json.Int n) -> n
+                | _ -> Alcotest.fail "stats: missing cache entries")
+            | None -> Alcotest.fail "stats: missing cache section"
+          in
+          List.iter
+            (fun (id, point, violated) ->
+              let line =
+                Printf.sprintf {|{"id":%d,"op":"eval","kernel":"mgs",%s}|} id
+                  point
+              in
+              (* twice: the second would be a cache hit if the first had
+                 been cached *)
+              for _ = 1 to 2 do
+                let r = parsed (raw_line c line) in
+                Alcotest.(check bool) (point ^ ": not ok") false r.Protocol.ok;
+                Alcotest.(check int) (point ^ ": invalid_input") 2
+                  r.Protocol.exit_code;
+                Alcotest.(check bool) (point ^ ": own id") true
+                  (r.Protocol.resp_id = Json.Int id);
+                match Json.member "message" r.Protocol.body with
+                | Some (Json.String m) ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s: message %S names %S" point m
+                         violated)
+                      true
+                      (Test_check.has_substring ~sub:violated m)
+                | _ -> Alcotest.fail "error without a message"
+              done;
+              Alcotest.(check int) (point ^ ": nothing cached") 0 (entries ()))
+            [
+              (21, {|"m":3,"n":5,"s":16|}, "M - N >= 0");
+              (22, {|"m":8,"n":4,"s":0|}, "s >= 1");
+            ];
+          let line =
+            raw_line c
+              {|{"id":23,"op":"eval","kernel":"mgs","m":128,"n":64,"s":256}|}
+          in
+          Alcotest.(check bool) "in-domain eval ok" true (parsed line).Protocol.ok;
+          let a = Iolb.Report.analyze_cached (Iolb.Report.find "mgs") in
+          List.iter
+            (fun (field, technique) ->
+              let want =
+                Iolb.Report.eval_best a ~technique ~m:128 ~n:64 ~s:256
+                |> Option.get
+              in
+              let sub =
+                Printf.sprintf {|"%s":%s|} field (Json.to_string (Json.Float want))
+              in
+              Alcotest.(check bool) (field ^ " bound as before") true
+                (Test_check.has_substring ~sub line))
+            [ ("classical", `Classical); ("hourglass", `Hourglass) ];
+          Alcotest.(check int) "in-domain eval cached" 1 (entries ())))
+
 let test_crash_gated_by_default () =
   with_server (fun t address ->
       with_client address (fun c ->
@@ -670,6 +733,8 @@ let suite =
       test_response_envelopes;
     Alcotest.test_case "lru: recency, eviction, stats" `Quick test_lru;
     Alcotest.test_case "server: end to end" `Quick test_server_end_to_end;
+    Alcotest.test_case "server: eval domain check" `Quick
+      test_eval_domain_check;
     Alcotest.test_case "server: crash op gated by default" `Quick
       test_crash_gated_by_default;
     Alcotest.test_case "server: byte-identical across widths" `Quick

@@ -257,6 +257,21 @@ let test_sampled_coverage_fixed_seeds () =
       done)
     [ (0.5, 0); (0.5, 3); (0.3, 1); (0.2, 2) ]
 
+(* A thin sample can scale past the trace length (11 kept accesses of 16
+   at rate 0.5 would estimate 18 loads at S=1); the centre is capped at
+   the access count, so it stays inside its own [0, 16] interval. *)
+let test_sampled_centre_in_interval () =
+  let prog, params = Test_cplan.data_program "rat_overflow" in
+  let s = S.run_sampled ~rate:0.5 ~seed:42 ~params prog in
+  Alcotest.(check int) "total" 16 (S.sampled_total_accesses s);
+  Alcotest.(check int) "kept" 11 (S.sampled_kept_accesses s);
+  let l, h, st = S.sampled_stats s ~size:1 in
+  let row (a : S.estimate) = (a.S.est, a.S.lo, a.S.hi) in
+  let triple = Alcotest.(triple (float 0.0) (float 0.0) (float 0.0)) in
+  Alcotest.check triple "loads" (16.0, 0.0, 16.0) (row l);
+  Alcotest.check triple "read hits" (0.0, 0.0, 16.0) (row h);
+  Alcotest.check triple "stores" (4.0, 0.0, 16.0) (row st)
+
 let suite =
   [
     Alcotest.test_case "hand-computed sweep" `Quick test_sweep_hand;
@@ -285,4 +300,6 @@ let suite =
       test_sampled_coverage_fixed_seeds;
     Alcotest.test_case "test/data programs = per-size LRU" `Quick
       test_data_programs;
+    Alcotest.test_case "sampled centre stays in its interval" `Quick
+      test_sampled_centre_in_interval;
   ]

@@ -562,7 +562,7 @@ let validation () =
   let t0 = now () in
   (* Per-kernel preparation fans out across the pool: the (memoized)
      symbolic analysis, the CDAG, and one reusable plan per schedule (the
-     use-position tables are S-independent). *)
+     next-use tables are S-independent). *)
   let prepped =
     pmap
       (fun (name, params, m, n, ss) ->

@@ -25,6 +25,7 @@ type ctx = {
   trace : Trace.t Lazy.t;
   cdag : Cdag.t Lazy.t;
   schedule : int array Lazy.t;
+  plan : Game.plan Lazy.t;  (** the program schedule's, built once for every S *)
   hourglasses : Iolb.Hourglass.t list Lazy.t;
   bounds : D.t list Lazy.t;
   sizes : int list Lazy.t;
@@ -37,6 +38,9 @@ let make_ctx ?(budget = Budget.unlimited) spec =
   let trace = lazy (Trace.of_program ~budget ~params prog) in
   let cdag = lazy (Cdag.of_program ~budget ~params prog) in
   let schedule = lazy (Game.program_schedule (Lazy.force cdag)) in
+  let plan =
+    lazy (Game.plan (Lazy.force cdag) ~schedule:(Lazy.force schedule))
+  in
   let hourglasses =
     lazy (Iolb.Hourglass.detect_verified ~budget ~params prog)
   in
@@ -60,6 +64,7 @@ let make_ctx ?(budget = Budget.unlimited) spec =
     trace;
     cdag;
     schedule;
+    plan;
     hourglasses;
     bounds;
     sizes;
@@ -79,10 +84,7 @@ let game_at c s =
   | Some r -> r
   | None ->
       let r =
-        match
-          Game.run ~budget:c.budget (Lazy.force c.cdag) ~s
-            ~schedule:(Lazy.force c.schedule)
-        with
+        match Game.run_plan ~budget:c.budget (Lazy.force c.plan) ~s with
         | r -> Some r
         | exception Engine_error.Error (Invalid_input _) -> None
       in

@@ -42,7 +42,7 @@ val opt :
 (** Size-independent part of an OPT simulation: the backward next-read scan
     over the trace.  Build it once per trace and share it, read-only,
     across the per-size runs of a sweep (including a {!Iolb_util.Pool}
-    fan-out), like [Game.plan] shares the use-position scan. *)
+    fan-out), like [Game.plan] shares its next-use scan. *)
 type opt_plan
 
 (** [opt_plan trace] precomputes the next-read positions (one [Cache_sim]

@@ -3,21 +3,28 @@ module Budget = Iolb_util.Budget
 module Maxheap = Iolb_util.Maxheap
 module Engine_error = Iolb_util.Engine_error
 
-(* Compiled red-white pebble engine.  Same game, same clairvoyant
-   (Belady) discard policy, same heap push sequence - and therefore the
-   same result on every input - as the reference engine [Game_ref], but
-   the per-step machinery is flat arrays throughout:
+(* Compiled red-white pebble engine: the game and clairvoyant (Belady)
+   discard policy of the reference engine [Game_ref], on flat arrays.
 
-   - the schedule's predecessor lists and each node's use positions are
-     CSR (offsets + one flat array), built once per plan from the CDAG's
-     own CSR export, so the step loop walks contiguous memory instead of
-     chasing per-node arrays;
-   - red/white pebble state is a bitset (32 bits per word), keeping the
-     whole state of a multi-thousand-node game in a few cache lines;
-   - all per-run state lives in a [runner] that can be reused across the
-     (kernel x S x schedule) grid - the validation sweeps - without
-     reallocating; [run_plan] stays thread-safe by making a fresh runner
-     per call. *)
+   - A plan compiles the schedule to CSR predecessor lists and, in one
+     backward scan, two S-independent next-use tables: per predecessor
+     slot of step t the next step after t reading it, and per step the
+     first step reading its result.
+   - A runner holds the red pebbles in an indexed max-heap keyed by next
+     use, one slot per red node (at most S entries, O(log S) an access);
+     white pebbles are a bitset.  A red predecessor of step t is keyed t,
+     the smallest key a red node can have, so the top is the victim and
+     a top keyed t means every red pebble is needed now.  After the
+     compute each predecessor's key grows to its next use (a sift-up).
+     Runners are reused across S-sweeps; [run_plan] makes a fresh one
+     per call, which keeps it thread-safe.
+
+   Ties between equal keys break by heap position here and by push order
+   in [Game_ref]; [loads] and [peak_red] do not depend on it.  Two nodes
+   with the same finite key are both read, and both protected, at that
+   step t'.  Until t' the runs differ only by a swap of the two, and at
+   t' both are red again in both runs.  Nodes keyed [max_int] are dead.
+   The [game-compiled] oracle checks the equality. *)
 
 type result = { loads : int; peak_red : int }
 
@@ -39,24 +46,27 @@ let program_schedule cdag =
     order;
   Array.sub out 0 !k
 
+(* Inputs are available from the start and a compute once scheduled, so
+   each id must be in range, not yet available, and have every
+   predecessor available: with the length check, the schedule is then a
+   topological permutation of the compute nodes. *)
 let is_topological cdag schedule =
   let n = Cdag.n_nodes cdag in
-  let pos = Array.make n (-1) in
-  (* last occurrence wins, like the Hashtbl.replace-based check did *)
-  Array.iteri (fun i id -> pos.(id) <- i) schedule;
+  let avail = Array.init n (fun id -> not (is_compute cdag id)) in
   let poff, pflat = Cdag.preds_csr cdag in
-  let ok = ref true in
-  Array.iteri
-    (fun i id ->
-      for k = poff.(id) to poff.(id + 1) - 1 do
-        let p = pflat.(k) in
-        if is_compute cdag p then begin
-          let j = pos.(p) in
-          if j < 0 || j >= i then ok := false
-        end
-      done)
+  let ok = ref (Array.length schedule = Cdag.n_computes cdag) in
+  Array.iter
+    (fun id ->
+      if !ok then
+        if id < 0 || id >= n || avail.(id) then ok := false
+        else begin
+          for k = poff.(id) to poff.(id + 1) - 1 do
+            if not avail.(pflat.(k)) then ok := false
+          done;
+          avail.(id) <- true
+        end)
     schedule;
-  !ok && Array.length schedule = Cdag.n_computes cdag
+  !ok
 
 let random_topological ?(seed = 0) cdag =
   let state = Random.State.make [| seed |] in
@@ -151,19 +161,16 @@ let bset b i =
   let w = i lsr 5 in
   Array.unsafe_set b w (Array.unsafe_get b w lor (1 lsl (i land 31)))
 
-let bclear b i =
-  let w = i lsr 5 in
-  Array.unsafe_set b w (Array.unsafe_get b w land lnot (1 lsl (i land 31)))
-
 type plan = {
-  cdag : Cdag.t;
   schedule : int array;
   n : int; (* nodes of the CDAG *)
   max_fanin : int; (* largest per-step pebble requirement, preds + 1 *)
   step_off : int array; (* CSR: predecessors of schedule.(t) *)
   step_preds : int array;
-  use_off : int array; (* CSR: consume positions per node, ascending *)
-  use_flat : int array;
+  step_next : int array; (* per CSR slot of step t: next step after t
+                            reading that predecessor, or max_int *)
+  node_next : int array; (* per step t: first step reading schedule.(t),
+                            or max_int *)
   input_bits : int array; (* bitset: the initially-white (input) nodes *)
 }
 
@@ -174,96 +181,72 @@ let plan cdag ~schedule =
   let steps = Array.length schedule in
   let poff, pflat = Cdag.preds_csr cdag in
   let step_off = Array.make (steps + 1) 0 in
-  for t = 0 to steps - 1 do
-    let id = schedule.(t) in
-    step_off.(t + 1) <- step_off.(t) + (poff.(id + 1) - poff.(id))
-  done;
-  let step_preds = Array.make (max step_off.(steps) 1) 0 in
-  let use_count = Array.make n 0 in
   let max_fanin = ref 1 in
   for t = 0 to steps - 1 do
     let id = schedule.(t) in
-    let lo = poff.(id) and hi = poff.(id + 1) in
-    Array.blit pflat lo step_preds step_off.(t) (hi - lo);
-    if hi - lo + 1 > !max_fanin then max_fanin := hi - lo + 1;
+    let fanin = poff.(id + 1) - poff.(id) in
+    step_off.(t + 1) <- step_off.(t) + fanin;
+    if fanin + 1 > !max_fanin then max_fanin := fanin + 1
+  done;
+  let step_preds = Array.make step_off.(steps) 0 in
+  let step_next = Array.make step_off.(steps) max_int in
+  let node_next = Array.make steps max_int in
+  (* backward scan: upcoming.(v) is the first step after t that reads v;
+     all of step t's slots read it before step t itself is recorded, so
+     a predecessor listed twice gets the same next use in both slots *)
+  let upcoming = Array.make n max_int in
+  for t = steps - 1 downto 0 do
+    let id = schedule.(t) in
+    let lo = step_off.(t) and hi = step_off.(t + 1) in
+    Array.blit pflat poff.(id) step_preds lo (hi - lo);
     for k = lo to hi - 1 do
-      let p = pflat.(k) in
-      use_count.(p) <- use_count.(p) + 1
-    done
-  done;
-  let use_off = Array.make (n + 1) 0 in
-  for id = 0 to n - 1 do
-    use_off.(id + 1) <- use_off.(id) + use_count.(id)
-  done;
-  let use_flat = Array.make (max use_off.(n) 1) 0 in
-  let fill = Array.make n 0 in
-  (* filling in ascending step order leaves each node's slice sorted *)
-  for t = 0 to steps - 1 do
-    for k = step_off.(t) to step_off.(t + 1) - 1 do
-      let p = step_preds.(k) in
-      use_flat.(use_off.(p) + fill.(p)) <- t;
-      fill.(p) <- fill.(p) + 1
+      step_next.(k) <- upcoming.(step_preds.(k))
+    done;
+    node_next.(t) <- upcoming.(id);
+    for k = lo to hi - 1 do
+      upcoming.(step_preds.(k)) <- t
     done
   done;
   let input_bits = Array.make (bits_words n) 0 in
   for id = 0 to n - 1 do
     if not (is_compute cdag id) then bset input_bits id
   done;
-  {
-    cdag;
-    schedule;
-    n;
-    max_fanin = !max_fanin;
-    step_off;
-    step_preds;
-    use_off;
-    use_flat;
-    input_bits;
-  }
+  { schedule; n; max_fanin = !max_fanin; step_off; step_preds; step_next;
+    node_next; input_bits }
 
 (* Reusable per-run state.  NOT thread-safe: one runner per domain. *)
 type runner = {
   plan : plan;
-  use_cursor : int array; (* per node: next unconsumed entry of its uses *)
-  red : int array; (* bitset *)
   white : int array; (* bitset *)
-  heap : Maxheap.t; (* lazy max-heap of (next use, node) *)
-  heap_key : int array; (* per node: pos of its valid heap entry, or -2 *)
-  protect : int array; (* per node: t when it must not be discarded at t *)
+  hkey : int array; (* heap slot -> next use of the red node in it *)
+  hnode : int array; (* heap slot -> red node *)
+  hpos : int array; (* node -> heap slot, or -1 when the node is not red *)
 }
 
 let runner plan =
   let n = plan.n in
   {
     plan;
-    use_cursor = Array.make n 0;
-    red = Array.make (bits_words n) 0;
     white = Array.make (bits_words n) 0;
-    heap = Maxheap.create ();
-    heap_key = Array.make n (-2);
-    protect = Array.make n (-1);
+    hkey = Array.make n 0;
+    hnode = Array.make n 0;
+    hpos = Array.make n (-1);
   }
 
 (* The per-step loops below index node-id-sized state arrays with
    [Array.unsafe_get]/[unsafe_set]: node ids are < n by the CDAG's
-   construction, and use-position cursors stay within each node's use
-   slice by the loop condition. *)
+   construction, heap slots are < the red count <= n (a node holds one
+   slot at most, as [plan] rejects repeated ids), and CSR slots stay
+   within their step's range by the loop bounds. *)
 let run_runner ?(budget = Budget.unlimited) r ~s =
-  let { n; max_fanin; schedule; step_off; step_preds; use_off; use_flat; _ }
+  let { n; max_fanin; schedule; step_off; step_preds; step_next; node_next; _ }
       =
     r.plan
   in
-  (* reset, rather than reallocate, the run state; each node's use
-     cursor starts at its slice's base in the flat use array *)
-  Array.blit use_off 0 r.use_cursor 0 n;
-  Array.fill r.red 0 (Array.length r.red) 0;
-  Array.blit r.plan.input_bits 0 r.white 0 (Array.length r.white);
-  Maxheap.clear r.heap;
-  Array.fill r.heap_key 0 n (-2);
-  Array.fill r.protect 0 n (-1);
-  let use_cursor = r.use_cursor in
-  let red = r.red and white = r.white in
-  let heap = r.heap and heap_key = r.heap_key and protect = r.protect in
+  let { white; hkey; hnode; hpos; _ } = r in
+  (* reset, rather than reallocate, the run state *)
+  Array.blit r.plan.input_bits 0 white 0 (Array.length white);
+  Array.fill hpos 0 n (-1);
   let steps = Array.length schedule in
   (* the cheapest feasibility check first: the widest step's fan-in *)
   if steps > 0 && max_fanin > s then begin
@@ -278,79 +261,81 @@ let run_runner ?(budget = Budget.unlimited) r ~s =
          (step_off.(!t + 1) - step_off.(!t) + 1)
          s)
   end;
-  let next_use_after node t =
-    let hi = Array.unsafe_get use_off (node + 1) in
-    let c = ref (Array.unsafe_get use_cursor node) in
-    while !c < hi && Array.unsafe_get use_flat !c <= t do
-      incr c
+  let len = ref 0 and peak = ref 0 and loads = ref 0 in
+  let place i key node =
+    Array.unsafe_set hkey i key;
+    Array.unsafe_set hnode i node;
+    Array.unsafe_set hpos node i
+  in
+  (* Fill slot [i] - a hole, or [node]'s own slot after its key grew -
+     moving smaller-keyed parents down into it. *)
+  let sift_up i key node =
+    let i = ref i in
+    while !i > 0 && Array.unsafe_get hkey ((!i - 1) lsr 1) < key do
+      let parent = (!i - 1) lsr 1 in
+      let pn = Array.unsafe_get hnode parent in
+      Array.unsafe_set hkey !i (Array.unsafe_get hkey parent);
+      Array.unsafe_set hnode !i pn;
+      Array.unsafe_set hpos pn !i;
+      i := parent
     done;
-    Array.unsafe_set use_cursor node !c;
-    if !c < hi then Array.unsafe_get use_flat !c else max_int
+    place !i key node
   in
-  let red_count = ref 0 and peak = ref 0 and loads = ref 0 in
-  let set_red node pos =
-    if not (bget red node) then begin
-      bset red node;
-      incr red_count;
-      if !red_count > !peak then peak := !red_count
-    end;
-    Array.unsafe_set heap_key node pos;
-    Maxheap.push heap ~pos ~payload:node
+  let insert node key =
+    incr len;
+    if !len > !peak then peak := !len;
+    sift_up (!len - 1) key node
   in
-  let discard_one t =
-    (* Entries popped past (protected nodes with valid entries) must be
-       re-pushed, or those nodes become permanently undiscardable. *)
-    let skipped = ref [] in
-    let rec pick () =
-      if Maxheap.is_empty heap then
-        infeasible "no discardable red pebble";
-      let pos, node = Maxheap.pop heap in
-      if bget red node && Array.unsafe_get heap_key node = pos then
-        if Array.unsafe_get protect node <> t then node
-        else begin
-          skipped := (pos, node) :: !skipped;
-          pick ()
-        end
-      else pick ()
-    in
-    let victim = pick () in
-    List.iter
-      (fun (pos, node) -> Maxheap.push heap ~pos ~payload:node)
-      !skipped;
-    bclear red victim;
-    heap_key.(victim) <- -2;
-    decr red_count
+  (* Discard the red pebble read furthest in the future, the heap top; a
+     top keyed t means every red pebble is a predecessor of step t.  The
+     last entry then sinks from the root past every larger child [c]. *)
+  let evict t =
+    if Array.unsafe_get hkey 0 <= t then infeasible "no discardable red pebble";
+    Array.unsafe_set hpos (Array.unsafe_get hnode 0) (-1);
+    decr len;
+    let last = !len in
+    let key = Array.unsafe_get hkey last in
+    let i = ref 0 and c = ref 1 in
+    while !c < last do
+      if !c + 1 < last
+         && Array.unsafe_get hkey (!c + 1) > Array.unsafe_get hkey !c
+      then incr c;
+      if Array.unsafe_get hkey !c > key then begin
+        let cn = Array.unsafe_get hnode !c in
+        Array.unsafe_set hkey !i (Array.unsafe_get hkey !c);
+        Array.unsafe_set hnode !i cn;
+        Array.unsafe_set hpos cn !i;
+        i := !c;
+        c := (2 * !c) + 1
+      end
+      else c := last
+    done;
+    if last > 0 then place !i key (Array.unsafe_get hnode last)
   in
   let unlimited = Budget.is_unlimited budget in
   for t = 0 to steps - 1 do
     if not unlimited then Budget.checkpoint budget Budget.Pebble_game;
-    let id = Array.unsafe_get schedule t in
     let lo = Array.unsafe_get step_off t
     and hi = Array.unsafe_get step_off (t + 1) in
-    for k = lo to hi - 1 do
-      Array.unsafe_set protect (Array.unsafe_get step_preds k) t
-    done;
-    Array.unsafe_set protect id t;
-    (* Bring every predecessor in fast memory. *)
+    (* Bring every predecessor in fast memory; a red one is keyed t. *)
     for k = lo to hi - 1 do
       let p = Array.unsafe_get step_preds k in
-      if not (bget red p) then begin
+      if Array.unsafe_get hpos p < 0 then begin
         assert (bget white p);
         incr loads;
-        if !red_count >= s then discard_one t;
-        set_red p (next_use_after p t)
-      end
-      else begin
-        (* refresh the heap entry with the new next use *)
-        let nu = next_use_after p t in
-        Array.unsafe_set heap_key p nu;
-        Maxheap.push heap ~pos:nu ~payload:p
+        if !len >= s then evict t;
+        insert p t
       end
     done;
     (* Compute: white + red on the node itself. *)
-    if !red_count >= s then discard_one t;
+    if !len >= s then evict t;
+    for k = lo to hi - 1 do
+      let p = Array.unsafe_get step_preds k in
+      sift_up (Array.unsafe_get hpos p) (Array.unsafe_get step_next k) p
+    done;
+    let id = Array.unsafe_get schedule t in
     bset white id;
-    set_red id (next_use_after id t)
+    insert id (Array.unsafe_get node_next t)
   done;
   { loads = !loads; peak_red = !peak }
 

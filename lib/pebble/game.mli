@@ -8,11 +8,12 @@
     minimum number of loads is achieved by clairvoyant (Belady) discarding
     of red pebbles, which is what [run] implements.
 
-    This is the compiled engine: schedules compile to CSR predecessor and
-    use-position tables, pebble state is a bitset, and all per-run state
-    can be reused across an S-sweep through a {!runner}.  It produces
-    bit-identical results to the reference engine {!Game_ref} (checked by
-    the [game-compiled] oracle property). *)
+    This is the compiled engine: a {!plan} holds next-use tables, and a
+    {!runner} keeps the red pebbles in an indexed heap of at most S
+    entries, O(log S) per access.  Its results equal the reference engine
+    {!Game_ref}'s: the two may discard different pebbles with equal next
+    uses, which changes neither [loads] nor [peak_red] (checked by the
+    [game-compiled] oracle property). *)
 
 type result = {
   loads : int;  (** red pebbles placed on already-white nodes *)
@@ -30,15 +31,15 @@ type result = {
 val run :
   ?budget:Iolb_util.Budget.t -> Iolb_cdag.Cdag.t -> s:int -> schedule:int array -> result
 
-(** A validated schedule with its use-position tables precomputed.  S-sweeps
+(** A validated schedule with its next-use tables precomputed.  S-sweeps
     over a fixed schedule (the validation grids) pay the topological check
-    and the use-position construction once instead of per cache size.  A
-    plan is immutable; {!run_plan} keeps all per-run state private, so one
-    plan can be run concurrently from several domains. *)
+    and the tables once instead of per cache size.  A plan is immutable;
+    {!run_plan} keeps all per-run state private, so one plan can be run
+    concurrently from several domains. *)
 type plan
 
-(** [plan cdag ~schedule] validates [schedule] and precomputes its
-    use-position tables.
+(** [plan cdag ~schedule] validates [schedule] and precomputes, for every
+    predecessor each step reads, the next step reading it again.
     @raise Invalid_argument if [schedule] is not a valid topological order
     of the compute nodes. *)
 val plan : Iolb_cdag.Cdag.t -> schedule:int array -> plan
@@ -50,9 +51,9 @@ val plan : Iolb_cdag.Cdag.t -> schedule:int array -> plan
     single domain should build one runner and use {!run_runner}. *)
 val run_plan : ?budget:Iolb_util.Budget.t -> plan -> s:int -> result
 
-(** Reusable per-run state (cursors, pebble bitsets, the eviction heap)
-    for one plan.  A grid of games over the same plan - the validation
-    S-sweeps - resets these buffers per run instead of reallocating them.
+(** Reusable per-run state (the pebble bitset and heap) for one plan.  A
+    grid of games over the same plan - the validation S-sweeps - resets
+    these buffers per run instead of reallocating them.
     Not thread-safe: use one runner per domain. *)
 type runner
 
@@ -66,8 +67,8 @@ val run_runner : ?budget:Iolb_util.Budget.t -> runner -> s:int -> result
 (** The compute nodes in program order (always a valid schedule). *)
 val program_schedule : Iolb_cdag.Cdag.t -> int array
 
-(** [is_topological cdag schedule]: every compute predecessor of a scheduled
-    node appears earlier. *)
+(** [is_topological cdag schedule]: [schedule] lists each compute node
+    once, after its compute predecessors. *)
 val is_topological : Iolb_cdag.Cdag.t -> int array -> bool
 
 (** [random_topological ?seed cdag] draws a uniform-ish random topological

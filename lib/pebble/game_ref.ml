@@ -13,18 +13,24 @@ let program_schedule cdag =
     (List.filter (is_compute cdag) (Array.to_list (Cdag.program_order cdag)))
 
 let is_topological cdag schedule =
+  let n = Cdag.n_nodes cdag in
   let pos = Hashtbl.create (Array.length schedule) in
   Array.iteri (fun i id -> Hashtbl.replace pos id i) schedule;
   let ok = ref true in
   Array.iteri
     (fun i id ->
-      Array.iter
-        (fun p ->
-          if is_compute cdag p then
-            match Hashtbl.find_opt pos p with
-            | Some j when j < i -> ()
-            | _ -> ok := false)
-        (Cdag.preds cdag id))
+      (* an in-range compute, listed once (the last occurrence won) *)
+      if id < 0 || id >= n || (not (is_compute cdag id))
+         || Hashtbl.find pos id <> i
+      then ok := false
+      else
+        Array.iter
+          (fun p ->
+            if is_compute cdag p then
+              match Hashtbl.find_opt pos p with
+              | Some j when j < i -> ()
+              | _ -> ok := false)
+          (Cdag.preds cdag id))
     schedule;
   !ok
   && Array.length schedule

@@ -1,5 +1,5 @@
 (** Reference implementation of the red-white pebble game: the pre-compiled
-    engine, kept verbatim as the differential oracle for {!Game} (the
+    engine, kept as the differential oracle for {!Game} (the
     [game-compiled] check property).  Same semantics, same API, same
     results - {!Game} is the one to use; this one exists to be compared
     against.
@@ -50,8 +50,8 @@ val run_plan : ?budget:Iolb_util.Budget.t -> plan -> s:int -> result
 (** The compute nodes in program order (always a valid schedule). *)
 val program_schedule : Iolb_cdag.Cdag.t -> int array
 
-(** [is_topological cdag schedule]: every compute predecessor of a scheduled
-    node appears earlier. *)
+(** [is_topological cdag schedule]: [schedule] lists each compute node
+    once, after its compute predecessors. *)
 val is_topological : Iolb_cdag.Cdag.t -> int array -> bool
 
 (** [random_topological ?seed cdag] draws a uniform-ish random topological

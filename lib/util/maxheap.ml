@@ -11,16 +11,13 @@ type t = {
   mutable pos : int array;
   mutable payload : int array;
   mutable len : int;
-  mutable peak : int;
 }
 
 let create () =
-  { pos = Array.make 1024 0; payload = Array.make 1024 0; len = 0; peak = 0 }
+  { pos = Array.make 1024 0; payload = Array.make 1024 0; len = 0 }
 
 let is_empty h = h.len = 0
 let length h = h.len
-let peak h = h.peak
-let clear h = h.len <- 0
 
 let push h ~pos ~payload =
   if h.len = Array.length h.pos then begin
@@ -33,7 +30,6 @@ let push h ~pos ~payload =
   let hp = h.pos and hl = h.payload in
   let i = ref h.len in
   h.len <- h.len + 1;
-  if h.len > h.peak then h.peak <- h.len;
   (* Sift the hole up while the parent is smaller, then store once. *)
   let continue = ref true in
   while !continue && !i > 0 do

@@ -1,17 +1,14 @@
-(** Binary max-heap of [(priority, payload)] integer pairs, used by the
-    Belady-style eviction loops (cache simulator, pebble game) with lazy
-    invalidation: callers push fresh entries and skip stale ones on pop. *)
+(** Binary max-heap of [(priority, payload)] integer pairs.  The Belady
+    eviction loops of the OPT cache simulator and the reference pebble
+    engine use it with lazy invalidation (callers push fresh entries and
+    skip stale ones on pop); the priority-driven schedulers use it as a
+    plain priority queue. *)
 
 type t
 
 val create : unit -> t
 val is_empty : t -> bool
 val length : t -> int
-
-(** [clear h] empties the heap without releasing its storage, so a
-    reused heap (one runner, many runs) allocates nothing per run.
-    [peak] is preserved across clears. *)
-val clear : t -> unit
 
 (** [push h ~pos ~payload] inserts an entry with priority [pos]. *)
 val push : t -> pos:int -> payload:int -> unit
@@ -26,7 +23,3 @@ val pop : t -> int * int
     push count.  Compaction may reorder entries with equal [pos]; callers
     whose output depends on tie order must not compact. *)
 val compact : t -> keep:(pos:int -> payload:int -> bool) -> unit
-
-(** Largest length the heap has ever reached (diagnostics: the memory
-    high-water mark of a lazily-invalidated heap). *)
-val peak : t -> int

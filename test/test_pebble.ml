@@ -2,6 +2,7 @@
 
 module Cdag = Iolb_cdag.Cdag
 module Game = Iolb_pebble.Game
+module Game_ref = Iolb_pebble.Game_ref
 module Program = Iolb_ir.Program
 module K = Iolb_kernels
 
@@ -109,13 +110,91 @@ let test_random_schedules_valid () =
 let test_rejects_bad_schedule () =
   let cdag = mgs_cdag 4 3 in
   let schedule = Game.program_schedule cdag in
-  (* Reverse it: certainly not topological. *)
-  let bad = Array.of_list (List.rev (Array.to_list schedule)) in
-  Alcotest.(check bool) "rejected" true
-    (try
-       ignore (Game.run cdag ~s:100 ~schedule:bad);
-       false
-     with Invalid_argument _ -> true)
+  (* Replacing the last sink compute keeps every predecessor scheduled
+     first, so only the permutation check can catch these. *)
+  let sinks =
+    List.filter (fun id -> Cdag.succs cdag id = [||]) (Array.to_list schedule)
+  in
+  let first_sink = List.hd sinks and last_sink = List.hd (List.rev sinks) in
+  let input =
+    List.find
+      (fun id ->
+        match Cdag.kind cdag id with Cdag.Input _ -> true | _ -> false)
+      (List.init (Cdag.n_nodes cdag) Fun.id)
+  in
+  let replace_last_sink id =
+    Array.map (fun x -> if x = last_sink then id else x) schedule
+  in
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.(check bool) (what ^ ": Game rejects") false
+        (Game.is_topological cdag bad);
+      Alcotest.(check bool) (what ^ ": Game_ref rejects") false
+        (Game_ref.is_topological cdag bad);
+      Alcotest.(check bool) (what ^ ": run raises") true
+        (try
+           ignore (Game.run cdag ~s:100 ~schedule:bad);
+           false
+         with Invalid_argument _ -> true))
+    [
+      (* certainly not topological *)
+      ("reversed", Array.of_list (List.rev (Array.to_list schedule)));
+      ("repeated sink", replace_last_sink first_sink);
+      ("input id", replace_last_sink input);
+      ("out-of-range id", replace_last_sink (Cdag.n_nodes cdag));
+    ]
+
+(* The compiled engine breaks ties between equal next-use keys unlike the
+   reference; loads and peak must not notice.  Paper-kernel CDAGs at
+   every S up to past the node count make ties common, and one runner per
+   schedule, played down then up in S (and once cut short by its budget),
+   checks that a run leaves nothing behind for the next. *)
+let test_game_matches_reference () =
+  let mismatches = ref [] in
+  List.iter
+    (fun (what, cdag) ->
+      let top = Cdag.n_nodes cdag + 2 in
+      let down = List.init top (fun i -> top - i) in
+      let schedules =
+        ("program", Game.program_schedule cdag)
+        :: List.map
+             (fun seed ->
+               (Printf.sprintf "seed %d" seed, Game.random_topological ~seed cdag))
+             [ 0; 1; 2 ]
+      in
+      List.iter
+        (fun (label, schedule) ->
+          let runner = Game.runner (Game.plan cdag ~schedule) in
+          let play s =
+            let compiled =
+              match Game.run_runner runner ~s with
+              | r -> Some (r.loads, r.peak_red)
+              | exception Iolb_util.Engine_error.(Error (Invalid_input _)) -> None
+            in
+            let reference =
+              match Game_ref.run cdag ~s ~schedule with
+              | r -> Some (r.loads, r.peak_red)
+              | exception Game_ref.Infeasible _ -> None
+            in
+            if compiled <> reference then
+              mismatches := Printf.sprintf "%s %s S=%d" what label s :: !mismatches
+          in
+          List.iter play down;
+          let budget =
+            Iolb_util.Budget.make ~max_steps:(Array.length schedule / 2) ()
+          in
+          (match Game.run_runner ~budget runner ~s:16 with
+          | _ ->
+              mismatches :=
+                Printf.sprintf "%s %s: not cut short" what label :: !mismatches
+          | exception Iolb_util.Budget.Exhausted _ -> ());
+          List.iter play (List.rev down))
+        schedules)
+    [
+      ("mgs 6x4", mgs_cdag 6 4);
+      ("gehd2 N=6", Cdag.of_program ~params:[ ("N", 6) ] K.Gehd2.spec);
+    ];
+  Alcotest.(check (list string)) "compiled = reference" [] (List.rev !mismatches)
 
 let suite =
   [
@@ -134,4 +213,6 @@ let suite =
       test_random_schedules_valid;
     Alcotest.test_case "non-topological schedules rejected" `Quick
       test_rejects_bad_schedule;
+    Alcotest.test_case "compiled game = reference under ties and reuse" `Quick
+      test_game_matches_reference;
   ]

@@ -1048,14 +1048,11 @@ let bechamel_run ~print tests =
 let timings () =
   section "TIMINGS: Bechamel micro-benchmarks of the pipeline";
   let open Bechamel in
-  let module Iset = Iolb_poly.Iset in
-  let module Deps = Iolb_ir.Deps in
   let mgs_params = [ ("M", 16); ("N", 8) ] in
   let cdag = Cdag.of_program ~params:mgs_params K.Mgs.spec in
   let schedule = Game.program_schedule cdag in
   let trace = Trace.of_program ~params:[] (K.Mgs.tiled_spec ~m:16 ~n:8 ~b:2) in
   let a = Matrix.random 32 16 in
-  let su_domain = Program.domain (Program.find_stmt K.Mgs.spec "SU") in
   let hg = List.hd (Hourglass.detect K.Mgs.spec) in
   let tests =
     [
@@ -1077,16 +1074,6 @@ let timings () =
         (Staged.stage (fun () -> ignore (Cache.opt ~size:64 trace)));
       Test.make ~name:"kernel: mgs factor 32x16"
         (Staged.stage (fun () -> ignore (K.Mgs.factor a)));
-      Test.make ~name:"iset: enumerate mgs SU domain 16x8"
-        (Staged.stage (fun () ->
-             ignore (Iset.enumerate ~params:mgs_params su_domain)));
-      Test.make ~name:"iset: cardinal mgs SU domain 64x32"
-        (Staged.stage (fun () ->
-             ignore
-               (Iset.cardinal ~params:[ ("M", 64); ("N", 32) ] su_domain)));
-      Test.make ~name:"deps: between SU->SR (mgs)"
-        (Staged.stage (fun () ->
-             ignore (Deps.between K.Mgs.spec ~writer:"SU" ~reader:"SR")));
       Test.make ~name:"hourglass: verify mgs 6x4"
         (Staged.stage (fun () ->
              ignore
@@ -1096,8 +1083,7 @@ let timings () =
   bechamel_run ~print:true tests
 
 (* ------------------------------------------------------------------ *)
-(* Derivation-path microbenchmarks: the symbolic pipeline the compiled *)
-(* polyhedral representation accelerates.  Stdout carries only the     *)
+(* Derivation-path microbenchmarks.  Stdout carries only the           *)
 (* (deterministic) results each benchmarked call computes; the ns/run  *)
 (* figures land in the --json metrics, so this section is byte-stable  *)
 (* run to run and across --jobs.                                       *)
@@ -1105,8 +1091,6 @@ let timings () =
 let derive_bench () =
   section "DERIVE: derivation-path results and microbenchmarks";
   let open Bechamel in
-  let module Iset = Iolb_poly.Iset in
-  let module Deps = Iolb_ir.Deps in
   let verify_params = [ ("M", 6); ("N", 4) ] in
   let tech = function
     | D.Classical -> "classical"
@@ -1121,15 +1105,6 @@ let derive_bench () =
       pf "  [%s/%s] Q >= %s\n" b.stmt (tech b.technique)
         (R.to_string (leading_term b.formula)))
     bounds;
-  let rels = Deps.between K.Mgs.spec ~writer:"SU" ~reader:"SR" in
-  pf "deps SU -> SR (mgs): %d relation(s)\n" (List.length rels);
-  let su = Program.find_stmt K.Mgs.spec "SU" in
-  let dom = Program.domain su in
-  let p16 = [ ("M", 16); ("N", 8) ] and p64 = [ ("M", 64); ("N", 32) ] in
-  pf "enumerate domain(SU) at M=16 N=8: %d points\n"
-    (List.length (Iset.enumerate ~params:p16 dom));
-  pf "cardinal  domain(SU) at M=64 N=32: %d\n" (Iset.cardinal ~params:p64 dom);
-  pf "is_empty  domain(SU) at M=64 N=32: %b\n" (Iset.is_empty ~params:p64 dom);
   let hgs = Hourglass.detect K.Mgs.spec in
   let verified =
     List.length (List.filter (Hourglass.verify ~params:verify_params K.Mgs.spec) hgs)
@@ -1148,15 +1123,6 @@ let derive_bench () =
                (fun (e : Report.entry) ->
                  ignore (D.classical_deepest e.program))
                Report.registry));
-      Test.make ~name:"deps: between SU->SR (mgs)"
-        (Staged.stage (fun () ->
-             ignore (Deps.between K.Mgs.spec ~writer:"SU" ~reader:"SR")));
-      Test.make ~name:"iset: enumerate SU domain 16x8"
-        (Staged.stage (fun () -> ignore (Iset.enumerate ~params:p16 dom)));
-      Test.make ~name:"iset: cardinal SU domain 64x32"
-        (Staged.stage (fun () -> ignore (Iset.cardinal ~params:p64 dom)));
-      Test.make ~name:"iset: is_empty SU domain 64x32"
-        (Staged.stage (fun () -> ignore (Iset.is_empty ~params:p64 dom)));
       Test.make ~name:"hourglass: verify mgs 6x4"
         (Staged.stage (fun () ->
              ignore (Hourglass.verify ~params:verify_params K.Mgs.spec hg)));

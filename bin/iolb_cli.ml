@@ -76,7 +76,7 @@ let budget_args =
       & info [ "max-nodes" ] ~docv:"N"
           ~doc:
             "Cap on the size of any built structure (CDAG nodes, trace \
-             events, enumerated points).")
+             events).")
   in
   let tuple t s n = (t, s, n) in
   Term.(const tuple $ timeout_arg $ max_steps_arg $ max_nodes_arg)
@@ -676,21 +676,31 @@ let check_cmd =
       let* _validated = make_budget budget_spec in
       let timeout_ms, max_steps, max_nodes = budget_spec in
       let budget () = Budget.make ?timeout_ms ?max_steps ?max_nodes () in
+      (* The report file is opened before certifying, so an unusable path
+         fails before any output. *)
+      let* json_out =
+        match json with
+        | None -> Ok None
+        | Some "-" -> Ok (Some (stdout, None))
+        | Some file -> (
+            match open_out file with
+            | oc -> Ok (Some (oc, Some file))
+            | exception Sys_error msg -> invalid "cannot write %s" msg)
+      in
       let report =
         Iolb_check.Check.run ~budget ~max_failures ~count ~seed ~props ()
       in
       if not quiet then Format.printf "%a@." Iolb_check.Check.pp report;
-      (match json with
-      | Some "-" ->
-          print_string
-            (Iolb_util.Json.to_string_pretty (Iolb_check.Check.to_json report))
-      | Some file ->
-          let oc = open_out file in
+      (match json_out with
+      | None -> ()
+      | Some (oc, file) -> (
           output_string oc
             (Iolb_util.Json.to_string_pretty (Iolb_check.Check.to_json report));
-          close_out oc;
-          if not quiet then Printf.printf "wrote %s\n" file
-      | None -> ());
+          match file with
+          | None -> ()
+          | Some file ->
+              close_out oc;
+              if not quiet then Printf.printf "wrote %s\n" file));
       if not (Iolb_check.Check.ok report) then code := 1;
       Ok ()
     in
@@ -887,8 +897,8 @@ let client_cmd =
       & info [ "fault" ] ~docv:"STAGE:K"
           ~doc:
             "Budget fault-injection hook forwarded with the request, e.g. \
-             $(b,derivation:2) (stages: poly_projection, cdag_build, \
-             pebble_game, cache_sim, derivation).")
+             $(b,derivation:2) (stages: cdag_build, pebble_game, \
+             cache_sim, derivation).")
   in
   let retries_arg =
     Arg.(
@@ -1054,9 +1064,11 @@ let dot_cmd =
       Engine_error.guard (fun () ->
           Cdag.of_program ~params (Driver.source subject).Front.program)
     in
-    Iolb_cdag.Dot.to_file out cdag;
-    Printf.printf "wrote %s (%d nodes)\n" out (Cdag.n_nodes cdag);
-    Ok ()
+    match Iolb_cdag.Dot.to_file out cdag with
+    | () ->
+        Printf.printf "wrote %s (%d nodes)\n" out (Cdag.n_nodes cdag);
+        Ok ()
+    | exception Sys_error msg -> invalid "cannot write %s" msg
   in
   let small_m = Arg.(value & opt int 6 & info [ "m" ] ~docv:"M" ~doc:"Rows M.") in
   let small_n =

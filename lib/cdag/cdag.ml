@@ -12,8 +12,6 @@ type t = {
   succs : int array array;
   preds_off : int array; (* CSR mirror of [preds]: offsets, length n+1 *)
   preds_flat : int array;
-  succs_off : int array;
-  succs_flat : int array;
   order : int array; (* topological: program order with inputs at first use *)
   by_stmt : (string, int list) Hashtbl.t;
   instances : Interner.t; (* (stmt name, vec) -> dense instance id *)
@@ -191,15 +189,12 @@ let of_program ?(budget = Budget.unlimited) ~params p =
   let by_stmt = Hashtbl.create 16 in
   Hashtbl.iter (fun s ids -> Hashtbl.replace by_stmt s (List.rev !ids)) by_acc;
   let preds_off, preds_flat = csr_of preds in
-  let succs_off, succs_flat = csr_of succs in
   {
     kinds;
     preds;
     succs;
     preds_off;
     preds_flat;
-    succs_off;
-    succs_flat;
     order = Array.init nn Fun.id;
     by_stmt;
     instances;
@@ -212,7 +207,6 @@ let kind t id = t.kinds.(id)
 let preds t id = t.preds.(id)
 let succs t id = t.succs.(id)
 let preds_csr t = (t.preds_off, t.preds_flat)
-let succs_csr t = (t.succs_off, t.succs_flat)
 let program_order t = t.order
 
 let nodes_of_stmt t name =

@@ -45,10 +45,6 @@ val succs : t -> int -> int array
     of chasing per-node pointers.  Never mutate the returned arrays. *)
 val preds_csr : t -> int array * int array
 
-(** [succs_csr t] is the successor relation in CSR form; see
-    {!preds_csr}. *)
-val succs_csr : t -> int array * int array
-
 (** Node ids in a valid topological (= program) order, inputs first at their
     first use point. *)
 val program_order : t -> int array

@@ -1,6 +1,4 @@
 module Program = Iolb_ir.Program
-module Iset = Iolb_poly.Iset
-module Iset_ref = Iolb_poly.Iset_ref
 module Cdag = Iolb_cdag.Cdag
 module Game = Iolb_pebble.Game
 module Game_ref = Iolb_pebble.Game_ref
@@ -71,9 +69,6 @@ let make_ctx ?(budget = Budget.unlimited) spec =
     games = Hashtbl.create 8;
   }
 
-let ctx_spec c = c.spec
-let ctx_program c = c.prog
-let ctx_params c = c.params
 let ctx_hourglasses c = Lazy.force c.hourglasses
 let ctx_bounds c = Lazy.force c.bounds
 
@@ -99,7 +94,7 @@ let push issues fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt
 
 (* ------------------------------------------------------------------ *)
 (* card: symbolic cardinality (iterated Faulhaber) = concrete instance
-   count = integer-set cardinality = enumeration length, per statement.  *)
+   count, per statement.                                                *)
 
 let prop_card c =
   let per_stmt = Hashtbl.create 8 in
@@ -114,52 +109,8 @@ let prop_card c =
       let symbolic =
         P.eval_int c.params (Program.cardinal info) |> Iolb_util.Rat.to_int
       in
-      let dom = Program.domain info in
-      let card = Iset.cardinal ~budget:c.budget ~params:c.params dom in
-      let enum =
-        List.length (Iset.enumerate ~budget:c.budget ~params:c.params dom)
-      in
-      if not (symbolic = concrete && card = concrete && enum = concrete) then
-        push issues "%s: symbolic=%d concrete=%d iset-cardinal=%d iset-enumerate=%d"
-          name symbolic concrete card enum)
-    (Program.statements c.prog);
-  collect issues
-
-(* ------------------------------------------------------------------ *)
-(* iset-ref: the compiled Iset path against the retained seed (Iset_ref)
-   algorithms on every statement domain.                                *)
-
-let prop_iset_ref c =
-  let issues = ref [] in
-  List.iter
-    (fun (info : Program.stmt_info) ->
-      let name = info.def.name in
-      let dom = Program.domain info in
-      let dims = Iset.dims dom and cons = Iset.constraints dom in
-      let ref_pts = Iset_ref.enumerate ~params:c.params ~dims cons in
-      let pts = Iset.enumerate ~budget:c.budget ~params:c.params dom in
-      if pts <> ref_pts then
-        push issues "%s: enumerate differs (%d vs %d points)" name
-          (List.length pts) (List.length ref_pts);
-      let card = Iset.cardinal ~budget:c.budget ~params:c.params dom in
-      if card <> List.length ref_pts then
-        push issues "%s: cardinal=%d but reference has %d points" name card
-          (List.length ref_pts);
-      if Iset.is_empty ~budget:c.budget ~params:c.params dom <> (ref_pts = [])
-      then push issues "%s: is_empty disagrees with the reference" name;
-      (match dims with
-      | _ :: (_ :: _ as onto) ->
-          let proj = Iset.project ~budget:c.budget ~onto dom in
-          let ref_proj = Iset_ref.project ~onto ~dims cons in
-          List.iter
-            (fun p ->
-              let shadow = Array.sub p 1 (Array.length p - 1) in
-              if not (Iset.mem ~params:c.params proj shadow) then
-                push issues "%s: compiled projection drops a true shadow" name;
-              if not (Iset_ref.mem ~params:c.params ~dims:onto ref_proj shadow)
-              then push issues "%s: reference projection drops a true shadow" name)
-            ref_pts
-      | _ -> ()))
+      if symbolic <> concrete then
+        push issues "%s: symbolic=%d concrete=%d" name symbolic concrete)
     (Program.statements c.prog);
   collect issues
 
@@ -733,7 +684,6 @@ type t = { name : string; doc : string }
 
 let impl = function
   | "card" -> prop_card
-  | "iset-ref" -> prop_iset_ref
   | "cdag" -> prop_cdag
   | "footprint" -> prop_footprint
   | "phi" -> prop_phi
@@ -765,7 +715,6 @@ let run o c =
 let all =
   [
     { name = "card"; doc = "symbolic cardinality = concrete enumeration" };
-    { name = "iset-ref"; doc = "compiled Iset = Iset_ref reference oracle" };
     { name = "cdag"; doc = "CDAG structure and compulsory cold loads" };
     { name = "footprint"; doc = "trace footprint = distinct cells touched" };
     { name = "phi"; doc = "derived projections are well-formed" };

@@ -17,10 +17,6 @@ type ctx
     lazy: an oracle that does not need the CDAG never builds it. *)
 val make_ctx : ?budget:Iolb_util.Budget.t -> Spec.t -> ctx
 
-val ctx_spec : ctx -> Spec.t
-val ctx_program : ctx -> Iolb_ir.Program.t
-val ctx_params : ctx -> (string * int) list
-
 (** Verified hourglass patterns of the spec (forced on demand). *)
 val ctx_hourglasses : ctx -> Iolb.Hourglass.t list
 
@@ -37,12 +33,14 @@ type t = {
     counterexample and comes back as [Fail]. *)
 val run : t -> ctx -> outcome
 
-(** The default registry, in pipeline order: [card], [iset-ref], [cdag],
+(** The default registry of 16 oracles, in pipeline order: [card]
+    (Faulhaber cardinality = concrete instance count), [cdag],
     [footprint], [phi], [bound-le-opt], [monotone-s], [sweep-lru],
-    [jobs-det], [hourglass-path], [split-regions] (region-based split
-    search = brute-force enumeration), [region-cover] (parametric-simplex
-    regions tile [1/2, 1] and agree exactly with pinned-theta plain
-    solves). *)
+    [sweep-stream], [game-compiled], [sampled-ci], [jobs-det],
+    [hourglass-path], [split-regions] (region-based split search =
+    brute-force enumeration), [region-cover] (parametric-simplex regions
+    tile [1/2, 1] and agree exactly with pinned-theta plain solves),
+    [parse-roundtrip] and [parse-derive]. *)
 val all : t list
 
 (** A deliberately failing oracle ([demo-broken]), excluded from {!all}:

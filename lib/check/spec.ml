@@ -30,8 +30,6 @@ type hourglass = {
 
 type t = Nest of nest | Hourglass of hourglass
 
-let family_name = function Nest _ -> "nest" | Hourglass _ -> "hourglass"
-
 let b2i b = if b then 1 else 0
 
 let size = function

@@ -50,8 +50,6 @@ type hourglass = {
 
 type t = Nest of nest | Hourglass of hourglass
 
-val family_name : t -> string
-
 (** Structural weight used to order shrink candidates (monotone under
     every shrinking step). *)
 val size : t -> int

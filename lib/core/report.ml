@@ -232,22 +232,6 @@ let eval_best a ~technique ~m ~n ~s =
   Derive.best ~params ~s (List.filter keep a.bounds)
   |> Option.map (fun b -> Derive.eval b ~params ~s)
 
-type comparison_row = { m : int; n : int; s : int; engine : float; paper : float }
-
-let compare_with_paper a ~technique =
-  let paper_formula =
-    match technique with
-    | `Classical -> Paper_formulas.fig5_old a.entry.kernel
-    | `Hourglass -> Paper_formulas.fig5_new a.entry.kernel
-  in
-  List.filter_map
-    (fun (m, n, s) ->
-      match eval_best a ~technique ~m ~n ~s with
-      | None -> None
-      | Some engine ->
-          Some { m; n; s; engine; paper = Paper_formulas.eval_at paper_formula ~m ~n ~s })
-    a.entry.grid
-
 let pp_analysis fmt a =
   Format.fprintf fmt "@[<v>== %s ==@," a.entry.display;
   (match a.hourglasses with

@@ -96,19 +96,4 @@ val eval_best :
   s:int ->
   float option
 
-(** Engine-vs-paper ratio table rows: for each grid point, the evaluation
-    of the engine bound, of the paper bound, and their ratio. *)
-type comparison_row = {
-  m : int;
-  n : int;
-  s : int;
-  engine : float;
-  paper : float;
-}
-
-val compare_with_paper :
-  analysis ->
-  technique:[ `Classical | `Hourglass ] ->
-  comparison_row list
-
 val pp_analysis : Format.formatter -> analysis -> unit

@@ -1,7 +1,7 @@
 module Report = Iolb.Report
 module D = Iolb.Derive
 module Program = Iolb_ir.Program
-module Deps = Iolb_ir.Deps
+module Access = Iolb_ir.Access
 module Constr = Iolb_poly.Constr
 module Engine_error = Iolb_util.Engine_error
 
@@ -136,17 +136,28 @@ let render_file ~budget ~logs path =
   let* src = Front.parse_file path in
   render_source ~budget ~logs src
 
-let rec count_stmts n = function
-  | Program.Stmt _ -> n + 1
-  | Program.Loop { body; _ } -> List.fold_left count_stmts n body
+let rec stmts_of acc = function
+  | Program.Stmt s -> s :: acc
+  | Program.Loop { body; _ } -> List.fold_left stmts_of acc body
+
+let dependence_relations (stmts : Program.stmt list) =
+  let reads = List.concat_map (fun (s : Program.stmt) -> s.reads) stmts in
+  let related (w : Access.t) (r : Access.t) =
+    r.array = w.array && List.compare_lengths r.index w.index = 0
+  in
+  List.fold_left
+    (fun n w -> n + List.length (List.filter (related w) reads))
+    0
+    (List.concat_map (fun (s : Program.stmt) -> s.writes) stmts)
 
 let describe (src : Front.source) =
   let p = src.Front.program in
+  let stmts = List.fold_left stmts_of [] p.Program.body in
   Printf.sprintf "kernel %s: %d parameters, %d statements, %d dependence relations%s"
     p.Program.name
     (List.length p.Program.params)
-    (List.fold_left count_stmts 0 p.Program.body)
-    (List.length (Deps.relations p))
+    (List.length stmts)
+    (dependence_relations stmts)
     (match resolve src with
     | Some e -> Printf.sprintf " (matches built-in %s)" e.Report.display
     | None -> "")

@@ -76,6 +76,8 @@ val render_file :
   (string, Iolb_util.Engine_error.t) result
 
 (** [describe src] is a one-line structural summary for [iolb check
-    --parse]: parameter/statement/dependence-relation counts plus the
-    resolved built-in name when the program matches one. *)
+    --parse]: parameter, statement and dependence-relation counts, plus
+    the resolved built-in name when the program matches one.  A
+    dependence relation is a (write, read) access pair, over any two
+    statements, on a common array at equal rank. *)
 val describe : Front.source -> string

@@ -1,5 +1,4 @@
 module Affine = Iolb_poly.Affine
-module Iset = Iolb_poly.Iset
 module Constr = Iolb_poly.Constr
 module P = Iolb_symbolic.Polynomial
 
@@ -131,15 +130,6 @@ let find_stmt p name =
   match List.find_opt (fun i -> i.def.name = name) (statements p) with
   | Some i -> i
   | None -> raise Not_found
-
-let domain info =
-  let cons =
-    List.concat_map
-      (fun (v, lo, hi) ->
-        [ Constr.ge_of (Affine.var v) lo; Constr.le_of (Affine.var v) hi ])
-      info.bounds
-  in
-  Iset.make ~dims:info.dims cons
 
 let cardinal info =
   List.fold_left

@@ -82,9 +82,6 @@ val statements : t -> stmt_info list
 (** @raise Not_found if no statement has that name. *)
 val find_stmt : t -> string -> stmt_info
 
-(** The iteration domain of a statement as an integer set over its dims. *)
-val domain : stmt_info -> Iolb_poly.Iset.t
-
 (** Exact symbolic number of instances of the statement (iterated Faulhaber
     summation).  Valid whenever every loop of the program has a
     non-negative trip count across the enclosing domain - true for all the

@@ -314,7 +314,3 @@ let tiled_spec ~m ~n ~b =
                ]);
         ];
     ]
-
-let tiled_io_prediction ~m ~n ~s =
-  let m = float_of_int m and n = float_of_int n and s = float_of_int s in
-  ((m *. m *. n *. n) -. (m *. n *. n *. n /. 3.)) /. (2. *. s)

@@ -46,6 +46,3 @@ val geqr2_tiled : b:int -> Matrix.t -> factors
 (** [tiled_spec ~m ~n ~b]: the Figure 9 ordering as a concrete program for
     trace generation; requires [b >= 1] and [b] dividing [n]. *)
 val tiled_spec : m:int -> n:int -> b:int -> Iolb_ir.Program.t
-
-(** Appendix A.2 leading-term prediction [(M^2 N^2 - M N^3 / 3) / (2 S)]. *)
-val tiled_io_prediction : m:int -> n:int -> s:int -> float

@@ -230,10 +230,6 @@ let tiled_spec ~m ~n ~b =
         ];
     ]
 
-let tiled_io_prediction ~m ~n ~s =
-  let m = float_of_int m and n = float_of_int n and s = float_of_int s in
-  m *. m *. n *. n /. (2. *. s)
-
 let tiled_right_spec ~m ~n ~b =
   if b < 1 then invalid_arg "Mgs.tiled_right_spec: b < 1";
   if n mod b <> 0 then invalid_arg "Mgs.tiled_right_spec: b must divide n";

@@ -26,10 +26,6 @@ val factor_tiled : b:int -> Matrix.t -> Matrix.t * Matrix.t
     Requires [1 <= b]. *)
 val tiled_spec : m:int -> n:int -> b:int -> Iolb_ir.Program.t
 
-(** The paper's predicted leading-term I/O of the tiled ordering,
-    [M^2*N^2 / (2*S)] (Appendix A.1), as a float. *)
-val tiled_io_prediction : m:int -> n:int -> s:int -> float
-
 (** [tiled_right_spec ~m ~n ~b] is the right-looking tiled variant the
     paper's Appendix A.1 remarks on: same asymptotic I/O, but the trailing
     matrix is read {e and written} once per block, so the constant is

@@ -80,43 +80,6 @@ let random_topological ?(seed = 0) cdag =
   done;
   Array.of_list (List.rev !out)
 
-let priority_topological cdag ~priority =
-  let n = Cdag.n_nodes cdag in
-  let remaining_preds = Array.make n 0 in
-  (* Min-heap via Maxheap on negated priorities. *)
-  let heap = Iolb_util.Maxheap.create () in
-  let prio_of id =
-    match Cdag.kind cdag id with
-    | Cdag.Compute (stmt, vec) -> priority ~stmt ~vec
-    | Cdag.Input _ -> assert false
-  in
-  for id = 0 to n - 1 do
-    if is_compute cdag id then begin
-      let cnt =
-        Array.fold_left
-          (fun acc p -> if is_compute cdag p then acc + 1 else acc)
-          0 (Cdag.preds cdag id)
-      in
-      remaining_preds.(id) <- cnt;
-      if cnt = 0 then
-        Iolb_util.Maxheap.push heap ~pos:(-prio_of id) ~payload:id
-    end
-  done;
-  let out = ref [] in
-  while not (Iolb_util.Maxheap.is_empty heap) do
-    let _, id = Iolb_util.Maxheap.pop heap in
-    out := id :: !out;
-    Array.iter
-      (fun succ ->
-        if is_compute cdag succ then begin
-          remaining_preds.(succ) <- remaining_preds.(succ) - 1;
-          if remaining_preds.(succ) = 0 then
-            Iolb_util.Maxheap.push heap ~pos:(-prio_of succ) ~payload:succ
-        end)
-      (Cdag.succs cdag id)
-  done;
-  Array.of_list (List.rev !out)
-
 type plan = {
   cdag : Cdag.t;
   schedule : int array;

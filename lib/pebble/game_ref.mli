@@ -57,12 +57,3 @@ val is_topological : Iolb_cdag.Cdag.t -> int array -> bool
 (** [random_topological ?seed cdag] draws a uniform-ish random topological
     order of the compute nodes (random tie-breaking among ready nodes). *)
 val random_topological : ?seed:int -> Iolb_cdag.Cdag.t -> int array
-
-(** [priority_topological cdag ~priority] builds the topological order that
-    always executes the ready compute node with the smallest [priority]
-    (Kahn's algorithm with a priority queue).  With a locality-aware
-    priority - e.g. grouping a statement's instances by column block - this
-    produces tiled-like schedules whose pebble-game I/O approaches the
-    lower bound from above. *)
-val priority_topological :
-  Iolb_cdag.Cdag.t -> priority:(stmt:string -> vec:int array -> int) -> int array

@@ -59,7 +59,6 @@ type t = {
   accesses : int;
   ncells : int;
   reads_total : int;
-  flush : bool;
   hits_at : int array; (* hits_at.(s), s in 0..ncells: read hits at size s *)
   stores_at : int array; (* stores_at.(s): write-back stores at size s *)
   dist_hist : int array; (* dist_hist.(d), d in 0..ncells-1: finite-distance reads *)
@@ -67,7 +66,6 @@ type t = {
 
 let footprint t = t.ncells
 let accesses t = t.accesses
-let flushed t = t.flush
 let distance_histogram t = Array.copy t.dist_hist
 
 let stats t ~size =
@@ -564,7 +562,6 @@ let merge_finish gs ~flush ~accesses =
     accesses;
     ncells;
     reads_total = gs.g_reads;
-    flush;
     hits_at;
     stores_at;
     dist_hist = (if ncells = 0 then [||] else Array.sub gs.g_hist 0 ncells);
@@ -711,8 +708,6 @@ type estimate = { est : float; lo : float; hi : float }
 
 type sampled = {
   s_rate : float;
-  s_seed : int;
-  s_flush : bool;
   s_total : int; (* accesses scanned (the full trace length) *)
   s_kept : int; (* accesses kept by the union window *)
   s_exact : bool; (* rate >= 1: [s_union] is the exact sweep *)
@@ -723,12 +718,9 @@ type sampled = {
 
 let hash_space = 4611686018427387904.0 (* 2^62 *)
 
-let sampled_rate s = s.s_rate
-let sampled_seed s = s.s_seed
 let sampled_exact s = s.s_exact
 let sampled_total_accesses s = s.s_total
 let sampled_kept_accesses s = s.s_kept
-let sampled_groups s = Array.length s.s_group
 let sampled_union s = s.s_union
 
 (* Union footprints this small (or fewer than two populated groups)
@@ -757,8 +749,6 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ?(groups = 8)
     let t = run_program ~budget ~flush ~params prog in
     {
       s_rate = 1.0;
-      s_seed = seed;
-      s_flush = flush;
       s_total = total;
       s_kept = total;
       s_exact = true;
@@ -883,8 +873,6 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ?(groups = 8)
     in
     {
       s_rate = rate;
-      s_seed = seed;
-      s_flush = flush;
       s_total = total;
       s_kept = upass.p_events;
       s_exact = false;
@@ -980,7 +968,10 @@ let lru_stats ?budget ?flush trace ~sizes =
       List.map (fun size -> (size, stats t ~size)) sizes
 
 (* Size-list syntax shared by the CLI and the bench: "a,b,c" or
-   "lo:hi:step". *)
+   "lo:hi:step".  A range is counted before it is built, so neither a
+   step that would carry past max_int nor a huge count can run away. *)
+let max_sizes = 1_000_000
+
 let parse_sizes spec =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let int_of s =
@@ -999,15 +990,12 @@ let parse_sizes spec =
         if lo < 1 then fail "range start %d < 1" lo
         else if step < 1 then fail "range step %d < 1" step
         else if hi < lo then fail "range %d:%d is empty (hi < lo)" lo hi
-        else begin
-          let acc = ref [] in
-          let s = ref lo in
-          while !s <= hi do
-            acc := !s :: !acc;
-            s := !s + step
-          done;
-          Ok (List.rev !acc)
-        end
+        else
+          let count = ((hi - lo) / step) + 1 in
+          if count > max_sizes then
+            fail "range %d:%d:%d names %d sizes (at most %d)" lo hi step count
+              max_sizes
+          else Ok (List.init count (fun k -> lo + (k * step)))
     | _ -> fail "invalid range %S (expected lo:hi:step)" spec
   else
     let rec go acc = function

@@ -38,8 +38,9 @@ type t
 val run :
   ?budget:Iolb_util.Budget.t -> ?flush:bool -> ?jobs:int -> Trace.t -> t
 
-(** [stats t ~size] is [Cache.lru ~size ?flush:(flushed t)] on the swept
-    trace, answered in O(1) from the precomputed histograms.
+(** [stats t ~size] is [Cache.lru ~size ?flush] on the swept trace, with
+    the [flush] setting the sweep was run with, answered in O(1) from the
+    precomputed histograms.
     @raise Invalid_argument if [size < 1]. *)
 val stats : t -> size:int -> Cache.stats
 
@@ -60,9 +61,6 @@ val footprint : t -> int
 (** Number of trace events swept. *)
 val accesses : t -> int
 
-(** The [flush] setting the sweep was run with. *)
-val flushed : t -> bool
-
 (** [distance_histogram t] is a copy of the reuse-distance histogram:
     entry [d] counts the reads with finite stack distance [d] (cold reads
     are not counted; they miss at every size). *)
@@ -70,7 +68,8 @@ val distance_histogram : t -> int array
 
 (** [parse_sizes spec] parses the size-list syntax shared by the CLI and
     the bench: either a comma-separated list ["a,b,c"] or an inclusive
-    range ["lo:hi:step"].  All sizes must be positive. *)
+    range ["lo:hi:step"].  All sizes must be positive, and a range may
+    name at most 1,000,000 sizes. *)
 val parse_sizes : string -> (int list, string) result
 
 (** {1 Program sweeps}
@@ -161,9 +160,6 @@ val run_sampled :
     @raise Invalid_argument if [size < 1]. *)
 val sampled_stats : sampled -> size:int -> estimate * estimate * estimate
 
-val sampled_rate : sampled -> float
-val sampled_seed : sampled -> int
-
 (** [true] iff the requested rate reached 1 and the underlying sweep is
     exact ({!sampled_stats} then has zero-width intervals). *)
 val sampled_exact : sampled -> bool
@@ -173,8 +169,6 @@ val sampled_total_accesses : sampled -> int
 
 (** Number of accesses the union window kept. *)
 val sampled_kept_accesses : sampled -> int
-
-val sampled_groups : sampled -> int
 
 (** The sweep of the union sample (footprint = sampled footprint). *)
 val sampled_union : sampled -> t

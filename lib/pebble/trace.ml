@@ -126,19 +126,3 @@ let cell_id t i = t.cells.(i)
 let is_write t i = t.writes.(i)
 let cells (t : t) = t.cells
 let write_flags (t : t) = t.writes
-let cell t id = Interner.key t.pool id
-
-let event t i =
-  let c = cell t t.cells.(i) in
-  if t.writes.(i) then Write c else Read c
-
-let to_events t = List.init (length t) (event t)
-
-let pp_event fmt e =
-  let pp_cell fmt (a, idx) =
-    Format.fprintf fmt "%s(%s)" a
-      (String.concat "," (List.map string_of_int (Array.to_list idx)))
-  in
-  match e with
-  | Read c -> Format.fprintf fmt "R %a" pp_cell c
-  | Write c -> Format.fprintf fmt "W %a" pp_cell c

@@ -72,14 +72,3 @@ val is_write : t -> int -> bool
 val cells : t -> int array
 
 val write_flags : t -> bool array
-
-(** [cell t id] recovers the concrete cell behind a dense id. *)
-val cell : t -> int -> cell
-
-(** [event t i] reconstructs event [i]. *)
-val event : t -> int -> event
-
-(** [to_events t] reconstructs the full event list (tests / display). *)
-val to_events : t -> event list
-
-val pp_event : Format.formatter -> event -> unit

@@ -44,14 +44,6 @@ let compare a b =
 let eval env e =
   Smap.fold (fun x c acc -> acc + (c * env x)) e.coeffs e.const
 
-let eval_partial env e =
-  Smap.fold
-    (fun x c acc ->
-      match env x with
-      | Some v -> add acc (const (c * v))
-      | None -> add acc (term c x))
-    e.coeffs (const e.const)
-
 let subst x e' e =
   let c = coeff x e in
   if c = 0 then e

@@ -35,10 +35,6 @@ val compare : t -> t -> int
 (** [eval env e] with [env] total on [vars e]. @raise Not_found otherwise. *)
 val eval : (string -> int) -> t -> int
 
-(** [eval_partial env e] substitutes the variables on which [env] is defined
-    and leaves the others symbolic. *)
-val eval_partial : (string -> int option) -> t -> t
-
 (** [subst x e' e] replaces variable [x] by expression [e']. *)
 val subst : string -> t -> t -> t
 

@@ -13,13 +13,6 @@ let satisfied env c =
   let v = Affine.eval env c.expr in
   match c.kind with Ge -> v >= 0 | Eq -> v = 0
 
-let specialize env c = { c with expr = Affine.eval_partial env c.expr }
-
-let is_trivial c =
-  match Affine.is_constant c.expr with
-  | None -> None
-  | Some v -> Some (match c.kind with Ge -> v >= 0 | Eq -> v = 0)
-
 let equal a b = a.kind = b.kind && Affine.equal a.expr b.expr
 
 let compare a b =

@@ -21,13 +21,6 @@ val lt_of : Affine.t -> Affine.t -> t
 
 val satisfied : (string -> int) -> t -> bool
 
-(** [specialize env c] substitutes the variables on which [env] is defined. *)
-val specialize : (string -> int option) -> t -> t
-
-(** [is_trivial c] is [Some true] if [c] holds for every assignment
-    ([Some false] if it holds for none, [None] if it depends). *)
-val is_trivial : t -> bool option
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -62,7 +62,6 @@ let op_name = function
    the wire uses stable snake_case tokens). *)
 let stage_wire_names =
   [
-    (Budget.Poly_projection, "poly_projection");
     (Budget.Cdag_build, "cdag_build");
     (Budget.Pebble_game, "pebble_game");
     (Budget.Cache_sim, "cache_sim");
@@ -102,8 +101,8 @@ let parse_fault json =
           | None ->
               Error
                 (Printf.sprintf
-                   "unknown fault stage %S (poly_projection, cdag_build, \
-                    pebble_game, cache_sim, derivation)"
+                   "unknown fault stage %S (cdag_build, pebble_game, \
+                    cache_sim, derivation)"
                    name))
       | _ -> Error "field \"fault\" must be {\"stage\": <name>, \"k\": <int>}")
   | Some _ -> Error "field \"fault\" must be an object"

@@ -63,8 +63,8 @@ type request = { id : Json.t; op : op }
 
 val op_name : op -> string
 
-(** Wire names of the budget stages ([poly_projection], [cdag_build],
-    [pebble_game], [cache_sim], [derivation]). *)
+(** Wire names of the budget stages ([cdag_build], [pebble_game],
+    [cache_sim], [derivation]). *)
 val wire_of_stage : Budget.stage -> string
 
 val stage_of_wire : string -> Budget.stage option

@@ -487,13 +487,25 @@ let accept_loop t () =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
 
+(* An address the OS refuses is the caller's input, not an engine fault:
+   it is reported like an unresolvable host. *)
+let listen_on ~what domain ~prepare addr =
+  let fd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
+  match
+    prepare fd;
+    Unix.bind fd addr;
+    Unix.listen fd 64
+  with
+  | () -> fd
+  | exception Unix.Unix_error (err, _, _) ->
+      Unix.close fd;
+      invalid_arg
+        (Printf.sprintf "cannot listen on %s: %s" what (Unix.error_message err))
+
 let bind_listener = function
   | Unix_sock path ->
-      if Sys.file_exists path then Unix.unlink path;
-      let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-      Unix.bind fd (ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
+      listen_on ~what:path PF_UNIX (ADDR_UNIX path) ~prepare:(fun _ ->
+          if Sys.file_exists path then Unix.unlink path)
   | Tcp (host, port) ->
       let addr =
         try Unix.inet_addr_of_string host
@@ -505,11 +517,10 @@ let bind_listener = function
           | exception Not_found ->
               invalid_arg (Printf.sprintf "cannot resolve host %S" host))
       in
-      let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-      Unix.setsockopt fd SO_REUSEADDR true;
-      Unix.bind fd (ADDR_INET (addr, port));
-      Unix.listen fd 64;
-      fd
+      listen_on
+        ~what:(Printf.sprintf "%s:%d" host port)
+        PF_INET (ADDR_INET (addr, port))
+        ~prepare:(fun fd -> Unix.setsockopt fd SO_REUSEADDR true)
 
 let start config =
   if config.jobs < 1 then invalid_arg "Server.start: jobs < 1";

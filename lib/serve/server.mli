@@ -50,8 +50,9 @@ exception Injected_crash
 type t
 
 (** Bind, spawn the worker group and the accept domain, return
-    immediately.  @raise Invalid_argument on nonsensical config values;
-    @raise Unix.Unix_error when the address cannot be bound. *)
+    immediately.  @raise Invalid_argument on nonsensical config values
+    and when the address cannot be resolved or bound (the message names
+    the address and the OS reason). *)
 val start : config -> t
 
 (** Request a graceful stop (idempotent, callable from any domain or a

@@ -1,27 +1,22 @@
 type stage =
-  | Poly_projection
   | Cdag_build
   | Pebble_game
   | Cache_sim
   | Derivation
 
 let stage_name = function
-  | Poly_projection -> "polyhedral projection"
   | Cdag_build -> "CDAG construction"
   | Pebble_game -> "pebble game"
   | Cache_sim -> "cache simulation"
   | Derivation -> "bound derivation"
 
-let pp_stage fmt s = Format.pp_print_string fmt (stage_name s)
-
 let stage_index = function
-  | Poly_projection -> 0
-  | Cdag_build -> 1
-  | Pebble_game -> 2
-  | Cache_sim -> 3
-  | Derivation -> 4
+  | Cdag_build -> 0
+  | Pebble_game -> 1
+  | Cache_sim -> 2
+  | Derivation -> 3
 
-let n_stages = 5
+let n_stages = 4
 
 (* Counters are atomic so one budget can be shared by the domains of a
    Pool fan-out: caps apply to the combined work of all workers, and the

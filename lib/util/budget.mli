@@ -1,7 +1,7 @@
 (** Resource budgets for the derivation engine.
 
-    The engine's hot paths (Fourier-Motzkin projection, CDAG instantiation,
-    pebble-game and cache simulation, bound derivation) are potentially
+    The engine's hot paths (CDAG instantiation, pebble-game and cache
+    simulation, bound derivation) are potentially
     exponential or memory-hungry on adversarial inputs.  A [Budget.t] turns
     runaway work into a controlled outcome: the hot loops call {!checkpoint}
     at each unit of work, and the checkpoint raises {!Exhausted} once a step
@@ -18,14 +18,12 @@
 
 (** The instrumented engine stages, in pipeline order. *)
 type stage =
-  | Poly_projection  (** [Iset] Fourier-Motzkin elimination and enumeration *)
   | Cdag_build  (** [Cdag.of_program] / [Trace.of_program] instantiation *)
   | Pebble_game  (** [Game.run] *)
   | Cache_sim  (** [Cache.opt] / [Cache.lru] *)
   | Derivation  (** hourglass detection/verification and bound derivation *)
 
 val stage_name : stage -> string
-val pp_stage : Format.formatter -> stage -> unit
 
 type t
 

@@ -17,8 +17,7 @@ module Cache = Iolb_pebble.Cache
 module Trace = Iolb_pebble.Trace
 module K = Iolb_kernels
 
-let stages =
-  Budget.[ Poly_projection; Cdag_build; Pebble_game; Cache_sim; Derivation ]
+let stages = Budget.[ Cdag_build; Pebble_game; Cache_sim; Derivation ]
 
 (* Checkpoint indices to fire at: the first one, and one deep enough to land
    mid-loop in every stage that runs at all. *)

@@ -173,28 +173,6 @@ let test_tiled_block_one_matches_untiled_io_order () =
     (count (K.Mgs.tiled_spec ~m:8 ~n:4 ~b:1))
     (count (K.Mgs.tiled_spec ~m:8 ~n:4 ~b:2))
 
-(* Iset.intersect must reject mismatched dimension lists with a message
-   naming both sides - "dimension mismatch" alone does not tell a kernel
-   author which two sets collided. *)
-let test_iset_intersect_diagnostic () =
-  let module A = Iolb_poly.Affine in
-  let module C = Iolb_poly.Constr in
-  let module I = Iolb_poly.Iset in
-  let s1 =
-    I.make ~dims:[ "i"; "j" ]
-      [ C.ge (A.var "i"); C.ge (A.var "j"); C.le_of (A.var "j") (A.const 2) ]
-  in
-  let s2 = I.make ~dims:[ "j"; "k" ] [ C.ge (A.var "j") ] in
-  (match I.intersect s1 s2 with
-  | _ -> Alcotest.fail "intersect: expected Invalid_argument"
-  | exception Invalid_argument msg ->
-      Alcotest.(check string) "message names both dimension lists"
-        "Iset.intersect: dimension mismatch ([i; j] vs [j; k])" msg);
-  (* Matching dimensions still intersect fine. *)
-  let s3 = I.make ~dims:[ "i"; "j" ] [ C.le_of (A.var "i") (A.const 3) ] in
-  Alcotest.(check bool) "same dims intersect" false
-    (I.is_empty ~params:[] (I.intersect s1 s3))
-
 (* The CLI's `simulate --sizes` maps every size-spec parse failure to
    Invalid_input, i.e. exit code 2: the parser must reject malformed
    specs with a message and accept both documented syntaxes. *)
@@ -229,8 +207,6 @@ let suite =
     Alcotest.test_case "tiled spec preconditions" `Quick
       test_tiled_spec_preconditions;
     Alcotest.test_case "typed error paths" `Quick test_typed_error_paths;
-    Alcotest.test_case "iset intersect diagnostic" `Quick
-      test_iset_intersect_diagnostic;
     Alcotest.test_case "size sweep spec errors" `Quick test_size_spec_errors;
     Alcotest.test_case "tiled work invariant across block sizes" `Quick
       test_tiled_block_one_matches_untiled_io_order;

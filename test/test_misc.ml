@@ -1,12 +1,11 @@
 (* Remaining corners: pretty-printers, DOT export, cache flush flag,
-   leading-term extraction, Rat infix operators, Iset error paths. *)
+   leading-term extraction, Rat infix operators. *)
 
 module P = Iolb_symbolic.Polynomial
 module R = Iolb_symbolic.Ratfun
 module Rat = Iolb_util.Rat
 module A = Iolb_poly.Affine
 module C = Iolb_poly.Constr
-module I = Iolb_poly.Iset
 
 let test_printers () =
   Alcotest.(check string) "affine" "2i - j + 3"
@@ -82,23 +81,6 @@ let test_cache_flush_flag () =
   Alcotest.(check int) "flush counts dirty lines" 2 with_flush.Cache.stores;
   Alcotest.(check int) "no flush, no stores" 0 without.Cache.stores
 
-let test_iset_errors () =
-  let unbounded = I.make ~dims:[ "i" ] [ C.ge (A.var "i") ] in
-  Alcotest.(check bool) "enumerate unbounded raises" true
-    (try
-       ignore (I.enumerate ~params:[] unbounded);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "intersect dim mismatch raises" true
-    (try
-       ignore (I.intersect unbounded (I.make ~dims:[ "j" ] []));
-       false
-     with Invalid_argument _ -> true);
-  (* bounds_of_dim on a half-bounded set. *)
-  let lo, hi = I.bounds_of_dim ~params:[] unbounded "i" in
-  Alcotest.(check (option int)) "lower bound" (Some 0) lo;
-  Alcotest.(check (option int)) "no upper bound" None hi
-
 let test_program_pp () =
   let out = Format.asprintf "%a" Iolb_ir.Program.pp Iolb_kernels.Gemm.spec in
   Alcotest.(check bool) "mentions loops and statement" true
@@ -118,6 +100,5 @@ let suite =
     Alcotest.test_case "leading terms" `Quick test_leading_terms;
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Alcotest.test_case "cache flush flag" `Quick test_cache_flush_flag;
-    Alcotest.test_case "iset error paths" `Quick test_iset_errors;
     Alcotest.test_case "program pretty-printer" `Quick test_program_pp;
   ]

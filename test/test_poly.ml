@@ -1,162 +1,9 @@
-(* Integer sets: membership, enumeration, Fourier-Motzkin soundness. *)
+(* Affine expressions: evaluation, coefficients, substitution. *)
 
 module A = Iolb_poly.Affine
-module C = Iolb_poly.Constr
-module I = Iolb_poly.Iset
 
 let v = A.var
 let c = A.const
-
-let triangle_n =
-  (* { (i, j) | 0 <= i <= j <= N-1 } *)
-  I.make ~dims:[ "i"; "j" ]
-    [
-      C.ge (v "i");
-      C.ge_of (v "j") (v "i");
-      C.le_of (v "j") (A.sub (v "N") (c 1));
-    ]
-
-let test_triangle_cardinal () =
-  List.iter
-    (fun n ->
-      Alcotest.(check int)
-        (Printf.sprintf "triangle N=%d" n)
-        (n * (n + 1) / 2)
-        (I.cardinal ~params:[ ("N", n) ] triangle_n))
-    [ 1; 2; 5; 10 ]
-
-let test_empty () =
-  Alcotest.(check bool)
-    "N=0 empty" true
-    (I.is_empty ~params:[ ("N", 0) ] triangle_n);
-  let contradictory =
-    I.make ~dims:[ "i" ] [ C.ge (v "i"); C.le_of (v "i") (c (-1)) ]
-  in
-  Alcotest.(check bool) "contradiction" true (I.is_empty ~params:[] contradictory)
-
-let test_membership_matches_enumeration () =
-  let params = [ ("N", 6) ] in
-  let points = I.enumerate ~params triangle_n in
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "enumerated point is member" true
-        (I.mem ~params triangle_n p))
-    points;
-  (* And non-members are rejected. *)
-  Alcotest.(check bool) "(3,2) not member" false
-    (I.mem ~params triangle_n [| 3; 2 |]);
-  Alcotest.(check bool) "(0,6) not member" false
-    (I.mem ~params triangle_n [| 0; 6 |])
-
-let test_bounds_of_dim () =
-  let lo, hi = I.bounds_of_dim ~params:[ ("N", 8) ] triangle_n "j" in
-  Alcotest.(check (option int)) "j lower" (Some 0) lo;
-  Alcotest.(check (option int)) "j upper" (Some 7) hi
-
-let test_projection_sound () =
-  (* Every enumerated point of the set projects into the FM projection. *)
-  let params = [ ("N", 7) ] in
-  let proj = I.project ~onto:[ "j" ] triangle_n in
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "projection contains shadow" true
-        (I.mem ~params proj [| p.(1) |]))
-    (I.enumerate ~params triangle_n)
-
-(* Random boxes with a random cutting plane: enumeration must agree with
-   brute-force filtering over the box. *)
-let random_set_test =
-  let gen =
-    let open QCheck2.Gen in
-    (* box bounds and one extra constraint a*i + b*j + k >= 0 *)
-    triple (int_range 0 6) (int_range 0 6)
-      (triple (int_range (-3) 3) (int_range (-3) 3) (int_range (-8) 8))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"enumerate = brute force on cut boxes" ~count:200
-       gen
-       (fun (bi, bj, (a, b, k)) ->
-         let set =
-           I.make ~dims:[ "i"; "j" ]
-             [
-               C.ge (v "i");
-               C.le_of (v "i") (c bi);
-               C.ge (v "j");
-               C.le_of (v "j") (c bj);
-               C.ge (A.of_terms [ (a, "i"); (b, "j") ] k);
-             ]
-         in
-         let enumerated = I.enumerate ~params:[] set in
-         let brute = ref [] in
-         for i = 0 to bi do
-           for j = 0 to bj do
-             if (a * i) + (b * j) + k >= 0 then brute := [| i; j |] :: !brute
-           done
-         done;
-         List.sort compare enumerated = List.sort compare (List.rev !brute)))
-
-(* Differential tests: the compiled representation against the retained
-   list-based reference implementation (Iset_ref), on random bounded
-   systems over three dimensions and one parameter.  Equality and
-   cutting-plane constraints may make the system empty or collapse it to
-   lower dimension - exactly the shapes the normalisation and pruning
-   passes must not change. *)
-module IR = Iolb_poly.Iset_ref
-
-let ref_dims = [ "i"; "j"; "k" ]
-
-let ref_system_gen =
-  let open QCheck2.Gen in
-  let coeff = int_range (-3) 3 in
-  let extra =
-    triple
-      (oneofl [ C.Ge; C.Eq ])
-      (triple coeff coeff coeff)
-      (pair (int_range (-2) 2) (int_range (-8) 8))
-  in
-  triple
-    (triple (int_range 0 4) (int_range 0 4) (int_range 0 4))
-    (int_range 0 5)
-    (pair extra (option extra))
-
-let ref_system ((bi, bj, bk), n, (e1, e2)) =
-  let box d b = [ C.ge (v d); C.le_of (v d) (c b) ] in
-  let mk (kind, (a, b, k'), (dn, e)) =
-    let expr = A.of_terms [ (a, "i"); (b, "j"); (k', "k"); (dn, "N") ] e in
-    match kind with C.Ge -> C.ge expr | C.Eq -> C.eq expr
-  in
-  let cons =
-    box "i" bi @ box "j" bj @ box "k" bk
-    @ (mk e1 :: (match e2 with None -> [] | Some e -> [ mk e ]))
-  in
-  (cons, [ ("N", n) ])
-
-let ref_test name prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count:300 ref_system_gen (fun input ->
-         let cons, params = ref_system input in
-         prop cons params (I.make ~dims:ref_dims cons)))
-
-let ref_enumerate_test =
-  ref_test "compiled enumerate = reference enumerate" (fun cons params set ->
-      I.enumerate ~params set = IR.enumerate ~params ~dims:ref_dims cons)
-
-let ref_cardinal_test =
-  ref_test "compiled cardinal = reference point count" (fun cons params set ->
-      I.cardinal ~params set
-      = List.length (IR.enumerate ~params ~dims:ref_dims cons))
-
-let ref_is_empty_test =
-  ref_test "compiled is_empty = reference emptiness" (fun cons params set ->
-      I.is_empty ~params set = (IR.enumerate ~params ~dims:ref_dims cons = []))
-
-let ref_project_test =
-  ref_test "project-then-mem soundness vs reference points"
-    (fun cons params set ->
-      let proj = I.project ~onto:[ "j"; "k" ] set in
-      List.for_all
-        (fun p -> I.mem ~params proj [| p.(1); p.(2) |])
-        (IR.enumerate ~params ~dims:ref_dims cons))
 
 let test_affine_ops () =
   let e = A.of_terms [ (2, "i"); (-1, "j") ] 3 in
@@ -168,48 +15,5 @@ let test_affine_ops () =
   Alcotest.(check bool) "subst" true
     (A.equal e' (A.of_terms [ (2, "k"); (-1, "j") ] 5))
 
-(* Complements the exact-text check in test_kernel_errors: the intersect
-   diagnostic must name both dimension lists verbatim for every mismatch
-   shape - different order of the same names, different lengths, and an
-   empty side - since those are the cases a kernel author actually hits. *)
-let test_intersect_diagnostic_shapes () =
-  let set dims = I.make ~dims (List.map (fun d -> C.ge (v d)) dims) in
-  List.iter
-    (fun (da, db, expected) ->
-      match I.intersect (set da) (set db) with
-      | _ -> Alcotest.failf "[%s]/[%s]: expected Invalid_argument"
-               (String.concat ";" da) (String.concat ";" db)
-      | exception Invalid_argument msg ->
-          Alcotest.(check string) "diagnostic text" expected msg)
-    [
-      ( [ "i"; "j" ],
-        [ "j"; "i" ],
-        "Iset.intersect: dimension mismatch ([i; j] vs [j; i])" );
-      ( [ "i" ],
-        [ "i"; "j" ],
-        "Iset.intersect: dimension mismatch ([i] vs [i; j])" );
-      ([], [ "k" ], "Iset.intersect: dimension mismatch ([] vs [k])");
-    ];
-  (* And the non-error side: intersection conjoins the constraints. *)
-  let a = I.make ~dims:[ "i" ] [ C.ge (v "i"); C.le_of (v "i") (c 5) ] in
-  let b = I.make ~dims:[ "i" ] [ C.ge_of (v "i") (c 3) ] in
-  Alcotest.(check int) "conjoined cardinality" 3
-    (I.cardinal ~params:[] (I.intersect a b))
-
 let suite =
-  [
-    Alcotest.test_case "affine expression operations" `Quick test_affine_ops;
-    Alcotest.test_case "intersect diagnostic shapes" `Quick
-      test_intersect_diagnostic_shapes;
-    Alcotest.test_case "triangular cardinality" `Quick test_triangle_cardinal;
-    Alcotest.test_case "emptiness" `Quick test_empty;
-    Alcotest.test_case "membership vs enumeration" `Quick
-      test_membership_matches_enumeration;
-    Alcotest.test_case "per-dimension bounds" `Quick test_bounds_of_dim;
-    Alcotest.test_case "FM projection soundness" `Quick test_projection_sound;
-    random_set_test;
-    ref_enumerate_test;
-    ref_cardinal_test;
-    ref_is_empty_test;
-    ref_project_test;
-  ]
+  [ Alcotest.test_case "affine expression operations" `Quick test_affine_ops ]

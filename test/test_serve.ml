@@ -90,6 +90,7 @@ let test_parse_request () =
       {|{"op":"analyze","kernel":7}|};
       {|{"op":"analyze","kernel":"mgs","timeout_ms":"soon"}|};
       {|{"op":"analyze","kernel":"mgs","fault":{"stage":"nope","k":1}}|};
+      {|{"op":"analyze","kernel":"mgs","fault":{"stage":"poly_projection","k":1}}|};
       {|{"op":"analyze","kernel":"mgs","fault":3}|};
       {|{"op":"eval","kernel":"mgs","empirical":{"rate":1.5}}|};
       {|{"op":"eval","kernel":"mgs","empirical":{"rate":0}}|};
@@ -104,15 +105,12 @@ let test_parse_request () =
 
 let test_stage_wire_roundtrip () =
   let stages =
-    [
-      Budget.Poly_projection; Budget.Cdag_build; Budget.Pebble_game;
-      Budget.Cache_sim; Budget.Derivation;
-    ]
+    [ Budget.Cdag_build; Budget.Pebble_game; Budget.Cache_sim; Budget.Derivation ]
   in
   let names = List.map Protocol.wire_of_stage stages in
   Alcotest.(check (list string))
     "stable wire names"
-    [ "poly_projection"; "cdag_build"; "pebble_game"; "cache_sim"; "derivation" ]
+    [ "cdag_build"; "pebble_game"; "cache_sim"; "derivation" ]
     names;
   List.iter2
     (fun stage name ->
@@ -120,7 +118,9 @@ let test_stage_wire_roundtrip () =
         (Protocol.stage_of_wire name = Some stage))
     stages names;
   Alcotest.(check bool) "unknown stage rejected" true
-    (Protocol.stage_of_wire "warp_drive" = None)
+    (Protocol.stage_of_wire "warp_drive" = None);
+  Alcotest.(check bool) "retired poly_projection stage rejected" true
+    (Protocol.stage_of_wire "poly_projection" = None)
 
 (* Satellite: every Engine_error constructor maps to a distinct wire
    code whose numeric exit code matches the CLI taxonomy, and the
@@ -129,9 +129,9 @@ let test_error_codes_match_cli () =
   let engine_cases =
     Engine_error.
       [
-        Invalid_input "bad"; Budget_exhausted Budget.Poly_projection;
-        Budget_exhausted Budget.Cdag_build; Budget_exhausted Budget.Pebble_game;
-        Budget_exhausted Budget.Cache_sim; Budget_exhausted Budget.Derivation;
+        Invalid_input "bad"; Budget_exhausted Budget.Cdag_build;
+        Budget_exhausted Budget.Pebble_game; Budget_exhausted Budget.Cache_sim;
+        Budget_exhausted Budget.Derivation;
         Unsupported "scope"; Internal "bug";
       ]
   in
@@ -258,6 +258,20 @@ let with_server ?(jobs = 2) ?(queue = 64) ?(cache = 128) ?(allow_crash = false)
       Server.stop t;
       Server.join t)
     (fun () -> f t address)
+
+(* An address the OS refuses is invalid input (exit 2 behind
+   Engine_error.guard), named with the OS reason - not an internal error. *)
+let test_unusable_address () =
+  let path = "/nonexistent/d/s.sock" in
+  match Server.start (Server.default_config ~address:(Server.Unix_sock path)) with
+  | t ->
+      Server.stop t;
+      Server.join t;
+      Alcotest.fail "bind under a missing directory succeeded"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the path and the reason"
+        ("cannot listen on " ^ path ^ ": No such file or directory")
+        msg
 
 let with_client address f =
   let c = Client.connect ~attempts:50 ~delay_s:0.05 address in
@@ -603,8 +617,7 @@ let soak_kernels = [| "mgs"; "qr hh a2v"; "qr hh v2q"; "gebd2" |]
    gehd2 does not feed the analyze cache. *)
 let soak_eval_kernels = [| "mgs"; "qr hh a2v"; "qr hh v2q"; "gebd2"; "gehd2" |]
 
-let soak_stages =
-  [| "poly_projection"; "cdag_build"; "pebble_game"; "cache_sim"; "derivation" |]
+let soak_stages = [| "cdag_build"; "pebble_game"; "cache_sim"; "derivation" |]
 
 let soak_garbage =
   [| "{"; "[]"; "not json"; {|{"op":42}|}; {|{"op":"analyze"}|}; "\"str\"" |]
@@ -733,6 +746,7 @@ let suite =
       test_response_envelopes;
     Alcotest.test_case "lru: recency, eviction, stats" `Quick test_lru;
     Alcotest.test_case "server: end to end" `Quick test_server_end_to_end;
+    Alcotest.test_case "server: unusable address" `Quick test_unusable_address;
     Alcotest.test_case "server: eval domain check" `Quick
       test_eval_domain_check;
     Alcotest.test_case "server: crash op gated by default" `Quick

@@ -102,6 +102,17 @@ let test_parse_sizes () =
   ok " 4 , 5 " [ 4; 5 ];
   ok "2:10:3" [ 2; 5; 8 ];
   ok "4:4:1" [ 4 ];
+  (* lo + step would carry past max_int: counted first, two sizes *)
+  ok "1:4611686018427387903:2305843009213693952" [ 1; 2305843009213693953 ];
+  (match S.parse_sizes "1:1000000:1" with
+  | Ok l -> Alcotest.(check int) "1:1000000:1 length" 1_000_000 (List.length l)
+  | Error m -> Alcotest.failf "1:1000000:1: unexpected error %s" m);
+  (match S.parse_sizes "1:4000000000:1" with
+  | Ok _ -> Alcotest.fail "1:4000000000:1: expected an error"
+  | Error m ->
+      Alcotest.(check string) "count named"
+        "range 1:4000000000:1 names 4000000000 sizes (at most 1000000)" m);
+  err "1:1000001:1";
   err "";
   err "a,b";
   err "0,4";

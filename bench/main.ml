@@ -36,6 +36,7 @@ module Phi = Iolb.Phi
 module Bl = Iolb.Bl
 module R = Iolb_symbolic.Ratfun
 module Program = Iolb_ir.Program
+module Cplan = Iolb_ir.Cplan
 module Cdag = Iolb_cdag.Cdag
 module Game = Iolb_pebble.Game
 module Cache = Iolb_pebble.Cache
@@ -937,7 +938,7 @@ let sweep_scale () =
      sequential sweep field by field at the configured worker count. *)
   let em = 120 and en = 60 in
   let eparams = [ ("M", em); ("N", en) ] in
-  let e_accesses = Program.n_accesses ~params:eparams K.Mgs.spec in
+  let e_accesses = Cplan.n_accesses (Cplan.make ~params:eparams K.Mgs.spec) in
   let t0 = now () in
   let seq = Sweep.run_program ~jobs:1 ~params:eparams K.Mgs.spec in
   let t_seq = now () -. t0 in
@@ -982,7 +983,7 @@ let sweep_scale () =
     | `Full -> ((1000, 500), 0.001)
   in
   let sparams = [ ("M", sm); ("N", sn) ] in
-  let s_accesses = Program.n_accesses ~params:sparams K.Mgs.spec in
+  let s_accesses = Cplan.n_accesses (Cplan.make ~params:sparams K.Mgs.spec) in
   pf "\nsampled sweep: MGS M=%d N=%d, %d accesses, rate %g, seed 42\n" sm sn
     s_accesses rate;
   Gc.compact ();

@@ -473,14 +473,16 @@ let simulate_cmd =
         let* cdag =
           Engine_error.guard (fun () -> Cdag.of_program ~budget ~params program)
         in
-        Format.printf "%a@." Cdag.pp_stats cdag;
-        show_degradation ();
+        (* Both games run before anything is printed, so an S below some
+           node's fan-in leaves stdout empty. *)
         let* prog_run, random =
           Engine_error.guard (fun () ->
               let run schedule = Game.run ~budget cdag ~s ~schedule in
               let prog_run = run (Game.program_schedule cdag) in
               (prog_run, run (Game.random_topological ~seed cdag)))
         in
+        Format.printf "%a@." Cdag.pp_stats cdag;
+        show_degradation ();
         Printf.printf "pebble game at S=%d:\n" s;
         Printf.printf "  program order : %d loads (peak red %d)\n"
           prog_run.Game.loads prog_run.Game.peak_red;

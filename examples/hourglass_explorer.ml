@@ -40,6 +40,7 @@ let () =
       let t_idx = List.map dim_index h.temporal in
       let n_idx = List.map dim_index h.neutral in
       let key idxs v = List.map (fun i -> v.(i)) idxs in
+      let reach = Cdag.reachability cdag in
       let found = ref None in
       List.iter
         (fun a ->
@@ -50,7 +51,7 @@ let () =
                 if
                   key n_idx va = key n_idx vb
                   && key t_idx vb > key t_idx va
-                  && Cdag.is_reachable cdag a b
+                  && Cdag.reaches reach a b
                 then found := Some (a, b)
               end)
             nodes)

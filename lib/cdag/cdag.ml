@@ -1,5 +1,5 @@
-module Program = Iolb_ir.Program
 module Interner = Iolb_ir.Interner
+module Cplan = Iolb_ir.Cplan
 module Budget = Iolb_util.Budget
 
 type kind =
@@ -14,8 +14,6 @@ type t = {
   preds_flat : int array;
   order : int array; (* topological: program order with inputs at first use *)
   by_stmt : (string, int list) Hashtbl.t;
-  instances : Interner.t; (* (stmt name, vec) -> dense instance id *)
-  instance_node : int array; (* dense instance id -> node id *)
   n_inputs : int;
 }
 
@@ -56,15 +54,12 @@ let of_program ?(budget = Budget.unlimited) ~params p =
   let kinds = ref (Array.make initial_slots dummy_kind) in
   let preds = ref (Array.make initial_slots [||]) in
   let n = ref 0 in
-  (* Data cells and statement instances are interned to dense ids once,
-     here, so dependence resolution runs on int-indexed arrays instead of
-     hashing (string * int array) keys per access.  [intern_view] probes
-     with the iterator's borrowed buffers and copies only on first
-     sight. *)
+  (* Data cells are interned to dense ids once, here, so dependence
+     resolution runs on int-indexed arrays instead of hashing
+     (string * int array) keys per access.  [intern_view] probes with the
+     iterator's borrowed buffers and copies only on first sight. *)
   let cells = Interner.create () in
   let last_writer = ref (Array.make initial_slots (-1)) in
-  let instances = Interner.create () in
-  let instance_node = ref (Array.make initial_slots (-1)) in
   let inputs = ref 0 in
   let add_node kind pred_arr =
     let id = !n in
@@ -155,9 +150,6 @@ let of_program ?(budget = Budget.unlimited) ~params p =
     done;
     let id = add_node (Compute (name, Array.copy vec)) (Array.sub b 0 !u) in
     pcount := 0;
-    let iid = Interner.intern_view instances name vec in
-    ensure instance_node (iid + 1);
-    !instance_node.(iid) <- id;
     let ids = stmt_ids name in
     ids := id :: !ids
   in
@@ -166,7 +158,7 @@ let of_program ?(budget = Budget.unlimited) ~params p =
     ensure last_writer (cid + 1);
     !last_writer.(cid) <- !n - 1
   in
-  Program.iter_cells ~params p ~on_load ~on_stmt ~on_store;
+  Cplan.iter_cells (Cplan.make ~params p) ~on_load ~on_stmt ~on_store;
   let nn = !n in
   let kinds = Array.sub !kinds 0 nn in
   let preds = Array.sub !preds 0 nn in
@@ -197,8 +189,6 @@ let of_program ?(budget = Budget.unlimited) ~params p =
     preds_flat;
     order = Array.init nn Fun.id;
     by_stmt;
-    instances;
-    instance_node = Array.sub !instance_node 0 (Interner.count instances);
     n_inputs = !inputs;
   }
 
@@ -212,35 +202,8 @@ let program_order t = t.order
 let nodes_of_stmt t name =
   try Hashtbl.find t.by_stmt name with Not_found -> []
 
-let node_of_instance t name vec =
-  Option.map
-    (fun iid -> t.instance_node.(iid))
-    (Interner.find_opt t.instances (name, vec))
-
 let n_inputs t = t.n_inputs
 let n_computes t = n_nodes t - t.n_inputs
-
-let is_reachable t a b =
-  if a = b then true
-  else begin
-    let visited = Array.make (n_nodes t) false in
-    let queue = Queue.create () in
-    Queue.add a queue;
-    visited.(a) <- true;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      Array.iter
-        (fun v ->
-          if v = b then found := true
-          else if not visited.(v) then begin
-            visited.(v) <- true;
-            Queue.add v queue
-          end)
-        t.succs.(u)
-    done;
-    !found
-  end
 
 type reachability = {
   g : t;

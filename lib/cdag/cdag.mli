@@ -15,10 +15,11 @@ type t
 (** [of_program ~params p] builds the CDAG by abstract execution with
     last-writer tracking: reads resolve to the most recent write of the same
     cell in program order, which is the exact flow dependence for these
-    (deterministic, unconditionally executed) programs.  Cells and
-    statement instances are interned to dense ids ({!Iolb_ir.Interner})
-    during the build, so dependence resolution and instance lookup run on
-    int-indexed arrays rather than hashing [(string * int array)] keys.
+    (deterministic, unconditionally executed) programs.  The build walks
+    the program's compiled plan ({!Iolb_ir.Cplan.iter_cells}), and cells
+    are interned to dense ids ({!Iolb_ir.Interner}) during it, so
+    dependence resolution runs on int-indexed arrays rather than hashing
+    [(string * int array)] keys.
 
     One [Cdag_build] budget checkpoint is accounted per statement instance,
     and the budget's node cap bounds the total node count of this CDAG.
@@ -52,14 +53,8 @@ val program_order : t -> int array
 (** All node ids of instances of the given statement. *)
 val nodes_of_stmt : t -> string -> int list
 
-(** [node_of_instance t name vec] finds the compute node for one instance. *)
-val node_of_instance : t -> string -> int array -> int option
-
 val n_inputs : t -> int
 val n_computes : t -> int
-
-(** [is_reachable t a b]: is there a directed path from [a] to [b]? (BFS) *)
-val is_reachable : t -> int -> int -> bool
 
 (** A reusable reachability oracle over one CDAG.  Visited marks are
     epoch-stamped and the DFS stack is kept across queries, so repeated
@@ -69,8 +64,9 @@ type reachability
 
 val reachability : t -> reachability
 
-(** [reaches r a b] is [is_reachable] on the oracle's CDAG, without
-    per-query allocation.  Not thread-safe: use one oracle per domain. *)
+(** [reaches r a b]: is there a directed path from [a] to [b] in the
+    oracle's CDAG?  No per-query allocation.  Not thread-safe: use one
+    oracle per domain. *)
 val reaches : reachability -> int -> int -> bool
 
 (** [convex_closure t nodes] adds every node lying on a directed path

@@ -92,15 +92,24 @@ let collect issues = if !issues = [] then Pass else Fail (String.concat "; " (Li
 
 let push issues fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt
 
+(* Index of the first position where two sequences differ, if any. *)
+let first_diff a b =
+  let rec go k = function
+    | x :: xs, y :: ys -> if x = y then go (k + 1) (xs, ys) else Some k
+    | [], [] -> None
+    | _ -> Some k
+  in
+  go 0 (a, b)
+
 (* ------------------------------------------------------------------ *)
-(* card: symbolic cardinality (iterated Faulhaber) = concrete instance
-   count, per statement.                                                *)
+(* card: symbolic cardinality (iterated Faulhaber) = the reference
+   interpreter's instance count, per statement.                         *)
 
 let prop_card c =
   let per_stmt = Hashtbl.create 8 in
-  Program.iter_instances ~params:c.params c.prog (fun inst ->
-      Hashtbl.replace per_stmt inst.stmt_name
-        (1 + Option.value ~default:0 (Hashtbl.find_opt per_stmt inst.stmt_name)));
+  Interp.iter ~params:c.params c.prog (fun inst ->
+      Hashtbl.replace per_stmt inst.stmt
+        (1 + Option.value ~default:0 (Hashtbl.find_opt per_stmt inst.stmt)));
   let issues = ref [] in
   List.iter
     (fun (info : Program.stmt_info) ->
@@ -115,16 +124,32 @@ let prop_card c =
   collect issues
 
 (* ------------------------------------------------------------------ *)
-(* cdag: structural invariants of the concrete CDAG and the compulsory
-   cold-cache loads.                                                    *)
+(* cdag: the compute nodes, in id order, are the reference
+   interpreter's instances (statement and vector) in program order; plus
+   structural invariants and the compulsory cold-cache loads.           *)
 
 let prop_cdag c =
   let cdag = Lazy.force c.cdag in
   let schedule = Lazy.force c.schedule in
   let issues = ref [] in
-  let instances = Program.count_instances ~params:c.params c.prog in
-  if Cdag.n_computes cdag <> instances then
-    push issues "n_computes=%d but %d instances" (Cdag.n_computes cdag) instances;
+  let computes = ref [] in
+  for id = Cdag.n_nodes cdag - 1 downto 0 do
+    match Cdag.kind cdag id with
+    | Cdag.Compute (s, v) -> computes := (s, v) :: !computes
+    | Cdag.Input _ -> ()
+  done;
+  let reference =
+    List.map
+      (fun (i : Interp.instance) -> (i.stmt, i.vec))
+      (Interp.instances ~params:c.params c.prog)
+  in
+  (match first_diff !computes reference with
+  | None -> ()
+  | Some k ->
+      push issues
+        "compute node #%d differs from the reference (%d computes, %d \
+         instances)"
+        k (Cdag.n_computes cdag) (List.length reference));
   if not (Game.is_topological cdag schedule) then
     push issues "program schedule is not topological";
   (match game_at c (Cdag.n_nodes cdag + 2) with
@@ -136,25 +161,41 @@ let prop_cdag c =
   collect issues
 
 (* ------------------------------------------------------------------ *)
-(* footprint: the interned trace footprint = distinct cells touched.    *)
+(* footprint: the trace's events are the reference interpreter's
+   accesses, event for event - write flags, and cell ids numbered by
+   first occurrence - so its footprint is the distinct cells touched.   *)
 
 let prop_footprint c =
   let trace = Lazy.force c.trace in
-  let seen = Hashtbl.create 64 in
-  let n_events = ref 0 in
-  Program.iter_instances ~params:c.params c.prog (fun inst ->
-      List.iter
-        (fun cl ->
-          incr n_events;
-          Hashtbl.replace seen cl ())
-        (inst.loads @ inst.stores));
-  let distinct = Hashtbl.length seen in
-  if Trace.footprint trace <> distinct then
+  let ids = Hashtbl.create 64 in
+  let reference = ref [] in
+  List.iter
+    (fun (a, idx, w) ->
+      let id =
+        match Hashtbl.find_opt ids (a, idx) with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length ids in
+            Hashtbl.add ids (a, idx) id;
+            id
+      in
+      reference := (id, w) :: !reference)
+    (Interp.accesses ~params:c.params c.prog);
+  let events =
+    List.init (Trace.length trace) (fun i ->
+        (Trace.cell_id trace i, Trace.is_write trace i))
+  in
+  if Trace.footprint trace <> Hashtbl.length ids then
     fail "trace footprint=%d but %d distinct cells" (Trace.footprint trace)
-      distinct
-  else if Trace.length trace <> !n_events then
-    fail "trace length=%d but %d accesses" (Trace.length trace) !n_events
-  else Pass
+      (Hashtbl.length ids)
+  else
+    match first_diff events (List.rev !reference) with
+    | None -> Pass
+    | Some k ->
+        fail
+          "trace event #%d differs from the reference (%d events, %d \
+           accesses)"
+          k (Trace.length trace) (List.length !reference)
 
 (* ------------------------------------------------------------------ *)
 (* phi: derived projections are well-formed for every statement.        *)
@@ -283,8 +324,8 @@ let prop_jobs_det c =
   else fail "report differs between --jobs 1 and --jobs 3"
 
 (* ------------------------------------------------------------------ *)
-(* sweep-stream: the sharded in-memory sweep ([run ~jobs]), the compiled
-   program sweep ([run_program]) and the interpreted one
+(* sweep-stream: the sharded in-memory sweep ([run ~jobs]), the
+   dense-address program sweep ([run_program]) and the interning one
    ([run_program_stream]) share one engine, so each is checked against the
    independent per-size LRU simulator, at every jobs width, for both flush
    modes; the three are also compared pairwise on footprint, accesses and
@@ -310,10 +351,10 @@ let prop_sweep_stream c =
                 (Printf.sprintf "%s jobs=%d flush=%b" kind jobs flush, sweep))
               [
                 ("run", Sweep.run ~budget:c.budget ~flush ~jobs trace);
-                ( "compiled",
+                ( "dense",
                   Sweep.run_program ~budget:c.budget ~flush ~jobs
                     ~params:c.params c.prog );
-                ( "interpreted",
+                ( "interned",
                   Sweep.run_program_stream ~budget:c.budget ~flush ~jobs
                     ~params:c.params c.prog );
               ]
@@ -714,9 +755,15 @@ let run o c =
 
 let all =
   [
-    { name = "card"; doc = "symbolic cardinality = concrete enumeration" };
-    { name = "cdag"; doc = "CDAG structure and compulsory cold loads" };
-    { name = "footprint"; doc = "trace footprint = distinct cells touched" };
+    { name = "card"; doc = "symbolic cardinality = reference instance count" };
+    {
+      name = "cdag";
+      doc = "CDAG compute nodes = reference instances; structure; cold loads";
+    };
+    {
+      name = "footprint";
+      doc = "trace events = reference accesses, cell ids too";
+    };
     { name = "phi"; doc = "derived projections are well-formed" };
     {
       name = "bound-le-opt";
@@ -726,7 +773,7 @@ let all =
     { name = "sweep-lru"; doc = "reuse-distance sweep = per-size LRU" };
     {
       name = "sweep-stream";
-      doc = "sharded/compiled/interpreted sweeps = per-size LRU at every jobs width";
+      doc = "sharded/dense/interned sweeps = per-size LRU at every jobs width";
     };
     {
       name = "game-compiled";

@@ -34,8 +34,10 @@ type t = {
 val run : t -> ctx -> outcome
 
 (** The default registry of 16 oracles, in pipeline order: [card]
-    (Faulhaber cardinality = concrete instance count), [cdag],
-    [footprint], [phi], [bound-le-opt], [monotone-s], [sweep-lru],
+    (Faulhaber cardinality = instance count), [cdag] (compute nodes =
+    instances), [footprint] (trace events = accesses) - all three against
+    the reference interpreter {!Interp} - [phi], [bound-le-opt],
+    [monotone-s], [sweep-lru],
     [sweep-stream], [game-compiled], [sampled-ci], [jobs-det],
     [hourglass-path], [split-regions] (region-based split search =
     brute-force enumeration), [region-cover] (parametric-simplex regions

@@ -1,31 +1,35 @@
-(* Compiled trace production over a flat integer address space.
+(* The one loop-nest compiler: a program lowered at concrete parameters.
 
-   [Program.iter_accesses] is the reference semantics: every emitted
-   access materializes an index vector and the consumer pays a hash
-   (interning) to identify the cell.  At the exact-sweep production rates
-   the empirical pipeline targets, that hash dominates.
+   Every variable (parameter or loop variable) gets a dense slot in a
+   flat int environment and every affine expression becomes parallel
+   coefficient/slot arrays, so walking the program is flat integer
+   arithmetic.  One plan serves every concrete walk of the program: the
+   CDAG builder and the interning trace producers ([iter_cells]), the
+   dense-address trace producers ([iter]) and the sampled scan
+   ([iter_sampled]).
 
-   A [Cplan.t] removes both costs.  At plan-build time every array gets a
-   rectangular hull - per-dimension inclusive bounds that contain every
-   index the program can touch, obtained by interval arithmetic over the
-   loop nest - and the hulls are laid out back to back in one flat
-   row-major address space.  Each access site's index expressions then
-   compose with the layout into a single affine form over the loop
-   variables, so producing an access is one flat-integer evaluation and
-   its cell identity is an [int] already dense enough to index arrays
-   with: consumers replace interner hashing by an [addr -> id] table.
-   Along an innermost loop the address form moves by a constant, so the
-   hot path emits an access with one addition.
+   On top of that, a plan usually carries a flat address layout.  Every
+   array gets a rectangular hull - per-dimension inclusive bounds that
+   contain every index the program can touch, obtained by interval
+   arithmetic over the loop nest - and the hulls are laid out back to
+   back in one flat row-major address space.  Each access site's index
+   expressions then compose with the layout into a single affine form
+   over the loop variables, so producing an access is one flat-integer
+   evaluation and its cell identity is an [int] already dense enough to
+   index arrays with: consumers replace interner hashing by an
+   [addr -> id] table.  Along an innermost loop the address form moves
+   by a constant, so the hot path emits an access with one addition.
 
    Hulls are keyed by (array, rank): an array name used at two ranks
    names two disjoint cell sets, exactly as the interner keys them.
    Interval bounds, hull volumes and the layout are computed with checked
-   arithmetic, so a hull that would leave 63-bit integers is rejected at
-   plan time (callers fall back to the interpreter) instead of wrapping
-   into a small address space that emits out-of-range addresses.  The
-   composed address forms themselves may wrap harmlessly: every address
-   the plan emits lies in [0, addr_space), and integer arithmetic modulo
-   2^63 computes it exactly.
+   arithmetic, so a hull that would leave 63-bit integers leaves the plan
+   without a layout (callers intern the cells of [iter_cells] instead)
+   rather than wrapping into a small address space that emits
+   out-of-range addresses.  The composed address forms themselves may
+   wrap harmlessly: every address the plan emits lies in
+   [0, addr_space), and integer arithmetic modulo 2^63 computes it
+   exactly.
 
    Addresses are injective on cells by construction (distinct hulls get
    disjoint ranges; within a hull the row-major map is injective), and
@@ -33,14 +37,14 @@
    say, to intern a first occurrence - pays the decode only once per
    distinct cell, never per access.
 
-   The plan keeps every site's array name and index forms too, for the
-   sampled scan: the spatial hash is linear in the index vector before
-   its final mix, so per call it composes into one affine form per site
-   and, along an innermost loop, steps by a per-site constant.
+   The sampled scan needs no layout: the spatial hash is linear in the
+   index vector before its final mix, so per call it composes with each
+   site's index forms into one affine form and, along an innermost loop,
+   steps by a per-site constant.
 
-   A plan is immutable; [iter] and [iter_sampled] keep all mutable state
-   (environment, per-site cursors) in per-call buffers, so one plan can
-   drive several domains concurrently. *)
+   A plan is immutable; every walk keeps its mutable state (environment,
+   per-site cursors, borrowed buffers) in per-call buffers, so one plan
+   can drive several domains concurrently. *)
 
 module Affine = Iolb_poly.Affine
 module Rat = Iolb_util.Rat
@@ -49,6 +53,8 @@ exception Past_range
 
 type caff = { cconst : int; ccoefs : int array; cslots : int array }
 
+(* Unsafe indexing is in bounds by construction: [ccoefs] and [cslots]
+   have the same length, and every slot is < nslots = length of [env]. *)
 let ceval env a =
   let acc = ref a.cconst in
   for k = 0 to Array.length a.cslots - 1 do
@@ -87,10 +93,30 @@ let coeff_of slot a =
   Array.iteri (fun k s -> if s = slot then c := !c + a.ccoefs.(k)) a.cslots;
   !c
 
+(* [span rev lo hi f] is [f v] for [v] from [lo] to [hi], or from [hi]
+   downto [lo] when [rev]. *)
+let span rev lo hi f =
+  if rev then
+    for v = hi downto lo do
+      f v
+    done
+  else
+    for v = lo to hi do
+      f v
+    done
+
+(* A statement: its access sites are [s0, s0 + nr) (the reads, in
+   statement order) and then [s0 + nr, s1) (the writes). *)
+type stmt = {
+  name : string;
+  vec : int array; (* slots of the enclosing loop vars, outermost first *)
+  s0 : int;
+  nr : int;
+  s1 : int;
+}
+
 type cnode =
-  | Cstmt of { sa : caff array; sw : bool array; s0 : int }
-      (* reads then writes, in [Program.iter_accesses] emission order;
-         site [i] is [sites.(s0 + i)] of the plan *)
+  | Cstmt of stmt
   | Cloop of {
       slot : int;
       lo : caff;
@@ -101,42 +127,46 @@ type cnode =
           (* the body's access count does not depend on [slot]: skipping
              the whole loop costs one multiplication *)
     }
-  | Cinner of {
-      islot : int;
-      ilo : caff;
-      ihi : caff;
-      irev : bool;
-      ia : caff array; (* per-site composed address form *)
-      iw : bool array; (* per-site write flag *)
-      idelta : int array; (* per-site address step when the var steps +1 *)
-      i0 : int; (* site [i] is [sites.(i0 + i)] of the plan *)
-    }
-      (* an innermost loop whose body is one statement: the per-iteration
-         site addresses advance by constants *)
+  | Cinner of { islot : int; ilo : caff; ihi : caff; irev : bool; st : stmt }
+      (* an innermost loop whose body is one statement: the
+         per-iteration site addresses and hashes advance by constants *)
 
-type t = {
-  body : cnode array;
-  nslots : int;
-  pinits : (int * int) list;
-  sites : (string * caff array) array; (* per site: array, index forms *)
-  total : int; (* n_accesses at the plan's parameters *)
+type layout = {
   addr_space : int;
+  addr : caff array; (* per site: composed address form *)
+  astep : int array;
+      (* per site of an innermost loop: the address step per iteration,
+         signed by the loop direction *)
   d_names : string array;
   d_base : int array; (* length nhulls + 1; last entry = addr_space *)
   d_lo : int array array;
   d_stride : int array array;
 }
 
-let n_accesses t = t.total
-let addr_space t = t.addr_space
+type t = {
+  body : cnode array;
+  nslots : int;
+  pinits : (int * int) list;
+  site_array : string array; (* per site *)
+  site_index : caff array array; (* per site: index forms *)
+  site_write : bool array; (* per site *)
+  layout : layout option;
+}
 
-(* Access count of a subtree at the current [env], by the rectangular
-   collapse of [Program.n_accesses]. *)
+let fresh_env t =
+  let env = Array.make (max t.nslots 1) 0 in
+  List.iter (fun (s, v) -> env.(s) <- v) t.pinits;
+  env
+
+(* Access count of a subtree at the current [env]: a loop whose body's
+   count does not depend on its variable contributes extent * body-count,
+   so rectangular sub-nests collapse to multiplications and only the
+   variables that shape inner bounds (triangular nests) are enumerated. *)
 let rec count env = function
-  | Cstmt { sa; _ } -> Array.length sa
+  | Cstmt st -> st.s1 - st.s0
   | Cinner c ->
       let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
-      if hi_v < lo_v then 0 else (hi_v - lo_v + 1) * Array.length c.ia
+      if hi_v < lo_v then 0 else (hi_v - lo_v + 1) * (c.st.s1 - c.st.s0)
   | Cloop l ->
       let lo_v = ceval env l.lo and hi_v = ceval env l.hi in
       if hi_v < lo_v then 0
@@ -154,48 +184,39 @@ let rec count env = function
         !total
       end
 
+let n_accesses t =
+  let env = fresh_env t in
+  Array.fold_left (fun a c -> a + count env c) 0 t.body
+
+let addr_space t = Option.map (fun l -> l.addr_space) t.layout
+
+(* Per site of an innermost loop, the step of its form in [forms] (an
+   address or a hash form per site) when the loop advances one
+   iteration, signed by the loop direction; 0 for the other sites. *)
+let inner_steps t forms =
+  let step = Array.make (Array.length forms) 0 in
+  let rec go = function
+    | Cstmt _ -> ()
+    | Cloop l -> Array.iter go l.body
+    | Cinner c ->
+        for s = c.st.s0 to c.st.s1 - 1 do
+          let d = coeff_of c.islot forms.(s) in
+          step.(s) <- (if c.irev then -d else d)
+        done
+  in
+  Array.iter go t.body;
+  step
+
 (* --------------------------------------------------------------------- *)
 (* Compilation.                                                           *)
-
-type hull = {
-  h_name : string;
-  h_order : int; (* first-appearance rank: the hull's place in the layout *)
-  h_lo : int array;
-  h_hi : int array;
-}
-
-(* Intermediate tree: like the compiled form of [Program], with per-site
-   index forms still separate (the address layout is not known until the
-   whole tree has been hulled). *)
-type pre =
-  | Pstmt of (hull * caff array * bool) array
-  | Ploop of {
-      pslot : int;
-      plo : caff;
-      phi : caff;
-      prev : bool;
-      pbody : pre array;
-    }
 
 let compile ~params (p : Program.t) =
   let nslots = ref 0 in
   let scope = ref [] in
-  let ivlo = ref (Array.make 16 0) and ivhi = ref (Array.make 16 0) in
-  let fresh v lo hi =
+  let fresh v =
     let s = !nslots in
     incr nslots;
     scope := (v, s) :: !scope;
-    if s >= Array.length !ivlo then begin
-      let grow a =
-        let n = Array.make (2 * Array.length a) 0 in
-        Array.blit a 0 n 0 (Array.length a);
-        n
-      in
-      ivlo := grow !ivlo;
-      ivhi := grow !ivhi
-    end;
-    !ivlo.(s) <- lo;
-    !ivhi.(s) <- hi;
     s
   in
   let slot_of x =
@@ -209,12 +230,93 @@ let compile ~params (p : Program.t) =
       cslots = Array.of_list (List.map (fun (_, x) -> slot_of x) ts);
     }
   in
+  let pinits = List.map (fun (x, v) -> (fresh x, v)) params in
+  let sites = ref [] and n_sites = ref 0 in
+  let aff_uses slot a = Array.exists (fun s -> s = slot) a.cslots in
+  let rec uses slot = function
+    | Cstmt _ -> false
+    | Cloop l ->
+        aff_uses slot l.lo || aff_uses slot l.hi
+        || Array.exists (uses slot) l.body
+    | Cinner c -> aff_uses slot c.ilo || aff_uses slot c.ihi
+  in
+  let rec cnode path = function
+    | Program.Stmt s ->
+        let s0 = !n_sites in
+        let site is_write (a : Access.t) =
+          sites :=
+            (a.array, Array.of_list (List.map caffine a.index), is_write)
+            :: !sites;
+          incr n_sites
+        in
+        List.iter (site false) s.reads;
+        List.iter (site true) s.writes;
+        Cstmt
+          {
+            name = s.name;
+            vec = Array.of_list (List.rev path);
+            s0;
+            nr = List.length s.reads;
+            s1 = !n_sites;
+          }
+    | Program.Loop { var; lo; hi; rev; body } -> (
+        (* Bounds are evaluated in the enclosing scope: compile them before
+           binding [var]. *)
+        let lo = caffine lo and hi = caffine hi in
+        let saved = !scope in
+        let slot = fresh var in
+        let body = Array.of_list (List.map (cnode (slot :: path)) body) in
+        scope := saved;
+        match body with
+        | [| Cstmt st |] ->
+            Cinner { islot = slot; ilo = lo; ihi = hi; irev = rev; st }
+        | _ ->
+            Cloop
+              {
+                slot;
+                lo;
+                hi;
+                rev;
+                body;
+                collapse = not (Array.exists (uses slot) body);
+              })
+  in
+  let body = Array.of_list (List.map (cnode []) p.body) in
+  let sites = Array.of_list (List.rev !sites) in
+  {
+    body;
+    nslots = !nslots;
+    pinits;
+    site_array = Array.map (fun (a, _, _) -> a) sites;
+    site_index = Array.map (fun (_, idx, _) -> idx) sites;
+    site_write = Array.map (fun (_, _, w) -> w) sites;
+    layout = None;
+  }
+
+type hull = {
+  h_name : string;
+  h_order : int; (* first-appearance rank: the hull's place in the layout *)
+  h_lo : int array;
+  h_hi : int array;
+}
+
+(* The flat address layout of a compiled plan.  Every interval bound,
+   hull extent and volume and layout base is computed with checked
+   arithmetic: @raise Rat.Overflow when one leaves 63-bit integers. *)
+let layout t =
+  let ivlo = Array.make (max t.nslots 1) 0 in
+  let ivhi = Array.make (max t.nslots 1) 0 in
+  List.iter
+    (fun (s, v) ->
+      ivlo.(s) <- v;
+      ivhi.(s) <- v)
+    t.pinits;
   (* Interval of an affine form over the current per-slot intervals. *)
   let interval a =
     let mn = ref a.cconst and mx = ref a.cconst in
     for k = 0 to Array.length a.cslots - 1 do
       let c = a.ccoefs.(k) and s = a.cslots.(k) in
-      let at_lo = Rat.mul_exn c !ivlo.(s) and at_hi = Rat.mul_exn c !ivhi.(s) in
+      let at_lo = Rat.mul_exn c ivlo.(s) and at_hi = Rat.mul_exn c ivhi.(s) in
       mn := Rat.add_exn !mn (min at_lo at_hi);
       mx := Rat.add_exn !mx (max at_lo at_hi)
     done;
@@ -222,52 +324,51 @@ let compile ~params (p : Program.t) =
   in
   let hulls : (string * int, hull) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
-  let psite is_write (a : Access.t) =
-    let idx = Array.of_list (List.map caffine a.index) in
-    let nd = Array.length idx in
-    let h =
-      match Hashtbl.find_opt hulls (a.array, nd) with
-      | Some h -> h
-      | None ->
-          let h =
-            {
-              h_name = a.array;
-              h_order = Hashtbl.length hulls;
-              h_lo = Array.make nd max_int;
-              h_hi = Array.make nd min_int;
-            }
-          in
-          Hashtbl.add hulls (a.array, nd) h;
-          order := h :: !order;
-          h
-    in
-    Array.iteri
-      (fun d e ->
-        let mn, mx = interval e in
-        if mn < h.h_lo.(d) then h.h_lo.(d) <- mn;
-        if mx > h.h_hi.(d) then h.h_hi.(d) <- mx)
-      idx;
-    (h, idx, is_write)
+  let widen st =
+    for s = st.s0 to st.s1 - 1 do
+      let name = t.site_array.(s) and idx = t.site_index.(s) in
+      let nd = Array.length idx in
+      let h =
+        match Hashtbl.find_opt hulls (name, nd) with
+        | Some h -> h
+        | None ->
+            let h =
+              {
+                h_name = name;
+                h_order = Hashtbl.length hulls;
+                h_lo = Array.make nd max_int;
+                h_hi = Array.make nd min_int;
+              }
+            in
+            Hashtbl.add hulls (name, nd) h;
+            order := h :: !order;
+            h
+      in
+      Array.iteri
+        (fun d e ->
+          let mn, mx = interval e in
+          if mn < h.h_lo.(d) then h.h_lo.(d) <- mn;
+          if mx > h.h_hi.(d) then h.h_hi.(d) <- mx)
+        idx
+    done
   in
-  let pinits = List.map (fun (x, v) -> (fresh x v v, v)) params in
-  let rec pre = function
-    | Program.Stmt s ->
-        Pstmt
-          (Array.of_list
-             (List.map (psite false) s.reads @ List.map (psite true) s.writes))
-    | Program.Loop { var; lo; hi; rev; body } ->
-        let plo = caffine lo and phi = caffine hi in
-        let lo_mn, _ = interval plo and _, hi_mx = interval phi in
-        (* An everywhere-empty loop still gets a well-formed (degenerate)
-           interval so inner hulls stay defined; its accesses never run. *)
-        let hi_mx = max lo_mn hi_mx in
-        let saved = !scope in
-        let pslot = fresh var lo_mn hi_mx in
-        let pbody = Array.of_list (List.map pre body) in
-        scope := saved;
-        Ploop { pslot; plo; phi; prev = rev; pbody }
+  let bind slot lo hi =
+    let lo_mn, _ = interval lo and _, hi_mx = interval hi in
+    (* An everywhere-empty loop still gets a well-formed (degenerate)
+       interval so inner hulls stay defined; its accesses never run. *)
+    ivlo.(slot) <- lo_mn;
+    ivhi.(slot) <- max lo_mn hi_mx
   in
-  let pbody = Array.of_list (List.map pre p.body) in
+  let rec walk = function
+    | Cstmt st -> widen st
+    | Cinner c ->
+        bind c.islot c.ilo c.ihi;
+        widen c.st
+    | Cloop l ->
+        bind l.slot l.lo l.hi;
+        Array.iter walk l.body
+  in
+  Array.iter walk t.body;
   (* Layout: hulls in first-appearance order, back to back, row-major.
      Every hull was widened by at least one interval, so lo <= hi. *)
   let hull_list = List.rev !order in
@@ -295,138 +396,92 @@ let compile ~params (p : Program.t) =
   d_base.(n_hulls) <- !base;
   (* Compose each site's index forms with the layout into one address
      form: addr = base - sum_d stride_d * hull_lo_d + sum_d stride_d * idx_d. *)
-  let compose h idx =
-    let stride = d_stride.(h.h_order) in
-    let base = ref d_base.(h.h_order) in
-    Array.iteri (fun d lo -> base := !base - (stride.(d) * lo)) h.h_lo;
-    combine !nslots !base stride idx
+  let addr =
+    Array.mapi
+      (fun s idx ->
+        let h = Hashtbl.find hulls (t.site_array.(s), Array.length idx) in
+        let stride = d_stride.(h.h_order) in
+        let base = ref d_base.(h.h_order) in
+        Array.iteri (fun d lo -> base := !base - (stride.(d) * lo)) h.h_lo;
+        combine t.nslots !base stride idx)
+      t.site_index
   in
-  let sites = ref [] in
-  let n_sites = ref 0 in
-  let rec cnode = function
-    | Pstmt ps ->
-        let s0 = !n_sites in
-        Array.iter (fun (h, idx, _) -> sites := (h.h_name, idx) :: !sites) ps;
-        n_sites := s0 + Array.length ps;
-        Cstmt
-          {
-            sa = Array.map (fun (h, idx, _) -> compose h idx) ps;
-            sw = Array.map (fun (_, _, w) -> w) ps;
-            s0;
-          }
-    | Ploop { pslot; plo; phi; prev; pbody } -> (
-        let body = Array.map cnode pbody in
-        match body with
-        | [| Cstmt { sa; sw; s0 } |] ->
-            Cinner
-              {
-                islot = pslot;
-                ilo = plo;
-                ihi = phi;
-                irev = prev;
-                ia = sa;
-                iw = sw;
-                idelta = Array.map (coeff_of pslot) sa;
-                i0 = s0;
-              }
-        | _ ->
-            let aff_uses slot a = Array.exists (fun s -> s = slot) a.cslots in
-            let rec uses slot = function
-              | Cstmt _ -> false
-              | Cloop l ->
-                  aff_uses slot l.lo || aff_uses slot l.hi
-                  || Array.exists (uses slot) l.body
-              | Cinner c -> aff_uses slot c.ilo || aff_uses slot c.ihi
-            in
-            Cloop
-              {
-                slot = pslot;
-                lo = plo;
-                hi = phi;
-                rev = prev;
-                body;
-                collapse = not (Array.exists (uses pslot) body);
-              })
-  in
-  let body = Array.map cnode pbody in
-  let env = Array.make (max !nslots 1) 0 in
-  List.iter (fun (s, v) -> env.(s) <- v) pinits;
   {
-    body;
-    nslots = !nslots;
-    pinits;
-    sites = Array.of_list (List.rev !sites);
-    total = Array.fold_left (fun a c -> a + count env c) 0 body;
     addr_space = !base;
+    addr;
+    astep = inner_steps t addr;
     d_names = Array.of_list (List.map (fun h -> h.h_name) hull_list);
     d_base;
     d_lo;
     d_stride;
   }
 
-(* Interval bounds, hull extents and volumes, and the layout bases are
-   all computed with checked arithmetic. *)
 let make ~params p =
-  try compile ~params p
-  with Rat.Overflow ->
-    invalid_arg "Cplan.make: a hull bound or volume leaves 63-bit integers"
+  let t = compile ~params p in
+  match layout t with
+  | l -> { t with layout = Some l }
+  | exception Rat.Overflow -> t
+
+let layout_exn what t =
+  match t.layout with
+  | Some l -> l
+  | None -> invalid_arg (what ^ ": the plan has no address layout")
 
 (* --------------------------------------------------------------------- *)
 (* Decoding.                                                              *)
 
 let decode t addr =
-  if addr < 0 || addr >= t.addr_space then
+  let l = layout_exn "Cplan.decode" t in
+  if addr < 0 || addr >= l.addr_space then
     invalid_arg "Cplan.decode: address out of range";
   let i = ref 0 in
-  while t.d_base.(!i + 1) <= addr do
+  while l.d_base.(!i + 1) <= addr do
     incr i
   done;
   let i = !i in
-  let strides = t.d_stride.(i) and los = t.d_lo.(i) in
+  let strides = l.d_stride.(i) and los = l.d_lo.(i) in
   let nd = Array.length strides in
   let idx = Array.make nd 0 in
-  let rem = ref (addr - t.d_base.(i)) in
+  let rem = ref (addr - l.d_base.(i)) in
   for d = 0 to nd - 1 do
     idx.(d) <- los.(d) + (!rem / strides.(d));
     rem := !rem mod strides.(d)
   done;
-  (t.d_names.(i), idx)
+  (l.d_names.(i), idx)
 
 (* --------------------------------------------------------------------- *)
 (* Iteration.                                                             *)
 
-let fresh_env t =
-  let env = Array.make (max t.nslots 1) 0 in
-  List.iter (fun (s, v) -> env.(s) <- v) t.pinits;
-  env
-
 let iter t ~lo ~hi ~on_instance ~on_access =
+  let l = layout_exn "Cplan.iter" t in
   if lo < 0 then invalid_arg "Cplan.iter: lo < 0";
   if hi < lo then invalid_arg "Cplan.iter: hi < lo";
+  let addr = l.addr and astep = l.astep and sw = t.site_write in
   let env = fresh_env t in
   (* per-site address cursors of the innermost loops *)
-  let cur = Array.make (Array.length t.sites) 0 in
+  let cur = Array.make (Array.length addr) 0 in
   let pos = ref 0 in
   let rec exec = function
-    | Cstmt { sa; sw; _ } ->
-        let k = Array.length sa in
+    | Cstmt st ->
+        let k = st.s1 - st.s0 in
         if !pos >= hi then raise_notrace Past_range;
         if !pos + k <= lo then pos := !pos + k
         else begin
           on_instance ();
-          for i = 0 to k - 1 do
+          for s = st.s0 to st.s1 - 1 do
             let p = !pos in
             if p >= lo && p < hi then
               on_access p
-                (ceval env (Array.unsafe_get sa i))
-                (Array.unsafe_get sw i);
+                (ceval env (Array.unsafe_get addr s))
+                (Array.unsafe_get sw s);
             pos := p + 1
           done
         end
     | Cinner c ->
         let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
         if hi_v >= lo_v then begin
-          let k = Array.length c.ia in
+          let i0 = c.st.s0 and i1 = c.st.s1 - 1 in
+          let k = i1 - i0 + 1 in
           let trip = hi_v - lo_v + 1 in
           if !pos + (trip * k) <= lo then pos := !pos + (trip * k)
           else begin
@@ -434,14 +489,9 @@ let iter t ~lo ~hi ~on_instance ~on_access =
             let skip = if lo > !pos then (lo - !pos) / k else 0 in
             pos := !pos + (skip * k);
             env.(c.islot) <- (if c.irev then hi_v - skip else lo_v + skip);
-            let i0 = c.i0 in
-            for i = 0 to k - 1 do
-              cur.(i0 + i) <- ceval env (Array.unsafe_get c.ia i)
+            for s = i0 to i1 do
+              cur.(s) <- ceval env (Array.unsafe_get addr s)
             done;
-            let sw = c.iw in
-            let deltas =
-              if c.irev then Array.map (fun d -> -d) c.idelta else c.idelta
-            in
             let it = ref skip in
             while !it < trip do
               if !pos >= lo && !pos + k <= hi then begin
@@ -449,17 +499,15 @@ let iter t ~lo ~hi ~on_instance ~on_access =
                 let full = min (trip - !it) ((hi - !pos) / k) in
                 for _ = 1 to full do
                   on_instance ();
-                  for i = 0 to k - 1 do
+                  for s = i0 to i1 do
                     let p = !pos in
-                    on_access p
-                      (Array.unsafe_get cur (i0 + i))
-                      (Array.unsafe_get sw i);
+                    on_access p (Array.unsafe_get cur s)
+                      (Array.unsafe_get sw s);
                     pos := p + 1
                   done;
-                  for i = 0 to k - 1 do
-                    let s = i0 + i in
+                  for s = i0 to i1 do
                     Array.unsafe_set cur s
-                      (Array.unsafe_get cur s + Array.unsafe_get deltas i)
+                      (Array.unsafe_get cur s + Array.unsafe_get astep s)
                   done
                 done;
                 it := !it + full
@@ -469,20 +517,18 @@ let iter t ~lo ~hi ~on_instance ~on_access =
                 (* a boundary iteration: the range cuts the site list *)
                 if !pos + k > lo then begin
                   on_instance ();
-                  for i = 0 to k - 1 do
+                  for s = i0 to i1 do
                     let p = !pos in
                     if p >= lo && p < hi then
-                      on_access p
-                        (Array.unsafe_get cur (i0 + i))
-                        (Array.unsafe_get sw i);
+                      on_access p (Array.unsafe_get cur s)
+                        (Array.unsafe_get sw s);
                     pos := p + 1
                   done
                 end
                 else pos := !pos + k;
-                for i = 0 to k - 1 do
-                  let s = i0 + i in
+                for s = i0 to i1 do
                   Array.unsafe_set cur s
-                    (Array.unsafe_get cur s + Array.unsafe_get deltas i)
+                    (Array.unsafe_get cur s + Array.unsafe_get astep s)
                 done;
                 incr it
               end
@@ -502,16 +548,50 @@ let iter t ~lo ~hi ~on_instance ~on_access =
           end
           else Array.iter exec l.body
         in
-        if l.rev then
-          for v = hi_v downto lo_v do
-            body v
-          done
-        else
-          for v = lo_v to hi_v do
-            body v
-          done
+        span l.rev lo_v hi_v body
   in
   try Array.iter exec t.body with Past_range -> ()
+
+let iter_cells t ~on_load ~on_stmt ~on_store =
+  let env = fresh_env t in
+  (* borrowed per-call buffers: one index vector per site, one iteration
+     vector per loop depth (at most one per slot) *)
+  let ibuf = Array.map (fun i -> Array.make (Array.length i) 0) t.site_index in
+  let vbuf = Array.init (t.nslots + 1) (fun depth -> Array.make depth 0) in
+  let cell s =
+    let idx = Array.unsafe_get t.site_index s and b = Array.unsafe_get ibuf s in
+    for d = 0 to Array.length idx - 1 do
+      Array.unsafe_set b d (ceval env (Array.unsafe_get idx d))
+    done;
+    b
+  in
+  (* manual loops: no per-instance closures, no per-instance arrays *)
+  let visit st =
+    for s = st.s0 to st.s0 + st.nr - 1 do
+      on_load (Array.unsafe_get t.site_array s) (cell s)
+    done;
+    let vec = st.vec in
+    let b = Array.unsafe_get vbuf (Array.length vec) in
+    for d = 0 to Array.length vec - 1 do
+      Array.unsafe_set b d (Array.unsafe_get env (Array.unsafe_get vec d))
+    done;
+    on_stmt st.name b;
+    for s = st.s0 + st.nr to st.s1 - 1 do
+      on_store (Array.unsafe_get t.site_array s) (cell s)
+    done
+  in
+  let rec exec = function
+    | Cstmt st -> visit st
+    | Cinner c ->
+        span c.irev (ceval env c.ilo) (ceval env c.ihi) (fun v ->
+            env.(c.islot) <- v;
+            visit c.st)
+    | Cloop l ->
+        span l.rev (ceval env l.lo) (ceval env l.hi) (fun v ->
+            env.(l.slot) <- v;
+            Array.iter exec l.body)
+  in
+  Array.iter exec t.body
 
 (* --------------------------------------------------------------------- *)
 (* Spatially-hashed sampled iteration (SHARDS-style).                     *)
@@ -530,9 +610,9 @@ let mix h =
   (h lxor (h lsr 31)) land hash_bits_mask
 
 (* The cell hash must be a pure function of (name, index) - every
-   consumer (the plan scan, the interpreted fallback, oracles, tests) has
-   to agree on which cells a given seed selects - and linear in the index
-   vector modulo the final [mix]:
+   consumer (the plan scan, oracles, tests) has to agree on which cells a
+   given seed selects - and linear in the index vector modulo the final
+   [mix]:
      h = mix (name_h + sum_d r_d * i_d)
    with per-dimension odd multipliers r_d derived from the seed.  Integer
    arithmetic is a ring modulo 2^63, so the linear part composes with a
@@ -566,26 +646,17 @@ let iter_sampled t ~seed ~thresh ~on_tick ~on_access =
      the slots, and its step along the enclosing innermost loop (signed
      by the loop direction). *)
   let hform =
-    Array.map
-      (fun (name, idx) ->
+    Array.map2
+      (fun name idx ->
         combine t.nslots
           (sample_name_hash seed0 name)
           (Array.init (Array.length idx) (sample_dim_coef seed0))
           idx)
-      t.sites
+      t.site_array t.site_index
   in
-  let hstep = Array.make (Array.length t.sites) 0 in
-  let rec steps = function
-    | Cstmt _ -> ()
-    | Cloop l -> Array.iter steps l.body
-    | Cinner c ->
-        for s = c.i0 to c.i0 + Array.length c.iw - 1 do
-          let d = coeff_of c.islot hform.(s) in
-          hstep.(s) <- (if c.irev then -d else d)
-        done
-  in
-  Array.iter steps t.body;
-  let cur = Array.make (Array.length t.sites) 0 in
+  let hstep = inner_steps t hform in
+  let sw = t.site_write in
+  let cur = Array.make (Array.length hform) 0 in
   let env = fresh_env t in
   let pending = ref 0 in
   let tick n =
@@ -596,30 +667,21 @@ let iter_sampled t ~seed ~thresh ~on_tick ~on_access =
     end
   in
   let rec exec = function
-    | Cstmt { sw; s0; _ } ->
-        let k = Array.length sw in
-        tick k;
-        for i = 0 to k - 1 do
-          let h = mix (ceval env (Array.unsafe_get hform (s0 + i))) in
-          if h < thresh then on_access h (Array.unsafe_get sw i)
+    | Cstmt st ->
+        tick (st.s1 - st.s0);
+        for s = st.s0 to st.s1 - 1 do
+          let h = mix (ceval env (Array.unsafe_get hform s)) in
+          if h < thresh then on_access h (Array.unsafe_get sw s)
         done
     | Cloop l ->
-        let lo_v = ceval env l.lo and hi_v = ceval env l.hi in
-        if l.rev then
-          for v = hi_v downto lo_v do
+        span l.rev (ceval env l.lo) (ceval env l.hi) (fun v ->
             env.(l.slot) <- v;
-            Array.iter exec l.body
-          done
-        else
-          for v = lo_v to hi_v do
-            env.(l.slot) <- v;
-            Array.iter exec l.body
-          done
+            Array.iter exec l.body)
     | Cinner c ->
         let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
-        let k = Array.length c.iw in
+        let i0 = c.st.s0 and i1 = c.st.s1 - 1 in
+        let k = i1 - i0 + 1 in
         if hi_v >= lo_v && k > 0 then begin
-          let i0 = c.i0 and i1 = c.i0 + k - 1 and sw = c.iw in
           env.(c.islot) <- (if c.irev then hi_v else lo_v);
           for s = i0 to i1 do
             Array.unsafe_set cur s (ceval env (Array.unsafe_get hform s))
@@ -630,7 +692,7 @@ let iter_sampled t ~seed ~thresh ~on_tick ~on_access =
           let step () =
             for s = i0 to i1 do
               let h = mix (Array.unsafe_get cur s) in
-              if h < thresh then on_access h (Array.unsafe_get sw (s - i0))
+              if h < thresh then on_access h (Array.unsafe_get sw s)
             done
           in
           step ();

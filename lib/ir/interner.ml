@@ -50,7 +50,7 @@ let equal_view (b, v) name idx =
 let dummy_key : key = ("", [||])
 
 (* Both tables double on demand.  They start small so that a short-lived
-   interner (two per CDAG build) is allocated in the minor heap instead of
+   interner (one per CDAG build) is allocated in the minor heap instead of
    straight into the major one. *)
 let initial_keys = 16
 
@@ -117,9 +117,6 @@ let intern t ((name, idx) as key) =
   match probe t name idx with
   | _, id when id >= 0 -> id
   | slot, _ -> insert_at t slot key
-
-let find_opt t (name, idx) =
-  match probe t name idx with _, id when id >= 0 -> Some id | _ -> None
 
 let key t id =
   if id < 0 || id >= t.n then invalid_arg "Interner.key: id out of range";

@@ -8,9 +8,6 @@
     specialised (non-polymorphic) hash - so downstream passes run on int
     keys and flat arrays.
 
-    The same key type also covers statement instances
-    [(stmt-name, iteration-vector)]; {!Iolb_cdag.Cdag} interns both.
-
     Interners are single-writer: build in one domain, then share the frozen
     result read-only across a pool fan-out. *)
 
@@ -32,9 +29,6 @@ val intern : t -> key -> int
     construction - allocates nothing, so hot loops can evaluate indices
     into a reusable buffer. *)
 val intern_view : t -> string -> int array -> int
-
-(** [find_opt t k] is the id of [k] if already interned. *)
-val find_opt : t -> key -> int option
 
 (** [key t id] is the key interned as [id].
     @raise Invalid_argument if [id] is out of range. *)

@@ -174,232 +174,6 @@ let find_bound info x =
 let extent_min info x = extremize ~minimize:true info (trip_count (find_bound info x))
 let extent_max info x = extremize ~minimize:false info (trip_count (find_bound info x))
 
-type instance = {
-  stmt_name : string;
-  vec : int array;
-  loads : (string * int array) list;
-  stores : (string * int array) list;
-}
-
-(* Compiled execution.  Instantiating a program is the hot path of trace
-   and CDAG construction; evaluating every bound and index through string
-   environments (an [Smap] fold per affine expression) dominates it.  We
-   lower the loop tree once per [iter_*] call: each variable (parameter or
-   loop var) gets a dense slot in a flat int environment, and every affine
-   expression becomes parallel coefficient/slot arrays, so the
-   per-iteration work is flat integer arithmetic. *)
-type caffine = { cconst : int; ccoefs : int array; cslots : int array }
-
-(* Unsafe indexing is in bounds by construction: [ccoefs] and [cslots]
-   have the same length, and every slot is < nslots = length of [env]. *)
-let ceval env a =
-  let acc = ref a.cconst in
-  for k = 0 to Array.length a.cslots - 1 do
-    acc :=
-      !acc
-      + Array.unsafe_get a.ccoefs k
-        * Array.unsafe_get env (Array.unsafe_get a.cslots k)
-  done;
-  !acc
-
-type caccess = {
-  carray : string;
-  cindex : caffine array;
-  cbuf : int array; (* reusable result buffer, one per compiled access *)
-}
-
-type cstmt = {
-  cname : string;
-  cvec : int array; (* slots of the enclosing loop vars, outermost first *)
-  cvbuf : int array; (* reusable iteration-vector buffer, one per stmt *)
-  creads : caccess array;
-  cwrites : caccess array;
-}
-
-type cnode =
-  | Cstmt of cstmt
-  | Cloop of {
-      cslot : int;
-      clo : caffine;
-      chi : caffine;
-      crev : bool;
-      cbody : cnode array;
-    }
-
-(* Raises [Not_found] on a variable bound neither by [params] nor by an
-   enclosing loop, like the interpreted evaluator did. *)
-let compile ~params p =
-  let nslots = ref 0 in
-  let scope = ref [] in
-  let fresh v =
-    let s = !nslots in
-    incr nslots;
-    scope := (v, s) :: !scope;
-    s
-  in
-  let pinits = List.map (fun (x, v) -> (fresh x, v)) params in
-  let slot_of x =
-    match List.assoc_opt x !scope with Some s -> s | None -> raise Not_found
-  in
-  let caffine e =
-    let ts = Affine.terms e in
-    {
-      cconst = Affine.constant e;
-      ccoefs = Array.of_list (List.map fst ts);
-      cslots = Array.of_list (List.map (fun (_, x) -> slot_of x) ts);
-    }
-  in
-  let caccess (a : Access.t) =
-    let cindex = Array.of_list (List.map caffine a.index) in
-    { carray = a.array; cindex; cbuf = Array.make (Array.length cindex) 0 }
-  in
-  let rec cnode path = function
-    | Stmt s ->
-        let cvec = Array.of_list (List.rev path) in
-        Cstmt
-          {
-            cname = s.name;
-            cvec;
-            cvbuf = Array.make (Array.length cvec) 0;
-            creads = Array.of_list (List.map caccess s.reads);
-            cwrites = Array.of_list (List.map caccess s.writes);
-          }
-    | Loop { var; lo; hi; rev; body } ->
-        (* Bounds are evaluated in the enclosing scope: compile them before
-           binding [var]. *)
-        let clo = caffine lo and chi = caffine hi in
-        let saved = !scope in
-        let cslot = fresh var in
-        let cbody = Array.of_list (List.map (cnode (cslot :: path)) body) in
-        scope := saved;
-        Cloop { cslot; clo; chi; crev = rev; cbody }
-  in
-  let cbody = Array.of_list (List.map (cnode []) p.body) in
-  (cbody, !nslots, pinits)
-
-let iter_compiled (cbody, nslots, pinits) fstmt =
-  let env = Array.make (max nslots 1) 0 in
-  List.iter (fun (s, v) -> env.(s) <- v) pinits;
-  let rec exec = function
-    | Cstmt s -> fstmt env s
-    | Cloop l ->
-        let lo = ceval env l.clo and hi = ceval env l.chi in
-        if l.crev then
-          for v = hi downto lo do
-            env.(l.cslot) <- v;
-            Array.iter exec l.cbody
-          done
-        else
-          for v = lo to hi do
-            env.(l.cslot) <- v;
-            Array.iter exec l.cbody
-          done
-  in
-  Array.iter exec cbody
-
-let iter_instances ~params p f =
-  iter_compiled (compile ~params p) (fun env s ->
-      let eval_access a =
-        (a.carray, Array.map (fun e -> ceval env e) a.cindex)
-      in
-      f
-        {
-          stmt_name = s.cname;
-          vec = Array.map (fun slot -> env.(slot)) s.cvec;
-          loads = Array.to_list (Array.map eval_access s.creads);
-          stores = Array.to_list (Array.map eval_access s.cwrites);
-        })
-
-let iter_accesses ~params p ~on_instance ~on_access =
-  iter_compiled (compile ~params p) (fun env s ->
-      on_instance ();
-      let emit is_write a =
-        for d = 0 to Array.length a.cindex - 1 do
-          a.cbuf.(d) <- ceval env a.cindex.(d)
-        done;
-        on_access a.carray a.cbuf is_write
-      in
-      Array.iter (emit false) s.creads;
-      Array.iter (emit true) s.cwrites)
-
-let iter_cells ~params p ~on_load ~on_stmt ~on_store =
-  iter_compiled (compile ~params p) (fun env s ->
-      (* manual loops: no per-instance closures, no per-instance arrays *)
-      let reads = s.creads in
-      for i = 0 to Array.length reads - 1 do
-        let a = Array.unsafe_get reads i in
-        for d = 0 to Array.length a.cindex - 1 do
-          a.cbuf.(d) <- ceval env a.cindex.(d)
-        done;
-        on_load a.carray a.cbuf
-      done;
-      let vec = s.cvec in
-      for d = 0 to Array.length vec - 1 do
-        s.cvbuf.(d) <- Array.unsafe_get env (Array.unsafe_get vec d)
-      done;
-      on_stmt s.cname s.cvbuf;
-      let writes = s.cwrites in
-      for i = 0 to Array.length writes - 1 do
-        let a = Array.unsafe_get writes i in
-        for d = 0 to Array.length a.cindex - 1 do
-          a.cbuf.(d) <- ceval env a.cindex.(d)
-        done;
-        on_store a.carray a.cbuf
-      done)
-
-let count_instances ~params p =
-  let n = ref 0 in
-  iter_instances ~params p (fun _ -> incr n);
-  !n
-
-(* Exact access count without enumerating instances: a loop whose body's
-   count does not depend on its variable contributes extent * body-count,
-   so rectangular sub-nests collapse to multiplications and only the
-   variables that genuinely shape inner bounds (triangular nests) are
-   enumerated.  Lets trace builders allocate exactly once. *)
-let n_accesses ~params p =
-  let cbody, nslots, pinits = compile ~params p in
-  let env = Array.make (max nslots 1) 0 in
-  List.iter (fun (s, v) -> env.(s) <- v) pinits;
-  let aff_uses slot a = Array.exists (fun s -> s = slot) a.cslots in
-  let rec node_uses slot = function
-    | Cstmt _ -> false (* access indices never affect the count *)
-    | Cloop l ->
-        aff_uses slot l.clo || aff_uses slot l.chi
-        || Array.exists (node_uses slot) l.cbody
-  in
-  let rec count = function
-    | Cstmt s -> Array.length s.creads + Array.length s.cwrites
-    | Cloop l ->
-        let lo = ceval env l.clo and hi = ceval env l.chi in
-        if hi < lo then 0
-        else if not (Array.exists (node_uses l.cslot) l.cbody) then begin
-          env.(l.cslot) <- lo;
-          (hi - lo + 1) * Array.fold_left (fun a c -> a + count c) 0 l.cbody
-        end
-        else begin
-          let total = ref 0 in
-          for v = lo to hi do
-            env.(l.cslot) <- v;
-            Array.iter (fun c -> total := !total + count c) l.cbody
-          done;
-          !total
-        end
-  in
-  Array.fold_left (fun a c -> a + count c) 0 cbody
-
-let input_arrays ~params p =
-  let written = Hashtbl.create 16 in
-  let inputs = ref [] in
-  iter_instances ~params p (fun inst ->
-      List.iter
-        (fun (a, cell) ->
-          if (not (Hashtbl.mem written (a, cell))) && not (List.mem a !inputs)
-          then inputs := a :: !inputs)
-        inst.loads;
-      List.iter (fun (a, cell) -> Hashtbl.replace written (a, cell) ()) inst.stores);
-  List.rev !inputs
-
 let pp fmt p =
   let rec pp_node indent fmt = function
     | Stmt s ->

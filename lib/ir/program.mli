@@ -4,7 +4,10 @@
     nodes.  Loop bounds are inclusive affine expressions of the enclosing
     loop variables and the program parameters; statement accesses are affine
     (see {!Access}).  This is the input language of the lower-bound engine,
-    covering every kernel of the paper (Figures 1, 3, 6, 7, 8, 9). *)
+    covering every kernel of the paper (Figures 1, 3, 6, 7, 8, 9).
+
+    The view here is symbolic.  Walking a program at concrete parameters
+    is the job of its compiled plan ({!Cplan}). *)
 
 module Affine = Iolb_poly.Affine
 
@@ -99,67 +102,5 @@ val total_instances : t -> Iolb_symbolic.Polynomial.t
 val extent_min : stmt_info -> string -> Affine.t
 
 val extent_max : stmt_info -> string -> Affine.t
-
-(** {1 Concrete execution order} *)
-
-type instance = {
-  stmt_name : string;
-  vec : int array;  (** values of [dims], outermost first *)
-  loads : (string * int array) list;  (** concrete cells read *)
-  stores : (string * int array) list;  (** concrete cells written *)
-}
-
-(** [iter_instances ~params p f] visits every statement instance in program
-    (textual/loop) order with its concrete accesses.  This is the reference
-    semantics used to build CDAGs and access traces.  The loop tree is
-    compiled once per call to slot-indexed form, so iteration cost is flat
-    integer arithmetic per instance. *)
-val iter_instances : params:(string * int) list -> t -> (instance -> unit) -> unit
-
-(** [iter_accesses ~params p ~on_instance ~on_access] streams the concrete
-    accesses of every instance in program order without allocating
-    {!instance} records: [on_instance ()] fires once per instance (budget
-    and node-cap hooks), then [on_access array index is_write] once per
-    read (in statement order) and then per write.  [index] is a buffer
-    {e borrowed} for the duration of the callback - copy it to keep it.
-    This is the reference access order: {!Cplan} reproduces it position
-    for position, and the trace builder and the sweeps fall back to it
-    (plus an interner) for the programs a plan cannot lay out. *)
-val iter_accesses :
-  params:(string * int) list ->
-  t ->
-  on_instance:(unit -> unit) ->
-  on_access:(string -> int array -> bool -> unit) ->
-  unit
-
-(** [iter_cells ~params p ~on_load ~on_stmt ~on_store] streams, for every
-    statement instance in program order: each cell read (in statement
-    order), then the instance itself ([on_stmt name vec], after the loads
-    and before the stores), then each cell written.  All index and
-    iteration vectors are {e borrowed} buffers, valid only for the
-    duration of the callback - copy them to keep them.  This is the
-    allocation-free path used by CDAG construction, where input nodes for
-    first-read cells must be numbered before the compute node that reads
-    them. *)
-val iter_cells :
-  params:(string * int) list ->
-  t ->
-  on_load:(string -> int array -> unit) ->
-  on_stmt:(string -> int array -> unit) ->
-  on_store:(string -> int array -> unit) ->
-  unit
-
-(** Number of statement instances at concrete parameters. *)
-val count_instances : params:(string * int) list -> t -> int
-
-(** Exact number of accesses (reads plus writes) {!iter_accesses} will emit
-    at concrete parameters, computed without enumerating instances:
-    rectangular sub-nests collapse to multiplications.  Lets trace builders
-    allocate exactly once. *)
-val n_accesses : params:(string * int) list -> t -> int
-
-(** Arrays read before ever being written (the program inputs), in first-use
-    order, at concrete parameters. *)
-val input_arrays : params:(string * int) list -> t -> string list
 
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 module Budget = Iolb_util.Budget
 module Pool = Iolb_util.Pool
 module Interner = Iolb_ir.Interner
-module Program = Iolb_ir.Program
 module Cplan = Iolb_ir.Cplan
 
 (* Single-pass LRU cache sweep via reuse (stack) distances, after Mattson
@@ -52,8 +51,8 @@ module Cplan = Iolb_ir.Cplan
      width.
    A sequential sweep of a materialized trace is the one-segment case.  One
    shard driver ([drive]) serves the three producers: a materialized trace,
-   the compiled plan ({!Cplan}) and the reference interpreter
-   ({!Program.iter_accesses}). *)
+   the dense addresses of a compiled plan ({!Cplan.iter}) and its interned
+   cells ({!Cplan.iter_cells}). *)
 
 type t = {
   accesses : int;
@@ -642,57 +641,64 @@ let default_jobs = function Some j -> j | None -> Pool.default_jobs ()
 
 exception Past_slice
 
-let run_program_stream ?(budget = Budget.unlimited) ?(flush = true) ?jobs
-    ~params prog =
+(* Every shard walks the plan's cells from the program start and interns,
+   in a shard-local pool (dense first-occurrence ids), only the accesses
+   of its own slice.  A load belongs to the instance [on_stmt] announces
+   next, a store to the one it announced last; the gate fires once per
+   instance with an access in the slice, and the walk to the slice only
+   polls the deadline. *)
+let sweep_cells ~budget ~flush ~jobs plan =
   let gpool = Interner.create () in
-  drive ~budget ~flush ~jobs:(default_jobs jobs)
-    ~n:(Program.n_accesses ~params prog)
+  drive ~budget ~flush ~jobs ~n:(Cplan.n_accesses plan)
     ~shard:(fun ps ~lo ~hi ->
-      (* Every shard interprets the program from its start and interns,
-         in a shard-local pool (dense first-occurrence ids), only the
-         accesses of its own slice.  The gate fires once per instance
-         with an access in the slice; the walk to the slice only polls
-         the deadline. *)
       let pool = Interner.create () in
       let gate = Trace.instance_gate budget in
       let unlimited = Budget.is_unlimited budget in
-      let pos = ref 0 and skipped = ref 0 and fresh = ref false in
+      let pos = ref 0 and stmts = ref 0 and gated = ref (-1) in
+      let access inst w name idx =
+        let p = !pos in
+        if p >= hi then raise_notrace Past_slice;
+        pos := p + 1;
+        if p >= lo then begin
+          if inst > !gated then begin
+            gated := inst;
+            gate ()
+          end;
+          pass_event ps (Interner.intern_view pool name idx) w
+        end
+      in
       (try
-         Program.iter_accesses ~params prog
-           ~on_instance:(fun () ->
-             if !pos >= hi then raise_notrace Past_slice;
-             fresh := true;
-             if !pos < lo && not unlimited then begin
-               incr skipped;
-               if !skipped land (Budget.deadline_stride - 1) = 0 then
-                 Budget.check_deadline budget Budget.Cdag_build
-             end)
-           ~on_access:(fun name idx w ->
-             let p = !pos in
-             pos := p + 1;
-             if p >= lo && p < hi then begin
-               if !fresh then begin
-                 fresh := false;
-                 gate ()
-               end;
-               pass_event ps (Interner.intern_view pool name idx) w
-             end)
+         Cplan.iter_cells plan
+           ~on_load:(fun name idx -> access !stmts false name idx)
+           ~on_stmt:(fun _ _ ->
+             incr stmts;
+             if !pos < lo && not unlimited then
+               if !stmts land (Budget.deadline_stride - 1) = 0 then
+                 Budget.check_deadline budget Budget.Cdag_build)
+           ~on_store:(fun name idx -> access (!stmts - 1) true name idx)
        with Past_slice -> ());
       pool)
     ~to_global:(fun pool ->
       Array.init (Interner.count pool) (fun c ->
           Interner.intern gpool (Interner.key pool c)))
 
-let run_program ?(budget = Budget.unlimited) ?(flush = true) ?jobs ~params
-    prog =
-  match Trace.dense_plan ~params prog with
-  | None -> run_program_stream ~budget ~flush ?jobs ~params prog
-  | Some plan ->
-      drive_dense ~budget ~flush ~jobs:(default_jobs jobs)
-        ~n:(Cplan.n_accesses plan) ~space:(Cplan.addr_space plan)
+let sweep_plan ~budget ~flush ~jobs plan =
+  match Trace.dense_space plan with
+  | None -> sweep_cells ~budget ~flush ~jobs plan
+  | Some space ->
+      drive_dense ~budget ~flush ~jobs ~n:(Cplan.n_accesses plan) ~space
         (fun ps r ~lo ~hi ->
           Cplan.iter plan ~lo ~hi ~on_instance:(Trace.instance_gate budget)
             ~on_access:(fun _pos addr w -> pass_event ps (remap_id r addr) w))
+
+let run_program_stream ?(budget = Budget.unlimited) ?(flush = true) ?jobs
+    ~params prog =
+  sweep_cells ~budget ~flush ~jobs:(default_jobs jobs)
+    (Cplan.make ~params prog)
+
+let run_program ?(budget = Budget.unlimited) ?(flush = true) ?jobs ~params
+    prog =
+  sweep_plan ~budget ~flush ~jobs:(default_jobs jobs) (Cplan.make ~params prog)
 
 (* ------------------------------------------------------------------ *)
 (* Sampled sweeps (SHARDS).  Cells are kept iff their spatial hash     *)
@@ -743,10 +749,11 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ?(groups = 8)
   if groups < 2 then invalid_arg "Sweep.run_sampled: groups < 2";
   if not (Budget.is_unlimited budget) then
     Budget.check_deadline budget Budget.Cache_sim;
-  let total = Program.n_accesses ~params prog in
+  let plan = Cplan.make ~params prog in
+  let total = Cplan.n_accesses plan in
   let thresh = int_of_float (rate *. hash_space) in
   if rate >= 1.0 || float_of_int thresh >= hash_space then begin
-    let t = run_program ~budget ~flush ~params prog in
+    let t = sweep_plan ~budget ~flush ~jobs:(Pool.default_jobs ()) plan in
     {
       s_rate = 1.0;
       s_total = total;
@@ -848,22 +855,7 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ?(groups = 8)
         (Array.unsafe_get !cgslot c)
         w
     in
-    (match Cplan.make ~params prog with
-    | plan -> Cplan.iter_sampled plan ~seed ~thresh ~on_tick ~on_access
-    | exception Invalid_argument _ ->
-        (* a hull leaves 63-bit integers: hash every interpreted access,
-           ticking at the plan's 64k-access stride *)
-        let scanned = ref 0 in
-        Program.iter_accesses ~params prog ~on_instance:ignore
-          ~on_access:(fun name idx w ->
-            incr scanned;
-            if !scanned = 65_536 then begin
-              on_tick !scanned;
-              scanned := 0
-            end;
-            let h = Cplan.sample_hash ~seed name idx in
-            if h < thresh then on_access h w);
-        if !scanned > 0 then on_tick !scanned);
+    Cplan.iter_sampled plan ~seed ~thresh ~on_tick ~on_access;
     (* each lane is a whole (sub-)trace on its own: finalize as a
        single-segment merge, in which every cell is cold *)
     let finalize ps =

@@ -82,13 +82,14 @@ val parse_sizes : string -> (int list, string) result
     concrete [params]: each of [jobs] domains produces its own contiguous
     slice of the trace in place through the compiled plan
     ({!Iolb_ir.Cplan}) - flat integer address arithmetic with an
-    O(depth) seek to the slice start, no hashing.  Programs the plan
-    cannot lay out (a hull beyond 63-bit integers) or whose address space
-    is too sparse for the flat remap tables ({!Trace.dense_plan}) go to
-    {!run_program_stream}.  Equal to [run (Trace.of_program ~params p)]
-    in every field either way.  Budget semantics combine the trace-build
-    stage ([Cdag_build] checkpoints per statement instance, counted
-    against the node cap) and the sweep stage ([Cache_sim] per event). *)
+    O(depth) seek to the slice start, no hashing.  Plans without an
+    address layout (a hull beyond 63-bit integers) or with an address
+    space too sparse for the flat remap tables ({!Trace.dense_space}) are
+    swept as {!run_program_stream} sweeps them.  Equal to [run
+    (Trace.of_program ~params p)] in every field either way.  Budget
+    semantics combine the trace-build stage ([Cdag_build] checkpoints per
+    statement instance, counted against the node cap) and the sweep
+    stage ([Cache_sim] per event). *)
 val run_program :
   ?budget:Iolb_util.Budget.t ->
   ?flush:bool ->
@@ -97,13 +98,12 @@ val run_program :
   Iolb_ir.Program.t ->
   t
 
-(** The interpreted reference: every shard walks the program with
-    {!Iolb_ir.Program.iter_accesses} from its start and interns only the
-    accesses of its own slice, so it shares no producer code with the
-    compiled plan.  The differential oracle for {!run_program} and its
-    fallback; equal to it in every field, for any [jobs].  Without a
-    closed-form seek, a shard pays for the whole trace prefix before its
-    slice. *)
+(** The interning sweep: every shard walks the plan's cells
+    ({!Iolb_ir.Cplan.iter_cells}) from the program start and interns
+    only the accesses of its own slice, so it needs no address layout.
+    {!run_program}'s path for plans without a usable layout, and equal
+    to it in every field, for any [jobs].  Without a closed-form seek, a
+    shard pays for the whole trace prefix before its slice. *)
 val run_program_stream :
   ?budget:Iolb_util.Budget.t ->
   ?flush:bool ->
@@ -125,9 +125,8 @@ val run_program_stream :
     error bars.  The scan runs on the compiled plan
     ({!Iolb_ir.Cplan.iter_sampled}), where a rejected access costs a few
     nanoseconds, which is what makes billion-access validation runs
-    feasible.  It needs no remap table, so any plan serves; only a
-    program whose hull leaves 63-bit integers is interpreted, hashing
-    every access. *)
+    feasible.  It needs neither a remap table nor an address layout, so
+    every plan serves. *)
 
 type sampled
 

@@ -48,25 +48,19 @@ let push b cell is_write = push_id b (Interner.intern b.p cell) is_write
    multi-hundred-thousand-event trace must not copy it. *)
 let freeze b = { cells = b.ids; writes = b.flags; len = b.len; pool = b.p }
 
-(* Address-space cap for compiled (dense-address) production: consumers
-   index flat [Cplan.addr_space]-sized remap tables, one per domain in
-   the sharded sweep, so pathologically sparse hulls (giant strides
-   around a tiny footprint) must not allocate gigabytes.  2^23 entries =
-   64 MB of table at most; beyond that the interpreter's per-access
-   hashing is the better trade.  The sampled sweep allocates no table
-   and uses any plan [Cplan.make] accepts. *)
+(* Address-space cap for dense-address production: consumers index flat
+   [Cplan.addr_space]-sized remap tables, one per domain in the sharded
+   sweep, so pathologically sparse hulls (giant strides around a tiny
+   footprint) must not allocate gigabytes.  2^23 entries = 64 MB of table
+   at most; beyond that interning the cells of [Cplan.iter_cells] is the
+   better trade.  The sampled sweep allocates no table and serves every
+   plan. *)
 let max_dense_addr_space = 1 lsl 23
 
-let dense_plan ~params p =
-  match
-    let plan = Cplan.make ~params p in
-    if Cplan.addr_space plan > max_dense_addr_space then None else Some plan
-  with
-  | (exception Invalid_argument _) ->
-      (* a hull leaves 63-bit integers: the plan cannot lay this program
-         out; interpret it instead *)
-      None
-  | r -> r
+let dense_space plan =
+  match Cplan.addr_space plan with
+  | Some space when space <= max_dense_addr_space -> Some space
+  | Some _ | None -> None
 
 let instance_gate budget =
   if Budget.is_unlimited budget then ignore
@@ -80,18 +74,19 @@ let instance_gate budget =
 let of_program ?(budget = Budget.unlimited) ~params p =
   (* Exact pre-count (closed-form over the loop nest): the arrays never
      grow, so a multi-hundred-thousand-event trace costs one allocation
-     and zero copies.  Events come from the compiled producer when the
-     program admits one - flat address arithmetic, one [decode]+intern
-     per DISTINCT cell instead of one hash per event - and otherwise
-     from the reference interpreter, interning every access.  Either way
-     the budget gate is the same: one [Cdag_build] checkpoint per
+     and zero copies.  Events come from the plan's dense addresses when
+     it has a usable layout - flat address arithmetic, one
+     [decode]+intern per DISTINCT cell instead of one hash per event -
+     and otherwise from its cell walk, interning every access.  Either
+     way the budget gate is the same: one [Cdag_build] checkpoint per
      statement instance, counted against the node cap. *)
-  let n = Iolb_ir.Program.n_accesses ~params p in
+  let plan = Cplan.make ~params p in
+  let n = Cplan.n_accesses plan in
   let b = builder n in
   let on_instance = instance_gate budget in
-  (match dense_plan ~params p with
-  | Some plan ->
-      let remap = Array.make (max (Cplan.addr_space plan) 1) (-1) in
+  (match dense_space plan with
+  | Some space ->
+      let remap = Array.make (max space 1) (-1) in
       let ids = b.ids and flags = b.flags in
       let len = ref 0 in
       Cplan.iter plan ~lo:0 ~hi:n ~on_instance ~on_access:(fun _pos addr w ->
@@ -108,9 +103,12 @@ let of_program ?(budget = Budget.unlimited) ~params p =
           incr len);
       b.len <- !len
   | None ->
-      Iolb_ir.Program.iter_accesses ~params p ~on_instance
-        ~on_access:(fun name idx w ->
-          push_id b (Interner.intern_view b.p name idx) w));
+      let push_cell w name idx =
+        push_id b (Interner.intern_view b.p name idx) w
+      in
+      Cplan.iter_cells plan ~on_load:(push_cell false)
+        ~on_stmt:(fun _ _ -> on_instance ())
+        ~on_store:(push_cell true));
   freeze b
 
 let of_events evs =

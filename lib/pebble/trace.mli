@@ -2,9 +2,9 @@
 
     A trace is the sequence of cell reads/writes performed by a concrete
     schedule of a program.  Traces are what the cache simulator consumes;
-    they can come from {!Iolb_ir.Program.iter_instances} (the untiled
-    program order) or from hand-scheduled tiled algorithms (Appendix A of
-    the paper).
+    they can come from a program's compiled plan ({!Iolb_ir.Cplan}, the
+    untiled program order) or from hand-scheduled tiled algorithms
+    (Appendix A of the paper).
 
     Representation: events are stored as flat arrays of interned cell ids
     and read/write flags, with the {!Iolb_ir.Interner} built once at
@@ -40,15 +40,13 @@ val instance_gate : Iolb_util.Budget.t -> unit -> unit
     in tests and experiments). *)
 val of_events : event list -> t
 
-(** [dense_plan ~params p] is the compiled dense-address producer
-    ({!Iolb_ir.Cplan}) for [p] at [params] when the program compiles and
-    its address space fits the flat remap-table memory policy (2^23
-    addresses) - the shared gate for every consumer that remaps addresses
-    through a flat table ({!of_program}, the sharded sweep).  [None]
-    means: interpret the program ({!Iolb_ir.Program.iter_accesses}) and
-    intern its cells. *)
-val dense_plan :
-  params:(string * int) list -> Iolb_ir.Program.t -> Iolb_ir.Cplan.t option
+(** [dense_space plan] is the size of [plan]'s address space when the
+    plan has an address layout that fits the flat remap-table memory
+    policy (2^23 addresses) - the shared gate for every consumer that
+    remaps addresses through a flat table ({!of_program}, the sharded
+    sweep).  [None] means: intern the cells of
+    {!Iolb_ir.Cplan.iter_cells} instead. *)
+val dense_space : Iolb_ir.Cplan.t -> int option
 
 (** Number of events. O(1). *)
 val length : t -> int

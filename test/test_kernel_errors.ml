@@ -166,9 +166,7 @@ let test_tiled_block_one_matches_untiled_io_order () =
   (* b = 1 tiled MGS is the plain left-looking column algorithm: its trace
      is valid and its CDAG executes the same multiset of statement kinds
      as b = 2 at the same sizes (same work, different order). *)
-  let count spec =
-    Iolb_ir.Program.count_instances ~params:[] spec
-  in
+  let count spec = List.length (Iolb_check.Interp.instances ~params:[] spec) in
   Alcotest.(check int) "same work across block sizes"
     (count (K.Mgs.tiled_spec ~m:8 ~n:4 ~b:1))
     (count (K.Mgs.tiled_spec ~m:8 ~n:4 ~b:2))

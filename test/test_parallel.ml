@@ -210,10 +210,6 @@ let test_interner_roundtrip () =
       Alcotest.(check string) "name round-trip" name name';
       Alcotest.(check (array int)) "vec round-trip" vec vec')
     keys;
-  Alcotest.(check (option int)) "find_opt hit" (Some 2)
-    (Interner.find_opt t ("B", [| 0; 0 |]));
-  Alcotest.(check (option int)) "find_opt miss" None
-    (Interner.find_opt t ("B", [| 0; 0; 0 |]));
   Alcotest.(check bool) "key out of range" true
     (try
        ignore (Interner.key t 6);

@@ -3,17 +3,27 @@
 module Cdag = Iolb_cdag.Cdag
 module Game = Iolb_pebble.Game
 module Game_ref = Iolb_pebble.Game_ref
-module Program = Iolb_ir.Program
 module K = Iolb_kernels
 
 let mgs_cdag m n = Cdag.of_program ~params:[ ("M", m); ("N", n) ] K.Mgs.spec
+
+(* The compute node of one statement instance, found by scanning kinds. *)
+let node cdag name vec =
+  let rec find id =
+    if id >= Cdag.n_nodes cdag then Alcotest.failf "no instance of %s" name
+    else
+      match Cdag.kind cdag id with
+      | Cdag.Compute (s, v) when s = name && v = vec -> id
+      | Cdag.Compute _ | Cdag.Input _ -> find (id + 1)
+  in
+  find 0
 
 let test_cdag_counts () =
   let params = [ ("M", 5); ("N", 3) ] in
   let cdag = Cdag.of_program ~params K.Mgs.spec in
   Alcotest.(check int)
     "computes = instances"
-    (Program.count_instances ~params K.Mgs.spec)
+    (List.length (Iolb_check.Interp.instances ~params K.Mgs.spec))
     (Cdag.n_computes cdag);
   (* Inputs: exactly the M*N cells of A. *)
   Alcotest.(check int) "inputs = M*N" 15 (Cdag.n_inputs cdag)
@@ -33,16 +43,15 @@ let test_reachability () =
   let cdag = mgs_cdag 4 3 in
   (* SU[0,1,0] must reach SU[1,2,0] (hourglass chain), and nothing reaches
      backwards. *)
-  let a = Option.get (Cdag.node_of_instance cdag "SU" [| 0; 1; 0 |]) in
-  let b = Option.get (Cdag.node_of_instance cdag "SU" [| 1; 2; 0 |]) in
-  Alcotest.(check bool) "forward reachable" true (Cdag.is_reachable cdag a b);
-  Alcotest.(check bool) "not backward" false (Cdag.is_reachable cdag b a)
+  let a = node cdag "SU" [| 0; 1; 0 |] and b = node cdag "SU" [| 1; 2; 0 |] in
+  let r = Cdag.reachability cdag in
+  Alcotest.(check bool) "forward reachable" true (Cdag.reaches r a b);
+  Alcotest.(check bool) "not backward" false (Cdag.reaches r b a)
 
 let test_convex_closure () =
   let cdag = mgs_cdag 4 3 in
   (* SU instances at the same neutral j = 2, consecutive temporal k. *)
-  let a = Option.get (Cdag.node_of_instance cdag "SU" [| 0; 2; 0 |]) in
-  let b = Option.get (Cdag.node_of_instance cdag "SU" [| 1; 2; 0 |]) in
+  let a = node cdag "SU" [| 0; 2; 0 |] and b = node cdag "SU" [| 1; 2; 0 |] in
   let closure = Cdag.convex_closure cdag [ a; b ] in
   (* The closure must contain the whole SR[1,2,*] reduction line (the
      hourglass neck). *)
@@ -61,7 +70,7 @@ let test_convex_closure () =
 let test_inset () =
   let cdag = mgs_cdag 4 3 in
   (* A single node's inset is its in-degree (distinct predecessors). *)
-  let a = Option.get (Cdag.node_of_instance cdag "SU" [| 0; 1; 0 |]) in
+  let a = node cdag "SU" [| 0; 1; 0 |] in
   Alcotest.(check int) "inset of single node" 3 (Cdag.inset cdag [ a ]);
   Alcotest.(check int) "inset of empty set" 0 (Cdag.inset cdag [])
 

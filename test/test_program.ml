@@ -2,14 +2,15 @@
    extents, execution order, input detection. *)
 
 module Program = Iolb_ir.Program
+module Interp = Iolb_check.Interp
 module P = Iolb_symbolic.Polynomial
 module K = Iolb_kernels
 
 let count_stmt prog params name =
-  let n = ref 0 in
-  Program.iter_instances ~params prog (fun inst ->
-      if inst.stmt_name = name then incr n);
-  !n
+  List.length
+    (List.filter
+       (fun (i : Interp.instance) -> i.stmt = name)
+       (Interp.instances ~params prog))
 
 let test_cardinal_matches_concrete () =
   List.iter
@@ -42,7 +43,7 @@ let test_total_instances () =
   in
   Alcotest.(check int)
     "total = concrete" symbolic
-    (Program.count_instances ~params K.Mgs.spec)
+    (List.length (Interp.instances ~params K.Mgs.spec))
 
 let test_extents () =
   let su = Program.find_stmt K.Mgs.spec "SU" in
@@ -57,11 +58,23 @@ let test_extents () =
   Alcotest.(check string) "a2v min extent of i" "M - N"
     (Iolb_poly.Affine.to_string (Program.extent_min su_a2v "i"))
 
+(* Arrays read before ever being written, in first-use order. *)
+let input_arrays ~params prog =
+  let written = Hashtbl.create 16 and inputs = ref [] in
+  Interp.iter ~params prog (fun inst ->
+      List.iter
+        (fun (a, cell) ->
+          if (not (Hashtbl.mem written (a, cell))) && not (List.mem a !inputs)
+          then inputs := a :: !inputs)
+        inst.reads;
+      List.iter (fun c -> Hashtbl.replace written c ()) inst.writes);
+  List.rev !inputs
+
 let test_inputs () =
-  let inputs = Program.input_arrays ~params:[ ("M", 5); ("N", 3) ] K.Mgs.spec in
+  let inputs = input_arrays ~params:[ ("M", 5); ("N", 3) ] K.Mgs.spec in
   Alcotest.(check (list string)) "mgs inputs" [ "A" ] inputs;
   let inputs =
-    Program.input_arrays ~params:[ ("M", 5); ("N", 3) ] K.Householder.v2q_spec
+    input_arrays ~params:[ ("M", 5); ("N", 3) ] K.Householder.v2q_spec
   in
   (* V2Q consumes the taus computed by A2V (tau[N-1] first, at the initial
      descending iteration) and the reflectors stored in A. *)
@@ -70,9 +83,9 @@ let test_inputs () =
 let test_rev_loop_order () =
   (* V2Q's outer loop descends: the first SU instance visited has k = N-2. *)
   let first_su = ref None in
-  Program.iter_instances ~params:[ ("M", 5); ("N", 3) ] K.Householder.v2q_spec
+  Interp.iter ~params:[ ("M", 5); ("N", 3) ] K.Householder.v2q_spec
     (fun inst ->
-      if inst.stmt_name = "SU" && !first_su = None then
+      if inst.stmt = "SU" && !first_su = None then
         first_su := Some inst.vec.(0));
   Alcotest.(check (option int)) "first SU at k=N-2" (Some 1) !first_su
 

@@ -109,6 +109,7 @@ let test_lemma3_inset_width () =
         | Cdag.Input _ -> assert false
       in
       let key idxs v = List.map (fun i -> v.(i)) idxs in
+      let reach = Cdag.reachability cdag in
       let width =
         Iolb_symbolic.Polynomial.eval_int params (H.width_poly h)
         |> Iolb_util.Rat.to_int
@@ -126,7 +127,7 @@ let test_lemma3_inset_width () =
                 if
                   key n_idx va = key n_idx vb
                   && List.for_all2 (fun x y -> y - x >= 2) ta tb
-                  && Cdag.is_reachable cdag a b
+                  && Cdag.reaches reach a b
                 then begin
                   found := true;
                   let closure = Cdag.convex_closure cdag [ a; b ] in

@@ -62,10 +62,7 @@ let test_trace () =
   Alcotest.(check int) "footprint" 31 (Trace.footprint trace);
   (* Reads+writes per instance: consistent with the instance count. *)
   let accesses =
-    let acc = ref 0 in
-    Iolb_ir.Program.iter_instances ~params Iolb_kernels.Mgs.spec (fun inst ->
-        acc := !acc + List.length inst.loads + List.length inst.stores);
-    !acc
+    List.length (Iolb_check.Interp.accesses ~params Iolb_kernels.Mgs.spec)
   in
   Alcotest.(check int) "length = all accesses" accesses (Trace.length trace)
 

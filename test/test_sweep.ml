@@ -125,8 +125,6 @@ let test_parse_sizes () =
 (* --------------------------------------------------------------------- *)
 (* Sharded, program and sampled sweeps.                                    *)
 
-module P = Iolb_ir.Program
-
 let mgs = Iolb_kernels.Mgs.spec
 let mgs_params = [ ("M", 24); ("N", 12) ]
 
@@ -153,8 +151,8 @@ let test_segmented_edges () =
     [ []; [ r "A" 0 ]; [ w "A" 0; r "A" 0; r "B" 0 ] ]
 
 let test_run_program_streams () =
-  (* compiled and interpreted program sweeps = materialized sweep, across
-     jobs widths *)
+  (* dense-address and interning program sweeps = materialized sweep,
+     across jobs widths *)
   let trace = T.of_program ~params:mgs_params mgs in
   List.iter
     (fun flush ->
@@ -167,27 +165,27 @@ let test_run_program_streams () =
                 (Printf.sprintf "%s jobs=%d flush=%b" what jobs flush)
                 true (sweeps_equal seq got))
             [
-              ("compiled", S.run_program ~flush ~jobs ~params:mgs_params mgs);
-              ( "interpreted",
+              ("dense", S.run_program ~flush ~jobs ~params:mgs_params mgs);
+              ( "interned",
                 S.run_program_stream ~flush ~jobs ~params:mgs_params mgs );
             ])
         [ 1; 2; 4; 8 ])
     [ true; false ]
 
-(* An array at two ranks (compiled), a hull past 63-bit integers
-   (interpreted) and a skewed subscript, against the per-size simulator
-   on a trace built straight from the reference interpreter. *)
+(* An array at two ranks, a hull past 63-bit integers (a plan without a
+   layout, swept through its interned cells) and a skewed subscript,
+   against the per-size simulator on a trace built straight from the
+   reference interpreter. *)
 let test_data_programs () =
   List.iter
     (fun name ->
       let prog, params = Test_cplan.data_program name in
-      let events = ref [] in
-      P.iter_accesses ~params prog
-        ~on_instance:(fun () -> ())
-        ~on_access:(fun a idx is_w ->
-          let c = (a, Array.copy idx) in
-          events := (if is_w then T.Write c else T.Read c) :: !events);
-      let reference = tr (List.rev !events) in
+      let events =
+        List.map
+          (fun (a, idx, w) -> if w then T.Write (a, idx) else T.Read (a, idx))
+          (Iolb_check.Interp.accesses ~params prog)
+      in
+      let reference = tr events in
       let sizes = List.init (T.footprint reference + 2) (fun i -> i + 1) in
       let check what sweep =
         List.iter
@@ -206,8 +204,8 @@ let test_data_programs () =
       check "run of_program" (S.run (T.of_program ~params prog));
       check "run_sampled rate 1"
         (S.sampled_union (S.run_sampled ~rate:1.0 ~seed:5 ~params prog));
-      (* a sampled scan, from the plan or (hull overflow) the
-         interpreter, keeps exactly the accesses the hash selects *)
+      (* a sampled scan, with or without a layout, keeps exactly the
+         accesses the hash selects *)
       let thresh = int_of_float (0.5 *. 4611686018427387904.0) in
       let selected =
         List.length
@@ -215,7 +213,7 @@ let test_data_programs () =
              (function
                | T.Read (a, idx) | T.Write (a, idx) ->
                    Iolb_ir.Cplan.sample_hash ~seed:5 a idx < thresh)
-             !events)
+             events)
       in
       let sampled = S.run_sampled ~rate:0.5 ~seed:5 ~params prog in
       Alcotest.(check int) (name ^ ": sampled kept") selected

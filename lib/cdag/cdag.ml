@@ -12,7 +12,6 @@ type t = {
   succs : int array array;
   preds_off : int array; (* CSR mirror of [preds]: offsets, length n+1 *)
   preds_flat : int array;
-  order : int array; (* topological: program order with inputs at first use *)
   by_stmt : (string, int list) Hashtbl.t;
   n_inputs : int;
 }
@@ -187,7 +186,6 @@ let of_program ?(budget = Budget.unlimited) ~params p =
     succs;
     preds_off;
     preds_flat;
-    order = Array.init nn Fun.id;
     by_stmt;
     n_inputs = !inputs;
   }
@@ -197,7 +195,7 @@ let kind t id = t.kinds.(id)
 let preds t id = t.preds.(id)
 let succs t id = t.succs.(id)
 let preds_csr t = (t.preds_off, t.preds_flat)
-let program_order t = t.order
+let program_order t = Array.init (n_nodes t) Fun.id
 
 let nodes_of_stmt t name =
   try Hashtbl.find t.by_stmt name with Not_found -> []
@@ -220,8 +218,12 @@ let reachability t =
     stack = Array.make 1024 0;
   }
 
+(* Ids are topological (every edge runs upwards), so the inner nodes of
+   a path from [a] to [b] have ids in (a, b): nothing above [b] is
+   pushed, and each ascending successor array is scanned only up to [b]. *)
 let reaches r a b =
   if a = b then true
+  else if a > b then false
   else begin
     let g = r.g in
     r.epoch <- r.epoch + 1;
@@ -237,7 +239,6 @@ let reaches r a b =
       r.stack.(!sp) <- v;
       incr sp
     in
-    mark.(a) <- e;
     push a;
     let found = ref false in
     while (not !found) && !sp > 0 do
@@ -245,7 +246,7 @@ let reaches r a b =
       let ss = g.succs.(r.stack.(!sp)) in
       let len = Array.length ss in
       let i = ref 0 in
-      while (not !found) && !i < len do
+      while (not !found) && !i < len && ss.(!i) <= b do
         let v = ss.(!i) in
         if v = b then found := true
         else if mark.(v) <> e then begin

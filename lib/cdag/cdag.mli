@@ -21,6 +21,12 @@ type t
     dependence resolution runs on int-indexed arrays rather than hashing
     [(string * int array)] keys.
 
+    Numbering rule: ids are assigned in program order, an input cell's
+    node just before the first instance that reads it, so every
+    predecessor of a node has a smaller id than the node and every edge
+    runs from a smaller id to a larger one.  {!program_order} and
+    {!reaches} rely on it.
+
     One [Cdag_build] budget checkpoint is accounted per statement instance,
     and the budget's node cap bounds the total node count of this CDAG.
     The result is immutable and safe to share read-only across a
@@ -35,6 +41,8 @@ val kind : t -> int -> kind
 (** Predecessors (the values a node consumes), as node ids. *)
 val preds : t -> int -> int array
 
+(** Successors (the nodes consuming a node's value), in ascending id
+    order. *)
 val succs : t -> int -> int array
 
 (** [preds_csr t] is the whole predecessor relation in CSR form,
@@ -47,7 +55,9 @@ val succs : t -> int -> int array
 val preds_csr : t -> int array * int array
 
 (** Node ids in a valid topological (= program) order, inputs first at their
-    first use point. *)
+    first use point.  Ids are numbered in that order (see {!of_program}),
+    so this is the identity [[|0; 1; ...; n_nodes t - 1|]], built fresh
+    on each call. *)
 val program_order : t -> int array
 
 (** All node ids of instances of the given statement. *)
@@ -65,8 +75,11 @@ type reachability
 val reachability : t -> reachability
 
 (** [reaches r a b]: is there a directed path from [a] to [b] in the
-    oracle's CDAG?  No per-query allocation.  Not thread-safe: use one
-    oracle per domain. *)
+    oracle's CDAG?  By the numbering rule of {!of_program} every node on
+    such a path has an id in [(a, b]], so the search visits only those:
+    it answers [false] at once when [a > b], and otherwise scans each
+    (ascending) successor array only up to [b].  No per-query
+    allocation.  Not thread-safe: use one oracle per domain. *)
 val reaches : reachability -> int -> int -> bool
 
 (** [convex_closure t nodes] adds every node lying on a directed path

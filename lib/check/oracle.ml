@@ -24,12 +24,22 @@ type ctx = {
   cdag : Cdag.t Lazy.t;
   schedule : int array Lazy.t;
   plan : Game.plan Lazy.t;  (** the program schedule's, built once for every S *)
-  hourglasses : Iolb.Hourglass.t list Lazy.t;
-  bounds : D.t list Lazy.t;
+  derivation : (Iolb.Hourglass.t list * D.outcome) Lazy.t;
+      (** the verified patterns and outcome of one {!D.ladder} call *)
   sizes : int list Lazy.t;
   games : (int, Game.result option) Hashtbl.t;
       (** memoized pebble-game runs per cache size; [None] = infeasible *)
 }
+
+(* [D.ladder], the derivation users see, with its error raised again:
+   budget exhaustion the ladder could not absorb stays a budget skip,
+   and any other error fails the oracle that forced it. *)
+let ladder ~budget ~params prog =
+  match D.ladder ~budget ~verify_params:params prog with
+  | Ok r -> r
+  | Error (Engine_error.Budget_exhausted stage) ->
+      raise (Budget.Exhausted stage)
+  | Error e -> raise (Engine_error.Error e)
 
 let make_ctx ?(budget = Budget.unlimited) spec =
   let prog, params = Spec.to_program spec in
@@ -39,15 +49,7 @@ let make_ctx ?(budget = Budget.unlimited) spec =
   let plan =
     lazy (Game.plan (Lazy.force cdag) ~schedule:(Lazy.force schedule))
   in
-  let hourglasses =
-    lazy (Iolb.Hourglass.detect_verified ~budget ~params prog)
-  in
-  (* Mirrors [Derive.analyze], reusing the already-detected patterns. *)
-  let bounds =
-    lazy
-      (List.concat_map (D.hourglass ~budget prog) (Lazy.force hourglasses)
-      @ D.classical_deepest ~budget prog)
-  in
+  let derivation = lazy (ladder ~budget ~params prog) in
   let sizes =
     lazy
       (let fp = Trace.footprint (Lazy.force trace) in
@@ -63,14 +65,19 @@ let make_ctx ?(budget = Budget.unlimited) spec =
     cdag;
     schedule;
     plan;
-    hourglasses;
-    bounds;
+    derivation;
     sizes;
     games = Hashtbl.create 8;
   }
 
-let ctx_hourglasses c = Lazy.force c.hourglasses
-let ctx_bounds c = Lazy.force c.bounds
+let ctx_hourglasses c = fst (Lazy.force c.derivation)
+let ctx_bounds c = (snd (Lazy.force c.derivation)).D.bounds
+
+(* Under a step, time or node cap, a degraded outcome may be budget
+   exhaustion the ladder absorbed.  Checks that need the full derivation
+   skip it, as they skip a budget kill. *)
+let degraded_by_budget c (o : D.outcome) =
+  if Budget.is_unlimited c.budget then None else o.D.degradation
 
 (* Clairvoyant-discard pebble game at size [s] on the program schedule;
    [None] when [s] is below some node's fan-in. *)
@@ -126,18 +133,22 @@ let prop_card c =
 (* ------------------------------------------------------------------ *)
 (* cdag: the compute nodes, in id order, are the reference
    interpreter's instances (statement and vector) in program order; plus
-   structural invariants and the compulsory cold-cache loads.           *)
+   structural invariants (every edge runs to a larger id, the numbering
+   [Cdag.reaches] relies on) and the compulsory cold-cache loads.      *)
 
 let prop_cdag c =
   let cdag = Lazy.force c.cdag in
   let schedule = Lazy.force c.schedule in
   let issues = ref [] in
   let computes = ref [] in
+  let upward = ref true in
   for id = Cdag.n_nodes cdag - 1 downto 0 do
+    Array.iter (fun p -> if p >= id then upward := false) (Cdag.preds cdag id);
     match Cdag.kind cdag id with
     | Cdag.Compute (s, v) -> computes := (s, v) :: !computes
     | Cdag.Input _ -> ()
   done;
+  if not !upward then push issues "an edge runs from a node to a smaller id";
   let reference =
     List.map
       (fun (i : Interp.instance) -> (i.stmt, i.vec))
@@ -218,7 +229,7 @@ let prop_phi c =
    tested cache size.  This is the paper's soundness invariant.         *)
 
 let prop_bound_le_opt c =
-  match Lazy.force c.bounds with
+  match ctx_bounds c with
   | [] -> Skip "no derivable bound"
   | bounds ->
       let issues = ref [] in
@@ -242,7 +253,7 @@ let prop_bound_le_opt c =
 (* monotone-s: the best applicable bound never increases with S.        *)
 
 let prop_monotone c =
-  match Lazy.force c.bounds with
+  match ctx_bounds c with
   | [] -> Skip "no derivable bound"
   | bounds ->
       let issues = ref [] in
@@ -293,7 +304,7 @@ let render_report c ~jobs =
   let buf = Buffer.create 256 in
   List.iter
     (fun (b : D.t) -> Buffer.add_string buf (Format.asprintf "%a@." D.pp b))
-    (Lazy.force c.bounds);
+    (ctx_bounds c);
   let trace = Lazy.force c.trace in
   let cdag = Lazy.force c.cdag in
   let schedule = Lazy.force c.schedule in
@@ -502,16 +513,19 @@ let prop_hourglass_path c =
   match c.spec with
   | Spec.Nest _ -> Skip "nest family"
   | Spec.Hourglass _ -> (
-      match ctx_hourglasses c with
-      | [] -> Fail "no verified hourglass detected on an hourglass-family spec"
-      | _ :: _ ->
+      let hgs, o = Lazy.force c.derivation in
+      match (hgs, degraded_by_budget c o) with
+      | _, Some note -> Skip ("degraded under the budget: " ^ note)
+      | [], None ->
+          Fail "no verified hourglass detected on an hourglass-family spec"
+      | _ :: _, None ->
           if
             List.exists
               (fun (b : D.t) ->
                 match b.D.technique with
                 | D.Hourglass | D.Hourglass_small_s -> true
                 | D.Classical | D.Trivial -> false)
-              (Lazy.force c.bounds)
+              o.D.bounds
           then Pass
           else Fail "hourglass detected but the tightened derivation produced no bound")
 
@@ -524,7 +538,7 @@ let prop_hourglass_path c =
    (first-maximum-wins over the full list vs. the candidate subset).     *)
 
 let prop_split_regions c =
-  let bounds = Lazy.force c.bounds in
+  let bounds = ctx_bounds c in
   let issues = ref [] in
   let exercised = ref false in
   List.iter
@@ -679,10 +693,10 @@ let prop_parse_roundtrip c =
       collect issues
 
 (* ------------------------------------------------------------------ *)
-(* parse-derive: the full derivation pipeline (hourglass detection plus
-   the bound derivations, exactly as [ctx] computes them) run on the
-   re-parsed copy of the program must produce the same bounds, rendered
-   through [Derive.pp], as the original.  Catches anything the
+(* parse-derive: the derivation ladder (exactly as [ctx] runs it) on the
+   re-parsed copy of the program must verify as many hourglasses and
+   produce the same bounds, rendered through [Derive.pp], and the same
+   degradation note as the original.  Catches anything the
    round-trip's structural equality is too weak to see - e.g. a printer
    normalisation that [Program.equal] accepts but that shifts a
    projection or a cardinality downstream.                              *)
@@ -693,30 +707,31 @@ let prop_parse_derive c =
   | Error d ->
       fail "printed source does not re-parse: %s" (Front_diag.to_string d)
   | Ok src ->
-      let prog' = src.Front.program in
-      let hgs' =
-        Iolb.Hourglass.detect_verified ~budget:c.budget
-          ~params:src.Front.verify prog'
+      let hgs, o = Lazy.force c.derivation in
+      let hgs', o' =
+        ladder ~budget:c.budget ~params:src.Front.verify src.Front.program
       in
-      let bounds' =
-        List.concat_map (D.hourglass ~budget:c.budget prog') hgs'
-        @ D.classical_deepest ~budget:c.budget prog'
-      in
-      let render bs =
-        List.map (fun (b : D.t) -> Format.asprintf "%a" D.pp b) bs
-      in
-      let orig = render (Lazy.force c.bounds)
-      and reparsed = render bounds' in
-      let issues = ref [] in
-      if List.length (ctx_hourglasses c) <> List.length hgs' then
-        push issues "hourglass count differs: %d original, %d re-parsed"
-          (List.length (ctx_hourglasses c))
-          (List.length hgs');
-      if orig <> reparsed then
-        push issues "derived bounds differ: original [%s] vs re-parsed [%s]"
-          (String.concat " | " orig)
-          (String.concat " | " reparsed);
-      collect issues
+      match (degraded_by_budget c o, degraded_by_budget c o') with
+      | Some note, _ | None, Some note ->
+          Skip ("degraded under the budget: " ^ note)
+      | None, None ->
+          let render bs =
+            List.map (fun (b : D.t) -> Format.asprintf "%a" D.pp b) bs
+          in
+          let orig = render o.D.bounds and reparsed = render o'.D.bounds in
+          let note = Option.value ~default:"none" in
+          let issues = ref [] in
+          if List.length hgs <> List.length hgs' then
+            push issues "hourglass count differs: %d original, %d re-parsed"
+              (List.length hgs) (List.length hgs');
+          if orig <> reparsed then
+            push issues "derived bounds differ: original [%s] vs re-parsed [%s]"
+              (String.concat " | " orig)
+              (String.concat " | " reparsed);
+          if o.D.degradation <> o'.D.degradation then
+            push issues "degradation differs: original %s, re-parsed %s"
+              (note o.D.degradation) (note o'.D.degradation);
+          collect issues
 
 (* ------------------------------------------------------------------ *)
 (* Registry.                                                           *)

@@ -17,10 +17,14 @@ type ctx
     lazy: an oracle that does not need the CDAG never builds it. *)
 val make_ctx : ?budget:Iolb_util.Budget.t -> Spec.t -> ctx
 
-(** Verified hourglass patterns of the spec (forced on demand). *)
+(** Verified hourglass patterns of the spec, as {!Iolb.Derive.ladder}
+    returns them (forced on demand; the same call as {!ctx_bounds}). *)
 val ctx_hourglasses : ctx -> Iolb.Hourglass.t list
 
-(** All derived bounds (hourglass + classical), as {!Iolb.Derive.analyze}. *)
+(** The bounds {!Iolb.Derive.ladder} reports for the spec, at the budget
+    the context was made with: hourglass and classical bounds, or a
+    degraded rung's.  A ladder error is raised again: [Budget_exhausted]
+    as [Budget.Exhausted], any other as [Engine_error.Error]. *)
 val ctx_bounds : ctx -> Iolb.Derive.t list
 
 type t = {

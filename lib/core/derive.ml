@@ -39,16 +39,18 @@ let sqrt_s_var = P.var "sqrtS"
 
 let fmt_rat = Rat.to_string
 
-let classical_of_info ?(budget = Budget.unlimited) p
+(* [solve] is {!Bl.classical} or a call-local memo of it: only the
+   optimum [rho] is read below, and an LP's optimum is unique. *)
+let classical_of_info ?(budget = Budget.unlimited) ~solve p
     (info : Program.stmt_info) =
   Budget.checkpoint budget Budget.Derivation;
   let stmt = info.def.name in
   let phis = Phi.of_statement p info in
   List.iter (fun _ -> Budget.checkpoint budget Budget.Derivation) phis;
   let dimsets = List.map (fun (ph : Phi.t) -> ph.dims) phis in
-  match Bl.classical ~dims:info.dims dimsets with
+  match solve ~dims:info.dims dimsets with
   | None -> None
-  | Some sol ->
+  | Some (sol : Bl.solution) ->
       let rho = sol.k_exponent in
       if Rat.compare rho Rat.one <= 0 then None
       else
@@ -110,7 +112,7 @@ let classical_of_info ?(budget = Budget.unlimited) p
           formula
 
 let classical ?budget p ~stmt =
-  classical_of_info ?budget p (Program.find_stmt p stmt)
+  classical_of_info ?budget ~solve:Bl.classical p (Program.find_stmt p stmt)
 
 (* Sharpened projections for I' (Section 4.2).  Each entry records the LP
    cost (alpha, beta) and the actual symbolic bound as a function of K. *)
@@ -355,9 +357,22 @@ let classical_deepest ?budget p =
      straight to the derivation - no per-statement [find_stmt] re-walk. *)
   let stmts = Program.statements p in
   let max_depth = List.fold_left (fun acc i -> max acc (depth i)) 0 stmts in
+  (* Statements with the same dimensions and projection family share one
+     LP solve (GEHD2's 8 deepest statements pose 3 distinct LPs). *)
+  let solved = ref [] in
+  let solve ~dims dimsets =
+    let key = (dims, List.sort compare dimsets) in
+    match List.assoc_opt key !solved with
+    | Some sol -> sol
+    | None ->
+        let sol = Bl.classical ~dims dimsets in
+        solved := (key, sol) :: !solved;
+        sol
+  in
   List.filter_map
     (fun (i : Program.stmt_info) ->
-      if depth i = max_depth then classical_of_info ?budget p i else None)
+      if depth i = max_depth then classical_of_info ?budget ~solve p i
+      else None)
     stmts
 
 let analyze ?budget ~verify_params p =

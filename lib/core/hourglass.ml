@@ -175,7 +175,9 @@ let check ~budget cdag reach p h =
   Hashtbl.fold (fun (t, _) _ acc -> t :: acc) groups []
   |> List.sort_uniq compare |> link;
   (* The temporal loop may run forward or backward (V2Q iterates k
-     downwards), so accept a consistent dependence direction either way. *)
+     downwards), so accept a consistent dependence direction either way.
+     Asking both is cheap: [Cdag.reaches] answers the direction against
+     the node numbering in O(1). *)
   let forward_ok = ref true and backward_ok = ref true and checked = ref 0 in
   Hashtbl.iter
     (fun (t, n) ids ->

@@ -49,12 +49,15 @@ val detect_verified :
   ?budget:Iolb_util.Budget.t -> params:(string * int) list -> Iolb_ir.Program.t -> t list
 
 (** [verify ~params p h] checks the pattern empirically on the concrete
-    CDAG: for instances of the update statement with equal neutral
-    coordinates and consecutive temporal coordinates, there is a dependence
-    path from the earlier to the later instance for every pair of reduction
-    coordinates sampled.  Returns false if any sampled pair lacks a path.
-    Builds the CDAG for this one candidate; {!detect_verified} shares one
-    across all of a program's candidates. *)
+    CDAG.  It samples pairs of update-statement instances with equal
+    neutral coordinates and consecutive temporal coordinates (in
+    lexicographic order), and asks for a dependence path between each
+    pair.  Returns true when at least one pair was sampled and the paths
+    all run one way, either one: from every earlier instance to its later
+    partner, or from every later instance to its earlier partner (V2Q's
+    temporal loop runs downwards).  Builds the CDAG for this one
+    candidate; {!detect_verified} shares one across all of a program's
+    candidates. *)
 val verify :
   ?budget:Iolb_util.Budget.t ->
   params:(string * int) list ->

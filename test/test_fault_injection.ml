@@ -153,7 +153,9 @@ let test_degrades_to_trivial () =
 (* One derivation pass: the report's pattern list is the one the ladder
    verified, so a step cap pays for hourglass detection once.  MGS's whole
    analysis then fits in 400 steps, and at no cap does the report show a
-   pattern whose verification the ladder lost. *)
+   pattern whose verification the ladder lost.  The smallest undegraded
+   caps are pinned exactly, so any change to checkpoint accounting shows
+   here. *)
 let test_one_pass_under_step_cap () =
   let entry = Report.find "mgs" in
   let shown hgs = List.map (Format.asprintf "%a" Iolb.Hourglass.pp) hgs in
@@ -166,6 +168,20 @@ let test_one_pass_under_step_cap () =
     | Ok a -> a
     | Error e -> Alcotest.failf "max-steps %d: %s" cap (EE.to_string e)
   in
+  List.iter
+    (fun (name, cap) ->
+      let entry = Report.find name in
+      let analyze cap =
+        Report.analyze ~budget:(Budget.make ~max_steps:cap ()) entry
+      in
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s max-steps %d: no degradation" name cap)
+        None (analyze cap).degradation;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s max-steps %d: degraded" name (cap - 1))
+        true
+        ((analyze (cap - 1)).degradation <> None))
+    [ ("mgs", 201); ("gebd2", 282); ("gehd2", 1671) ];
   let a = analyze 400 in
   Alcotest.(check (option string)) "max-steps 400: no degradation" None
     a.degradation;

@@ -28,17 +28,38 @@ let test_cdag_counts () =
   (* Inputs: exactly the M*N cells of A. *)
   Alcotest.(check int) "inputs = M*N" 15 (Cdag.n_inputs cdag)
 
+(* The numbering rule [Cdag.reaches] relies on: every edge runs from a
+   smaller id to a larger one, so program order is the identity. *)
 let test_program_order_topological () =
-  let cdag = mgs_cdag 5 3 in
-  let order = Cdag.program_order cdag in
-  let pos = Array.make (Cdag.n_nodes cdag) 0 in
-  Array.iteri (fun i id -> pos.(id) <- i) order;
-  let ok = ref true in
-  for id = 0 to Cdag.n_nodes cdag - 1 do
-    Array.iter (fun p -> if pos.(p) >= pos.(id) then ok := false) (Cdag.preds cdag id)
-  done;
-  Alcotest.(check bool) "preds before succs" true !ok
+  let cdags =
+    List.map
+      (fun (e : Iolb.Report.entry) ->
+        (e.display, Cdag.of_program ~params:e.verify_params e.program))
+      Iolb.Report.registry
+    @ List.map
+        (fun (name, p, params) -> (name, Cdag.of_program ~params p))
+        Iolb.Report.baselines
+  in
+  List.iter
+    (fun (name, cdag) ->
+      let n = Cdag.n_nodes cdag in
+      Alcotest.(check (array int))
+        (name ^ ": program order is the identity")
+        (Array.init n Fun.id) (Cdag.program_order cdag);
+      let backward = ref [] in
+      for id = 0 to n - 1 do
+        Array.iter
+          (fun p -> if p >= id then backward := (p, id) :: !backward)
+          (Cdag.preds cdag id)
+      done;
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": every predecessor has a smaller id")
+        [] !backward)
+    cdags
 
+(* [reaches] against a plain BFS that knows nothing of the numbering,
+   on every ordered node pair.  V2Q's temporal loop runs downwards, so
+   its hourglass chains need the backward queries. *)
 let test_reachability () =
   let cdag = mgs_cdag 4 3 in
   (* SU[0,1,0] must reach SU[1,2,0] (hourglass chain), and nothing reaches
@@ -46,7 +67,44 @@ let test_reachability () =
   let a = node cdag "SU" [| 0; 1; 0 |] and b = node cdag "SU" [| 1; 2; 0 |] in
   let r = Cdag.reachability cdag in
   Alcotest.(check bool) "forward reachable" true (Cdag.reaches r a b);
-  Alcotest.(check bool) "not backward" false (Cdag.reaches r b a)
+  Alcotest.(check bool) "not backward" false (Cdag.reaches r b a);
+  let bfs cdag src =
+    let seen = Array.make (Cdag.n_nodes cdag) false in
+    let queue = Queue.create () in
+    seen.(src) <- true;
+    Queue.add src queue;
+    while not (Queue.is_empty queue) do
+      Array.iter
+        (fun v ->
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            Queue.add v queue
+          end)
+        (Cdag.succs cdag (Queue.pop queue))
+    done;
+    seen
+  in
+  List.iter
+    (fun (name, cdag) ->
+      let r = Cdag.reachability cdag in
+      let wrong = ref [] in
+      for src = 0 to Cdag.n_nodes cdag - 1 do
+        let seen = bfs cdag src in
+        Array.iteri
+          (fun dst expected ->
+            if Cdag.reaches r src dst <> expected then
+              wrong := (src, dst) :: !wrong)
+          seen
+      done;
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": reaches = BFS on every pair")
+        [] !wrong)
+    [
+      ("mgs 4x3", cdag);
+      ( "v2q 7x4",
+        Cdag.of_program ~params:[ ("M", 7); ("N", 4) ] K.Householder.v2q_spec
+      );
+    ]
 
 let test_convex_closure () =
   let cdag = mgs_cdag 4 3 in

@@ -67,7 +67,8 @@ let budget_args =
       & info [ "max-steps" ] ~docv:"N"
           ~doc:
             "Cap on total engine work steps.  Analyses degrade to weaker \
-             bounds when a derivation rung exceeds it.")
+             bounds when a derivation rung exceeds it.  $(b,bounds) applies \
+             the cap to each kernel (or $(b,--file) source) on its own.")
   in
   let max_nodes_arg =
     Arg.(
@@ -76,7 +77,8 @@ let budget_args =
       & info [ "max-nodes" ] ~docv:"N"
           ~doc:
             "Cap on the size of any built structure (CDAG nodes, trace \
-             events).")
+             events).  $(b,bounds) applies the cap to each kernel (or \
+             $(b,--file) source) on its own.")
   in
   let tuple t s n = (t, s, n) in
   Term.(const tuple $ timeout_arg $ max_steps_arg $ max_nodes_arg)
@@ -159,24 +161,13 @@ let bounds_cmd =
   let run jobs files budget_spec =
     run_checked @@ fun () ->
     let* () = check_jobs jobs in
-    let* budget = make_budget budget_spec in
-    (* The budget's counters are atomic, so one instance is shared soundly
-       across the fan-out; reports print sequentially in registry (or
+    (* Validate the budget flags once; [Driver.render_bounds] then mints
+       one budget per report.  Reports print sequentially in registry (or
        command-line file) order, up to the first failed entry. *)
-    let results =
-      match files with
-      | [] ->
-          Iolb_util.Pool.map ?jobs
-            (fun entry ->
-              Engine_error.guard (fun () ->
-                  Driver.render_analysis ~logs:false
-                    (Report.analyze ~budget entry)))
-            Report.registry
-      | files ->
-          Iolb_util.Pool.map ?jobs
-            (Driver.render_file ~budget ~logs:false)
-            files
-    in
+    let* _validated = make_budget budget_spec in
+    let timeout_ms, max_steps, max_nodes = budget_spec in
+    let budget () = Budget.make ?timeout_ms ?max_steps ?max_nodes () in
+    let results = Driver.render_bounds ?jobs ~budget files in
     List.fold_left
       (fun acc result ->
         let* () = acc in

@@ -297,6 +297,48 @@ let prop_sweep_lru c =
   collect issues
 
 (* ------------------------------------------------------------------ *)
+(* opt-ref: Belady's OPT over one shared plan equals the naive reference
+   {!Opt_ref} field by field at every size, for both flush modes; its
+   loads lie between the cold and LRU loads and never increase with S. *)
+
+let prop_opt_ref c =
+  let trace = Lazy.force c.trace in
+  let plan = Cache.opt_plan ~budget:c.budget trace in
+  let cold = (Cache.cold trace).Cache.loads in
+  let issues = ref [] in
+  List.iter
+    (fun flush ->
+      List.iter
+        (fun s ->
+          let opt = Cache.opt_run ~budget:c.budget ~size:s ~flush plan in
+          let reference = Opt_ref.run ~size:s ~flush trace in
+          if opt <> reference then
+            push issues
+              "S=%d flush=%b: opt (l=%d st=%d h=%d) vs reference (l=%d st=%d \
+               h=%d)"
+              s flush opt.Cache.loads opt.Cache.stores opt.Cache.read_hits
+              reference.Cache.loads reference.Cache.stores
+              reference.Cache.read_hits)
+        (Lazy.force c.sizes))
+    [ true; false ];
+  let prev = ref None in
+  List.iter
+    (fun s ->
+      let opt = (Cache.opt_run ~budget:c.budget ~size:s plan).Cache.loads in
+      let lru = (Cache.lru ~budget:c.budget ~size:s trace).Cache.loads in
+      if opt < cold || opt > lru then
+        push issues "S=%d: opt loads %d outside [cold %d, lru %d]" s opt cold
+          lru;
+      (match !prev with
+      | Some (s0, l0) when opt > l0 ->
+          push issues "opt loads grow with S: %d at S=%d vs %d at S=%d" opt s
+            l0 s0
+      | _ -> ());
+      prev := Some (s, opt))
+    (Lazy.force c.sizes);
+  collect issues
+
+(* ------------------------------------------------------------------ *)
 (* jobs-det: the per-size empirical report rendered through a Pool
    fan-out is byte-identical at every worker count.                     *)
 
@@ -747,6 +789,7 @@ let impl = function
   | "monotone-s" -> prop_monotone
   | "sweep-lru" -> prop_sweep_lru
   | "sweep-stream" -> prop_sweep_stream
+  | "opt-ref" -> prop_opt_ref
   | "game-compiled" -> prop_game_compiled
   | "sampled-ci" -> prop_sampled_ci
   | "jobs-det" -> prop_jobs_det
@@ -789,6 +832,10 @@ let all =
     {
       name = "sweep-stream";
       doc = "sharded/dense/interned sweeps = per-size LRU at every jobs width";
+    };
+    {
+      name = "opt-ref";
+      doc = "OPT simulator = naive Belady reference; cold <= opt <= lru";
     };
     {
       name = "game-compiled";

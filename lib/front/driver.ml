@@ -136,6 +136,15 @@ let render_file ~budget ~logs path =
   let* src = Front.parse_file path in
   render_source ~budget ~logs src
 
+let render_bounds ?jobs ~budget files =
+  let fan_out render items =
+    let tasks = List.map (fun item -> (budget (), item)) items in
+    Iolb_util.Pool.map ?jobs (fun (budget, item) -> render ~budget item) tasks
+  in
+  match files with
+  | [] -> fan_out (render_entry ~logs:false) Report.registry
+  | files -> fan_out (render_file ~logs:false) files
+
 let rec stmts_of acc = function
   | Program.Stmt s -> s :: acc
   | Program.Loop { body; _ } -> List.fold_left stmts_of acc body

@@ -75,6 +75,18 @@ val render_file :
   string ->
   (string, Iolb_util.Engine_error.t) result
 
+(** [render_bounds ?jobs ~budget files] is what [iolb bounds] prints: the
+    report of every registry kernel when [files] is empty, else of each
+    source file, in order, rendered on [jobs] {!Iolb_util.Pool} domains.
+    [budget ()] mints one budget per report, all before the fan-out: a
+    deadline starts with the call, and a step or node cap counts one
+    report's work, so capped output is the same at every [jobs]. *)
+val render_bounds :
+  ?jobs:int ->
+  budget:(unit -> Iolb_util.Budget.t) ->
+  string list ->
+  (string, Iolb_util.Engine_error.t) result list
+
 (** [describe src] is a one-line structural summary for [iolb check
     --parse]: parameter, statement and dependence-relation counts, plus
     the resolved built-in name when the program matches one.  A

@@ -45,24 +45,32 @@ val opt :
     fan-out), like [Game.plan] shares its next-use scan. *)
 type opt_plan
 
-(** [opt_plan trace] precomputes the next-read positions (one [Cache_sim]
-    budget checkpoint per trace event). *)
+(** [opt_plan trace] precomputes each access's eviction key, in one
+    backward scan (one [Cache_sim] budget checkpoint per trace event): the
+    position of the accessed cell's next read, or, when the cell is
+    overwritten or never touched again before that, [n + i] for access [i]
+    of a trace of length [n].  Dead values thus rank above live ones, the
+    most recently dead first, and no two keys are equal. *)
 val opt_plan : ?budget:Iolb_util.Budget.t -> Trace.t -> opt_plan
 
 (** The trace a plan was built from. *)
 val opt_plan_trace : opt_plan -> Trace.t
 
 (** [opt_run ~size ?flush plan] is [opt ~size ?flush] on the plan's trace,
-    reusing the precomputed scan.  The lazily-invalidated eviction heap is
-    compacted whenever stale entries exceed 2x the cache occupancy, so its
-    memory peak is O(size), not O(trace length).
+    reusing the precomputed scan.  The cached cells sit in a
+    {!Next_use_heap} of [min size footprint] slots, so a run costs
+    O(log size) per access and allocates nothing proportional to [size]:
+    a hit re-keys the cell, a miss at capacity evicts the top.  Every
+    key is unique, so [loads], [read_hits] and [stores] are functions of
+    the trace and [size] alone.
     @raise Invalid_argument if [size < 1]. *)
 val opt_run :
   ?budget:Iolb_util.Budget.t -> size:int -> ?flush:bool -> opt_plan -> stats
 
-(** [opt_heap_peak ~size ?flush trace] is the high-water mark of pending
-    eviction candidates (heap plus dead-cell stack) over a full OPT run
-    (diagnostics; tests pin it to O(size)). *)
+(** [opt_heap_peak ~size ?flush trace] is the eviction heap's high-water
+    mark over a full OPT run: its final occupancy, since a cell leaves
+    only to make room for another, so at most [min size footprint]
+    (diagnostics; tests pin it to [size]). *)
 val opt_heap_peak : size:int -> ?flush:bool -> Trace.t -> int
 
 (** [cold trace] is the compulsory-miss statistics (infinite cache). *)

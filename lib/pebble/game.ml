@@ -10,14 +10,14 @@ module Engine_error = Iolb_util.Engine_error
      backward scan, two S-independent next-use tables: per predecessor
      slot of step t the next step after t reading it, and per step the
      first step reading its result.
-   - A runner holds the red pebbles in an indexed max-heap keyed by next
-     use, one slot per red node (at most S entries, O(log S) an access);
-     white pebbles are a bitset.  A red predecessor of step t is keyed t,
-     the smallest key a red node can have, so the top is the victim and
-     a top keyed t means every red pebble is needed now.  After the
-     compute each predecessor's key grows to its next use (a sift-up).
-     Runners are reused across S-sweeps; [run_plan] makes a fresh one
-     per call, which keeps it thread-safe.
+   - A runner holds the red pebbles in a [Next_use_heap] keyed by next
+     use (at most S entries, O(log S) an access; [Cache.opt_run] is the
+     heap's other client); white pebbles are a bitset.  A red
+     predecessor of step t is keyed t, the smallest key a red node can
+     have, so the top is the victim and a top keyed t means every red
+     pebble is needed now.  After the compute each predecessor's key
+     grows to its next use.  Runners are reused across S-sweeps;
+     [run_plan] makes a fresh one per call, which keeps it thread-safe.
 
    Ties between equal keys break by heap position here and by push order
    in [Game_ref]; [loads] and [peak_red] do not depend on it.  Two nodes
@@ -218,9 +218,7 @@ let plan cdag ~schedule =
 type runner = {
   plan : plan;
   white : int array; (* bitset *)
-  hkey : int array; (* heap slot -> next use of the red node in it *)
-  hnode : int array; (* heap slot -> red node *)
-  hpos : int array; (* node -> heap slot, or -1 when the node is not red *)
+  red : Next_use_heap.t; (* red nodes keyed by next use *)
 }
 
 let runner plan =
@@ -228,25 +226,22 @@ let runner plan =
   {
     plan;
     white = Array.make (bits_words n) 0;
-    hkey = Array.make n 0;
-    hnode = Array.make n 0;
-    hpos = Array.make n (-1);
+    red = Next_use_heap.create ~capacity:n ~items:n;
   }
 
-(* The per-step loops below index node-id-sized state arrays with
-   [Array.unsafe_get]/[unsafe_set]: node ids are < n by the CDAG's
-   construction, heap slots are < the red count <= n (a node holds one
-   slot at most, as [plan] rejects repeated ids), and CSR slots stay
-   within their step's range by the loop bounds. *)
+(* The per-step loops below index the plan's arrays with
+   [Array.unsafe_get]: node ids are < n by the CDAG's construction, and
+   CSR slots stay within their step's range by the loop bounds. *)
 let run_runner ?(budget = Budget.unlimited) r ~s =
-  let { n; max_fanin; schedule; step_off; step_preds; step_next; node_next; _ }
+  let { max_fanin; schedule; step_off; step_preds; step_next; node_next; _ }
       =
     r.plan
   in
-  let { white; hkey; hnode; hpos; _ } = r in
+  let { white; red; _ } = r in
+  let hslot = red.Next_use_heap.slot in
   (* reset, rather than reallocate, the run state *)
   Array.blit r.plan.input_bits 0 white 0 (Array.length white);
-  Array.fill hpos 0 n (-1);
+  Next_use_heap.reset red;
   let steps = Array.length schedule in
   (* the cheapest feasibility check first: the widest step's fan-in *)
   if steps > 0 && max_fanin > s then begin
@@ -261,56 +256,15 @@ let run_runner ?(budget = Budget.unlimited) r ~s =
          (step_off.(!t + 1) - step_off.(!t) + 1)
          s)
   end;
-  let len = ref 0 and peak = ref 0 and loads = ref 0 in
-  let place i key node =
-    Array.unsafe_set hkey i key;
-    Array.unsafe_set hnode i node;
-    Array.unsafe_set hpos node i
-  in
-  (* Fill slot [i] - a hole, or [node]'s own slot after its key grew -
-     moving smaller-keyed parents down into it. *)
-  let sift_up i key node =
-    let i = ref i in
-    while !i > 0 && Array.unsafe_get hkey ((!i - 1) lsr 1) < key do
-      let parent = (!i - 1) lsr 1 in
-      let pn = Array.unsafe_get hnode parent in
-      Array.unsafe_set hkey !i (Array.unsafe_get hkey parent);
-      Array.unsafe_set hnode !i pn;
-      Array.unsafe_set hpos pn !i;
-      i := parent
-    done;
-    place !i key node
-  in
-  let insert node key =
-    incr len;
-    if !len > !peak then peak := !len;
-    sift_up (!len - 1) key node
-  in
-  (* Discard the red pebble read furthest in the future, the heap top; a
-     top keyed t means every red pebble is a predecessor of step t.  The
-     last entry then sinks from the root past every larger child [c]. *)
-  let evict t =
-    if Array.unsafe_get hkey 0 <= t then infeasible "no discardable red pebble";
-    Array.unsafe_set hpos (Array.unsafe_get hnode 0) (-1);
-    decr len;
-    let last = !len in
-    let key = Array.unsafe_get hkey last in
-    let i = ref 0 and c = ref 1 in
-    while !c < last do
-      if !c + 1 < last
-         && Array.unsafe_get hkey (!c + 1) > Array.unsafe_get hkey !c
-      then incr c;
-      if Array.unsafe_get hkey !c > key then begin
-        let cn = Array.unsafe_get hnode !c in
-        Array.unsafe_set hkey !i (Array.unsafe_get hkey !c);
-        Array.unsafe_set hnode !i cn;
-        Array.unsafe_set hpos cn !i;
-        i := !c;
-        c := (2 * !c) + 1
-      end
-      else c := last
-    done;
-    if last > 0 then place !i key (Array.unsafe_get hnode last)
+  let loads = ref 0 in
+  (* Place a red pebble on [node]: beside the others while fewer than S,
+     else instead of the one read furthest in the future, the heap top.
+     A top keyed t means every red pebble is a predecessor of step t. *)
+  let place_red t node key =
+    if red.len < s then Next_use_heap.insert red node ~key
+    else if Next_use_heap.top_key red <= t then
+      infeasible "no discardable red pebble"
+    else ignore (Next_use_heap.replace_top red node ~key)
   in
   let unlimited = Budget.is_unlimited budget in
   for t = 0 to steps - 1 do
@@ -320,24 +274,26 @@ let run_runner ?(budget = Budget.unlimited) r ~s =
     (* Bring every predecessor in fast memory; a red one is keyed t. *)
     for k = lo to hi - 1 do
       let p = Array.unsafe_get step_preds k in
-      if Array.unsafe_get hpos p < 0 then begin
+      if Array.unsafe_get hslot p < 0 then begin
         assert (bget white p);
         incr loads;
-        if !len >= s then evict t;
-        insert p t
+        place_red t p t
       end
     done;
-    (* Compute: white + red on the node itself. *)
-    if !len >= s then evict t;
-    for k = lo to hi - 1 do
-      let p = Array.unsafe_get step_preds k in
-      sift_up (Array.unsafe_get hpos p) (Array.unsafe_get step_next k) p
-    done;
+    (* Compute: white + red on the node itself, then each predecessor's
+       key grows to its next use. *)
     let id = Array.unsafe_get schedule t in
     bset white id;
-    insert id (Array.unsafe_get node_next t)
+    place_red t id (Array.unsafe_get node_next t);
+    for k = lo to hi - 1 do
+      Next_use_heap.update red
+        (Array.unsafe_get step_preds k)
+        ~key:(Array.unsafe_get step_next k)
+    done
   done;
-  { loads = !loads; peak_red = !peak }
+  (* A pebble is discarded only to make room for another, so the red
+     count never falls and the peak is the final count. *)
+  { loads = !loads; peak_red = red.len }
 
 let run_plan ?budget plan ~s = run_runner ?budget (runner plan) ~s
 

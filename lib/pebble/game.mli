@@ -9,7 +9,7 @@
     of red pebbles, which is what [run] implements.
 
     This is the compiled engine: a {!plan} holds next-use tables, and a
-    {!runner} keeps the red pebbles in an indexed heap of at most S
+    {!runner} keeps the red pebbles in a {!Next_use_heap} of at most S
     entries, O(log S) per access.  Its results equal the reference engine
     {!Game_ref}'s: the two may discard different pebbles with equal next
     uses, which changes neither [loads] nor [peak_red] (checked by the

@@ -71,21 +71,6 @@ let sift_down h i =
   Array.unsafe_set hp !i pos;
   Array.unsafe_set hl !i payload
 
-let compact h ~keep =
-  (* Filter in place, then restore the heap property bottom-up: O(len). *)
-  let w = ref 0 in
-  for r = 0 to h.len - 1 do
-    if keep ~pos:h.pos.(r) ~payload:h.payload.(r) then begin
-      h.pos.(!w) <- h.pos.(r);
-      h.payload.(!w) <- h.payload.(r);
-      incr w
-    end
-  done;
-  h.len <- !w;
-  for i = (h.len / 2) - 1 downto 0 do
-    sift_down h i
-  done
-
 let pop h =
   if h.len = 0 then raise Not_found;
   let top = (h.pos.(0), h.payload.(0)) in

@@ -1,8 +1,9 @@
 (** Binary max-heap of [(priority, payload)] integer pairs.  The Belady
-    eviction loops of the OPT cache simulator and the reference pebble
-    engine use it with lazy invalidation (callers push fresh entries and
-    skip stale ones on pop); the priority-driven schedulers use it as a
-    plain priority queue. *)
+    eviction loop of the reference pebble engine uses it with lazy
+    invalidation (it pushes fresh entries and skips stale ones on pop);
+    the priority-driven schedulers use it as a plain priority queue.  The
+    compiled engines evict through the indexed
+    [Iolb_pebble.Next_use_heap] instead. *)
 
 type t
 
@@ -16,10 +17,3 @@ val push : t -> pos:int -> payload:int -> unit
 (** [pop h] removes and returns the entry with the largest [pos].
     @raise Not_found on an empty heap. *)
 val pop : t -> int * int
-
-(** [compact h ~keep] drops every entry for which [keep] is false and
-    restores the heap property in O(length).  Used by the lazy-invalidation
-    eviction loops to bound the heap by the live-entry count instead of the
-    push count.  Compaction may reorder entries with equal [pos]; callers
-    whose output depends on tie order must not compact. *)
-val compact : t -> keep:(pos:int -> payload:int -> bool) -> unit

@@ -1,5 +1,6 @@
 (* Cache simulator: hand-computed traces, policy sandwich (cold <= OPT <=
-   LRU misses), and stack-property checks on random traces. *)
+   LRU misses), stack-property checks on random traces, and OPT against
+   the certifier's naive Belady reference. *)
 
 module T = Iolb_pebble.Trace
 module C = Iolb_pebble.Cache
@@ -85,6 +86,17 @@ let suite =
         let trace = tr events in
         (C.lru ~size:10_000 trace).loads = (C.cold trace).loads
         && (C.opt ~size:10_000 trace).loads = (C.cold trace).loads);
+    prop "opt = naive Belady reference (sizes 1-13)" (fun events ->
+        let trace = tr events in
+        let plan = C.opt_plan trace in
+        List.for_all
+          (fun flush ->
+            List.for_all
+              (fun size ->
+                C.opt_run ~size ~flush plan
+                = Iolb_check.Opt_ref.run ~size ~flush trace)
+              (List.init 13 succ))
+          [ true; false ]);
     prop "loads + hits = reads" (fun events ->
         let reads =
           List.length

@@ -180,6 +180,45 @@ let test_jobs_deterministic () =
   let seq = render ~jobs:1 in
   Alcotest.(check string) "jobs 4 = jobs 1" seq (render ~jobs:4)
 
+(* [iolb bounds --max-steps N]: every report gets its own budget, minted
+   before the fan-out, so capped output is one string at every worker
+   count and on every run.  Each report alone fits in 1000 steps except
+   GEHD2's (1671 undegraded), so at that cap exactly one report degrades;
+   a budget shared across reports would starve the ones after it. *)
+let test_capped_bounds_deterministic () =
+  let degraded report =
+    List.length
+      (List.filter
+         (fun line -> String.starts_with ~prefix:"degraded:" line)
+         (String.split_on_char '\n' report))
+  in
+  List.iter
+    (fun (what, files) ->
+      List.iter
+        (fun cap ->
+          let render ~jobs =
+            Driver.render_bounds ~jobs
+              ~budget:(fun () -> Budget.make ~max_steps:cap ())
+              files
+            |> List.map (function
+                 | Ok s -> s
+                 | Error e -> "error: " ^ EE.to_string e)
+            |> String.concat ""
+          in
+          let first = render ~jobs:1 in
+          List.iter
+            (fun jobs ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s cap %d: jobs %d = jobs 1" what cap jobs)
+                first (render ~jobs))
+            [ 2; 4; 1; 2; 4 ];
+          if cap = 1000 then
+            Alcotest.(check int)
+              (Printf.sprintf "%s cap 1000: degraded reports" what)
+              1 (degraded first))
+        [ 100; 300; 1000; 3000 ])
+    [ ("registry", []); ("files", List.map snd example_files) ]
+
 (* ------------------------------------------------------------------ *)
 (* Golden diagnostics: the malformed corpus under test/data/ is pinned
    to exact file:line:col messages and the Invalid_input embedding the
@@ -407,6 +446,8 @@ let suite =
     Alcotest.test_case "reports-byte-identical" `Slow
       test_reports_byte_identical;
     Alcotest.test_case "jobs-deterministic" `Slow test_jobs_deterministic;
+    Alcotest.test_case "capped-bounds-deterministic" `Quick
+      test_capped_bounds_deterministic;
     Alcotest.test_case "malformed-corpus" `Quick test_malformed_corpus;
     Alcotest.test_case "inline-diagnostics" `Quick test_inline_diags;
     Alcotest.test_case "unknown-kernel-message" `Quick

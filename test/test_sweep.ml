@@ -1,7 +1,7 @@
 (* The reuse-distance sweep engine: exact agreement with the per-size LRU
    simulator on randomized traces (every size, both flush settings, all
-   four stats fields), opt_plan/opt equivalence, peak-heap bound of the
-   compacted OPT eviction heap, and the size-list parser. *)
+   four stats fields), opt_plan/opt equivalence, the OPT eviction heap's
+   bound of [size] entries, and the size-list parser. *)
 
 module T = Iolb_pebble.Trace
 module C = Iolb_pebble.Cache
@@ -75,16 +75,31 @@ let test_sweep_histogram () =
   Alcotest.(check (array int)) "histogram" [| 0; 1 |] h
 
 let test_opt_heap_peak () =
-  (* A long scan over many distinct cells at a small size: unbounded lazy
-     invalidation would grow the heap to O(trace length); compaction pins
-     it near 3x the occupancy. *)
+  (* A long scan over many distinct cells at a small size: the eviction
+     heap holds the cached cells only, so it never passes [size]. *)
   let size = 8 in
   let events = List.init 20_000 (fun i -> r "A" (i mod 2_000)) in
   let peak = C.opt_heap_peak ~size (tr events) in
   Alcotest.(check bool)
-    (Printf.sprintf "peak %d bounded" peak)
-    true
-    (peak <= max 65 ((3 * size) + 1))
+    (Printf.sprintf "peak %d <= size" peak)
+    true (peak <= size);
+  (* A size past the footprint is the footprint: the heap is sized by the
+     smaller of the two, so max_int allocates nothing proportional to it. *)
+  let trace =
+    tr [ r "A" 0; w "B" 0; r "A" 1; r "B" 0; w "A" 0; r "A" 1; r "A" 0 ]
+  in
+  let plan = C.opt_plan trace in
+  List.iter
+    (fun flush ->
+      Alcotest.(check bool)
+        (Printf.sprintf "size max_int = size footprint (flush=%b)" flush)
+        true
+        (stats_eq
+           (C.opt_run ~size:max_int ~flush plan)
+           (C.opt_run ~size:(T.footprint trace) ~flush plan)))
+    [ true; false ];
+  Alcotest.(check int) "peak at max_int" (T.footprint trace)
+    (C.opt_heap_peak ~size:max_int trace)
 
 let test_parse_sizes () =
   let ok spec expect =

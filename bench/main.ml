@@ -855,13 +855,13 @@ let ablation_policy () =
   let t0 = now () in
   (* One LRU sweep pass and one OPT plan answer the whole size column; the
      per-size OPT forward runs fan out over the pool sharing the plan. *)
-  let lru_all = Sweep.lru_stats trace ~sizes:ss in
+  let sweep = Sweep.run trace in
   let plan = Cache.opt_plan trace in
   let rows =
     pmap
       (fun s ->
         let opt = (Cache.opt_run ~size:s plan).Cache.loads in
-        let lru = (List.assoc s lru_all).Cache.loads in
+        let lru = (Sweep.stats sweep ~size:s).Cache.loads in
         Printf.sprintf "%8d | %9d %9d %9d" s opt lru cold)
       ss
   in

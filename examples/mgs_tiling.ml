@@ -65,12 +65,14 @@ let () =
     "\ncache-size sweep of the tiled trace (B=%d, one stack-distance pass):\n" b;
   Printf.printf "%8s | %10s %10s %10s | %10s\n" "S" "lru loads" "hits" "stores"
     "opt loads";
+  let sweep = Sweep.run trace in
   List.iter
-    (fun (sz, lru) ->
+    (fun sz ->
+      let lru = Sweep.stats sweep ~size:sz in
       let opt = Cache.opt_run ~size:sz plan in
       Printf.printf "%8d | %10d %10d %10d | %10d\n" sz lru.Cache.loads
         lru.Cache.read_hits lru.Cache.stores opt.Cache.loads)
-    (Sweep.lru_stats trace ~sizes);
+    sizes;
   Printf.printf
     "\nReading: larger blocks divide the dominant (1/2)MN^2/B term until the\n\
      block no longer fits (no-spill false), at which point locality collapses.\n"

@@ -67,9 +67,11 @@ let () =
     "\nCache-size sweep of the tiled A2V trace (B=%d, one pass for all S):\n" b;
   Printf.printf "%8s | %10s %10s %10s | %10s\n" "S" "lru loads" "hits" "stores"
     "opt loads";
+  let sweep = Sweep.run trace in
   List.iter
-    (fun (sz, lru) ->
+    (fun sz ->
+      let lru = Sweep.stats sweep ~size:sz in
       let opt = Cache.opt_run ~size:sz plan in
       Printf.printf "%8d | %10d %10d %10d | %10d\n" sz lru.Cache.loads
         lru.Cache.read_hits lru.Cache.stores opt.Cache.loads)
-    (Sweep.lru_stats trace ~sizes:[ 50; 100; 200; 400; 800; 1600 ])
+    [ 50; 100; 200; 400; 800; 1600 ]

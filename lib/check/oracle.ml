@@ -377,13 +377,13 @@ let prop_jobs_det c =
   else fail "report differs between --jobs 1 and --jobs 3"
 
 (* ------------------------------------------------------------------ *)
-(* sweep-stream: the sharded in-memory sweep ([run ~jobs]), the
-   dense-address program sweep ([run_program]) and the interning one
-   ([run_program_stream]) share one engine, so each is checked against the
-   independent per-size LRU simulator, at every jobs width, for both flush
-   modes; the three are also compared pairwise on footprint, accesses and
-   reuse histogram.  This is the determinism contract behind
-   byte-identical --jobs output.                                        *)
+(* sweep-stream: the sharded in-memory sweep ([run ~jobs]) and the
+   program sweeps over both numbered walks ([run_program] on [Cplan.iter],
+   [run_program_stream] on [Cplan.iter_interned]) share one engine, so
+   each is checked against the independent per-size LRU simulator, at
+   every jobs width, for both flush modes; the three are also compared
+   pairwise on footprint, accesses and reuse histogram.  This is the
+   determinism contract behind byte-identical --jobs output. *)
 
 let prop_sweep_stream c =
   let trace = Lazy.force c.trace in

@@ -4,9 +4,9 @@
    flat int environment and every affine expression becomes parallel
    coefficient/slot arrays, so walking the program is flat integer
    arithmetic.  One plan serves every concrete walk of the program: the
-   CDAG builder and the interning trace producers ([iter_cells]), the
-   dense-address trace producers ([iter]) and the sampled scan
-   ([iter_sampled]).
+   CDAG builder ([iter_cells]), the numbered exact access stream behind
+   every trace and exact sweep ([iter], with the interned reference walk
+   [iter_interned]) and the sampled scan ([iter_sampled]).
 
    On top of that, a plan usually carries a flat address layout.  Every
    array gets a rectangular hull - per-dimension inclusive bounds that
@@ -16,26 +16,25 @@
    expressions then compose with the layout into a single affine form
    over the loop variables, so producing an access is one flat-integer
    evaluation and its cell identity is an [int] already dense enough to
-   index arrays with: consumers replace interner hashing by an
-   [addr -> id] table.  Along an innermost loop the address form moves
-   by a constant, so the hot path emits an access with one addition.
+   index arrays with: [iter] numbers cells through a flat [addr -> id]
+   table instead of hashing them.  Along an innermost loop the address
+   form moves by a constant, so the hot path emits an access with one
+   addition and one table read.
 
    Hulls are keyed by (array, rank): an array name used at two ranks
    names two disjoint cell sets, exactly as the interner keys them.
    Interval bounds, hull volumes and the layout are computed with checked
    arithmetic, so a hull that would leave 63-bit integers leaves the plan
-   without a layout (callers intern the cells of [iter_cells] instead)
-   rather than wrapping into a small address space that emits
-   out-of-range addresses.  The composed address forms themselves may
-   wrap harmlessly: every address the plan emits lies in
-   [0, addr_space), and integer arithmetic modulo 2^63 computes it
-   exactly.
+   without a layout (its exact walks intern cells instead) rather than
+   wrapping into a small address space that emits out-of-range
+   addresses.  The composed address forms themselves may wrap
+   harmlessly: every address the plan emits lies in [0, addr_space), and
+   integer arithmetic modulo 2^63 computes it exactly.
 
    Addresses are injective on cells by construction (distinct hulls get
-   disjoint ranges; within a hull the row-major map is injective), and
-   [decode] inverts them, so a consumer that needs the symbolic cell -
-   say, to intern a first occurrence - pays the decode only once per
-   distinct cell, never per access.
+   disjoint ranges; within a hull the row-major map is injective), so
+   numbering addresses by first occurrence numbers cells by first
+   occurrence.
 
    The sampled scan needs no layout: the spatial hash is linear in the
    index vector before its final mix, so per call it composes with each
@@ -43,11 +42,12 @@
    steps by a per-site constant.
 
    A plan is immutable; every walk keeps its mutable state (environment,
-   per-site cursors, borrowed buffers) in per-call buffers, so one plan
-   can drive several domains concurrently. *)
+   per-site cursors, numbering tables, borrowed buffers) in per-call
+   buffers, so one plan can drive several domains concurrently. *)
 
 module Affine = Iolb_poly.Affine
 module Rat = Iolb_util.Rat
+module Budget = Iolb_util.Budget
 
 exception Past_range
 
@@ -137,10 +137,6 @@ type layout = {
   astep : int array;
       (* per site of an innermost loop: the address step per iteration,
          signed by the loop direction *)
-  d_names : string array;
-  d_base : int array; (* length nhulls + 1; last entry = addr_space *)
-  d_lo : int array array;
-  d_stride : int array array;
 }
 
 type t = {
@@ -158,35 +154,43 @@ let fresh_env t =
   List.iter (fun (s, v) -> env.(s) <- v) t.pinits;
   env
 
-(* Access count of a subtree at the current [env]: a loop whose body's
-   count does not depend on its variable contributes extent * body-count,
-   so rectangular sub-nests collapse to multiplications and only the
-   variables that shape inner bounds (triangular nests) are enumerated. *)
-let rec count env = function
-  | Cstmt st -> st.s1 - st.s0
+(* Weighted instance count of a subtree at the current [env], the weight
+   [w st] per instance of [st]: a loop whose body's count does not depend
+   on its variable contributes extent * body-count, so rectangular
+   sub-nests collapse to multiplications and only the variables that
+   shape inner bounds (triangular nests) are enumerated. *)
+let rec count w env = function
+  | Cstmt st -> w st
   | Cinner c ->
       let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
-      if hi_v < lo_v then 0 else (hi_v - lo_v + 1) * (c.st.s1 - c.st.s0)
+      if hi_v < lo_v then 0 else (hi_v - lo_v + 1) * w c.st
   | Cloop l ->
       let lo_v = ceval env l.lo and hi_v = ceval env l.hi in
       if hi_v < lo_v then 0
       else if l.collapse then begin
         env.(l.slot) <- lo_v;
         (hi_v - lo_v + 1)
-        * Array.fold_left (fun a c -> a + count env c) 0 l.body
+        * Array.fold_left (fun a c -> a + count w env c) 0 l.body
       end
       else begin
         let total = ref 0 in
         for v = lo_v to hi_v do
           env.(l.slot) <- v;
-          Array.iter (fun c -> total := !total + count env c) l.body
+          Array.iter (fun c -> total := !total + count w env c) l.body
         done;
         !total
       end
 
-let n_accesses t =
+let accesses st = st.s1 - st.s0
+
+let total w t =
   let env = fresh_env t in
-  Array.fold_left (fun a c -> a + count env c) 0 t.body
+  Array.fold_left (fun a c -> a + count w env c) 0 t.body
+
+let n_accesses = total accesses
+
+(* Instances with at least one access: the ones the exact walks gate. *)
+let n_instances = total (fun st -> if st.s1 > st.s0 then 1 else 0)
 
 let addr_space t = Option.map (fun l -> l.addr_space) t.layout
 
@@ -294,7 +298,6 @@ let compile ~params (p : Program.t) =
   }
 
 type hull = {
-  h_name : string;
   h_order : int; (* first-appearance rank: the hull's place in the layout *)
   h_lo : int array;
   h_hi : int array;
@@ -334,7 +337,6 @@ let layout t =
         | None ->
             let h =
               {
-                h_name = name;
                 h_order = Hashtbl.length hulls;
                 h_lo = Array.make nd max_int;
                 h_hi = Array.make nd min_int;
@@ -371,10 +373,8 @@ let layout t =
   Array.iter walk t.body;
   (* Layout: hulls in first-appearance order, back to back, row-major.
      Every hull was widened by at least one interval, so lo <= hi. *)
-  let hull_list = List.rev !order in
-  let n_hulls = List.length hull_list in
-  let d_lo = Array.make n_hulls [||] and d_stride = Array.make n_hulls [||] in
-  let d_base = Array.make (n_hulls + 1) 0 in
+  let n_hulls = Hashtbl.length hulls in
+  let bases = Array.make n_hulls 0 and strides = Array.make n_hulls [||] in
   let base = ref 0 in
   List.iter
     (fun h ->
@@ -388,33 +388,23 @@ let layout t =
         in
         size := Rat.mul_exn !size ext
       done;
-      d_base.(h.h_order) <- !base;
-      d_lo.(h.h_order) <- h.h_lo;
-      d_stride.(h.h_order) <- stride;
+      bases.(h.h_order) <- !base;
+      strides.(h.h_order) <- stride;
       base := Rat.add_exn !base !size)
-    hull_list;
-  d_base.(n_hulls) <- !base;
+    (List.rev !order);
   (* Compose each site's index forms with the layout into one address
      form: addr = base - sum_d stride_d * hull_lo_d + sum_d stride_d * idx_d. *)
   let addr =
     Array.mapi
       (fun s idx ->
         let h = Hashtbl.find hulls (t.site_array.(s), Array.length idx) in
-        let stride = d_stride.(h.h_order) in
-        let base = ref d_base.(h.h_order) in
+        let stride = strides.(h.h_order) in
+        let base = ref bases.(h.h_order) in
         Array.iteri (fun d lo -> base := !base - (stride.(d) * lo)) h.h_lo;
         combine t.nslots !base stride idx)
       t.site_index
   in
-  {
-    addr_space = !base;
-    addr;
-    astep = inner_steps t addr;
-    d_names = Array.of_list (List.map (fun h -> h.h_name) hull_list);
-    d_base;
-    d_lo;
-    d_stride;
-  }
+  { addr_space = !base; addr; astep = inner_steps t addr }
 
 let make ~params p =
   let t = compile ~params p in
@@ -422,41 +412,75 @@ let make ~params p =
   | l -> { t with layout = Some l }
   | exception Rat.Overflow -> t
 
-let layout_exn what t =
+(* --------------------------------------------------------------------- *)
+(* The numbered exact walks.                                              *)
+
+(* Address-space cap for the flat numbering tables: [iter] allocates one
+   per slice and [globalize] one per stream, so pathologically sparse
+   hulls (giant strides around a tiny footprint) must not allocate
+   gigabytes.  2^23 entries = 64 MB of table at most; beyond that
+   interning the cells is the better trade. *)
+let max_dense_addr_space = 1 lsl 23
+
+let dense_layout t =
   match t.layout with
-  | Some l -> l
-  | None -> invalid_arg (what ^ ": the plan has no address layout")
+  | Some l when l.addr_space <= max_dense_addr_space -> Some l
+  | Some _ | None -> None
 
-(* --------------------------------------------------------------------- *)
-(* Decoding.                                                              *)
+type cells =
+  | Addrs of int array (* per local id: its address *)
+  | Keys of Interner.t (* per local id: its interned cell *)
 
-let decode t addr =
-  let l = layout_exn "Cplan.decode" t in
-  if addr < 0 || addr >= l.addr_space then
-    invalid_arg "Cplan.decode: address out of range";
-  let i = ref 0 in
-  while l.d_base.(!i + 1) <= addr do
-    incr i
-  done;
-  let i = !i in
-  let strides = l.d_stride.(i) and los = l.d_lo.(i) in
-  let nd = Array.length strides in
-  let idx = Array.make nd 0 in
-  let rem = ref (addr - l.d_base.(i)) in
-  for d = 0 to nd - 1 do
-    idx.(d) <- los.(d) + (!rem / strides.(d));
-    rem := !rem mod strides.(d)
-  done;
-  (l.d_names.(i), idx)
+let footprint = function Addrs a -> Array.length a | Keys p -> Interner.count p
 
-(* --------------------------------------------------------------------- *)
-(* Iteration.                                                             *)
+(* First-occurrence numbering of the addresses [0, space): [ids.(a)] is
+   the id of address [a], -1 while unseen, and [addrs] the inverse.  The
+   table read is bounds-checked, so an address outside the layout raises
+   instead of aliasing. *)
+type numbering = { ids : int array; mutable addrs : int array; mutable n : int }
 
-let iter t ~lo ~hi ~on_instance ~on_access =
-  let l = layout_exn "Cplan.iter" t in
-  if lo < 0 then invalid_arg "Cplan.iter: lo < 0";
-  if hi < lo then invalid_arg "Cplan.iter: hi < lo";
+let numbering space =
+  { ids = Array.make (max space 1) (-1); addrs = Array.make 64 0; n = 0 }
+
+let number nb a =
+  let c = nb.n in
+  nb.ids.(a) <- c;
+  if c = Array.length nb.addrs then begin
+    let b = Array.make (2 * c) 0 in
+    Array.blit nb.addrs 0 b 0 c;
+    nb.addrs <- b
+  end;
+  nb.addrs.(c) <- a;
+  nb.n <- c + 1;
+  c
+
+let[@inline] id_of nb a =
+  let c = nb.ids.(a) in
+  if c >= 0 then c else number nb a
+
+(* The budget hook of the exact walks, once per statement instance with
+   an access in the slice: a [Cdag_build] checkpoint, counted against the
+   node cap.  A no-op on an unlimited budget. *)
+let instance_gate budget =
+  if Budget.is_unlimited budget then ignore
+  else
+    let ninst = ref 0 in
+    fun () ->
+      Budget.checkpoint budget Budget.Cdag_build;
+      incr ninst;
+      Budget.check_node_cap budget Budget.Cdag_build !ninst
+
+let check_range what lo hi =
+  if lo < 0 then invalid_arg (what ^ ": lo < 0");
+  if hi < lo then invalid_arg (what ^ ": hi < lo")
+
+(* The dense walk: the layout's addresses, numbered through a flat
+   table inside the loop, so the consumer's closure stays the only
+   indirect call per access. *)
+let iter_dense t l ~budget ~lo ~hi ~on_access =
   let addr = l.addr and astep = l.astep and sw = t.site_write in
+  let on_instance = instance_gate budget in
+  let nb = numbering l.addr_space in
   let env = fresh_env t in
   (* per-site address cursors of the innermost loops *)
   let cur = Array.make (Array.length addr) 0 in
@@ -471,8 +495,8 @@ let iter t ~lo ~hi ~on_instance ~on_access =
           for s = st.s0 to st.s1 - 1 do
             let p = !pos in
             if p >= lo && p < hi then
-              on_access p
-                (ceval env (Array.unsafe_get addr s))
+              on_access
+                (id_of nb (ceval env (Array.unsafe_get addr s)))
                 (Array.unsafe_get sw s);
             pos := p + 1
           done
@@ -500,16 +524,16 @@ let iter t ~lo ~hi ~on_instance ~on_access =
                 for _ = 1 to full do
                   on_instance ();
                   for s = i0 to i1 do
-                    let p = !pos in
-                    on_access p (Array.unsafe_get cur s)
-                      (Array.unsafe_get sw s);
-                    pos := p + 1
+                    on_access
+                      (id_of nb (Array.unsafe_get cur s))
+                      (Array.unsafe_get sw s)
                   done;
                   for s = i0 to i1 do
                     Array.unsafe_set cur s
                       (Array.unsafe_get cur s + Array.unsafe_get astep s)
                   done
                 done;
+                pos := !pos + (full * k);
                 it := !it + full
               end
               else begin
@@ -520,7 +544,8 @@ let iter t ~lo ~hi ~on_instance ~on_access =
                   for s = i0 to i1 do
                     let p = !pos in
                     if p >= lo && p < hi then
-                      on_access p (Array.unsafe_get cur s)
+                      on_access
+                        (id_of nb (Array.unsafe_get cur s))
                         (Array.unsafe_get sw s);
                     pos := p + 1
                   done
@@ -541,7 +566,9 @@ let iter t ~lo ~hi ~on_instance ~on_access =
           if !pos >= hi then raise_notrace Past_range;
           env.(l.slot) <- v;
           if !pos < lo then begin
-            let c = Array.fold_left (fun a n -> a + count env n) 0 l.body in
+            let c =
+              Array.fold_left (fun a n -> a + count accesses env n) 0 l.body
+            in
             (* [count] mutates slots below ours; restore *)
             env.(l.slot) <- v;
             if !pos + c <= lo then pos := !pos + c else Array.iter exec l.body
@@ -550,7 +577,8 @@ let iter t ~lo ~hi ~on_instance ~on_access =
         in
         span l.rev lo_v hi_v body
   in
-  try Array.iter exec t.body with Past_range -> ()
+  (try Array.iter exec t.body with Past_range -> ());
+  Addrs (Array.sub nb.addrs 0 nb.n)
 
 let iter_cells t ~on_load ~on_stmt ~on_store =
   let env = fresh_env t in
@@ -592,6 +620,58 @@ let iter_cells t ~on_load ~on_stmt ~on_store =
             Array.iter exec l.body)
   in
   Array.iter exec t.body
+
+(* Walks the cells from the program start and interns, in a slice-local
+   pool, only the accesses of [lo, hi).  A load belongs to the instance
+   [on_stmt] announces next, a store to the one it announced last; the
+   gate fires once per instance with an access in the slice, and the walk
+   to the slice only polls the deadline. *)
+let iter_interned t ~budget ~lo ~hi ~on_access =
+  check_range "Cplan.iter_interned" lo hi;
+  let pool = Interner.create () in
+  let gate = instance_gate budget in
+  let polls = not (Budget.is_unlimited budget) in
+  let pos = ref 0 and stmts = ref 0 and gated = ref (-1) in
+  let access inst w name idx =
+    let p = !pos in
+    if p >= hi then raise_notrace Past_range;
+    pos := p + 1;
+    if p >= lo then begin
+      if inst > !gated then begin
+        gated := inst;
+        gate ()
+      end;
+      on_access (Interner.intern_view pool name idx) w
+    end
+  in
+  (try
+     iter_cells t
+       ~on_load:(fun name idx -> access !stmts false name idx)
+       ~on_stmt:(fun _ _ ->
+         incr stmts;
+         if polls && !pos < lo then
+           if !stmts land (Budget.deadline_stride - 1) = 0 then
+             Budget.check_deadline budget Budget.Cdag_build)
+       ~on_store:(fun name idx -> access (!stmts - 1) true name idx)
+   with Past_range -> ());
+  Keys pool
+
+let iter t ~budget ~lo ~hi ~on_access =
+  check_range "Cplan.iter" lo hi;
+  match dense_layout t with
+  | Some l -> iter_dense t l ~budget ~lo ~hi ~on_access
+  | None -> iter_interned t ~budget ~lo ~hi ~on_access
+
+let globalize t slices =
+  let nb = lazy (numbering (Option.value (addr_space t) ~default:0)) in
+  let pool = Interner.create () in
+  List.map
+    (function
+      | Addrs a -> Array.map (id_of (Lazy.force nb)) a
+      | Keys p ->
+          Array.init (Interner.count p) (fun c ->
+              Interner.intern pool (Interner.key p c)))
+    slices
 
 (* --------------------------------------------------------------------- *)
 (* Spatially-hashed sampled iteration (SHARDS-style).                     *)

@@ -2,26 +2,30 @@
 
     A plan compiles a program at concrete parameters into flat integer
     slot environments and coefficient arrays, and serves every concrete
-    walk of it: {!iter_cells} (CDAG construction, and the interning
-    trace producers), {!iter} (dense-address traces and sweeps) and
-    {!iter_sampled} (the SHARDS-style sampled scan).  All three walk the
-    statement instances in program (textual/loop) order and, within an
-    instance, its reads in statement order and then its writes; that is
-    the access order and the position numbering every consumer shares.
+    walk of it: {!iter_cells} (CDAG construction), {!iter} (the numbered
+    exact access stream behind every trace and exact sweep, with
+    {!iter_interned} as its reference walk) and {!iter_sampled} (the
+    SHARDS-style sampled scan).  All of them walk the statement instances
+    in program (textual/loop) order and, within an instance, its reads in
+    statement order and then its writes; that is the access order and the
+    position numbering every consumer shares.
 
-    A plan usually also carries a flat address layout: every array gets
-    a rectangular hull (interval arithmetic over the loop nest) laid out
-    row-major in one address space, and every access site's index
-    expressions compose with the layout into a single affine form over
-    the loop variables.  Producing an access is then flat integer
-    arithmetic, and its cell identity is a dense [int] address -
-    consumers index an [addr -> id] table instead of hashing interned
-    cells, which is what lets the sharded exact sweep run at production
-    rate.  Along an innermost loop the address form advances by a
-    constant per iteration.  Addresses are injective on cells: distinct
-    arrays occupy disjoint ranges and the row-major map is injective on
-    each hull.  Hulls are keyed by (array, rank), so an array name used
-    at two ranks names two disjoint cell sets.
+    The exact walks emit cell ids, not cells: within a slice of the
+    stream, cells are numbered [0, 1, ...] in order of first occurrence,
+    and {!globalize} turns the numberings of consecutive slices into the
+    whole stream's.  A plan usually carries a flat address layout for
+    this: every array gets a rectangular hull (interval arithmetic over
+    the loop nest) laid out row-major in one address space, and every
+    access site's index expressions compose with the layout into a single
+    affine form over the loop variables.  Producing an access is then
+    flat integer arithmetic plus one read of an [addr -> id] table,
+    which is what lets the sharded exact sweep run at production rate.
+    Along an innermost loop the address form advances by a constant per
+    iteration.  Addresses are injective on cells: distinct arrays occupy
+    disjoint ranges and the row-major map is injective on each hull.
+    Hulls are keyed by (array, rank), so an array name used at two ranks
+    names two disjoint cell sets.  Plans without a layout, or whose layout
+    spans more than 2^23 addresses, intern their cells instead.
 
     The sampled scan needs no layout: the spatial cell hash
     ({!sample_hash}) composes with the index forms, so a rejected access
@@ -33,7 +37,7 @@ type t
     program text only, never on the parameter values.  When a hull
     bound, a hull volume or the total address space would leave 63-bit
     integers, the plan has no address layout ({!addr_space} is [None]);
-    {!iter_cells} and {!iter_sampled} serve it all the same.
+    every walk serves it all the same.
 
     @raise Not_found on a variable bound neither by [params] nor by an
     enclosing loop. *)
@@ -45,40 +49,69 @@ val make : params:(string * int) list -> Program.t -> t
     bound are enumerated. *)
 val n_accesses : t -> int
 
+(** Exact number of statement instances with at least one access - the
+    count the exact walks' node-cap gate reaches on the whole stream -
+    counted like {!n_accesses}. *)
+val n_instances : t -> int
+
 (** Size of the flat address space ([0 <= addr < space]), or [None] when
     the plan has no address layout.  An over-approximation of the
-    footprint: consumers allocate remap tables of this length, so check
-    it against a memory policy first. *)
+    footprint. *)
 val addr_space : t -> int option
 
-(** [decode t addr] is the concrete cell at [addr].  Allocates; intended
-    for first occurrences only.
-    @raise Invalid_argument if the plan has no address layout or [addr]
-    is out of range. *)
-val decode : t -> int -> string * int array
+(** The distinct cells of one walked slice, by slice-local id. *)
+type cells
 
-(** [iter t ~lo ~hi ~on_instance ~on_access] visits the accesses whose
-    global position - their 0-based index in the plan's access order -
-    lies in [\[lo, hi)], in program order: [on_access pos addr is_write]
-    per access, [on_instance ()] once per statement instance with at
-    least one access in range (fired before its accesses).  Whole loop
-    iterations left of [lo] are skipped by closed-form counting,
-    iteration stops once [hi] is passed - the [seek] arithmetic: reaching
-    position [k] costs the loop structure around it (O(depth) for
-    rectangular nests), not [k] emissions.  [decode t addr] is the cell
-    {!iter_cells} visits at the same position.
+(** Number of distinct cells of a slice. *)
+val footprint : cells -> int
 
-    All mutable iteration state lives in per-call buffers: one plan may
-    be iterated concurrently from several domains.
-    @raise Invalid_argument if the plan has no address layout, [lo < 0]
-    or [hi < lo]. *)
+(** [iter t ~budget ~lo ~hi ~on_access] visits the accesses whose global
+    position - their 0-based index in the plan's access order - lies in
+    [\[lo, hi)], in program order, calling [on_access id is_write] per
+    access, and returns the slice's cells.  [id] numbers the slice's
+    cells by first occurrence: a cell's first access in the slice gets
+    the next unused id.  Whole loop iterations left of [lo] are skipped
+    by closed-form counting, and iteration stops once [hi] is passed -
+    the [seek] arithmetic: reaching position [k] costs the loop structure
+    around it (O(depth) for rectangular nests), not [k] emissions.  A
+    plan without a layout of at most 2^23 addresses is walked by
+    {!iter_interned} instead, which has no such seek.
+
+    Budget: one [Cdag_build] checkpoint per statement instance with at
+    least one access in the slice (before its accesses), counted against
+    the node cap.  All mutable iteration state lives in per-call buffers:
+    one plan may be iterated concurrently from several domains.
+    @raise Invalid_argument if [lo < 0] or [hi < lo].
+    @raise Iolb_util.Budget.Exhausted when the budget runs out. *)
 val iter :
   t ->
+  budget:Iolb_util.Budget.t ->
   lo:int ->
   hi:int ->
-  on_instance:(unit -> unit) ->
-  on_access:(int -> int -> bool -> unit) ->
-  unit
+  on_access:(int -> bool -> unit) ->
+  cells
+
+(** [iter_interned] is {!iter} on the plan's interned cell walk
+    ({!iter_cells} plus a slice-local interner), whatever its layout: the
+    same ids, the same cells and the same budget charges.  Without a
+    closed-form seek it walks the whole stream prefix before [lo],
+    polling only the budget's deadline there.  The reference walk of the
+    program sweeps. *)
+val iter_interned :
+  t ->
+  budget:Iolb_util.Budget.t ->
+  lo:int ->
+  hi:int ->
+  on_access:(int -> bool -> unit) ->
+  cells
+
+(** [globalize t slices] numbers consecutive slices of [t]'s stream
+    globally: given the cells one walk ({!iter} or {!iter_interned})
+    returned for the slices [\[p0, p1), \[p1, p2), ...], in stream
+    order, its [i]-th array maps slice [i]'s local ids to the whole
+    stream's first-occurrence ids - the ids the walk emits on
+    [\[p0, pk)] in one call. *)
+val globalize : t -> cells list -> int array list
 
 (** [iter_cells t ~on_load ~on_stmt ~on_store] streams, for every
     statement instance in program order: each cell read (in statement
@@ -88,9 +121,8 @@ val iter :
     valid only for the duration of the callback - copy them to keep
     them.  This is the allocation-free walk of CDAG construction, where
     input nodes for first-read cells must be numbered before the compute
-    node that reads them, and, plus an interner, the producer for plans
-    without a usable address layout.  Like {!iter}, safe to call
-    concurrently on one plan. *)
+    node that reads them, and, plus an interner, {!iter_interned}.  Like
+    {!iter}, safe to call concurrently on one plan. *)
 val iter_cells :
   t ->
   on_load:(string -> int array -> unit) ->

@@ -3,14 +3,14 @@ type key = string * int array
 (* Open-addressing hash table over dense ids.  The table stores only ids;
    keys live in [rev], so membership probes can hash and compare against a
    *borrowed* (name, indices) view without materialising a key value.  The
-   hot callers (trace building, CDAG construction) intern millions of cells
+   hot callers (cell walks, CDAG construction) intern millions of cells
    of which almost all are repeats: the hit path allocates nothing. *)
 type t = {
   mutable table : int array; (* -1 = empty slot, else dense id *)
   mutable mask : int; (* Array.length table - 1; capacity is a power of 2 *)
   mutable rev : key array;
   mutable n : int;
-  (* One-entry name-hash memo.  Trace builders intern long runs of cells
+  (* One-entry name-hash memo.  Cell walks intern long runs of cells
      sharing the same (physically equal) array-name string; hashing it
      once per run instead of once per probe is a measurable win. *)
   mutable hname : string;

@@ -1,12 +1,13 @@
 (** Dense interning of [(array-name, index-vector)] keys.
 
-    CDAG construction, trace building and cache simulation all key their
-    inner loops on concrete cells [(string * int array)].  Hashing those
-    polymorphically in every loop iteration (and rebuilding the table on
-    every simulator call) dominates the empirical layer's profile.  An
-    interner maps each distinct key to a dense [int] once - with a
-    specialised (non-polymorphic) hash - so downstream passes run on int
-    keys and flat arrays.
+    CDAG construction and the interned exact walk
+    ({!Cplan.iter_interned}) key their inner loops on concrete cells
+    [(string * int array)].  Hashing those polymorphically in every loop
+    iteration (and rebuilding the table on every simulator call)
+    dominates the empirical layer's profile.  An interner maps each
+    distinct key to a dense [int] once - with a specialised
+    (non-polymorphic) hash - so downstream passes run on int keys and
+    flat arrays.
 
     Interners are single-writer: build in one domain, then share the frozen
     result read-only across a pool fan-out. *)

@@ -1,6 +1,5 @@
 module Budget = Iolb_util.Budget
 module Pool = Iolb_util.Pool
-module Interner = Iolb_ir.Interner
 module Cplan = Iolb_ir.Cplan
 
 (* Single-pass LRU cache sweep via reuse (stack) distances, after Mattson
@@ -50,9 +49,9 @@ module Cplan = Iolb_ir.Cplan
      segment partition - hence byte-identical output at any [--jobs]
      width.
    A sequential sweep of a materialized trace is the one-segment case.  One
-   shard driver ([drive]) serves the three producers: a materialized trace,
-   the dense addresses of a compiled plan ({!Cplan.iter}) and its interned
-   cells ({!Cplan.iter_cells}). *)
+   shard driver ([drive]) serves the materialized trace and the compiled
+   plan's numbered walks ({!Cplan.iter}, {!Cplan.iter_interned}): all of
+   them hand a shard its cells under first-occurrence ids. *)
 
 type t = {
   accesses : int;
@@ -569,11 +568,11 @@ let merge_finish gs ~flush ~accesses =
 (* ------------------------------------------------------------------ *)
 (* The shard driver.  [shard ps ~lo ~hi] feeds events [lo, hi) to the  *)
 (* fresh pass [ps] under shard-local first-occurrence ids (the id      *)
-(* discipline [pass_event] expects) and returns the shard's keys;      *)
-(* [to_global] maps them to global ids.  It is applied in segment      *)
-(* order, which reproduces the sequential first-occurrence numbering.  *)
+(* discipline [pass_event] expects) and returns the shard's cells;     *)
+(* [globalize] maps each shard's local ids to global first-occurrence  *)
+(* ids, given the shards in segment order.                             *)
 
-let drive ~budget ~flush ~jobs ~n ~shard ~to_global =
+let drive ~budget ~flush ~jobs ~n ~shard ~globalize =
   if jobs < 1 then invalid_arg "Sweep: jobs < 1";
   let parts =
     Pool.map ~jobs
@@ -584,121 +583,58 @@ let drive ~budget ~flush ~jobs ~n ~shard ~to_global =
         if not (Budget.is_unlimited budget) then
           Budget.check_deadline budget Budget.Cache_sim;
         let ps = pass_create budget in
-        let keys = shard ps ~lo ~hi in
-        (keys, ps))
+        let cells = shard ps ~lo ~hi in
+        (cells, ps))
       (Pool.split ~shards:jobs n)
   in
   let gs = gstate_create budget in
-  List.iter (fun (keys, ps) -> merge_segment gs (to_global keys) ps) parts;
+  List.iter2
+    (fun gids (_, ps) -> merge_segment gs gids ps)
+    (globalize (List.map fst parts))
+    parts;
   merge_finish gs ~flush ~accesses:n
 
-(* First-occurrence numbering of a dense key space [0, space): a flat
-   table key -> id, and the inverse.  Trace cell ids and compiled
-   addresses are both dense ints: each shard numbers its keys locally
-   with one, and the driver numbers the shards' keys globally with
-   another. *)
-type remap = { ids : int array; mutable keys : int array; mutable count : int }
-
-let remap_create space =
-  { ids = Array.make (max space 1) (-1); keys = Array.make 64 0; count = 0 }
-
-let remap_add r k =
-  let c = r.count in
-  r.ids.(k) <- c;
-  if c = Array.length r.keys then begin
-    let a = Array.make (2 * c) 0 in
-    Array.blit r.keys 0 a 0 c;
-    r.keys <- a
-  end;
-  r.keys.(c) <- k;
-  r.count <- c + 1;
-  c
-
-let[@inline] remap_id r k =
-  let c = Array.unsafe_get r.ids k in
-  if c >= 0 then c else remap_add r k
-
-let drive_dense ~budget ~flush ~jobs ~n ~space produce =
-  let global = remap_create space in
-  drive ~budget ~flush ~jobs ~n
-    ~shard:(fun ps ~lo ~hi ->
-      let r = remap_create space in
-      produce ps r ~lo ~hi;
-      Array.sub r.keys 0 r.count)
-    ~to_global:(Array.map (remap_id global))
-
+(* Trace ids already are the global first-occurrence ids, so a shard
+   only numbers them locally: a new cell gets the pass's next local id,
+   and the table read back gives each local id its trace id. *)
 let run ?(budget = Budget.unlimited) ?(flush = true) ?(jobs = 1) trace =
   let cells = Trace.cells trace and wflags = Trace.write_flags trace in
-  drive_dense ~budget ~flush ~jobs ~n:(Trace.length trace)
-    ~space:(Trace.footprint trace) (fun ps r ~lo ~hi ->
+  let space = max 1 (Trace.footprint trace) in
+  drive ~budget ~flush ~jobs ~n:(Trace.length trace) ~globalize:Fun.id
+    ~shard:(fun ps ~lo ~hi ->
+      let local = Array.make space (-1) in
       for i = lo to hi - 1 do
-        pass_event ps
-          (remap_id r (Array.unsafe_get cells i))
-          (Array.unsafe_get wflags i)
-      done)
+        let g = Array.unsafe_get cells i in
+        let c = Array.unsafe_get local g in
+        let c =
+          if c >= 0 then c
+          else begin
+            local.(g) <- ps.p_n;
+            ps.p_n
+          end
+        in
+        pass_event ps c (Array.unsafe_get wflags i)
+      done;
+      let gids = Array.make ps.p_n 0 in
+      Array.iteri (fun g c -> if c >= 0 then gids.(c) <- g) local;
+      gids)
+
+let run_walk walk ~budget ~flush ~jobs plan =
+  drive ~budget ~flush ~jobs ~n:(Cplan.n_accesses plan)
+    ~globalize:(Cplan.globalize plan) ~shard:(fun ps ~lo ~hi ->
+      walk plan ~budget ~lo ~hi ~on_access:(fun id w -> pass_event ps id w))
 
 let default_jobs = function Some j -> j | None -> Pool.default_jobs ()
 
-exception Past_slice
-
-(* Every shard walks the plan's cells from the program start and interns,
-   in a shard-local pool (dense first-occurrence ids), only the accesses
-   of its own slice.  A load belongs to the instance [on_stmt] announces
-   next, a store to the one it announced last; the gate fires once per
-   instance with an access in the slice, and the walk to the slice only
-   polls the deadline. *)
-let sweep_cells ~budget ~flush ~jobs plan =
-  let gpool = Interner.create () in
-  drive ~budget ~flush ~jobs ~n:(Cplan.n_accesses plan)
-    ~shard:(fun ps ~lo ~hi ->
-      let pool = Interner.create () in
-      let gate = Trace.instance_gate budget in
-      let unlimited = Budget.is_unlimited budget in
-      let pos = ref 0 and stmts = ref 0 and gated = ref (-1) in
-      let access inst w name idx =
-        let p = !pos in
-        if p >= hi then raise_notrace Past_slice;
-        pos := p + 1;
-        if p >= lo then begin
-          if inst > !gated then begin
-            gated := inst;
-            gate ()
-          end;
-          pass_event ps (Interner.intern_view pool name idx) w
-        end
-      in
-      (try
-         Cplan.iter_cells plan
-           ~on_load:(fun name idx -> access !stmts false name idx)
-           ~on_stmt:(fun _ _ ->
-             incr stmts;
-             if !pos < lo && not unlimited then
-               if !stmts land (Budget.deadline_stride - 1) = 0 then
-                 Budget.check_deadline budget Budget.Cdag_build)
-           ~on_store:(fun name idx -> access (!stmts - 1) true name idx)
-       with Past_slice -> ());
-      pool)
-    ~to_global:(fun pool ->
-      Array.init (Interner.count pool) (fun c ->
-          Interner.intern gpool (Interner.key pool c)))
-
-let sweep_plan ~budget ~flush ~jobs plan =
-  match Trace.dense_space plan with
-  | None -> sweep_cells ~budget ~flush ~jobs plan
-  | Some space ->
-      drive_dense ~budget ~flush ~jobs ~n:(Cplan.n_accesses plan) ~space
-        (fun ps r ~lo ~hi ->
-          Cplan.iter plan ~lo ~hi ~on_instance:(Trace.instance_gate budget)
-            ~on_access:(fun _pos addr w -> pass_event ps (remap_id r addr) w))
-
 let run_program_stream ?(budget = Budget.unlimited) ?(flush = true) ?jobs
     ~params prog =
-  sweep_cells ~budget ~flush ~jobs:(default_jobs jobs)
+  run_walk Cplan.iter_interned ~budget ~flush ~jobs:(default_jobs jobs)
     (Cplan.make ~params prog)
 
 let run_program ?(budget = Budget.unlimited) ?(flush = true) ?jobs ~params
     prog =
-  sweep_plan ~budget ~flush ~jobs:(default_jobs jobs) (Cplan.make ~params prog)
+  run_walk Cplan.iter ~budget ~flush ~jobs:(default_jobs jobs)
+    (Cplan.make ~params prog)
 
 (* ------------------------------------------------------------------ *)
 (* Sampled sweeps (SHARDS).  Cells are kept iff their spatial hash     *)
@@ -753,7 +689,9 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ?(groups = 8)
   let total = Cplan.n_accesses plan in
   let thresh = int_of_float (rate *. hash_space) in
   if rate >= 1.0 || float_of_int thresh >= hash_space then begin
-    let t = sweep_plan ~budget ~flush ~jobs:(Pool.default_jobs ()) plan in
+    let t =
+      run_walk Cplan.iter ~budget ~flush ~jobs:(Pool.default_jobs ()) plan
+    in
     {
       s_rate = 1.0;
       s_total = total;
@@ -947,17 +885,6 @@ let sampled_stats s ~size =
       estimate (fun st -> st.Cache.read_hits),
       estimate (fun st -> st.Cache.stores) )
   end
-
-(* Answer a size list with whichever engine is cheaper: a single size runs
-   the O(T) LRU simulator directly; two or more sizes share one O(T log F)
-   sweep pass.  Results are identical either way. *)
-let lru_stats ?budget ?flush trace ~sizes =
-  match sizes with
-  | [] -> []
-  | [ size ] -> [ (size, Cache.lru ?budget ~size ?flush trace) ]
-  | _ ->
-      let t = run ?budget ?flush trace in
-      List.map (fun size -> (size, stats t ~size)) sizes
 
 (* Size-list syntax shared by the CLI and the bench: "a,b,c" or
    "lo:hi:step".  A range is counted before it is built, so neither a

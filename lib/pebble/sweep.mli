@@ -44,16 +44,6 @@ val run :
     @raise Invalid_argument if [size < 1]. *)
 val stats : t -> size:int -> Cache.stats
 
-(** [lru_stats trace ~sizes] is [Cache.lru] at every size of [sizes], in
-    order: a singleton runs the O(T) simulator directly, two or more sizes
-    share one sweep pass.  The results are identical either way. *)
-val lru_stats :
-  ?budget:Iolb_util.Budget.t ->
-  ?flush:bool ->
-  Trace.t ->
-  sizes:int list ->
-  (int * Cache.stats) list
-
 (** Number of distinct cells of the swept trace; sizes [>= footprint]
     all behave like [footprint] (nothing ever evicts). *)
 val footprint : t -> int
@@ -80,13 +70,11 @@ val parse_sizes : string -> (int list, string) result
 
 (** [run_program ~params p] sweeps the access trace of program [p] at
     concrete [params]: each of [jobs] domains produces its own contiguous
-    slice of the trace in place through the compiled plan
-    ({!Iolb_ir.Cplan}) - flat integer address arithmetic with an
-    O(depth) seek to the slice start, no hashing.  Plans without an
-    address layout (a hull beyond 63-bit integers) or with an address
-    space too sparse for the flat remap tables ({!Trace.dense_space}) are
-    swept as {!run_program_stream} sweeps them.  Equal to [run
-    (Trace.of_program ~params p)] in every field either way.  Budget
+    slice of the trace in place through the compiled plan's numbered walk
+    ({!Iolb_ir.Cplan.iter}) - on a laid-out plan, flat integer address
+    arithmetic with an O(depth) seek to the slice start, no hashing - and
+    {!Iolb_ir.Cplan.globalize} numbers the slices' cells globally.  Equal
+    to [run (Trace.of_program ~params p)] in every field.  Budget
     semantics combine the trace-build stage ([Cdag_build] checkpoints per
     statement instance, counted against the node cap) and the sweep
     stage ([Cache_sim] per event). *)
@@ -98,12 +86,12 @@ val run_program :
   Iolb_ir.Program.t ->
   t
 
-(** The interning sweep: every shard walks the plan's cells
-    ({!Iolb_ir.Cplan.iter_cells}) from the program start and interns
-    only the accesses of its own slice, so it needs no address layout.
-    {!run_program}'s path for plans without a usable layout, and equal
-    to it in every field, for any [jobs].  Without a closed-form seek, a
-    shard pays for the whole trace prefix before its slice. *)
+(** {!run_program} on the reference walk
+    ({!Iolb_ir.Cplan.iter_interned}): every shard walks the plan's cells
+    from the program start and interns only the accesses of its own
+    slice, whatever the plan's layout.  Equal to {!run_program} in every
+    field, for any [jobs].  Without a closed-form seek, a shard pays for
+    the whole trace prefix before its slice. *)
 val run_program_stream :
   ?budget:Iolb_util.Budget.t ->
   ?flush:bool ->
@@ -125,7 +113,7 @@ val run_program_stream :
     error bars.  The scan runs on the compiled plan
     ({!Iolb_ir.Cplan.iter_sampled}), where a rejected access costs a few
     nanoseconds, which is what makes billion-access validation runs
-    feasible.  It needs neither a remap table nor an address layout, so
+    feasible.  It needs neither a numbering table nor an address layout, so
     every plan serves. *)
 
 type sampled

@@ -6,9 +6,10 @@
     untiled program order) or from hand-scheduled tiled algorithms
     (Appendix A of the paper).
 
-    Representation: events are stored as flat arrays of interned cell ids
-    and read/write flags, with the {!Iolb_ir.Interner} built once at
-    construction.  Simulators index straight into the arrays - no
+    Representation: events are stored as flat arrays of cell ids and
+    read/write flags.  Ids number the cells by first occurrence, as
+    {!Iolb_ir.Cplan.iter} emits them, so a trace keeps no cell table:
+    only its footprint.  Simulators index straight into the arrays - no
     per-invocation interning, no polymorphic hashing, and O(1)
     {!length}/{!footprint}.  A trace is immutable after construction and
     safe to share read-only across a {!Iolb_util.Pool} fan-out. *)
@@ -20,9 +21,13 @@ type event = Read of cell | Write of cell
 type t
 
 (** [of_program ~params p] is the trace of the program executed in textual
-    order: for each instance, its reads then its writes.  Instantiation is
-    accounted against the budget's [Cdag_build] stage (one checkpoint per
-    instance, node cap on the instance count).
+    order: for each instance, its reads then its writes, one
+    {!Iolb_ir.Cplan.iter} walk.  Instantiation is accounted against the
+    budget's [Cdag_build] stage (one checkpoint per instance, node cap on
+    the instance count); on a budget that is not unlimited, the node cap
+    is first checked against the closed-form instance count
+    ({!Iolb_ir.Cplan.n_instances}), before the event arrays are
+    allocated.
     @raise Iolb_util.Budget.Exhausted when the budget runs out. *)
 val of_program :
   ?budget:Iolb_util.Budget.t ->
@@ -30,23 +35,9 @@ val of_program :
   Iolb_ir.Program.t ->
   t
 
-(** [instance_gate budget] is the budget hook of trace production, to be
-    called once per statement instance: a [Cdag_build] checkpoint,
-    counted against the node cap.  A no-op on an unlimited budget.
-    Shared by {!of_program} and the program sweeps. *)
-val instance_gate : Iolb_util.Budget.t -> unit -> unit
-
 (** [of_events evs] interns an explicit event sequence (hand-written traces
     in tests and experiments). *)
 val of_events : event list -> t
-
-(** [dense_space plan] is the size of [plan]'s address space when the
-    plan has an address layout that fits the flat remap-table memory
-    policy (2^23 addresses) - the shared gate for every consumer that
-    remaps addresses through a flat table ({!of_program}, the sharded
-    sweep).  [None] means: intern the cells of
-    {!Iolb_ir.Cplan.iter_cells} instead. *)
-val dense_space : Iolb_ir.Cplan.t -> int option
 
 (** Number of events. O(1). *)
 val length : t -> int
@@ -56,17 +47,17 @@ val footprint : t -> int
 
 (** {1 Indexed access (used by the simulators)} *)
 
-(** [cell_id t i] is the dense id of the cell accessed by event [i];
-    ids lie in [0 .. footprint t - 1]. *)
+(** [cell_id t i] is the dense id of the cell accessed by event [i]:
+    ids lie in [0 .. footprint t - 1] and number the cells in order of
+    first occurrence. *)
 val cell_id : t -> int -> int
 
 (** [is_write t i]: is event [i] a write? *)
 val is_write : t -> int -> bool
 
 (** Raw event storage, borrowed read-only by the simulators' inner loops
-    (a cross-module accessor call per event is measurable there).  Only
-    indices [0 .. length t - 1] are meaningful - the arrays may be
-    oversized.  Never mutate them. *)
+    (a cross-module accessor call per event is measurable there): both
+    arrays have {!length} entries.  Never mutate them. *)
 val cells : t -> int array
 
 val write_flags : t -> bool array

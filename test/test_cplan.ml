@@ -1,13 +1,18 @@
 (* The one loop-nest compiler against the reference interpreter
    ([Iolb_check.Interp]), access for access: the cell walk ([iter_cells]:
-   reads, then the instance, then writes), the dense-address production
-   ([iter]: cell, write flag, position, instance granularity, injective
-   in-range addresses) wherever the plan has a layout, and - the seek
-   contract - producing [0, k) and then the rest must reproduce the full
-   stream for every split point.  The sampled scan must keep exactly the
-   reference accesses whose cell hash falls below the threshold, in
-   order.  Covers the paper kernels, the baselines, the tiled specs, the
-   parseable test/data programs and random generated programs. *)
+   reads, then the instance, then writes), and both numbered walks
+   ([iter] and the interned [iter_interned]: the first-occurrence ids of
+   the slice's cells, write flags, footprint, and one budget checkpoint
+   per instance), whatever the plan's layout.  The id comparison is what
+   checks the layout: addresses that alias two cells merge their ids, and
+   the table read that numbers an address is bounds-checked against the
+   address space.  The seek contract: producing [0, k) and then the rest -
+   or any finer slicing - reproduces the full stream, with [globalize]
+   turning the slices' ids into the whole stream's.  The sampled scan
+   must keep exactly the reference accesses whose cell hash falls below
+   the threshold, in order.  Covers the paper kernels, the baselines, the
+   tiled specs, the parseable test/data programs and random generated
+   programs. *)
 
 module C = Iolb_ir.Cplan
 module Interp = Iolb_check.Interp
@@ -15,9 +20,7 @@ module Report = Iolb.Report
 module K = Iolb_kernels
 module Spec = Iolb_check.Spec
 module Gen = Iolb_check.Gen
-
-(* Reference stream: (name, index, is_write) in emission order. *)
-let reference ~params prog = Array.of_list (Interp.accesses ~params prog)
+module Budget = Iolb_util.Budget
 
 type event =
   | Load of string * int array
@@ -50,61 +53,82 @@ let check_cells ~what ~params prog plan =
     ~on_store:(push (fun a x -> Store (a, x)));
   first_difference (what ^ ": iter_cells") (List.rev !got) want
 
-(* Full-range dense production through a laid-out plan, decoded. *)
-let check_dense ~what ~params prog plan full space =
-  let n = Array.length full in
-  let instances = ref 0 in
-  let pos = ref 0 in
-  let cell_of = Hashtbl.create 64 in
-  C.iter plan ~lo:0 ~hi:max_int
-    ~on_instance:(fun () -> incr instances)
-    ~on_access:(fun p addr w ->
-      Alcotest.(check int) (what ^ ": position") !pos p;
-      if p >= n then Alcotest.failf "%s: access beyond reference length" what;
-      if addr < 0 || addr >= space then
-        Alcotest.failf "%s: address %d outside [0, %d)" what addr space;
-      let en, ei, ew = full.(p) in
-      if ew <> w then Alcotest.failf "%s: write flag differs at %d" what p;
-      (* the address must be injective on cells and decode to the cell *)
-      let dn, di = C.decode plan addr in
-      if not (dn = en && di = ei) then
-        Alcotest.failf "%s: decode %d gives %s, reference %s" what addr dn en;
-      (match Hashtbl.find_opt cell_of addr with
-      | Some (n0, i0) ->
-          if not (n0 = en && i0 = ei) then
-            Alcotest.failf "%s: address %d aliases two cells" what addr
-      | None -> Hashtbl.add cell_of addr (en, Array.copy ei));
-      incr pos);
-  Alcotest.(check int) (what ^ ": all accesses") n !pos;
-  Alcotest.(check int)
-    (what ^ ": instance count")
-    (List.length (Interp.instances ~params prog))
-    !instances;
-  (* distinct cells <-> distinct addresses *)
-  let cells = Hashtbl.create 64 in
-  Array.iter (fun (n, i, _) -> Hashtbl.replace cells (n, i) ()) full;
-  Alcotest.(check int)
-    (what ^ ": footprint = distinct addresses")
-    (Hashtbl.length cells) (Hashtbl.length cell_of)
+(* The reference stream with, per access, the index of its instance. *)
+let reference_instances ~params prog =
+  Array.of_list
+    (List.concat
+       (List.mapi
+          (fun k (i : Interp.instance) ->
+            List.map (fun (a, x) -> (a, x, false, k)) i.reads
+            @ List.map (fun (a, x) -> (a, x, true, k)) i.writes)
+          (Interp.instances ~params prog)))
 
-(* The count, the cell walk and, when the plan has an address layout,
-   full-range dense production, decoded. *)
+(* First-occurrence numbering of the reference accesses [lo, hi): the id
+   of each access, and the number of distinct cells. *)
+let reference_ids full lo hi =
+  let ids = Hashtbl.create 64 in
+  let seq =
+    List.init (hi - lo) (fun k ->
+        let a, x, _, _ = full.(lo + k) in
+        match Hashtbl.find_opt ids (a, x) with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length ids in
+            Hashtbl.add ids (a, x) c;
+            c)
+  in
+  (seq, Hashtbl.length ids)
+
+let walks = [ ("iter", C.iter); ("iter_interned", C.iter_interned) ]
+
+(* One numbered walk of [lo, hi) against the reference: ids and write
+   flags, footprint, and one [Cdag_build] checkpoint per instance with an
+   access in the slice.  Returns the slice's cells and emitted ids. *)
+let check_walk ~what full plan (wname, walk) (lo, hi) =
+  let what = Printf.sprintf "%s: %s [%d, %d)" what wname lo hi in
+  let want_ids, fp = reference_ids full lo hi in
+  let slice = List.init (hi - lo) (fun k -> full.(lo + k)) in
+  let budget = Budget.make ~max_steps:max_int () in
+  let got = ref [] in
+  let cells =
+    walk plan ~budget ~lo ~hi ~on_access:(fun id w -> got := (id, w) :: !got)
+  in
+  let got = List.rev !got in
+  first_difference (what ^ ": ids") got
+    (List.map2 (fun id (_, _, w, _) -> (id, w)) want_ids slice);
+  Alcotest.(check int) (what ^ ": footprint") fp (C.footprint cells);
+  let instances = Hashtbl.create 64 in
+  List.iter (fun (_, _, _, k) -> Hashtbl.replace instances k ()) slice;
+  Alcotest.(check int) (what ^ ": gated instances") (Hashtbl.length instances)
+    (Budget.stage_steps budget Budget.Cdag_build);
+  (cells, List.map fst got)
+
+(* The count, the cell walk and both numbered walks over the whole
+   stream. *)
 let check_full ?(layout = true) ~what ~params prog =
-  let full = reference ~params prog in
+  let full = reference_instances ~params prog in
   let n = Array.length full in
   let plan = C.make ~params prog in
   Alcotest.(check int) (what ^ ": n_accesses") n (C.n_accesses plan);
+  Alcotest.(check int) (what ^ ": n_instances")
+    (List.length
+       (List.filter
+          (fun (i : Interp.instance) -> i.reads <> [] || i.writes <> [])
+          (Interp.instances ~params prog)))
+    (C.n_instances plan);
   Alcotest.(check bool) (what ^ ": has a layout") layout
     (C.addr_space plan <> None);
   check_cells ~what ~params prog plan;
-  Option.iter (check_dense ~what ~params prog plan full) (C.addr_space plan)
+  List.iter (fun w -> ignore (check_walk ~what full plan w (0, n))) walks
 
 (* The seek contract: emitting [0, k) and then [k, n) - or any finer
-   slicing - reproduces the full production. *)
+   slicing - reproduces the full stream, slice-local ids and all, and
+   [globalize] maps each slice's ids to the whole stream's. *)
 let check_slices ~what ~params prog cuts_list =
-  let full = reference ~params prog in
+  let full = reference_instances ~params prog in
   let n = Array.length full in
   let plan = C.make ~params prog in
+  let whole, _ = reference_ids full 0 n in
   List.iter
     (fun cuts ->
       let bounds = (0 :: cuts) @ [ n ] in
@@ -112,21 +136,23 @@ let check_slices ~what ~params prog cuts_list =
         | a :: (b :: _ as rest) -> (a, b) :: pairs rest
         | _ -> []
       in
-      let pos = ref 0 in
       List.iter
-        (fun (lo, hi) ->
-          C.iter plan ~lo ~hi
-            ~on_instance:(fun () -> ())
-            ~on_access:(fun p addr w ->
-              Alcotest.(check int) (what ^ ": slice position") !pos p;
-              let en, ei, ew = full.(p) in
-              let dn, di = C.decode plan addr in
-              if not (dn = en && di = ei && w = ew) then
-                Alcotest.failf "%s: access %d differs in slice [%d, %d)" what p
-                  lo hi;
-              incr pos))
-        (pairs bounds);
-      Alcotest.(check int) (what ^ ": slices cover") n !pos)
+        (fun ((wname, _) as walk) ->
+          let slices =
+            List.map (check_walk ~what full plan walk) (pairs bounds)
+          in
+          let global =
+            List.concat
+              (List.map2
+                 (fun gids (_, ids) -> List.map (fun id -> gids.(id)) ids)
+                 (C.globalize plan (List.map fst slices))
+                 slices)
+          in
+          first_difference
+            (Printf.sprintf "%s: %s globalized at cuts %s" what wname
+               (String.concat "," (List.map string_of_int cuts)))
+            global whole)
+        walks)
     cuts_list
 
 (* The sampled scan keeps exactly the reference accesses whose cell hash
@@ -179,7 +205,8 @@ let tiled_kernels () =
    innermost loop running downwards steps its cursors backwards, in the
    exact production, its seeks and the sampled scan.  A skewed subscript
    and a program whose derivation leaves 63-bit rationals still get a
-   laid-out plan. *)
+   laid-out plan, and so does a hull of about 9e7 addresses around 42
+   cells, too sparse for a flat numbering table. *)
 let data_programs () =
   List.iter
     (fun name ->
@@ -189,20 +216,18 @@ let data_programs () =
       check_slices ~what:name ~params prog
         [ [ n / 2 ]; [ 1; 2; 3 ]; [ n / 3; (2 * n) / 3; n - 2 ] ];
       check_sampled ~what:name ~params prog)
-    [ "rank_mismatch"; "reverse_inner"; "skew"; "rat_overflow" ]
+    [ "rank_mismatch"; "reverse_inner"; "skew"; "rat_overflow"; "sparse_hull" ]
 
 (* A hull whose volume is 2^63 leaves the plan without an address layout
-   instead of wrapping into a tiny address space; its cell walk and
-   sampled scan still equal the reference, and dense production refuses
-   it. *)
+   instead of wrapping into a tiny address space; its cell walk, both
+   numbered walks, their slicings and the sampled scan still equal the
+   reference. *)
 let hull_overflow () =
   let prog, params = data_program "hull_overflow" in
+  let n = C.n_accesses (C.make ~params prog) in
   check_full ~layout:false ~what:"hull_overflow" ~params prog;
-  check_sampled ~what:"hull_overflow" ~params prog;
-  let plan = C.make ~params prog in
-  Alcotest.check_raises "no dense production"
-    (Invalid_argument "Cplan.iter: the plan has no address layout") (fun () ->
-      C.iter plan ~lo:0 ~hi:1 ~on_instance:ignore ~on_access:(fun _ _ _ -> ()))
+  check_slices ~what:"hull_overflow" ~params prog [ [ n / 2 ]; [ 1; 2; 3 ] ];
+  check_sampled ~what:"hull_overflow" ~params prog
 
 let sampled_kernels () =
   List.iter

@@ -297,6 +297,26 @@ let test_game_and_cache_faults () =
   | Ok _ -> Alcotest.fail "trace fault: expected budget exhaustion, got Ok"
   | Error e -> Alcotest.failf "trace fault: wrong error %s" (EE.to_string e)
 
+(* The node cap holds before a trace allocates its per-access arrays: it
+   is checked against the plan's closed-form instance count, so a capped
+   build of a large trace stops before its first checkpoint.  An access
+   count past max_int (it wraps negative) exhausts any budget at once,
+   and without one it is out of memory, before any allocation. *)
+let test_trace_node_cap_first () =
+  let expect_exhausted what budget params =
+    (match Trace.of_program ~budget ~params K.Mgs.spec with
+    | _ -> Alcotest.failf "%s: expected budget exhaustion" what
+    | exception Budget.Exhausted Budget.Cdag_build -> ());
+    Alcotest.(check int) (what ^ ": no instance walked") 0
+      (Budget.stage_steps budget Budget.Cdag_build)
+  in
+  expect_exhausted "node cap" (Budget.make ~max_nodes:10 ())
+    [ ("M", 200); ("N", 100) ];
+  let huge = [ ("M", max_int); ("N", 2) ] in
+  expect_exhausted "wrapped count" (Budget.make ~max_steps:1000 ()) huge;
+  Alcotest.check_raises "wrapped count, unlimited" Out_of_memory (fun () ->
+      ignore (Trace.of_program ~params:huge K.Mgs.spec))
+
 (* The sharded, streaming and sampled sweep paths poll the same budget:
    a fault fired mid-shard (inside a worker domain) must surface as the
    same typed error through [Engine_error.guard], never as an escaped
@@ -382,4 +402,6 @@ let suite =
       test_sharded_sweep_faults;
     Alcotest.test_case "passed deadline always fails" `Quick
       test_deadline_always_fails;
+    Alcotest.test_case "trace node cap holds before allocation" `Quick
+      test_trace_node_cap_first;
   ]

@@ -188,9 +188,10 @@ let test_run_program_streams () =
     [ true; false ]
 
 (* An array at two ranks, a hull past 63-bit integers (a plan without a
-   layout, swept through its interned cells) and a skewed subscript,
-   against the per-size simulator on a trace built straight from the
-   reference interpreter. *)
+   layout), a hull too sparse for a flat numbering table (both swept
+   through their interned cells) and a skewed subscript, against the
+   per-size simulator on a trace built straight from the reference
+   interpreter. *)
 let test_data_programs () =
   List.iter
     (fun name ->
@@ -235,7 +236,7 @@ let test_data_programs () =
         (S.sampled_kept_accesses sampled);
       Alcotest.(check int) (name ^ ": sampled total") (T.length reference)
         (S.sampled_total_accesses sampled))
-    [ "rank_mismatch"; "hull_overflow"; "skew" ]
+    [ "rank_mismatch"; "hull_overflow"; "sparse_hull"; "skew" ]
 
 let test_sampled_rate_one_exact () =
   let s = S.run_sampled ~rate:1.0 ~seed:3 ~params:mgs_params mgs in

@@ -304,50 +304,37 @@ let thm9 () =
       pf "  %8d %8d | %12.4g %12.4g %8.3f\n" n s best paper (best /. paper))
     [ (256, 4); (512, 8); (1024, 16); (4096, 32) ];
   (* Automatic split search: the engine picks the split point maximising
-     its own symbolic bound, recovering the paper's two hand choices.
-     Region-based (Sturm root isolation of the bound's M-derivative): only
-     the interval ends and the integers adjacent to derivative roots are
-     evaluated, instead of every M in [1, N-3]. *)
-  pf "\nautomatic split search (argmax over M of the engine bound, by regions):\n";
-  pf "  %8s %8s | %10s %12s | %14s %14s | %7s %5s\n" "n" "s" "best M" "bound"
-    "paper N/2-1" "paper N-S-2" "regions" "evals";
-  let evaluations = ref 0 and monotone = ref 0 and all_exact = ref true in
+     its own symbolic bound over every M in [1, N-3], recovering the
+     paper's two hand choices. *)
+  pf "\nautomatic split search (argmax over M of the engine bound):\n";
+  pf "  %8s %8s | %10s %12s | %14s %14s\n" "n" "s" "best M" "bound"
+    "paper N/2-1" "paper N-S-2";
   List.iter
     (fun (n, s) ->
-      let point_evals = ref 0 and point_regions = ref 0 in
+      let candidates = List.init (n - 3) (fun i -> i + 1) in
       let best =
         List.fold_left
           (fun acc (b : D.t) ->
             if b.technique <> D.Hourglass then acc
             else
               match
-                D.optimize_split_regions ~jobs:!jobs b ~param:"M" ~lo:1
-                  ~hi:(n - 3) ~params:[ ("N", n) ] ~s
+                D.optimize_split b ~param:"M" ~candidates
+                  ~params:[ ("N", n) ] ~s
               with
-              | Some r ->
-                  point_evals := !point_evals + r.D.evaluated;
-                  point_regions := !point_regions + r.D.monotone_regions;
-                  if not r.D.exact then all_exact := false;
-                  (match acc with
-                  | Some (_, v') when v' >= r.D.split_value -> acc
-                  | _ -> Some (r.D.split, r.D.split_value))
+              | Some (m, v) -> (
+                  match acc with
+                  | Some (_, v') when v' >= v -> acc
+                  | _ -> Some (m, v))
               | None -> acc)
           None bounds
       in
-      evaluations := !evaluations + !point_evals;
-      monotone := !monotone + !point_regions;
       match best with
       | Some (m, v) ->
-          pf "  %8d %8d | %10d %12.4g | %14d %14d | %7d %5d\n" n s m v
+          pf "  %8d %8d | %10d %12.4g | %14d %14d\n" n s m v
             ((n / 2) - 1)
             (n - s - 2)
-            !point_regions !point_evals
       | None -> pf "  %8d %8d | (no bound)\n" n s)
-    [ (64, 4); (64, 16); (64, 256); (128, 8); (128, 1024) ];
-  pf "all searches symbolic (no enumeration fallback): %b\n" !all_exact;
-  metric_i "split_evaluations" !evaluations;
-  metric_i "split_monotone_regions" !monotone;
-  metric_i "split_exact" (if !all_exact then 1 else 0)
+    [ (64, 4); (64, 16); (64, 256); (128, 8); (128, 1024) ]
 
 (* ------------------------------------------------------------------ *)
 (* Regime decompositions: the parametric sweeps behind THM5 and THM9.  *)

@@ -572,72 +572,6 @@ let prop_hourglass_path c =
           else Fail "hourglass detected but the tightened derivation produced no bound")
 
 (* ------------------------------------------------------------------ *)
-(* split-regions: the region-based split search must agree with brute
-   force.  Each program parameter occurring in a bound's formula is
-   treated as a free split knob; the region path's argmax value must
-   equal full enumeration's exactly (same [Derive.eval] floats on both
-   sides), and a differing argmax is legal only on an exact value tie
-   (first-maximum-wins over the full list vs. the candidate subset).     *)
-
-let prop_split_regions c =
-  let bounds = ctx_bounds c in
-  let issues = ref [] in
-  let exercised = ref false in
-  List.iter
-    (fun (b : D.t) ->
-      let vars = R.vars b.D.formula in
-      List.iter
-        (fun (name, v) ->
-          if List.mem name vars then begin
-            let others = List.remove_assoc name c.params in
-            let lo = 2 and hi = max (v + 8) 24 in
-            List.iter
-              (fun s ->
-                exercised := true;
-                let full = List.init (hi - lo + 1) (fun i -> lo + i) in
-                let brute =
-                  D.optimize_split b ~param:name ~candidates:full
-                    ~params:others ~s
-                in
-                match
-                  D.optimize_split_regions b ~param:name ~lo ~hi
-                    ~params:others ~s
-                with
-                | None ->
-                    if brute <> None then
-                      push issues
-                        "%s/%s param %s S=%d: regions found no bound, \
-                         enumeration did"
-                        b.D.program b.D.stmt name s
-                | Some r -> (
-                    if r.D.evaluated > List.length full then
-                      push issues
-                        "%s/%s param %s S=%d: %d evaluations exceed the \
-                         enumeration's %d"
-                        b.D.program b.D.stmt name s r.D.evaluated
-                        (List.length full);
-                    match brute with
-                    | None ->
-                        push issues
-                          "%s/%s param %s S=%d: enumeration found no bound, \
-                           regions did"
-                          b.D.program b.D.stmt name s
-                    | Some (_bm, bv) ->
-                        if bv <> r.D.split_value then
-                          push issues
-                            "%s/%s param %s S=%d: region value %h <> \
-                             enumeration value %h"
-                            b.D.program b.D.stmt name s r.D.split_value bv
-                        (* a differing argmax with an exact value tie is the
-                           legal first-maximum-wins plateau case *)))
-              [ 2; 8; 32 ]
-          end)
-        c.params)
-    bounds;
-  if not !exercised then Skip "no bound formula mentions a program parameter"
-  else collect issues
-
-(* ------------------------------------------------------------------ *)
 (* region-cover: the parametric-simplex regions of the sharpened
    Brascamp-Lieb LP must tile [1/2, 1] contiguously, and on each region
    the closed-form optimum must match a plain pinned-theta simplex solve
@@ -794,7 +728,6 @@ let impl = function
   | "sampled-ci" -> prop_sampled_ci
   | "jobs-det" -> prop_jobs_det
   | "hourglass-path" -> prop_hourglass_path
-  | "split-regions" -> prop_split_regions
   | "region-cover" -> prop_region_cover
   | "parse-roundtrip" -> prop_parse_roundtrip
   | "parse-derive" -> prop_parse_derive
@@ -849,10 +782,6 @@ let all =
     {
       name = "hourglass-path";
       doc = "hourglass family reaches the tightened derivation";
-    };
-    {
-      name = "split-regions";
-      doc = "region-based split search = brute-force enumeration";
     };
     {
       name = "region-cover";

@@ -37,16 +37,15 @@ type t = {
     counterexample and comes back as [Fail]. *)
 val run : t -> ctx -> outcome
 
-(** The default registry of 17 oracles, in pipeline order: [card]
+(** The default registry of 16 oracles, in pipeline order: [card]
     (Faulhaber cardinality = instance count), [cdag] (compute nodes =
     instances), [footprint] (trace events = accesses) - all three against
     the reference interpreter {!Interp} - [phi], [bound-le-opt],
     [monotone-s], [sweep-lru],
     [sweep-stream], [opt-ref] (OPT simulator = the naive reference
     {!Opt_ref}), [game-compiled], [sampled-ci], [jobs-det],
-    [hourglass-path], [split-regions] (region-based split search =
-    brute-force enumeration), [region-cover] (parametric-simplex regions
-    tile [1/2, 1] and agree exactly with pinned-theta plain solves),
+    [hourglass-path], [region-cover] (parametric-simplex regions tile
+    [1/2, 1] and agree exactly with pinned-theta plain solves),
     [parse-roundtrip] and [parse-derive]. *)
 val all : t list
 

@@ -446,138 +446,21 @@ let eval b ~params ~s =
   in
   R.eval_float_env env b.formula
 
-let optimize_split ?jobs b ~param ~candidates ~params ~s =
+let optimize_split b ~param ~candidates ~params ~s =
   (* Tie-breaking contract (pinned by a regression test in test_derive):
-     the *first* candidate attaining the maximum wins.  [Pool.map]
-     preserves list order at any worker count, and the fold below is
-     sequential over that order, so the argmax is independent of [jobs]
-     and of how the evaluations were scheduled.  Callers relying on
-     reproducible splits pass candidates in ascending order.
-
-     Short candidate lists (the usual case on the region path, which
-     isolates a couple of dozen candidates) are evaluated in-process:
-     each evaluation is a microsecond-scale float Horner pass, so domain
-     spawn-up would dominate by orders of magnitude.  The result is
-     jobs-independent either way. *)
-  let evaluate v = (v, eval b ~params:((param, v) :: params) ~s) in
-  let values =
-    if List.length candidates <= 64 then List.map evaluate candidates
-    else Iolb_util.Pool.map ?jobs evaluate candidates
-  in
+     the *first* candidate attaining the maximum wins, so callers relying
+     on reproducible splits pass candidates in ascending order.  Each
+     evaluation is a microsecond-scale float pass, and a kernel's split
+     range holds a few hundred candidates at most, so the search runs in
+     process. *)
   List.fold_left
-    (fun acc (v, value) ->
+    (fun acc v ->
+      let value = eval b ~params:((param, v) :: params) ~s in
       match acc with
       | Some (_, best) when best >= value -> acc
       | _ when value <= 0. -> acc
       | _ -> Some (v, value))
-    None values
-
-type split_search = {
-  split : int;
-  split_value : float;
-  evaluated : int;
-  monotone_regions : int;
-  exact : bool;
-}
-
-(* The candidate set that must contain the integer argmax of the bound
-   over [param in [lo, hi]]: the interval ends plus every integer adjacent
-   to a real root of d/dparam (num/den) = (num' den - num den') / den^2.
-   Two certified tiers.  Preferred: exact Sturm isolation of the roots of
-   [g = num' den - num den'].  When the remainder chain overflows the
-   63-bit rationals (large instantiated coefficients), the certified
-   float sign-scan {!Sturm.possible_root_intervals} takes over: every
-   unit interval that may hold a root of [g] contributes both ends, which
-   is still a complete candidate set.  Only inputs outside the univariate
-   fragment (extra variables like [sqrtS]) or with a possible denominator
-   root in range abort to full enumeration. *)
-let split_candidates_exact b ~param ~lo ~hi ~params ~s =
-  let f =
-    List.fold_left
-      (fun f (x, v) -> R.subst x (P.of_int v) f)
-      (R.subst "S" (P.of_int s) b.formula)
-      params
-  in
-  (match R.vars f with
-  | [] -> ()
-  | [ v ] when String.equal v param -> ()
-  | _ -> raise Sturm.Gave_up);
-  let num = Sturm.of_polynomial ~var:param (R.num f) in
-  let den = Sturm.of_polynomial ~var:param (R.den f) in
-  if hi - lo <= 1 then (List.init (hi - lo + 1) (fun i -> lo + i), 0)
-  else if Sturm.possible_root_intervals den ~lo ~hi <> [] then
-    (* a pole (or an uncertain denominator sign) inside the range *)
-    raise Sturm.Gave_up
-  else
-    (* Certified float sign-scan first: it is overflow-free and cheap,
-       while the exact Sturm chain of the cross-derivative overflows
-       63-bit rationals on the degree-6 instances the kernels produce -
-       and building the chain just to learn that costs more than the
-       whole scan.  Exact root isolation stays as the refinement tier
-       for a flooded scan (many uncertain signs): it either sharpens the
-       candidate set or overflows, in which case the conservative scan
-       result stands. *)
-    let scan () =
-      let ivs = Sturm.possible_extremum_intervals num den ~lo ~hi in
-      let cands = ref [ lo; hi ] in
-      List.iter (fun (a, b) -> cands := a :: b :: !cands) ivs;
-      (List.sort_uniq compare !cands, List.length ivs)
-    in
-    let exact () =
-      let g =
-        Sturm.sub
-          (Sturm.mul (Sturm.derivative num) den)
-          (Sturm.mul num (Sturm.derivative den))
-      in
-      if Sturm.is_zero g then ([ lo ], 0)
-      else begin
-        let rlo = Rat.of_int lo and rhi = Rat.of_int hi in
-        let roots = Sturm.isolate_roots g ~lo:rlo ~hi:rhi in
-        let cands = ref [ lo; hi ] in
-        List.iter
-          (fun (a, b) ->
-            for m = Rat.floor a to Rat.ceil b do
-              if m >= lo && m <= hi then cands := m :: !cands
-            done)
-          roots;
-        (List.sort_uniq compare !cands, List.length roots)
-      end
-    in
-    let ((scan_cands, _) as scanned) = scan () in
-    if 2 * List.length scan_cands <= hi - lo + 1 then scanned
-    else (
-      match exact () with
-      | result -> result
-      | exception (Sturm.Gave_up | Rat.Overflow) -> scanned)
-
-let optimize_split_regions ?jobs b ~param ~lo ~hi ~params ~s =
-  if hi < lo then None
-  else begin
-    match split_candidates_exact b ~param ~lo ~hi ~params ~s with
-    | candidates, nroots ->
-        Option.map
-          (fun (m, v) ->
-            {
-              split = m;
-              split_value = v;
-              evaluated = List.length candidates;
-              monotone_regions = nroots + 1;
-              exact = true;
-            })
-          (optimize_split ?jobs b ~param ~candidates ~params ~s)
-    | exception (Sturm.Gave_up | Rat.Overflow) ->
-        let candidates = List.init (hi - lo + 1) (fun i -> lo + i) in
-        Option.map
-          (fun (m, v) ->
-            {
-              split = m;
-              split_value = v;
-              evaluated = List.length candidates;
-              monotone_regions = 0;
-              exact = false;
-            })
-          (optimize_split ?jobs b ~param ~candidates ~params ~s)
-  end
+    None candidates
 
 let applicable b ~params ~s =
   let env x =

@@ -147,61 +147,19 @@ val eval : t -> params:(string * int) list -> s:int -> float
     split parameter [param] of a bound (e.g. GEHD2's loop-split point, cf
     Section 5.3 of the paper) at each candidate value and returns the one
     maximising the bound, with its value.  Returns [None] if no candidate
-    gives a positive bound.  Candidates are evaluated across [jobs] domains
-    (default {!Iolb_util.Pool.default_jobs}).
+    gives a positive bound.  Candidates are evaluated in process, in list
+    order.
 
     {b Tie-breaking is part of the contract}: the first candidate (in list
-    order) attaining the maximum wins, at every worker count — [Pool.map]
-    preserves order and the argmax fold is sequential.  Pinned by a
-    regression test with equal-value candidates across [--jobs] widths;
-    {!optimize_split_regions} and its differential oracle rely on it. *)
+    order) attaining the maximum wins.  Pinned by a regression test with
+    equal-value candidates. *)
 val optimize_split :
-  ?jobs:int ->
   t ->
   param:string ->
   candidates:int list ->
   params:(string * int) list ->
   s:int ->
   (int * float) option
-
-(** Result of a region-based split search. *)
-type split_search = {
-  split : int;  (** argmax of the bound over the split parameter *)
-  split_value : float;  (** bound value at [split] *)
-  evaluated : int;  (** candidate evaluations actually performed *)
-  monotone_regions : int;
-      (** monotone pieces of the bound over the parameter range (flagged
-          unit intervals + 1 on the certified-scan tier, or isolated
-          derivative roots + 1 on the exact-refinement tier); 0 on the
-          enumeration fallback *)
-  exact : bool;
-      (** [true]: certified path — the overflow-free float sign-scan of
-          the derivative
-          ({!Iolb_symbolic.Sturm.possible_extremum_intervals}), refined
-          by exact Sturm root isolation when the scan floods with
-          uncertain signs; [false]: fell back to full enumeration (extra
-          variables such as [sqrtS], or a possible pole in range) *)
-}
-
-(** [optimize_split_regions b ~param ~lo ~hi ~params ~s] maximises the
-    bound over the integer split range [[lo, hi]] by regions instead of
-    enumeration: the bound is a univariate rational function of [param]
-    once [params] and [S] are substituted, so its integer argmax lies at
-    a range end or adjacent to a root of its derivative — the candidates
-    are isolated exactly (Sturm sequences) and only those few are
-    evaluated.  Agrees with [optimize_split] over the full enumeration
-    (same first-maximum-wins rule over an ascending candidate list; the
-    [split-regions] differential oracle in [lib/check] asserts it).
-    Returns [None] when no candidate gives a positive bound. *)
-val optimize_split_regions :
-  ?jobs:int ->
-  t ->
-  param:string ->
-  lo:int ->
-  hi:int ->
-  params:(string * int) list ->
-  s:int ->
-  split_search option
 
 (** [best ~params ~s bounds] picks the bound evaluating highest at the given
     point, restricted to those applicable there (small-cache bounds require

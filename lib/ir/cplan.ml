@@ -154,43 +154,58 @@ let fresh_env t =
   List.iter (fun (s, v) -> env.(s) <- v) t.pinits;
   env
 
+(* [hi - lo + 1] for [lo <= hi], checked: the true difference is
+   non-negative, so it left the ints iff it wrapped negative. *)
+let extent lo hi =
+  let d = hi - lo in
+  if d < 0 || d = max_int then raise Rat.Overflow;
+  d + 1
+
 (* Weighted instance count of a subtree at the current [env], the weight
    [w st] per instance of [st]: a loop whose body's count does not depend
    on its variable contributes extent * body-count, so rectangular
    sub-nests collapse to multiplications and only the variables that
-   shape inner bounds (triangular nests) are enumerated. *)
+   shape inner bounds (triangular nests) are enumerated.  Every sum and
+   product is checked.
+   @raise Rat.Overflow when the count leaves the ints. *)
 let rec count w env = function
   | Cstmt st -> w st
   | Cinner c ->
       let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
-      if hi_v < lo_v then 0 else (hi_v - lo_v + 1) * w c.st
+      if hi_v < lo_v then 0 else Rat.mul_exn (extent lo_v hi_v) (w c.st)
   | Cloop l ->
       let lo_v = ceval env l.lo and hi_v = ceval env l.hi in
       if hi_v < lo_v then 0
       else if l.collapse then begin
         env.(l.slot) <- lo_v;
-        (hi_v - lo_v + 1)
-        * Array.fold_left (fun a c -> a + count w env c) 0 l.body
+        Rat.mul_exn (extent lo_v hi_v) (sum w env l.body)
       end
       else begin
         let total = ref 0 in
         for v = lo_v to hi_v do
           env.(l.slot) <- v;
-          Array.iter (fun c -> total := !total + count w env c) l.body
+          total := Rat.add_exn !total (sum w env l.body)
         done;
         !total
       end
 
+and sum w env body =
+  Array.fold_left (fun a c -> Rat.add_exn a (count w env c)) 0 body
+
 let accesses st = st.s1 - st.s0
 
-let total w t =
-  let env = fresh_env t in
-  Array.fold_left (fun a c -> a + count w env c) 0 t.body
+let total what w t =
+  match sum w (fresh_env t) t.body with
+  | n -> n
+  | exception Rat.Overflow ->
+      Iolb_util.Engine_error.raise_error
+        (Invalid_input
+           (Printf.sprintf "the %s count exceeds max_int (%d)" what max_int))
 
-let n_accesses = total accesses
+let n_accesses = total "access" accesses
 
 (* Instances with at least one access: the ones the exact walks gate. *)
-let n_instances = total (fun st -> if st.s1 > st.s0 then 1 else 0)
+let n_instances = total "instance" (fun st -> if st.s1 > st.s0 then 1 else 0)
 
 let addr_space t = Option.map (fun l -> l.addr_space) t.layout
 

@@ -46,12 +46,15 @@ val make : params:(string * int) list -> Program.t -> t
 (** Exact number of accesses (reads plus writes) the walks visit, counted
     on call without enumerating instances: rectangular sub-nests collapse
     to multiplications and only loops whose variable shapes an inner
-    bound are enumerated. *)
+    bound are enumerated.
+
+    @raise Iolb_util.Engine_error.Error with [Invalid_input] when the
+    count exceeds [max_int]. *)
 val n_accesses : t -> int
 
 (** Exact number of statement instances with at least one access - the
     count the exact walks' node-cap gate reaches on the whole stream -
-    counted like {!n_accesses}. *)
+    counted and checked like {!n_accesses}. *)
 val n_instances : t -> int
 
 (** Size of the flat address space ([0 <= addr < space]), or [None] when

@@ -16,16 +16,11 @@ let of_program ?(budget = Budget.unlimited) ~params p =
      exact closed-form pre-count: a multi-hundred-thousand-event trace
      costs one allocation and zero copies.  The node cap is checked on
      the closed-form instance count before that allocation, so a capped
-     build of a huge trace stops before it asks for the memory.  A count
-     past max_int wraps negative: no budget admits that trace, and no
-     array holds it. *)
+     build of a huge trace stops before it asks for the memory. *)
   let plan = Cplan.make ~params p in
   let n = Cplan.n_accesses plan in
-  if not (Budget.is_unlimited budget) then begin
-    if n < 0 then raise (Budget.Exhausted Budget.Cdag_build);
-    Budget.check_node_cap budget Budget.Cdag_build (Cplan.n_instances plan)
-  end;
-  if n < 0 then raise Out_of_memory;
+  if not (Budget.is_unlimited budget) then
+    Budget.check_node_cap budget Budget.Cdag_build (Cplan.n_instances plan);
   let cells = Array.make n 0 and writes = Array.make n false in
   let len = ref 0 in
   (* [iter] emits at most [hi - lo = n] accesses: the stores stay in

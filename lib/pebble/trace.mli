@@ -28,7 +28,9 @@ type t
     is first checked against the closed-form instance count
     ({!Iolb_ir.Cplan.n_instances}), before the event arrays are
     allocated.
-    @raise Iolb_util.Budget.Exhausted when the budget runs out. *)
+    @raise Iolb_util.Budget.Exhausted when the budget runs out.
+    @raise Iolb_util.Engine_error.Error with [Invalid_input] when the
+    access count exceeds [max_int]. *)
 val of_program :
   ?budget:Iolb_util.Budget.t ->
   params:(string * int) list ->

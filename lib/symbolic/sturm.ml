@@ -15,7 +15,6 @@ let normalize a =
   if !n = Array.length a then a else Array.sub a 0 !n
 
 let of_coeffs l = normalize (Array.of_list l)
-let coeffs = Array.to_list
 
 let of_polynomial ~var p =
   (match P.vars p with
@@ -138,15 +137,6 @@ let sign_variations ch x =
   in
   count signs
 
-let has_root_in p ~lo ~hi =
-  if is_zero p then raise Gave_up;
-  if Rat.compare lo hi > 0 then invalid_arg "Sturm.has_root_in: lo > hi";
-  Rat.is_zero (eval p lo)
-  || Rat.is_zero (eval p hi)
-  ||
-  let ch = chain p in
-  sign_variations ch lo - sign_variations ch hi > 0
-
 (* A point near [x] (at [x] itself when allowed) where p does not vanish:
    p has at most [deg] roots, so among deg+1 distinct probes one works. *)
 let pick_non_root p ~x ~step =
@@ -190,155 +180,3 @@ let isolate_roots p ~lo ~hi =
     in
     bisect 0 a0 (var a0) b0 (var b0)
   end
-
-(* Sign of p(x) at an integer, by float Horner with a running error
-   bound (Higham's p-tilde recurrence, with slack for the Rat -> float
-   coefficient conversions): the computed value is trusted only when its
-   magnitude exceeds the accumulated bound.  Never overflows - the
-   fallback when Rat arithmetic cannot survive the remainder chain. *)
-let certified_sign p x =
-  let xf = float_of_int x in
-  let ax = Float.abs xf in
-  let acc = ref 0. and mag = ref 0. in
-  for i = Array.length p - 1 downto 0 do
-    let c = Rat.to_float p.(i) in
-    acc := (!acc *. xf) +. c;
-    mag := (!mag *. ax) +. Float.abs c
-  done;
-  let bound =
-    float_of_int (4 * (Array.length p + 2)) *. epsilon_float *. !mag
-  in
-  if Float.abs !acc > bound then Some (compare !acc 0.) else None
-
-(* Unit intervals [m, m+1] in [lo, hi] outside of which p provably has no
-   real root.  An interval is root-free when the certified endpoint signs
-   agree *and* (by Rolle, inductively) the derivative has no root inside:
-   then p is strictly monotone there, so equal nonzero endpoint signs
-   exclude a root.  Everything uncertain is reported - conservative, and
-   immune to the coefficient growth that makes {!chain} overflow. *)
-let possible_root_intervals p ~lo ~hi =
-  if is_zero p then raise Gave_up;
-  if hi < lo then invalid_arg "Sturm.possible_root_intervals: lo > hi";
-  let cells = hi - lo in
-  if cells = 0 then []
-  else begin
-    let breaks = Array.make cells false in
-    let rec scan p =
-      if degree p <= 0 then begin
-        (* a constant: no roots if certainly non-zero, else everywhere *)
-        match if is_zero p then None else certified_sign p lo with
-        | Some _ -> ()
-        | None -> Array.fill breaks 0 cells true
-      end
-      else begin
-        let signs =
-          Array.init (cells + 1) (fun i -> certified_sign p (lo + i))
-        in
-        for m = 0 to cells - 1 do
-          (match (signs.(m), signs.(m + 1)) with
-          | Some a, Some b when a = b -> ()
-          | _ -> breaks.(m) <- true)
-        done;
-        scan (derivative p)
-      end
-    in
-    scan p;
-    let out = ref [] in
-    for m = cells - 1 downto 0 do
-      if breaks.(m) then out := (lo + m, lo + m + 1) :: !out
-    done;
-    !out
-  end
-
-(* Float Horner at [xf], returning the value together with the magnitude
-   polynomial p~(|x|) = sum |c_i| |x|^i that scales its rounding error. *)
-let horner_mag p xf =
-  let ax = Float.abs xf in
-  let v = ref 0. and m = ref 0. in
-  for i = Array.length p - 1 downto 0 do
-    let c = Rat.to_float p.(i) in
-    v := (!v *. xf) +. c;
-    m := (!m *. ax) +. Float.abs c
-  done;
-  (!v, !m)
-
-(* Certified sign of [sum_k s_k p_k(x) q_k(x)] at the integer [x].  Each
-   factor is evaluated separately, so no coefficient of the expanded
-   product is ever formed - the expansion is what overflows the exact
-   path on large instantiations. *)
-let certified_prodsum_sign terms x =
-  let xf = float_of_int x in
-  let v = ref 0. and m = ref 0. and dmax = ref 0 in
-  List.iter
-    (fun (s, p, q) ->
-      let vp, mp = horner_mag p xf in
-      let vq, mq = horner_mag q xf in
-      v := !v +. (float_of_int s *. vp *. vq);
-      m := !m +. (mp *. mq);
-      dmax := max !dmax (degree p + degree q))
-    terms;
-  let bound =
-    float_of_int (4 * (!dmax + List.length terms + 4)) *. epsilon_float *. !m
-  in
-  if Float.abs !v > bound then Some (compare !v 0.) else None
-
-let prodsum_derivative terms =
-  List.concat_map
-    (fun (s, p, q) ->
-      let keep p q = if is_zero p || is_zero q then [] else [ (s, p, q) ] in
-      keep (derivative p) q @ keep p (derivative q))
-    terms
-
-let prodsum_degree terms =
-  List.fold_left (fun d (_, p, q) -> max d (degree p + degree q)) (-1) terms
-
-let possible_extremum_intervals num den ~lo ~hi =
-  if is_zero num || is_zero den then raise Gave_up;
-  if hi < lo then invalid_arg "Sturm.possible_extremum_intervals: lo > hi";
-  let cells = hi - lo in
-  if cells = 0 then []
-  else begin
-    let breaks = Array.make cells false in
-    (* g = num' den - num den', kept as a product sum *)
-    let g =
-      List.filter
-        (fun (_, p, q) -> not (is_zero p || is_zero q))
-        [ (1, derivative num, den); (-1, num, derivative den) ]
-    in
-    let rec scan terms =
-      if terms = [] then () (* identically zero at this level: constant *)
-      else if prodsum_degree terms <= 0 then begin
-        match certified_prodsum_sign terms lo with
-        | Some _ -> ()
-        | None -> Array.fill breaks 0 cells true
-      end
-      else begin
-        let signs =
-          Array.init (cells + 1) (fun i -> certified_prodsum_sign terms (lo + i))
-        in
-        for m = 0 to cells - 1 do
-          (match (signs.(m), signs.(m + 1)) with
-          | Some a, Some b when a = b -> ()
-          | _ -> breaks.(m) <- true)
-        done;
-        scan (prodsum_derivative terms)
-      end
-    in
-    scan g;
-    let out = ref [] in
-    for m = cells - 1 downto 0 do
-      if breaks.(m) then out := (lo + m, lo + m + 1) :: !out
-    done;
-    !out
-  end
-
-let pp fmt p =
-  if is_zero p then Format.pp_print_string fmt "0"
-  else
-    Format.pp_print_list
-      ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " + ")
-      (fun fmt (i, c) -> Format.fprintf fmt "%a x^%d" Rat.pp c i)
-      fmt
-      (List.filteri
-         (fun _ (_, c) -> not (Rat.is_zero c))
-         (List.mapi (fun i c -> (i, c)) (Array.to_list p)))

@@ -1,10 +1,10 @@
-(** Exact real-root counting and isolation for univariate polynomials over
+(** Exact real-root isolation for univariate polynomials over
     {!Iolb_util.Rat}, via (generalised) Sturm sequences.
 
-    This is the root-finding half of the regime analysis: the derivative
-    sign changes of a rational bound [f(M) = num/den] isolate the interior
-    candidates for an integer argmax, replacing brute-force enumeration
-    (see {!Iolb.Derive.optimize_split_regions}).
+    This is the root-finding half of the regime analysis: the crossing
+    points of two bound formulas in [S] are the roots of
+    [num1 den2 - num2 den1], and isolating them exactly gives the change
+    points of the winning bound (see {!Iolb.Derive.best_regions}).
 
     Everything is exact.  Remainder sequences are content-normalised
     (scaled to coprime integer coefficients) at every step, which keeps
@@ -24,8 +24,6 @@ type t
 (** Lowest-degree coefficient first. *)
 val of_coeffs : Iolb_util.Rat.t list -> t
 
-val coeffs : t -> Iolb_util.Rat.t list
-
 (** View a {!Polynomial.t} as univariate in [var].
     @raise Gave_up if any other variable occurs. *)
 val of_polynomial : var:string -> Polynomial.t -> t
@@ -35,54 +33,18 @@ val degree : t -> int
 
 val is_zero : t -> bool
 val eval : t -> Iolb_util.Rat.t -> Iolb_util.Rat.t
-val derivative : t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-
-(** Whether [p] has a real root in the closed interval [[lo, hi]].
-    @raise Gave_up on the zero polynomial.
-    @raise Invalid_argument if [lo > hi]. *)
-val has_root_in : t -> lo:Iolb_util.Rat.t -> hi:Iolb_util.Rat.t -> bool
 
 (** Disjoint intervals [(a, b]], in increasing order, each of width at
     most 1 and containing exactly one distinct real root of [p], covering
     every root in [[lo, hi]] (the probed interval is widened slightly, so
     roots at the endpoints are found and a few roots just outside may
-    also be reported — harmless for candidate generation).
-    @raise Gave_up on the zero polynomial or non-convergence. *)
+    also be reported — harmless for change-point hints).
+    @raise Gave_up on the zero polynomial or non-convergence.
+    @raise Invalid_argument if [lo > hi]. *)
 val isolate_roots :
   t ->
   lo:Iolb_util.Rat.t ->
   hi:Iolb_util.Rat.t ->
   (Iolb_util.Rat.t * Iolb_util.Rat.t) list
-
-(** [certified_sign p x] is the sign of [p(x)] at the integer [x], computed
-    by float Horner with a running rounding-error bound: [Some s] only when
-    the bound certifies the sign, [None] when it cannot.  Never raises
-    {!Iolb_util.Rat.Overflow} — the degraded-precision path for
-    coefficients too large for the exact remainder chain. *)
-val certified_sign : t -> int -> int option
-
-(** [possible_root_intervals p ~lo ~hi] is the ascending list of unit
-    intervals [(m, m+1)] within [[lo, hi]] {e outside} of which [p]
-    provably has no real root.  Certified endpoint signs plus Rolle
-    recursion on derivatives: an interval is excluded only when the
-    endpoint signs are certified equal and non-zero and the derivative
-    provably has no root inside (so [p] is strictly monotone there).
-    Conservative — reported intervals need not contain a root — and
-    overflow-free, unlike {!has_root_in}/{!isolate_roots}.
-    @raise Gave_up on the zero polynomial.
-    @raise Invalid_argument if [lo > hi]. *)
-val possible_root_intervals : t -> lo:int -> hi:int -> (int * int) list
-
-(** [possible_extremum_intervals num den ~lo ~hi] is
-    {!possible_root_intervals} for [g = num' den - num den'] (the
-    stationary points of [num/den]), with [g] kept as a product sum and
-    each factor evaluated separately — the expanded coefficients of [g],
-    which overflow the exact path on large instantiations, are never
-    formed.  Same conservative contract, same freedom from overflow.
-    @raise Gave_up when [num] or [den] is the zero polynomial.
-    @raise Invalid_argument if [lo > hi]. *)
-val possible_extremum_intervals : t -> t -> lo:int -> hi:int -> (int * int) list
-
-val pp : Format.formatter -> t -> unit

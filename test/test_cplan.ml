@@ -229,6 +229,28 @@ let hull_overflow () =
   check_slices ~what:"hull_overflow" ~params prog [ [ n / 2 ]; [ 1; 2; 3 ] ];
   check_sampled ~what:"hull_overflow" ~params prog
 
+(* The closed-form counts are checked, not wrapped: at A = 2^30 and
+   B = 2^31 - 1, count_wrap makes exactly 2^62 - 2^31 accesses (two per
+   instance), which fit; at B = 2^32 it would make 2^63, and both counts
+   raise a typed invalid input instead of returning the wrapped 0. *)
+let count_overflow () =
+  let prog, _ = data_program "count_wrap" in
+  let plan b = C.make ~params:[ ("A", 1 lsl 30); ("B", b) ] prog in
+  let fits = plan ((1 lsl 31) - 1) in
+  Alcotest.(check int) "accesses at (2^30, 2^31 - 1)"
+    (max_int - (1 lsl 31) + 1)
+    (C.n_accesses fits);
+  Alcotest.(check int) "instances at (2^30, 2^31 - 1)"
+    ((1 lsl 61) - (1 lsl 30))
+    (C.n_instances fits);
+  let huge = plan (1 lsl 32) in
+  List.iter
+    (fun (what, count) ->
+      match count huge with
+      | n -> Alcotest.failf "%s at (2^30, 2^32): returned %d" what n
+      | exception Iolb_util.Engine_error.(Error (Invalid_input _)) -> ())
+    [ ("n_accesses", C.n_accesses); ("n_instances", C.n_instances) ]
+
 let sampled_kernels () =
   List.iter
     (fun (e : Report.entry) ->
@@ -291,6 +313,7 @@ let suite =
       hull_overflow;
     Alcotest.test_case "sampled scan = filtered reference" `Quick
       sampled_kernels;
+    Alcotest.test_case "counts past max_int raise" `Quick count_overflow;
     prop_random_slices;
     prop_random_sampled;
   ]

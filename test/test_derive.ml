@@ -262,86 +262,70 @@ let synthetic_bound formula =
 
 let test_optimize_split_tie_break () =
   (* The documented contract: the first candidate (in list order) attaining
-     the maximum wins, at every worker count.  f(M) = 100 - (M-2)^2 (M-6)^2
-     has two exact maxima (value 100 at M = 2 and M = 6); a constant
-     formula ties every candidate. *)
+     the maximum wins.  f(M) = 100 - (M-2)^2 (M-6)^2 has two exact maxima
+     (value 100 at M = 2 and M = 6); a constant formula ties every
+     candidate. *)
   let sq p = P.mul p p in
   let shifted k = P.sub (P.var "M") (P.of_int k) in
   let two_peaks =
     R.of_poly (P.sub (P.of_int 100) (P.mul (sq (shifted 2)) (sq (shifted 6))))
   in
   let flat = R.of_int 7 in
-  List.iter
-    (fun jobs ->
-      let tag fmt = Printf.sprintf "jobs=%d: %s" jobs fmt in
-      (match
-         D.optimize_split ~jobs (synthetic_bound two_peaks) ~param:"M"
-           ~candidates:[ 1; 2; 3; 4; 5; 6; 7; 8 ] ~params:[] ~s:4
-       with
-      | Some (m, v) ->
-          Alcotest.(check int) (tag "first of the two peaks") 2 m;
-          Alcotest.(check (float 0.)) (tag "peak value") 100. v
-      | None -> Alcotest.fail (tag "two-peak search found nothing"));
-      match
-        D.optimize_split ~jobs (synthetic_bound flat) ~param:"M"
-          ~candidates:[ 3; 1; 5 ] ~params:[] ~s:4
-      with
-      | Some (m, v) ->
-          (* All candidates tie: list order decides, not numeric order. *)
-          Alcotest.(check int) (tag "first listed candidate wins the tie") 3 m;
-          Alcotest.(check (float 0.)) (tag "tie value") 7. v
-      | None -> Alcotest.fail (tag "flat search found nothing"))
-    [ 1; 2; 3; 4; 8 ]
+  (match
+     D.optimize_split (synthetic_bound two_peaks) ~param:"M"
+       ~candidates:[ 1; 2; 3; 4; 5; 6; 7; 8 ] ~params:[] ~s:4
+   with
+  | Some (m, v) ->
+      Alcotest.(check int) "first of the two peaks" 2 m;
+      Alcotest.(check (float 0.)) "peak value" 100. v
+  | None -> Alcotest.fail "two-peak search found nothing");
+  match
+    D.optimize_split (synthetic_bound flat) ~param:"M" ~candidates:[ 3; 1; 5 ]
+      ~params:[] ~s:4
+  with
+  | Some (m, v) ->
+      (* All candidates tie: list order decides, not numeric order. *)
+      Alcotest.(check int) "first listed candidate wins the tie" 3 m;
+      Alcotest.(check (float 0.)) "tie value" 7. v
+  | None -> Alcotest.fail "flat search found nothing"
 
-(* Differential check of the region-based split search against brute-force
-   enumeration on GEHD2's real free-M bounds, over random (n, s).  Mirrors
-   the [split-regions] oracle in lib/check, but pinned to the kernel the
-   bench optimises. *)
-let split_regions_match_enumeration =
-  let bounds =
-    lazy
-      (List.filter
-         (fun (b : D.t) -> List.mem "M" (R.vars b.formula))
-         (D.analyze
-            ~verify_params:[ ("N", 9); ("M", 3) ]
-            Iolb_kernels.Gehd2.split_spec))
-  in
-  let gen = QCheck2.Gen.(pair (int_range 10 60) (int_range 2 512)) in
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"optimize_split_regions = enumeration (gehd2)"
-       ~count:25 gen (fun (n, s) ->
-         let lo = 1 and hi = n - 3 in
-         let full = List.init (hi - lo + 1) (fun i -> lo + i) in
-         List.for_all
-           (fun (b : D.t) ->
-             let brute =
-               D.optimize_split b ~param:"M" ~candidates:full
-                 ~params:[ ("N", n) ] ~s
-             in
-             let region =
-               D.optimize_split_regions b ~param:"M" ~lo ~hi
-                 ~params:[ ("N", n) ] ~s
-             in
-             match (brute, region) with
-             | None, None -> true
-             | Some _, None | None, Some _ ->
-                 QCheck2.Test.fail_reportf
-                   "n=%d s=%d (%s): one search empty, the other not" n s
-                   b.stmt
-             | Some (bm, bv), Some r ->
-                 (* Values must agree exactly (both paths evaluate the same
-                    floats); a differing argmax is legal only on an exact
-                    value tie, which value equality already certifies. *)
-                 if bv <> r.D.split_value then
-                   QCheck2.Test.fail_reportf
-                     "n=%d s=%d (%s): brute M=%d -> %h, regions M=%d -> %h"
-                     n s b.stmt bm bv r.D.split r.D.split_value
-                 else if r.D.evaluated > List.length full then
-                   QCheck2.Test.fail_reportf
-                     "n=%d s=%d (%s): regions evaluated %d > %d candidates"
-                     n s b.stmt r.D.evaluated (List.length full)
-                 else true)
-           (Lazy.force bounds)))
+(* [best_regions] against a per-S scan of [best]: on every paper kernel,
+   at its largest grid point, over all its bounds (the sqrtS classical
+   ones included), the ranges must tile [1, 4096] in order and name, at
+   every S, exactly the bound [best] picks there.  The exact Sturm
+   crossing points behind the ranges are exercised nowhere else. *)
+let test_best_regions_match_scan () =
+  let lo = 1 and hi = 4096 in
+  List.iter
+    (fun (entry : Report.entry) ->
+      let a = Report.analyze_cached entry in
+      let m, n, _ = List.nth entry.grid (List.length entry.grid - 1) in
+      let params = if m = 0 then [ ("N", n) ] else [ ("M", m); ("N", n) ] in
+      let ranges = D.best_regions ~params ~lo ~hi a.bounds in
+      let next =
+        List.fold_left
+          (fun from (r : D.winner_range) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s: range starts where the last ended"
+                 entry.display)
+              from r.s_from;
+            for s = r.s_from to r.s_to do
+              let same =
+                match (D.best ~params ~s a.bounds, r.winner) with
+                | None, None -> true
+                | Some b, Some w -> b == w
+                | _ -> false
+              in
+              if not same then
+                Alcotest.failf "%s: S=%d in [%d, %d] names another winner"
+                  entry.display s r.s_from r.s_to
+            done;
+            r.s_to + 1)
+          lo ranges
+      in
+      Alcotest.(check int) (entry.display ^ ": ranges cover [1, 4096]")
+        (hi + 1) next)
+    Report.registry
 
 let suite =
   [
@@ -360,7 +344,8 @@ let suite =
       test_sandwich_pebble_game;
     Alcotest.test_case "lower bound <= tiled MGS I/O" `Quick
       test_sandwich_tiled_mgs;
-    Alcotest.test_case "optimize_split: first maximum wins at every jobs width"
+    Alcotest.test_case "optimize_split: first maximum wins in list order"
       `Quick test_optimize_split_tie_break;
-    split_regions_match_enumeration;
+    Alcotest.test_case "best_regions = per-S best scan (all kernels)" `Quick
+      test_best_regions_match_scan;
   ]

@@ -300,22 +300,33 @@ let test_game_and_cache_faults () =
 (* The node cap holds before a trace allocates its per-access arrays: it
    is checked against the plan's closed-form instance count, so a capped
    build of a large trace stops before its first checkpoint.  An access
-   count past max_int (it wraps negative) exhausts any budget at once,
-   and without one it is out of memory, before any allocation. *)
+   count past max_int is invalid input under any budget, raised by the
+   checked count before any allocation or checkpoint. *)
 let test_trace_node_cap_first () =
-  let expect_exhausted what budget params =
+  let huge = [ ("M", max_int); ("N", 2) ] in
+  let expect what budget params ~raised =
     (match Trace.of_program ~budget ~params K.Mgs.spec with
-    | _ -> Alcotest.failf "%s: expected budget exhaustion" what
-    | exception Budget.Exhausted Budget.Cdag_build -> ());
+    | _ -> Alcotest.failf "%s: expected a refusal" what
+    | exception e when raised e -> ()
+    | exception e ->
+        Alcotest.failf "%s: wrong exception %s" what (Printexc.to_string e));
     Alcotest.(check int) (what ^ ": no instance walked") 0
       (Budget.stage_steps budget Budget.Cdag_build)
   in
-  expect_exhausted "node cap" (Budget.make ~max_nodes:10 ())
-    [ ("M", 200); ("N", 100) ];
-  let huge = [ ("M", max_int); ("N", 2) ] in
-  expect_exhausted "wrapped count" (Budget.make ~max_steps:1000 ()) huge;
-  Alcotest.check_raises "wrapped count, unlimited" Out_of_memory (fun () ->
-      ignore (Trace.of_program ~params:huge K.Mgs.spec))
+  let exhausted = function
+    | Budget.Exhausted Budget.Cdag_build -> true
+    | _ -> false
+  and too_many = function
+    | EE.Error (EE.Invalid_input _) -> true
+    | _ -> false
+  in
+  expect "node cap" (Budget.make ~max_nodes:10 ())
+    [ ("M", 200); ("N", 100) ]
+    ~raised:exhausted;
+  expect "count past max_int" (Budget.make ~max_steps:1000 ()) huge
+    ~raised:too_many;
+  expect "count past max_int, unlimited" Budget.unlimited huge
+    ~raised:too_many
 
 (* The sharded, streaming and sampled sweep paths poll the same budget:
    a fault fired mid-shard (inside a worker domain) must surface as the

@@ -50,7 +50,7 @@ let test_eval_best_is_max () =
   let best = Option.get (Report.eval_best a ~technique:`Hourglass ~m ~n ~s) in
   Alcotest.(check bool) "positive at large S" true (best > 0.)
 
-let test_split_search () =
+let test_split_recovers_regimes () =
   let bounds =
     D.analyze ~verify_params:[ ("N", 9); ("M", 3) ]
       Iolb_kernels.Gehd2.split_spec
@@ -185,7 +185,7 @@ let suite =
     Alcotest.test_case "eval_best picks the applicable max" `Quick
       test_eval_best_is_max;
     Alcotest.test_case "split search recovers both regimes" `Quick
-      test_split_search;
+      test_split_recovers_regimes;
     Alcotest.test_case "Lemma 3 empirically (inset >= width)" `Quick
       test_lemma3_inset_width;
   ]

@@ -1,27 +1,11 @@
-(* Sturm sequences: root counting/isolation on hand-picked polynomials
-   plus a property against float root-hunting on random cubics. *)
+(* Sturm sequences: root isolation on hand-picked polynomials plus a
+   property against known integer roots of random cubics. *)
 
 module St = Iolb_symbolic.Sturm
 module Poly = Iolb_symbolic.Polynomial
 module Rat = Iolb_util.Rat
 
 let q = Rat.of_int
-
-let test_has_root () =
-  (* x^2 - 2: roots +-sqrt 2 *)
-  let p = St.of_coeffs [ q (-2); q 0; q 1 ] in
-  Alcotest.(check bool) "in [1,2]" true (St.has_root_in p ~lo:(q 1) ~hi:(q 2));
-  Alcotest.(check bool)
-    "in [-2,-1]" true
-    (St.has_root_in p ~lo:(q (-2)) ~hi:(q (-1)));
-  Alcotest.(check bool) "in [2,3]" false (St.has_root_in p ~lo:(q 2) ~hi:(q 3));
-  (* endpoint root is found: x - 1 on [1, 5] *)
-  let l = St.of_coeffs [ q (-1); q 1 ] in
-  Alcotest.(check bool) "endpoint" true (St.has_root_in l ~lo:(q 1) ~hi:(q 5));
-  (* constant non-zero polynomial has no roots *)
-  let c = St.of_coeffs [ q 7 ] in
-  Alcotest.(check bool) "constant" false
-    (St.has_root_in c ~lo:(q (-10)) ~hi:(q 10))
 
 let test_isolate_quadratic () =
   let p = St.of_coeffs [ q (-2); q 0; q 1 ] in
@@ -79,87 +63,10 @@ let prop_isolate_cubic =
              Rat.compare x (q r) < 0 && Rat.compare (q r) y <= 0)
            expected got)
 
-let test_certified_sign () =
-  (* Far from a root the float sign is certifiable; exactly on a root the
-     computed value is 0, inside the error bound, so the scan must answer
-     "uncertain" rather than guess. *)
-  let p = St.of_coeffs [ q (-2); q 0; q 1 ] in
-  Alcotest.(check (option int)) "negative at 0" (Some (-1)) (St.certified_sign p 0);
-  Alcotest.(check (option int)) "positive at 3" (Some 1) (St.certified_sign p 3);
-  let l = St.of_coeffs [ q (-4); q 1 ] in
-  Alcotest.(check (option int)) "root value uncertain" None (St.certified_sign l 4)
-
-let test_possible_root_intervals () =
-  (* x^2 - 2 on [-3, 3]: the scan may over-approximate but must flag the
-     two unit intervals that really contain the roots. *)
-  let p = St.of_coeffs [ q (-2); q 0; q 1 ] in
-  let flagged = St.possible_root_intervals p ~lo:(-3) ~hi:3 in
-  Alcotest.(check bool) "[-2,-1] flagged" true (List.mem (-2, -1) flagged);
-  Alcotest.(check bool) "[1,2] flagged" true (List.mem (1, 2) flagged);
-  (* Nothing flagged where the polynomial and all derivatives keep a
-     certifiable constant sign (the scan certifies monotone stretches, so
-     a derivative sign change is conservatively flagged even when the
-     polynomial itself is root-free: check on [1, 5] where x^2 + 100,
-     2x and 2 are all positive). *)
-  let far = St.of_coeffs [ q 100; q 0; q 1 ] in
-  Alcotest.(check (list (pair int int)))
-    "x^2+100 root-free on [1,5]" []
-    (St.possible_root_intervals far ~lo:1 ~hi:5);
-  Alcotest.check_raises "zero polynomial rejected" St.Gave_up (fun () ->
-      ignore (St.possible_root_intervals (St.of_coeffs []) ~lo:0 ~hi:1))
-
-let prop_scan_covers_sturm_roots =
-  (* Conservativeness against the exact isolator: every Sturm-isolated root
-     of an integer cubic lands in some interval flagged by the certified
-     float scan (the scan may flag more, never less). *)
-  let open QCheck2 in
-  let gen =
-    let open Gen in
-    let* a = int_range (-8) 8 and* b = int_range (-8) 8
-    and* c = int_range (-8) 8 in
-    return (a, b, c)
-  in
-  Test.make ~count:200 ~name:"certified scan covers all sturm-isolated roots"
-    ~print:(fun (a, b, c) -> Printf.sprintf "(%d, %d, %d)" a b c)
-    gen
-    (fun (a, b, c) ->
-      let lin r = St.of_coeffs [ q (-r); q 1 ] in
-      let p = St.mul (lin a) (St.mul (lin b) (lin c)) in
-      let flagged = St.possible_root_intervals p ~lo:(-10) ~hi:10 in
-      List.for_all
-        (fun r ->
-          List.exists (fun (x, y) -> x <= r && r <= y) flagged)
-        (List.sort_uniq compare [ a; b; c ]))
-
-let test_possible_extremum_intervals () =
-  (* num/den = (x^2 - 6x)/1: extremum at x = 3 only; the product-sum scan
-     of num' * den - num * den' must flag a neighbourhood of 3 and leave
-     the far ends clean. *)
-  let num = St.of_coeffs [ q 0; q (-6); q 1 ] in
-  let den = St.of_coeffs [ q 1 ] in
-  let flagged = St.possible_extremum_intervals num den ~lo:0 ~hi:10 in
-  Alcotest.(check bool)
-    "x=3 covered" true
-    (List.exists (fun (a, b) -> a <= 3 && 3 <= b) flagged);
-  Alcotest.(check bool)
-    "ends clean" true
-    (List.for_all (fun (a, b) -> b <= 5 && a >= 1) flagged);
-  (* Constant ratio: derivative identically zero, nothing to flag. *)
-  Alcotest.(check (list (pair int int)))
-    "constant has no extrema" []
-    (St.possible_extremum_intervals (St.of_coeffs [ q 5 ]) den ~lo:0 ~hi:10)
-
 let suite =
   [
-    Alcotest.test_case "has_root_in" `Quick test_has_root;
     Alcotest.test_case "isolate quadratic" `Quick test_isolate_quadratic;
     Alcotest.test_case "multiple root" `Quick test_isolate_multiple_root;
     Alcotest.test_case "of_polynomial" `Quick test_of_polynomial;
     QCheck_alcotest.to_alcotest prop_isolate_cubic;
-    Alcotest.test_case "certified_sign" `Quick test_certified_sign;
-    Alcotest.test_case "possible_root_intervals" `Quick
-      test_possible_root_intervals;
-    QCheck_alcotest.to_alcotest prop_scan_covers_sturm_roots;
-    Alcotest.test_case "possible_extremum_intervals" `Quick
-      test_possible_extremum_intervals;
   ]

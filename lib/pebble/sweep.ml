@@ -10,13 +10,14 @@ module Cplan = Iolb_ir.Cplan
    the previous access of the same cell - satisfies d < S, so one pass
    computing every access's distance answers every size at once.
 
-   There is one engine.  Distances come from a Fenwick (binary indexed)
-   tree over live marks ([Core]): each cell's most recent access holds one
+   There is one engine ([Core]).  Each cell's most recent access holds one
    mark, so the number of marks above a cell's mark - the distinct cells
-   touched since - is its reuse distance.  Mark positions are compacted to the
-   footprint (Olken): they are renumbered when the position space runs
-   out, so the tree follows the number of distinct cells, not the trace
-   length - O(T log F) time, O(F) space.
+   touched since - is its reuse distance.  The marks are a bitset, 32
+   positions to a word, and a Fenwick (binary indexed) tree counts them
+   per word.  Mark positions are compacted to the footprint (Olken): they
+   are renumbered when the position space runs out, so both follow the
+   number of distinct cells, not the trace length - O(T log F) time, O(F)
+   space.
 
    Write-back stores are recovered from the same distances.  The simulator
    semantics (Cache.lru) are write-allocate-no-fetch: a write dirties the
@@ -79,43 +80,56 @@ let stats t ~size =
   }
 
 module Core = struct
-  (* Fenwick tree over COMPACTED positions: [pos.(id)] is the mark of
-     [id] (-1 when unmarked), more recently touched ids have larger
-     positions; [who.(p)] is the inverse (the id marked at [p], -1 for a
-     hole).  When the position space runs out the live marks are
-     renumbered 0..marked-1 by one linear scan of [who] - no sort - and
-     the new capacity leaves at least 3x marked (and at least nids) free
-     slots, so renumbering is amortized O(1) per touch.
+  (* Live marks as a bitset over COMPACTED positions, with a Fenwick tree
+     over its words' counts: [pos.(id)] is the mark of [id] (-1 when
+     unmarked), more recently touched ids have larger positions, and bit
+     [p land 31] of [words.(p lsr 5)] is set iff position [p] holds a
+     mark.  Each word holds 32 positions, so the tree has a 32nd of the
+     positions' entries and both arrays stay cache-resident at footprints
+     where a position-level tree would not.  The number of marks above
+     [p] is the popcount of its own word above it plus a tree sum over
+     the words above.  When the position space runs out the live marks
+     are renumbered 0..marked-1, each to its rank (the marks in the words
+     below plus a popcount), by one scan of [pos]; the new capacity is at
+     least 4x marked (and at least nids), so renumbering is amortized O(1)
+     per touch.
 
      [clean_above] is the stack's hole-free top: every position in
      [clean_above, next) is marked.  Touching appends at [next], which
      extends the clean region; only re-touching a cell INSIDE the region
      punches a hole there (restarting the region just above it), so for
      the dominant near-reuse accesses the stack depth is the closed form
-     [next - 1 - pos] - no tree query at all.  Deep accesses fall back
-     to one [bit_sum]. *)
+     [next - 1 - pos] - no tree query at all.  Deeper accesses sum the
+     words above by a range walk, or from the far end by one prefix sum
+     (more than 4096 positions down). *)
   type t = {
-    mutable bit : int array; (* length cap+1, 1-based *)
-    mutable cap : int;
+    mutable words : int array; (* cap / 32 words of 32 marks each *)
+    mutable bit : int array; (* length cap / 32 + 1, 1-based word counts *)
+    mutable cap : int; (* positions, a multiple of 32 *)
     mutable next : int; (* next free 0-based position *)
     mutable marked : int;
     mutable clean_above : int; (* positions [clean_above, next) all marked *)
     mutable pos : int array; (* per id: 0-based position or -1 *)
-    mutable who : int array; (* per position: id or -1; length cap *)
     mutable nids : int;
   }
 
   let create () =
-    { bit = Array.make 65 0; cap = 64; next = 0; marked = 0;
-      clean_above = 0; pos = Array.make 64 (-1);
-      who = Array.make 64 (-1); nids = 0 }
+    { words = Array.make 2 0; bit = Array.make 3 0; cap = 64; next = 0;
+      marked = 0; clean_above = 0; pos = Array.make 64 (-1); nids = 0 }
 
   let marked t = t.marked
 
+  (* set bits of a 32-bit word (SWAR) *)
+  let popcount x =
+    let x = x - ((x lsr 1) land 0x55555555) in
+    let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+    let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+    ((x * 0x01010101) lsr 24) land 0xff
+
   let bit_add t i v =
-    let bit = t.bit and cap = t.cap in
+    let bit = t.bit and n = t.cap lsr 5 in
     let i = ref i in
-    while !i <= cap do
+    while !i <= n do
       Array.unsafe_set bit !i (Array.unsafe_get bit !i + v);
       i := !i + (!i land - !i)
     done
@@ -129,10 +143,10 @@ module Core = struct
     done;
     !acc
 
-  (* Marks in 1-based (j, i] = sum(i) - sum(j), as one dual descending
-     walk that stops at the common Fenwick ancestor: the probe count
-     follows log(i - j), not log(i), and the probed nodes sit in the
-     recently-touched top of the tree.  This is what makes mid-depth
+  (* Marks in 1-based words (j, i] = sum(i) - sum(j), as one dual
+     descending walk that stops at the common Fenwick ancestor: the probe
+     count follows log(i - j), not log(i), and the probed nodes sit in
+     the recently-touched top of the tree.  This is what makes mid-depth
      reuse (the bulk of a loop nest's column traffic) cheap. *)
   let bit_range t j i =
     let bit = t.bit in
@@ -149,28 +163,28 @@ module Core = struct
     done;
     !acc
 
-  (* Remove the mark at [p] and plant one at [q > p], in one pass: the
-     two up-walks merge at the lowest common Fenwick ancestor, where
-     -1 and +1 cancel and the walk stops.  For near-top moves - the
-     common case - the merge happens within a step or two. *)
+  (* Move a mark from 1-based word [p] to word [q > p], in one pass: the
+     two up-walks merge at the lowest common Fenwick ancestor, where -1
+     and +1 cancel and the walk stops.  For near-top moves - the common
+     case - the merge happens within a step or two. *)
   let bit_move t p q =
-    let bit = t.bit and cap = t.cap in
+    let bit = t.bit and n = t.cap lsr 5 in
     let i = ref p and j = ref q in
     let continue = ref true in
     while !continue do
       if !i < !j then
-        if !i <= cap then begin
+        if !i <= n then begin
           Array.unsafe_set bit !i (Array.unsafe_get bit !i - 1);
           i := !i + (!i land - !i)
         end
         else i := max_int
       else if !j < !i then
-        if !j <= cap then begin
+        if !j <= n then begin
           Array.unsafe_set bit !j (Array.unsafe_get bit !j + 1);
           j := !j + (!j land - !j)
         end
         else j := max_int
-      else continue := false (* merged (or both past cap): deltas cancel *)
+      else continue := false (* merged (or both past the end): deltas cancel *)
     done
 
   let ensure_id t id =
@@ -181,128 +195,130 @@ module Core = struct
     end;
     if id >= t.nids then t.nids <- id + 1
 
+  (* Marks above the marked position [p]. *)
+  let above t p =
+    if p >= t.clean_above then t.next - 1 - p
+    else begin
+      let w = p lsr 5 in
+      let own = popcount (Array.unsafe_get t.words w lsr ((p land 31) + 1)) in
+      if t.next - p <= 4096 then
+        own + bit_range t (w + 1) (((t.next - 1) lsr 5) + 1)
+      else own + t.marked - bit_sum t (w + 1)
+    end
+
+  let clear t p =
+    let w = p lsr 5 in
+    Array.unsafe_set t.words w
+      (Array.unsafe_get t.words w land lnot (1 lsl (p land 31)));
+    if p >= t.clean_above then t.clean_above <- p + 1
+
+  let set t q =
+    let w = q lsr 5 in
+    Array.unsafe_set t.words w
+      (Array.unsafe_get t.words w lor (1 lsl (q land 31)))
+
   (* Number of ids whose mark is more recent than [id]'s - the stack
      depth of [id] - or -1 if [id] is unmarked. *)
   let dist t id =
     if id >= t.nids then -1
     else
       let p = Array.unsafe_get t.pos id in
-      if p < 0 then -1
-      else if p >= t.clean_above then t.next - 1 - p
-      else if t.next - p <= 4096 then bit_range t (p + 1) t.next
-      else t.marked - bit_sum t (p + 1)
+      if p < 0 then -1 else above t p
 
   let remove t id =
     if id < t.nids then begin
       let p = t.pos.(id) in
       if p >= 0 then begin
-        bit_add t (p + 1) (-1);
+        clear t p;
+        bit_add t ((p lsr 5) + 1) (-1);
         t.pos.(id) <- -1;
-        t.who.(p) <- -1;
-        if p >= t.clean_above then t.clean_above <- p + 1;
         t.marked <- t.marked - 1
       end
     end
 
-  let renumber t =
-    let cap = max 64 (max (4 * t.marked) t.nids) in
-    (* compact the live marks in position order: the inverse array IS
-       the order, one forward in-place scan (writes trail reads), no
-       sort, no allocation unless the capacity itself changes *)
-    let k = ref 0 in
-    let who = t.who and pos = t.pos in
-    for p = 0 to t.next - 1 do
-      let id = Array.unsafe_get who p in
-      if id >= 0 then begin
-        Array.unsafe_set who !k id;
-        Array.unsafe_set pos id !k;
-        incr k
-      end
+  (* [f id r] for every marked id, [r] its rank among the marks from the
+     bottom: the marks in the words below its own plus those below it in
+     its word *)
+  let iter_ranks t f =
+    let words = t.words in
+    let nw = (t.next + 31) lsr 5 in
+    let below = Array.make (max nw 1) 0 in
+    for w = 1 to nw - 1 do
+      below.(w) <- below.(w - 1) + popcount words.(w - 1)
     done;
+    let pos = t.pos in
+    for id = 0 to t.nids - 1 do
+      let p = Array.unsafe_get pos id in
+      if p >= 0 then
+        let w = p lsr 5 in
+        f id
+          (Array.unsafe_get below w
+          + popcount (Array.unsafe_get words w land ((1 lsl (p land 31)) - 1)))
+    done
+
+  let renumber t =
+    let pos = t.pos in
+    iter_ranks t (fun id r -> Array.unsafe_set pos id r);
+    let k = t.marked in
+    let cap = (max 64 (max (4 * k) t.nids) + 31) land lnot 31 in
+    let nw = cap lsr 5 in
     if cap <> t.cap then begin
-      let who' = Array.make cap (-1) in
-      Array.blit who 0 who' 0 !k;
-      t.who <- who';
-      t.bit <- Array.make (cap + 1) 0;
+      t.words <- Array.make nw 0;
+      t.bit <- Array.make (nw + 1) 0;
       t.cap <- cap
     end
     else begin
-      Array.fill t.who !k (t.next - !k) (-1);
-      Array.fill t.bit 0 (cap + 1) 0
+      Array.fill t.words 0 nw 0;
+      Array.fill t.bit 0 (nw + 1) 0
     end;
-    t.next <- !k;
+    t.next <- k;
     t.clean_above <- 0;
-    (* rebuild the tree bottom-up: bit.(i) counts the marks in its
-       span, and every position below [k] is marked *)
-    let bit = t.bit in
-    for i = 1 to cap do
-      let span = i land (-i) in
-      let lo = i - span in
-      if lo < !k then bit.(i) <- min span (!k - lo)
+    (* every position below [k] is marked: full words, then a partial one,
+       and the tree bottom-up (bit.(i) counts the marks in its span) *)
+    let words = t.words and bit = t.bit in
+    for w = 0 to (k lsr 5) - 1 do words.(w) <- 0xffffffff done;
+    if k land 31 <> 0 then words.(k lsr 5) <- (1 lsl (k land 31)) - 1;
+    for i = 1 to nw do
+      let lo = 32 * (i - (i land (-i))) in
+      if lo < k then bit.(i) <- min (32 * i) k - lo
     done
 
   let touch t id =
     ensure_id t id;
-    let p = t.pos.(id) in
-    if p >= 0 then begin
-      bit_add t (p + 1) (-1);
-      t.marked <- t.marked - 1;
-      t.pos.(id) <- -1;
-      t.who.(p) <- -1;
-      if p >= t.clean_above then t.clean_above <- p + 1
-    end;
+    remove t id;
     if t.next = t.cap then renumber t;
-    bit_add t (t.next + 1) 1;
+    set t t.next;
+    bit_add t ((t.next lsr 5) + 1) 1;
     t.pos.(id) <- t.next;
-    t.who.(t.next) <- id;
     t.next <- t.next + 1;
     t.marked <- t.marked + 1
 
   (* [dist t id] followed by [touch t id], fused, for an id that is
-     already marked (every non-first access is).  Three tiers: top of
-     stack (distance 0, nothing moves, no tree access); inside the
-     hole-free top region (closed-form distance, one fused tree move);
-     deep (one [bit_sum], one fused move). *)
+     already marked (every non-first access is).  Top of stack: distance
+     0, nothing moves.  Otherwise the mark moves to [next], and the tree
+     changes only when that crosses into another word. *)
   let dist_touch t id =
     let p = Array.unsafe_get t.pos id in
     if p = t.next - 1 then 0
     else begin
-      let d =
-        if p >= t.clean_above then t.next - 1 - p
-        else if t.next - p <= 4096 then bit_range t (p + 1) t.next
-        else t.marked - bit_sum t (p + 1)
-      in
-      Array.unsafe_set t.who p (-1);
-      if p >= t.clean_above then t.clean_above <- p + 1;
-      if t.next = t.cap then begin
-        bit_add t (p + 1) (-1);
-        Array.unsafe_set t.pos id (-1);
-        t.marked <- t.marked - 1;
-        renumber t;
-        bit_add t (t.next + 1) 1;
-        t.marked <- t.marked + 1
-      end
-      else bit_move t (p + 1) (t.next + 1);
-      Array.unsafe_set t.pos id t.next;
-      Array.unsafe_set t.who t.next id;
-      t.next <- t.next + 1;
+      let d = above t p in
+      if t.next = t.cap then touch t id
+      else begin
+        clear t p;
+        if p lsr 5 <> t.next lsr 5 then
+          bit_move t ((p lsr 5) + 1) ((t.next lsr 5) + 1);
+        set t t.next;
+        Array.unsafe_set t.pos id t.next;
+        t.next <- t.next + 1
+      end;
       d
     end
 
-  (* marked ids, least recently touched first: one scan of the inverse
-     array, which is already in position order *)
+  (* marked ids, least recently touched first, each placed at its rank *)
   let marked_order t =
-    let order = Array.make (max t.marked 1) 0 in
-    let k = ref 0 in
-    let who = t.who in
-    for p = 0 to t.next - 1 do
-      let id = Array.unsafe_get who p in
-      if id >= 0 then begin
-        order.(!k) <- id;
-        incr k
-      end
-    done;
-    Array.sub order 0 !k
+    let order = Array.make t.marked 0 in
+    iter_ranks t (fun id r -> Array.unsafe_set order r id);
+    order
 end
 
 (* ------------------------------------------------------------------ *)

@@ -4,9 +4,10 @@
     always holds the S most recently used distinct cells, so a read hits at
     size S iff its reuse (stack) distance d - the number of distinct other
     cells accessed since the previous access of the same cell - satisfies
-    d < S.  One pass over the trace, computing every access's distance with
-    a Fenwick tree over live last-access marks compacted to the footprint
-    (O(T log F) time, O(F) space for F distinct cells), therefore yields
+    d < S.  One pass over the trace, computing every access's distance
+    from a bitset of live last-access marks compacted to the footprint and
+    a Fenwick tree over its 32-position words' counts (O(T log F) time,
+    O(F) space for F distinct cells), therefore yields
     exact {!Cache.stats} for {e every} size simultaneously, including
     write-back stores (recovered from a parallel dirty-epoch interval
     construction; see the implementation header).  This is what makes

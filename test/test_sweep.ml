@@ -46,6 +46,62 @@ let sweep_matches_lru ~flush events =
       && List.for_all (fun (size, b) -> stats_eq (S.stats sw ~size) b) lru)
     [ 1; 2; 4; 8 ]
 
+(* One seeded trace over 6144 cells that reaches every tier of the sweep
+   core: immediate reuse (distance 0), cyclic sweeps (the hole-free top
+   of the stack), reversed sweeps and random windows (holes above the
+   reused mark, so popcounts within one word, range sums across words and
+   prefix sums past the 4096-position switch), with the position space
+   renumbered at every capacity from 64 up.  The sizes straddle each of
+   those boundaries. *)
+let test_distance_tiers () =
+  let st = Random.State.make [| 25 |] in
+  let ncells = 6144 in
+  let events = ref [] in
+  let access c =
+    let c = c mod ncells in
+    events := (if Random.State.int st 4 = 0 then w "A" c else r "A" c) :: !events
+  in
+  let offset () = Random.State.int st ncells in
+  for c = 0 to ncells - 1 do access c done;
+  for _ = 1 to 2 do
+    List.iter
+      (fun len ->
+        let lo = offset () in
+        for c = lo to lo + len - 1 do access c done;
+        for c = lo to lo + len - 1 do access c done;
+        for _ = 1 to 20 do access lo done)
+      [ 2; 31; 32; 33; 63; 64; 65; 4095; 4096; 4097; ncells ];
+    List.iter
+      (fun len ->
+        let lo = offset () in
+        for c = lo + len - 1 downto lo do access c done)
+      [ 40; 70; 4100; ncells ];
+    List.iter
+      (fun width ->
+        let lo = offset () in
+        for _ = 1 to 2000 do access (lo + Random.State.int st width) done)
+      [ 8; 33; 100; 3000; ncells ]
+  done;
+  let trace = tr (List.rev !events) in
+  let f = T.footprint trace in
+  Alcotest.(check int) "footprint" ncells f;
+  let sizes = [ 1; 2; 31; 32; 33; 63; 64; 65; 4095; 4096; 4097; f - 1; f; f + 1 ] in
+  List.iter
+    (fun flush ->
+      let lru = List.map (fun size -> (size, C.lru ~size ~flush trace)) sizes in
+      List.iter
+        (fun jobs ->
+          let sw = S.run ~flush ~jobs trace in
+          Alcotest.(check int) "accesses" (T.length trace) (S.accesses sw);
+          List.iter
+            (fun (size, b) ->
+              if not (stats_eq (S.stats sw ~size) b) then
+                Alcotest.failf "jobs=%d flush=%b: differs from lru at S=%d" jobs
+                  flush size)
+            lru)
+        [ 1; 2; 3 ])
+    [ true; false ]
+
 let test_sweep_hand () =
   (* W a; R b; R a - exercises a dirty epoch closed by a reload. *)
   let trace = tr [ w "A" 0; r "B" 0; r "A" 0 ] in
@@ -327,4 +383,6 @@ let suite =
       test_data_programs;
     Alcotest.test_case "sampled centre stays in its interval" `Quick
       test_sampled_centre_in_interval;
+    Alcotest.test_case "every distance tier = per-size LRU" `Quick
+      test_distance_tiers;
   ]

@@ -47,6 +47,16 @@ module Json = Iolb_util.Json
 module K = Iolb_kernels
 module Matrix = Iolb_kernels.Matrix
 
+(* The registry programs these sections analyse directly. *)
+let mgs = (Report.find "mgs").program
+let gehd2 = (Report.find "gehd2").program
+
+(* The ladder's bounds at the unlimited budget, which never degrades. *)
+let ladder_bounds ~verify_params prog =
+  match D.analyze_ladder ~verify_params prog with
+  | Ok (o : D.outcome) -> o.bounds
+  | Error e -> failwith (Iolb_util.Engine_error.to_string e)
+
 let section name =
   Printf.printf "\n==================== %s ====================\n" name
 
@@ -270,7 +280,7 @@ let thm6_7_8 () =
    finalizes M = N/2 - 1, so the split searches analyze the spec directly.
    Shared and forced once (PREWARM forces it when THM9/REGIMES run). *)
 let gehd2_free_bounds =
-  lazy (D.analyze ~verify_params:[ ("N", 9); ("M", 3) ] K.Gehd2.split_spec)
+  lazy (ladder_bounds ~verify_params:[ ("N", 9); ("M", 3) ] gehd2)
 
 let thm9 () =
   section "THM9: GEHD2 (loop split at M = N/2 - 1, and M = N - S - 2)";
@@ -436,7 +446,7 @@ let appendix_a1 () =
       (fun (m, n) ->
         ( (m, n),
           Cache.opt_plan
-            (Trace.of_program ~params:[ ("M", m); ("N", n) ] K.Mgs.spec) ))
+            (Trace.of_program ~params:[ ("M", m); ("N", n) ] mgs) ))
       shapes
   in
   let t0 = now () in
@@ -634,7 +644,12 @@ let baselines () =
   let rows =
     pmap
       (fun (name, prog, verify_params) ->
-        let bounds = D.analyze ~verify_params prog in
+        (* The input-footprint bound is no K-partition bound. *)
+        let bounds =
+          List.filter
+            (fun (b : D.t) -> b.technique <> D.Trivial)
+            (ladder_bounds ~verify_params prog)
+        in
         match bounds with
         | [] ->
             Printf.sprintf "%-10s | %-44s |" name "(none: matvec/stencil class)"
@@ -925,12 +940,12 @@ let sweep_scale () =
      sequential sweep field by field at the configured worker count. *)
   let em = 120 and en = 60 in
   let eparams = [ ("M", em); ("N", en) ] in
-  let e_accesses = Cplan.n_accesses (Cplan.make ~params:eparams K.Mgs.spec) in
+  let e_accesses = Cplan.n_accesses (Cplan.make ~params:eparams mgs) in
   let t0 = now () in
-  let seq = Sweep.run_program ~jobs:1 ~params:eparams K.Mgs.spec in
+  let seq = Sweep.run_program ~jobs:1 ~params:eparams mgs in
   let t_seq = now () -. t0 in
   let t1 = now () in
-  let shd = Sweep.run_program ~jobs:!jobs ~params:eparams K.Mgs.spec in
+  let shd = Sweep.run_program ~jobs:!jobs ~params:eparams mgs in
   let t_shd = now () -. t1 in
   let same =
     Sweep.footprint seq = Sweep.footprint shd
@@ -970,12 +985,12 @@ let sweep_scale () =
     | `Full -> ((1000, 500), 0.001)
   in
   let sparams = [ ("M", sm); ("N", sn) ] in
-  let s_accesses = Cplan.n_accesses (Cplan.make ~params:sparams K.Mgs.spec) in
+  let s_accesses = Cplan.n_accesses (Cplan.make ~params:sparams mgs) in
   pf "\nsampled sweep: MGS M=%d N=%d, %d accesses, rate %g, seed 42\n" sm sn
     s_accesses rate;
   Gc.compact ();
   let t2 = now () in
-  let smp = Sweep.run_sampled ~rate ~seed:42 ~params:sparams K.Mgs.spec in
+  let smp = Sweep.run_sampled ~rate ~seed:42 ~params:sparams mgs in
   let t_smp = now () -. t2 in
   pf "kept %d accesses; sampled footprint %d; degenerate error bars: %b\n"
     (Sweep.sampled_kept_accesses smp)
@@ -1037,17 +1052,16 @@ let timings () =
   section "TIMINGS: Bechamel micro-benchmarks of the pipeline";
   let open Bechamel in
   let mgs_params = [ ("M", 16); ("N", 8) ] in
-  let cdag = Cdag.of_program ~params:mgs_params K.Mgs.spec in
+  let cdag = Cdag.of_program ~params:mgs_params mgs in
   let schedule = Game.program_schedule cdag in
   let trace = Trace.of_program ~params:[] (K.Mgs.tiled_spec ~m:16 ~n:8 ~b:2) in
   let a = Matrix.random 32 16 in
-  let hg = List.hd (Hourglass.detect K.Mgs.spec) in
+  let hg = List.hd (Hourglass.detect mgs) in
   let tests =
     [
       Test.make ~name:"derive: mgs hourglass + classical"
         (Staged.stage (fun () ->
-             ignore
-               (D.analyze ~verify_params:[ ("M", 6); ("N", 4) ] K.Mgs.spec)));
+             ignore (ladder_bounds ~verify_params:[ ("M", 6); ("N", 4) ] mgs)));
       Test.make ~name:"detect: hourglass candidates (5 kernels)"
         (Staged.stage (fun () ->
              List.iter
@@ -1055,7 +1069,7 @@ let timings () =
                Report.registry));
       Test.make ~name:"cdag: build mgs 16x8"
         (Staged.stage (fun () ->
-             ignore (Cdag.of_program ~params:mgs_params K.Mgs.spec)));
+             ignore (Cdag.of_program ~params:mgs_params mgs)));
       Test.make ~name:"pebble: game mgs 16x8, S=24"
         (Staged.stage (fun () -> ignore (Game.run cdag ~s:24 ~schedule)));
       Test.make ~name:"cache: OPT on tiled mgs trace"
@@ -1065,7 +1079,7 @@ let timings () =
       Test.make ~name:"hourglass: verify mgs 6x4"
         (Staged.stage (fun () ->
              ignore
-               (Hourglass.verify ~params:[ ("M", 6); ("N", 4) ] K.Mgs.spec hg)));
+               (Hourglass.verify ~params:[ ("M", 6); ("N", 4) ] mgs hg)));
     ]
   in
   bechamel_run ~print:true tests
@@ -1086,16 +1100,16 @@ let derive_bench () =
     | D.Hourglass_small_s -> "hourglass (small cache)"
     | D.Trivial -> "trivial"
   in
-  let bounds = D.analyze ~verify_params K.Mgs.spec in
+  let bounds = ladder_bounds ~verify_params mgs in
   pf "analyze mgs (fresh, no memo): %d bounds\n" (List.length bounds);
   List.iter
     (fun (b : D.t) ->
       pf "  [%s/%s] Q >= %s\n" b.stmt (tech b.technique)
         (R.to_string (leading_term b.formula)))
     bounds;
-  let hgs = Hourglass.detect K.Mgs.spec in
+  let hgs = Hourglass.detect mgs in
   let verified =
-    List.length (List.filter (Hourglass.verify ~params:verify_params K.Mgs.spec) hgs)
+    List.length (List.filter (Hourglass.verify ~params:verify_params mgs) hgs)
   in
   pf "hourglass verify at M=6 N=4: %d/%d verified\n" verified (List.length hgs);
   pf "(ns/run figures are in the --json metrics)\n";
@@ -1104,7 +1118,7 @@ let derive_bench () =
     [
       Test.make ~name:"derive: analyze mgs (fresh)"
         (Staged.stage (fun () ->
-             ignore (D.analyze ~verify_params K.Mgs.spec)));
+             ignore (ladder_bounds ~verify_params mgs)));
       Test.make ~name:"derive: classical deepest (5 kernels)"
         (Staged.stage (fun () ->
              List.iter
@@ -1113,7 +1127,7 @@ let derive_bench () =
                Report.registry));
       Test.make ~name:"hourglass: verify mgs 6x4"
         (Staged.stage (fun () ->
-             ignore (Hourglass.verify ~params:verify_params K.Mgs.spec hg)));
+             ignore (Hourglass.verify ~params:verify_params mgs hg)));
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -40,7 +40,9 @@ let () =
       end)
     [ 1; 2; 4; 8; 16; 32 ];
   (* The untiled right-looking ordering for contrast. *)
-  let untiled = Trace.of_program ~params:[ ("M", m); ("N", n) ] K.Mgs.spec in
+  let untiled =
+    Trace.of_program ~params:[ ("M", m); ("N", n) ] analysis.entry.program
+  in
   Printf.printf "\nuntiled right-looking (program order): opt=%d lru=%d\n"
     (Cache.opt ~size:s untiled).Cache.loads
     (Cache.lru ~size:s untiled).Cache.loads;

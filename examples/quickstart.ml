@@ -8,8 +8,9 @@ module Access = Iolb_ir.Access
 module Affine = Iolb_poly.Affine
 
 let () =
-  (* 1. A program can come from the built-in kernel library... *)
-  let mgs = Iolb_kernels.Mgs.spec in
+  (* 1. A program can come from the kernel registry, which parses the
+        shipped sources (this one is examples/kernels/mgs.iolb)... *)
+  let mgs = (Iolb.Report.find "mgs").program in
   Format.printf "%a@." Program.pp mgs;
 
   (* 2. ... or be built directly.  Here is a toy reduce-broadcast loop:
@@ -21,7 +22,11 @@ let () =
   List.iter (fun h -> Format.printf "found: %a@." Iolb.Hourglass.pp h) patterns;
 
   (* 4. Derive the bounds. *)
-  let bounds = Iolb.Derive.analyze ~verify_params:params mgs in
+  let bounds =
+    match Iolb.Derive.analyze_ladder ~verify_params:params mgs with
+    | Ok o -> o.bounds
+    | Error e -> failwith (Iolb_util.Engine_error.to_string e)
+  in
   List.iter (fun b -> Format.printf "%a@." Iolb.Derive.pp b) bounds;
 
   (* 5. Evaluate them at concrete sizes and compare with the I/O of an

@@ -134,7 +134,7 @@ let run ?(budget = fun () -> Budget.unlimited) ?(max_failures = 5) ?progress
                  so a failure replays through the textual front end too. *)
               let shrunk_source =
                 let prog, params = Spec.to_program shrunk in
-                Iolb_front.Front.print ~verify:params prog
+                Iolb_lang.Front.print ~verify:params prog
               in
               failures :=
                 {

@@ -645,8 +645,8 @@ let prop_region_cover c =
    program the generator can produce, so textual kernel sources are a
    faithful exchange format, not an approximation.                      *)
 
-module Front = Iolb_front.Front
-module Front_diag = Iolb_front.Diag
+module Front = Iolb_lang.Front
+module Front_diag = Iolb_lang.Diag
 
 let prop_parse_roundtrip c =
   let printed = Front.print ~verify:c.params c.prog in

@@ -375,11 +375,6 @@ let classical_deepest ?budget p =
       else None)
     stmts
 
-let analyze ?budget ~verify_params p =
-  let hgs = Hourglass.detect_verified ?budget ~params:verify_params p in
-  let hg_bounds = List.concat_map (hourglass ?budget p) hgs in
-  hg_bounds @ classical_deepest ?budget p
-
 type outcome = { bounds : t list; degradation : string option }
 
 let ladder ?(budget = Budget.unlimited) ~verify_params p =

@@ -91,21 +91,10 @@ val trivial : Iolb_ir.Program.t -> t option
 
 (** [classical_deepest p] is the classical derivation applied to every
     statement at the maximal loop depth (the statements whose instance
-    count dominates).  This is the classical half of {!analyze}.
+    count dominates).  This is the classical rung of {!ladder}.
     @raise Iolb_util.Budget.Exhausted when the budget runs out. *)
 val classical_deepest :
   ?budget:Iolb_util.Budget.t -> Iolb_ir.Program.t -> t list
-
-(** [analyze ~verify_params p] runs the full pipeline: hourglass detection
-    (empirically verified at [verify_params]), hourglass derivation on each
-    verified pattern, and the classical derivation on every deepest-loop
-    statement.  Results are sorted: hourglass bounds first.
-    @raise Iolb_util.Budget.Exhausted when the budget runs out. *)
-val analyze :
-  ?budget:Iolb_util.Budget.t ->
-  verify_params:(string * int) list ->
-  Iolb_ir.Program.t ->
-  t list
 
 (** Result of the graceful-degradation ladder: the bounds of the deepest
     rung reached, and - when any rung was skipped or aborted - a

@@ -2,7 +2,6 @@ module P = Iolb_symbolic.Polynomial
 module R = Iolb_symbolic.Ratfun
 module Rat = Iolb_util.Rat
 module Engine_error = Iolb_util.Engine_error
-module K = Iolb_kernels
 
 type entry = {
   kernel : Paper_formulas.kernel;
@@ -29,46 +28,35 @@ let default_grid =
 let gehd2_split_subst =
   P.add (P.scale Rat.half (P.var "N")) (P.of_int (-1))
 
+(* Every registry program is defined once, by its shipped source under
+   examples/kernels, embedded at build time ([Kernel_text]) and parsed
+   here when the library initialises.  The embedded text is part of the
+   build, so a parse failure is a packaging defect, not an input error. *)
+let parse name text =
+  let file = "examples/kernels/" ^ name ^ ".iolb" in
+  match Iolb_lang.Front.parse_string ~file text with
+  | Ok src -> src
+  | Error d -> failwith (Iolb_lang.Diag.to_string d)
+
+let paper ?(grid = default_grid) ?(finalize = Fun.id) kernel display text =
+  let src = parse (Paper_formulas.kernel_name kernel) text in
+  {
+    kernel;
+    display;
+    program = src.program;
+    verify_params = src.verify;
+    grid;
+    finalize;
+  }
+
 let registry =
   [
-    {
-      kernel = Paper_formulas.Mgs;
-      display = "MGS";
-      program = K.Mgs.spec;
-      verify_params = [ ("M", 6); ("N", 4) ];
-      grid = default_grid;
-      finalize = Fun.id;
-    };
-    {
-      kernel = Paper_formulas.A2v;
-      display = "QR HH A2V";
-      program = K.Householder.a2v_spec;
-      verify_params = [ ("M", 7); ("N", 4) ];
-      grid = default_grid;
-      finalize = Fun.id;
-    };
-    {
-      kernel = Paper_formulas.V2q;
-      display = "QR HH V2Q";
-      program = K.Householder.v2q_spec;
-      verify_params = [ ("M", 7); ("N", 4) ];
-      grid = default_grid;
-      finalize = Fun.id;
-    };
-    {
-      kernel = Paper_formulas.Gebd2;
-      display = "GEBD2";
-      program = K.Gebd2.spec;
-      verify_params = [ ("M", 7); ("N", 4) ];
-      grid = default_grid;
-      finalize = Fun.id;
-    };
-    {
-      kernel = Paper_formulas.Gehd2;
-      display = "GEHD2";
-      program = K.Gehd2.split_spec;
-      verify_params = [ ("N", 9); ("M", 3) ];
-      grid =
+    paper Paper_formulas.Mgs "MGS" Kernel_text.mgs;
+    paper Paper_formulas.A2v "QR HH A2V" Kernel_text.qr_hh_a2v;
+    paper Paper_formulas.V2q "QR HH V2Q" Kernel_text.qr_hh_v2q;
+    paper Paper_formulas.Gebd2 "GEBD2" Kernel_text.gebd2;
+    paper Paper_formulas.Gehd2 "GEHD2" Kernel_text.gehd2
+      ~grid:
         [
           (* m is ignored for GEHD2 (square N x N). *)
           (0, 64, 16);
@@ -76,22 +64,25 @@ let registry =
           (0, 128, 64);
           (0, 256, 1024);
           (0, 512, 4096);
-        ];
-      finalize = R.subst "M" gehd2_split_subst;
-    };
+        ]
+      ~finalize:(R.subst "M" gehd2_split_subst);
   ]
+
+let baseline name text =
+  let src = parse name text in
+  (name, src.program, src.verify)
 
 let baselines =
   [
-    ("gemm", K.Gemm.spec, [ ("M", 4); ("N", 4); ("K", 4) ]);
-    ("cholesky", K.Cholesky.spec, [ ("N", 8) ]);
-    ("lu", K.Lu.spec, [ ("N", 8) ]);
-    ("syrk", K.Syrk.spec, [ ("N", 6); ("K", 5) ]);
-    ("syr2k", K.Syr2k.spec, [ ("N", 6); ("K", 5) ]);
-    ("trsm", K.Trsm.spec, [ ("N", 6); ("M", 4) ]);
-    ("trmm", K.Trmm.spec, [ ("M", 6); ("N", 4) ]);
-    ("atax", K.Atax.spec, [ ("M", 6); ("N", 4) ]);
-    ("jacobi1d", K.Jacobi1d.spec, [ ("T", 4); ("N", 8) ]);
+    baseline "gemm" Kernel_text.gemm;
+    baseline "cholesky" Kernel_text.cholesky;
+    baseline "lu" Kernel_text.lu;
+    baseline "syrk" Kernel_text.syrk;
+    baseline "syr2k" Kernel_text.syr2k;
+    baseline "trsm" Kernel_text.trsm;
+    baseline "trmm" Kernel_text.trmm;
+    baseline "atax" Kernel_text.atax;
+    baseline "jacobi1d" Kernel_text.jacobi1d;
   ]
 
 let find name =

@@ -1,6 +1,12 @@
 (** Kernel registry and end-to-end analyses: ties together the kernel
-    specifications, the derivation engine and the paper's published
-    formulas.  This is the layer the CLI and the benchmark harness print. *)
+    programs, the derivation engine and the paper's published formulas.
+    This is the layer the CLI and the benchmark harness print.
+
+    Every registry program is defined once, by its source under
+    [examples/kernels] ([NAME.iolb], NAME being the paper kernel's
+    {!Paper_formulas.kernel_name} or the baseline's name).  The sources
+    are embedded at build time and parsed when this module initialises;
+    verify sizes come from each source's [verify] clause. *)
 
 type entry = {
   kernel : Paper_formulas.kernel;
@@ -15,7 +21,8 @@ type entry = {
           loop-split parameter at M = N/2 - 1, as in Theorem 9's proof) *)
 }
 
-(** The five kernels of the paper, in Figure 4/5 order. *)
+(** The five kernels of the paper, in Figure 4/5 order.  GEHD2's program
+    is Figure 7 with its outer loop split at a parameter [M]. *)
 val registry : entry list
 
 (** Baseline kernels outside the paper's evaluation (GEMM, Cholesky, LU,

@@ -1,3 +1,4 @@
+module Front = Iolb_lang.Front
 module Report = Iolb.Report
 module D = Iolb.Derive
 module Program = Iolb_ir.Program
@@ -8,7 +9,7 @@ module Engine_error = Iolb_util.Engine_error
 let ( let* ) = Result.bind
 
 (* Verify bindings are order-insensitive: the printer emits them in
-   program-parameter order, the registry stores them in historical order. *)
+   program-parameter order, a hand-written source may not. *)
 let verify_equal a b =
   let sort l = List.sort (fun (x, _) (y, _) -> String.compare x y) l in
   List.equal

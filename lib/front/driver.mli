@@ -8,6 +8,8 @@
     source it produces the graceful-degradation ladder report the CLI
     prints for baselines. *)
 
+open Iolb_lang
+
 (** [resolve src] is the registry entry whose program is
     {!Iolb_ir.Program.equal} to the parsed one with the same verify
     bindings, if any.  Resolution is structural: renaming a statement or

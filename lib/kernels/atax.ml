@@ -1,32 +1,3 @@
-open Shorthand
-
-let spec =
-  Program.make ~name:"atax" ~params:[ "M"; "N" ]
-    ~assumptions:[ Constr.ge_of (v "M") (c 1); Constr.ge_of (v "N") (c 1) ]
-    [
-      loop_lt "i" (c 0) (v "M")
-        [
-          stmt "St0" ~writes:[ a1 "tmp" (v "i") ] ~reads:[];
-          loop_lt "j" (c 0) (v "N")
-            [
-              stmt "St"
-                ~writes:[ a1 "tmp" (v "i") ]
-                ~reads:[ a1 "tmp" (v "i"); a2 "A" (v "i") (v "j"); a1 "x" (v "j") ];
-            ];
-        ];
-      loop_lt "j" (c 0) (v "N")
-        [ stmt "Sy0" ~writes:[ a1 "y" (v "j") ] ~reads:[] ];
-      loop_lt "i" (c 0) (v "M")
-        [
-          loop_lt "j" (c 0) (v "N")
-            [
-              stmt "Sy"
-                ~writes:[ a1 "y" (v "j") ]
-                ~reads:[ a1 "y" (v "j"); a2 "A" (v "i") (v "j"); a1 "tmp" (v "i") ];
-            ];
-        ];
-    ]
-
 let run a x =
   let m, n = Matrix.dims a in
   if Array.length x <> n then invalid_arg "Atax.run: dimension mismatch";

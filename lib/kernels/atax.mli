@@ -3,7 +3,5 @@
     method yields no S-dependent bound (the I/O is just Theta(inputs)).
     Serves as the matvec-class negative control for the engine. *)
 
-val spec : Iolb_ir.Program.t
-
 (** [run a x] computes [A^T (A x)]. *)
 val run : Matrix.t -> float array -> float array

@@ -1,40 +1,3 @@
-open Shorthand
-
-let spec =
-  let n = v "N" in
-  Program.make ~name:"cholesky" ~params:[ "N" ]
-    ~assumptions:[ Constr.ge_of (v "N") (c 1) ]
-    [
-      loop_lt "k" (c 0) n
-        [
-          (* Left-looking: fold the already-computed columns j < k into
-             column k, then scale. *)
-          loop_lt "j" (c 0) (v "k")
-            [
-              loop_lt "i" (v "k") n
-                [
-                  stmt "Sup"
-                    ~writes:[ a2 "A" (v "i") (v "k") ]
-                    ~reads:
-                      [
-                        a2 "A" (v "i") (v "k");
-                        a2 "A" (v "i") (v "j");
-                        a2 "A" (v "k") (v "j");
-                      ];
-                ];
-            ];
-          stmt "Ssq"
-            ~writes:[ a2 "A" (v "k") (v "k") ]
-            ~reads:[ a2 "A" (v "k") (v "k") ];
-          loop_lt "i" (v "k" +! c 1) n
-            [
-              stmt "Sdv"
-                ~writes:[ a2 "A" (v "i") (v "k") ]
-                ~reads:[ a2 "A" (v "i") (v "k"); a2 "A" (v "k") (v "k") ];
-            ];
-        ];
-    ]
-
 let factor a =
   let n, n' = Matrix.dims a in
   if n <> n' then invalid_arg "Cholesky.factor: need a square matrix";

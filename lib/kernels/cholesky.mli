@@ -5,8 +5,6 @@
     engine must fall back to the classical Theta(N^3 / sqrt S) bound -
     which is known to be tight (blocked Cholesky achieves it). *)
 
-val spec : Iolb_ir.Program.t
-
 (** [factor a] returns the lower-triangular [l] with [a = l * l^T], for a
     symmetric positive-definite [a].  @raise Invalid_argument if a pivot is
     non-positive (not SPD). *)

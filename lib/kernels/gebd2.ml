@@ -1,136 +1,3 @@
-open Shorthand
-
-let spec =
-  let m = v "M" and n = v "N" in
-  let k1 = v "k" +! c 1 in
-  let k2 = v "k" +! c 2 in
-  let left_reflector =
-    [
-      stmt "Bn0" ~writes:[ sc "norma2" ] ~reads:[];
-      loop_lt "i" k1 m
-        [
-          stmt "Bn2" ~writes:[ sc "norma2" ]
-            ~reads:[ sc "norma2"; a2 "A" (v "i") (v "k") ];
-        ];
-      stmt "Bnrm" ~writes:[ sc "norma" ]
-        ~reads:[ a2 "A" (v "k") (v "k"); sc "norma2" ];
-      stmt "Bk1"
-        ~writes:[ a2 "A" (v "k") (v "k") ]
-        ~reads:[ a2 "A" (v "k") (v "k"); sc "norma" ];
-      stmt "Btq" ~writes:[ a1 "tauq" (v "k") ]
-        ~reads:[ sc "norma2"; a2 "A" (v "k") (v "k") ];
-      loop_lt "i" k1 m
-        [
-          stmt "Bdiv"
-            ~writes:[ a2 "A" (v "i") (v "k") ]
-            ~reads:[ a2 "A" (v "i") (v "k"); a2 "A" (v "k") (v "k") ];
-        ];
-      stmt "Bk2"
-        ~writes:[ a2 "A" (v "k") (v "k") ]
-        ~reads:[ a2 "A" (v "k") (v "k"); sc "norma" ];
-      loop_lt "j" k1 n
-        [
-          stmt "Bt0" ~writes:[ a1 "tmp" (v "j") ] ~reads:[ a2 "A" (v "k") (v "j") ];
-          loop_lt "i" k1 m
-            [
-              stmt "BRl"
-                ~writes:[ a1 "tmp" (v "j") ]
-                ~reads:
-                  [ a1 "tmp" (v "j"); a2 "A" (v "i") (v "k"); a2 "A" (v "i") (v "j") ];
-            ];
-          stmt "Btm" ~writes:[ a1 "tmp" (v "j") ]
-            ~reads:[ a1 "tauq" (v "k"); a1 "tmp" (v "j") ];
-          stmt "Baj"
-            ~writes:[ a2 "A" (v "k") (v "j") ]
-            ~reads:[ a2 "A" (v "k") (v "j"); a1 "tmp" (v "j") ];
-          loop_lt "i" k1 m
-            [
-              stmt "BUl"
-                ~writes:[ a2 "A" (v "i") (v "j") ]
-                ~reads:
-                  [ a2 "A" (v "i") (v "j"); a2 "A" (v "i") (v "k"); a1 "tmp" (v "j") ];
-            ];
-        ];
-    ]
-  in
-  let right_reflector =
-    [
-      stmt "Cn0" ~writes:[ sc "normb2" ] ~reads:[];
-      loop_lt "j" k2 n
-        [
-          stmt "Cn2" ~writes:[ sc "normb2" ]
-            ~reads:[ sc "normb2"; a2 "A" (v "k") (v "j") ];
-        ];
-      stmt "Cnrm" ~writes:[ sc "normb" ]
-        ~reads:[ a2 "A" (v "k") k1; sc "normb2" ];
-      stmt "Ck1"
-        ~writes:[ a2 "A" (v "k") k1 ]
-        ~reads:[ a2 "A" (v "k") k1; sc "normb" ];
-      stmt "Ctp" ~writes:[ a1 "taup" (v "k") ]
-        ~reads:[ sc "normb2"; a2 "A" (v "k") k1 ];
-      loop_lt "j" k2 n
-        [
-          stmt "Cdiv"
-            ~writes:[ a2 "A" (v "k") (v "j") ]
-            ~reads:[ a2 "A" (v "k") (v "j"); a2 "A" (v "k") k1 ];
-        ];
-      stmt "Ck2"
-        ~writes:[ a2 "A" (v "k") k1 ]
-        ~reads:[ a2 "A" (v "k") k1; sc "normb" ];
-      loop_lt "i" k1 m
-        [
-          stmt "Ct0" ~writes:[ a1 "tmp2" (v "i") ] ~reads:[ a2 "A" (v "i") k1 ];
-          loop_lt "j" k2 n
-            [
-              stmt "CRr"
-                ~writes:[ a1 "tmp2" (v "i") ]
-                ~reads:
-                  [ a1 "tmp2" (v "i"); a2 "A" (v "k") (v "j"); a2 "A" (v "i") (v "j") ];
-            ];
-          stmt "Ctm" ~writes:[ a1 "tmp2" (v "i") ]
-            ~reads:[ a1 "taup" (v "k"); a1 "tmp2" (v "i") ];
-          stmt "Cai"
-            ~writes:[ a2 "A" (v "i") k1 ]
-            ~reads:[ a2 "A" (v "i") k1; a1 "tmp2" (v "i") ];
-          loop_lt "j" k2 n
-            [
-              stmt "CUr"
-                ~writes:[ a2 "A" (v "i") (v "j") ]
-                ~reads:
-                  [ a2 "A" (v "i") (v "j"); a2 "A" (v "k") (v "j"); a1 "tmp2" (v "i") ];
-            ];
-        ];
-    ]
-  in
-  (* Last column: left reflector only (LAPACK processes k = N-1 without a
-     following row reflector).  Written as a straight-line epilogue with
-     k = N-1 folded into the access functions. *)
-  let nm1 = n -! c 1 in
-  let epilogue =
-    [
-      stmt "En0" ~writes:[ sc "norma2" ] ~reads:[];
-      loop_lt "i" n m
-        [
-          stmt "En2" ~writes:[ sc "norma2" ]
-            ~reads:[ sc "norma2"; a2 "A" (v "i") nm1 ];
-        ];
-      stmt "Enrm" ~writes:[ sc "norma" ] ~reads:[ a2 "A" nm1 nm1; sc "norma2" ];
-      stmt "Ek1" ~writes:[ a2 "A" nm1 nm1 ] ~reads:[ a2 "A" nm1 nm1; sc "norma" ];
-      stmt "Etq" ~writes:[ a1 "tauq" nm1 ] ~reads:[ sc "norma2"; a2 "A" nm1 nm1 ];
-      loop_lt "i" n m
-        [
-          stmt "Ediv"
-            ~writes:[ a2 "A" (v "i") nm1 ]
-            ~reads:[ a2 "A" (v "i") nm1; a2 "A" nm1 nm1 ];
-        ];
-      stmt "Ek2" ~writes:[ a2 "A" nm1 nm1 ] ~reads:[ a2 "A" nm1 nm1; sc "norma" ];
-    ]
-  in
-  Program.make ~name:"gebd2" ~params:[ "M"; "N" ]
-    ~assumptions:[ Constr.ge_of (v "M") (v "N"); Constr.ge_of (v "N") (c 2) ]
-    ([ loop_lt "k" (c 0) (n -! c 1) (left_reflector @ right_reflector) ]
-    @ epilogue)
-
 type result = { a : Matrix.t; tauq : float array; taup : float array }
 
 (* Row-reflector generation on row k, columns k+1..n-1. *)

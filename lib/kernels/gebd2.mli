@@ -4,13 +4,6 @@
     The paper derives for this kernel the hourglass bound
     [M N^2 (M-N+1) / (8 (S + M - N + 1)) <= Q] (Theorem 8). *)
 
-(** The polyhedral program over [M] and [N] ([M >= N >= 2]).  The main loop
-    ([k = 0 .. N-2]) generates a column reflector, applies it to the
-    trailing columns (statements [BRl]/[BUl], the hourglass), then generates
-    a row reflector and applies it to the trailing rows ([CRr]/[CUr]); a
-    straight-line epilogue handles the last column. *)
-val spec : Iolb_ir.Program.t
-
 type result = {
   a : Matrix.t;  (** bidiagonal in place, reflector tails below/right *)
   tauq : float array;  (** column (left) reflector scalars, length n *)

@@ -1,119 +1,3 @@
-open Shorthand
-
-(* The Figure 7 loop body, parameterised by a statement-name suffix so that
-   the split variant can instantiate it twice with distinct names. *)
-let body ~suffix =
-  let n = v "N" in
-  let j1 = v "j" +! c 1 in
-  let j2 = v "j" +! c 2 in
-  let s name = name ^ suffix in
-  [
-    stmt (s "Hn0") ~writes:[ sc "norma2" ] ~reads:[];
-    loop_lt "i" j2 n
-      [
-        stmt (s "Hn2") ~writes:[ sc "norma2" ]
-          ~reads:[ sc "norma2"; a2 "A" (v "i") (v "j") ];
-      ];
-    stmt (s "Hnrm") ~writes:[ sc "norma" ] ~reads:[ a2 "A" j1 (v "j"); sc "norma2" ];
-    stmt (s "Hp1")
-      ~writes:[ a2 "A" j1 (v "j") ]
-      ~reads:[ a2 "A" j1 (v "j"); sc "norma" ];
-    stmt (s "Htau") ~writes:[ sc "tau" ] ~reads:[ sc "norma2"; a2 "A" j1 (v "j") ];
-    loop_lt "i" j2 n
-      [
-        stmt (s "Hdiv")
-          ~writes:[ a2 "A" (v "i") (v "j") ]
-          ~reads:[ a2 "A" (v "i") (v "j"); a2 "A" j1 (v "j") ];
-      ];
-    stmt (s "Hp2")
-      ~writes:[ a2 "A" j1 (v "j") ]
-      ~reads:[ a2 "A" j1 (v "j"); sc "norma" ];
-    (* Left update: A := H A on rows j+1.., i.e. tmp = v^T A then rank-1. *)
-    loop_lt "i" j1 n
-      [
-        stmt (s "Ht1") ~writes:[ a1 "tmp" (v "i") ] ~reads:[ a2 "A" j1 (v "i") ];
-        loop_lt "k" j2 n
-          [
-            stmt (s "SR1")
-              ~writes:[ a1 "tmp" (v "i") ]
-              ~reads:
-                [ a1 "tmp" (v "i"); a2 "A" (v "k") (v "j"); a2 "A" (v "k") (v "i") ];
-          ];
-      ];
-    loop_lt "i" j1 n
-      [
-        stmt (s "Hs1") ~writes:[ a1 "tmp" (v "i") ]
-          ~reads:[ a1 "tmp" (v "i"); sc "tau" ];
-      ];
-    loop_lt "i" j1 n
-      [
-        stmt (s "Hu1")
-          ~writes:[ a2 "A" j1 (v "i") ]
-          ~reads:[ a2 "A" j1 (v "i"); a1 "tmp" (v "i") ];
-      ];
-    loop_lt "i" j2 n
-      [
-        loop_lt "k" j1 n
-          [
-            stmt (s "SU1")
-              ~writes:[ a2 "A" (v "i") (v "k") ]
-              ~reads:
-                [ a2 "A" (v "i") (v "k"); a2 "A" (v "i") (v "j"); a1 "tmp" (v "k") ];
-          ];
-      ];
-    (* Right update: A := A H on all rows. *)
-    loop_lt "i" (c 0) n
-      [
-        stmt (s "Ht2") ~writes:[ a1 "tmp" (v "i") ] ~reads:[ a2 "A" (v "i") j1 ];
-        loop_lt "k" j2 n
-          [
-            stmt (s "SR2")
-              ~writes:[ a1 "tmp" (v "i") ]
-              ~reads:
-                [ a1 "tmp" (v "i"); a2 "A" (v "i") (v "k"); a2 "A" (v "k") (v "j") ];
-          ];
-      ];
-    loop_lt "i" (c 0) n
-      [
-        stmt (s "Hs2") ~writes:[ a1 "tmp" (v "i") ]
-          ~reads:[ a1 "tmp" (v "i"); sc "tau" ];
-      ];
-    loop_lt "i" (c 0) n
-      [
-        stmt (s "Hu2")
-          ~writes:[ a2 "A" (v "i") j1 ]
-          ~reads:[ a2 "A" (v "i") j1; a1 "tmp" (v "i") ];
-      ];
-    loop_lt "i" (c 0) n
-      [
-        loop_lt "k" j2 n
-          [
-            stmt (s "SU2")
-              ~writes:[ a2 "A" (v "i") (v "k") ]
-              ~reads:
-                [ a2 "A" (v "i") (v "k"); a1 "tmp" (v "i"); a2 "A" (v "k") (v "j") ];
-          ];
-      ];
-  ]
-
-let spec =
-  Program.make ~name:"gehd2" ~params:[ "N" ]
-    ~assumptions:[ Constr.ge_of (v "N") (c 3) ]
-    [ loop_lt "j" (c 0) (v "N" -! c 2) (body ~suffix:"") ]
-
-let split_spec =
-  Program.make ~name:"gehd2_split" ~params:[ "N"; "M" ]
-    ~assumptions:
-      [
-        Constr.ge_of (v "N") (c 3);
-        Constr.ge_of (v "M") (c 1);
-        Constr.ge_of (v "N" -! c 2) (v "M");
-      ]
-    [
-      loop_lt "j" (c 0) (v "M") (body ~suffix:"a");
-      loop_lt "j" (v "M") (v "N" -! c 2) (body ~suffix:"b");
-    ]
-
 type result = { a : Matrix.t; taus : float array }
 
 let reduce a0 =

@@ -3,18 +3,12 @@
 
     The paper derives the hourglass bound [N^4 / (12 (N + 2S)) <= Q]
     (Theorem 9); the hourglass width at outer iteration [j] is [N - 2 - j],
-    handled by splitting the outer loop at a parameter [M]. *)
-
-(** The polyhedral program over [N] ([N >= 3]); statement names [SR1]/[SU1]
-    (left update) and [SR2]/[SU2] (right update) carry the hourglass. *)
-val spec : Iolb_ir.Program.t
-
-(** [split_spec] is [spec] with its outer loop split at a new parameter [M]
-    ([0 <= M <= N-2]): the first half ([j < M]) keeps the hourglass
-    property with width at least [N - M - 1]; the second half is analysed
-    classically.  Splitting does not change the dependences (Section 5.3),
-    so a bound for the first half is a bound for the program. *)
-val split_spec : Iolb_ir.Program.t
+    handled by splitting the outer loop at a parameter [M]
+    ([examples/kernels/gehd2.iolb], the registry program): the first half
+    ([j < M]) keeps the hourglass property with width at least [N - M - 1]
+    and the second half is analysed classically.  Splitting does not change
+    the dependences (Section 5.3), so a bound for the first half is a bound
+    for the program. *)
 
 type result = {
   a : Matrix.t;  (** Hessenberg in place, reflector tails below *)

@@ -1,34 +1,5 @@
 open Shorthand
 
-let spec =
-  Program.make ~name:"gemm" ~params:[ "M"; "N"; "K" ]
-    ~assumptions:
-      [
-        Constr.ge_of (v "M") (c 1);
-        Constr.ge_of (v "N") (c 1);
-        Constr.ge_of (v "K") (c 1);
-      ]
-    [
-      loop_lt "i" (c 0) (v "M")
-        [
-          loop_lt "j" (c 0) (v "N")
-            [
-              stmt "C0" ~writes:[ a2 "C" (v "i") (v "j") ] ~reads:[];
-              loop_lt "k" (c 0) (v "K")
-                [
-                  stmt "SC"
-                    ~writes:[ a2 "C" (v "i") (v "j") ]
-                    ~reads:
-                      [
-                        a2 "C" (v "i") (v "j");
-                        a2 "A" (v "i") (v "k");
-                        a2 "B" (v "k") (v "j");
-                      ];
-                ];
-            ];
-        ];
-    ]
-
 let run = Matrix.mul
 
 let tiled_spec ~m ~n ~k ~b =

@@ -2,11 +2,8 @@
     K-partition bound (Theta(MNK / sqrt(S))) has no hourglass improvement,
     which exercises the classical derivation path of the engine. *)
 
-(** The polyhedral program over [M], [N], [K]:
-    [C(i,j) = sum_k A(i,k) * B(k,j)]. *)
-val spec : Iolb_ir.Program.t
-
-(** [run a b] computes the product with the spec's loop order. *)
+(** [run a b] computes the product in the loop order of
+    [examples/kernels/gemm.iolb]. *)
 val run : Matrix.t -> Matrix.t -> Matrix.t
 
 (** [tiled_spec ~m ~n ~k ~b] is the classic cubic-blocked ordering as a

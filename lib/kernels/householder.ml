@@ -1,134 +1,5 @@
 open Shorthand
 
-let a2v_spec =
-  let m = v "M" and n = v "N" in
-  let k1 = v "k" +! c 1 in
-  Program.make ~name:"qr_hh_a2v" ~params:[ "M"; "N" ]
-    ~assumptions:[ Constr.ge_of (v "M") (v "N" +! c 1); Constr.ge_of (v "N") (c 2) ]
-    [
-      loop_lt "k" (c 0) n
-        [
-          stmt "Sn0" ~writes:[ sc "norma2" ] ~reads:[];
-          loop_lt "i" k1 m
-            [
-              stmt "Sn2"
-                ~writes:[ sc "norma2" ]
-                ~reads:[ sc "norma2"; a2 "A" (v "i") (v "k") ];
-            ];
-          stmt "Snrm" ~writes:[ sc "norma" ]
-            ~reads:[ a2 "A" (v "k") (v "k"); sc "norma2" ];
-          stmt "Sakk1"
-            ~writes:[ a2 "A" (v "k") (v "k") ]
-            ~reads:[ a2 "A" (v "k") (v "k"); sc "norma" ];
-          stmt "Stau"
-            ~writes:[ a1 "tau" (v "k") ]
-            ~reads:[ sc "norma2"; a2 "A" (v "k") (v "k") ];
-          loop_lt "i" k1 m
-            [
-              stmt "Sdiv"
-                ~writes:[ a2 "A" (v "i") (v "k") ]
-                ~reads:[ a2 "A" (v "i") (v "k"); a2 "A" (v "k") (v "k") ];
-            ];
-          stmt "Sakk2"
-            ~writes:[ a2 "A" (v "k") (v "k") ]
-            ~reads:[ a2 "A" (v "k") (v "k"); sc "norma" ];
-          loop_lt "j" k1 n
-            [
-              stmt "St0"
-                ~writes:[ a1 "tau" (v "j") ]
-                ~reads:[ a2 "A" (v "k") (v "j") ];
-              loop_lt "i" k1 m
-                [
-                  stmt "SR"
-                    ~writes:[ a1 "tau" (v "j") ]
-                    ~reads:
-                      [
-                        a1 "tau" (v "j");
-                        a2 "A" (v "i") (v "k");
-                        a2 "A" (v "i") (v "j");
-                      ];
-                ];
-              stmt "Stm"
-                ~writes:[ a1 "tau" (v "j") ]
-                ~reads:[ a1 "tau" (v "k"); a1 "tau" (v "j") ];
-              stmt "Sakj"
-                ~writes:[ a2 "A" (v "k") (v "j") ]
-                ~reads:[ a2 "A" (v "k") (v "j"); a1 "tau" (v "j") ];
-              loop_lt "i" k1 m
-                [
-                  stmt "SU"
-                    ~writes:[ a2 "A" (v "i") (v "j") ]
-                    ~reads:
-                      [
-                        a2 "A" (v "i") (v "j");
-                        a2 "A" (v "i") (v "k");
-                        a1 "tau" (v "j");
-                      ];
-                ];
-            ];
-        ];
-    ]
-
-let v2q_spec =
-  let m = v "M" and n = v "N" in
-  let k1 = v "k" +! c 1 in
-  Program.make ~name:"qr_hh_v2q" ~params:[ "M"; "N" ]
-    ~assumptions:[ Constr.ge_of (v "M") (v "N" +! c 1); Constr.ge_of (v "N") (c 2) ]
-    [
-      loop_rev "k" (c 0)
-        (n -! c 1)
-        [
-          loop_lt "j" k1 n
-            [
-              stmt "St0" ~writes:[ a1 "tau" (v "j") ] ~reads:[];
-              loop_lt "i" k1 m
-                [
-                  stmt "SR"
-                    ~writes:[ a1 "tau" (v "j") ]
-                    ~reads:
-                      [
-                        a1 "tau" (v "j");
-                        a2 "A" (v "i") (v "k");
-                        a2 "A" (v "i") (v "j");
-                      ];
-                ];
-            ];
-          loop_lt "j" k1 n
-            [
-              stmt "ST"
-                ~writes:[ a1 "tau" (v "j") ]
-                ~reads:[ a1 "tau" (v "j"); a1 "tau" (v "k") ];
-            ];
-          stmt "Sakk" ~writes:[ a2 "A" (v "k") (v "k") ] ~reads:[ a1 "tau" (v "k") ];
-          loop_lt "j" k1 n
-            [
-              stmt "Sakj"
-                ~writes:[ a2 "A" (v "k") (v "j") ]
-                ~reads:[ a1 "tau" (v "j") ];
-            ];
-          loop_lt "j" k1 n
-            [
-              loop_lt "i" k1 m
-                [
-                  stmt "SU"
-                    ~writes:[ a2 "A" (v "i") (v "j") ]
-                    ~reads:
-                      [
-                        a2 "A" (v "i") (v "j");
-                        a2 "A" (v "i") (v "k");
-                        a1 "tau" (v "j");
-                      ];
-                ];
-            ];
-          loop_lt "i" k1 m
-            [
-              stmt "Saik"
-                ~writes:[ a2 "A" (v "i") (v "k") ]
-                ~reads:[ a2 "A" (v "i") (v "k"); a1 "tau" (v "k") ];
-            ];
-        ];
-    ]
-
 type factors = { vr : Matrix.t; tau : float array }
 
 (* Reflector generation on column k of [a], rows k..m-1, exactly as in the

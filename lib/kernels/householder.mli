@@ -1,15 +1,8 @@
 (** Householder QR: the A2V factor-extraction pass (LAPACK [GEQR2],
     Figure 3) and the V2Q orthogonal-factor construction (LAPACK [ORG2R],
     Figure 6), plus the tiled left-looking A2V ordering of Appendix A.2
-    (Figure 9). *)
-
-(** The A2V polyhedral program over [M] (rows) and [N] (columns), [M > N];
-    the hourglass is between statements [SR] and [SU] with width [M - 1 - k]
-    (minimum [M - N]). *)
-val a2v_spec : Iolb_ir.Program.t
-
-(** The V2Q polyhedral program (outer loop descending). *)
-val v2q_spec : Iolb_ir.Program.t
+    (Figure 9).  The A2V and V2Q polyhedral programs are
+    [examples/kernels/qr_hh_a2v.iolb] and [qr_hh_v2q.iolb]. *)
 
 (** [generate_reflector a k] runs the Figure 3 reflector generator on
     column [k] of [a] (rows [k..m-1]) in place and returns [tau]:

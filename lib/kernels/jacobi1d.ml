@@ -1,27 +1,3 @@
-open Shorthand
-
-let spec =
-  let n = v "N" and t1 = v "t" in
-  Program.make ~name:"jacobi1d" ~params:[ "T"; "N" ]
-    ~assumptions:[ Constr.ge_of (v "T") (c 1); Constr.ge_of (v "N") (c 3) ]
-    [
-      loop_lt "t" (c 0) (v "T")
-        [
-          loop_lt "i" (c 1)
-            (n -! c 1)
-            [
-              stmt "SB"
-                ~writes:[ a2 "A" (t1 +! c 1) (v "i") ]
-                ~reads:
-                  [
-                    a2 "A" t1 (v "i" -! c 1);
-                    a2 "A" t1 (v "i");
-                    a2 "A" t1 (v "i" +! c 1);
-                  ];
-            ];
-        ];
-    ]
-
 let run ~steps src =
   let n = Array.length src in
   let cur = Array.copy src and next = Array.copy src in

@@ -5,8 +5,6 @@
     domain of the wavefront technique the paper cites [10], which is out of
     scope for this reproduction. *)
 
-val spec : Iolb_ir.Program.t
-
 (** [run ~steps src] applies [steps] three-point smoothing sweeps to the
     float array (boundaries held fixed). *)
 val run : steps:int -> float array -> float array

@@ -1,36 +1,3 @@
-open Shorthand
-
-let spec =
-  let n = v "N" in
-  let k1 = v "k" +! c 1 in
-  Program.make ~name:"lu" ~params:[ "N" ]
-    ~assumptions:[ Constr.ge_of (v "N") (c 1) ]
-    [
-      loop_lt "k" (c 0) n
-        [
-          loop_lt "i" k1 n
-            [
-              stmt "Sdv"
-                ~writes:[ a2 "A" (v "i") (v "k") ]
-                ~reads:[ a2 "A" (v "i") (v "k"); a2 "A" (v "k") (v "k") ];
-            ];
-          loop_lt "i" k1 n
-            [
-              loop_lt "j" k1 n
-                [
-                  stmt "Sup"
-                    ~writes:[ a2 "A" (v "i") (v "j") ]
-                    ~reads:
-                      [
-                        a2 "A" (v "i") (v "j");
-                        a2 "A" (v "i") (v "k");
-                        a2 "A" (v "k") (v "j");
-                      ];
-                ];
-            ];
-        ];
-    ]
-
 let factor a0 =
   let n, n' = Matrix.dims a0 in
   if n <> n' then invalid_arg "Lu.factor: need a square matrix";

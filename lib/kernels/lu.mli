@@ -3,8 +3,6 @@
     Another no-hourglass baseline: the classical K-partition bound
     Theta(N^3 / sqrt S) is asymptotically tight for it. *)
 
-val spec : Iolb_ir.Program.t
-
 (** [factor a] factors in place-style: returns [(l, u)] with unit-diagonal
     [l], for a matrix with non-vanishing leading minors (e.g. diagonally
     dominant).  @raise Invalid_argument on a zero pivot. *)

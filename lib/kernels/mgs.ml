@@ -1,62 +1,5 @@
 open Shorthand
 
-(* Right-looking MGS, Figure 1 of the paper.  The statement names SR / SU
-   follow the paper; the hourglass lives between them (reduction over i in
-   SR, broadcast over i in SU, temporal dimension k, neutral dimension j). *)
-let spec =
-  let m = v "M" and n = v "N" in
-  Program.make ~name:"mgs" ~params:[ "M"; "N" ]
-    ~assumptions:
-      [
-        Constr.ge_of (v "M") (v "N");
-        Constr.ge_of (v "N") (c 2);
-      ]
-    [
-      loop_lt "k" (c 0) n
-        [
-          stmt "Snrm0" ~writes:[ sc "nrm" ] ~reads:[];
-          loop_lt "i" (c 0) m
-            [
-              stmt "Snrm"
-                ~writes:[ sc "nrm" ]
-                ~reads:[ sc "nrm"; a2 "A" (v "i") (v "k") ];
-            ];
-          stmt "Srkk" ~writes:[ a2 "R" (v "k") (v "k") ] ~reads:[ sc "nrm" ];
-          loop_lt "i" (c 0) m
-            [
-              stmt "Sq"
-                ~writes:[ a2 "Q" (v "i") (v "k") ]
-                ~reads:[ a2 "A" (v "i") (v "k"); a2 "R" (v "k") (v "k") ];
-            ];
-          loop_lt "j" (v "k" +! c 1) n
-            [
-              stmt "Sr0" ~writes:[ a2 "R" (v "k") (v "j") ] ~reads:[];
-              loop_lt "i" (c 0) m
-                [
-                  stmt "SR"
-                    ~writes:[ a2 "R" (v "k") (v "j") ]
-                    ~reads:
-                      [
-                        a2 "R" (v "k") (v "j");
-                        a2 "Q" (v "i") (v "k");
-                        a2 "A" (v "i") (v "j");
-                      ];
-                ];
-              loop_lt "i" (c 0) m
-                [
-                  stmt "SU"
-                    ~writes:[ a2 "A" (v "i") (v "j") ]
-                    ~reads:
-                      [
-                        a2 "A" (v "i") (v "j");
-                        a2 "Q" (v "i") (v "k");
-                        a2 "R" (v "k") (v "j");
-                      ];
-                ];
-            ];
-        ];
-    ]
-
 let factor a =
   let m, n = Matrix.dims a in
   if m < n then invalid_arg "Mgs.factor: need m >= n";

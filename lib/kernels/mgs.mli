@@ -1,16 +1,12 @@
 (** Modified Gram-Schmidt (MGS).
 
-    Three views of the kernel:
-    - {!spec}: the right-looking polyhedral program of the paper (Figure 1),
-      input to the lower-bound engine;
-    - {!factor}: the executable right-looking factorisation;
+    The right-looking polyhedral program of the paper (Figure 1), input to
+    the lower-bound engine, is [examples/kernels/mgs.iolb].  This module
+    holds the executable views:
+    - {!factor}: the right-looking factorisation;
     - {!factor_tiled} / {!tiled_spec}: the left-looking tiled ordering of
       Appendix A.1 (Figure 8), whose I/O matches the new lower bound when
       [(M+1)*B < S]. *)
-
-(** The right-looking MGS program over parameters [M] (rows) and [N]
-    (columns), statements [Snrm0], [Snrm], [Srkk], [Sq], [Sr0], [SR], [SU]. *)
-val spec : Iolb_ir.Program.t
 
 (** [factor a] returns [(q, r)] with [a = q * r], [q] having orthonormal
     columns, for a full-column-rank [m x n] matrix with [m >= n]. *)

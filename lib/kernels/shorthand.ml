@@ -1,5 +1,6 @@
-(* Internal shorthands for writing kernel specifications.  Not exported in
-   the library interface; each kernel module opens this locally. *)
+(* Shorthands for building programs in OCaml: the Appendix A tiled
+   orderings here and the certifier's generated programs
+   (lib/check/spec.ml) open it locally. *)
 
 module Affine = Iolb_poly.Affine
 module Constr = Iolb_poly.Constr
@@ -18,5 +19,4 @@ let sc = Access.scalar
 
 let loop = Program.loop
 let loop_lt = Program.loop_lt
-let loop_rev = Program.loop_rev
 let stmt = Program.stmt

@@ -1,30 +1,3 @@
-open Shorthand
-
-let spec =
-  Program.make ~name:"syr2k" ~params:[ "N"; "K" ]
-    ~assumptions:[ Constr.ge_of (v "N") (c 1); Constr.ge_of (v "K") (c 1) ]
-    [
-      loop_lt "i" (c 0) (v "N")
-        [
-          loop "j" (c 0) (v "i")
-            [
-              loop_lt "k" (c 0) (v "K")
-                [
-                  stmt "SC"
-                    ~writes:[ a2 "C" (v "i") (v "j") ]
-                    ~reads:
-                      [
-                        a2 "C" (v "i") (v "j");
-                        a2 "A" (v "i") (v "k");
-                        a2 "B" (v "j") (v "k");
-                        a2 "B" (v "i") (v "k");
-                        a2 "A" (v "j") (v "k");
-                      ];
-                ];
-            ];
-        ];
-    ]
-
 let run a b =
   let abt = Matrix.mul a (Matrix.transpose b) in
   let bat = Matrix.mul b (Matrix.transpose a) in

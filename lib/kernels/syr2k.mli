@@ -2,7 +2,5 @@
     Polybench suite the paper's IOLB reference evaluates on.  Classical
     Theta(N^2 K / sqrt S) kernel, no hourglass. *)
 
-val spec : Iolb_ir.Program.t
-
 (** [run a b] computes the full symmetric [n x n] result. *)
 val run : Matrix.t -> Matrix.t -> Matrix.t

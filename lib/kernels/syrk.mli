@@ -4,7 +4,5 @@
     paper's reference [4]) with a specialised tight proof; here it serves
     as a classical-path kernel: three 2-D projections, rho = 3/2. *)
 
-val spec : Iolb_ir.Program.t
-
 (** [run a] computes the full symmetric [n x n] product [a * a^T]. *)
 val run : Matrix.t -> Matrix.t

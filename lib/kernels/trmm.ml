@@ -1,28 +1,3 @@
-open Shorthand
-
-let spec =
-  Program.make ~name:"trmm" ~params:[ "M"; "N" ]
-    ~assumptions:[ Constr.ge_of (v "M") (c 1); Constr.ge_of (v "N") (c 1) ]
-    [
-      loop_lt "i" (c 0) (v "M")
-        [
-          loop_lt "j" (c 0) (v "N")
-            [
-              loop_lt "k" (v "i" +! c 1) (v "M")
-                [
-                  stmt "SB"
-                    ~writes:[ a2 "B" (v "i") (v "j") ]
-                    ~reads:
-                      [
-                        a2 "B" (v "i") (v "j");
-                        a2 "A" (v "k") (v "i");
-                        a2 "B" (v "k") (v "j");
-                      ];
-                ];
-            ];
-        ];
-    ]
-
 let run a b =
   let m, _ = Matrix.dims a in
   let _, n = Matrix.dims b in

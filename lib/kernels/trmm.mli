@@ -4,7 +4,5 @@
     Theta(M^2 N / sqrt S) kernel, no hourglass (the update never feeds a
     later temporal iteration of itself through a reduction). *)
 
-val spec : Iolb_ir.Program.t
-
 (** [run a b] with [a] unit lower triangular [m x m], [b] of size [m x n]. *)
 val run : Matrix.t -> Matrix.t -> Matrix.t

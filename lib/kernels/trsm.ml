@@ -1,31 +1,3 @@
-open Shorthand
-
-let spec =
-  Program.make ~name:"trsm" ~params:[ "N"; "M" ]
-    ~assumptions:[ Constr.ge_of (v "N") (c 1); Constr.ge_of (v "M") (c 1) ]
-    [
-      loop_lt "j" (c 0) (v "M")
-        [
-          loop_lt "i" (c 0) (v "N")
-            [
-              loop_lt "k" (c 0) (v "i")
-                [
-                  stmt "SR"
-                    ~writes:[ a2 "B" (v "i") (v "j") ]
-                    ~reads:
-                      [
-                        a2 "B" (v "i") (v "j");
-                        a2 "L" (v "i") (v "k");
-                        a2 "B" (v "k") (v "j");
-                      ];
-                ];
-              stmt "Sdv"
-                ~writes:[ a2 "B" (v "i") (v "j") ]
-                ~reads:[ a2 "B" (v "i") (v "j"); a2 "L" (v "i") (v "i") ];
-            ];
-        ];
-    ]
-
 let solve l b =
   let n, n' = Matrix.dims l in
   let n'', m = Matrix.dims b in

@@ -2,8 +2,6 @@
     or non-unit lower-triangular [n x n] L and an [n x m] B, column by
     column.  Classical-path baseline. *)
 
-val spec : Iolb_ir.Program.t
-
 (** [solve l b] returns X with [l * x = b]; [l] must be lower triangular
     with non-zero diagonal. *)
 val solve : Matrix.t -> Matrix.t -> Matrix.t

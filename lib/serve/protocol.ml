@@ -143,6 +143,8 @@ let kernel_field json =
 (* [parse_request line] decodes one wire line.  Errors carry the request
    id whenever the line parsed far enough to have one, so even a
    malformed request gets a correlatable typed response. *)
+let max_line_bytes = 1 lsl 20
+
 let parse_request line : (request, Json.t * string) result =
   let ( let* ) = Result.bind in
   match Json.of_string line with

@@ -69,6 +69,13 @@ val wire_of_stage : Budget.stage -> string
 
 val stage_of_wire : string -> Budget.stage option
 
+(** The longest request line the daemon reads: 1 MiB (1,048,576 bytes),
+    not counting its newline.  A longer line is answered with one
+    [bad_request] response with a [null] id, and the daemon then closes
+    that connection; it keeps at most the cap plus one channel buffer
+    (64 KiB) of the line. *)
+val max_line_bytes : int
+
 (** [parse_request line] decodes one request line.  The error carries the
     request [id] when the line parsed far enough to contain one
     ([Json.Null] otherwise) so the typed [bad_request] response stays

@@ -416,11 +416,53 @@ let handle_line t conn line =
             flight_decr conn
           end)
 
+(* [input_line] with a length cap.  It scans the channel's buffer with
+   the primitive behind [Stdlib.input_line]: a positive [n] is a line of
+   [n - 1] bytes and its newline, all in the buffer; a negative one is
+   [-n] bytes of a line that goes on (a full buffer), or its last bytes
+   before end of file; 0 is end of file.  So a long line arrives a
+   buffer at a time.  The cap is a whole number of buffers (64 KiB each),
+   so a line still open at the cap is exactly at it, and its next byte
+   decides: a newline ends it, anything else is past the cap. *)
+external input_scan_line : in_channel -> int = "caml_ml_input_scan_line"
+
+let read_line ic =
+  let joined parts = String.concat "" (List.rev parts) in
+  (* [parts]: the line's earlier parts, last first; [len]: their length *)
+  let rec scan parts len =
+    if len >= Protocol.max_line_bytes then
+      match input_char ic with
+      | '\n' | (exception End_of_file) -> `Line (joined parts)
+      | _ -> `Too_long
+    else
+      let n = input_scan_line ic in
+      if n = 0 then if parts = [] then `Eof else `Line (joined parts)
+      else
+        let part = really_input_string ic (if n > 0 then n - 1 else -n) in
+        let len = len + String.length part in
+        if len > Protocol.max_line_bytes then `Too_long
+        else if n < 0 then scan (part :: parts) len
+        else begin
+          ignore (input_char ic);
+          if parts = [] then `Line part else `Line (joined (part :: parts))
+        end
+  in
+  scan [] 0
+
 let conn_loop t conn =
   let rec loop () =
-    match input_line conn.ic with
+    match read_line conn.ic with
     | exception (End_of_file | Sys_error _) -> ()
-    | line ->
+    | `Eof -> ()
+    | `Too_long ->
+        Atomic.incr t.counters.bad_lines;
+        Atomic.incr t.counters.served_error;
+        write_line conn
+          (Protocol.error_response ~id:Json.Null
+             (Protocol.Bad_request
+                (Printf.sprintf "request line longer than %d bytes"
+                   Protocol.max_line_bytes)))
+    | `Line line ->
         if String.trim line <> "" then handle_line t conn line;
         loop ()
   in
@@ -582,7 +624,7 @@ let join t =
   Option.iter Domain.join t.accept_domain;
   (* No new jobs; already-queued jobs still drain through [pop]. *)
   Pool.Bounded_queue.close t.queue;
-  (* Wake readers blocked in [input_line]; SHUT_RD keeps the write side
+  (* Wake readers blocked in [read_line]; SHUT_RD keeps the write side
      open so in-flight responses still reach the peer. *)
   Mutex.protect t.conns_mutex (fun () ->
       List.iter

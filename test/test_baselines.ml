@@ -60,10 +60,10 @@ let test_no_hourglass () =
       Alcotest.(check int) (name ^ " has no verified hourglass") 0
         (List.length verified))
     [
-      ("cholesky", K.Cholesky.spec, [ ("N", 8) ]);
-      ("lu", K.Lu.spec, [ ("N", 8) ]);
-      ("syrk", K.Syrk.spec, [ ("N", 6); ("K", 5) ]);
-      ("trsm", K.Trsm.spec, [ ("N", 6); ("M", 4) ]);
+      ("cholesky", Programs.cholesky, [ ("N", 8) ]);
+      ("lu", Programs.lu, [ ("N", 8) ]);
+      ("syrk", Programs.syrk, [ ("N", 6); ("K", 5) ]);
+      ("trsm", Programs.trsm, [ ("N", 6); ("M", 4) ]);
     ]
 
 let test_classical_rho () =
@@ -81,10 +81,10 @@ let test_classical_rho () =
                (fun l -> l = "Brascamp-Lieb exponent sum rho = 3/2")
                b.D.log))
     [
-      ("cholesky", K.Cholesky.spec, "Sup");
-      ("lu", K.Lu.spec, "Sup");
-      ("syrk", K.Syrk.spec, "SC");
-      ("trsm", K.Trsm.spec, "SR");
+      ("cholesky", Programs.cholesky, "Sup");
+      ("lu", Programs.lu, "Sup");
+      ("syrk", Programs.syrk, "SC");
+      ("trsm", Programs.trsm, "SR");
     ]
 
 let test_tiled_gemm_io () =
@@ -110,9 +110,7 @@ let test_tiled_gemm_io () =
     (float_of_int t8 < 2. *. float_of_int predicted
     && float_of_int t8 > 0.4 *. float_of_int predicted);
   (* Sandwich with the classical lower bound. *)
-  let bounds =
-    D.analyze ~verify_params:[ ("M", 4); ("N", 4); ("K", 4) ] K.Gemm.spec
-  in
+  let bounds = Programs.bounds "gemm" in
   let lb =
     List.fold_left
       (fun acc (b : D.t) ->
@@ -167,14 +165,14 @@ let test_syr2k () =
     Matrix.init 5 5 (fun i j -> Matrix.get abt i j +. Matrix.get bat i j)
   in
   check_close ~msg:"C = AB^T + BA^T" ~tol:1e-12 (Matrix.rel_error expected c);
-  (match D.classical K.Syr2k.spec ~stmt:"SC" with
+  (match D.classical Programs.syr2k ~stmt:"SC" with
   | Some bnd ->
       Alcotest.(check bool) "syr2k rho = 3/2" true
         (List.mem "Brascamp-Lieb exponent sum rho = 3/2" bnd.D.log)
   | None -> Alcotest.fail "syr2k should have a classical bound");
   Alcotest.(check int) "no hourglass" 0
     (List.length
-       (H.detect_verified ~params:[ ("N", 5); ("K", 4) ] K.Syr2k.spec))
+       (H.detect_verified ~params:[ ("N", 5); ("K", 4) ] Programs.syr2k))
 
 let test_trmm () =
   let m = 6 and n = 4 in
@@ -189,14 +187,14 @@ let test_trmm () =
   let expected = Matrix.mul (Matrix.transpose a) b in
   check_close ~msg:"B := A^T B (unit lower A)" ~tol:1e-12
     (Matrix.rel_error expected out);
-  (match D.classical K.Trmm.spec ~stmt:"SB" with
+  (match D.classical Programs.trmm ~stmt:"SB" with
   | Some bnd ->
       Alcotest.(check bool) "trmm rho = 3/2" true
         (List.mem "Brascamp-Lieb exponent sum rho = 3/2" bnd.D.log)
   | None -> Alcotest.fail "trmm should have a classical bound");
   Alcotest.(check int) "no hourglass" 0
     (List.length
-       (H.detect_verified ~params:[ ("M", 6); ("N", 4) ] K.Trmm.spec))
+       (H.detect_verified ~params:[ ("M", 6); ("N", 4) ] Programs.trmm))
 
 let test_atax_negative () =
   let a = Matrix.random ~seed:25 4 3 in
@@ -214,9 +212,9 @@ let test_atax_negative () =
     y;
   (* No S-dependent bound: matvec-class kernels have no superlinear reuse. *)
   Alcotest.(check bool) "no classical bound for St" true
-    (D.classical K.Atax.spec ~stmt:"St" = None);
+    (D.classical Programs.atax ~stmt:"St" = None);
   Alcotest.(check bool) "no classical bound for Sy" true
-    (D.classical K.Atax.spec ~stmt:"Sy" = None)
+    (D.classical Programs.atax ~stmt:"Sy" = None)
 
 let suite =
   suite0

@@ -266,8 +266,8 @@ let sampled_kernels () =
 
 let kernel_slices () =
   let params = [ ("M", 24); ("N", 12) ] in
-  let n = C.n_accesses (C.make ~params K.Mgs.spec) in
-  check_slices ~what:"mgs" ~params K.Mgs.spec
+  let n = C.n_accesses (C.make ~params Programs.mgs) in
+  check_slices ~what:"mgs" ~params Programs.mgs
     [ []; [ n / 2 ]; [ 1; 2; 3 ]; [ n / 3; n / 2; n - 1 ]; [ 7; 7 ] ];
   (* V2Q exercises reverse loops *)
   let e = Report.find "qr_hh_v2q" in

@@ -95,10 +95,7 @@ let test_improvement_ratio_parametric () =
 let test_gemm_classical_shape () =
   (* The baseline: gemm gets the classical Theta(MNK / sqrt S) bound and no
      hourglass bound. *)
-  let bounds =
-    D.analyze ~verify_params:[ ("M", 4); ("N", 4); ("K", 4) ]
-      Iolb_kernels.Gemm.spec
-  in
+  let bounds = Programs.bounds "gemm" in
   Alcotest.(check bool) "only classical" true
     (List.for_all (fun (b : D.t) -> b.technique = D.Classical) bounds);
   let b = List.hd bounds in

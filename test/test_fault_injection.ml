@@ -305,7 +305,7 @@ let test_game_and_cache_faults () =
 let test_trace_node_cap_first () =
   let huge = [ ("M", max_int); ("N", 2) ] in
   let expect what budget params ~raised =
-    (match Trace.of_program ~budget ~params K.Mgs.spec with
+    (match Trace.of_program ~budget ~params Programs.mgs with
     | _ -> Alcotest.failf "%s: expected a refusal" what
     | exception e when raised e -> ()
     | exception e ->

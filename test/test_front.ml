@@ -1,10 +1,10 @@
-(* Affine-program front-end: the DSL parser differential-tested against
-   every built-in kernel.  Printing any built-in as DSL and re-parsing it
-   must reproduce the program structurally; the shipped textual sources
-   under examples/kernels/ must resolve to their built-ins and render
-   byte-identical reports through [iolb bounds --file]; malformed sources
-   must produce the exact pinned file:line:col diagnostics behind the
-   exit-code-2 contract. *)
+(* Affine-program front-end.  The shipped sources under examples/kernels
+   are the only definition of the registry programs: each must be exactly
+   what [iolb print] writes for its own parse, must resolve (paper
+   kernels) or stay a custom program (baselines), and must render
+   byte-identical reports by name and through [iolb bounds --file];
+   malformed sources must produce the exact pinned file:line:col
+   diagnostics behind the exit-code-2 contract. *)
 
 module Front = Iolb_front.Front
 module Diag = Iolb_front.Diag
@@ -18,34 +18,6 @@ module EE = Iolb_util.Engine_error
 let verify_equal a b =
   let sort l = List.sort (fun (x, _) (y, _) -> String.compare x y) l in
   sort a = sort b
-
-(* Built-in subjects: every registry entry and every baseline. *)
-let builtins () =
-  List.map
-    (fun (e : Report.entry) -> (e.Report.display, e.Report.program, e.Report.verify_params))
-    Report.registry
-  @ List.map (fun (n, p, v) -> (n, p, v)) Report.baselines
-
-(* print -> parse must be the identity (up to locations) on every
-   built-in program, including its verify bindings. *)
-let test_roundtrip_builtins () =
-  List.iter
-    (fun (name, program, verify) ->
-      let printed = Front.print ~verify program in
-      match Front.parse_string ~file:(name ^ ".iolb") printed with
-      | Error d ->
-          Alcotest.failf "%s: printed source does not parse: %s" name
-            (Diag.to_string d)
-      | Ok src ->
-          Alcotest.(check bool)
-            (name ^ " round-trips structurally")
-            true
-            (Program.equal src.Front.program program);
-          Alcotest.(check bool)
-            (name ^ " verify bindings survive")
-            true
-            (verify_equal src.Front.verify verify))
-    (builtins ())
 
 (* Registry programs must resolve back to their own entry; baselines are
    outside the registry and must stay unresolved (custom-program path). *)
@@ -87,26 +59,19 @@ let locate path =
   else if Sys.file_exists stripped then stripped
   else path
 
-(* The shipped example sources: registry entry display -> file. *)
+let kernels_dir = locate "../examples/kernels"
+let kernel_file name = Filename.concat kernels_dir (name ^ ".iolb")
+
+(* The shipped sources: registry entry display -> file, baseline name ->
+   file. *)
 let example_files =
   List.map
-    (fun (d, f) -> (d, locate ("../examples/kernels/" ^ f)))
-    [
-      ("MGS", "mgs.iolb");
-      ("QR HH A2V", "qr_hh_a2v.iolb");
-      ("QR HH V2Q", "qr_hh_v2q.iolb");
-      ("GEBD2", "gebd2.iolb");
-      ("GEHD2", "gehd2.iolb");
-    ]
+    (fun (e : Report.entry) ->
+      (e.display, kernel_file (Iolb.Paper_formulas.kernel_name e.kernel)))
+    Report.registry
 
 let baseline_files =
-  List.map
-    (fun (d, f) -> (d, locate ("../examples/kernels/" ^ f)))
-    [
-      ("gemm", "gemm.iolb");
-      ("lu", "lu.iolb");
-      ("cholesky", "cholesky.iolb");
-    ]
+  List.map (fun (name, _, _) -> (name, kernel_file name)) Report.baselines
 
 let parse_file_ok path =
   match Front.parse_file path with
@@ -121,19 +86,42 @@ let test_examples_resolve () =
       | Some e ->
           Alcotest.(check string) (path ^ " resolves") display e.Report.display
       | None -> Alcotest.failf "%s does not resolve to a built-in" path)
-    example_files;
+    example_files
+
+(* One definition per kernel: the shipped sources are exactly the
+   registry and baseline programs, each file is what the printer writes
+   for its own parse (so [iolb print NAME] reproduces it), and the
+   registry holds that parse. *)
+let test_text_definitions () =
+  let shipped =
+    Sys.readdir kernels_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".iolb")
+    |> List.sort String.compare
+  in
+  let files = example_files @ baseline_files in
+  Alcotest.(check (list string))
+    "examples/kernels holds the registry and the baselines"
+    (List.sort String.compare
+       (List.map (fun (_, path) -> Filename.basename path) files))
+    shipped;
   List.iter
     (fun (name, path) ->
+      let text = In_channel.with_open_bin path In_channel.input_all in
       let src = parse_file_ok path in
-      let _, program, verify =
-        List.find (fun (n, _, _) -> n = name) Report.baselines
-      in
-      Alcotest.(check bool)
-        (path ^ " equals the built-in baseline")
-        true
-        (Program.equal src.Front.program program
-        && verify_equal src.Front.verify verify))
-    baseline_files
+      Alcotest.(check string)
+        (path ^ " is its own printed parse")
+        text
+        (Front.print ~verify:src.verify src.program);
+      match Driver.lookup name with
+      | Ok subject ->
+          let registered = Driver.source subject in
+          Alcotest.(check bool)
+            (name ^ " is the registry's program")
+            true
+            (Program.equal registered.program src.program
+            && registered.verify = src.verify)
+      | Error e -> Alcotest.failf "%s: %s" name (EE.to_string e))
+    files
 
 (* Byte-identity: the report rendered from the textual source must equal
    the report rendered from the built-in name, for both the bounds view
@@ -440,7 +428,7 @@ let test_shrunk_source_parses () =
 
 let suite =
   [
-    Alcotest.test_case "roundtrip-builtins" `Quick test_roundtrip_builtins;
+    Alcotest.test_case "text-definitions" `Quick test_text_definitions;
     Alcotest.test_case "resolution" `Quick test_resolution;
     Alcotest.test_case "examples-resolve" `Quick test_examples_resolve;
     Alcotest.test_case "reports-byte-identical" `Slow

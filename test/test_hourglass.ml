@@ -4,7 +4,6 @@
    width). *)
 
 module H = Iolb.Hourglass
-module K = Iolb_kernels
 
 let find_on ?reduction prog stmt =
   List.find_opt
@@ -28,36 +27,36 @@ let check_classification ?width prog stmt ~temporal ~reduction ~neutral =
         width
 
 let test_mgs () =
-  check_classification K.Mgs.spec "SU" ~temporal:[ "k" ] ~reduction:[ "i" ]
+  check_classification Programs.mgs "SU" ~temporal:[ "k" ] ~reduction:[ "i" ]
     ~neutral:[ "j" ] ~width:"M"
 
 let test_a2v () =
-  check_classification K.Householder.a2v_spec "SU" ~temporal:[ "k" ]
+  check_classification Programs.a2v "SU" ~temporal:[ "k" ]
     ~reduction:[ "i" ] ~neutral:[ "j" ] ~width:"M - N"
 
 let test_v2q () =
-  check_classification K.Householder.v2q_spec "SU" ~temporal:[ "k" ]
+  check_classification Programs.v2q "SU" ~temporal:[ "k" ]
     ~reduction:[ "i" ] ~neutral:[ "j" ] ~width:"M - N"
 
 let test_gebd2 () =
-  check_classification K.Gebd2.spec "BUl" ~temporal:[ "k" ] ~reduction:[ "i" ]
+  check_classification Programs.gebd2 "BUl" ~temporal:[ "k" ] ~reduction:[ "i" ]
     ~neutral:[ "j" ] ~width:"M - N + 1"
 
 let test_gehd2_unsplit_rejected () =
-  let hs = H.detect K.Gehd2.spec in
+  let hs = H.detect Programs.gehd2_fig7 in
   Alcotest.(check bool)
     "no hourglass on SU1 (constant width)" true
     (not (List.exists (fun (h : H.t) -> h.update_stmt = "SU1") hs))
 
 let test_gehd2_split () =
-  check_classification K.Gehd2.split_spec "SU1a" ~temporal:[ "j" ]
+  check_classification Programs.gehd2 "SU1a" ~temporal:[ "j" ]
     ~reduction:[ "i" ] ~neutral:[ "k" ] ~width:"-M + N - 1"
 
 let test_spurious_candidates_pruned () =
   (* detect over-generates (e.g. a bogus "reduction over k" pattern on MGS's
      SR); the empirical CDAG check must prune exactly those. *)
   let params = [ ("M", 6); ("N", 4) ] in
-  let verified = H.detect_verified ~params K.Mgs.spec in
+  let verified = H.detect_verified ~params Programs.mgs in
   Alcotest.(check bool)
     "bogus SR pattern pruned" true
     (not (List.exists (fun (h : H.t) -> h.update_stmt = "SR") verified));
@@ -66,7 +65,7 @@ let test_spurious_candidates_pruned () =
     (List.exists (fun (h : H.t) -> h.update_stmt = "SU") verified)
 
 let test_gemm_rejected () =
-  Alcotest.(check int) "no hourglass on gemm" 0 (List.length (H.detect K.Gemm.spec))
+  Alcotest.(check int) "no hourglass on gemm" 0 (List.length (H.detect Programs.gemm))
 
 let test_verify_empirically () =
   List.iter
@@ -79,11 +78,11 @@ let test_verify_empirically () =
             true
             (H.verify ~params prog h))
     [
-      (K.Mgs.spec, "SU", [ "i" ], [ ("M", 6); ("N", 4) ]);
-      (K.Householder.a2v_spec, "SU", [ "i" ], [ ("M", 7); ("N", 4) ]);
-      (K.Householder.v2q_spec, "SU", [ "i" ], [ ("M", 7); ("N", 4) ]);
-      (K.Gebd2.spec, "BUl", [ "i" ], [ ("M", 7); ("N", 4) ]);
-      (K.Gehd2.split_spec, "SU1a", [ "i" ], [ ("N", 8); ("M", 3) ]);
+      (Programs.mgs, "SU", [ "i" ], [ ("M", 6); ("N", 4) ]);
+      (Programs.a2v, "SU", [ "i" ], [ ("M", 7); ("N", 4) ]);
+      (Programs.v2q, "SU", [ "i" ], [ ("M", 7); ("N", 4) ]);
+      (Programs.gebd2, "BUl", [ "i" ], [ ("M", 7); ("N", 4) ]);
+      (Programs.gehd2, "SU1a", [ "i" ], [ ("N", 8); ("M", 3) ]);
     ]
 
 (* Verification builds one CDAG per program, not one per candidate:

@@ -123,7 +123,7 @@ let test_typed_error_paths () =
   let cdag =
     Iolb_cdag.Cdag.of_program
       ~params:[ ("M", 4); ("N", 3) ]
-      Iolb_kernels.Mgs.spec
+      Programs.mgs
   in
   let schedule = Iolb_pebble.Game.program_schedule cdag in
   (match EE.guard (fun () -> Iolb_pebble.Game.run cdag ~s:1 ~schedule) with

@@ -45,7 +45,7 @@ let test_leading_terms () =
 
 let test_dot_export () =
   let cdag =
-    Iolb_cdag.Cdag.of_program ~params:[ ("M", 3); ("N", 2) ] Iolb_kernels.Mgs.spec
+    Iolb_cdag.Cdag.of_program ~params:[ ("M", 3); ("N", 2) ] Programs.mgs
   in
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
@@ -82,7 +82,7 @@ let test_cache_flush_flag () =
   Alcotest.(check int) "no flush, no stores" 0 without.Cache.stores
 
 let test_program_pp () =
-  let out = Format.asprintf "%a" Iolb_ir.Program.pp Iolb_kernels.Gemm.spec in
+  let out = Format.asprintf "%a" Iolb_ir.Program.pp Programs.gemm in
   Alcotest.(check bool) "mentions loops and statement" true
     (let contains needle =
        let rec go i =

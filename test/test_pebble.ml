@@ -3,9 +3,8 @@
 module Cdag = Iolb_cdag.Cdag
 module Game = Iolb_pebble.Game
 module Game_ref = Iolb_pebble.Game_ref
-module K = Iolb_kernels
 
-let mgs_cdag m n = Cdag.of_program ~params:[ ("M", m); ("N", n) ] K.Mgs.spec
+let mgs_cdag m n = Cdag.of_program ~params:[ ("M", m); ("N", n) ] Programs.mgs
 
 (* The compute node of one statement instance, found by scanning kinds. *)
 let node cdag name vec =
@@ -20,10 +19,10 @@ let node cdag name vec =
 
 let test_cdag_counts () =
   let params = [ ("M", 5); ("N", 3) ] in
-  let cdag = Cdag.of_program ~params K.Mgs.spec in
+  let cdag = Cdag.of_program ~params Programs.mgs in
   Alcotest.(check int)
     "computes = instances"
-    (List.length (Iolb_check.Interp.instances ~params K.Mgs.spec))
+    (List.length (Iolb_check.Interp.instances ~params Programs.mgs))
     (Cdag.n_computes cdag);
   (* Inputs: exactly the M*N cells of A. *)
   Alcotest.(check int) "inputs = M*N" 15 (Cdag.n_inputs cdag)
@@ -102,7 +101,7 @@ let test_reachability () =
     [
       ("mgs 4x3", cdag);
       ( "v2q 7x4",
-        Cdag.of_program ~params:[ ("M", 7); ("N", 4) ] K.Householder.v2q_spec
+        Cdag.of_program ~params:[ ("M", 7); ("N", 4) ] Programs.v2q
       );
     ]
 
@@ -259,7 +258,7 @@ let test_game_matches_reference () =
         schedules)
     [
       ("mgs 6x4", mgs_cdag 6 4);
-      ("gehd2 N=6", Cdag.of_program ~params:[ ("N", 6) ] K.Gehd2.spec);
+      ("gehd2 N=6", Cdag.of_program ~params:[ ("N", 6) ] Programs.gehd2_fig7);
     ];
   Alcotest.(check (list string)) "compiled = reference" [] (List.rev !mismatches)
 

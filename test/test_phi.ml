@@ -3,7 +3,6 @@
 
 module Phi = Iolb.Phi
 module Program = Iolb_ir.Program
-module K = Iolb_kernels
 
 let dims_of phis = List.map (fun (p : Phi.t) -> p.dims) phis
 
@@ -16,20 +15,20 @@ let check prog stmt expected =
 
 let test_mgs () =
   (* Paper, Section 4: "the projections are phi_ij, phi_ik and phi_kj". *)
-  check K.Mgs.spec "SU" [ [ "i"; "j" ]; [ "i"; "k" ]; [ "j"; "k" ] ];
-  check K.Mgs.spec "SR" [ [ "i"; "j" ]; [ "i"; "k" ]; [ "j"; "k" ] ]
+  check Programs.mgs "SU" [ [ "i"; "j" ]; [ "i"; "k" ]; [ "j"; "k" ] ];
+  check Programs.mgs "SR" [ [ "i"; "j" ]; [ "i"; "k" ]; [ "j"; "k" ] ]
 
 let test_a2v_pinning () =
   (* tau[j] is re-produced at every k, so it pins to {j, k}. *)
-  check K.Householder.a2v_spec "SU" [ [ "i"; "j" ]; [ "i"; "k" ]; [ "j"; "k" ] ]
+  check Programs.a2v "SU" [ [ "i"; "j" ]; [ "i"; "k" ]; [ "j"; "k" ] ]
 
 let test_gemm () =
-  check K.Gemm.spec "SC" [ [ "i"; "j" ]; [ "i"; "k" ]; [ "j"; "k" ] ]
+  check Programs.gemm "SC" [ [ "i"; "j" ]; [ "i"; "k" ]; [ "j"; "k" ] ]
 
 let test_no_pinning_flag () =
-  let info = Program.find_stmt K.Householder.a2v_spec "SU" in
+  let info = Program.find_stmt Programs.a2v "SU" in
   let raw =
-    dims_of (Phi.of_statement ~version_pinning:false K.Householder.a2v_spec info)
+    dims_of (Phi.of_statement ~version_pinning:false Programs.a2v info)
   in
   Alcotest.(check bool) "raw tau[j] projection stays 1-D" true
     (List.mem [ "j" ] raw)
@@ -37,14 +36,14 @@ let test_no_pinning_flag () =
 let test_gehd2 () =
   (* SU1 reads A[i][k] (self, {i,k}), A[i][j] ({i,j}), tmp[k] (pinned to
      {j,k}). *)
-  check K.Gehd2.spec "SU1" [ [ "i"; "k" ]; [ "i"; "j" ]; [ "j"; "k" ] ]
+  check Programs.gehd2_fig7 "SU1" [ [ "i"; "k" ]; [ "i"; "j" ]; [ "j"; "k" ] ]
 
 let test_scalar_reads_pin_to_shared_loops () =
   (* GEHD2's Hs1 reads the scalar tau, re-produced every j: pinned {j};
      together with tmp[i] (self-ish? tmp written by several statements,
      pinned by shared loop j) -> {i, j}. *)
-  let info = Program.find_stmt K.Gehd2.spec "Hs1" in
-  let got = dims_of (Phi.of_statement K.Gehd2.spec info) in
+  let info = Program.find_stmt Programs.gehd2_fig7 "Hs1" in
+  let got = dims_of (Phi.of_statement Programs.gehd2_fig7 info) in
   Alcotest.(check bool) "tau pinned to {j}" true (List.mem [ "j" ] got)
 
 let test_rejects_non_coordinate () =

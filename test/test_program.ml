@@ -4,7 +4,6 @@
 module Program = Iolb_ir.Program
 module Interp = Iolb_check.Interp
 module P = Iolb_symbolic.Polynomial
-module K = Iolb_kernels
 
 let count_stmt prog params name =
   List.length
@@ -26,27 +25,27 @@ let test_cardinal_matches_concrete () =
             concrete symbolic)
         (Program.statements prog))
     [
-      (K.Mgs.spec, [ ("M", 6); ("N", 4) ]);
-      (K.Householder.a2v_spec, [ ("M", 7); ("N", 4) ]);
-      (K.Householder.v2q_spec, [ ("M", 7); ("N", 4) ]);
-      (K.Gebd2.spec, [ ("M", 7); ("N", 4) ]);
-      (K.Gehd2.spec, [ ("N", 7) ]);
-      (K.Gehd2.split_spec, [ ("N", 9); ("M", 3) ]);
-      (K.Gemm.spec, [ ("M", 3); ("N", 4); ("K", 5) ]);
+      (Programs.mgs, [ ("M", 6); ("N", 4) ]);
+      (Programs.a2v, [ ("M", 7); ("N", 4) ]);
+      (Programs.v2q, [ ("M", 7); ("N", 4) ]);
+      (Programs.gebd2, [ ("M", 7); ("N", 4) ]);
+      (Programs.gehd2_fig7, [ ("N", 7) ]);
+      (Programs.gehd2, [ ("N", 9); ("M", 3) ]);
+      (Programs.gemm, [ ("M", 3); ("N", 4); ("K", 5) ]);
     ]
 
 let test_total_instances () =
   let params = [ ("M", 6); ("N", 4) ] in
   let symbolic =
-    P.eval_int params (Program.total_instances K.Mgs.spec)
+    P.eval_int params (Program.total_instances Programs.mgs)
     |> Iolb_util.Rat.to_int
   in
   Alcotest.(check int)
     "total = concrete" symbolic
-    (List.length (Interp.instances ~params K.Mgs.spec))
+    (List.length (Interp.instances ~params Programs.mgs))
 
 let test_extents () =
-  let su = Program.find_stmt K.Mgs.spec "SU" in
+  let su = Program.find_stmt Programs.mgs "SU" in
   Alcotest.(check string) "min extent of i" "M"
     (Iolb_poly.Affine.to_string (Program.extent_min su "i"));
   (* j runs k+1..N-1, so its trip count vanishes at k = N-1. *)
@@ -54,7 +53,7 @@ let test_extents () =
     (Iolb_poly.Affine.to_string (Program.extent_min su "j"));
   Alcotest.(check string) "max extent of j (at k = 0)" "N - 1"
     (Iolb_poly.Affine.to_string (Program.extent_max su "j"));
-  let su_a2v = Program.find_stmt K.Householder.a2v_spec "SU" in
+  let su_a2v = Program.find_stmt Programs.a2v "SU" in
   Alcotest.(check string) "a2v min extent of i" "M - N"
     (Iolb_poly.Affine.to_string (Program.extent_min su_a2v "i"))
 
@@ -71,10 +70,10 @@ let input_arrays ~params prog =
   List.rev !inputs
 
 let test_inputs () =
-  let inputs = input_arrays ~params:[ ("M", 5); ("N", 3) ] K.Mgs.spec in
+  let inputs = input_arrays ~params:[ ("M", 5); ("N", 3) ] Programs.mgs in
   Alcotest.(check (list string)) "mgs inputs" [ "A" ] inputs;
   let inputs =
-    input_arrays ~params:[ ("M", 5); ("N", 3) ] K.Householder.v2q_spec
+    input_arrays ~params:[ ("M", 5); ("N", 3) ] Programs.v2q
   in
   (* V2Q consumes the taus computed by A2V (tau[N-1] first, at the initial
      descending iteration) and the reflectors stored in A. *)
@@ -83,15 +82,15 @@ let test_inputs () =
 let test_rev_loop_order () =
   (* V2Q's outer loop descends: the first SU instance visited has k = N-2. *)
   let first_su = ref None in
-  Interp.iter ~params:[ ("M", 5); ("N", 3) ] K.Householder.v2q_spec
+  Interp.iter ~params:[ ("M", 5); ("N", 3) ] Programs.v2q
     (fun inst ->
       if inst.stmt = "SU" && !first_su = None then
         first_su := Some inst.vec.(0));
   Alcotest.(check (option int)) "first SU at k=N-2" (Some 1) !first_su
 
 let test_shared_loop_vars () =
-  let sr = Program.find_stmt K.Mgs.spec "SR"
-  and su = Program.find_stmt K.Mgs.spec "SU" in
+  let sr = Program.find_stmt Programs.mgs "SR"
+  and su = Program.find_stmt Programs.mgs "SU" in
   Alcotest.(check (list string))
     "SR/SU share k,j but not their i loops" [ "k"; "j" ]
     (Program.shared_loop_vars sr su)

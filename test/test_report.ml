@@ -51,10 +51,7 @@ let test_eval_best_is_max () =
   Alcotest.(check bool) "positive at large S" true (best > 0.)
 
 let test_split_recovers_regimes () =
-  let bounds =
-    D.analyze ~verify_params:[ ("N", 9); ("M", 3) ]
-      Iolb_kernels.Gehd2.split_spec
-  in
+  let bounds = Programs.bounds "gehd2" in
   let hg = List.filter (fun (b : D.t) -> b.technique = D.Hourglass) bounds in
   Alcotest.(check bool) "has hourglass bounds" true (hg <> []);
   let best_at n s =

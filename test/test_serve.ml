@@ -511,6 +511,59 @@ let test_crash_gated_by_default () =
             r.Protocol.exit_code;
           Alcotest.(check int) "no respawn happened" 0 (Server.respawns t)))
 
+(* A request line past [Protocol.max_line_bytes] gets one bad_request
+   with a null id, then the daemon closes that connection; a fresh
+   connection is served as before, long lines under the cap included. *)
+let test_over_cap_line () =
+  with_server (fun _ address ->
+      with_client address (fun c ->
+          Client.send_line c (String.make (Protocol.max_line_bytes + 1) '[');
+          (match Client.recv_line c with
+          | None -> Alcotest.fail "no response to an over-cap line"
+          | Some line ->
+              let r = parsed line in
+              Alcotest.(check bool) "over-cap not ok" false r.Protocol.ok;
+              Alcotest.(check bool) "null id" true (r.Protocol.resp_id = Json.Null);
+              Alcotest.(check bool) "bad_request" true
+                (Json.member "code" r.Protocol.body
+                = Some (Json.String "bad_request"));
+              Alcotest.(check int) "exit code" 2 r.Protocol.exit_code);
+          (* The daemon reads nothing more from this connection, so a
+             ping on it is never answered. *)
+          (try Client.send_line c {|{"op":"ping"}|} with Sys_error _ -> ());
+          Alcotest.(check (option string)) "then the connection closes" None
+            (Client.recv_line c));
+      with_client address (fun c ->
+          Alcotest.(check bool) "a fresh connection answers ping" true
+            (rpc c ~op:"ping" []).Protocol.ok;
+          (* lines under the cap and at it, read over many buffers, are
+             served whole *)
+          let id = String.init 200_000 (fun i -> Char.chr (97 + (i mod 26))) in
+          let r = rpc c ~id:(Json.String id) ~op:"ping" [] in
+          Alcotest.(check bool) "a 200 kB line answers on its own id" true
+            (r.Protocol.ok && r.Protocol.resp_id = Json.String id);
+          let envelope id =
+            Json.to_string
+              (Json.Obj [ ("id", Json.String id); ("op", Json.String "ping") ])
+          in
+          let id =
+            String.init
+              (Protocol.max_line_bytes - String.length (envelope ""))
+              (fun i -> Char.chr (97 + (i mod 26)))
+          in
+          Alcotest.(check int) "the line is exactly the cap"
+            Protocol.max_line_bytes (String.length (envelope id));
+          let r = parsed (raw_line c (envelope id)) in
+          Alcotest.(check bool) "a line at the cap answers on its own id" true
+            (r.Protocol.ok && r.Protocol.resp_id = Json.String id);
+          match
+            Json.member "requests" (rpc c ~op:"stats" []).Protocol.body
+            |> Option.map (Json.member "bad_lines")
+          with
+          | Some (Some (Json.Int n)) ->
+              Alcotest.(check int) "counted as a bad line" 1 n
+          | _ -> Alcotest.fail "stats has no requests.bad_lines"))
+
 (* The same request sequence against different worker widths must come
    back byte-for-byte identical - the cache and the fan-out must not
    leak into the payload. *)
@@ -756,4 +809,6 @@ let suite =
     Alcotest.test_case "server: overload sheds typed" `Quick
       test_overload_sheds;
     Alcotest.test_case "server: fault-injected soak" `Slow test_soak;
+    Alcotest.test_case "server: over-cap request line" `Quick
+      test_over_cap_line;
   ]

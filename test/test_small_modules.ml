@@ -56,13 +56,13 @@ let test_access () =
 
 let test_trace () =
   let params = [ ("M", 4); ("N", 3) ] in
-  let trace = Trace.of_program ~params Iolb_kernels.Mgs.spec in
+  let trace = Trace.of_program ~params Programs.mgs in
   Alcotest.(check bool) "non-empty" true (Trace.length trace > 0);
   (* Footprint: A (12), Q (12), R (6 upper cells), nrm -> 31. *)
   Alcotest.(check int) "footprint" 31 (Trace.footprint trace);
   (* Reads+writes per instance: consistent with the instance count. *)
   let accesses =
-    List.length (Iolb_check.Interp.accesses ~params Iolb_kernels.Mgs.spec)
+    List.length (Iolb_check.Interp.accesses ~params Programs.mgs)
   in
   Alcotest.(check int) "length = all accesses" accesses (Trace.length trace)
 
@@ -91,7 +91,7 @@ let test_jacobi_negative_control () =
   Alcotest.(check (float 0.)) "boundary fixed right" 9. out.(9);
   (* No hourglass, and no useful classical bound: stencils defeat the
      K-partitioning method (single full-dimensional projection, rho = 1). *)
-  let spec = Iolb_kernels.Jacobi1d.spec in
+  let spec = Programs.jacobi1d in
   Alcotest.(check int) "no hourglass" 0
     (List.length
        (Iolb.Hourglass.detect_verified ~params:[ ("T", 4); ("N", 8) ] spec));
@@ -100,7 +100,7 @@ let test_jacobi_negative_control () =
 
 let test_priority_schedule () =
   let cdag =
-    Iolb_cdag.Cdag.of_program ~params:[ ("M", 12); ("N", 8) ] Iolb_kernels.Mgs.spec
+    Iolb_cdag.Cdag.of_program ~params:[ ("M", 12); ("N", 8) ] Programs.mgs
   in
   (* Column-block-major priority: process a block of b columns across all k
      before moving on - the left-looking tiled flavour of Appendix A.1. *)

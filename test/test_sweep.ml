@@ -196,7 +196,7 @@ let test_parse_sizes () =
 (* --------------------------------------------------------------------- *)
 (* Sharded, program and sampled sweeps.                                    *)
 
-let mgs = Iolb_kernels.Mgs.spec
+let mgs = Programs.mgs
 let mgs_params = [ ("M", 24); ("N", 12) ]
 
 let sweeps_equal a b =

@@ -98,10 +98,7 @@ let test_gemm_block () =
     UB.substitute_block (UB.total UB.gemm_tiled) ~num:(P.var "sqrtS")
       ~den:(P.of_int 2)
   in
-  let bounds =
-    D.analyze ~verify_params:[ ("M", 4); ("N", 4); ("K", 4) ]
-      Iolb_kernels.Gemm.spec
-  in
+  let bounds = Programs.bounds "gemm" in
   let lower = (List.hd bounds).D.formula in
   let gap =
     UB.gap ~upper ~lower

@@ -14,9 +14,10 @@
    iolb serve --socket /tmp/iolb.sock the crash-tolerant bound service
    iolb client --socket ... analyze mgs  query a running service
 
-   Exit codes: 0 success, 1 counterexample found (check), 2 invalid input,
-   3 budget exhausted, 4 unsupported, 5 internal error, 6 server
-   overloaded (client only; 124/125 are cmdliner's own). *)
+   Exit codes: 0 success, 1 counterexample found (check) or unsound bound
+   (simulate), 2 invalid input, 3 budget exhausted, 4 unsupported,
+   5 internal error, 6 server overloaded (client only; 124/125 are
+   cmdliner's own). *)
 
 open Cmdliner
 
@@ -280,9 +281,10 @@ let simulate_cmd =
   in
   (* One sweep answers every size: exact LRU stats from the reuse-distance
      pass, exact OPT loads from per-size forward runs over a shared plan.
-     The helpers take the program, its concrete sizes and a lower-bound
-     evaluator, so built-in kernels and parsed --file sources share them. *)
-  let run_sweep ~program ~params ~budget ~lb spec =
+     The helpers take the program, its concrete sizes, a lower-bound
+     evaluator and the audit of exact loads against it, so built-in
+     kernels and parsed --file sources share them. *)
+  let run_sweep ~program ~params ~budget ~lb ~audit spec =
     let* sizes = parse_spec spec in
     let* trace =
       Engine_error.guard (fun () -> Trace.of_program ~budget ~params program)
@@ -299,16 +301,19 @@ let simulate_cmd =
           (fun s ->
             let lru = Sweep.stats sweep ~size:s in
             let opt = Cache.opt_run ~budget ~size:s plan in
+            let bound = lb ~s in
             Printf.printf "  %8d | %9d %9d %9d | %9d | %10.1f\n" s
               lru.Cache.loads lru.Cache.read_hits lru.Cache.stores
-              opt.Cache.loads (lb ~s))
+              opt.Cache.loads bound;
+            audit "LRU" ~s lru.Cache.loads ("lower bound", bound);
+            audit "OPT" ~s opt.Cache.loads ("lower bound", bound))
           sizes)
   in
   (* Streaming / sharded variant: the trace is never materialized, so the
      shared OPT plan (which needs the whole trace) is unavailable and its
      column is dropped.  The LRU columns are exact and byte-identical at
      every jobs width. *)
-  let run_sweep_streamed ~program ~params ~budget ~jobs ~lb spec =
+  let run_sweep_streamed ~program ~params ~budget ~jobs ~lb ~audit spec =
     let* sizes = parse_spec spec in
     let* sweep =
       Engine_error.guard (fun () ->
@@ -324,11 +329,14 @@ let simulate_cmd =
         List.iter
           (fun s ->
             let lru = Sweep.stats sweep ~size:s in
+            let bound = lb ~s in
             Printf.printf "  %8d | %9d %9d %9d | %10.1f\n" s lru.Cache.loads
-              lru.Cache.read_hits lru.Cache.stores (lb ~s))
+              lru.Cache.read_hits lru.Cache.stores bound;
+            audit "LRU" ~s lru.Cache.loads ("lower bound", bound))
           sizes)
   in
-  (* Sampled variant: every column is an estimate with an interval. *)
+  (* Sampled variant: every column is an estimate with an interval, so
+     none is audited. *)
   let run_sweep_sampled ~program ~params ~budget ~rate ~seed ~lb spec =
     let* sizes = parse_spec spec in
     let* sampled =
@@ -369,9 +377,8 @@ let simulate_cmd =
         | _ -> invalid "--param expects NAME=INT, got %S" spec)
     | None -> invalid "--param expects NAME=INT, got %S" spec
   in
-  let run name file param_overrides m n s seed sizes sample_rate sample_seed
-      jobs budget_spec =
-    run_checked @@ fun () ->
+  let simulate ~audit name file param_overrides m n s seed sizes sample_rate
+      sample_seed jobs budget_spec =
     let* () =
       match (sample_rate, jobs) with
       | Some r, _ when not (r > 0. && r <= 1.) ->
@@ -458,8 +465,8 @@ let simulate_cmd =
             run_sweep_sampled ~program ~params ~budget ~rate
               ~seed:sample_seed ~lb spec
         | None, Some jobs ->
-            run_sweep_streamed ~program ~params ~budget ~jobs ~lb spec
-        | None, None -> run_sweep ~program ~params ~budget ~lb spec)
+            run_sweep_streamed ~program ~params ~budget ~jobs ~lb ~audit spec
+        | None, None -> run_sweep ~program ~params ~budget ~lb ~audit spec)
     | None ->
         let* cdag =
           Engine_error.guard (fun () -> Cdag.of_program ~budget ~params program)
@@ -481,9 +488,37 @@ let simulate_cmd =
           random.Game.loads random.Game.peak_red;
         List.iter
           (fun (label, v) ->
-            Printf.printf "  lower bound (%s): %.1f\n" label v)
+            Printf.printf "  lower bound (%s): %.1f\n" label v;
+            let bound = (Printf.sprintf "lower bound (%s)" label, v) in
+            audit "program order" ~s prog_run.Game.loads bound;
+            audit "random order" ~s random.Game.loads bound)
           (pebble_lines ~s);
         Ok ()
+  in
+  (* Every load count [simulate] prints but the sampled estimates is
+     exact, so one below a lower bound printed beside it refutes that
+     bound.  The first such pair is reported after stdout, with exit 1. *)
+  let run name file param_overrides m n s seed sizes sample_rate sample_seed
+      jobs budget_spec =
+    let unsound = ref None in
+    let audit what ~s loads (label, bound) =
+      if !unsound = None && float_of_int loads < bound then
+        unsound :=
+          Some
+            (Printf.sprintf "%s at S=%d: %d loads, below the %s %.1f" what s
+               loads label bound)
+    in
+    let rc =
+      run_checked (fun () ->
+          simulate ~audit name file param_overrides m n s seed sizes
+            sample_rate sample_seed jobs budget_spec)
+    in
+    match !unsound with
+    | Some msg when rc = 0 ->
+        flush stdout;
+        Printf.eprintf "iolb: unsound bound: %s\n" msg;
+        1
+    | _ -> rc
   in
   let sim_kernel_arg =
     let doc =
@@ -513,7 +548,13 @@ let simulate_cmd =
          "Play the red-white pebble game (or, with $(b,--sizes), sweep the \
           cache simulators over many sizes at once) and compare with the \
           bounds"
-       ~exits:engine_exits)
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:
+              "when an exact load count (a pebble game, or an LRU or OPT \
+               column of an unsampled sweep) is below a lower bound printed \
+               beside it: an unsound bound."
+         :: engine_exits))
     Term.(
       const run $ sim_kernel_arg $ sim_file_arg $ sim_param_arg $ m_arg
       $ n_arg $ s_arg $ seed_arg $ sizes_arg $ sample_rate_arg

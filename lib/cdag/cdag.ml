@@ -6,34 +6,23 @@ type kind =
   | Input of string * int array
   | Compute of string * int array
 
+(* Both relations in CSR (offsets + one flat array): node [id]'s
+   predecessors are [preds_flat.(preds_off.(id)) ..
+   preds_flat.(preds_off.(id + 1) - 1)], ascending, and likewise its
+   successors. *)
 type t = {
   kinds : kind array;
-  preds : int array array;
-  succs : int array array;
-  preds_off : int array; (* CSR mirror of [preds]: offsets, length n+1 *)
+  preds_off : int array;
   preds_flat : int array;
-  by_stmt : (string, int list) Hashtbl.t;
+  succs_off : int array;
+  succs_flat : int array;
   n_inputs : int;
 }
 
-(* Flatten an adjacency array-of-arrays into CSR (offsets + one flat
-   array): engines whose inner loops walk edges per scheduled node index
-   one contiguous array instead of chasing a per-node pointer. *)
-let csr_of adj =
-  let n = Array.length adj in
-  let off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + Array.length adj.(i)
-  done;
-  let flat = Array.make (max off.(n) 1) 0 in
-  Array.iteri (fun i a -> Array.blit a 0 flat off.(i) (Array.length a)) adj;
-  (off, flat)
-
-(* Int arrays indexed by interned ids, growing with the interner. *)
-let ensure arr len =
-  if len <= Array.length !arr then ()
-  else begin
-    let bigger = Array.make (max len (2 * Array.length !arr)) (-1) in
+(* Grows [!arr] to at least [len] slots, doubling, new slots [fill]. *)
+let ensure arr len fill =
+  if len > Array.length !arr then begin
+    let bigger = Array.make (max len (2 * Array.length !arr)) fill in
     Array.blit !arr 0 bigger 0 (Array.length !arr);
     arr := bigger
   end
@@ -46,12 +35,16 @@ let dummy_kind = Input ("", [||])
 let initial_slots = 64
 
 let of_program ?(budget = Budget.unlimited) ~params p =
-  (* Node storage grows geometrically; node ids are assigned in exactly
-     the order the old list-based builder assigned them (input nodes at
-     first read, in load order, before their compute node), so node
-     numbering - and hence every DOT and report output - is unchanged. *)
+  (* Node ids are assigned in program order: input nodes at first read,
+     in load order, before their compute node, so node numbering - and
+     hence every DOT and report output - follows the walk. *)
   let kinds = ref (Array.make initial_slots dummy_kind) in
-  let preds = ref (Array.make initial_slots [||]) in
+  (* The predecessor CSR, filled as the walk goes: [off.(id + 1)] closes
+     node [id]'s slice of [flat], and the reads of the instance being
+     walked are pending at [flat.(off.(!n)) .. flat.(!len - 1)]. *)
+  let off = ref (Array.make (initial_slots + 1) 0) in
+  let flat = ref (Array.make initial_slots 0) in
+  let len = ref 0 in
   let n = ref 0 in
   (* Data cells are interned to dense ids once, here, so dependence
      resolution runs on int-indexed arrays instead of hashing
@@ -60,145 +53,115 @@ let of_program ?(budget = Budget.unlimited) ~params p =
   let cells = Interner.create () in
   let last_writer = ref (Array.make initial_slots (-1)) in
   let inputs = ref 0 in
-  let add_node kind pred_arr =
+  (* The next node gets [kind] and the [k] slots after its slice start. *)
+  let add_node kind k =
     let id = !n in
     incr n;
     Budget.check_node_cap budget Budget.Cdag_build !n;
-    if id >= Array.length !kinds then begin
-      let cap = 2 * Array.length !kinds in
-      let nk = Array.make cap dummy_kind and np = Array.make cap [||] in
-      Array.blit !kinds 0 nk 0 id;
-      Array.blit !preds 0 np 0 id;
-      kinds := nk;
-      preds := np
-    end;
+    ensure kinds !n dummy_kind;
+    ensure off (!n + 1) 0;
     !kinds.(id) <- kind;
-    !preds.(id) <- pred_arr;
+    !off.(id + 1) <- !off.(id) + k;
     id
-  in
-  (* Reusable predecessor buffer, deduplicated in place per instance. *)
-  let pbuf = ref (Array.make 16 0) in
-  let pcount = ref 0 in
-  (* Per-statement node lists, with a one-entry memo keyed by physical
-     name equality: consecutive instances of the same statement skip the
-     hash lookup entirely. *)
-  let by_acc : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let last_name = ref "" in
-  let last_ids = ref (ref []) in
-  let stmt_ids name =
-    if name == !last_name then !last_ids
-    else begin
-      let ids =
-        match Hashtbl.find_opt by_acc name with
-        | Some ids -> ids
-        | None ->
-            let ids = ref [] in
-            Hashtbl.add by_acc name ids;
-            ids
-      in
-      last_name := name;
-      last_ids := ids;
-      ids
-    end
   in
   let on_load a idx =
     let cid = Interner.intern_view cells a idx in
-    ensure last_writer (cid + 1);
+    ensure last_writer (cid + 1) (-1);
     let w = !last_writer.(cid) in
     let pred =
       if w >= 0 then w
       else begin
-        (* first sight of this cell: it is a program input; share the
-           interner's owned copy of the index vector *)
+        (* first sight of this cell: it is a program input.  Its node
+           closes an empty slice just ahead of the pending reads, which
+           then start the reading node's slice.  It shares the
+           interner's owned copy of the index vector. *)
         let _, owned = Interner.key cells cid in
-        let id = add_node (Input (a, owned)) [||] in
+        let id = add_node (Input (a, owned)) 0 in
         incr inputs;
         !last_writer.(cid) <- id;
         id
       end
     in
-    if !pcount >= Array.length !pbuf then begin
-      let bigger = Array.make (2 * Array.length !pbuf) 0 in
-      Array.blit !pbuf 0 bigger 0 !pcount;
-      pbuf := bigger
-    end;
-    !pbuf.(!pcount) <- pred;
-    incr pcount
+    ensure flat (!len + 1) 0;
+    !flat.(!len) <- pred;
+    incr len
   in
   let on_stmt name vec =
     Budget.checkpoint budget Budget.Cdag_build;
     (* A value read twice by the same instance is a single dependence:
-       insertion-sort the (tiny) buffer and drop duplicates in place. *)
-    let b = !pbuf in
-    let m = !pcount in
-    for i = 1 to m - 1 do
+       insertion-sort the (tiny) pending slice and drop duplicates in
+       place. *)
+    let b = !flat and lo = !off.(!n) in
+    for i = lo + 1 to !len - 1 do
       let v = b.(i) in
       let j = ref i in
-      while !j > 0 && b.(!j - 1) > v do
+      while !j > lo && b.(!j - 1) > v do
         b.(!j) <- b.(!j - 1);
         decr j
       done;
       b.(!j) <- v
     done;
-    let u = ref 0 in
-    for i = 0 to m - 1 do
-      if !u = 0 || b.(!u - 1) <> b.(i) then begin
+    let u = ref lo in
+    for i = lo to !len - 1 do
+      if !u = lo || b.(!u - 1) <> b.(i) then begin
         b.(!u) <- b.(i);
         incr u
       end
     done;
-    let id = add_node (Compute (name, Array.copy vec)) (Array.sub b 0 !u) in
-    pcount := 0;
-    let ids = stmt_ids name in
-    ids := id :: !ids
+    len := !u;
+    ignore (add_node (Compute (name, Array.copy vec)) (!u - lo))
   in
   let on_store a idx =
     let cid = Interner.intern_view cells a idx in
-    ensure last_writer (cid + 1);
+    ensure last_writer (cid + 1) (-1);
     !last_writer.(cid) <- !n - 1
   in
   Cplan.iter_cells (Cplan.make ~params p) ~on_load ~on_stmt ~on_store;
   let nn = !n in
-  let kinds = Array.sub !kinds 0 nn in
-  let preds = Array.sub !preds 0 nn in
-  (* successor lists in two passes: exact counts, then fill in id order
-     (ascending, as the old rev-list construction produced) *)
-  let deg = Array.make nn 0 in
-  Array.iter
-    (fun ps -> Array.iter (fun p -> deg.(p) <- deg.(p) + 1) ps)
-    preds;
-  let succs = Array.map (fun d -> Array.make d 0) deg in
-  let fill = Array.make nn 0 in
-  Array.iteri
-    (fun id ps ->
-      Array.iter
-        (fun p ->
-          succs.(p).(fill.(p)) <- id;
-          fill.(p) <- fill.(p) + 1)
-        ps)
-    preds;
-  let by_stmt = Hashtbl.create 16 in
-  Hashtbl.iter (fun s ids -> Hashtbl.replace by_stmt s (List.rev !ids)) by_acc;
-  let preds_off, preds_flat = csr_of preds in
+  let preds_off = Array.sub !off 0 (nn + 1) in
+  let preds_flat = Array.sub !flat 0 !len in
+  (* Successors by counting: in-degrees, offsets, then a fill in id
+     order, so every slice comes out ascending. *)
+  let succs_off = Array.make (nn + 1) 0 in
+  Array.iter (fun p -> succs_off.(p + 1) <- succs_off.(p + 1) + 1) preds_flat;
+  for id = 1 to nn do
+    succs_off.(id) <- succs_off.(id) + succs_off.(id - 1)
+  done;
+  let fill = Array.sub succs_off 0 nn in
+  let succs_flat = Array.make !len 0 in
+  for id = 0 to nn - 1 do
+    for k = preds_off.(id) to preds_off.(id + 1) - 1 do
+      let p = preds_flat.(k) in
+      succs_flat.(fill.(p)) <- id;
+      fill.(p) <- fill.(p) + 1
+    done
+  done;
   {
-    kinds;
-    preds;
-    succs;
+    kinds = Array.sub !kinds 0 nn;
     preds_off;
     preds_flat;
-    by_stmt;
+    succs_off;
+    succs_flat;
     n_inputs = !inputs;
   }
 
 let n_nodes t = Array.length t.kinds
 let kind t id = t.kinds.(id)
-let preds t id = t.preds.(id)
-let succs t id = t.succs.(id)
+let slice off flat id = Array.sub flat off.(id) (off.(id + 1) - off.(id))
+let preds t id = slice t.preds_off t.preds_flat id
+let succs t id = slice t.succs_off t.succs_flat id
 let preds_csr t = (t.preds_off, t.preds_flat)
+let succs_csr t = (t.succs_off, t.succs_flat)
 let program_order t = Array.init (n_nodes t) Fun.id
 
 let nodes_of_stmt t name =
-  try Hashtbl.find t.by_stmt name with Not_found -> []
+  let ids = ref [] in
+  for id = n_nodes t - 1 downto 0 do
+    match t.kinds.(id) with
+    | Compute (s, _) when String.equal s name -> ids := id :: !ids
+    | Compute _ | Input _ -> ()
+  done;
+  !ids
 
 let n_inputs t = t.n_inputs
 let n_computes t = n_nodes t - t.n_inputs
@@ -220,12 +183,12 @@ let reachability t =
 
 (* Ids are topological (every edge runs upwards), so the inner nodes of
    a path from [a] to [b] have ids in (a, b): nothing above [b] is
-   pushed, and each ascending successor array is scanned only up to [b]. *)
+   pushed, and each ascending successor slice is scanned only up to [b]. *)
 let reaches r a b =
   if a = b then true
   else if a > b then false
   else begin
-    let g = r.g in
+    let off = r.g.succs_off and flat = r.g.succs_flat in
     r.epoch <- r.epoch + 1;
     let e = r.epoch in
     let mark = r.mark in
@@ -243,11 +206,11 @@ let reaches r a b =
     let found = ref false in
     while (not !found) && !sp > 0 do
       decr sp;
-      let ss = g.succs.(r.stack.(!sp)) in
-      let len = Array.length ss in
-      let i = ref 0 in
-      while (not !found) && !i < len && ss.(!i) <= b do
-        let v = ss.(!i) in
+      let u = r.stack.(!sp) in
+      let hi = off.(u + 1) in
+      let i = ref off.(u) in
+      while (not !found) && !i < hi && flat.(!i) <= b do
+        let v = flat.(!i) in
         if v = b then found := true
         else if mark.(v) <> e then begin
           mark.(v) <- e;
@@ -265,7 +228,7 @@ let convex_closure t nodes =
      intersect. *)
   let n = n_nodes t in
   let forward = Array.make n false and backward = Array.make n false in
-  let bfs mark edges starts =
+  let bfs mark (off, flat) starts =
     let queue = Queue.create () in
     List.iter
       (fun s ->
@@ -276,17 +239,17 @@ let convex_closure t nodes =
       starts;
     while not (Queue.is_empty queue) do
       let u = Queue.pop queue in
-      Array.iter
-        (fun v ->
-          if not mark.(v) then begin
-            mark.(v) <- true;
-            Queue.add v queue
-          end)
-        edges.(u)
+      for k = off.(u) to off.(u + 1) - 1 do
+        let v = flat.(k) in
+        if not mark.(v) then begin
+          mark.(v) <- true;
+          Queue.add v queue
+        end
+      done
     done
   in
-  bfs forward t.succs nodes;
-  bfs backward t.preds nodes;
+  bfs forward (succs_csr t) nodes;
+  bfs backward (preds_csr t) nodes;
   let out = ref [] in
   for id = n - 1 downto 0 do
     if forward.(id) && backward.(id) then out := id :: !out
@@ -299,13 +262,14 @@ let inset t nodes =
   let outside = Hashtbl.create 64 in
   List.iter
     (fun id ->
-      Array.iter
-        (fun p -> if not (Hashtbl.mem member p) then Hashtbl.replace outside p ())
-        t.preds.(id))
+      for k = t.preds_off.(id) to t.preds_off.(id + 1) - 1 do
+        let p = t.preds_flat.(k) in
+        if not (Hashtbl.mem member p) then Hashtbl.replace outside p ()
+      done)
     nodes;
   Hashtbl.length outside
 
 let pp_stats fmt t =
   Format.fprintf fmt "nodes: %d (inputs: %d, computes: %d), edges: %d"
     (n_nodes t) t.n_inputs (n_computes t)
-    (Array.fold_left (fun acc ps -> acc + Array.length ps) 0 t.preds)
+    (Array.length t.preds_flat)

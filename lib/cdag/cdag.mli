@@ -21,6 +21,11 @@ type t
     dependence resolution runs on int-indexed arrays rather than hashing
     [(string * int array)] keys.
 
+    Both relations are stored once, in CSR form (see {!preds_csr}): the
+    walk appends each instance's sorted, deduplicated predecessors to one
+    flat array, and the successors are counted into a second one after
+    it.
+
     Numbering rule: ids are assigned in program order, an input cell's
     node just before the first instance that reads it, so every
     predecessor of a node has a smaller id than the node and every edge
@@ -38,21 +43,28 @@ val of_program :
 val n_nodes : t -> int
 val kind : t -> int -> kind
 
-(** Predecessors (the values a node consumes), as node ids. *)
+(** Predecessors (the values a node consumes), as node ids in ascending
+    order: a fresh copy of the node's {!preds_csr} slice. *)
 val preds : t -> int -> int array
 
 (** Successors (the nodes consuming a node's value), in ascending id
-    order. *)
+    order: a fresh copy of the node's {!succs_csr} slice. *)
 val succs : t -> int -> int array
 
-(** [preds_csr t] is the whole predecessor relation in CSR form,
-    [(offsets, flat)]: node [id]'s predecessors are
-    [flat.(offsets.(id)) .. flat.(offsets.(id + 1) - 1)], in the same
-    order {!preds} returns them.  [offsets] has length [n_nodes t + 1].
-    Built once with the CDAG; engines whose inner loops walk edges per
-    scheduled node (the pebble game) index one contiguous array instead
-    of chasing per-node pointers.  Never mutate the returned arrays. *)
+(** [preds_csr t] is the predecessor relation itself, in CSR form
+    (compressed sparse row), [(offsets, flat)]: node [id]'s predecessors
+    are [flat.(offsets.(id)) .. flat.(offsets.(id + 1) - 1)], ascending.
+    [offsets] has length [n_nodes t + 1] and [flat] one slot per edge.
+    It is the CDAG's only copy of the relation, not a mirror: callers that
+    walk every node (the pebble game and its schedule builders) index it
+    directly instead of copying slices with {!preds}.  Never mutate the
+    returned arrays. *)
 val preds_csr : t -> int array * int array
+
+(** [succs_csr t] is the successor relation in the same CSR form as
+    {!preds_csr}: slices are ascending, and the flat array holds every
+    edge once more, from its source. *)
+val succs_csr : t -> int array * int array
 
 (** Node ids in a valid topological (= program) order, inputs first at their
     first use point.  Ids are numbered in that order (see {!of_program}),
@@ -60,7 +72,8 @@ val preds_csr : t -> int array * int array
     on each call. *)
 val program_order : t -> int array
 
-(** All node ids of instances of the given statement. *)
+(** All node ids of instances of the given statement, ascending.  No
+    per-statement table is kept: each call scans the node kinds. *)
 val nodes_of_stmt : t -> string -> int list
 
 val n_inputs : t -> int
@@ -78,7 +91,7 @@ val reachability : t -> reachability
     oracle's CDAG?  By the numbering rule of {!of_program} every node on
     such a path has an id in [(a, b]], so the search visits only those:
     it answers [false] at once when [a > b], and otherwise scans each
-    (ascending) successor array only up to [b].  No per-query
+    (ascending) successor slice only up to [b].  No per-query
     allocation.  Not thread-safe: use one oracle per domain. *)
 val reaches : reachability -> int -> int -> bool
 

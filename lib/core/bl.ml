@@ -146,33 +146,20 @@ let exponent_at ~dims projs ~theta =
 let optimize ~dims projs =
   if projs = [] then None
   else
-    let constraints = admissibility_constraints ~dims projs in
     let vec f = Array.of_list (List.map f projs) in
     let alphas = vec (fun p -> p.alpha)
     and betas = vec (fun p -> p.beta)
     and gammas = vec (fun p -> p.gamma) in
-    let stage1 =
-      Array.mapi (fun j a -> Rat.add a (Rat.mul Rat.half betas.(j))) alphas
+    (* The K-side exponent rho_K + theta * rho_W at theta = 1/2, then at
+       theta = 1, then the constant's exponent rho_2: three plain solves,
+       each pinning the optimum of the one before. *)
+    let stage theta =
+      Array.mapi (fun j a -> Rat.add a (Rat.mul theta betas.(j))) alphas
     in
-    let stage2 = Array.mapi (fun j a -> Rat.add a betas.(j)) alphas in
-    (* Stage 1 (theta = 1/2) comes from the parametric sweep: its first
-       region is optimal at 1/2, so its value there is the stage-1
-       optimum.  The remaining lexicographic stages are minimised under
-       that pin exactly as before (the stage-2 optimum under the pin is
-       *not* the unpinned theta = 1 sweep value, so those stay as plain
-       solves). *)
-    match exponent_regions ~dims projs with
-    | None -> None
-    | Some regions ->
-        let r0 = (List.hd regions).region_sol in
-        let v1 =
-          Rat.add r0.k_exponent (Rat.mul Rat.half r0.w_exponent)
-        in
-        let pin = Simplex.{ coeffs = stage1; rel = Le; rhs = v1 } in
-        (match lex_minimize ~constraints:(pin :: constraints) [ stage2; gammas ]
-         with
-        | None -> None
-        | Some s -> Some (solution_of_vertex projs ~alphas ~betas ~gammas s))
+    lex_minimize
+      ~constraints:(admissibility_constraints ~dims projs)
+      [ stage Rat.half; stage Rat.one; gammas ]
+    |> Option.map (solution_of_vertex projs ~alphas ~betas ~gammas)
 
 let classical ~dims dimsets =
   let projs =

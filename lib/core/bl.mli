@@ -44,10 +44,9 @@ val proj :
 (** [optimize ~dims projs] minimises lexicographically
     [(rho_K + rho_W/2, rho_K + rho_W, rho_2)] over admissible exponent
     families.  Returns [None] when no admissible family exists (some
-    dimension of [dims] is covered by no projection).  The first stage is
-    obtained from the {!exponent_regions} parametric sweep (its leftmost
-    region is optimal at [theta = 1/2]); the result is identical to three
-    independent endpoint solves. *)
+    dimension of [dims] is covered by no projection).  Three plain
+    {!Iolb_lp.Simplex} solves, one per stage, each under an upper pin on
+    the optima of the stages before; no parametric sweep runs. *)
 val optimize : dims:string list -> bounded_proj list -> solution option
 
 (** One regime of the K-side exponent: writing [W = K^theta], on

@@ -160,40 +160,3 @@ let minimize ?(budget = Budget.unlimited) ~(cost : pcost array) ~lo ?hi
     in
     sweep lo []
   end
-
-let maximize ?budget ~cost ~lo ?hi constraints =
-  let flipped =
-    Array.map
-      (fun (c : pcost) ->
-        ({ const = Rat.neg c.const; slope = Rat.neg c.slope } : pcost))
-      cost
-  in
-  match minimize ?budget ~cost:flipped ~lo ?hi constraints with
-  | Regions rs ->
-      Regions
-        (List.map
-           (fun r -> { r with const = Rat.neg r.const; slope = Rat.neg r.slope })
-           rs)
-  | (Unbounded_at _ | Infeasible) as o -> o
-
-let pp_value fmt (const, slope) =
-  if Rat.is_zero slope then Rat.pp fmt const
-  else if Rat.is_zero const then Format.fprintf fmt "%a*t" Rat.pp slope
-  else Format.fprintf fmt "%a + %a*t" Rat.pp const Rat.pp slope
-
-let pp_region fmt r =
-  let pp_hi fmt = function
-    | None -> Format.pp_print_string fmt "+inf"
-    | Some h -> Rat.pp fmt h
-  in
-  Format.fprintf fmt "t in [%a, %a]: %a" Rat.pp r.lo pp_hi r.hi pp_value
-    (r.const, r.slope)
-
-let pp_outcome fmt = function
-  | Infeasible -> Format.pp_print_string fmt "infeasible"
-  | Unbounded_at theta ->
-      Format.fprintf fmt "unbounded at t = %a" Rat.pp theta
-  | Regions rs ->
-      Format.pp_print_list
-        ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-        pp_region fmt rs

@@ -9,10 +9,9 @@
     of the interval, each region carrying the closed-form optimum (an
     affine function of [theta]), the optimal vertex, and the optimal
     basis.  This is the engine behind the paper's regime analysis — the
-    piecewise bounds of Thm 5 and the loop-split choice of Thm 9 fall out
-    of region boundaries instead of per-instance re-solves (in the style
-    of VPL's PLP solver; see DESIGN.md for the worklist and the soundness
-    argument).
+    piecewise bounds of Thm 5 fall out of region boundaries instead of
+    per-instance re-solves (in the style of VPL's PLP solver; see
+    DESIGN.md for the worklist and the soundness argument).
 
     Within a region the optimal basis is constant: a basis is optimal
     exactly where all its reduced costs [d_j(theta) = obj_j + theta *
@@ -70,17 +69,5 @@ val minimize :
   Simplex.constr list ->
   outcome
 
-(** Same sweep for [max (c + theta * s) . x] (negates costs and values). *)
-val maximize :
-  ?budget:Iolb_util.Budget.t ->
-  cost:pcost array ->
-  lo:Iolb_util.Rat.t ->
-  ?hi:Iolb_util.Rat.t ->
-  Simplex.constr list ->
-  outcome
-
 (** The region's optimum evaluated at a parameter value. *)
 val value_at : region -> Iolb_util.Rat.t -> Iolb_util.Rat.t
-
-val pp_region : Format.formatter -> region -> unit
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -68,24 +68,40 @@ let is_topological cdag schedule =
     schedule;
   !ok
 
-let random_topological ?(seed = 0) cdag =
-  let state = Random.State.make [| seed |] in
+(* Kahn's algorithm over the compute nodes, on the CDAG's CSR, shared by
+   the schedule builders: [pending.(id)] counts compute predecessors of
+   [id] not yet scheduled, [ready] lists the computes with none in
+   ascending id order, and [release id f] calls [f s] on each successor
+   [s] that scheduling [id] makes ready, in ascending id order. *)
+let kahn cdag =
   let n = Cdag.n_nodes cdag in
-  let remaining_preds = Array.make n 0 in
+  let poff, pflat = Cdag.preds_csr cdag and soff, sflat = Cdag.succs_csr cdag in
+  let pending = Array.make n 0 in
   let ready = ref [] in
-  for id = 0 to n - 1 do
+  for id = n - 1 downto 0 do
     if is_compute cdag id then begin
-      let cnt =
-        Array.fold_left
-          (fun acc p -> if is_compute cdag p then acc + 1 else acc)
-          0 (Cdag.preds cdag id)
-      in
-      remaining_preds.(id) <- cnt;
-      if cnt = 0 then ready := id :: !ready
+      for k = poff.(id) to poff.(id + 1) - 1 do
+        if is_compute cdag pflat.(k) then pending.(id) <- pending.(id) + 1
+      done;
+      if pending.(id) = 0 then ready := id :: !ready
     end
   done;
+  let release id f =
+    for k = soff.(id) to soff.(id + 1) - 1 do
+      let s = sflat.(k) in
+      if is_compute cdag s then begin
+        pending.(s) <- pending.(s) - 1;
+        if pending.(s) = 0 then f s
+      end
+    done
+  in
+  (!ready, release)
+
+let random_topological ?(seed = 0) cdag =
+  let state = Random.State.make [| seed |] in
+  let initial, release = kahn cdag in
   let out = ref [] in
-  let ready = ref (Array.of_list !ready) in
+  let ready = ref (Array.of_list (List.rev initial)) in
   let ready_len = ref (Array.length !ready) in
   while !ready_len > 0 do
     let pick = Random.State.int state !ready_len in
@@ -93,57 +109,33 @@ let random_topological ?(seed = 0) cdag =
     !ready.(pick) <- !ready.(!ready_len - 1);
     decr ready_len;
     out := id :: !out;
-    Array.iter
-      (fun s ->
-        if is_compute cdag s then begin
-          remaining_preds.(s) <- remaining_preds.(s) - 1;
-          if remaining_preds.(s) = 0 then begin
-            if !ready_len = Array.length !ready then begin
-              let bigger = Array.make (max 4 (2 * !ready_len)) 0 in
-              Array.blit !ready 0 bigger 0 !ready_len;
-              ready := bigger
-            end;
-            !ready.(!ready_len) <- s;
-            incr ready_len
-          end
-        end)
-      (Cdag.succs cdag id)
+    release id (fun s ->
+        if !ready_len = Array.length !ready then begin
+          let bigger = Array.make (max 4 (2 * !ready_len)) 0 in
+          Array.blit !ready 0 bigger 0 !ready_len;
+          ready := bigger
+        end;
+        !ready.(!ready_len) <- s;
+        incr ready_len)
   done;
   Array.of_list (List.rev !out)
 
 let priority_topological cdag ~priority =
-  let n = Cdag.n_nodes cdag in
-  let remaining_preds = Array.make n 0 in
   (* Min-heap via Maxheap on negated priorities. *)
   let heap = Maxheap.create () in
-  let prio_of id =
+  let push id =
     match Cdag.kind cdag id with
-    | Cdag.Compute (stmt, vec) -> priority ~stmt ~vec
+    | Cdag.Compute (stmt, vec) ->
+        Maxheap.push heap ~pos:(-priority ~stmt ~vec) ~payload:id
     | Cdag.Input _ -> assert false
   in
-  for id = 0 to n - 1 do
-    if is_compute cdag id then begin
-      let cnt =
-        Array.fold_left
-          (fun acc p -> if is_compute cdag p then acc + 1 else acc)
-          0 (Cdag.preds cdag id)
-      in
-      remaining_preds.(id) <- cnt;
-      if cnt = 0 then Maxheap.push heap ~pos:(-prio_of id) ~payload:id
-    end
-  done;
+  let initial, release = kahn cdag in
+  List.iter push initial;
   let out = ref [] in
   while not (Maxheap.is_empty heap) do
     let _, id = Maxheap.pop heap in
     out := id :: !out;
-    Array.iter
-      (fun succ ->
-        if is_compute cdag succ then begin
-          remaining_preds.(succ) <- remaining_preds.(succ) - 1;
-          if remaining_preds.(succ) = 0 then
-            Maxheap.push heap ~pos:(-prio_of succ) ~payload:succ
-        end)
-      (Cdag.succs cdag id)
+    release id push
   done;
   Array.of_list (List.rev !out)
 

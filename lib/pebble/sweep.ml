@@ -694,11 +694,13 @@ let sampled_degenerate s =
           0 s.s_group
         < 2)
 
-let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ?(groups = 8)
-    ~rate ~seed ~params prog =
+(* Disjoint sub-samples behind the error bars. *)
+let groups = 8
+
+let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ~rate ~seed
+    ~params prog =
   if not (rate > 0.0 && rate <= 1.0) then
     invalid_arg "Sweep.run_sampled: rate must be in (0, 1]";
-  if groups < 2 then invalid_arg "Sweep.run_sampled: groups < 2";
   if not (Budget.is_unlimited budget) then
     Budget.check_deadline budget Budget.Cache_sim;
   let plan = Cplan.make ~params prog in

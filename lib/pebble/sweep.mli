@@ -109,8 +109,8 @@ val run_program_stream :
     the kept subsequence scale by [rate].  A sweep of the sampled trace
     evaluated at size [round (S * rate)], scaled back by [1/rate],
     estimates the exact sweep at size [S].  The kept hash window is
-    further split into [groups] disjoint sub-windows - independent
-    samples at [rate/groups] - whose estimate spread yields the reported
+    further split into 8 disjoint sub-windows - independent samples at
+    [rate/8] - whose estimate spread yields the reported
     error bars.  The scan runs on the compiled plan
     ({!Iolb_ir.Cplan.iter_sampled}), where a rejected access costs a few
     nanoseconds, which is what makes billion-access validation runs
@@ -125,13 +125,12 @@ type estimate = { est : float; lo : float; hi : float }
 
 (** [run_sampled ~rate ~seed ~params p] scans the trace of [p] once,
     keeping cells at the given [rate], and sweeps the union sample plus
-    [groups] (default 8) disjoint sub-samples.  [rate >= 1] falls back
-    to the exact {!run_program}.
-    @raise Invalid_argument if [rate] is outside (0, 1] or [groups < 2]. *)
+    8 disjoint sub-samples.  [rate >= 1] falls back to the exact
+    {!run_program}.
+    @raise Invalid_argument if [rate] is outside (0, 1]. *)
 val run_sampled :
   ?budget:Iolb_util.Budget.t ->
   ?flush:bool ->
-  ?groups:int ->
   rate:float ->
   seed:int ->
   params:(string * int) list ->

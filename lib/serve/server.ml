@@ -449,11 +449,36 @@ let read_line ic =
   in
   scan [] 0
 
+(* After an over-cap line the client's unread bytes are still queued,
+   and closing a socket with unread data sends a reset: the client would
+   see its write fail and lose the response.  So the reader shuts its
+   send side (the client reads the response, then EOF) and discards what
+   still arrives before it closes: at most [drain_bytes], and no read
+   starts after [drain_timeout_s] or waits longer than that. *)
+let drain_bytes = 4 lsl 20
+let drain_timeout_s = 1.0
+
+let drain conn =
+  let deadline = Unix.gettimeofday () +. drain_timeout_s in
+  let buf = Bytes.create 65536 in
+  let rec go left =
+    if left > 0 && Unix.gettimeofday () < deadline then
+      match Unix.read conn.fd buf 0 (min left (Bytes.length buf)) with
+      | 0 -> ()
+      | n -> go (left - n)
+  in
+  try
+    Unix.shutdown conn.fd SHUTDOWN_SEND;
+    Unix.setsockopt_float conn.fd SO_RCVTIMEO drain_timeout_s;
+    go drain_bytes
+  with Unix.Unix_error _ -> ()
+
 let conn_loop t conn =
+  (* [loop ()] is true when the reader stops at an over-cap line. *)
   let rec loop () =
     match read_line conn.ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | `Eof -> ()
+    | exception (End_of_file | Sys_error _) -> false
+    | `Eof -> false
     | `Too_long ->
         Atomic.incr t.counters.bad_lines;
         Atomic.incr t.counters.served_error;
@@ -461,11 +486,13 @@ let conn_loop t conn =
           (Protocol.error_response ~id:Json.Null
              (Protocol.Bad_request
                 (Printf.sprintf "request line longer than %d bytes"
-                   Protocol.max_line_bytes)))
+                   Protocol.max_line_bytes)));
+        true
     | `Line line ->
         if String.trim line <> "" then handle_line t conn line;
         loop ()
   in
+  let over_cap = ref false in
   Fun.protect
     ~finally:(fun () ->
       (* Let in-flight responses drain, then release the socket.  [ic]
@@ -473,8 +500,9 @@ let conn_loop t conn =
       flight_wait conn;
       Mutex.protect t.conns_mutex (fun () ->
           t.conns <- List.filter (fun c -> c != conn) t.conns);
+      if !over_cap then drain conn;
       close_out_noerr conn.oc)
-    loop
+    (fun () -> over_cap := loop ())
 
 (* ------------------------------------------------------------------ *)
 (* Accept loop.                                                        *)

@@ -103,21 +103,6 @@ let test_empty_interval_rejected () =
         (P.minimize ~cost:[| P.pc 1 |] ~lo:Rat.one ~hi:Rat.zero
            [ S.constr [ 1 ] S.Le 1 ]))
 
-let test_maximize () =
-  (* max (1 - 2t) x over x <= 3: t < 1/2 -> 3 - 6t at x = 3; after the
-     coefficient flips sign the optimum sits at the origin. *)
-  let outcome =
-    P.maximize
-      ~cost:[| P.pc 1 ~slope:(-2) |]
-      ~lo:Rat.zero ~hi:Rat.one
-      [ S.constr [ 1 ] S.Le 3 ]
-  in
-  let rs = regions_exn "maximize" outcome in
-  Alcotest.(check int) "two regions" 2 (List.length rs);
-  let r0 = List.hd rs in
-  Alcotest.check rat "value at 0" (Rat.of_int 3) (P.value_at r0 Rat.zero);
-  Alcotest.check rat "slope -6" (Rat.of_int (-6)) r0.P.slope
-
 let test_budget_checkpoints () =
   (* Crossing the breakpoint requires a pivot, and every sweep pivot
      checkpoints the Derivation stage - so a fault on the first
@@ -206,7 +191,6 @@ let suite =
     Alcotest.test_case "unbounded" `Quick test_unbounded;
     Alcotest.test_case "point interval" `Quick test_point_interval;
     Alcotest.test_case "empty interval" `Quick test_empty_interval_rejected;
-    Alcotest.test_case "maximize" `Quick test_maximize;
     Alcotest.test_case "budget checkpoints" `Quick test_budget_checkpoints;
     QCheck_alcotest.to_alcotest prop;
   ]

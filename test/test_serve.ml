@@ -241,8 +241,7 @@ let fresh_address () =
   Server.Unix_sock path
 
 let with_server ?(jobs = 2) ?(queue = 64) ?(cache = 128) ?(allow_crash = false)
-    f =
-  let address = fresh_address () in
+    ?(address = fresh_address ()) f =
   let config =
     {
       (Server.default_config ~address) with
@@ -564,6 +563,55 @@ let test_over_cap_line () =
               Alcotest.(check int) "counted as a bad line" 1 n
           | _ -> Alcotest.fail "stats has no requests.bad_lines"))
 
+(* One write of 3 MiB with no newline, three times the cap, on the Unix
+   socket and on TCP: the write completes (the daemon discards what it
+   will not read instead of resetting the connection), and the client
+   reads the bad_request with a null id, then EOF. *)
+let test_over_cap_stream () =
+  let loopback_port () =
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, 0));
+        match Unix.getsockname fd with
+        | ADDR_INET (_, port) -> port
+        | ADDR_UNIX _ -> Alcotest.fail "loopback socket without a port")
+  in
+  List.iter
+    (fun address ->
+      with_server ~address (fun _ address ->
+          let domain, sockaddr =
+            match address with
+            | Server.Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+            | Server.Tcp (host, port) ->
+                (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+          in
+          let fd = Unix.socket domain SOCK_STREAM 0 in
+          let ic = Unix.in_channel_of_descr fd in
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () ->
+              Unix.setsockopt_float fd SO_SNDTIMEO 30.;
+              Unix.setsockopt_float fd SO_RCVTIMEO 30.;
+              Unix.connect fd sockaddr;
+              let payload = Bytes.make (3 lsl 20) '[' in
+              Alcotest.(check int) "the whole write completes"
+                (Bytes.length payload)
+                (Unix.write fd payload 0 (Bytes.length payload));
+              let r = parsed (input_line ic) in
+              Alcotest.(check bool) "not ok" false r.Protocol.ok;
+              Alcotest.(check bool) "null id" true
+                (r.Protocol.resp_id = Json.Null);
+              Alcotest.(check bool) "bad_request" true
+                (Json.member "code" r.Protocol.body
+                = Some (Json.String "bad_request"));
+              Alcotest.(check bool) "then EOF" true
+                (match input_line ic with
+                | _ -> false
+                | exception End_of_file -> true))))
+    [ fresh_address (); Server.Tcp ("127.0.0.1", loopback_port ()) ]
+
 (* The same request sequence against different worker widths must come
    back byte-for-byte identical - the cache and the fan-out must not
    leak into the payload. *)
@@ -811,4 +859,6 @@ let suite =
     Alcotest.test_case "server: fault-injected soak" `Slow test_soak;
     Alcotest.test_case "server: over-cap request line" `Quick
       test_over_cap_line;
+    Alcotest.test_case "server: 3 MiB past the cap, then EOF" `Quick
+      test_over_cap_stream;
   ]

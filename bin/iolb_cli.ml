@@ -249,8 +249,9 @@ let simulate_cmd =
       & info [ "sample-rate" ] ~docv:"RATE"
           ~doc:
             "Spatially-sampled sweep: keep each cell iff its seeded hash \
-             falls below $(docv), a value in (0, 1], and report confidence \
-             intervals instead of exact counts.  Makes billion-access \
+             falls below $(docv), a value in (0, 1] and at least 2^-62 (the \
+             hash resolution), and report confidence intervals instead of \
+             exact counts.  Makes billion-access \
              traces sweepable.  Requires $(b,--sizes).")
   in
   let sample_seed_arg =
@@ -383,6 +384,10 @@ let simulate_cmd =
       match (sample_rate, jobs) with
       | Some r, _ when not (r > 0. && r <= 1.) ->
           invalid "--sample-rate must be in (0, 1]"
+      | Some r, _ when r < Sweep.min_rate ->
+          invalid
+            "--sample-rate must be at least 2^-62, the sampling hash \
+             resolution"
       | _, Some j when j < 1 -> invalid "--jobs must be at least 1"
       | (Some _, _ | _, Some _) when sizes = None ->
           invalid

@@ -161,6 +161,9 @@ let optimize ~dims projs =
       [ stage Rat.half; stage Rat.one; gammas ]
     |> Option.map (solution_of_vertex projs ~alphas ~betas ~gammas)
 
+(* With beta = gamma = 0, [optimize]'s theta = 1 stage re-poses the
+   theta = 1/2 optimum and its rho_2 stage minimises zero: one solve of
+   rho_K gives the same optimum. *)
 let classical ~dims dimsets =
   let projs =
     List.mapi
@@ -168,7 +171,16 @@ let classical ~dims dimsets =
         proj ~alpha:Rat.one ~label:(Printf.sprintf "phi%d_{%s}" j (String.concat "," ds)) ds)
       dimsets
   in
-  optimize ~dims projs
+  if projs = [] then None
+  else
+    let ones = Array.make (List.length projs) Rat.one
+    and zeros = Array.make (List.length projs) Rat.zero in
+    match Simplex.minimize ~cost:ones (admissibility_constraints ~dims projs) with
+    | Simplex.Optimal { solution; _ } ->
+        Some
+          (solution_of_vertex projs ~alphas:ones ~betas:zeros ~gammas:zeros
+             solution)
+    | Simplex.Infeasible | Simplex.Unbounded -> None
 
 let pp_exponent_region fmt r =
   Format.fprintf fmt "theta in [%a, %a]: K^(%a + %a*theta)" Rat.pp r.theta_lo

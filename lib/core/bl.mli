@@ -46,7 +46,10 @@ val proj :
     families.  Returns [None] when no admissible family exists (some
     dimension of [dims] is covered by no projection).  Three plain
     {!Iolb_lp.Simplex} solves, one per stage, each under an upper pin on
-    the optima of the stages before; no parametric sweep runs. *)
+    the optima of the stages before; no parametric sweep runs.  All three
+    stay: for the hourglass [I'] projections the [theta = 1] and [rho_2]
+    stages pick the vertex among the [theta = 1/2] optima, and that vertex
+    is printed as the "I' certificate" and shapes the bound formula. *)
 val optimize : dims:string list -> bounded_proj list -> solution option
 
 (** One regime of the K-side exponent: writing [W = K^theta], on
@@ -90,7 +93,11 @@ val exponent_at :
 
 (** [classical ~dims dimsets] is the classical K-partition optimisation:
     every projection bounded by [K] (alpha 1); minimises the plain exponent
-    sum [rho_K], yielding [|E| <= K^rho_K]. *)
+    sum [rho_K], yielding [|E| <= K^rho_K].  One {!Iolb_lp.Simplex} solve:
+    with [beta = gamma = 0], {!optimize}'s [theta = 1] stage would re-pose
+    the same optimum and its [rho_2] stage minimise zero.  [rho_K] is the
+    same as {!optimize}'s on the same projections; the vertex (hence
+    [exponents]) may be another point of the optimal face. *)
 val classical : dims:string list -> string list list -> solution option
 
 val pp_solution : Format.formatter -> solution -> unit

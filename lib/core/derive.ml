@@ -532,17 +532,17 @@ let winner_hints ~params ~lo ~hi bounds =
             try
               let f1 = inst b1 and f2 = inst b2 in
               if poly_in_s f1 && poly_in_s f2 then begin
-                let u1 = Sturm.of_polynomial ~var:"S" (R.num f1)
-                and d1 = Sturm.of_polynomial ~var:"S" (R.den f1)
-                and u2 = Sturm.of_polynomial ~var:"S" (R.num f2)
-                and d2 = Sturm.of_polynomial ~var:"S" (R.den f2) in
-                let cross = Sturm.sub (Sturm.mul u1 d2) (Sturm.mul u2 d1) in
-                if not (Sturm.is_zero cross) then
+                let cross =
+                  P.sub (P.mul (R.num f1) (R.den f2)) (P.mul (R.num f2) (R.den f1))
+                in
+                if not (P.is_zero cross) then
                   List.iter
                     (fun (a, b) ->
                       add a;
                       add b)
-                    (Sturm.isolate_roots cross ~lo:rlo ~hi:rhi)
+                    (Sturm.isolate_roots
+                       (Sturm.of_polynomial ~var:"S" cross)
+                       ~lo:rlo ~hi:rhi)
               end
             with Sturm.Gave_up | Rat.Overflow -> ())
           rest;

@@ -26,16 +26,13 @@ let value_at r theta = Rat.add r.const (Rat.mul r.slope theta)
 
 (* The sweep keeps two reduced-cost rows: the tableau's own objective row
    holds the constant part c of the parametric cost c + theta * s, and a
-   caller-side auxiliary row (sn/sd, with value pair sv) holds the slope
-   part s, updated after every pivot with {!Simplex.Tableau.eliminate}.
-   The reduced cost of column j at parameter theta is then the affine form
+   caller-side auxiliary row holds the slope part s, updated after every
+   pivot with {!Simplex.Tableau.eliminate}.  The reduced cost of column j
+   at parameter theta is then the affine form
    d_j(theta) = obj_j + theta * slope_j, exactly. *)
 type sweep = {
   t : T.t;
-  sn : int array;
-  sd : int array;
-  mutable svn : int;
-  mutable svd : int;
+  slope : Rat.t array;
   budget : Budget.t;
   mutable pivots : int;
 }
@@ -43,53 +40,26 @@ type sweep = {
 let sweep_pivot w ~row ~col =
   Budget.checkpoint w.budget Budget.Derivation;
   T.pivot w.t ~row ~col;
-  let svn, svd = T.eliminate w.t ~row ~col w.sn w.sd w.svn w.svd in
-  w.svn <- svn;
-  w.svd <- svd;
+  T.eliminate w.t ~row ~col w.slope;
   w.pivots <- w.pivots + 1
-
-(* Reduced cost of column j at theta, as an exact rational. *)
-let reduced_cost w ~theta j =
-  let t = w.t in
-  let c = Rat.make t.T.objn.(j) t.T.objd.(j) in
-  let s = Rat.make w.sn.(j) w.sd.(j) in
-  Rat.add c (Rat.mul theta s)
 
 (* Optimise for theta^+, i.e. lexicographically for the perturbed
    objective c + (theta + epsilon) * s: a column enters iff its reduced
    cost is negative at theta, or zero at theta with a negative slope
-   (about to turn negative just above theta).  Entering column = lowest
-   index satisfying this (Bland), leaving row = the tableau's
-   lowest-basic-index min-ratio rule; the pair is Bland's rule for the
-   perturbed objective over the ordered field Q(epsilon), so no cycling. *)
+   (about to turn negative just above theta).  With the tableau's Bland
+   loop (lowest entering index, lowest-basic-index min-ratio row) this is
+   Bland's rule for the perturbed objective over the ordered field
+   Q(epsilon), so no cycling. *)
 let optimise_at w ~theta =
   let t = w.t in
-  let n = t.T.ncols in
-  let allowed j = j < t.T.art_start in
+  let neg_theta = Rat.neg theta in
   let enters j =
-    allowed j
+    j < t.T.art_start
     &&
-    let c = Rat.compare (reduced_cost w ~theta j) Rat.zero in
-    c < 0 || (c = 0 && w.sn.(j) < 0)
+    let c = Rat.sign (Rat.sub_mul t.T.obj.(j) neg_theta w.slope.(j)) in
+    c < 0 || (c = 0 && Rat.sign w.slope.(j) < 0)
   in
-  let rec loop () =
-    let entering = ref (-1) in
-    (let j = ref 0 in
-     while !entering < 0 && !j < n do
-       if enters !j then entering := !j;
-       incr j
-     done);
-    if !entering < 0 then Ok ()
-    else begin
-      let col = !entering in
-      match T.choose_leaving t ~col with
-      | None -> Error `Unbounded
-      | Some row ->
-          sweep_pivot w ~row ~col;
-          loop ()
-    end
-  in
-  loop ()
+  T.optimise t ~enters ~pivot:(sweep_pivot w)
 
 (* First parameter value above [theta] at which the current basis stops
    being optimal: the smallest root of a reduced-cost form d_j that is
@@ -98,11 +68,10 @@ let optimise_at w ~theta =
 let next_breakpoint w ~theta =
   let t = w.t in
   let best = ref None in
-  for j = 0 to t.T.ncols - 1 do
-    if j < t.T.art_start && w.sn.(j) < 0 then begin
-      let c = Rat.make t.T.objn.(j) t.T.objd.(j) in
-      let s = Rat.make w.sn.(j) w.sd.(j) in
-      let root = Rat.neg (Rat.div c s) in
+  for j = 0 to t.T.art_start - 1 do
+    let s = w.slope.(j) in
+    if Rat.sign s < 0 then begin
+      let root = Rat.neg (Rat.div t.T.obj.(j) s) in
       if Rat.compare root theta > 0 then
         match !best with
         | Some b when Rat.compare b root <= 0 -> ()
@@ -117,24 +86,22 @@ let minimize ?(budget = Budget.unlimited) ~(cost : pcost array) ~lo ?hi
   | Some h when Rat.compare lo h > 0 ->
       invalid_arg "Psimplex.minimize: empty parameter interval"
   | _ -> ());
-  let nvars = Array.length cost in
-  let t = T.setup ~nvars constraints in
-  if not (T.phase1_feasible t) then Infeasible
-  else begin
+  match T.phase1 ~nvars:(Array.length cost) constraints with
+  | None -> Infeasible
+  | Some t ->
     (* The vertex moves with theta but the feasible set does not (the rhs
        is parameter-free), so one phase 1 serves the whole sweep. *)
     T.install_cost t ~cost:(Array.map (fun (c : pcost) -> c.const) cost);
-    let sn, sd, (svn, svd) =
+    let slope =
       T.reduce_cost_row t ~cost:(Array.map (fun (c : pcost) -> c.slope) cost)
     in
-    let w = { t; sn; sd; svn; svd; budget; pivots = 0 } in
-    let neg_pair n d = Rat.neg (Rat.make n d) in
+    let w = { t; slope; budget; pivots = 0 } in
     let rec sweep theta acc =
       match optimise_at w ~theta with
       | Error `Unbounded -> Unbounded_at theta
       | Ok () ->
-          let const = neg_pair t.T.ovn t.T.ovd in
-          let slope = neg_pair w.svn w.svd in
+          let const = T.value t in
+          let slope = Rat.neg w.slope.(t.T.ncols) in
           let solution = T.solution t in
           let basis = Array.copy t.T.basis in
           let pivots = w.pivots in
@@ -159,4 +126,3 @@ let minimize ?(budget = Budget.unlimited) ~(cost : pcost array) ~lo ?hi
                 :: acc))
     in
     sweep lo []
-  end

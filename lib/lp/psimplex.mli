@@ -17,9 +17,12 @@
     exactly where all its reduced costs [d_j(theta) = obj_j + theta *
     slope_j] are non-negative, an intersection of half-lines, hence an
     interval.  The sweep walks those intervals left to right.  Entering
-    steps use Bland's rule on the objective perturbed to [theta + epsilon]
-    (lexicographic on [(d_j(theta), slope_j)]), so every pivot sequence
-    terminates and every emitted breakpoint strictly increases.
+    steps run the tableau's own Bland loop ({!Simplex.Tableau.optimise})
+    with an entering test for the objective perturbed to
+    [theta + epsilon] (lexicographic on [(d_j(theta), slope_j)]), and a
+    pivot hook that keeps the caller-held slope row in step, so every
+    pivot sequence terminates and every emitted breakpoint strictly
+    increases.
 
     The right-hand side is parameter-free, so feasibility is decided once
     (phase 1 is shared by the whole sweep) and the per-region optimum is

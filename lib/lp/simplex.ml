@@ -3,7 +3,6 @@ module Rat = Iolb_util.Rat
 type relation = Le | Ge | Eq
 
 type constr = { coeffs : Rat.t array; rel : relation; rhs : Rat.t }
-type objective = Minimize | Maximize
 
 type outcome =
   | Optimal of { value : Rat.t; solution : Rat.t array }
@@ -17,420 +16,211 @@ let constr coeffs rel rhs =
     rhs = Rat.of_int rhs;
   }
 
-(* Dense tableau over *unboxed* rationals: every entry is a canonical
-   num/den pair held in parallel [int] arrays (den > 0, gcd = 1), so the
-   pivot loops allocate nothing and reduce with plain integer gcds.  The
-   arithmetic is the same exact, overflow-checked arithmetic as {!Rat}
-   ({!Rat.add_exn}/{!Rat.mul_exn}), only unboxed.
-
-   The machinery lives in {!Tableau} so that other solvers over the same
-   tableau — notably the parametric-objective sweep in {!Psimplex} — can
-   reuse the setup, pivoting, and pricing steps instead of duplicating
-   them. *)
+(* Dense tableau over {!Rat}.  The machinery lives in {!Tableau} so that
+   other solvers over the same tableau — notably the parametric-objective
+   sweep in {!Psimplex} — reuse setup, pivoting, pricing and the Bland
+   loop instead of duplicating them. *)
 module Tableau = struct
-  (* Layout: row i, column j lives at [(i * ncols) + j] of [tn]/[td];
-     [rhsn]/[rhsd] hold the right-hand side, [objn]/[objd] the reduced
-     costs, and [basis.(i)] the column basic in row i. *)
+  (* Every row, the cost rows included, has [ncols + 1] entries: one per
+     column, then the right-hand side.  A cost row's last entry is the
+     negated objective value, so one elimination step updates both. *)
   type t = {
-    m : int;
     ncols : int;
     nvars : int;
     art_start : int;
-    tn : int array;
-    td : int array;
-    rhsn : int array;
-    rhsd : int array;
-    objn : int array;
-    objd : int array;
-    mutable ovn : int; (* objective value (to be minimised), canonical *)
-    mutable ovd : int;
+    rows : Rat.t array array;
+    obj : Rat.t array;
     basis : int array;
   }
 
-  (* [set_canon a d i n dd] stores the canonical form of [n/dd] (dd > 0). *)
-  let set_canon an ad i n d =
-    if n = 0 then begin
-      an.(i) <- 0;
-      ad.(i) <- 1
-    end
-    else begin
-      let g = Rat.gcd_int n d in
-      an.(i) <- n / g;
-      ad.(i) <- d / g
-    end
+  let sub_row dst f src =
+    for j = 0 to Array.length dst - 1 do
+      dst.(j) <- Rat.sub_mul dst.(j) f src.(j)
+    done
 
-  let neg_exn a = if a = min_int then raise Rat.Overflow else -a
-
-  (* dst.(i) <- dst.(i) - (fn/fd) * (pn/pd); all pairs canonical, fd,pd > 0. *)
-  let sub_mul an ad i fn fd pn pd =
-    if pn <> 0 then begin
-      (* q = f * p with cross-term reduction *)
-      let g1 = Rat.gcd_int fn pd and g2 = Rat.gcd_int pn fd in
-      let qn = Rat.mul_exn (fn / g1) (pn / g2)
-      and qd = Rat.mul_exn (fd / g2) (pd / g1) in
-      let en = an.(i) and ed = ad.(i) in
-      let g = Rat.gcd_int ed qd in
-      let da = ed / g and db = qd / g in
-      let n = Rat.add_exn (Rat.mul_exn en db) (neg_exn (Rat.mul_exn qn da)) in
-      set_canon an ad i n (Rat.mul_exn ed db)
-    end
-
-  (* dst.(i) <- dst.(i) * (fn/fd), canonical, fd > 0, f <> 0. *)
-  let mul_by an ad i fn fd =
-    let en = an.(i) in
-    if en <> 0 then begin
-      let ed = ad.(i) in
-      let g1 = Rat.gcd_int en fd and g2 = Rat.gcd_int fn ed in
-      an.(i) <- Rat.mul_exn (en / g1) (fn / g2);
-      ad.(i) <- Rat.mul_exn (ed / g2) (fd / g1)
-    end
-
-  (* (vn/vd) - (fn/fd) * (pn/pd) as a fresh canonical pair. *)
-  let sub_prod vn vd fn fd pn pd =
-    if pn = 0 || fn = 0 then (vn, vd)
-    else begin
-      let g1 = Rat.gcd_int fn pd and g2 = Rat.gcd_int pn fd in
-      let qn = Rat.mul_exn (fn / g1) (pn / g2)
-      and qd = Rat.mul_exn (fd / g2) (pd / g1) in
-      let g = Rat.gcd_int vd qd in
-      let da = vd / g and db = qd / g in
-      let nn = Rat.add_exn (Rat.mul_exn vn db) (neg_exn (Rat.mul_exn qn da)) in
-      if nn = 0 then (0, 1)
-      else begin
-        let nd = Rat.mul_exn vd db in
-        let g = Rat.gcd_int nn nd in
-        (nn / g, nd / g)
-      end
-    end
+  (* Eliminate column [col] from row [r] against the normalised pivot
+     row [row]. *)
+  let eliminate t ~row ~col r =
+    let f = r.(col) in
+    if not (Rat.is_zero f) then sub_row r f t.rows.(row)
 
   let pivot t ~row ~col =
-    let n = t.ncols in
-    let base = row * n in
-    let pn = t.tn.(base + col) and pd = t.td.(base + col) in
-    assert (pn <> 0);
-    (* normalise the pivot row by 1/piv = pd/pn (kept sign-canonical) *)
-    let ivn = if pn < 0 then -pd else pd and ivd = abs pn in
-    for j = 0 to n - 1 do
-      mul_by t.tn t.td (base + j) ivn ivd
-    done;
-    mul_by t.rhsn t.rhsd row ivn ivd;
-    for i = 0 to t.m - 1 do
-      if i <> row then begin
-        let ib = i * n in
-        let fn = t.tn.(ib + col) in
-        if fn <> 0 then begin
-          let fd = t.td.(ib + col) in
-          for j = 0 to n - 1 do
-            sub_mul t.tn t.td (ib + j) fn fd t.tn.(base + j) t.td.(base + j)
-          done;
-          sub_mul t.rhsn t.rhsd i fn fd t.rhsn.(row) t.rhsd.(row)
-        end
-      end
-    done;
-    let fn = t.objn.(col) in
-    if fn <> 0 then begin
-      let fd = t.objd.(col) in
-      for j = 0 to n - 1 do
-        sub_mul t.objn t.objd j fn fd t.tn.(base + j) t.td.(base + j)
-      done;
-      let ovn, ovd =
-        sub_prod t.ovn t.ovd fn fd t.rhsn.(row) t.rhsd.(row)
-      in
-      t.ovn <- ovn;
-      t.ovd <- ovd
+    let prow = t.rows.(row) in
+    (* Most pivots of the Brascamp-Lieb LPs (about 60 %) are 1: nothing
+       to normalise. *)
+    if not (Rat.equal prow.(col) Rat.one) then begin
+      let inv = Rat.inv prow.(col) in
+      Array.iteri
+        (fun j x -> if not (Rat.is_zero x) then prow.(j) <- Rat.mul x inv)
+        prow
     end;
+    Array.iteri (fun i r -> if i <> row then eliminate t ~row ~col r) t.rows;
+    eliminate t ~row ~col t.obj;
     t.basis.(row) <- col
-
-  (* Eliminate the just-pivoted column from an auxiliary cost row held by
-     the caller (e.g. the slope row of a parametric objective), exactly as
-     [pivot] does for the built-in objective row.  Must be called *after*
-     [pivot t ~row ~col] (it relies on the normalised pivot row); returns
-     the updated auxiliary objective-value pair. *)
-  let eliminate t ~row ~col an ad vn vd =
-    let n = t.ncols in
-    let base = row * n in
-    let fn = an.(col) in
-    if fn = 0 then (vn, vd)
-    else begin
-      let fd = ad.(col) in
-      for j = 0 to n - 1 do
-        sub_mul an ad j fn fd t.tn.(base + j) t.td.(base + j)
-      done;
-      sub_prod vn vd fn fd t.rhsn.(row) t.rhsd.(row)
-    end
 
   (* Lexicographic min-ratio test: among rows with a positive entry in
      [col], the smallest rhs/entry ratio, ties broken towards the lowest
      basic index (the Bland half that guarantees termination). *)
   let choose_leaving t ~col =
-    let m = t.m and n = t.ncols in
-    let leaving = ref (-1) in
-    (* best ratio as a canonical pair bn/bd with bd > 0 *)
-    let bn = ref 0 and bd = ref 1 in
-    for i = 0 to m - 1 do
-      let an = t.tn.((i * n) + col) in
-      if an > 0 then begin
-        let ad = t.td.((i * n) + col) in
-        (* ratio = rhs(i) / a = (rn * ad) / (rd * an), all positive parts *)
-        let p = Rat.mul_exn t.rhsn.(i) ad and q = Rat.mul_exn t.rhsd.(i) an in
-        let g = Rat.gcd_int p q in
-        let p, q = if g = 0 then (0, 1) else (p / g, q / g) in
-        let cmp =
-          if !leaving < 0 then -1
-          else compare (Rat.mul_exn p !bd) (Rat.mul_exn !bn q)
-        in
-        if
-          cmp < 0
-          || (cmp = 0 && !leaving >= 0 && t.basis.(i) < t.basis.(!leaving))
-        then begin
-          leaving := i;
-          bn := p;
-          bd := q
-        end
-      end
-    done;
+    let leaving = ref (-1) and best = ref Rat.zero in
+    Array.iteri
+      (fun i r ->
+        if Rat.sign r.(col) > 0 then begin
+          let ratio = Rat.div r.(t.ncols) r.(col) in
+          let cmp = if !leaving < 0 then -1 else Rat.compare ratio !best in
+          if cmp < 0 || (cmp = 0 && t.basis.(i) < t.basis.(!leaving)) then begin
+            leaving := i;
+            best := ratio
+          end
+        end)
+      t.rows;
     if !leaving < 0 then None else Some !leaving
 
-  (* Bland's rule: entering column = lowest-index negative reduced cost
-     among allowed columns; leaving row per [choose_leaving].  Returns
-     [Ok ()] at optimality, [Error `Unbounded]. *)
-  let optimise t ~allowed =
-    let n = t.ncols in
+  (* Bland's rule: the lowest-index column satisfying [enters] enters,
+     [choose_leaving] picks the row, and [pivot] makes the step. *)
+  let optimise t ~enters ~pivot =
+    let rec entering j =
+      if j = t.ncols then None else if enters j then Some j else entering (j + 1)
+    in
     let rec loop () =
-      let entering = ref (-1) in
-      (let j = ref 0 in
-       while !entering < 0 && !j < n do
-         if allowed !j && t.objn.(!j) < 0 then entering := !j;
-         incr j
-       done);
-      if !entering < 0 then Ok ()
-      else begin
-        let col = !entering in
-        match choose_leaving t ~col with
-        | None -> Error `Unbounded
-        | Some row ->
-            pivot t ~row ~col;
-            loop ()
-      end
+      match entering 0 with
+      | None -> Ok ()
+      | Some col -> (
+          match choose_leaving t ~col with
+          | None -> Error `Unbounded
+          | Some row ->
+              pivot ~row ~col;
+              loop ())
     in
     loop ()
 
-  (* [setup ~nvars constraints] builds the tableau with slack and
-     artificial columns, the phase-1 objective (sum of artificials)
-     installed and priced out w.r.t. the starting basis.  Rows are
-     normalised to non-negative rhs so artificials start feasible. *)
+  (* Slack and artificial columns, rows normalised to a non-negative rhs
+     so the artificials start feasible, and the phase-1 objective (the sum
+     of the artificials) priced out w.r.t. the starting basis. *)
   let setup ~nvars constraints =
     List.iter
       (fun c ->
         if Array.length c.coeffs <> nvars then
-          invalid_arg "Simplex.solve: constraint dimension mismatch")
+          invalid_arg "Simplex.minimize: constraint dimension mismatch")
       constraints;
-    let constraints = Array.of_list constraints in
-    let m = Array.length constraints in
     let constraints =
-      Array.map
-        (fun (c : constr) ->
-          if Rat.sign c.rhs < 0 then
-            {
-              coeffs = Array.map Rat.neg c.coeffs;
-              rhs = Rat.neg c.rhs;
-              rel = (match c.rel with Le -> Ge | Ge -> Le | Eq -> Eq);
-            }
-          else c)
-        constraints
+      Array.of_list
+        (List.map
+           (fun (c : constr) ->
+             if Rat.sign c.rhs < 0 then
+               {
+                 coeffs = Array.map Rat.neg c.coeffs;
+                 rhs = Rat.neg c.rhs;
+                 rel = (match c.rel with Le -> Ge | Ge -> Le | Eq -> Eq);
+               }
+             else c)
+           constraints)
     in
-    let n_slack =
-      Array.fold_left
-        (fun acc c -> match c.rel with Le | Ge -> acc + 1 | Eq -> acc)
-        0 constraints
-    in
+    let count p = Array.fold_left (fun n c -> if p c.rel then n + 1 else n) 0 in
+    let n_slack = count (fun r -> r <> Eq) constraints in
     (* Every Ge and Eq row needs an artificial; Le rows start basic in
        their slack. *)
-    let n_art =
-      Array.fold_left
-        (fun acc c -> match c.rel with Ge | Eq -> acc + 1 | Le -> acc)
-        0 constraints
-    in
-    let ncols = nvars + n_slack + n_art in
-    let tn = Array.make (m * ncols) 0 and td = Array.make (m * ncols) 1 in
-    let rhsn = Array.make m 0 and rhsd = Array.make m 1 in
-    let basis = Array.make m (-1) in
-    let slack_idx = ref nvars in
-    let art_idx = ref (nvars + n_slack) in
-    Array.iteri
-      (fun i c ->
-        let ib = i * ncols in
-        Array.iteri
-          (fun j q ->
-            tn.(ib + j) <- Rat.num q;
-            td.(ib + j) <- Rat.den q)
-          c.coeffs;
-        rhsn.(i) <- Rat.num c.rhs;
-        rhsd.(i) <- Rat.den c.rhs;
-        match c.rel with
-        | Le ->
-            tn.(ib + !slack_idx) <- 1;
-            basis.(i) <- !slack_idx;
-            incr slack_idx
-        | Ge ->
-            tn.(ib + !slack_idx) <- -1;
-            incr slack_idx;
-            tn.(ib + !art_idx) <- 1;
-            basis.(i) <- !art_idx;
-            incr art_idx
-        | Eq ->
-            tn.(ib + !art_idx) <- 1;
-            basis.(i) <- !art_idx;
-            incr art_idx)
-      constraints;
+    let n_art = count (fun r -> r <> Le) constraints in
     let art_start = nvars + n_slack in
-    (* Phase 1: minimise the sum of artificials. *)
-    let objn = Array.make ncols 0 and objd = Array.make ncols 1 in
-    for j = art_start to ncols - 1 do
-      objn.(j) <- 1
-    done;
-    let t =
-      {
-        m;
-        ncols;
-        nvars;
-        art_start;
-        tn;
-        td;
-        rhsn;
-        rhsd;
-        objn;
-        objd;
-        ovn = 0;
-        ovd = 1;
-        basis;
-      }
+    let ncols = art_start + n_art in
+    let basis = Array.make (Array.length constraints) (-1) in
+    let slack_idx = ref nvars and art_idx = ref art_start in
+    let next r =
+      let j = !r in
+      incr r;
+      j
     in
-    (* Price out the basic artificials from the phase-1 objective row. *)
-    for i = 0 to m - 1 do
-      if basis.(i) >= art_start then begin
-        let ib = i * ncols in
-        for j = 0 to ncols - 1 do
-          sub_mul t.objn t.objd j 1 1 t.tn.(ib + j) t.td.(ib + j)
-        done;
-        let ovn, ovd = sub_prod t.ovn t.ovd 1 1 t.rhsn.(i) t.rhsd.(i) in
-        t.ovn <- ovn;
-        t.ovd <- ovd
-      end
-    done;
-    t
+    let rows =
+      Array.mapi
+        (fun i c ->
+          let r = Array.make (ncols + 1) Rat.zero in
+          Array.blit c.coeffs 0 r 0 nvars;
+          r.(ncols) <- c.rhs;
+          (match c.rel with
+          | Le ->
+              let s = next slack_idx in
+              r.(s) <- Rat.one;
+              basis.(i) <- s
+          | Ge ->
+              r.(next slack_idx) <- Rat.minus_one;
+              let a = next art_idx in
+              r.(a) <- Rat.one;
+              basis.(i) <- a
+          | Eq ->
+              let a = next art_idx in
+              r.(a) <- Rat.one;
+              basis.(i) <- a);
+          r)
+        constraints
+    in
+    let obj =
+      Array.init (ncols + 1) (fun j ->
+          if j >= art_start && j < ncols then Rat.one else Rat.zero)
+    in
+    Array.iteri
+      (fun i r -> if basis.(i) >= art_start then sub_row obj Rat.one r)
+      rows;
+    { ncols; nvars; art_start; rows; obj; basis }
 
-  (* Run phase 1 to completion.  On feasibility, any artificial still
-     basic (at zero) is driven out where possible; a row whose artificial
-     cannot be driven out is redundant and harmless as long as artificials
-     are never allowed to re-enter (phase 2 restricts entering columns to
-     [j < art_start]). *)
-  let phase1_feasible t =
-    (match optimise t ~allowed:(fun _ -> true) with
+  (* Phase 1 to optimality.  On feasibility, any artificial still basic
+     (at zero) is driven out where possible; a row whose artificial cannot
+     be driven out is redundant and harmless as long as artificials never
+     re-enter (phase 2 restricts entering columns to [j < art_start]). *)
+  let phase1 ~nvars constraints =
+    let t = setup ~nvars constraints in
+    (match
+       optimise t ~enters:(fun j -> Rat.sign t.obj.(j) < 0) ~pivot:(pivot t)
+     with
     | Error `Unbounded ->
         (* Phase-1 objective is bounded below by 0; unreachable. *)
         assert false
     | Ok () -> ());
-    if -t.ovn > 0 then false
+    if Rat.sign t.obj.(t.ncols) < 0 then None
     else begin
-      for i = 0 to t.m - 1 do
-        if t.basis.(i) >= t.art_start then begin
-          let ib = i * t.ncols in
-          let j = ref 0 in
-          let found = ref false in
-          while (not !found) && !j < t.art_start do
-            if t.tn.(ib + !j) <> 0 then begin
-              pivot t ~row:i ~col:!j;
-              found := true
-            end;
-            incr j
-          done
-        end
-      done;
-      true
+      Array.iteri
+        (fun i r ->
+          if t.basis.(i) >= t.art_start then
+            let rec drive j =
+              if j < t.art_start then
+                if Rat.is_zero r.(j) then drive (j + 1)
+                else pivot t ~row:i ~col:j
+            in
+            drive 0)
+        t.rows;
+      Some t
     end
 
-  (* The reduced-cost row of [cost] (length nvars, zero-extended over
-     slack/artificial columns) w.r.t. the current basis, plus the matching
-     objective-value pair (the tableau convention stores the *negated*
-     objective value). *)
+  (* [cost] (length nvars, zero over slack and artificial columns) as a
+     cost row reduced w.r.t. the current basis. *)
   let reduce_cost_row t ~cost =
-    let rown = Array.make t.ncols 0 and rowd = Array.make t.ncols 1 in
+    let r = Array.make (t.ncols + 1) Rat.zero in
+    Array.blit cost 0 r 0 (Array.length cost);
     Array.iteri
-      (fun j q ->
-        rown.(j) <- Rat.num q;
-        rowd.(j) <- Rat.den q)
-      cost;
-    let vn = ref 0 and vd = ref 1 in
-    for i = 0 to t.m - 1 do
-      let b = t.basis.(i) in
-      let cb = if b < t.nvars then cost.(b) else Rat.zero in
-      if not (Rat.is_zero cb) then begin
-        let cbn = Rat.num cb and cbd = Rat.den cb in
-        let ib = i * t.ncols in
-        for j = 0 to t.ncols - 1 do
-          sub_mul rown rowd j cbn cbd t.tn.(ib + j) t.td.(ib + j)
-        done;
-        let n, d = sub_prod !vn !vd cbn cbd t.rhsn.(i) t.rhsd.(i) in
-        vn := n;
-        vd := d
-      end
-    done;
-    (rown, rowd, (!vn, !vd))
+      (fun i b ->
+        if b < t.nvars && not (Rat.is_zero cost.(b)) then
+          sub_row r cost.(b) t.rows.(i))
+      t.basis;
+    r
 
-  (* Install [cost] (length nvars) as the tableau objective, reduced
-     w.r.t. the current basis. *)
   let install_cost t ~cost =
-    let rown, rowd, (vn, vd) = reduce_cost_row t ~cost in
-    Array.blit rown 0 t.objn 0 t.ncols;
-    Array.blit rowd 0 t.objd 0 t.ncols;
-    t.ovn <- vn;
-    t.ovd <- vd
+    Array.blit (reduce_cost_row t ~cost) 0 t.obj 0 (t.ncols + 1)
 
-  let value t = Rat.make (neg_exn t.ovn) t.ovd
+  let value t = Rat.neg t.obj.(t.ncols)
 
   let solution t =
     let solution = Array.make t.nvars Rat.zero in
-    for i = 0 to t.m - 1 do
-      if t.basis.(i) < t.nvars then
-        solution.(t.basis.(i)) <- Rat.make t.rhsn.(i) t.rhsd.(i)
-    done;
+    Array.iteri
+      (fun i b -> if b < t.nvars then solution.(b) <- t.rows.(i).(t.ncols))
+      t.basis;
     solution
 end
 
-let solve ~objective ~cost constraints =
-  let nvars = Array.length cost in
-  let t = Tableau.setup ~nvars constraints in
-  if not (Tableau.phase1_feasible t) then Infeasible
-  else begin
-    (* Phase 2: install the real objective (reduced w.r.t. the basis). *)
-    let sign_cost =
-      match objective with
-      | Minimize -> cost
-      | Maximize -> Array.map Rat.neg cost
-    in
-    Tableau.install_cost t ~cost:sign_cost;
-    let allowed j = j < t.Tableau.art_start in
-    match Tableau.optimise t ~allowed with
-    | Error `Unbounded -> Unbounded
-    | Ok () ->
-        let solution = Tableau.solution t in
-        let value = Tableau.value t in
-        let value =
-          match objective with Minimize -> value | Maximize -> Rat.neg value
-        in
-        Optimal { value; solution }
-  end
-
-let minimize ~cost constraints = solve ~objective:Minimize ~cost constraints
-let maximize ~cost constraints = solve ~objective:Maximize ~cost constraints
-
-let pp_outcome fmt = function
-  | Unbounded -> Format.pp_print_string fmt "unbounded"
-  | Infeasible -> Format.pp_print_string fmt "infeasible"
-  | Optimal { value; solution } ->
-      Format.fprintf fmt "optimal %a at (%a)" Rat.pp value
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           Rat.pp)
-        (Array.to_list solution)
+let minimize ~cost constraints =
+  match Tableau.phase1 ~nvars:(Array.length cost) constraints with
+  | None -> Infeasible
+  | Some t -> (
+      Tableau.install_cost t ~cost;
+      let enters j = j < t.art_start && Rat.sign t.obj.(j) < 0 in
+      match Tableau.optimise t ~enters ~pivot:(Tableau.pivot t) with
+      | Error `Unbounded -> Unbounded
+      | Ok () -> Optimal { value = Tableau.value t; solution = Tableau.solution t })

@@ -14,97 +14,78 @@ type constr = {
   rhs : Iolb_util.Rat.t;
 }
 
-type objective = Minimize | Maximize
-
 type outcome =
   | Optimal of { value : Iolb_util.Rat.t; solution : Iolb_util.Rat.t array }
   | Unbounded
   | Infeasible
 
-(** The underlying dense exact-rational tableau, exposed so other solvers
-    over the same machinery ({!Psimplex}'s parametric-objective sweep) can
-    reuse setup, pivoting, and pricing instead of duplicating them.  All
-    operations may raise {!Iolb_util.Rat.Overflow}. *)
+(** The underlying dense tableau of {!Iolb_util.Rat} values, exposed so
+    other solvers over the same machinery ({!Psimplex}'s
+    parametric-objective sweep) reuse setup, pivoting, pricing and the
+    Bland loop instead of duplicating them.  All operations may raise
+    {!Iolb_util.Rat.Overflow}. *)
 module Tableau : sig
+  (** Every row has [ncols + 1] entries: one per column, then the
+      right-hand side.  A cost row has the same shape, its last entry
+      holding the negated objective value. *)
   type t = private {
-    m : int;  (** number of rows *)
     ncols : int;  (** structural + slack + artificial columns *)
     nvars : int;  (** structural columns *)
     art_start : int;  (** first artificial column *)
-    tn : int array;
-    td : int array;  (** entry (i,j) = tn/td at [i * ncols + j] *)
-    rhsn : int array;
-    rhsd : int array;
-    objn : int array;
-    objd : int array;  (** reduced-cost row *)
-    mutable ovn : int;
-    mutable ovd : int;  (** negated objective value, canonical *)
+    rows : Iolb_util.Rat.t array array;  (** constraint rows *)
+    obj : Iolb_util.Rat.t array;  (** the objective's reduced-cost row *)
     basis : int array;  (** basis.(i) = column basic in row i *)
   }
 
   (** Build the tableau for [constraints] over [nvars] non-negative
-      structural variables: slack/artificial columns added, rows
-      normalised to non-negative rhs, and the phase-1 objective (sum of
-      artificials) installed and priced out.
+      structural variables (slack and artificial columns added, rows
+      normalised to a non-negative rhs) and run phase 1 to optimality.
+      [None] means the constraints are infeasible.  On success, basic
+      artificials are driven out where possible; phase-2 callers must
+      keep artificials from re-entering by restricting entering columns
+      to [j < art_start].
       @raise Invalid_argument on inconsistent dimensions. *)
-  val setup : nvars:int -> constr list -> t
-
-  (** Run phase 1 to optimality.  [false] means the constraints are
-      infeasible.  On success, basic artificials are driven out where
-      possible; phase-2 callers must keep artificials from re-entering by
-      restricting entering columns to [j < art_start]. *)
-  val phase1_feasible : t -> bool
+  val phase1 : nvars:int -> constr list -> t option
 
   (** Install [cost] (length [nvars]) as the tableau objective, reduced
       with respect to the current basis. *)
   val install_cost : t -> cost:Iolb_util.Rat.t array -> unit
 
-  (** The reduced-cost row of [cost] w.r.t. the current basis, as
-      canonical num/den arrays of length [ncols], plus the matching
-      (negated) objective-value pair.  Does not modify the tableau. *)
-  val reduce_cost_row :
-    t -> cost:Iolb_util.Rat.t array -> int array * int array * (int * int)
+  (** The cost row of [cost] reduced w.r.t. the current basis (length
+      [ncols + 1], negated objective value last).  Does not modify the
+      tableau. *)
+  val reduce_cost_row : t -> cost:Iolb_util.Rat.t array -> Iolb_util.Rat.t array
 
   (** Pivot on (row, col): normalise the pivot row, eliminate the column
-      from all other rows, the objective row, and the rhs; update the
-      basis. *)
+      from all other rows and the objective row; update the basis. *)
   val pivot : t -> row:int -> col:int -> unit
 
   (** After [pivot t ~row ~col], eliminate the pivot column from a
-      caller-held auxiliary cost row [an]/[ad] (length [ncols]) with
-      value pair [(vn, vd)], exactly as [pivot] did for the built-in
-      objective row; returns the updated value pair. *)
-  val eliminate :
-    t -> row:int -> col:int -> int array -> int array -> int -> int ->
-    int * int
+      caller-held cost row, exactly as [pivot] did for [obj]. *)
+  val eliminate : t -> row:int -> col:int -> Iolb_util.Rat.t array -> unit
 
-  (** Lexicographic min-ratio test for entering column [col]: the row
-      with the smallest rhs/entry ratio among positive entries, ties
-      broken towards the lowest basic index.  [None] = unbounded ray. *)
-  val choose_leaving : t -> col:int -> int option
+  (** Bland's rule to optimality: while some column satisfies [enters],
+      the lowest such column enters, the leaving row is the lowest-ratio
+      row (ties towards the lowest basic index), and [pivot ~row ~col]
+      makes the step — [Tableau.pivot t], or a caller's wrapper that
+      keeps its own state in step. *)
+  val optimise :
+    t ->
+    enters:(int -> bool) ->
+    pivot:(row:int -> col:int -> unit) ->
+    (unit, [ `Unbounded ]) result
 
-  (** Bland's rule to optimality over the columns satisfying [allowed]. *)
-  val optimise : t -> allowed:(int -> bool) -> (unit, [ `Unbounded ]) result
-
-  (** Objective value to be minimised (negates the stored pair). *)
+  (** Objective value to be minimised (negates the stored entry). *)
   val value : t -> Iolb_util.Rat.t
 
   (** Structural-variable values under the current basis. *)
   val solution : t -> Iolb_util.Rat.t array
 end
 
-(** [solve ~objective ~cost constraints] optimises [cost . x] over
+(** [minimize ~cost constraints] minimises [cost . x] over
     [{ x >= 0 | every constraint holds }].
     @raise Invalid_argument on inconsistent dimensions. *)
-val solve :
-  objective:objective -> cost:Iolb_util.Rat.t array -> constr list -> outcome
-
-(** Convenience: [minimize ~cost constraints] = [solve ~objective:Minimize]. *)
 val minimize : cost:Iolb_util.Rat.t array -> constr list -> outcome
-
-val maximize : cost:Iolb_util.Rat.t array -> constr list -> outcome
 
 (** [constr coeffs rel rhs] with integer data, for readable call sites. *)
 val constr : int list -> relation -> int -> constr
-
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -676,6 +676,11 @@ type sampled = {
 
 let hash_space = 4611686018427387904.0 (* 2^62 *)
 
+(* A cell is kept iff its hash falls below [rate * 2^62]: below 2^-62 that
+   threshold is under one hash value, and the kept window no longer
+   matches the 1/rate the estimates scale by. *)
+let min_rate = 1.0 /. hash_space
+
 let sampled_exact s = s.s_exact
 let sampled_total_accesses s = s.s_total
 let sampled_kept_accesses s = s.s_kept
@@ -701,6 +706,10 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ~rate ~seed
     ~params prog =
   if not (rate > 0.0 && rate <= 1.0) then
     invalid_arg "Sweep.run_sampled: rate must be in (0, 1]";
+  if rate < min_rate then
+    invalid_arg
+      "Sweep.run_sampled: rate must be at least 2^-62, the sampling hash \
+       resolution";
   if not (Budget.is_unlimited budget) then
     Budget.check_deadline budget Budget.Cache_sim;
   let plan = Cplan.make ~params prog in

@@ -123,11 +123,15 @@ type sampled
     Exact results (rate 1) have zero width. *)
 type estimate = { est : float; lo : float; hi : float }
 
+(** The smallest sampling rate, 2^-62: the resolution of the 62-bit
+    sampling hash, below which no keep threshold matches the rate. *)
+val min_rate : float
+
 (** [run_sampled ~rate ~seed ~params p] scans the trace of [p] once,
     keeping cells at the given [rate], and sweeps the union sample plus
     8 disjoint sub-samples.  [rate >= 1] falls back to the exact
     {!run_program}.
-    @raise Invalid_argument if [rate] is outside (0, 1]. *)
+    @raise Invalid_argument if [rate] is outside [[min_rate, 1]]. *)
 val run_sampled :
   ?budget:Iolb_util.Budget.t ->
   ?flush:bool ->

@@ -121,6 +121,10 @@ let parse_empirical json =
       in
       if not (rate > 0. && rate <= 1.) then
         Error "field \"empirical.rate\" must be in (0, 1]"
+      else if rate < Iolb_pebble.Sweep.min_rate then
+        Error
+          "field \"empirical.rate\" must be at least 2^-62, the sampling \
+           hash resolution"
       else
         let* seed = int_field_default e "seed" 42 in
         Ok (Some { rate; seed })

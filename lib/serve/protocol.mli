@@ -34,7 +34,8 @@ val is_unlimited : budget_spec -> bool
     ["empirical": {"rate": r, "seed": k}]): run a sampled ([rate < 1])
     or exact streaming ([rate = 1]) cache sweep of the kernel at the
     evaluation point and report measured loads next to the bounds.
-    [rate] must lie in (0, 1]; [seed] defaults to 42. *)
+    [rate] must lie in (0, 1] and be at least
+    {!Iolb_pebble.Sweep.min_rate} (2^-62); [seed] defaults to 42. *)
 type empirical_spec = { rate : float; seed : int }
 
 type op =

@@ -45,25 +45,6 @@ let derivative p =
          (Array.length p - 1)
          (fun i -> Rat.mul (Rat.of_int (i + 1)) p.(i + 1)))
 
-let sub p q =
-  let n = max (Array.length p) (Array.length q) in
-  let at a i = if i < Array.length a then a.(i) else Rat.zero in
-  normalize (Array.init n (fun i -> Rat.sub (at p i) (at q i)))
-
-let mul p q =
-  if is_zero p || is_zero q then [||]
-  else begin
-    let r = Array.make (Array.length p + Array.length q - 1) Rat.zero in
-    Array.iteri
-      (fun i pi ->
-        if not (Rat.is_zero pi) then
-          Array.iteri
-            (fun j qj -> r.(i + j) <- Rat.add r.(i + j) (Rat.mul pi qj))
-            q)
-      p;
-    normalize r
-  end
-
 (* Positive scaling to coprime integer coefficients (the primitive part).
    Keeps the remainder-sequence coefficients from exploding; signs are
    preserved, which is all Sturm's theorem cares about. *)

@@ -31,10 +31,7 @@ val of_polynomial : var:string -> Polynomial.t -> t
 (** [-1] for the zero polynomial. *)
 val degree : t -> int
 
-val is_zero : t -> bool
 val eval : t -> Iolb_util.Rat.t -> Iolb_util.Rat.t
-val sub : t -> t -> t
-val mul : t -> t -> t
 
 (** Disjoint intervals [(a, b]], in increasing order, each of width at
     most 1 and containing exactly one distinct real root of [p], covering

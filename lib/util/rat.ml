@@ -58,6 +58,22 @@ let add a b =
 let neg q = { q with num = neg_exn q.num }
 let sub a b = add a (neg b)
 
+(* [sub a (mul f p)] fused: the product stays in registers, so only the
+   result is allocated (none when [a] comes back unchanged).  Each checked
+   operation is the one [sub]/[mul] would run, so both raise {!Overflow}
+   on the same operands. *)
+let sub_mul a f p =
+  if f.num = 0 || p.num = 0 then a
+  else
+    let g1 = gcd f.num p.den and g2 = gcd p.num f.den in
+    let qn = mul_exn (f.num / g1) (p.num / g2)
+    and qd = mul_exn (f.den / g2) (p.den / g1) in
+    let g = gcd a.den qd in
+    let da = a.den / g and db = qd / g in
+    let n = add_exn (mul_exn a.num db) (mul_exn (neg_exn qn) da) in
+    let d = mul_exn a.den db in
+    if n = 0 then zero else make n d
+
 let mul a b =
   let g1 = gcd a.num b.den and g2 = gcd b.num a.den in
   let g1 = if g1 = 0 then 1 else g1 and g2 = if g2 = 0 then 1 else g2 in

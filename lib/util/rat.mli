@@ -42,6 +42,12 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 
+(** [sub_mul a f p] is [sub a (mul f p)], the elimination step of the
+    simplex tableau, allocating only its result (nothing when [f] or [p]
+    is zero, which returns [a]).  It raises {!Overflow} exactly when
+    [sub a (mul f p)] does. *)
+val sub_mul : t -> t -> t -> t
+
 (** @raise Division_by_zero if the divisor is zero. *)
 val div : t -> t -> t
 
@@ -69,9 +75,9 @@ val ceil : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** Overflow-checked native [int] arithmetic, shared with callers (the
-    simplex tableau) that unbox rationals into parallel [num]/[den]
-    arrays but must keep exactly the same overflow behaviour.
+(** Overflow-checked native [int] arithmetic, shared with integer
+    callers (the loop-nest access counts, Sturm's content normalisation)
+    that must keep exactly the same overflow behaviour.
     @raise Overflow when the exact result does not fit in an [int]. *)
 
 val add_exn : int -> int -> int

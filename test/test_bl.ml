@@ -128,6 +128,65 @@ let admissibility_prop =
                     Rat.sign e >= 0 && Rat.compare e Rat.one <= 0)
                   sol.Bl.exponents))
 
+(* [classical] solves once where [optimize] runs three stages; on the same
+   alpha = 1 projections both must give the same rho (and classical no W
+   or 2 exponent). *)
+let classical_matches_optimize ~dims dimsets =
+  let projs =
+    List.mapi
+      (fun j ds -> Bl.proj ~alpha:Rat.one ~label:(Printf.sprintf "p%d" j) ds)
+      dimsets
+  in
+  match (Bl.classical ~dims dimsets, Bl.optimize ~dims projs) with
+  | None, None -> true
+  | Some c, Some o ->
+      Rat.equal c.Bl.k_exponent o.Bl.k_exponent
+      && Rat.is_zero c.Bl.w_exponent
+      && Rat.is_zero c.Bl.two_exponent
+  | _ -> false
+
+let classical_one_solve_prop =
+  let dims = [ "a"; "b"; "c" ] in
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 5)
+        (list_size (int_range 1 3) (oneofl dims)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"classical rho = optimize rho (random families)"
+       ~count:300 gen (fun dimsets ->
+         classical_matches_optimize ~dims
+           (List.map (List.sort_uniq String.compare) dimsets)))
+
+(* Every family the classical rung poses on the registry: the projections
+   of each program's deepest statements. *)
+let test_classical_registry_families () =
+  let families =
+    List.concat_map
+      (fun (entry : Iolb.Report.entry) ->
+        let p = entry.program in
+        let stmts = Iolb_ir.Program.statements p in
+        let depth (i : Iolb_ir.Program.stmt_info) = List.length i.dims in
+        let deepest = List.fold_left (fun d i -> max d (depth i)) 0 stmts in
+        List.filter_map
+          (fun (i : Iolb_ir.Program.stmt_info) ->
+            if depth i < deepest then None
+            else
+              Some
+                ( entry.display ^ "/" ^ i.def.name,
+                  i.dims,
+                  List.map (fun (ph : Iolb.Phi.t) -> ph.dims)
+                    (Iolb.Phi.of_statement p i) ))
+          stmts)
+      Iolb.Report.registry
+  in
+  Alcotest.(check bool) "at least one family per program" true
+    (List.length families >= List.length Iolb.Report.registry);
+  List.iter
+    (fun (name, dims, dimsets) ->
+      Alcotest.(check bool) name true (classical_matches_optimize ~dims dimsets))
+    families
+
 let suite =
   [
     Alcotest.test_case "Loomis-Whitney certificate" `Quick test_loomis_whitney;
@@ -139,4 +198,7 @@ let suite =
     Alcotest.test_case "flatness preferred over K" `Quick
       test_flatness_preference;
     admissibility_prop;
+    classical_one_solve_prop;
+    Alcotest.test_case "classical rho = optimize rho (registry families)"
+      `Quick test_classical_registry_families;
   ]

@@ -94,6 +94,7 @@ let test_parse_request () =
       {|{"op":"analyze","kernel":"mgs","fault":3}|};
       {|{"op":"eval","kernel":"mgs","empirical":{"rate":1.5}}|};
       {|{"op":"eval","kernel":"mgs","empirical":{"rate":0}}|};
+      {|{"op":"eval","kernel":"mgs","empirical":{"rate":4.9e-324}}|};
       {|{"op":"eval","kernel":"mgs","empirical":{}}|};
       {|{"op":"eval","kernel":"mgs","empirical":"yes"}|};
       {|{"op":"eval","kernel":"mgs","empirical":{"rate":0.5,"seed":"x"}}|};

@@ -21,10 +21,17 @@ let test_isolate_quadratic () =
         (Rat.sign (St.eval p a) * Rat.sign (St.eval p b) < 0))
     roots
 
+(* A product of linear factors, built with {!Poly} and viewed in x. *)
+let product_of_roots roots =
+  let open Poly.Infix in
+  St.of_polynomial ~var:"x"
+    (List.fold_left
+       (fun acc r -> acc * (Poly.var "x" - Poly.of_int r))
+       Poly.one roots)
+
 let test_isolate_multiple_root () =
   (* (x - 1)^2 (x + 2): a double root counts once. *)
-  let x1 = St.of_coeffs [ q (-1); q 1 ] in
-  let p = St.mul (St.mul x1 x1) (St.of_coeffs [ q 2; q 1 ]) in
+  let p = product_of_roots [ 1; 1; -2 ] in
   let roots = St.isolate_roots p ~lo:(q (-5)) ~hi:(q 5) in
   Alcotest.(check int) "two distinct roots" 2 (List.length roots)
 
@@ -53,8 +60,7 @@ let prop_isolate_cubic =
     ~print:(fun (a, b, c) -> Printf.sprintf "(%d, %d, %d)" a b c)
     gen
     (fun (a, b, c) ->
-      let lin r = St.of_coeffs [ q (-r); q 1 ] in
-      let p = St.mul (lin a) (St.mul (lin b) (lin c)) in
+      let p = product_of_roots [ a; b; c ] in
       let expected = List.sort_uniq compare [ a; b; c ] in
       let got = St.isolate_roots p ~lo:(q (-10)) ~hi:(q 10) in
       List.length got = List.length expected

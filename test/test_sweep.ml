@@ -294,6 +294,29 @@ let test_data_programs () =
         (S.sampled_total_accesses sampled))
     [ "rank_mismatch"; "hull_overflow"; "sparse_hull"; "skew" ]
 
+(* Below the hash resolution 2^-62 no keep threshold matches the rate,
+   so the estimates would scale by a 1/rate the scan never sampled at
+   (4.9e-324 made them nan, 1e-300 made them 0). *)
+let test_sampled_rate_floor () =
+  let run rate = ignore (S.run_sampled ~rate ~seed:3 ~params:mgs_params mgs) in
+  let below =
+    Invalid_argument
+      "Sweep.run_sampled: rate must be at least 2^-62, the sampling hash \
+       resolution"
+  in
+  Alcotest.check_raises "4.9e-324" below (fun () -> run 4.9e-324);
+  Alcotest.check_raises "2^-63" below (fun () -> run (Float.ldexp 1.0 (-63)));
+  Alcotest.check_raises "0 keeps its message"
+    (Invalid_argument "Sweep.run_sampled: rate must be in (0, 1]") (fun () ->
+      run 0.0);
+  Alcotest.(check (float 0.0)) "floor" (Float.ldexp 1.0 (-62)) S.min_rate;
+  let s = S.run_sampled ~rate:S.min_rate ~seed:3 ~params:mgs_params mgs in
+  let l, h, st = S.sampled_stats s ~size:4 in
+  List.iter
+    (fun (what, e) ->
+      Alcotest.(check bool) (what ^ " is a number") false (Float.is_nan e.S.est))
+    [ ("loads", l); ("hits", h); ("stores", st) ]
+
 let test_sampled_rate_one_exact () =
   let s = S.run_sampled ~rate:1.0 ~seed:3 ~params:mgs_params mgs in
   Alcotest.(check bool) "exact" true (S.sampled_exact s);
@@ -377,6 +400,8 @@ let suite =
       test_run_program_streams;
     Alcotest.test_case "sampled rate 1 is exact" `Quick
       test_sampled_rate_one_exact;
+    Alcotest.test_case "sampled rate floor is 2^-62" `Quick
+      test_sampled_rate_floor;
     Alcotest.test_case "sampled CIs cover exact (fixed seeds)" `Quick
       test_sampled_coverage_fixed_seeds;
     Alcotest.test_case "test/data programs = per-size LRU" `Quick

@@ -45,7 +45,6 @@ module Trace = Iolb_pebble.Trace
 module Pool = Iolb_util.Pool
 module Json = Iolb_util.Json
 module K = Iolb_kernels
-module Matrix = Iolb_kernels.Matrix
 
 (* The registry programs these sections analyse directly. *)
 let mgs = (Report.find "mgs").program
@@ -1074,7 +1073,6 @@ let timings () =
   let cdag = Cdag.of_program ~params:mgs_params mgs in
   let schedule = Game.program_schedule cdag in
   let trace = Trace.of_program ~params:[] (K.Mgs.tiled_spec ~m:16 ~n:8 ~b:2) in
-  let a = Matrix.random 32 16 in
   let hg = List.hd (Hourglass.detect mgs) in
   let tests =
     [
@@ -1093,8 +1091,6 @@ let timings () =
         (Staged.stage (fun () -> ignore (Game.run cdag ~s:24 ~schedule)));
       Test.make ~name:"cache: OPT on tiled mgs trace"
         (Staged.stage (fun () -> ignore (Cache.opt ~size:64 trace)));
-      Test.make ~name:"kernel: mgs factor 32x16"
-        (Staged.stage (fun () -> ignore (K.Mgs.factor a)));
       Test.make ~name:"hourglass: verify mgs 6x4"
         (Staged.stage (fun () ->
              ignore

@@ -188,19 +188,8 @@ let eval_cmd =
   let run name m n s budget_spec =
     run_checked @@ fun () ->
     let* budget = make_budget budget_spec in
-    let* subject = Driver.lookup name in
-    let* entry =
-      match subject with
-      | Driver.Paper entry -> Ok entry
-      | Driver.Program _ ->
-          Error
-            (Engine_error.Unsupported
-               (Printf.sprintf
-                  "eval needs a paper kernel's theorem formula; %s is a \
-                   baseline (try analyze or simulate)"
-                  name))
-    in
-    let* _params = Driver.point ~s subject ~m ~n in
+    let* entry = Driver.eval_entry name in
+    let* _params = Driver.point ~s (Driver.Paper entry) ~m ~n in
     let* a = Engine_error.guard (fun () -> Report.analyze ~budget entry) in
     Printf.printf "%s at m=%d n=%d s=%d:\n" entry.display m n s;
     (match a.degradation with

@@ -69,6 +69,18 @@ let lookup name =
       | Some (_, program, verify) -> Ok (Program { Front.program; verify })
       | None -> Error e)
 
+let eval_entry name =
+  let* subject = lookup name in
+  match subject with
+  | Paper entry -> Ok entry
+  | Program _ ->
+      Error
+        (Engine_error.Unsupported
+           (Printf.sprintf
+              "eval needs a paper kernel's theorem formula; %s is a \
+               baseline (try analyze or simulate)"
+              name))
+
 let point ?s ?(overrides = []) subject ~m ~n =
   let invalid = Engine_error.invalid in
   let* params, at =

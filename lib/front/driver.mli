@@ -39,6 +39,11 @@ val source : subject -> Front.source
     {!Iolb.Report.find}'s message. *)
 val lookup : string -> (subject, Iolb_util.Engine_error.t) result
 
+(** [eval_entry name] is the registry entry [eval] evaluates: {!lookup}'s
+    paper kernel, since [eval] needs its theorem formula.  A baseline is
+    [Unsupported]; any other name is {!lookup}'s error. *)
+val eval_entry : string -> (Iolb.Report.entry, Iolb_util.Engine_error.t) result
+
 (** [point ?s ?overrides subject ~m ~n] is the concrete parameter binding
     of a subject: {!Iolb.Report.concrete_params} at [(m, n)] for a paper
     kernel, the verify sizes with [overrides] applied for a program

@@ -1,7 +1,5 @@
 open Shorthand
 
-let run = Matrix.mul
-
 let tiled_spec ~m ~n ~k ~b =
   if b < 1 then invalid_arg "Gemm.tiled_spec: b < 1";
   if m mod b <> 0 || n mod b <> 0 || k mod b <> 0 then

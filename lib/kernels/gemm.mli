@@ -1,10 +1,8 @@
-(** Dense matrix multiplication [C = A * B], the classical baseline: its
-    K-partition bound (Theta(MNK / sqrt(S))) has no hourglass improvement,
-    which exercises the classical derivation path of the engine. *)
-
-(** [run a b] computes the product in the loop order of
-    [examples/kernels/gemm.iolb]. *)
-val run : Matrix.t -> Matrix.t -> Matrix.t
+(** Dense matrix multiplication [C = A * B], the classical baseline
+    ([examples/kernels/gemm.iolb]): its K-partition bound
+    (Theta(MNK / sqrt(S))) has no hourglass improvement.  This module holds
+    its cubic-blocked ordering, which ends with the same [C] as the
+    registry program (the term check in [test/test_kernel_errors.ml]). *)
 
 (** [tiled_spec ~m ~n ~k ~b] is the classic cubic-blocked ordering as a
     concrete program for trace generation (all of [b] must divide the

@@ -1,84 +1,8 @@
 open Shorthand
 
-let factor a =
-  let m, n = Matrix.dims a in
-  if m < n then invalid_arg "Mgs.factor: need m >= n";
-  let q = Matrix.copy a in
-  let r = Matrix.create n n in
-  for k = 0 to n - 1 do
-    let nrm = ref 0. in
-    for i = 0 to m - 1 do
-      nrm := !nrm +. (Matrix.get q i k *. Matrix.get q i k)
-    done;
-    let rkk = sqrt !nrm in
-    Matrix.set r k k rkk;
-    for i = 0 to m - 1 do
-      Matrix.set q i k (Matrix.get q i k /. rkk)
-    done;
-    for j = k + 1 to n - 1 do
-      let rkj = ref 0. in
-      for i = 0 to m - 1 do
-        rkj := !rkj +. (Matrix.get q i k *. Matrix.get q i j)
-      done;
-      Matrix.set r k j !rkj;
-      for i = 0 to m - 1 do
-        Matrix.set q i j (Matrix.get q i j -. (Matrix.get q i k *. !rkj))
-      done
-    done
-  done;
-  (q, r)
-
 (* Left-looking tiled ordering, Figure 8 of the paper.  The current block of
    B columns stays resident; each previous column is streamed in once per
    block.  With (M+1)B < S the I/O is ~ M^2 N^2 / (2S). *)
-let factor_tiled ~b a =
-  if b < 1 then invalid_arg "Mgs.factor_tiled: b < 1";
-  let m, n = Matrix.dims a in
-  if m < n then invalid_arg "Mgs.factor_tiled: need m >= n";
-  let q = Matrix.copy a in
-  let r = Matrix.create n n in
-  let j0 = ref 0 in
-  while !j0 < n do
-    let jhi = min (!j0 + b - 1) (n - 1) in
-    (* Project the block against all columns to its left. *)
-    for i = 0 to !j0 - 1 do
-      for j = !j0 to jhi do
-        let rij = ref 0. in
-        for k = 0 to m - 1 do
-          rij := !rij +. (Matrix.get q k i *. Matrix.get q k j)
-        done;
-        Matrix.set r i j !rij;
-        for k = 0 to m - 1 do
-          Matrix.set q k j (Matrix.get q k j -. (Matrix.get q k i *. !rij))
-        done
-      done
-    done;
-    (* Factor the block itself (unblocked MGS within the block). *)
-    for j = !j0 to jhi do
-      for i = !j0 to j - 1 do
-        let rij = ref 0. in
-        for k = 0 to m - 1 do
-          rij := !rij +. (Matrix.get q k i *. Matrix.get q k j)
-        done;
-        Matrix.set r i j !rij;
-        for k = 0 to m - 1 do
-          Matrix.set q k j (Matrix.get q k j -. (Matrix.get q k i *. !rij))
-        done
-      done;
-      let nrm = ref 0. in
-      for k = 0 to m - 1 do
-        nrm := !nrm +. (Matrix.get q k j *. Matrix.get q k j)
-      done;
-      let rjj = sqrt !nrm in
-      Matrix.set r j j rjj;
-      for k = 0 to m - 1 do
-        Matrix.set q k j (Matrix.get q k j /. rjj)
-      done
-    done;
-    j0 := !j0 + b
-  done;
-  (q, r)
-
 let tiled_spec ~m ~n ~b =
   if b < 1 then invalid_arg "Mgs.tiled_spec: b < 1";
   if n mod b <> 0 then invalid_arg "Mgs.tiled_spec: b must divide n";

@@ -1,25 +1,16 @@
-(** Modified Gram-Schmidt (MGS).
+(** Modified Gram-Schmidt (MGS): the tiled orderings of Appendix A.1.
 
     The right-looking polyhedral program of the paper (Figure 1), input to
-    the lower-bound engine, is [examples/kernels/mgs.iolb].  This module
-    holds the executable views:
-    - {!factor}: the right-looking factorisation;
-    - {!factor_tiled} / {!tiled_spec}: the left-looking tiled ordering of
-      Appendix A.1 (Figure 8), whose I/O matches the new lower bound when
-      [(M+1)*B < S]. *)
+    the lower-bound engine, is [examples/kernels/mgs.iolb].  The orderings
+    here are concrete (parameter-free) programs over the same statements,
+    for trace generation and cache simulation.  They normalise in place:
+    their [A] ends where the registry program's [Q] does, and their [R]
+    where its [R] does, which the term check in
+    [test/test_kernel_errors.ml] verifies cell by cell. *)
 
-(** [factor a] returns [(q, r)] with [a = q * r], [q] having orthonormal
-    columns, for a full-column-rank [m x n] matrix with [m >= n]. *)
-val factor : Matrix.t -> Matrix.t * Matrix.t
-
-(** [factor_tiled ~b a]: the Figure 8 left-looking tiled ordering with block
-    size [b >= 1].  Results are numerically equivalent to {!factor} up to
-    rounding. *)
-val factor_tiled : b:int -> Matrix.t -> Matrix.t * Matrix.t
-
-(** [tiled_spec ~m ~n ~b] is the Figure 8 ordering as a concrete
-    (parameter-free) program, for trace generation and cache simulation.
-    Requires [1 <= b]. *)
+(** [tiled_spec ~m ~n ~b] is the Figure 8 left-looking ordering, whose I/O
+    matches the new lower bound when [(M+1)*B < S].  Requires [1 <= b] and
+    [b] dividing [n]. *)
 val tiled_spec : m:int -> n:int -> b:int -> Iolb_ir.Program.t
 
 (** [tiled_right_spec ~m ~n ~b] is the right-looking tiled variant the

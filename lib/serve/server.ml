@@ -201,10 +201,28 @@ let empirical_for t entry ~params ~s (budget : Protocol.budget_spec)
          ("stores", estimate stores);
        ])
 
-let with_entry t ~id kernel k =
-  match Engine_error.guard (fun () -> Report.find kernel) with
+(* Kernel names resolve as on the command line ([Driver.lookup] or
+   [Driver.eval_entry]); a name that does not resolve is answered with the
+   resolver's error. *)
+let with_resolved t ~id resolved k =
+  match resolved with
   | Error e -> respond_error t ~id (Protocol.Engine e)
-  | Ok entry -> k entry
+  | Ok x -> k x
+
+(* The graceful-degradation ladder on a program, in the [source] payload
+   shape (the kernel is the program's name). *)
+let ladder_result t ~spec budget (source : Front.source) =
+  let ( let* ) = Result.bind in
+  let* b = make_budget t budget in
+  let* hgs, o =
+    Derive.ladder ~budget:b ~verify_params:source.Front.verify
+      source.Front.program
+  in
+  Ok
+    ( Protocol.source_result ~spec
+        ~kernel:source.Front.program.Iolb_ir.Program.name
+        ~hourglasses:(List.length hgs) o,
+      o.Derive.degradation )
 
 (* The one cached-response path of the engine ops.  The LRU answers
    unless a fault hook is in play (fault-injected requests must exercise
@@ -242,11 +260,17 @@ let handle_engine t (req : Protocol.request) =
              (Engine_error.Unsupported
                 "crash injection disabled (start the server with \
                  --allow-crash)"))
-  | Protocol.Analyze { kernel; budget } ->
-      with_entry t ~id kernel @@ fun entry ->
-      cached t req ~op:"analyze" ~display:entry.display budget @@ fun spec ->
-      let* a = analysis_for t entry budget in
-      Ok (Protocol.analysis_result ~spec a, a.degradation)
+  | Protocol.Analyze { kernel; budget } -> (
+      with_resolved t ~id (Driver.lookup kernel) @@ function
+      | Driver.Paper entry ->
+          cached t req ~op:"analyze" ~display:entry.display budget
+          @@ fun spec ->
+          let* a = analysis_for t entry budget in
+          Ok (Protocol.analysis_result ~spec a, a.degradation)
+      | Driver.Program source ->
+          (* a baseline: its ladder outcome, as for its source text *)
+          cached t req ~op:"analyze" ~display:kernel budget @@ fun spec ->
+          ladder_result t ~spec budget source)
   | Protocol.Source { src; budget } -> (
       (* Inline DSL source: parse, then run the graceful-degradation
          ladder.  Parse failures are Invalid_input with the diagnostic's
@@ -256,18 +280,9 @@ let handle_engine t (req : Protocol.request) =
           respond_error t ~id (Protocol.Engine (Diag.to_engine_error d))
       | Ok source ->
           cached t req ~op:"source" ~display:"" budget @@ fun spec ->
-          let* b = make_budget t budget in
-          let* hgs, o =
-            Derive.ladder ~budget:b ~verify_params:source.Front.verify
-              source.Front.program
-          in
-          Ok
-            ( Protocol.source_result ~spec
-                ~kernel:source.Front.program.Iolb_ir.Program.name
-                ~hourglasses:(List.length hgs) o,
-              o.Derive.degradation ))
+          ladder_result t ~spec budget source)
   | Protocol.Eval { kernel; m; n; s; empirical; budget } -> (
-      with_entry t ~id kernel @@ fun entry ->
+      with_resolved t ~id (Driver.eval_entry kernel) @@ fun entry ->
       (* The CLI's domain check: an impossible point is invalid input,
          answered before the cache sees it. *)
       match Driver.point ~s (Driver.Paper entry) ~m ~n with

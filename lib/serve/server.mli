@@ -11,7 +11,10 @@
     queueing without limit; a {!Iolb_util.Pool.Workers} group drains the
     queue.  Responses for complete (non-degraded, non-fault) analyses are
     cached in a content-addressed {!Lru}, so repeated requests for the
-    same spec are served as byte-identical string splices.  An [eval]
+    same spec are served as byte-identical string splices.  Kernel names
+    resolve as on the command line ({!Iolb_front.Driver.lookup}): a
+    baseline's [analyze] answers its ladder outcome in the [source]
+    payload shape, and its [eval] is [unsupported].  An [eval]
     point outside the kernel's domain ({!Iolb_front.Driver.point}, the
     CLI's check) is answered [invalid_input] before the cache is
     consulted, and is never cached.

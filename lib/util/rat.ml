@@ -80,7 +80,18 @@ let mul a b =
   make (mul_exn (a.num / g1) (b.num / g2)) (mul_exn (a.den / g2) (b.den / g1))
 
 let inv q = if q.num = 0 then raise Division_by_zero else make q.den q.num
-let div a b = mul a (inv b)
+
+(* [mul a (inv b)] fused: [inv b] stays in registers, so only the result
+   is allocated.  [b] is canonical, so inverting it only moves its sign.
+   Each checked operation is the one [inv]/[mul] would run, so both raise
+   {!Division_by_zero} and {!Overflow} on the same operands. *)
+let div a b =
+  if b.num = 0 then raise Division_by_zero;
+  let negative = b.num < 0 in
+  let bn = if negative then neg_exn b.den else b.den in
+  let bd = if negative then neg_exn b.num else b.num in
+  let g1 = gcd a.num bd and g2 = gcd bn a.den in
+  make (mul_exn (a.num / g1) (bn / g2)) (mul_exn (a.den / g2) (bd / g1))
 let abs q = { q with num = Stdlib.abs q.num }
 let equal a b = a.num = b.num && a.den = b.den
 

@@ -48,7 +48,9 @@ val mul : t -> t -> t
     [sub a (mul f p)] does. *)
 val sub_mul : t -> t -> t -> t
 
-(** @raise Division_by_zero if the divisor is zero. *)
+(** [div a b] is [mul a (inv b)], allocating only its result; it raises
+    {!Overflow} exactly when that does.
+    @raise Division_by_zero if the divisor is zero. *)
 val div : t -> t -> t
 
 val neg : t -> t

@@ -10,7 +10,6 @@ let () =
       ("poly-sets", Test_poly.suite);
       ("program", Test_program.suite);
       ("cplan", Test_cplan.suite);
-      ("kernels", Test_kernels.suite);
       ("kernel-errors", Test_kernel_errors.suite);
       ("fault-injection", Test_fault_injection.suite);
       ("hourglass", Test_hourglass.suite);
@@ -21,7 +20,6 @@ let () =
       ("baselines", Test_baselines.suite);
       ("bl", Test_bl.suite);
       ("phi", Test_phi.suite);
-      ("matrix", Test_matrix.suite);
       ("asymptotic", Test_asymptotic.suite);
       ("report", Test_report.suite);
       ("small-modules", Test_small_modules.suite);

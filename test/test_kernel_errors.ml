@@ -1,10 +1,11 @@
-(* Input validation of the kernel APIs: shape preconditions must be
+(* Input validation of the tiled orderings: bad block sizes must be
    rejected loudly, not produce garbage - and the engine's entry points,
    behind Engine_error.guard, must classify failures into the exact
-   Engine_error constructor the exit-code contract promises. *)
+   Engine_error constructor the exit-code contract promises.  Plus the
+   check that each tiled ordering computes its registry program. *)
 
 module K = Iolb_kernels
-module Matrix = Iolb_kernels.Matrix
+module Interp = Iolb_check.Interp
 module Report = Iolb.Report
 module Budget = Iolb_util.Budget
 module EE = Iolb_util.Engine_error
@@ -14,57 +15,6 @@ let raises_invalid f =
     ignore (f ());
     false
   with Invalid_argument _ -> true
-
-let test_shape_preconditions () =
-  let wide = Matrix.random 3 5 in
-  Alcotest.(check bool) "mgs needs m >= n" true
-    (raises_invalid (fun () -> K.Mgs.factor wide));
-  Alcotest.(check bool) "geqr2 needs m >= n" true
-    (raises_invalid (fun () -> K.Householder.geqr2 wide));
-  Alcotest.(check bool) "gebd2 needs m >= n" true
-    (raises_invalid (fun () -> K.Gebd2.reduce wide));
-  Alcotest.(check bool) "gebd2 needs n >= 1" true
-    (raises_invalid (fun () -> K.Gebd2.reduce (Matrix.create 3 0)));
-  Alcotest.(check bool) "gehd2 needs square" true
-    (raises_invalid (fun () -> K.Gehd2.reduce wide));
-  Alcotest.(check bool) "cholesky needs square" true
-    (raises_invalid (fun () -> K.Cholesky.factor wide));
-  Alcotest.(check bool) "lu needs square" true
-    (raises_invalid (fun () -> K.Lu.factor wide));
-  Alcotest.(check bool) "gemm needs compatible dims" true
-    (raises_invalid (fun () -> K.Gemm.run wide wide));
-  Alcotest.(check bool) "trsm needs matching sizes" true
-    (raises_invalid (fun () -> K.Trsm.solve wide wide));
-  Alcotest.(check bool) "atax needs matching vector" true
-    (raises_invalid (fun () -> K.Atax.run wide [| 1.; 2. |]));
-  Alcotest.(check bool) "org2r needs matching rows" true
-    (raises_invalid (fun () ->
-         K.Householder.org2r (K.Householder.geqr2 (Matrix.random 5 3)) ~rows:4));
-  Alcotest.(check bool) "geqr2_tiled needs m >= n" true
-    (raises_invalid (fun () -> K.Householder.geqr2_tiled ~b:1 wide));
-  Alcotest.(check bool) "factor_tiled needs m >= n" true
-    (raises_invalid (fun () -> K.Mgs.factor_tiled ~b:1 wide))
-
-let test_matrix_preconditions () =
-  Alcotest.(check bool) "create rejects negative dims" true
-    (raises_invalid (fun () -> Matrix.create (-1) 3));
-  Alcotest.(check bool) "mul rejects mismatched dims" true
-    (raises_invalid (fun () -> Matrix.mul (Matrix.create 2 3) (Matrix.create 2 3)));
-  Alcotest.(check bool) "sub rejects mismatched dims" true
-    (raises_invalid (fun () -> Matrix.sub (Matrix.create 2 3) (Matrix.create 3 2)));
-  Alcotest.(check bool) "submatrix rejects out-of-range" true
-    (raises_invalid (fun () ->
-         Matrix.submatrix (Matrix.create 3 3) ~row:2 ~col:0 ~rows:2 ~cols:1))
-
-let test_numeric_preconditions () =
-  (* Cholesky on a non-SPD matrix must fail, not return NaNs. *)
-  let not_spd = Matrix.init 3 3 (fun i j -> if i = j then -1. else 0.) in
-  Alcotest.(check bool) "cholesky rejects non-SPD" true
-    (raises_invalid (fun () -> K.Cholesky.factor not_spd));
-  (* LU with a structurally zero pivot. *)
-  let singular = Matrix.create 3 3 in
-  Alcotest.(check bool) "lu rejects zero pivot" true
-    (raises_invalid (fun () -> K.Lu.factor singular))
 
 let test_tiled_spec_preconditions () =
   Alcotest.(check bool) "tiled mgs: b must divide n" true
@@ -82,12 +32,7 @@ let test_tiled_spec_preconditions () =
   Alcotest.(check bool) "tiled right mgs: b must divide n" true
     (raises_invalid (fun () -> K.Mgs.tiled_right_spec ~m:8 ~n:6 ~b:4));
   Alcotest.(check bool) "tiled right mgs: b >= 1" true
-    (raises_invalid (fun () -> K.Mgs.tiled_right_spec ~m:8 ~n:6 ~b:0));
-  Alcotest.(check bool) "geqr2_tiled: b >= 1" true
-    (raises_invalid (fun () ->
-         K.Householder.geqr2_tiled ~b:0 (Matrix.random 5 3)));
-  Alcotest.(check bool) "factor_tiled: b >= 1" true
-    (raises_invalid (fun () -> K.Mgs.factor_tiled ~b:0 (Matrix.random 5 3)))
+    (raises_invalid (fun () -> K.Mgs.tiled_right_spec ~m:8 ~n:6 ~b:0))
 
 (* The typed-error layer: exact constructors, not just "some failure". *)
 let test_typed_error_paths () =
@@ -162,14 +107,79 @@ let test_typed_error_paths () =
   | EE.Internal _ -> ()
   | _ -> Alcotest.fail "of_exn: Failure must be Internal"
 
-let test_tiled_block_one_matches_untiled_io_order () =
-  (* b = 1 tiled MGS is the plain left-looking column algorithm: its trace
-     is valid and its CDAG executes the same multiset of statement kinds
-     as b = 2 at the same sizes (same work, different order). *)
-  let count spec = List.length (Iolb_check.Interp.instances ~params:[] spec) in
-  Alcotest.(check int) "same work across block sizes"
-    (count (K.Mgs.tiled_spec ~m:8 ~n:4 ~b:1))
-    (count (K.Mgs.tiled_spec ~m:8 ~n:4 ~b:2))
+(* The traced tiled orderings compute what the registry programs compute.
+   A term is an input cell, or [f] of the terms read, in statement order.
+   Both walks intern their terms in one shared table, so a term is an int
+   and equal terms are equal ints.  [final_terms] maps an array name to
+   its written cells with their last terms, in index order. *)
+let interner () =
+  let ids = Hashtbl.create 4096 in
+  fun term ->
+    match Hashtbl.find_opt ids term with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids term id;
+        id
+
+let final_terms intern ~params program =
+  let cells = Hashtbl.create 256 in
+  let term cell =
+    match Hashtbl.find_opt cells cell with
+    | Some t -> t
+    | None -> intern (`Input cell)
+  in
+  Interp.iter ~params program (fun (inst : Interp.instance) ->
+      let t = intern (`F (List.map term inst.reads)) in
+      List.iter (fun cell -> Hashtbl.replace cells cell t) inst.writes);
+  fun array ->
+    Hashtbl.fold
+      (fun (a, idx) t acc ->
+        if a = array then (Array.to_list idx, t) :: acc else acc)
+      cells []
+    |> List.sort compare
+
+let test_tiled_orderings_compute_registry_terms () =
+  let count ~params p = List.length (Interp.instances ~params p) in
+  let check ~b what tiled registry ~params arrays =
+    let intern = interner () in
+    let tiled_terms = final_terms intern ~params:[] tiled in
+    let registry_terms = final_terms intern ~params registry in
+    List.iter
+      (fun (t, r) ->
+        let expected = registry_terms r in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s b=%d: registry %s is written" what b r)
+          true (expected <> []);
+        Alcotest.(check (list (pair (list int) int)))
+          (Printf.sprintf "%s b=%d: tiled %s = registry %s" what b t r)
+          expected (tiled_terms t))
+      arrays;
+    (* the same work as the registry program, whatever the block size *)
+    Alcotest.(check int)
+      (Printf.sprintf "%s b=%d: same work" what b)
+      (count ~params registry) (count ~params:[] tiled)
+  in
+  let mn = [ ("M", 8); ("N", 4) ] in
+  List.iter
+    (fun b ->
+      (* The MGS orderings normalise in place: their A ends as Q. *)
+      check ~b "mgs" (K.Mgs.tiled_spec ~m:8 ~n:4 ~b) Programs.mgs ~params:mn
+        [ ("A", "Q"); ("R", "R") ];
+      check ~b "right-looking mgs"
+        (K.Mgs.tiled_right_spec ~m:8 ~n:4 ~b)
+        Programs.mgs ~params:mn
+        [ ("A", "Q"); ("R", "R") ];
+      check ~b "a2v"
+        (K.Householder.tiled_spec ~m:8 ~n:4 ~b)
+        Programs.a2v ~params:mn
+        [ ("A", "A"); ("tau", "tau") ];
+      check ~b "gemm"
+        (K.Gemm.tiled_spec ~m:4 ~n:4 ~k:4 ~b)
+        Programs.gemm
+        ~params:[ ("M", 4); ("N", 4); ("K", 4) ]
+        [ ("C", "C") ])
+    [ 1; 2; 4 ]
 
 (* The CLI's `simulate --sizes` maps every size-spec parse failure to
    Invalid_input, i.e. exit code 2: the parser must reject malformed
@@ -199,13 +209,10 @@ let test_size_spec_errors () =
 
 let suite =
   [
-    Alcotest.test_case "shape preconditions" `Quick test_shape_preconditions;
-    Alcotest.test_case "matrix preconditions" `Quick test_matrix_preconditions;
-    Alcotest.test_case "numeric preconditions" `Quick test_numeric_preconditions;
     Alcotest.test_case "tiled spec preconditions" `Quick
       test_tiled_spec_preconditions;
     Alcotest.test_case "typed error paths" `Quick test_typed_error_paths;
     Alcotest.test_case "size sweep spec errors" `Quick test_size_spec_errors;
-    Alcotest.test_case "tiled work invariant across block sizes" `Quick
-      test_tiled_block_one_matches_untiled_io_order;
+    Alcotest.test_case "tiled orderings = registry terms" `Quick
+      test_tiled_orderings_compute_registry_terms;
   ]

@@ -53,6 +53,43 @@ let big_rat_gen =
   in
   map2 (fun n d -> Rat.make n (if d = 0 then 1 else abs d)) part part
 
+(* [Rat.div] against the composition it fuses: the same value, or the
+   same exception from both. *)
+let div_outcome g =
+  match g () with
+  | v -> Rat.to_string v
+  | exception Rat.Overflow -> "Overflow"
+  | exception Rat.Division_by_zero -> "Division_by_zero"
+
+let div_agrees (a, b) =
+  div_outcome (fun () -> Rat.div a b)
+  = div_outcome (fun () -> Rat.mul a (Rat.inv b))
+
+let div_boundary () =
+  let r = Rat.of_int in
+  List.iter
+    (fun (a, b, expected) ->
+      let what =
+        Printf.sprintf "%s / %s" (Rat.to_string a) (Rat.to_string b)
+      in
+      Alcotest.(check string)
+        (what ^ " (mul a (inv b))") expected
+        (div_outcome (fun () -> Rat.mul a (Rat.inv b)));
+      Alcotest.(check string) what expected
+        (div_outcome (fun () -> Rat.div a b)))
+    [
+      (* inverting min_int overflows, whatever the dividend *)
+      (Rat.one, r min_int, "Overflow");
+      (Rat.zero, r min_int, "Overflow");
+      (r min_int, Rat.minus_one, "Overflow");
+      (r min_int, Rat.one, string_of_int min_int);
+      (r max_int, Rat.make 1 max_int, "Overflow");
+      (Rat.half, r max_int, "Overflow");
+      (Rat.make max_int 2, Rat.make max_int 3, "3/2");
+      (Rat.make (-max_int) 2, Rat.make max_int (-3), "3/2");
+      (Rat.half, Rat.zero, "Division_by_zero");
+    ]
+
 let sub_mul_boundary () =
   (* 1/2 - 2^61 * 1 = (1 - 2^62)/2: the scaled product is min_int, which
      fits, as it does in [sub a (mul f p)]. *)
@@ -117,6 +154,13 @@ let suite =
          sub_mul_agrees);
     Alcotest.test_case "sub_mul at the min_int boundary" `Quick
       sub_mul_boundary;
+    prop2 "div a b = mul a (inv b)" div_agrees;
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"div overflows exactly with mul/inv"
+         ~count:2000
+         (QCheck2.Gen.pair big_rat_gen big_rat_gen)
+         div_agrees);
+    Alcotest.test_case "div at the int boundary" `Quick div_boundary;
     prop "floor <= q < floor + 1" rat (fun a ->
         let f = Rat.floor a in
         Rat.(compare (of_int f) a) <= 0 && Rat.(compare a (of_int (f + 1))) < 0);

@@ -503,6 +503,48 @@ let test_eval_domain_check () =
             [ ("classical", `Classical); ("hourglass", `Hourglass) ];
           Alcotest.(check int) "in-domain eval cached" 1 (entries ())))
 
+(* Kernel names resolve as on the command line: a baseline's analyze is
+   its ladder outcome in the source payload shape - the same bounds as the
+   source op on its shipped text, cached like any complete answer - and
+   its eval is unsupported, with the CLI's message. *)
+let test_baseline_names () =
+  with_server (fun _ address ->
+      with_client address (fun c ->
+          let field key (r : Protocol.parsed_response) =
+            match Json.member key r.body with
+            | Some v -> Json.to_string v
+            | None -> Alcotest.failf "missing field %s" key
+          in
+          let line = {|{"id":31,"op":"analyze","kernel":"gemm"}|} in
+          let a = raw_line c line in
+          Alcotest.(check string) "cached response byte-identical" a
+            (raw_line c line);
+          let analyze = parsed a in
+          Alcotest.(check bool) "analyze gemm ok" true analyze.ok;
+          Alcotest.(check string) "kernel is the baseline's name" {|"gemm"|}
+            (field "kernel" analyze);
+          let src =
+            In_channel.with_open_bin "../examples/kernels/gemm.iolb"
+              In_channel.input_all
+          in
+          let source = rpc c ~op:"source" [ ("src", Json.String src) ] in
+          Alcotest.(check bool) "source ok" true source.ok;
+          List.iter
+            (fun key ->
+              Alcotest.(check string)
+                (key ^ " as for the source text")
+                (field key source) (field key analyze))
+            [ "kernel"; "hourglasses"; "degradation"; "bounds" ];
+          let r = rpc c ~op:"eval" [ ("kernel", Json.String "atax") ] in
+          Alcotest.(check int) "eval atax exits 4" 4 r.exit_code;
+          Alcotest.(check string) "eval atax is unsupported" {|"unsupported"|}
+            (field "code" r);
+          Alcotest.(check string) "the CLI's message"
+            (match Iolb_front.Driver.eval_entry "atax" with
+            | Error e -> Json.to_string (Json.String (Engine_error.to_string e))
+            | Ok _ -> Alcotest.fail "eval_entry resolved a baseline")
+            (field "message" r)))
+
 let test_crash_gated_by_default () =
   with_server (fun t address ->
       with_client address (fun c ->
@@ -705,18 +747,18 @@ let test_overload_sheds () =
 (* malformed, over-budget, fault-injected, and worker-killing - with    *)
 (* zero daemon crashes and a typed response for every single one.       *)
 
-(* Analyzable kernels are the five paper entries (baselines carry no
-   paper formulas).  gehd2 is reserved for the over-budget branch: a
-   complete analysis is cached with the budget excluded from its key (a
-   complete answer is the same answer whatever budget produced it), so
-   analyzing it unbudgeted anywhere else would let the over-deadline
-   requests be answered from the cache instead of exercising the budget
-   path. *)
+(* The soak analyzes the paper entries (a baseline's analyze is its
+   ladder outcome, covered by its own test).  gehd2 is reserved for the
+   over-budget branch: a complete analysis is cached with the budget
+   excluded from its key (a complete answer is the same answer whatever
+   budget produced it), so analyzing it unbudgeted anywhere else would
+   let the over-deadline requests be answered from the cache instead of
+   exercising the budget path. *)
 let soak_kernels = [| "mgs"; "qr hh a2v"; "qr hh v2q"; "gebd2" |]
 
-(* [eval] resolves paper kernels only (baselines have no evaluation
-   point semantics); eval specs live in a separate key space, so evaling
-   gehd2 does not feed the analyze cache. *)
+(* [eval] resolves paper kernels only (a baseline's eval is unsupported:
+   it has no theorem formula to evaluate); eval specs live in a separate
+   key space, so evaling gehd2 does not feed the analyze cache. *)
 let soak_eval_kernels = [| "mgs"; "qr hh a2v"; "qr hh v2q"; "gebd2"; "gehd2" |]
 
 let soak_stages = [| "cdag_build"; "pebble_game"; "cache_sim"; "derivation" |]
@@ -862,4 +904,6 @@ let suite =
       test_over_cap_line;
     Alcotest.test_case "server: 3 MiB past the cap, then EOF" `Quick
       test_over_cap_stream;
+    Alcotest.test_case "server: baseline kernel names" `Quick
+      test_baseline_names;
   ]

@@ -346,12 +346,12 @@ let thm9 () =
     [ (64, 4); (64, 16); (64, 256); (128, 8); (128, 1024) ]
 
 (* ------------------------------------------------------------------ *)
-(* Regime decompositions: the parametric sweeps behind THM5 and THM9.  *)
+(* Regime decompositions: theta-regimes and winning bounds over S.      *)
 
 let regimes () =
   section "REGIMES: parametric exponent sweeps and winning-bound regions";
-  (* One parametric-simplex sweep per verified hourglass: the regimes of
-     the sharpened |I'| LP as W = K^theta runs over [1/2, 1]. *)
+  (* Per verified hourglass, the regimes of the sharpened |I'| LP as
+     W = K^theta runs over [1/2, 1], and the phase-2 pivots behind them. *)
   pf "exponent regimes of the sharpened |I'| LP (W = K^theta):\n";
   let total_regions = ref 0 and total_pivots = ref 0 in
   List.iter

@@ -572,10 +572,10 @@ let prop_hourglass_path c =
           else Fail "hourglass detected but the tightened derivation produced no bound")
 
 (* ------------------------------------------------------------------ *)
-(* region-cover: the parametric-simplex regions of the sharpened
-   Brascamp-Lieb LP must tile [1/2, 1] contiguously, and on each region
-   the closed-form optimum must match a plain pinned-theta simplex solve
-   exactly (rational arithmetic on both sides).                          *)
+(* region-cover: the theta-regions of the sharpened Brascamp-Lieb LP
+   must tile [1/2, 1] contiguously, and on each region the closed-form
+   optimum must match a fresh pinned-theta simplex solve exactly
+   (rational arithmetic on both sides).                                 *)
 
 let prop_region_cover c =
   match ctx_hourglasses c with
@@ -587,7 +587,7 @@ let prop_region_cover c =
           let dims, projs = D.sharpened_projections c.prog h in
           match Iolb.Bl.exponent_regions ~dims projs with
           | None ->
-              push issues "parametric sweep infeasible on a verified hourglass"
+              push issues "theta-regime solves infeasible on a verified hourglass"
           | Some [] -> push issues "empty region decomposition"
           | Some (r0 :: _ as rs) ->
               if not (Rat.equal r0.Iolb.Bl.theta_lo Rat.half) then

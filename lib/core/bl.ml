@@ -1,6 +1,5 @@
 module Rat = Iolb_util.Rat
 module Simplex = Iolb_lp.Simplex
-module Psimplex = Iolb_lp.Psimplex
 
 type bounded_proj = {
   proj_dims : string list;
@@ -96,41 +95,91 @@ let solution_of_vertex projs ~alphas ~betas ~gammas s =
       |> List.filter (fun (_, e) -> not (Rat.is_zero e));
   }
 
-(* One parametric sweep of min (alpha + theta * beta) . s over the
+(* The regimes of f(theta) = min (alpha + theta * beta) . s over the
    admissibility polytope, theta in [1/2, 1] (W = K^theta in the regime
-   where the hourglass matters): the full regime decomposition of the
-   K-side exponent, instead of endpoint solves.  The polytope is bounded
-   (0 <= s_j <= 1), so a feasible system never sweeps unbounded. *)
-let exponent_regions ?budget ~dims projs =
+   where the hourglass matters).  f is the lower envelope of one line per
+   vertex, so it is concave and piecewise linear, and plain solves
+   certify it.  Given the vertices optimal at both ends of [lo, hi]: if
+   they lie on one line, f is that line on all of [lo, hi] (f is at most
+   the line, and by concavity at least its chord).  Otherwise solve where
+   the two lines cross: if the optimum there meets them, they are f on
+   [lo, hi]; if not, the new vertex splits [lo, hi] in two.  A crossing at
+   an end of [lo, hi] makes the other end's line optimal throughout.  One
+   phase 1 serves every solve, and the polytope is bounded
+   (0 <= s_j <= 1), so every solve is optimal. *)
+let exponent_regions ~dims projs =
   if projs = [] then None
   else
-    let constraints = admissibility_constraints ~dims projs in
     let vec f = Array.of_list (List.map f projs) in
     let alphas = vec (fun p -> p.alpha)
     and betas = vec (fun p -> p.beta)
     and gammas = vec (fun p -> p.gamma) in
-    let cost = Array.mapi (fun j a -> Psimplex.pcost a ~slope:betas.(j)) alphas in
-    match
-      Psimplex.minimize ?budget ~cost ~lo:Rat.half ~hi:Rat.one constraints
-    with
-    | Psimplex.Infeasible | Psimplex.Unbounded_at _ -> None
-    | Psimplex.Regions rs ->
-        Some
-          (List.map
-             (fun (r : Psimplex.region) ->
-               {
-                 theta_lo = r.Psimplex.lo;
-                 theta_hi =
-                   (match r.Psimplex.hi with Some h -> h | None -> Rat.one);
-                 region_sol =
-                   solution_of_vertex projs ~alphas ~betas ~gammas
-                     r.Psimplex.solution;
-                 region_pivots = r.Psimplex.pivots;
-               })
-             rs)
+    Simplex.minimizer ~nvars:(List.length projs)
+      (admissibility_constraints ~dims projs)
+    |> Option.map (fun solve ->
+           let solves = ref [] in
+           let at theta =
+             let cost =
+               Array.mapi (fun j a -> Rat.add a (Rat.mul theta betas.(j))) alphas
+             in
+             match solve ~cost with
+             | Simplex.Optimal { solution; pivots; _ } ->
+                 solves := (theta, pivots) :: !solves;
+                 solution_of_vertex projs ~alphas ~betas ~gammas solution
+             | Simplex.Unbounded | Simplex.Infeasible -> assert false
+           in
+           let value s theta = Rat.add s.k_exponent (Rat.mul theta s.w_exponent) in
+           let crossing a b =
+             Rat.div
+               (Rat.sub b.k_exponent a.k_exponent)
+               (Rat.sub a.w_exponent b.w_exponent)
+           in
+           (* The optimal lines on [lo, hi] from left to right, given [l]
+              optimal at [lo] and [r] at [hi]. *)
+           let rec lines lo l hi r =
+             if Rat.equal l.k_exponent r.k_exponent
+                && Rat.equal l.w_exponent r.w_exponent
+             then [ l ]
+             else
+               let t = crossing l r in
+               if Rat.equal t lo then [ r ]
+               else if Rat.equal t hi then [ l ]
+               else
+                 let m = at t in
+                 if Rat.equal (value m t) (value l t) then [ l; r ]
+                 else
+                   (* m is below both lines at t: it ends the left half's
+                      lines and starts the right half's. *)
+                   let left = lines lo l t m in
+                   left @ List.tl (lines t m hi r)
+           in
+           let rec regions lo = function
+             | [] -> []
+             | [ s ] -> [ (lo, Rat.one, s) ]
+             | s :: (s' :: _ as tl) ->
+                 let t = crossing s s' in
+                 (lo, t, s) :: regions t tl
+           in
+           (* theta = 1/2 first: each solve warm-starts from the last *)
+           let half = at Rat.half in
+           regions Rat.half (lines Rat.half half Rat.one (at Rat.one))
+           |> List.map (fun (lo, hi, s) ->
+                  let inside (theta, _) =
+                    Rat.compare lo theta <= 0
+                    && (Rat.compare theta hi < 0 || Rat.equal hi Rat.one)
+                  in
+                  {
+                    theta_lo = lo;
+                    theta_hi = hi;
+                    region_sol = s;
+                    region_pivots =
+                      List.fold_left
+                        (fun n ((_, p) as solve) -> if inside solve then n + p else n)
+                        0 !solves;
+                  }))
 
-(* Plain (non-parametric) solve of the sweep's objective pinned at one
-   theta; the differential reference for [exponent_regions]. *)
+(* A fresh solve of [exponent_regions]' objective pinned at one theta;
+   the differential reference for it. *)
 let exponent_at ~dims projs ~theta =
   if projs = [] then None
   else

@@ -46,7 +46,7 @@ val proj :
     families.  Returns [None] when no admissible family exists (some
     dimension of [dims] is covered by no projection).  Three plain
     {!Iolb_lp.Simplex} solves, one per stage, each under an upper pin on
-    the optima of the stages before; no parametric sweep runs.  All three
+    the optima of the stages before.  All three
     stay: for the hourglass [I'] projections the [theta = 1] and [rho_2]
     stages pick the vertex among the [theta = 1/2] optima, and that vertex
     is printed as the "I' certificate" and shapes the bound formula. *)
@@ -62,25 +62,30 @@ type exponent_region = {
   theta_lo : Iolb_util.Rat.t;
   theta_hi : Iolb_util.Rat.t;
   region_sol : solution;
-  region_pivots : int;  (** simplex pivots spent entering the region *)
+  region_pivots : int;
+      (** phase-2 simplex pivots of the solves at [theta_lo] and inside
+          the region (the last region also takes the solve at
+          [theta = 1]), so every solve counts towards one region *)
 }
 
 (** [exponent_regions ~dims projs] decomposes [theta in [1/2, 1]] into the
-    finitely many regimes of [min (rho_K + theta * rho_W)] in one
-    parametric sweep ({!Iolb_lp.Psimplex}).  Regions are ordered and
-    contiguous; adjacent regions agree at their shared endpoint.  [None]
-    when no admissible family exists. *)
+    finitely many regimes of [min (rho_K + theta * rho_W)].  The optimum
+    is concave and piecewise linear in [theta], so plain solves certify
+    it: one at each end, then one where the two optimal lines cross,
+    recursively, until the optimum at every crossing meets its lines.
+    The solves share one phase 1 ({!Iolb_lp.Simplex.minimizer}).  Regions
+    are ordered and contiguous; adjacent regions agree at their shared
+    endpoint, and adjacent regions never share a line.  [None] when no
+    admissible family exists. *)
 val exponent_regions :
-  ?budget:Iolb_util.Budget.t ->
-  dims:string list ->
-  bounded_proj list ->
-  exponent_region list option
+  dims:string list -> bounded_proj list -> exponent_region list option
 
 val pp_exponent_region : Format.formatter -> exponent_region -> unit
 
-(** [exponent_at ~dims projs ~theta] is the optimum of the sweep's
-    objective [min (rho_K + theta * rho_W)] at one pinned [theta], by a
-    plain {!Iolb_lp.Simplex} solve.  The differential reference for
+(** [exponent_at ~dims projs ~theta] is the optimum of
+    {!exponent_regions}' objective [min (rho_K + theta * rho_W)] at one
+    pinned [theta], by a fresh {!Iolb_lp.Simplex.minimize} that shares no
+    tableau with it.  The differential reference for
     {!exponent_regions}: on a region [r] containing [theta] it must equal
     [r.region_sol.k_exponent + theta * r.region_sol.w_exponent] exactly
     (the [region-cover] oracle in [lib/check] asserts this).  [None] when

@@ -3,7 +3,6 @@ module Budget = Iolb_util.Budget
 module Engine_error = Iolb_util.Engine_error
 module P = Iolb_symbolic.Polynomial
 module R = Iolb_symbolic.Ratfun
-module Sturm = Iolb_symbolic.Sturm
 module Affine = Iolb_poly.Affine
 module Access = Iolb_ir.Access
 module Program = Iolb_ir.Program
@@ -484,34 +483,14 @@ let best ~params ~s bounds =
 
 type winner_range = { s_from : int; s_to : int; winner : t option }
 
-(* Exact change-point hints for [best] over integer S in [lo, hi]: the
-   crossing points of each pair of bound formulas (roots of num1 den2 -
-   num2 den1) and every applicability edge (s_hi evaluated at params).
-   Pairs outside the symbolic fragment (sqrtS, overflow) contribute no
-   hints; the bisection refinement below still finds their switches as
-   long as a switch shows at range endpoints. *)
-let winner_hints ~params ~lo ~hi bounds =
-  let rlo = Rat.of_int lo and rhi = Rat.of_int hi in
-  let inst (b : t) =
-    List.fold_left (fun f (x, v) -> R.subst x (P.of_int v) f) b.formula params
-  in
-  let hints = ref [] in
-  let add r =
-    let m = Rat.floor r in
-    List.iter
-      (fun c -> if c >= lo && c <= hi then hints := c :: !hints)
-      [ m; m + 1 ]
-  in
-  let poly_in_s f =
-    match R.vars f with
-    | [] -> true
-    | [ v ] -> String.equal v "S"
-    | _ -> false
-  in
-  List.iter
+(* The applicability edges of [bounds] inside [lo, hi]: s_hi evaluated
+   at params, as the integers on both sides of it.  A bound whose edge is
+   not a constant there contributes none. *)
+let validity_edges ~params ~lo ~hi bounds =
+  List.concat_map
     (fun (b : t) ->
       match b.valid.s_hi with
-      | None -> ()
+      | None -> []
       | Some limit -> (
           try
             let l =
@@ -520,36 +499,13 @@ let winner_hints ~params ~lo ~hi bounds =
                 limit params
             in
             match R.as_poly l with
-            | Some p when P.vars p = [] -> add (P.eval (fun _ -> Rat.zero) p)
-            | _ -> ()
-          with Rat.Overflow -> ()))
-    bounds;
-  let rec pairs = function
-    | [] -> ()
-    | b1 :: rest ->
-        List.iter
-          (fun b2 ->
-            try
-              let f1 = inst b1 and f2 = inst b2 in
-              if poly_in_s f1 && poly_in_s f2 then begin
-                let cross =
-                  P.sub (P.mul (R.num f1) (R.den f2)) (P.mul (R.num f2) (R.den f1))
-                in
-                if not (P.is_zero cross) then
-                  List.iter
-                    (fun (a, b) ->
-                      add a;
-                      add b)
-                    (Sturm.isolate_roots
-                       (Sturm.of_polynomial ~var:"S" cross)
-                       ~lo:rlo ~hi:rhi)
-              end
-            with Sturm.Gave_up | Rat.Overflow -> ())
-          rest;
-        pairs rest
-  in
-  pairs bounds;
-  List.sort_uniq compare !hints
+            | Some p when P.vars p = [] ->
+                let m = Rat.floor (P.eval (fun _ -> Rat.zero) p) in
+                List.filter (fun c -> c >= lo && c <= hi) [ m; m + 1 ]
+            | _ -> []
+          with Rat.Overflow -> []))
+    bounds
+  |> List.sort_uniq compare
 
 let best_regions ~params ~lo ~hi bounds =
   if hi < lo || bounds = [] then []
@@ -569,12 +525,10 @@ let best_regions ~params ~lo ~hi bounds =
       | Some x, Some y -> x == y
       | _ -> false
     in
-    (* Cut at every hint, then refine each cut interval by bisection when
-       its endpoints disagree.  A double switch strictly inside an
-       interval with equal endpoint winners is only found if hinted -
-       exact hints cover the polynomial formulas; sqrtS formulas rely on
-       the endpoints. *)
-    let cuts = winner_hints ~params ~lo ~hi bounds in
+    (* Cut at every applicability edge, then refine each cut interval by
+       bisection when its endpoints disagree.  A double switch strictly
+       inside an interval with equal endpoint winners is not found. *)
+    let cuts = validity_edges ~params ~lo ~hi bounds in
     let rec seg a b =
       if same (winner a) (winner b) then [ (a, b) ]
       else if b = a + 1 then [ (a, a); (b, b) ]

@@ -162,12 +162,12 @@ type winner_range = { s_from : int; s_to : int; winner : t option }
 (** [best_regions ~params ~lo ~hi bounds] partitions the integer range
     [[lo, hi]] of cache sizes into maximal ranges by winning bound: the
     regime table (e.g. Thm 5's [S <= M/2] vs [M/2 <= S] hand split) read
-    off mechanically.  Change points are located exactly where the
-    formulas stay polynomial in [S] (pairwise crossing roots plus
-    applicability edges, via Sturm); elsewhere (e.g. [sqrtS] classical
-    formulas) they are refined by bisection on winner disagreement, which
-    can miss a switch that both appears and reverts strictly inside a
-    range.  Ranges are contiguous, ascending, and cover [[lo, hi]]. *)
+    off mechanically.  The range is cut at every applicability edge (each
+    bound's [s_hi] at [params]), and each piece is refined by bisection
+    wherever the winners at its ends differ.  Whatever the formulas, a
+    switch that both appears and reverts strictly inside a piece whose
+    ends agree is missed.  Ranges are contiguous, ascending, and cover
+    [[lo, hi]]. *)
 val best_regions :
   params:(string * int) list ->
   lo:int ->

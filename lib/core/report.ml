@@ -231,8 +231,8 @@ let pp_analysis fmt a =
       List.iter
         (fun h ->
           Format.fprintf fmt "%a@," Hourglass.pp h;
-          (* Regime decomposition of the sharpened Brascamp-Lieb LP: one
-             parametric sweep over W = K^theta, theta in [1/2, 1]. *)
+          (* Regime decomposition of the sharpened Brascamp-Lieb LP over
+             W = K^theta, theta in [1/2, 1]. *)
           let dims, projs = Derive.sharpened_projections a.entry.program h in
           match Bl.exponent_regions ~dims projs with
           | None -> ()

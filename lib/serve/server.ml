@@ -144,12 +144,17 @@ let make_budget t (b : Protocol.budget_spec) =
       Budget.make ?timeout_ms ?max_steps:b.max_steps ?max_nodes:b.max_nodes
         ?fault:b.fault ())
 
-(* Analysis for one request: unlimited budgets ride the process-wide
+(* No budget at all: neither the request nor the daemon's default sets
+   one, so the answer is the same on every call. *)
+let unbudgeted t budget =
+  Protocol.is_unlimited budget && t.config.default_timeout_ms = None
+
+(* Analysis for one request: unbudgeted requests ride the process-wide
    [Report.analyze_cached] memo (this is the per-process layer the LRU
    lifts across requests); anything budgeted or fault-injected runs the
    resilient ladder afresh. *)
 let analysis_for t entry (budget : Protocol.budget_spec) =
-  if Protocol.is_unlimited budget && t.config.default_timeout_ms = None then
+  if unbudgeted t budget then
     Engine_error.guard (fun () -> Report.analyze_cached entry)
   else
     Result.bind (make_budget t budget) (fun b ->
@@ -227,8 +232,10 @@ let ladder_result t ~spec budget (source : Front.source) =
 (* The one cached-response path of the engine ops.  The LRU answers
    unless a fault hook is in play (fault-injected requests must exercise
    the real path); [compute] gets the spec hash and returns the payload
-   with its degradation note, and only a complete answer - no degradation,
-   which is budget-specific, and no fault hook - is cached. *)
+   with its degradation note.  A complete answer with no fault hook is
+   cached, and so is any unbudgeted answer, degraded or not: it is the
+   same on every call.  A degradation under a budget is budget-specific
+   and is not cached. *)
 let cached t (req : Protocol.request) ~op ~display
     (budget : Protocol.budget_spec) compute =
   let key = Option.get (Protocol.spec_key req.op ~display) in
@@ -240,7 +247,8 @@ let cached t (req : Protocol.request) ~op ~display
       | Error e -> respond_error t ~id:req.id (Protocol.Engine e)
       | Ok (payload, degradation) ->
           let result = Json.to_string payload in
-          if budget.fault = None && degradation = None then
+          if (budget.fault = None && degradation = None) || unbudgeted t budget
+          then
             Lru.add t.cache key result;
           respond_ok t ~id:req.id ~op result)
 

@@ -9,9 +9,11 @@
     {!Iolb_util.Pool.Bounded_queue} - a full queue sheds the request with
     a typed [overloaded] response and a retry-after hint instead of
     queueing without limit; a {!Iolb_util.Pool.Workers} group drains the
-    queue.  Responses for complete (non-degraded, non-fault) analyses are
-    cached in a content-addressed {!Lru}, so repeated requests for the
-    same spec are served as byte-identical string splices.  Kernel names
+    queue.  Responses for complete (non-degraded, non-fault) analyses,
+    and every answer computed with no budget at all (degraded or not:
+    it is the same on every call), are cached in a content-addressed
+    {!Lru}, so repeated requests for the same spec are served as
+    byte-identical string splices.  Kernel names
     resolve as on the command line ({!Iolb_front.Driver.lookup}): a
     baseline's [analyze] answers its ladder outcome in the [source]
     payload shape, and its [eval] is [unsupported].  An [eval]

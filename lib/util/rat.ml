@@ -23,7 +23,6 @@ let neg_exn a = if a = min_int then raise Overflow else -a
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let gcd a b = gcd (Stdlib.abs a) (Stdlib.abs b)
-let gcd_int = gcd
 
 let make num den =
   if den = 0 then raise Division_by_zero;

@@ -78,16 +78,13 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** Overflow-checked native [int] arithmetic, shared with integer
-    callers (the loop-nest access counts, Sturm's content normalisation)
-    that must keep exactly the same overflow behaviour.
+    callers (the loop-nest access counts) that must keep exactly the same
+    overflow behaviour.
     @raise Overflow when the exact result does not fit in an [int]. *)
 
 val add_exn : int -> int -> int
 
 val mul_exn : int -> int -> int
-
-(** [gcd_int a b] is the non-negative gcd of [abs a] and [abs b]. *)
-val gcd_int : int -> int -> int
 
 (** Infix aliases, intended for local [open Rat.Infix]. *)
 module Infix : sig

@@ -4,9 +4,7 @@ let () =
       ("rat", Test_rat.suite);
       ("polynomial", Test_polynomial.suite);
       ("ratfun", Test_ratfun.suite);
-      ("sturm", Test_sturm.suite);
       ("simplex", Test_simplex.suite);
-      ("psimplex", Test_psimplex.suite);
       ("poly-sets", Test_poly.suite);
       ("program", Test_program.suite);
       ("cplan", Test_cplan.suite);

@@ -1,7 +1,9 @@
-(* The Brascamp-Lieb optimiser: known certificates, infeasibility, and a
-   property check that returned exponents are admissible. *)
+(* The Brascamp-Lieb optimiser: known certificates, infeasibility, a
+   property check that returned exponents are admissible, and the theta
+   regimes of the sharpened LP against fresh solves. *)
 
 module Bl = Iolb.Bl
+module S = Iolb_lp.Simplex
 module Rat = Iolb_util.Rat
 
 let test_loomis_whitney () =
@@ -187,6 +189,158 @@ let test_classical_registry_families () =
       Alcotest.(check bool) name true (classical_matches_optimize ~dims dimsets))
     families
 
+let regime_lines rs = List.map (Format.asprintf "%a" Bl.pp_exponent_region) rs
+
+(* Two regimes: covering {i, j} by the two 1-D projections costs K^2,
+   by the 2-D one K^(7/2 - 5/2 theta); the lines cross at theta = 3/5. *)
+let test_two_regimes () =
+  let projs =
+    [
+      Bl.proj ~alpha:Rat.one ~label:"phi_i" [ "i" ];
+      Bl.proj ~alpha:Rat.one ~label:"phi_j" [ "j" ];
+      Bl.proj ~alpha:(Rat.make 7 2) ~beta:(Rat.make (-5) 2) ~label:"phi_ij"
+        [ "i"; "j" ];
+    ]
+  in
+  match Bl.exponent_regions ~dims:[ "i"; "j" ] projs with
+  | None -> Alcotest.fail "infeasible"
+  | Some rs ->
+      Alcotest.(check (list string))
+        "regions"
+        [
+          "theta in [1/2, 3/5]: K^(2 + 0*theta)";
+          "theta in [3/5, 1]: K^(7/2 + -5/2*theta)";
+        ]
+        (regime_lines rs)
+
+(* MGS's sharpened LP: one regime, K^(2 - theta), found by the solve at
+   theta = 1/2 (no pivot) and confirmed by the one at theta = 1 (one). *)
+let test_mgs_one_regime () =
+  let entry = Iolb.Report.find "mgs" in
+  match (Iolb.Report.analyze_cached entry).hourglasses with
+  | [] -> Alcotest.fail "MGS has no verified hourglass"
+  | h :: _ -> (
+      let dims, projs = Iolb.Derive.sharpened_projections entry.program h in
+      match Bl.exponent_regions ~dims projs with
+      | Some [ r ] ->
+          Alcotest.(check string)
+            "region" "theta in [1/2, 1]: K^(2 + -1*theta)"
+            (Format.asprintf "%a" Bl.pp_exponent_region r);
+          Alcotest.(check int) "pivots" 1 r.region_pivots
+      | Some rs -> Alcotest.failf "%d regions" (List.length rs)
+      | None -> Alcotest.fail "infeasible")
+
+(* One [Simplex.minimizer] shares phase 1 and warm-starts each cost from
+   the last basis: on random bounded LPs, any cost sequence must give the
+   optimal values of fresh [Simplex.minimize] calls, and [None] exactly
+   where they report [Infeasible]. *)
+let minimizer_prop =
+  let nvars = 3 in
+  let gen =
+    QCheck2.Gen.(
+      let small = int_range (-4) 4 in
+      let constr =
+        let* coeffs = list_size (return nvars) small
+        and* rel = oneofl [ S.Le; S.Ge; S.Eq ]
+        and* rhs = int_range (-6) 6 in
+        return (S.constr coeffs rel rhs)
+      in
+      pair
+        (list_size (int_range 1 4) constr)
+        (list_size (int_range 1 6) (list_size (return nvars) small)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"minimizer = fresh minimize (random LPs)"
+       ~count:300 gen (fun (cs, costs) ->
+         (* x_j <= 3 keeps every instance bounded *)
+         let cs =
+           List.init nvars (fun j ->
+               S.constr (List.init nvars (fun i -> if i = j then 1 else 0)) S.Le 3)
+           @ cs
+         in
+         let costs =
+           List.map (fun c -> Array.of_list (List.map Rat.of_int c)) costs
+         in
+         match S.minimizer ~nvars cs with
+         | None ->
+             List.for_all (fun cost -> S.minimize ~cost cs = S.Infeasible) costs
+         | Some solve ->
+             List.for_all
+               (fun cost ->
+                 match (solve ~cost, S.minimize ~cost cs) with
+                 | S.Optimal { value = a; _ }, S.Optimal { value = b; _ } ->
+                     Rat.equal a b
+                 | _ -> false)
+               costs))
+
+(* On random sharpened-looking families the regimes tile [1/2, 1] with a
+   new line in each region, and at every region's ends and midpoint
+   their line is the optimum of a fresh solve. *)
+let regimes_prop =
+  let dims = [ "a"; "b"; "c" ] in
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 5)
+        (triple
+           (list_size (int_range 1 3) (oneofl dims))
+           (int_range 0 8) (int_range (-8) 8)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"regimes = fresh solves (random families)"
+       ~count:300
+       ~print:(fun family ->
+         String.concat "; "
+           (List.map
+              (fun (ds, a, b) ->
+                Printf.sprintf "{%s} alpha %d/2 beta %d/2" (String.concat "," ds)
+                  a b)
+              family))
+       gen (fun family ->
+         let projs =
+           List.mapi
+             (fun j (ds, a, b) ->
+               Bl.proj ~alpha:(Rat.make a 2) ~beta:(Rat.make b 2)
+                 ~label:(Printf.sprintf "p%d" j)
+                 (List.sort_uniq String.compare ds))
+             family
+         in
+         let value (r : Bl.exponent_region) theta =
+           Rat.add r.region_sol.k_exponent
+             (Rat.mul theta r.region_sol.w_exponent)
+         in
+         match Bl.exponent_regions ~dims projs with
+         | None -> Bl.exponent_at ~dims projs ~theta:Rat.half = None
+         | Some rs ->
+             let rec tiles lo = function
+               | [] -> Rat.equal lo Rat.one
+               | (r : Bl.exponent_region) :: tl ->
+                   Rat.equal r.theta_lo lo
+                   && Rat.compare r.theta_lo r.theta_hi < 0
+                   && (match tl with
+                      | r' :: _ ->
+                          not
+                            (Rat.equal r.region_sol.k_exponent
+                               r'.region_sol.k_exponent
+                            && Rat.equal r.region_sol.w_exponent
+                                 r'.region_sol.w_exponent)
+                      | [] -> true)
+                   && tiles r.theta_hi tl
+             in
+             tiles Rat.half rs
+             && List.for_all
+                  (fun (r : Bl.exponent_region) ->
+                    List.for_all
+                      (fun theta ->
+                        Option.equal Rat.equal
+                          (Bl.exponent_at ~dims projs ~theta)
+                          (Some (value r theta)))
+                      [
+                        r.theta_lo;
+                        Rat.mul Rat.half (Rat.add r.theta_lo r.theta_hi);
+                        r.theta_hi;
+                      ])
+                  rs))
+
 let suite =
   [
     Alcotest.test_case "Loomis-Whitney certificate" `Quick test_loomis_whitney;
@@ -201,4 +355,9 @@ let suite =
     classical_one_solve_prop;
     Alcotest.test_case "classical rho = optimize rho (registry families)"
       `Quick test_classical_registry_families;
+    Alcotest.test_case "two regimes meet at theta = 3/5" `Quick
+      test_two_regimes;
+    Alcotest.test_case "MGS: one regime, one pivot" `Quick test_mgs_one_regime;
+    minimizer_prop;
+    regimes_prop;
   ]

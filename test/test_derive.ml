@@ -286,43 +286,56 @@ let test_optimize_split_tie_break () =
       Alcotest.(check (float 0.)) "tie value" 7. v
   | None -> Alcotest.fail "flat search found nothing"
 
-(* [best_regions] against a per-S scan of [best]: on every paper kernel,
-   at its largest grid point, over all its bounds (the sqrtS classical
-   ones included), the ranges must tile [1, 4096] in order and name, at
-   every S, exactly the bound [best] picks there.  The exact Sturm
-   crossing points behind the ranges are exercised nowhere else. *)
+(* [best_regions] against a per-S scan of [best], on every call the bench
+   prints: each paper kernel at its largest grid point over all its
+   bounds (the sqrtS classical ones included), S in [1, 4096], and
+   THM5's MGS hourglass pair at M = 1024, N = 256, S in [1, 8192].  The
+   ranges must tile the S range in order and name, at every S, exactly
+   the bound [best] picks there.  [best_regions] cuts only at
+   applicability edges and bisects, so this scan is what shows that no
+   switch hides inside a range. *)
+let check_regions_against_scan name ~params ~lo ~hi bounds =
+  let ranges = D.best_regions ~params ~lo ~hi bounds in
+  let next =
+    List.fold_left
+      (fun from (r : D.winner_range) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: range starts where the last ended" name)
+          from r.s_from;
+        for s = r.s_from to r.s_to do
+          let same =
+            match (D.best ~params ~s bounds, r.winner) with
+            | None, None -> true
+            | Some b, Some w -> b == w
+            | _ -> false
+          in
+          if not same then
+            Alcotest.failf "%s: S=%d in [%d, %d] names another winner" name s
+              r.s_from r.s_to
+        done;
+        r.s_to + 1)
+      lo ranges
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "%s: ranges cover [%d, %d]" name lo hi)
+    (hi + 1) next
+
 let test_best_regions_match_scan () =
-  let lo = 1 and hi = 4096 in
   List.iter
     (fun (entry : Report.entry) ->
       let a = Report.analyze_cached entry in
       let m, n, _ = List.nth entry.grid (List.length entry.grid - 1) in
       let params = if m = 0 then [ ("N", n) ] else [ ("M", m); ("N", n) ] in
-      let ranges = D.best_regions ~params ~lo ~hi a.bounds in
-      let next =
-        List.fold_left
-          (fun from (r : D.winner_range) ->
-            Alcotest.(check int)
-              (Printf.sprintf "%s: range starts where the last ended"
-                 entry.display)
-              from r.s_from;
-            for s = r.s_from to r.s_to do
-              let same =
-                match (D.best ~params ~s a.bounds, r.winner) with
-                | None, None -> true
-                | Some b, Some w -> b == w
-                | _ -> false
-              in
-              if not same then
-                Alcotest.failf "%s: S=%d in [%d, %d] names another winner"
-                  entry.display s r.s_from r.s_to
-            done;
-            r.s_to + 1)
-          lo ranges
-      in
-      Alcotest.(check int) (entry.display ^ ": ranges cover [1, 4096]")
-        (hi + 1) next)
-    Report.registry
+      check_regions_against_scan entry.display ~params ~lo:1 ~hi:4096 a.bounds)
+    Report.registry;
+  let mgs = Report.analyze_cached (Report.find "mgs") in
+  check_regions_against_scan "THM5 (MGS hourglass bounds)"
+    ~params:[ ("M", 1024); ("N", 256) ]
+    ~lo:1 ~hi:8192
+    (List.filter
+       (fun (b : D.t) ->
+         b.technique = D.Hourglass || b.technique = D.Hourglass_small_s)
+       mgs.bounds)
 
 let suite =
   [

@@ -879,6 +879,65 @@ let test_soak () =
                 (rpc c ~op:"ping" []).Protocol.ok)
             conns))
 
+(* An answer computed with no budget at all is the same on every call,
+   so it is cached even when degraded (a baseline's ladder outcome is);
+   an answer degraded under a step budget is budget-specific and is
+   computed afresh each time. *)
+let test_unbudgeted_degraded_cached () =
+  with_server (fun _ address ->
+      with_client address (fun c ->
+          let counters () =
+            match Json.member "cache" (rpc c ~op:"stats" []).Protocol.body with
+            | Some cache -> (
+                match (Json.member "hits" cache, Json.member "misses" cache) with
+                | Some (Json.Int h), Some (Json.Int m) -> (h, m)
+                | _ -> Alcotest.fail "stats: missing cache counters")
+            | None -> Alcotest.fail "stats: missing cache section"
+          in
+          let src =
+            In_channel.with_open_bin "../examples/kernels/jacobi1d.iolb"
+              In_channel.input_all
+          in
+          List.iter
+            (fun (what, line) ->
+              let h0, m0 = counters () in
+              let a = raw_line c line in
+              let degradation =
+                Json.member "degradation" (parsed a).Protocol.body
+              in
+              Alcotest.(check bool) (what ^ ": degraded") true
+                (degradation <> None && degradation <> Some Json.Null);
+              Alcotest.(check string) (what ^ ": byte-identical") a
+                (raw_line c line);
+              Alcotest.(check (pair int int))
+                (what ^ ": one miss, then one hit")
+                (h0 + 1, m0 + 1) (counters ()))
+            [
+              ("analyze jacobi1d", {|{"id":41,"op":"analyze","kernel":"jacobi1d"}|});
+              ("analyze atax", {|{"id":42,"op":"analyze","kernel":"atax"}|});
+              ( "source jacobi1d",
+                Json.to_string
+                  (Json.Obj
+                     [
+                       ("id", Json.Int 43);
+                       ("op", Json.String "source");
+                       ("src", Json.String src);
+                     ]) );
+            ];
+          let h0, m0 = counters () in
+          let line =
+            {|{"id":44,"op":"analyze","kernel":"gebd2","max_steps":200}|}
+          in
+          for _ = 1 to 2 do
+            let r = parsed (raw_line c line) in
+            Alcotest.(check bool) "capped gebd2 degraded" true
+              (match Json.member "degradation" r.Protocol.body with
+              | Some (Json.String _) -> true
+              | _ -> false)
+          done;
+          Alcotest.(check (pair int int)) "capped gebd2: two misses"
+            (h0, m0 + 2) (counters ())))
+
 let suite =
   [
     Alcotest.test_case "protocol: request parsing" `Quick test_parse_request;
@@ -906,4 +965,6 @@ let suite =
       test_over_cap_stream;
     Alcotest.test_case "server: baseline kernel names" `Quick
       test_baseline_names;
+    Alcotest.test_case "server: unbudgeted degraded answers cached" `Quick
+      test_unbudgeted_degraded_cached;
   ]

@@ -8,7 +8,8 @@ module Rat = Iolb_util.Rat
 (* A maximum is the negated minimum of the negated cost. *)
 let maximize ~cost cons =
   match S.minimize ~cost:(Array.map Rat.neg cost) cons with
-  | S.Optimal { value; solution } -> S.Optimal { value = Rat.neg value; solution }
+  | S.Optimal { value; solution; pivots } ->
+      S.Optimal { value = Rat.neg value; solution; pivots }
   | (S.Infeasible | S.Unbounded) as o -> o
 
 let check_optimal name expected outcome =
@@ -91,7 +92,7 @@ let test_beale_cycling () =
       ]
   in
   (match outcome with
-  | S.Optimal { value; solution } ->
+  | S.Optimal { value; solution; _ } ->
       Alcotest.(check string) "Beale optimum" "-1/20" (Rat.to_string value);
       Alcotest.(check string) "x6 at its cap" "1" (Rat.to_string solution.(2))
   | S.Infeasible | S.Unbounded ->

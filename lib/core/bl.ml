@@ -103,10 +103,11 @@ let solution_of_vertex projs ~alphas ~betas ~gammas s =
    they lie on one line, f is that line on all of [lo, hi] (f is at most
    the line, and by concavity at least its chord).  Otherwise solve where
    the two lines cross: if the optimum there meets them, they are f on
-   [lo, hi]; if not, the new vertex splits [lo, hi] in two.  A crossing at
-   an end of [lo, hi] makes the other end's line optimal throughout.  One
-   phase 1 serves every solve, and the polytope is bounded
-   (0 <= s_j <= 1), so every solve is optimal. *)
+   [lo, hi]; if not, the new vertex splits [lo, hi] in two, and the
+   halves' lines are joined.  A crossing at an end of [lo, hi] makes the
+   other end's line optimal throughout.  One phase 1 serves every solve,
+   and the polytope is bounded (0 <= s_j <= 1), so every solve is
+   optimal. *)
 let exponent_regions ~dims projs =
   if projs = [] then None
   else
@@ -134,12 +135,16 @@ let exponent_regions ~dims projs =
                (Rat.sub b.k_exponent a.k_exponent)
                (Rat.sub a.w_exponent b.w_exponent)
            in
-           (* The optimal lines on [lo, hi] from left to right, given [l]
-              optimal at [lo] and [r] at [hi]. *)
+           let same_line a b =
+             Rat.equal a.k_exponent b.k_exponent
+             && Rat.equal a.w_exponent b.w_exponent
+           in
+           (* The lines of f on [lo, hi] from left to right, each optimal on
+              a subinterval of positive length, given [l] optimal at [lo]
+              and [r] at [hi].  [l] or [r] is left out when it is optimal at
+              its end alone. *)
            let rec lines lo l hi r =
-             if Rat.equal l.k_exponent r.k_exponent
-                && Rat.equal l.w_exponent r.w_exponent
-             then [ l ]
+             if same_line l r then [ l ]
              else
                let t = crossing l r in
                if Rat.equal t lo then [ r ]
@@ -148,10 +153,16 @@ let exponent_regions ~dims projs =
                  let m = at t in
                  if Rat.equal (value m t) (value l t) then [ l; r ]
                  else
-                   (* m is below both lines at t: it ends the left half's
-                      lines and starts the right half's. *)
+                   (* m is below both lines at t.  The halves' lines at t
+                      are one line where f is straight through t, which
+                      both halves list, and two where t is a kink of f
+                      (m may then be optimal at t alone, listed by
+                      neither half). *)
                    let left = lines lo l t m in
-                   left @ List.tl (lines t m hi r)
+                   let right = lines t m hi r in
+                   match (List.rev left, right) with
+                   | x :: _, y :: right' when same_line x y -> left @ right'
+                   | _ -> left @ right
            in
            let rec regions lo = function
              | [] -> []

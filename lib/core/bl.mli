@@ -74,9 +74,11 @@ type exponent_region = {
     it: one at each end, then one where the two optimal lines cross,
     recursively, until the optimum at every crossing meets its lines.
     The solves share one phase 1 ({!Iolb_lp.Simplex.minimizer}).  Regions
-    are ordered and contiguous; adjacent regions agree at their shared
-    endpoint, and adjacent regions never share a line.  [None] when no
-    admissible family exists. *)
+    are ordered and contiguous, each of positive length; adjacent regions
+    agree at their shared endpoint, and adjacent regions never share a
+    line.  A vertex optimal at one [theta] alone (an end, or a kink of
+    the optimum) gets no region.  [None] when no admissible family
+    exists. *)
 val exponent_regions :
   dims:string list -> bounded_proj list -> exponent_region list option
 

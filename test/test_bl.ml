@@ -341,6 +341,139 @@ let regimes_prop =
                       ])
                   rs))
 
+(* Random concave envelopes over one dimension, where the optimum is the
+   lowest line alpha + theta * beta (all are positive on [1/2, 1]).  f
+   starts at 8 with slope 4 and turns down at kinks on a 1/16 grid; more
+   lines touch f at one theta alone, at a kink or at an end, so solves
+   tie there.  In any order of the projections the regimes are f's
+   lines. *)
+let envelope_prop =
+  let grid = List.init 7 (fun i -> Rat.make (9 + i) 16) in
+  let gen =
+    QCheck2.Gen.(
+      let* keep = list_repeat 7 (frequency [ (1, return true); (2, return false) ]) in
+      let kinks = List.filteri (fun i _ -> List.nth keep i) grid in
+      let* drops = list_repeat (List.length kinks) (int_range 1 4) in
+      let* touches =
+        list_size (int_range 0 5)
+          (pair (int_range 0 (List.length kinks + 1)) (int_range 1 3))
+      in
+      let value (a, b) t = Rat.add a (Rat.mul b t) in
+      let first = Rat.(of_int 6, of_int 4) in
+      let f =
+        List.fold_left2
+          (fun lines t drop ->
+            let ((_, b) as last) = List.hd lines in
+            let b' = Rat.sub b (Rat.of_int drop) in
+            (Rat.sub (value last t) (Rat.mul b' t), b') :: lines)
+          [ first ] kinks drops
+        |> List.rev
+      in
+      let points = (Rat.half :: kinks) @ [ Rat.one ] in
+      let touching (i, c) =
+        let p = List.nth points i and c = Rat.of_int c in
+        let slope =
+          if i = 0 then Rat.add (snd first) c
+          else if i = List.length f then Rat.sub (snd (List.nth f (i - 1))) c
+          else
+            let l = snd (List.nth f (i - 1)) and r = snd (List.nth f i) in
+            Rat.add r (Rat.mul (Rat.div c (Rat.of_int 4)) (Rat.sub l r))
+        in
+        let on_f = List.nth f (min i (List.length f - 1)) in
+        (Rat.sub (value on_f p) (Rat.mul slope p), slope)
+      in
+      let+ lines = shuffle_l (f @ List.map touching touches) in
+      let regimes =
+        List.mapi
+          (fun i (a, b) ->
+            Format.asprintf "theta in [%a, %a]: K^(%a + %a*theta)" Rat.pp
+              (List.nth points i) Rat.pp
+              (List.nth points (i + 1))
+              Rat.pp a Rat.pp b)
+          f
+      in
+      (lines, regimes))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"regimes = envelope (random ties)" ~count:300
+       ~print:(fun (lines, _) ->
+         String.concat "; "
+           (List.map
+              (fun (a, b) -> Format.asprintf "%a + %a*theta" Rat.pp a Rat.pp b)
+              lines))
+       gen (fun (lines, regimes) ->
+         let projs =
+           List.mapi
+             (fun j (alpha, beta) ->
+               Bl.proj ~alpha ~beta ~label:(Printf.sprintf "p%d" j) [ "a" ])
+             lines
+         in
+         Option.map regime_lines (Bl.exponent_regions ~dims:[ "a" ] projs)
+         = Some regimes))
+
+(* Every order of the projections [(alpha, beta)] over one dimension must
+   give [expected]: the order decides which of two tied vertices a solve
+   returns. *)
+let check_lines_in_every_order lines expected =
+  let rec orders = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun i ->
+            List.map
+              (List.cons (List.nth l i))
+              (orders (List.filteri (fun j _ -> j <> i) l)))
+          (List.init (List.length l) Fun.id)
+  in
+  List.iter
+    (fun order ->
+      let projs =
+        List.mapi
+          (fun j (alpha, beta) ->
+            Bl.proj ~alpha ~beta ~label:(Printf.sprintf "p%d" j) [ "a" ])
+          order
+      in
+      match Bl.exponent_regions ~dims:[ "a" ] projs with
+      | None -> Alcotest.fail "infeasible"
+      | Some rs ->
+          Alcotest.(check (list string)) "regions" expected (regime_lines rs))
+    (orders lines)
+
+(* Four regimes: 3 theta, 5/4 + theta, 11/4 - theta, 9/2 - 3 theta.  The
+   end lines cross at 3/4, the kink between the middle two. *)
+let test_four_regimes () =
+  check_lines_in_every_order
+    Rat.
+      [
+        (zero, of_int 3);
+        (make 5 4, one);
+        (make 11 4, minus_one);
+        (make 9 2, of_int (-3));
+      ]
+    [
+      "theta in [1/2, 5/8]: K^(0 + 3*theta)";
+      "theta in [5/8, 3/4]: K^(5/4 + 1*theta)";
+      "theta in [3/4, 7/8]: K^(11/4 + -1*theta)";
+      "theta in [7/8, 1]: K^(9/2 + -3*theta)";
+    ]
+
+(* Two regimes, 1 + theta and 5/2 - theta, with a kink at 3/4, plus
+   1/2 + 2 theta, optimal at 1/2 alone, and 7/2 - 2 theta, optimal at 1
+   alone; those two cross at the kink. *)
+let test_kink_at_end_crossing () =
+  check_lines_in_every_order
+    Rat.
+      [
+        (one, one);
+        (make 5 2, minus_one);
+        (half, of_int 2);
+        (make 7 2, of_int (-2));
+      ]
+    [
+      "theta in [1/2, 3/4]: K^(1 + 1*theta)";
+      "theta in [3/4, 1]: K^(5/2 + -1*theta)";
+    ]
+
 let suite =
   [
     Alcotest.test_case "Loomis-Whitney certificate" `Quick test_loomis_whitney;
@@ -360,4 +493,8 @@ let suite =
     Alcotest.test_case "MGS: one regime, one pivot" `Quick test_mgs_one_regime;
     minimizer_prop;
     regimes_prop;
+    Alcotest.test_case "four regimes around a kink" `Quick test_four_regimes;
+    Alcotest.test_case "end lines cross at the kink" `Quick
+      test_kink_at_end_crossing;
+    envelope_prop;
   ]

@@ -471,16 +471,14 @@ let appendix_a1 () =
             (Report.eval_best mgs_analysis ~technique:`Hourglass ~m ~n ~s)
         in
         let untiled_plan = List.assoc (m, n) untiled_plans in
-        let untiled = (Cache.opt_run ~size:s untiled_plan).Cache.loads in
+        let untiled = Cache.opt_run ~size:s untiled_plan in
         let no_spill = (m + 1) * b < s in
         let row =
           Printf.sprintf "%6d %6d %6d %4d | %9d %9d | %10.0f %10.0f | %9d | %8b"
-            m n s b opt.Cache.loads lru.Cache.loads predicted lower untiled
-            no_spill
+            m n s b opt.Cache.loads lru.Cache.loads predicted lower
+            untiled.Cache.loads no_spill
         in
-        ( row,
-          opt.Cache.accesses + lru.Cache.accesses
-          + Trace.length (Cache.opt_plan_trace untiled_plan) ))
+        (row, opt.Cache.accesses + lru.Cache.accesses + untiled.Cache.accesses))
       grid
   in
   let dt = now () -. t0 in
@@ -668,8 +666,8 @@ let baselines () =
             (* Sandwich at the verification sizes: bound <= pebble loads. *)
             let cdag = Cdag.of_program ~params:verify_params prog in
             let measured =
-              (Game.run cdag ~s:16 ~schedule:(Game.program_schedule cdag))
-                .Game.loads
+              let schedule = Game.program_schedule cdag in
+              (Game.run_plan (Game.plan cdag ~schedule) ~s:16).Game.loads
             in
             let lb = D.eval b ~params:verify_params ~s:16 in
             Printf.sprintf "%-10s | %-44s | LB %.1f <= %d %s" name
@@ -1088,7 +1086,8 @@ let timings () =
         (Staged.stage (fun () ->
              ignore (Cdag.of_program ~params:mgs_params mgs)));
       Test.make ~name:"pebble: game mgs 16x8, S=24"
-        (Staged.stage (fun () -> ignore (Game.run cdag ~s:24 ~schedule)));
+        (Staged.stage (fun () ->
+             ignore (Game.run_plan (Game.plan cdag ~schedule) ~s:24)));
       Test.make ~name:"cache: OPT on tiled mgs trace"
         (Staged.stage (fun () -> ignore (Cache.opt ~size:64 trace)));
       Test.make ~name:"hourglass: verify mgs 6x4"

@@ -325,9 +325,11 @@ let simulate_cmd =
             audit "LRU" ~s lru.Cache.loads ("lower bound", bound))
           sizes)
   in
-  (* Sampled variant: every column is an estimate with an interval, so
-     none is audited. *)
-  let run_sweep_sampled ~program ~params ~budget ~rate ~seed ~lb spec =
+  (* Sampled variant: below rate 1 every column is an estimate with an
+     interval, so none is audited.  At rate 1 the sweep is exact, and its
+     LRU loads are audited as an unsampled sweep's are. *)
+  let run_sweep_sampled ~program ~params ~budget ~rate ~seed ~lb ~audit spec
+      =
     let* sizes = parse_spec spec in
     let* sampled =
       Engine_error.guard (fun () ->
@@ -351,10 +353,15 @@ let simulate_cmd =
             let loads, hits, stores =
               Sweep.sampled_stats sampled ~size:s
             in
+            let bound = lb ~s in
             Printf.printf
               "  %8d | %12.4g [%12.4g,%12.4g] | %9.4g %9.4g | %10.1f\n" s
               loads.Sweep.est loads.Sweep.lo loads.Sweep.hi hits.Sweep.est
-              stores.Sweep.est (lb ~s))
+              stores.Sweep.est bound;
+            if Sweep.sampled_exact sampled then
+              audit "LRU" ~s
+                (Sweep.stats (Sweep.sampled_union sampled) ~size:s).Cache.loads
+                ("lower bound", bound))
           sizes)
   in
   let parse_param spec =
@@ -457,7 +464,7 @@ let simulate_cmd =
         match (sample_rate, jobs) with
         | Some rate, _ ->
             run_sweep_sampled ~program ~params ~budget ~rate
-              ~seed:sample_seed ~lb spec
+              ~seed:sample_seed ~lb ~audit spec
         | None, Some jobs ->
             run_sweep_streamed ~program ~params ~budget ~jobs ~lb ~audit spec
         | None, None -> run_sweep ~program ~params ~budget ~lb ~audit spec)
@@ -469,7 +476,9 @@ let simulate_cmd =
            node's fan-in leaves stdout empty. *)
         let* prog_run, random =
           Engine_error.guard (fun () ->
-              let run schedule = Game.run ~budget cdag ~s ~schedule in
+              let run schedule =
+                Game.run_plan ~budget (Game.plan cdag ~schedule) ~s
+              in
               let prog_run = run (Game.program_schedule cdag) in
               (prog_run, run (Game.random_topological ~seed cdag)))
         in
@@ -489,9 +498,10 @@ let simulate_cmd =
           (pebble_lines ~s);
         Ok ()
   in
-  (* Every load count [simulate] prints but the sampled estimates is
-     exact, so one below a lower bound printed beside it refutes that
-     bound.  The first such pair is reported after stdout, with exit 1. *)
+  (* Every load count [simulate] prints but the sampled estimates below
+     rate 1 is exact, so one below a lower bound printed beside it refutes
+     that bound.  The first such pair is reported after stdout, with exit
+     1. *)
   let run name file param_overrides m n s seed sizes sample_rate sample_seed
       jobs budget_spec =
     let unsound = ref None in
@@ -545,8 +555,9 @@ let simulate_cmd =
        ~exits:
          (Cmd.Exit.info 1
             ~doc:
-              "when an exact load count (a pebble game, or an LRU or OPT \
-               column of an unsampled sweep) is below a lower bound printed \
+              "when an exact load count (a pebble game, an LRU or OPT \
+               column of an unsampled sweep, or the LRU column of a sweep \
+               at $(b,--sample-rate) 1) is below a lower bound printed \
                beside it: an unsound bound."
          :: engine_exits))
     Term.(
@@ -561,24 +572,26 @@ let tile_cmd =
   let run name m n s b budget_spec =
     run_checked @@ fun () ->
     let* budget = make_budget budget_spec in
-    let* kernel, label, tiled_spec, predicted =
-      match name with
-      | "mgs" ->
+    (* KERNEL resolves like every other command's; the tiled orderings
+       run the registry kernel's point *)
+    let* subject = Driver.lookup name in
+    let* label, tiled_spec, predicted =
+      match subject with
+      | Driver.Paper { kernel = Iolb.Paper_formulas.Mgs; _ } ->
           let predicted b =
             Printf.sprintf " predicted=%.0f"
               ((0.5 *. float_of_int (m * n * n) /. float_of_int b)
               +. float_of_int (m * n))
           in
-          Ok ("mgs", "MGS", K.Mgs.tiled_spec, predicted)
-      | "qr_hh_a2v" | "a2v" ->
-          Ok ("qr_hh_a2v", "A2V", K.Householder.tiled_spec, fun _ -> "")
-      | other ->
+          Ok ("MGS", K.Mgs.tiled_spec, predicted)
+      | Driver.Paper { kernel = Iolb.Paper_formulas.A2v; _ } ->
+          Ok ("A2V", K.Householder.tiled_spec, fun _ -> "")
+      | Driver.Paper _ | Driver.Program _ ->
           Error
             (Engine_error.Unsupported
-               (Printf.sprintf "no tiled ordering for %S (mgs, a2v)" other))
+               (Printf.sprintf "no tiled ordering for %S (mgs, qr_hh_a2v)"
+                  name))
     in
-    (* the tiled ordering runs the registry kernel's point *)
-    let* subject = Driver.lookup kernel in
     let* _params = Driver.point ~s subject ~m ~n in
     (* Block size: an explicit -b must divide n (no silent fallback); the
        paper's automatic choice degrades to b=1 with a warning when it does
@@ -590,6 +603,8 @@ let tile_cmd =
           invalid
             "block size b=%d does not divide n=%d (pick b with n mod b = 0)" b
             n
+      else if b < 0 then
+        invalid "block size b=%d is negative (0 = paper choice)" b
       else
         let auto = max 1 ((s / m) - 1) in
         if n mod auto = 0 then Ok auto
@@ -600,13 +615,15 @@ let tile_cmd =
             auto n;
           Ok 1)
     in
+    (* LRU through the production sweep, OPT through one plan run *)
     let* opt, lru =
       Engine_error.guard (fun () ->
           let trace =
             Trace.of_program ~budget ~params:[] (tiled_spec ~m ~n ~b)
           in
-          let opt = Cache.opt ~budget ~size:s trace in
-          (opt, Cache.lru ~budget ~size:s trace))
+          let plan = Cache.opt_plan ~budget trace in
+          let opt = Cache.opt_run ~budget ~size:s plan in
+          (opt, Sweep.stats (Sweep.run ~budget trace) ~size:s))
     in
     Printf.printf "tiled %s m=%d n=%d s=%d b=%d: opt=%d lru=%d%s\n" label m n s
       b opt.Cache.loads lru.Cache.loads (predicted b);

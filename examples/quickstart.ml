@@ -32,9 +32,9 @@ let () =
   (* 5. Evaluate them at concrete sizes and compare with the I/O of an
         actual execution (the red-white pebble game on the CDAG). *)
   let cdag = Iolb_cdag.Cdag.of_program ~params mgs in
-  let schedule = Iolb_pebble.Game.program_schedule cdag in
+  let game = Iolb_pebble.Game.(plan cdag ~schedule:(program_schedule cdag)) in
   let s = 16 in
-  let measured = (Iolb_pebble.Game.run cdag ~s ~schedule).loads in
+  let measured = (Iolb_pebble.Game.run_plan game ~s).loads in
   Format.printf "@.At M=8, N=5, S=%d:@." s;
   List.iter
     (fun b ->

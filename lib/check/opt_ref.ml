@@ -1,7 +1,7 @@
 module Trace = Iolb_pebble.Trace
 module Cache = Iolb_pebble.Cache
 
-let run ~size ~flush trace =
+let run ~size trace =
   let n = Trace.length trace and ncells = Trace.footprint trace in
   let cell i = Trace.cell_id trace i and write i = Trace.is_write trace i in
   (* key.(i): the next read of the cell accessed at i, or n + i *)
@@ -45,10 +45,10 @@ let run ~size ~flush trace =
     current.(c) <- key.(i);
     if write i then dirty.(c) <- true
   done;
-  if flush then
-    for k = 0 to !count - 1 do
-      if dirty.(cached.(k)) then incr stores
-    done;
+  (* the final flush *)
+  for k = 0 to !count - 1 do
+    if dirty.(cached.(k)) then incr stores
+  done;
   {
     Cache.loads = !loads;
     stores = !stores;

@@ -8,8 +8,7 @@
     unique, so loads, read hits and stores must all agree with the
     production simulator.  Slow by design; meant for small traces. *)
 
-(** [run ~size ~flush trace] is the OPT statistics of [trace] at cache
-    size [size] ([>= 1]); [flush] counts dirty cells left at the end as
-    stores. *)
-val run :
-  size:int -> flush:bool -> Iolb_pebble.Trace.t -> Iolb_pebble.Cache.stats
+(** [run ~size trace] is the OPT statistics of [trace] at cache size
+    [size] ([>= 1]), ending with the final flush: dirty cells left at the
+    end count as stores. *)
+val run : size:int -> Iolb_pebble.Trace.t -> Iolb_pebble.Cache.stats

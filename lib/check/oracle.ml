@@ -275,56 +275,45 @@ let prop_monotone c =
 
 (* ------------------------------------------------------------------ *)
 (* sweep-lru: the single-pass reuse-distance sweep agrees field by field
-   with the direct LRU simulator at every size, for both flush modes.   *)
+   with the direct LRU simulator at every size.                         *)
 
 let prop_sweep_lru c =
   let trace = Lazy.force c.trace in
   let issues = ref [] in
+  let sweep = Sweep.run ~budget:c.budget trace in
   List.iter
-    (fun flush ->
-      let sweep = Sweep.run ~budget:c.budget ~flush trace in
-      List.iter
-        (fun s ->
-          let sw = Sweep.stats sweep ~size:s in
-          let direct = Cache.lru ~budget:c.budget ~size:s ~flush trace in
-          if sw <> direct then
-            push issues
-              "S=%d flush=%b: sweep (l=%d st=%d h=%d) vs lru (l=%d st=%d h=%d)"
-              s flush sw.Cache.loads sw.Cache.stores sw.Cache.read_hits
-              direct.Cache.loads direct.Cache.stores direct.Cache.read_hits)
-        (Lazy.force c.sizes))
-    [ true; false ];
+    (fun s ->
+      let sw = Sweep.stats sweep ~size:s in
+      let direct = Cache.lru ~budget:c.budget ~size:s trace in
+      if sw <> direct then
+        push issues "S=%d: sweep (l=%d st=%d h=%d) vs lru (l=%d st=%d h=%d)" s
+          sw.Cache.loads sw.Cache.stores sw.Cache.read_hits direct.Cache.loads
+          direct.Cache.stores direct.Cache.read_hits)
+    (Lazy.force c.sizes);
   collect issues
 
 (* ------------------------------------------------------------------ *)
 (* opt-ref: Belady's OPT over one shared plan equals the naive reference
-   {!Opt_ref} field by field at every size, for both flush modes; its
-   loads lie between the cold and LRU loads and never increase with S. *)
+   {!Opt_ref} field by field at every size; its loads lie between the
+   cold and LRU loads and never increase with S.                        *)
 
 let prop_opt_ref c =
   let trace = Lazy.force c.trace in
   let plan = Cache.opt_plan ~budget:c.budget trace in
   let cold = (Cache.cold trace).Cache.loads in
   let issues = ref [] in
-  List.iter
-    (fun flush ->
-      List.iter
-        (fun s ->
-          let opt = Cache.opt_run ~budget:c.budget ~size:s ~flush plan in
-          let reference = Opt_ref.run ~size:s ~flush trace in
-          if opt <> reference then
-            push issues
-              "S=%d flush=%b: opt (l=%d st=%d h=%d) vs reference (l=%d st=%d \
-               h=%d)"
-              s flush opt.Cache.loads opt.Cache.stores opt.Cache.read_hits
-              reference.Cache.loads reference.Cache.stores
-              reference.Cache.read_hits)
-        (Lazy.force c.sizes))
-    [ true; false ];
   let prev = ref None in
   List.iter
     (fun s ->
-      let opt = (Cache.opt_run ~budget:c.budget ~size:s plan).Cache.loads in
+      let opt = Cache.opt_run ~budget:c.budget ~size:s plan in
+      let reference = Opt_ref.run ~size:s trace in
+      if opt <> reference then
+        push issues
+          "S=%d: opt (l=%d st=%d h=%d) vs reference (l=%d st=%d h=%d)" s
+          opt.Cache.loads opt.Cache.stores opt.Cache.read_hits
+          reference.Cache.loads reference.Cache.stores
+          reference.Cache.read_hits;
+      let opt = opt.Cache.loads in
       let lru = (Cache.lru ~budget:c.budget ~size:s trace).Cache.loads in
       if opt < cold || opt > lru then
         push issues "S=%d: opt loads %d outside [cold %d, lru %d]" s opt cold
@@ -355,7 +344,7 @@ let render_report c ~jobs =
       (fun s ->
         let lru = Cache.lru ~size:s trace in
         let game =
-          match Game.run cdag ~s ~schedule with
+          match Game.run_plan (Game.plan cdag ~schedule) ~s with
           | r -> string_of_int r.Game.loads
           | exception Engine_error.Error (Invalid_input _) -> "infeasible"
         in
@@ -381,63 +370,58 @@ let prop_jobs_det c =
    program sweeps over both numbered walks ([run_program] on [Cplan.iter],
    [run_program_stream] on [Cplan.iter_interned]) share one engine, so
    each is checked against the independent per-size LRU simulator, at
-   every jobs width, for both flush modes; the three are also compared
-   pairwise on footprint, accesses and reuse histogram.  This is the
-   determinism contract behind byte-identical --jobs output. *)
+   every jobs width; the three are also compared pairwise on footprint,
+   accesses and reuse histogram.  This is the determinism contract behind
+   byte-identical --jobs output. *)
 
 let prop_sweep_stream c =
   let trace = Lazy.force c.trace in
-  let sizes = Lazy.force c.sizes in
   let issues = ref [] in
+  let lru =
+    List.map
+      (fun s -> (s, Cache.lru ~budget:c.budget ~size:s trace))
+      (Lazy.force c.sizes)
+  in
   List.iter
-    (fun flush ->
-      let lru =
+    (fun jobs ->
+      let sweeps =
         List.map
-          (fun s -> (s, Cache.lru ~budget:c.budget ~size:s ~flush trace))
-          sizes
+          (fun (kind, sweep) -> (Printf.sprintf "%s jobs=%d" kind jobs, sweep))
+          [
+            ("run", Sweep.run ~budget:c.budget ~jobs trace);
+            ( "dense",
+              Sweep.run_program ~budget:c.budget ~jobs ~params:c.params c.prog
+            );
+            ( "interned",
+              Sweep.run_program_stream ~budget:c.budget ~jobs ~params:c.params
+                c.prog );
+          ]
       in
       List.iter
-        (fun jobs ->
-          let sweeps =
-            List.map
-              (fun (kind, sweep) ->
-                (Printf.sprintf "%s jobs=%d flush=%b" kind jobs flush, sweep))
-              [
-                ("run", Sweep.run ~budget:c.budget ~flush ~jobs trace);
-                ( "dense",
-                  Sweep.run_program ~budget:c.budget ~flush ~jobs
-                    ~params:c.params c.prog );
-                ( "interned",
-                  Sweep.run_program_stream ~budget:c.budget ~flush ~jobs
-                    ~params:c.params c.prog );
-              ]
-          in
+        (fun (what, sweep) ->
           List.iter
-            (fun (what, sweep) ->
-              List.iter
-                (fun (s, direct) ->
-                  if Sweep.stats sweep ~size:s <> direct then
-                    push issues "%s: stats differ from lru at S=%d" what s)
-                lru)
-            sweeps;
-          (* equal to the first, hence pairwise equal *)
-          match sweeps with
-          | [] -> ()
-          | (wa, a) :: rest ->
-              List.iter
-                (fun (wb, b) ->
-                  let what = wb ^ " vs " ^ wa in
-                  if Sweep.footprint b <> Sweep.footprint a then
-                    push issues "%s: footprint %d vs %d" what
-                      (Sweep.footprint b) (Sweep.footprint a);
-                  if Sweep.accesses b <> Sweep.accesses a then
-                    push issues "%s: accesses %d vs %d" what
-                      (Sweep.accesses b) (Sweep.accesses a);
-                  if Sweep.distance_histogram b <> Sweep.distance_histogram a
-                  then push issues "%s: distance histogram differs" what)
-                rest)
-        [ 1; 2; 4; 8 ])
-    [ true; false ];
+            (fun (s, direct) ->
+              if Sweep.stats sweep ~size:s <> direct then
+                push issues "%s: stats differ from lru at S=%d" what s)
+            lru)
+        sweeps;
+      (* equal to the first, hence pairwise equal *)
+      match sweeps with
+      | [] -> ()
+      | (wa, a) :: rest ->
+          List.iter
+            (fun (wb, b) ->
+              let what = wb ^ " vs " ^ wa in
+              if Sweep.footprint b <> Sweep.footprint a then
+                push issues "%s: footprint %d vs %d" what (Sweep.footprint b)
+                  (Sweep.footprint a);
+              if Sweep.accesses b <> Sweep.accesses a then
+                push issues "%s: accesses %d vs %d" what (Sweep.accesses b)
+                  (Sweep.accesses a);
+              if Sweep.distance_histogram b <> Sweep.distance_histogram a then
+                push issues "%s: distance histogram differs" what)
+            rest)
+    [ 1; 2; 4; 8 ];
   collect issues
 
 (* ------------------------------------------------------------------ *)

@@ -6,7 +6,6 @@ type cost = { reads : P.t; writes : P.t; cache_needed : P.t }
 
 let m = P.var "M"
 let n = P.var "N"
-let k = P.var "K"
 let b = P.var "B"
 let half = Rat.half
 
@@ -39,13 +38,6 @@ let a2v_tiled =
     cache_needed = P.mul m (P.add b P.one);
   }
 
-let gemm_tiled =
-  {
-    reads = P.add (P.scale Rat.two (P.mul (P.mul m (P.mul n k)) binv)) (P.mul m n);
-    writes = P.mul m n;
-    cache_needed = P.scale (Rat.of_int 3) (P.mul b b);
-  }
-
 let total c = P.add c.reads c.writes
 
 let substitute_block p ~num ~den =
@@ -67,16 +59,6 @@ let substitute_block p ~num ~den =
      the numerator and divide by the (Binv-free) denominator. *)
   let num_r = compose "Binv" rbinv (R.num after_b) in
   R.div num_r (R.of_poly (R.den after_b))
-
-let eval_total c ~b bindings =
-  let bindings = ("B", b) :: bindings in
-  let env x =
-    match List.assoc_opt x bindings with
-    | Some v -> float_of_int v
-    | None ->
-        if x = "Binv" then 1. /. float_of_int b else raise Not_found
-  in
-  P.eval_float_env env (total c)
 
 let gap ~upper ~lower bindings =
   let env x =

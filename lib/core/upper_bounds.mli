@@ -5,9 +5,8 @@
     Costs are polynomials in the parameters, the block size ["B"] and its
     formal inverse ["Binv"] (polynomials cannot divide, so the streamed
     terms carry [Binv = 1/B]); {!substitute_block} eliminates both at a
-    rational block choice [B = num/den], e.g. the paper's [B = S/M - 1]
-    (or [B = sqrtS/2] for GEMM), yielding a rational function of the
-    remaining parameters. *)
+    rational block choice [B = num/den], e.g. the paper's [B = S/M - 1],
+    yielding a rational function of the remaining parameters. *)
 
 type cost = {
   reads : Iolb_symbolic.Polynomial.t;  (** loads, leading behaviour *)
@@ -26,10 +25,6 @@ val mgs_tiled : cost
     cache = M (B + 1). *)
 val a2v_tiled : cost
 
-(** Classic cubic-blocked GEMM: reads = 2 M N K / B + M N,
-    writes = M N, cache = 3 B^2. *)
-val gemm_tiled : cost
-
 (** [total c] is reads + writes, a polynomial in the parameters and [B]. *)
 val total : cost -> Iolb_symbolic.Polynomial.t
 
@@ -42,10 +37,6 @@ val substitute_block :
   num:Iolb_symbolic.Polynomial.t ->
   den:Iolb_symbolic.Polynomial.t ->
   Iolb_symbolic.Ratfun.t
-
-(** [eval_total c ~b bindings] evaluates reads + writes at a concrete block
-    size. *)
-val eval_total : cost -> b:int -> (string * int) list -> float
 
 (** [gap ~upper ~lower bindings] is the upper/lower ratio at a point - the
     constant-factor optimality gap; bounded across scales exactly when the

@@ -138,9 +138,6 @@ let cardinal info =
         inner)
     P.one (List.rev info.bounds)
 
-let total_instances p =
-  List.fold_left (fun acc i -> P.add acc (cardinal i)) P.zero (statements p)
-
 (* Adversarial substitution of the outer dimensions into an affine
    expression: replaces each outer variable, innermost first, by whichever
    of its bounds drives the expression towards its minimum (for

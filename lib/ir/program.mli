@@ -91,9 +91,6 @@ val find_stmt : t -> string -> stmt_info
     kernels considered. *)
 val cardinal : stmt_info -> Iolb_symbolic.Polynomial.t
 
-(** Total number of statement instances of the program. *)
-val total_instances : t -> Iolb_symbolic.Polynomial.t
-
 (** [extent_min info x] (resp. [extent_max]) is a symbolic lower (upper)
     bound, affine in the parameters only, of the trip count [hi - lo + 1] of
     dimension [x] of [info], obtained by substituting adversarial bounds for

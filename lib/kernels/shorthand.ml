@@ -1,6 +1,6 @@
 (* Shorthands for building programs in OCaml: the Appendix A tiled
-   orderings here and the certifier's generated programs
-   (lib/check/spec.ml) open it locally. *)
+   orderings here, the certifier's generated programs (lib/check/spec.ml)
+   and the tests' own orderings open it. *)
 
 module Affine = Iolb_poly.Affine
 module Constr = Iolb_poly.Constr

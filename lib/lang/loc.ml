@@ -1,5 +1,4 @@
 type t = { file : string; line : int; col : int }
 
 let make ~file ~line ~col = { file; line; col }
-let pp fmt l = Format.fprintf fmt "%s:%d:%d" l.file l.line l.col
 let to_string l = Printf.sprintf "%s:%d:%d" l.file l.line l.col

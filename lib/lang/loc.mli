@@ -7,7 +7,4 @@ type t = { file : string; line : int; col : int }
 
 val make : file:string -> line:int -> col:int -> t
 
-(** [file:line:col] *)
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string

@@ -11,7 +11,3 @@
     kernel cannot be analysed). *)
 
 val print : ?verify:(string * int) list -> Iolb_ir.Program.t -> string
-
-(** The canonical lexable rendering of an affine expression
-    (e.g. ["2*i - j + 1"], ["0"]). *)
-val pp_affine : Format.formatter -> Iolb_poly.Affine.t -> unit

@@ -42,7 +42,7 @@ let cold trace =
    [0 .. n-1] with [n = Trace.length], and cell ids are
    [0 .. ncells-1] by the interner's density invariant, which is exactly
    how the state arrays are sized. *)
-let lru ?(budget = Budget.unlimited) ~size ?(flush = true) trace =
+let lru ?(budget = Budget.unlimited) ~size trace =
   if size < 1 then invalid_arg "Cache.lru: size < 1";
   let n = Trace.length trace and ncells = Trace.footprint trace in
   let cells = Trace.cells trace and wflags = Trace.write_flags trace in
@@ -101,10 +101,10 @@ let lru ?(budget = Budget.unlimited) ~size ?(flush = true) trace =
       touch c
     end
   done;
-  if flush then
-    for c = 0 to ncells - 1 do
-      if in_cache.(c) && dirty.(c) then incr stores
-    done;
+  (* the final flush *)
+  for c = 0 to ncells - 1 do
+    if in_cache.(c) && dirty.(c) then incr stores
+  done;
   { loads = !loads; stores = !stores; read_hits = !read_hits; accesses = n }
 
 (* Belady's OPT is split into a size-independent plan (the backward
@@ -135,16 +135,14 @@ let opt_plan ?(budget = Budget.unlimited) trace =
   done;
   { ptrace = trace; key }
 
-let opt_plan_trace plan = plan.ptrace
-
 (* Forward pass over a [Next_use_heap] of the cached cells, [Game]'s
    eviction structure.  A hit re-keys the cell to key.(i): up from i, the
    smallest key in the heap, for a read; either way for a write over a
    dead value.  A miss at capacity evicts the top, the value read
-   furthest in the future (a dead one first).  Returns the stats and the
-   final occupancy: a cell leaves only to make room for another, so that
-   is the heap's high-water mark, at most [min size footprint]. *)
-let opt_run_internal budget ~size ~flush plan =
+   furthest in the future (a dead one first).  A cell leaves only to make
+   room for another, so the heap never holds more than
+   [min size footprint] cells. *)
+let opt_run ?(budget = Budget.unlimited) ~size plan =
   if size < 1 then invalid_arg "Cache.opt_run: size < 1";
   let trace = plan.ptrace and keys = plan.key in
   let n = Trace.length trace and ncells = Trace.footprint trace in
@@ -176,18 +174,10 @@ let opt_run_internal budget ~size ~flush plan =
     end;
     if write then Array.unsafe_set dirty c true
   done;
-  if flush then
-    for c = 0 to ncells - 1 do
-      if slot.(c) >= 0 && dirty.(c) then incr stores
-    done;
-  ( { loads = !loads; stores = !stores; read_hits = !read_hits; accesses = n },
-    heap.len )
+  (* the final flush *)
+  for c = 0 to ncells - 1 do
+    if slot.(c) >= 0 && dirty.(c) then incr stores
+  done;
+  { loads = !loads; stores = !stores; read_hits = !read_hits; accesses = n }
 
-let opt_run ?(budget = Budget.unlimited) ~size ?(flush = true) plan =
-  fst (opt_run_internal budget ~size ~flush plan)
-
-let opt ?budget ~size ?(flush = true) trace =
-  opt_run ?budget ~size ~flush (opt_plan ?budget trace)
-
-let opt_heap_peak ~size ?(flush = true) trace =
-  snd (opt_run_internal Budget.unlimited ~size ~flush (opt_plan trace))
+let opt ?budget ~size trace = opt_run ?budget ~size (opt_plan ?budget trace)

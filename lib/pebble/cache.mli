@@ -4,7 +4,8 @@
     at most [size] data elements in front of an unbounded slow memory.
     Reads of absent cells count as loads; writes allocate in fast memory
     without a fetch (every write in the paper's kernels fully overwrites the
-    cell); evictions of dirty cells (and the final flush) count as stores.
+    cell); evictions of dirty cells count as stores, and so does the final
+    flush of the cells still dirty in cache, with which every run ends.
 
     Two replacement policies are provided: LRU, and Belady's OPT (evict the
     line whose next {e read} is farthest, treating lines that are
@@ -19,7 +20,7 @@
 
 type stats = {
   loads : int;  (** reads that missed *)
-  stores : int;  (** dirty evictions, plus the final flush if requested *)
+  stores : int;  (** dirty evictions, plus the final flush *)
   read_hits : int;
   accesses : int;
 }
@@ -27,17 +28,19 @@ type stats = {
 (** Total data movement [loads + stores]. *)
 val io : stats -> int
 
-(** [lru ~size ?flush trace]. [flush] (default [true]) counts dirty lines
-    remaining at the end as stores.  One [Cache_sim] budget checkpoint per
-    trace event. @raise Invalid_argument if [size < 1].
+(** [lru ~size trace] simulates LRU at one size.  This is a reference:
+    commands answer LRU through {!Sweep}, which the [sweep-lru] and
+    [sweep-stream] oracles check against it at every size, and the
+    benchmark's frozen golden writer calls it.  One [Cache_sim] budget
+    checkpoint per trace event. @raise Invalid_argument if [size < 1].
     @raise Iolb_util.Budget.Exhausted when the budget runs out. *)
-val lru :
-  ?budget:Iolb_util.Budget.t -> size:int -> ?flush:bool -> Trace.t -> stats
+val lru : ?budget:Iolb_util.Budget.t -> size:int -> Trace.t -> stats
 
-(** [opt ~size ?flush trace]: Belady's clairvoyant policy.  Budget as
-    {!lru}.  Equivalent to {!opt_plan} followed by {!opt_run}. *)
-val opt :
-  ?budget:Iolb_util.Budget.t -> size:int -> ?flush:bool -> Trace.t -> stats
+(** [opt ~size trace]: Belady's clairvoyant policy at one size, that is
+    {!opt_plan} followed by {!opt_run}.  Budget as {!lru}.  Like {!lru},
+    kept for the oracles and the benchmark's golden writer; commands build
+    one plan and run it per size. *)
+val opt : ?budget:Iolb_util.Budget.t -> size:int -> Trace.t -> stats
 
 (** Size-independent part of an OPT simulation: the backward next-read scan
     over the trace.  Build it once per trace and share it, read-only,
@@ -53,10 +56,7 @@ type opt_plan
     most recently dead first, and no two keys are equal. *)
 val opt_plan : ?budget:Iolb_util.Budget.t -> Trace.t -> opt_plan
 
-(** The trace a plan was built from. *)
-val opt_plan_trace : opt_plan -> Trace.t
-
-(** [opt_run ~size ?flush plan] is [opt ~size ?flush] on the plan's trace,
+(** [opt_run ~size plan] is [opt ~size] on the plan's trace,
     reusing the precomputed scan.  The cached cells sit in a
     {!Next_use_heap} of [min size footprint] slots, so a run costs
     O(log size) per access and allocates nothing proportional to [size]:
@@ -64,14 +64,7 @@ val opt_plan_trace : opt_plan -> Trace.t
     key is unique, so [loads], [read_hits] and [stores] are functions of
     the trace and [size] alone.
     @raise Invalid_argument if [size < 1]. *)
-val opt_run :
-  ?budget:Iolb_util.Budget.t -> size:int -> ?flush:bool -> opt_plan -> stats
-
-(** [opt_heap_peak ~size ?flush trace] is the eviction heap's high-water
-    mark over a full OPT run: its final occupancy, since a cell leaves
-    only to make room for another, so at most [min size footprint]
-    (diagnostics; tests pin it to [size]). *)
-val opt_heap_peak : size:int -> ?flush:bool -> Trace.t -> int
+val opt_run : ?budget:Iolb_util.Budget.t -> size:int -> opt_plan -> stats
 
 (** [cold trace] is the compulsory-miss statistics (infinite cache). *)
 val cold : Trace.t -> stats

@@ -168,7 +168,7 @@ type plan = {
 
 let plan cdag ~schedule =
   if not (is_topological cdag schedule) then
-    invalid_arg "Game.run: schedule is not a topological order of computes";
+    invalid_arg "Game.plan: schedule is not a topological order of computes";
   let n = Cdag.n_nodes cdag in
   let steps = Array.length schedule in
   let poff, pflat = Cdag.preds_csr cdag in
@@ -288,5 +288,3 @@ let run_runner ?(budget = Budget.unlimited) r ~s =
   { loads = !loads; peak_red = red.len }
 
 let run_plan ?budget plan ~s = run_runner ?budget (runner plan) ~s
-
-let run ?budget cdag ~s ~schedule = run_plan ?budget (plan cdag ~schedule) ~s

@@ -6,7 +6,7 @@
     pebbles may be discarded at any time (spills are free, only {b Load}
     steps are counted, as in the paper).  For a fixed compute order the
     minimum number of loads is achieved by clairvoyant (Belady) discarding
-    of red pebbles, which is what [run] implements.
+    of red pebbles, which is what {!run_plan} implements.
 
     This is the compiled engine: a {!plan} holds next-use tables, and a
     {!runner} keeps the red pebbles in a {!Next_use_heap} of at most S
@@ -19,17 +19,6 @@ type result = {
   loads : int;  (** red pebbles placed on already-white nodes *)
   peak_red : int;  (** maximum number of simultaneous red pebbles *)
 }
-
-(** [run cdag ~s ~schedule] plays the game with fast-memory size [s] over
-    the compute nodes in [schedule] order.  One [Pebble_game] budget
-    checkpoint is accounted per scheduled node.
-    @raise Iolb_util.Engine_error.Error with [Invalid_input] if [s] is too
-    small for some node's fan-in (an infeasible S).
-    @raise Iolb_util.Budget.Exhausted when the budget runs out.
-    @raise Invalid_argument if [schedule] is not a valid topological order
-    of the compute nodes. *)
-val run :
-  ?budget:Iolb_util.Budget.t -> Iolb_cdag.Cdag.t -> s:int -> schedule:int array -> result
 
 (** A validated schedule with its next-use tables precomputed.  S-sweeps
     over a fixed schedule (the validation grids) pay the topological check
@@ -44,11 +33,16 @@ type plan
     of the compute nodes. *)
 val plan : Iolb_cdag.Cdag.t -> schedule:int array -> plan
 
-(** [run_plan plan ~s] is [run] on the plan's CDAG and schedule; same
-    budget accounting and exceptions (except the schedule check, already
-    done by {!plan}).  Allocates a fresh {!runner} per call, which is what
-    keeps it safe to call concurrently; S-sweeps over one plan from a
-    single domain should build one runner and use {!run_runner}. *)
+(** [run_plan (plan cdag ~schedule) ~s] plays the game with fast-memory
+    size [s] over the compute nodes in [schedule] order.  One
+    [Pebble_game] budget checkpoint is accounted per scheduled node.
+    Allocates a fresh
+    {!runner} per call, which is what keeps it safe to call concurrently;
+    S-sweeps over one plan from a single domain should build one runner
+    and use {!run_runner}.
+    @raise Iolb_util.Engine_error.Error with [Invalid_input] if [s] is too
+    small for some node's fan-in (an infeasible S).
+    @raise Iolb_util.Budget.Exhausted when the budget runs out. *)
 val run_plan : ?budget:Iolb_util.Budget.t -> plan -> s:int -> result
 
 (** Reusable per-run state (the pebble bitset and heap) for one plan.  A

@@ -30,10 +30,9 @@ module Cplan = Iolb_ir.Cplan
    dirty cell now, so each access contributes one store on that interval of
    sizes, accumulated in a difference array.  A write resets the epoch
    (mval := 0: dirty again everywhere); a read raises mval to d (sizes
-   <= d now hold a clean reloaded copy).  At end of trace the cell's final
-   stack depth closes the epoch: with flush the interval is (mval, ncells]
-   (stored on eviction or at the flush), without it (mval, depth] (stored
-   only if actually evicted).
+   <= d now hold a clean reloaded copy).  At end of trace the final flush
+   closes the epoch on (mval, ncells]: every size past mval still holds
+   the dirty cell, or evicted and stored it.
 
    The pass runs over contiguous time segments of the trace:
    - [pass] consumes one segment and produces (a) exact local tallies for
@@ -556,15 +555,12 @@ let merge_segment gs gids ps =
   let order = Core.marked_order ps.p_core in
   Array.iter (fun c -> Core.touch gs.g gids.(c)) order
 
-let merge_finish gs ~flush ~accesses =
+let merge_finish gs ~accesses =
   let ncells = gs.g_n in
-  (* close the dirty epochs at the final stack depths *)
+  (* close the dirty epochs at the final flush *)
   for gid = 0 to ncells - 1 do
     if not gs.g_unlimited then Budget.checkpoint gs.g_budget Budget.Cache_sim;
-    if gs.g_hw.(gid) then begin
-      let depth = Core.dist gs.g gid in
-      gs_add_store gs (gs.g_mval.(gid) + 1) (if flush then ncells else depth)
-    end
+    if gs.g_hw.(gid) then gs_add_store gs (gs.g_mval.(gid) + 1) ncells
   done;
   let hits_at = Array.make (ncells + 1) 0 in
   let stores_at = Array.make (ncells + 1) 0 in
@@ -588,7 +584,7 @@ let merge_finish gs ~flush ~accesses =
 (* [globalize] maps each shard's local ids to global first-occurrence  *)
 (* ids, given the shards in segment order.                             *)
 
-let drive ~budget ~flush ~jobs ~n ~shard ~globalize =
+let drive ~budget ~jobs ~n ~shard ~globalize =
   if jobs < 1 then invalid_arg "Sweep: jobs < 1";
   let parts =
     Pool.map ~jobs
@@ -608,15 +604,15 @@ let drive ~budget ~flush ~jobs ~n ~shard ~globalize =
     (fun gids (_, ps) -> merge_segment gs gids ps)
     (globalize (List.map fst parts))
     parts;
-  merge_finish gs ~flush ~accesses:n
+  merge_finish gs ~accesses:n
 
 (* Trace ids already are the global first-occurrence ids, so a shard
    only numbers them locally: a new cell gets the pass's next local id,
    and the table read back gives each local id its trace id. *)
-let run ?(budget = Budget.unlimited) ?(flush = true) ?(jobs = 1) trace =
+let run ?(budget = Budget.unlimited) ?(jobs = 1) trace =
   let cells = Trace.cells trace and wflags = Trace.write_flags trace in
   let space = max 1 (Trace.footprint trace) in
-  drive ~budget ~flush ~jobs ~n:(Trace.length trace) ~globalize:Fun.id
+  drive ~budget ~jobs ~n:(Trace.length trace) ~globalize:Fun.id
     ~shard:(fun ps ~lo ~hi ->
       let local = Array.make space (-1) in
       for i = lo to hi - 1 do
@@ -635,21 +631,19 @@ let run ?(budget = Budget.unlimited) ?(flush = true) ?(jobs = 1) trace =
       Array.iteri (fun g c -> if c >= 0 then gids.(c) <- g) local;
       gids)
 
-let run_walk walk ~budget ~flush ~jobs plan =
-  drive ~budget ~flush ~jobs ~n:(Cplan.n_accesses plan)
+let run_walk walk ~budget ~jobs plan =
+  drive ~budget ~jobs ~n:(Cplan.n_accesses plan)
     ~globalize:(Cplan.globalize plan) ~shard:(fun ps ~lo ~hi ->
       walk plan ~budget ~lo ~hi ~on_access:(fun id w -> pass_event ps id w))
 
 let default_jobs = function Some j -> j | None -> Pool.default_jobs ()
 
-let run_program_stream ?(budget = Budget.unlimited) ?(flush = true) ?jobs
-    ~params prog =
-  run_walk Cplan.iter_interned ~budget ~flush ~jobs:(default_jobs jobs)
+let run_program_stream ?(budget = Budget.unlimited) ?jobs ~params prog =
+  run_walk Cplan.iter_interned ~budget ~jobs:(default_jobs jobs)
     (Cplan.make ~params prog)
 
-let run_program ?(budget = Budget.unlimited) ?(flush = true) ?jobs ~params
-    prog =
-  run_walk Cplan.iter ~budget ~flush ~jobs:(default_jobs jobs)
+let run_program ?(budget = Budget.unlimited) ?jobs ~params prog =
+  run_walk Cplan.iter ~budget ~jobs:(default_jobs jobs)
     (Cplan.make ~params prog)
 
 (* ------------------------------------------------------------------ *)
@@ -702,8 +696,7 @@ let sampled_degenerate s =
 (* Disjoint sub-samples behind the error bars. *)
 let groups = 8
 
-let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ~rate ~seed
-    ~params prog =
+let run_sampled ?(budget = Budget.unlimited) ~rate ~seed ~params prog =
   if not (rate > 0.0 && rate <= 1.0) then
     invalid_arg "Sweep.run_sampled: rate must be in (0, 1]";
   if rate < min_rate then
@@ -716,9 +709,7 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ~rate ~seed
   let total = Cplan.n_accesses plan in
   let thresh = int_of_float (rate *. hash_space) in
   if rate >= 1.0 || float_of_int thresh >= hash_space then begin
-    let t =
-      run_walk Cplan.iter ~budget ~flush ~jobs:(Pool.default_jobs ()) plan
-    in
+    let t = run_walk Cplan.iter ~budget ~jobs:(Pool.default_jobs ()) plan in
     {
       s_rate = 1.0;
       s_total = total;
@@ -826,7 +817,7 @@ let run_sampled ?(budget = Budget.unlimited) ?(flush = true) ~rate ~seed
     let finalize ps =
       let gs = gstate_create budget in
       merge_segment gs (Array.init ps.p_n Fun.id) ps;
-      merge_finish gs ~flush ~accesses:ps.p_events
+      merge_finish gs ~accesses:ps.p_events
     in
     {
       s_rate = rate;

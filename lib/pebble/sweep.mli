@@ -19,29 +19,27 @@
     [jobs] contiguous time segments, swept in parallel and merged
     deterministically, so results are {e equal, field by field}, for any
     segment count (byte-identical output at every [--jobs] width), and
-    agree exactly with {!Cache.lru} at every size and with both [~flush]
-    settings.  A sequential sweep is the one-segment case.
+    agree exactly with {!Cache.lru} at every size.  Like every simulator
+    here, a sweep ends with the final flush: cells still dirty in cache
+    count as stores.  A sequential sweep is the one-segment case.
 
     Budget exhaustion raises; callers that need the no-raise boundary wrap
     the call in {!Iolb_util.Engine_error.guard}. *)
 
 type t
 
-(** [run ?flush ?jobs trace] sweeps a materialized trace in [jobs]
-    segments (default 1: sequential) across domains.  [flush] defaults to
-    [true], matching {!Cache.lru}.  One [Cache_sim] budget checkpoint per
-    trace event, plus per distinct cell per segment at the merge and per
-    distinct cell when closing the dirty epochs; every segment also polls
-    the deadline at entry.
+(** [run ?jobs trace] sweeps a materialized trace in [jobs] segments
+    (default 1: sequential) across domains.  One [Cache_sim] budget
+    checkpoint per trace event, plus per distinct cell per segment at the
+    merge and per distinct cell when closing the dirty epochs; every
+    segment also polls the deadline at entry.
     @raise Invalid_argument if [jobs < 1].
     @raise Iolb_util.Budget.Exhausted when the budget runs out (possibly
     inside a shard domain). *)
-val run :
-  ?budget:Iolb_util.Budget.t -> ?flush:bool -> ?jobs:int -> Trace.t -> t
+val run : ?budget:Iolb_util.Budget.t -> ?jobs:int -> Trace.t -> t
 
-(** [stats t ~size] is [Cache.lru ~size ?flush] on the swept trace, with
-    the [flush] setting the sweep was run with, answered in O(1) from the
-    precomputed histograms.
+(** [stats t ~size] is [Cache.lru ~size] on the swept trace, answered in
+    O(1) from the precomputed histograms.
     @raise Invalid_argument if [size < 1]. *)
 val stats : t -> size:int -> Cache.stats
 
@@ -81,7 +79,6 @@ val parse_sizes : string -> (int list, string) result
     stage ([Cache_sim] per event). *)
 val run_program :
   ?budget:Iolb_util.Budget.t ->
-  ?flush:bool ->
   ?jobs:int ->
   params:(string * int) list ->
   Iolb_ir.Program.t ->
@@ -95,7 +92,6 @@ val run_program :
     the whole trace prefix before its slice. *)
 val run_program_stream :
   ?budget:Iolb_util.Budget.t ->
-  ?flush:bool ->
   ?jobs:int ->
   params:(string * int) list ->
   Iolb_ir.Program.t ->
@@ -134,7 +130,6 @@ val min_rate : float
     @raise Invalid_argument if [rate] is outside [[min_rate, 1]]. *)
 val run_sampled :
   ?budget:Iolb_util.Budget.t ->
-  ?flush:bool ->
   rate:float ->
   seed:int ->
   params:(string * int) list ->

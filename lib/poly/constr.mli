@@ -7,9 +7,6 @@ type t = { expr : Affine.t; kind : kind }
 (** [ge e] is the constraint [e >= 0]. *)
 val ge : Affine.t -> t
 
-(** [eq e] is the constraint [e = 0]. *)
-val eq : Affine.t -> t
-
 (** [le_of a b] is [a <= b]; [ge_of a b] is [a >= b]; [eq_of a b] is [a = b]. *)
 val le_of : Affine.t -> Affine.t -> t
 

@@ -48,16 +48,6 @@ type op =
 
 type request = { id : Json.t; op : op }
 
-let op_name = function
-  | Ping -> "ping"
-  | List_kernels -> "list"
-  | Analyze _ -> "analyze"
-  | Source _ -> "source"
-  | Eval _ -> "eval"
-  | Stats -> "stats"
-  | Crash -> "crash"
-  | Shutdown -> "shutdown"
-
 (* Wire names for the budget stages (the CLI spells them with spaces;
    the wire uses stable snake_case tokens). *)
 let stage_wire_names =

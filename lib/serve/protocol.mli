@@ -62,8 +62,6 @@ type op =
 
 type request = { id : Json.t; op : op }
 
-val op_name : op -> string
-
 (** Wire names of the budget stages ([cdag_build], [pebble_game],
     [cache_sim], [derivation]). *)
 val wire_of_stage : Budget.stage -> string

@@ -30,8 +30,6 @@
 
 type address = Unix_sock of string | Tcp of string * int
 
-val pp_address : Format.formatter -> address -> unit
-
 type config = {
   address : address;
   jobs : int;  (** worker domains draining the request queue *)

@@ -71,8 +71,6 @@ let vars p =
     p Sset.empty
   |> Sset.elements
 
-let coeff_of p m = try Mmap.find m p with Not_found -> Rat.zero
-
 let eval env p =
   Mmap.fold
     (fun m c acc -> Rat.add acc (Rat.mul c (Monomial.eval env m)))

@@ -44,9 +44,6 @@ val degree : t -> int
 val degree_in : string -> t -> int
 val vars : t -> string list
 
-(** [coeff_of p m] is the coefficient of monomial [m] (zero if absent). *)
-val coeff_of : t -> Monomial.t -> Iolb_util.Rat.t
-
 (** [eval env p] evaluates [p]; @raise Not_found on unbound variables. *)
 val eval : (string -> Iolb_util.Rat.t) -> t -> Iolb_util.Rat.t
 

@@ -19,7 +19,7 @@
 (** The instrumented engine stages, in pipeline order. *)
 type stage =
   | Cdag_build  (** [Cdag.of_program] / [Trace.of_program] instantiation *)
-  | Pebble_game  (** [Game.run] *)
+  | Pebble_game  (** [Game.run_plan] *)
   | Cache_sim  (** [Cache.opt] / [Cache.lru] *)
   | Derivation  (** hourglass detection/verification and bound derivation *)
 

@@ -1,7 +1,7 @@
 (** Typed errors for the engine's public entry points.
 
     The engine raises {!Error} for failures it classifies itself (an
-    unknown kernel in [Report.find], an infeasible S in [Game.run], a
+    unknown kernel in [Report.find], an infeasible S in [Game.run_plan], a
     ladder with no answering rung in [Report.analyze]).  Callers put the
     no-raise boundary at the call site with {!guard}, which also
     classifies [Invalid_argument], [Not_found] and [Budget.Exhausted];

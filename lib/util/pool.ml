@@ -145,7 +145,6 @@ module Bounded_queue = struct
 
   let length t = Mutex.protect t.mutex (fun () -> Queue.length t.items)
   let capacity t = t.capacity
-  let is_closed t = Mutex.protect t.mutex (fun () -> t.closed)
 end
 
 (* ------------------------------------------------------------------ *)

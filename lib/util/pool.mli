@@ -73,7 +73,6 @@ module Bounded_queue : sig
 
   val length : 'a t -> int
   val capacity : 'a t -> int
-  val is_closed : 'a t -> bool
 end
 
 (** A group of long-running worker domains with crash isolation: each

@@ -3,7 +3,7 @@
    Theta-equivalent across the old/new divide (the improvement is genuinely
    parametric). *)
 
-module A = Iolb.Asymptotic
+module A = Asymptotic
 module D = Iolb.Derive
 module PF = Iolb.Paper_formulas
 module Report = Iolb.Report

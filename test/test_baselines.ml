@@ -48,7 +48,8 @@ let test_tiled_gemm_io () =
   let s = 3 * 8 * 8 in
   let tiled b =
     let trace =
-      Iolb_pebble.Trace.of_program ~params:[] (K.Gemm.tiled_spec ~m ~n ~k ~b)
+      Iolb_pebble.Trace.of_program ~params:[]
+        (Orderings.gemm_tiled_spec ~m ~n ~k ~b)
     in
     (Iolb_pebble.Cache.opt ~size:s trace).Iolb_pebble.Cache.loads
   in
@@ -85,7 +86,7 @@ let test_tiled_right_mgs_more_writes () =
     Iolb_pebble.Cache.opt ~size:s (Iolb_pebble.Trace.of_program ~params:[] spec)
   in
   let left = stats (K.Mgs.tiled_spec ~m ~n ~b) in
-  let right = stats (K.Mgs.tiled_right_spec ~m ~n ~b) in
+  let right = stats (Orderings.mgs_tiled_right_spec ~m ~n ~b) in
   Alcotest.(check bool)
     (Printf.sprintf "right-looking writes more (%d vs %d)"
        right.Iolb_pebble.Cache.stores left.Iolb_pebble.Cache.stores)

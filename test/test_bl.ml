@@ -230,6 +230,42 @@ let test_mgs_one_regime () =
       | Some rs -> Alcotest.failf "%d regions" (List.length rs)
       | None -> Alcotest.fail "infeasible")
 
+(* test/data/two_regime.iolb, parsed as [bounds --file] would: one
+   verified hourglass on SU, whose sharpened LP reaches the crossing
+   solve.  SU's reads A[i][j], B[i][l] and Q[i][k] touch the reduction
+   and R[k][j][l] does not, so K^(1 + theta) meets K^(3 - 2 theta) at
+   theta = 2/3. *)
+let test_two_regime_program () =
+  let src =
+    Test_front.parse_file_ok (Test_front.locate "data/two_regime.iolb")
+  in
+  let program = src.Iolb_front.Front.program in
+  match
+    Iolb.Hourglass.detect_verified ~params:src.Iolb_front.Front.verify program
+  with
+  | [ h ] -> (
+      Alcotest.(check (list string))
+        "hourglass" [ "SU"; "k,l"; "i"; "j"; "M" ]
+        [
+          h.update_stmt;
+          String.concat "," h.temporal;
+          String.concat "," h.reduction;
+          String.concat "," h.neutral;
+          String.concat "*" (List.map Iolb_poly.Affine.to_string h.width);
+        ];
+      let dims, projs = Iolb.Derive.sharpened_projections program h in
+      match Bl.exponent_regions ~dims projs with
+      | Some rs ->
+          Alcotest.(check (list string))
+            "regions"
+            [
+              "theta in [1/2, 2/3]: K^(1 + 1*theta)";
+              "theta in [2/3, 1]: K^(3 + -2*theta)";
+            ]
+            (regime_lines rs)
+      | None -> Alcotest.fail "infeasible")
+  | hs -> Alcotest.failf "%d verified hourglasses, expected 1" (List.length hs)
+
 (* One [Simplex.minimizer] shares phase 1 and warm-starts each cost from
    the last basis: on random bounded LPs, any cost sequence must give the
    optimal values of fresh [Simplex.minimize] calls, and [None] exactly
@@ -491,6 +527,8 @@ let suite =
     Alcotest.test_case "two regimes meet at theta = 3/5" `Quick
       test_two_regimes;
     Alcotest.test_case "MGS: one regime, one pivot" `Quick test_mgs_one_regime;
+    Alcotest.test_case "two_regime.iolb: two regimes" `Quick
+      test_two_regime_program;
     minimizer_prop;
     regimes_prop;
     Alcotest.test_case "four regimes around a kink" `Quick test_four_regimes;

@@ -38,9 +38,10 @@ let test_opt_beats_lru () =
 let test_write_allocate_no_fetch () =
   (* Writes do not count as loads, but dirty evictions count as stores. *)
   let trace = tr [ w "A" 0; w "A" 1; w "A" 2; r "A" 0 ] in
-  let s = C.lru ~size:2 ~flush:false trace in
+  let s = C.lru ~size:2 trace in
   Alcotest.(check int) "loads (A0 evicted, reloaded)" 1 s.loads;
-  Alcotest.(check int) "stores (dirty evictions)" 2 s.stores
+  Alcotest.(check int) "stores (dirty evictions A0, A1; A2 at the flush)" 3
+    s.stores
 
 let test_opt_dead_value () =
   (* A value overwritten before re-read is dead: OPT evicts it first. *)
@@ -90,13 +91,9 @@ let suite =
         let trace = tr events in
         let plan = C.opt_plan trace in
         List.for_all
-          (fun flush ->
-            List.for_all
-              (fun size ->
-                C.opt_run ~size ~flush plan
-                = Iolb_check.Opt_ref.run ~size ~flush trace)
-              (List.init 13 succ))
-          [ true; false ]);
+          (fun size ->
+            C.opt_run ~size plan = Iolb_check.Opt_ref.run ~size trace)
+          (List.init 13 succ));
     prop "loads + hits = reads" (fun events ->
         let reads =
           List.length

@@ -122,7 +122,9 @@ let test_sandwich_pebble_game () =
           in
           List.iter
             (fun schedule ->
-              let measured = (Game.run cdag ~s ~schedule).loads in
+              let measured =
+                (Game.run_plan (Game.plan cdag ~schedule) ~s).loads
+              in
               List.iter
                 (fun tech ->
                   match Report.eval_best a ~technique:tech ~m ~n ~s with

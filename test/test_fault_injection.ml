@@ -38,7 +38,8 @@ let loads_at ~name ~params program s =
         let cdag = Cdag.of_program ~params program in
         match
           EE.guard (fun () ->
-              Game.run cdag ~s ~schedule:(Game.program_schedule cdag))
+              let schedule = Game.program_schedule cdag in
+              Game.run_plan (Game.plan cdag ~schedule) ~s)
         with
         | Ok r -> Some r.Game.loads
         | Error _ -> None
@@ -244,9 +245,9 @@ let test_game_and_cache_faults () =
   let schedule = Game.program_schedule cdag in
   (match
      EE.guard (fun () ->
-         Game.run
+         Game.run_plan
            ~budget:(Budget.make ~fault:(Budget.Pebble_game, 3) ())
-           cdag ~s:16 ~schedule)
+           (Game.plan cdag ~schedule) ~s:16)
    with
   | Error (EE.Budget_exhausted Budget.Pebble_game) -> ()
   | Ok _ -> Alcotest.fail "pebble fault: expected budget exhaustion, got Ok"

@@ -26,13 +26,13 @@ let test_tiled_spec_preconditions () =
   Alcotest.(check bool) "tiled a2v: b >= 1" true
     (raises_invalid (fun () -> K.Householder.tiled_spec ~m:8 ~n:6 ~b:0));
   Alcotest.(check bool) "tiled gemm: b must divide all" true
-    (raises_invalid (fun () -> K.Gemm.tiled_spec ~m:8 ~n:6 ~k:8 ~b:4));
+    (raises_invalid (fun () -> Orderings.gemm_tiled_spec ~m:8 ~n:6 ~k:8 ~b:4));
   Alcotest.(check bool) "tiled gemm: b >= 1" true
-    (raises_invalid (fun () -> K.Gemm.tiled_spec ~m:8 ~n:6 ~k:8 ~b:0));
+    (raises_invalid (fun () -> Orderings.gemm_tiled_spec ~m:8 ~n:6 ~k:8 ~b:0));
   Alcotest.(check bool) "tiled right mgs: b must divide n" true
-    (raises_invalid (fun () -> K.Mgs.tiled_right_spec ~m:8 ~n:6 ~b:4));
+    (raises_invalid (fun () -> Orderings.mgs_tiled_right_spec ~m:8 ~n:6 ~b:4));
   Alcotest.(check bool) "tiled right mgs: b >= 1" true
-    (raises_invalid (fun () -> K.Mgs.tiled_right_spec ~m:8 ~n:6 ~b:0))
+    (raises_invalid (fun () -> Orderings.mgs_tiled_right_spec ~m:8 ~n:6 ~b:0))
 
 (* The typed-error layer: exact constructors, not just "some failure". *)
 let test_typed_error_paths () =
@@ -71,14 +71,15 @@ let test_typed_error_paths () =
       Programs.mgs
   in
   let schedule = Iolb_pebble.Game.program_schedule cdag in
-  (match EE.guard (fun () -> Iolb_pebble.Game.run cdag ~s:1 ~schedule) with
+  let game = Iolb_pebble.Game.plan cdag ~schedule in
+  (match EE.guard (fun () -> Iolb_pebble.Game.run_plan game ~s:1) with
   | Error (EE.Invalid_input _) -> ()
   | Ok _ | Error _ ->
-      Alcotest.fail "Game.run: infeasible S must be Invalid_input");
+      Alcotest.fail "Game.run_plan: infeasible S must be Invalid_input");
   (* ... which stays distinguishable from a bad schedule *)
   let reversed = Array.of_list (List.rev (Array.to_list schedule)) in
-  (match Iolb_pebble.Game.run cdag ~s:16 ~schedule:reversed with
-  | _ -> Alcotest.fail "Game.run: reversed schedule accepted"
+  (match Iolb_pebble.Game.plan cdag ~schedule:reversed with
+  | _ -> Alcotest.fail "Game.plan: reversed schedule accepted"
   | exception Invalid_argument _ -> ());
   (match
      EE.guard (fun () ->
@@ -167,7 +168,7 @@ let test_tiled_orderings_compute_registry_terms () =
       check ~b "mgs" (K.Mgs.tiled_spec ~m:8 ~n:4 ~b) Programs.mgs ~params:mn
         [ ("A", "Q"); ("R", "R") ];
       check ~b "right-looking mgs"
-        (K.Mgs.tiled_right_spec ~m:8 ~n:4 ~b)
+        (Orderings.mgs_tiled_right_spec ~m:8 ~n:4 ~b)
         Programs.mgs ~params:mn
         [ ("A", "Q"); ("R", "R") ];
       check ~b "a2v"
@@ -175,7 +176,7 @@ let test_tiled_orderings_compute_registry_terms () =
         Programs.a2v ~params:mn
         [ ("A", "A"); ("tau", "tau") ];
       check ~b "gemm"
-        (K.Gemm.tiled_spec ~m:4 ~n:4 ~k:4 ~b)
+        (Orderings.gemm_tiled_spec ~m:4 ~n:4 ~k:4 ~b)
         Programs.gemm
         ~params:[ ("M", 4); ("N", 4); ("K", 4) ]
         [ ("C", "C") ])

@@ -1,4 +1,4 @@
-(* Remaining corners: pretty-printers, DOT export, cache flush flag,
+(* Remaining corners: pretty-printers, DOT export, the final cache flush,
    leading-term extraction, Rat infix operators. *)
 
 module P = Iolb_symbolic.Polynomial
@@ -71,15 +71,22 @@ let test_dot_export () =
        (Array.init (Iolb_cdag.Cdag.n_nodes cdag) Fun.id))
     (count_sub " -> ")
 
-let test_cache_flush_flag () =
+let test_cache_final_flush () =
   let open Iolb_pebble in
   let trace =
     Trace.of_events [ Trace.Write ("A", [| 0 |]); Trace.Write ("A", [| 1 |]) ]
   in
-  let with_flush = Cache.lru ~size:4 trace in
-  let without = Cache.lru ~size:4 ~flush:false trace in
-  Alcotest.(check int) "flush counts dirty lines" 2 with_flush.Cache.stores;
-  Alcotest.(check int) "no flush, no stores" 0 without.Cache.stores
+  (* nothing is evicted at size 4: every store is the flush's *)
+  List.iter
+    (fun (engine, stats) ->
+      Alcotest.(check int)
+        (engine ^ ": the flush stores the dirty lines")
+        2 stats.Cache.stores)
+    [
+      ("lru", Cache.lru ~size:4 trace);
+      ("opt", Cache.opt ~size:4 trace);
+      ("sweep", Sweep.stats (Sweep.run trace) ~size:4);
+    ]
 
 let test_program_pp () =
   let out = Format.asprintf "%a" Iolb_ir.Program.pp Programs.gemm in
@@ -99,6 +106,6 @@ let suite =
     Alcotest.test_case "rat infix" `Quick test_rat_infix;
     Alcotest.test_case "leading terms" `Quick test_leading_terms;
     Alcotest.test_case "dot export" `Quick test_dot_export;
-    Alcotest.test_case "cache flush flag" `Quick test_cache_flush_flag;
+    Alcotest.test_case "cache final flush" `Quick test_cache_final_flush;
     Alcotest.test_case "program pretty-printer" `Quick test_program_pp;
   ]

@@ -103,7 +103,6 @@ let test_queue_capacity_and_close () =
   Alcotest.(check bool) "slot freed by pop" true (Bq.try_push q 4);
   Bq.close q;
   Bq.close q (* idempotent *);
-  Alcotest.(check bool) "closed" true (Bq.is_closed q);
   Alcotest.(check bool) "push after close refused" false (Bq.try_push q 5);
   Alcotest.(check (option int)) "drains after close" (Some 2) (Bq.pop q);
   Alcotest.(check (option int)) "drains after close" (Some 4) (Bq.pop q);

@@ -135,28 +135,29 @@ let test_game_runs_and_counts () =
   let cdag = mgs_cdag 6 4 in
   let schedule = Game.program_schedule cdag in
   let footprint = Cdag.n_inputs cdag in
+  let game = Game.plan cdag ~schedule in
   (* With a huge memory, loads = compulsory input loads only. *)
-  let big = Game.run cdag ~s:10_000 ~schedule in
+  let big = Game.run_plan game ~s:10_000 in
   Alcotest.(check int) "loads = inputs when S is huge" footprint big.loads;
   (* With a small memory, more loads are needed; never fewer. *)
-  let small = Game.run cdag ~s:8 ~schedule in
+  let small = Game.run_plan game ~s:8 in
   Alcotest.(check bool) "small memory loads >= inputs" true
     (small.loads >= footprint);
   Alcotest.(check bool) "peak respects capacity" true (small.peak_red <= 8)
 
 let test_game_monotone_in_s () =
   let cdag = mgs_cdag 6 4 in
-  let schedule = Game.program_schedule cdag in
-  let loads s = (Game.run cdag ~s ~schedule).loads in
+  let game = Game.plan cdag ~schedule:(Game.program_schedule cdag) in
+  let loads s = (Game.run_plan game ~s).loads in
   let l8 = loads 8 and l16 = loads 16 and l32 = loads 32 in
   Alcotest.(check bool) "monotone" true (l8 >= l16 && l16 >= l32)
 
 let test_game_infeasible () =
   let cdag = mgs_cdag 4 3 in
-  let schedule = Game.program_schedule cdag in
+  let game = Game.plan cdag ~schedule:(Game.program_schedule cdag) in
   Alcotest.(check bool) "S=2 infeasible (fan-in 3 + result)" true
     (try
-       ignore (Game.run cdag ~s:2 ~schedule);
+       ignore (Game.run_plan game ~s:2);
        false
      with Iolb_util.Engine_error.(Error (Invalid_input _)) -> true)
 
@@ -169,7 +170,7 @@ let test_random_schedules_valid () =
         (Printf.sprintf "random schedule %d topological" seed)
         true
         (Game.is_topological cdag schedule);
-      let r = Game.run cdag ~s:12 ~schedule in
+      let r = Game.run_plan (Game.plan cdag ~schedule) ~s:12 in
       Alcotest.(check bool) "positive loads" true (r.loads > 0))
     [ 0; 1; 2; 3; 4 ]
 
@@ -197,9 +198,9 @@ let test_rejects_bad_schedule () =
         (Game.is_topological cdag bad);
       Alcotest.(check bool) (what ^ ": Game_ref rejects") false
         (Game_ref.is_topological cdag bad);
-      Alcotest.(check bool) (what ^ ": run raises") true
+      Alcotest.(check bool) (what ^ ": plan raises") true
         (try
-           ignore (Game.run cdag ~s:100 ~schedule:bad);
+           ignore (Game.plan cdag ~schedule:bad);
            false
          with Invalid_argument _ -> true))
     [

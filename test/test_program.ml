@@ -36,10 +36,13 @@ let test_cardinal_matches_concrete () =
 
 let test_total_instances () =
   let params = [ ("M", 6); ("N", 4) ] in
-  let symbolic =
-    P.eval_int params (Program.total_instances Programs.mgs)
-    |> Iolb_util.Rat.to_int
+  let total =
+    List.fold_left
+      (fun acc i -> P.add acc (Program.cardinal i))
+      P.zero
+      (Program.statements Programs.mgs)
   in
+  let symbolic = P.eval_int params total |> Iolb_util.Rat.to_int in
   Alcotest.(check int)
     "total = concrete" symbolic
     (List.length (Interp.instances ~params Programs.mgs))

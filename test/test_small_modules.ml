@@ -112,12 +112,11 @@ let test_priority_schedule () =
   Alcotest.(check bool) "topological" true
     (Iolb_pebble.Game.is_topological cdag sched);
   let s = 64 in
-  let prio = (Iolb_pebble.Game.run cdag ~s ~schedule:sched).loads in
-  let prog =
-    (Iolb_pebble.Game.run cdag ~s
-       ~schedule:(Iolb_pebble.Game.program_schedule cdag))
-      .loads
+  let loads schedule =
+    Iolb_pebble.Game.(run_plan (plan cdag ~schedule) ~s).loads
   in
+  let prio = loads sched in
+  let prog = loads (Iolb_pebble.Game.program_schedule cdag) in
   (* The locality-aware schedule should beat the plain program order. *)
   Alcotest.(check bool)
     (Printf.sprintf "column schedule better (%d < %d)" prio prog)

@@ -1,7 +1,7 @@
 (* The reuse-distance sweep engine: exact agreement with the per-size LRU
-   simulator on randomized traces (every size, both flush settings, all
-   four stats fields), opt_plan/opt equivalence, the OPT eviction heap's
-   bound of [size] entries, and the size-list parser. *)
+   simulator on randomized traces (every size, all four stats fields),
+   opt_plan/opt equivalence, the OPT eviction heap's bound of
+   [min size footprint] slots, and the size-list parser. *)
 
 module T = Iolb_pebble.Trace
 module C = Iolb_pebble.Cache
@@ -32,15 +32,15 @@ let prop name f =
    every size up to footprint + 2: the sequential sweep is the
    one-segment case of the sharded one, so neither can serve as the
    other's reference. *)
-let sweep_matches_lru ~flush events =
+let sweep_matches_lru events =
   let trace = tr events in
   let lru =
     List.init (T.footprint trace + 2) (fun i ->
-        (i + 1, C.lru ~size:(i + 1) ~flush trace))
+        (i + 1, C.lru ~size:(i + 1) trace))
   in
   List.for_all
     (fun jobs ->
-      let sw = S.run ~flush ~jobs trace in
+      let sw = S.run ~jobs trace in
       S.footprint sw = T.footprint trace
       && S.accesses sw = T.length trace
       && List.for_all (fun (size, b) -> stats_eq (S.stats sw ~size) b) lru)
@@ -86,35 +86,31 @@ let test_distance_tiers () =
   let f = T.footprint trace in
   Alcotest.(check int) "footprint" ncells f;
   let sizes = [ 1; 2; 31; 32; 33; 63; 64; 65; 4095; 4096; 4097; f - 1; f; f + 1 ] in
+  let lru = List.map (fun size -> (size, C.lru ~size trace)) sizes in
   List.iter
-    (fun flush ->
-      let lru = List.map (fun size -> (size, C.lru ~size ~flush trace)) sizes in
+    (fun jobs ->
+      let sw = S.run ~jobs trace in
+      Alcotest.(check int) "accesses" (T.length trace) (S.accesses sw);
       List.iter
-        (fun jobs ->
-          let sw = S.run ~flush ~jobs trace in
-          Alcotest.(check int) "accesses" (T.length trace) (S.accesses sw);
-          List.iter
-            (fun (size, b) ->
-              if not (stats_eq (S.stats sw ~size) b) then
-                Alcotest.failf "jobs=%d flush=%b: differs from lru at S=%d" jobs
-                  flush size)
-            lru)
-        [ 1; 2; 3 ])
-    [ true; false ]
+        (fun (size, b) ->
+          if not (stats_eq (S.stats sw ~size) b) then
+            Alcotest.failf "jobs=%d: differs from lru at S=%d" jobs size)
+        lru)
+    [ 1; 2; 3 ]
 
 let test_sweep_hand () =
   (* W a; R b; R a - exercises a dirty epoch closed by a reload. *)
   let trace = tr [ w "A" 0; r "B" 0; r "A" 0 ] in
-  let sw = S.run ~flush:false trace in
+  let sw = S.run trace in
   let s1 = S.stats sw ~size:1 in
   Alcotest.(check int) "size 1 loads" 2 s1.loads;
+  (* a is stored when R b evicts it; its reloaded copy is clean *)
   Alcotest.(check int) "size 1 stores" 1 s1.stores;
   let s2 = S.stats sw ~size:2 in
   Alcotest.(check int) "size 2 loads" 1 s2.loads;
   Alcotest.(check int) "size 2 hits" 1 s2.read_hits;
-  Alcotest.(check int) "size 2 stores" 0 s2.stores;
-  let swf = S.run ~flush:true trace in
-  Alcotest.(check int) "size 2 stores with flush" 1 (S.stats swf ~size:2).C.stores
+  (* a stays dirty in cache until the final flush *)
+  Alcotest.(check int) "size 2 stores" 1 s2.stores
 
 let test_sweep_empty () =
   let sw = S.run (tr []) in
@@ -130,32 +126,17 @@ let test_sweep_histogram () =
   let h = S.distance_histogram sw in
   Alcotest.(check (array int)) "histogram" [| 0; 1 |] h
 
-let test_opt_heap_peak () =
-  (* A long scan over many distinct cells at a small size: the eviction
-     heap holds the cached cells only, so it never passes [size]. *)
-  let size = 8 in
-  let events = List.init 20_000 (fun i -> r "A" (i mod 2_000)) in
-  let peak = C.opt_heap_peak ~size (tr events) in
-  Alcotest.(check bool)
-    (Printf.sprintf "peak %d <= size" peak)
-    true (peak <= size);
+let test_opt_size_past_footprint () =
   (* A size past the footprint is the footprint: the heap is sized by the
      smaller of the two, so max_int allocates nothing proportional to it. *)
   let trace =
     tr [ r "A" 0; w "B" 0; r "A" 1; r "B" 0; w "A" 0; r "A" 1; r "A" 0 ]
   in
   let plan = C.opt_plan trace in
-  List.iter
-    (fun flush ->
-      Alcotest.(check bool)
-        (Printf.sprintf "size max_int = size footprint (flush=%b)" flush)
-        true
-        (stats_eq
-           (C.opt_run ~size:max_int ~flush plan)
-           (C.opt_run ~size:(T.footprint trace) ~flush plan)))
-    [ true; false ];
-  Alcotest.(check int) "peak at max_int" (T.footprint trace)
-    (C.opt_heap_peak ~size:max_int trace)
+  Alcotest.(check bool) "size max_int = size footprint" true
+    (stats_eq
+       (C.opt_run ~size:max_int plan)
+       (C.opt_run ~size:(T.footprint trace) plan))
 
 let test_parse_sizes () =
   let ok spec expect =
@@ -212,36 +193,27 @@ let test_segmented_edges () =
      one-event edges, where shards outnumber events *)
   List.iter
     (fun events ->
-      List.iter
-        (fun flush ->
-          Alcotest.(check bool)
-            (Printf.sprintf "len=%d flush=%b" (List.length events) flush)
-            true
-            (sweep_matches_lru ~flush events))
-        [ true; false ])
+      Alcotest.(check bool)
+        (Printf.sprintf "len=%d" (List.length events))
+        true (sweep_matches_lru events))
     [ []; [ r "A" 0 ]; [ w "A" 0; r "A" 0; r "B" 0 ] ]
 
 let test_run_program_streams () =
   (* dense-address and interning program sweeps = materialized sweep,
      across jobs widths *)
-  let trace = T.of_program ~params:mgs_params mgs in
+  let seq = S.run (T.of_program ~params:mgs_params mgs) in
   List.iter
-    (fun flush ->
-      let seq = S.run ~flush trace in
+    (fun jobs ->
       List.iter
-        (fun jobs ->
-          List.iter
-            (fun (what, got) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s jobs=%d flush=%b" what jobs flush)
-                true (sweeps_equal seq got))
-            [
-              ("dense", S.run_program ~flush ~jobs ~params:mgs_params mgs);
-              ( "interned",
-                S.run_program_stream ~flush ~jobs ~params:mgs_params mgs );
-            ])
-        [ 1; 2; 4; 8 ])
-    [ true; false ]
+        (fun (what, got) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s jobs=%d" what jobs)
+            true (sweeps_equal seq got))
+        [
+          ("dense", S.run_program ~jobs ~params:mgs_params mgs);
+          ("interned", S.run_program_stream ~jobs ~params:mgs_params mgs);
+        ])
+    [ 1; 2; 4; 8 ]
 
 (* An array at two ranks, a hull past 63-bit integers (a plan without a
    layout), a hull too sparse for a flat numbering table (both swept
@@ -381,19 +353,15 @@ let suite =
     Alcotest.test_case "hand-computed sweep" `Quick test_sweep_hand;
     Alcotest.test_case "empty trace" `Quick test_sweep_empty;
     Alcotest.test_case "distance histogram" `Quick test_sweep_histogram;
-    Alcotest.test_case "opt heap peak is O(size)" `Quick test_opt_heap_peak;
+    Alcotest.test_case "opt size past the footprint" `Quick
+      test_opt_size_past_footprint;
     Alcotest.test_case "parse_sizes" `Quick test_parse_sizes;
-    prop "sweep = per-size LRU (flush)" (sweep_matches_lru ~flush:true);
-    prop "sweep = per-size LRU (no flush)" (sweep_matches_lru ~flush:false);
+    prop "sweep = per-size LRU (flush)" sweep_matches_lru;
     prop "opt_plan runs = fresh opt runs" (fun events ->
         let trace = tr events in
         let plan = C.opt_plan trace in
         List.for_all
-          (fun size ->
-            stats_eq (C.opt_run ~size plan) (C.opt ~size trace)
-            && stats_eq
-                 (C.opt_run ~size ~flush:false plan)
-                 (C.opt ~size ~flush:false trace))
+          (fun size -> stats_eq (C.opt_run ~size plan) (C.opt ~size trace))
           [ 1; 2; 4; 8; 1_000 ]);
     Alcotest.test_case "segmented edge cases" `Quick test_segmented_edges;
     Alcotest.test_case "streamed run_program = run" `Quick

@@ -5,12 +5,37 @@
    argument. *)
 
 module UB = Iolb.Upper_bounds
-module A = Iolb.Asymptotic
+module A = Asymptotic
 module D = Iolb.Derive
 module PF = Iolb.Paper_formulas
 module Report = Iolb.Report
 module P = Iolb_symbolic.Polynomial
 module R = Iolb_symbolic.Ratfun
+module Rat = Iolb_util.Rat
+
+(* Classic cubic-blocked GEMM ([Orderings.gemm_tiled_spec]):
+   reads = 2 M N K / B + M N, writes = M N, cache = 3 B^2, the streamed
+   term over the formal inverse "Binv" as in [UB]'s models. *)
+let gemm_tiled =
+  let m = P.var "M" and n = P.var "N" and k = P.var "K" and b = P.var "B" in
+  {
+    UB.reads =
+      P.add
+        (P.scale Rat.two (P.mul (P.mul m (P.mul n k)) (P.var "Binv")))
+        (P.mul m n);
+    writes = P.mul m n;
+    cache_needed = P.scale (Rat.of_int 3) (P.mul b b);
+  }
+
+(* Reads + writes at a concrete block size. *)
+let eval_total c ~b bindings =
+  let bindings = ("B", b) :: bindings in
+  let env x =
+    match List.assoc_opt x bindings with
+    | Some v -> float_of_int v
+    | None -> if x = "Binv" then 1. /. float_of_int b else raise Not_found
+  in
+  P.eval_float_env env (UB.total c)
 
 let test_models_match_simulation () =
   (* Symbolic model vs OPT simulation of the actual trace: same ballpark
@@ -18,7 +43,7 @@ let test_models_match_simulation () =
   List.iter
     (fun (m, n, s, b) ->
       let model =
-        UB.eval_total UB.mgs_tiled ~b [ ("M", m); ("N", n); ("S", s) ]
+        eval_total UB.mgs_tiled ~b [ ("M", m); ("N", n); ("S", s) ]
       in
       let trace =
         Iolb_pebble.Trace.of_program ~params:[]
@@ -95,7 +120,7 @@ let test_gemm_block () =
   (* GEMM with B = sqrtS / 2: total ~ 4 MNK / sqrtS, within a constant of
      the classical bound (3/8) MNK / sqrtS: gap ~ 32/3. *)
   let upper =
-    UB.substitute_block (UB.total UB.gemm_tiled) ~num:(P.var "sqrtS")
+    UB.substitute_block (UB.total gemm_tiled) ~num:(P.var "sqrtS")
       ~den:(P.of_int 2)
   in
   let bounds = Programs.bounds "gemm" in
@@ -110,7 +135,7 @@ let test_gemm_block () =
     (gap >= 8. && gap <= 14.);
   (* Cache validity of the block choice: 3 B^2 = 3S/4 <= S. *)
   let cache =
-    UB.substitute_block UB.gemm_tiled.UB.cache_needed ~num:(P.var "sqrtS")
+    UB.substitute_block gemm_tiled.UB.cache_needed ~num:(P.var "sqrtS")
       ~den:(P.of_int 2)
   in
   let v =

@@ -88,7 +88,8 @@ type plan = {
 
 let plan cdag ~schedule =
   if not (is_topological cdag schedule) then
-    invalid_arg "Game.run: schedule is not a topological order of computes";
+    invalid_arg
+      "Game_ref.plan: schedule is not a topological order of computes";
   let n = Cdag.n_nodes cdag in
   (* Positions at which each node's value is consumed, in schedule order. *)
   let use_positions = Array.make n [] in

@@ -20,7 +20,7 @@
 type stage =
   | Cdag_build  (** [Cdag.of_program] / [Trace.of_program] instantiation *)
   | Pebble_game  (** [Game.run_plan] *)
-  | Cache_sim  (** [Cache.opt] / [Cache.lru] *)
+  | Cache_sim  (** [Sweep] and the [Cache] simulators *)
   | Derivation  (** hourglass detection/verification and bound derivation *)
 
 val stage_name : stage -> string

@@ -357,6 +357,8 @@ let suite =
       test_opt_size_past_footprint;
     Alcotest.test_case "parse_sizes" `Quick test_parse_sizes;
     prop "sweep = per-size LRU (flush)" sweep_matches_lru;
+    Alcotest.test_case "every distance tier = per-size LRU" `Quick
+      test_distance_tiers;
     prop "opt_plan runs = fresh opt runs" (fun events ->
         let trace = tr events in
         let plan = C.opt_plan trace in
@@ -376,6 +378,4 @@ let suite =
       test_data_programs;
     Alcotest.test_case "sampled centre stays in its interval" `Quick
       test_sampled_centre_in_interval;
-    Alcotest.test_case "every distance tier = per-size LRU" `Quick
-      test_distance_tiers;
   ]

@@ -412,17 +412,6 @@ let regimes () =
 (* ------------------------------------------------------------------ *)
 (* Appendix A.1: tiled MGS upper bound.                                *)
 
-let pick_block ~m ~n ~s =
-  (* The paper's block choice B = floor(S/M) - 1, clamped to a divisor of n
-     (the trace generator needs B | N): the largest divisor of n that is
-     <= bmax. *)
-  let bmax = max 1 ((s / m) - 1) in
-  let best = ref 1 in
-  for d = 2 to min n bmax do
-    if n mod d = 0 then best := d
-  done;
-  !best
-
 let appendix_a1 () =
   section "APPENDIX A1: tiled MGS, measured I/O vs predicted (1/2) M N^2 / B";
   let mgs_analysis = Report.analyze_cached (Report.find "mgs") in
@@ -452,7 +441,7 @@ let appendix_a1 () =
   let rows =
     pmap
       (fun (m, n, s) ->
-        let b = pick_block ~m ~n ~s in
+        let b = Iolb.Upper_bounds.paper_block ~m ~n ~s in
         let spec = K.Mgs.tiled_spec ~m ~n ~b in
         let trace = Trace.of_program ~params:[] spec in
         let opt = Cache.opt ~size:s trace in
@@ -511,7 +500,7 @@ let appendix_a2 () =
   let rows =
     pmap
       (fun (m, n, s) ->
-        let b = pick_block ~m ~n ~s in
+        let b = Iolb.Upper_bounds.paper_block ~m ~n ~s in
         let spec = K.Householder.tiled_spec ~m ~n ~b in
         let trace = Trace.of_program ~params:[] spec in
         let opt = Cache.opt ~size:s trace in

@@ -377,13 +377,8 @@ let simulate_cmd =
   let simulate ~audit name file param_overrides m n s seed sizes sample_rate
       sample_seed jobs budget_spec =
     let* () =
-      match (sample_rate, jobs) with
-      | Some r, _ when not (r > 0. && r <= 1.) ->
-          invalid "--sample-rate must be in (0, 1]"
-      | Some r, _ when r < Sweep.min_rate ->
-          invalid
-            "--sample-rate must be at least 2^-62, the sampling hash \
-             resolution"
+      match (Option.map Sweep.check_rate sample_rate, jobs) with
+      | Some (Error rule), _ -> invalid "--sample-rate %s" rule
       | _, Some j when j < 1 -> invalid "--jobs must be at least 1"
       | (Some _, _ | _, Some _) when sizes = None ->
           invalid
@@ -567,7 +562,8 @@ let simulate_cmd =
 
 let tile_cmd =
   let b_arg =
-    Arg.(value & opt int 0 & info [ "b" ] ~doc:"Block size (0 = paper choice).")
+    let doc = "Block size, a divisor of $(b,-n) (0 = the paper's choice)." in
+    Arg.(value & opt int 0 & info [ "b" ] ~doc)
   in
   let run name m n s b budget_spec =
     run_checked @@ fun () ->
@@ -593,27 +589,15 @@ let tile_cmd =
                   name))
     in
     let* _params = Driver.point ~s subject ~m ~n in
-    (* Block size: an explicit -b must divide n (no silent fallback); the
-       paper's automatic choice degrades to b=1 with a warning when it does
-       not divide. *)
+    (* Block size: an explicit -b must divide n (no silent fallback); 0
+       takes the paper's choice, which always divides. *)
     let* b =
-      if b > 0 then
-        if n mod b = 0 then Ok b
-        else
-          invalid
-            "block size b=%d does not divide n=%d (pick b with n mod b = 0)" b
-            n
-      else if b < 0 then
-        invalid "block size b=%d is negative (0 = paper choice)" b
+      if b < 0 then invalid "block size b=%d is negative (0 = paper choice)" b
+      else if b = 0 then Ok (Iolb.Upper_bounds.paper_block ~m ~n ~s)
+      else if n mod b = 0 then Ok b
       else
-        let auto = max 1 ((s / m) - 1) in
-        if n mod auto = 0 then Ok auto
-        else (
-          Printf.eprintf
-            "iolb: warning: paper block size b=%d does not divide n=%d; \
-             falling back to b=1 (untiled)\n"
-            auto n;
-          Ok 1)
+        invalid "block size b=%d does not divide n=%d (pick b with n mod b = 0)"
+          b n
     in
     (* LRU through the production sweep, OPT through one plan run *)
     let* opt, lru =
@@ -671,13 +655,6 @@ let check_cmd =
             "Write the machine-readable report (counterexamples included) to \
              $(i,FILE); $(b,-) writes it to stdout.")
   in
-  let max_failures_arg =
-    Arg.(
-      value
-      & opt int 5
-      & info [ "max-failures" ] ~docv:"N"
-          ~doc:"Keep (and shrink) at most $(i,N) counterexamples.")
-  in
   let quiet_arg =
     Arg.(
       value & flag
@@ -692,7 +669,7 @@ let check_cmd =
              one-line structural summary instead of running the random \
              certification; a diagnostic exits with code 2.  Repeatable.")
   in
-  let run count seed props json max_failures quiet parse_files budget_spec =
+  let run count seed props json quiet parse_files budget_spec =
     if parse_files <> [] then
       run_checked @@ fun () ->
       List.fold_left
@@ -733,7 +710,7 @@ let check_cmd =
             | exception Sys_error msg -> invalid "cannot write %s" msg)
       in
       let report =
-        Iolb_check.Check.run ~budget ~max_failures ~count ~seed ~props ()
+        Iolb_check.Check.run ~budget ~count ~seed ~props ()
       in
       if not quiet then Format.printf "%a@." Iolb_check.Check.pp report;
       (match json_out with
@@ -762,8 +739,8 @@ let check_cmd =
           and metamorphic oracles, with shrinking)"
        ~exits)
     Term.(
-      const run $ count_arg $ seed_arg $ props_arg $ json_arg
-      $ max_failures_arg $ quiet_arg $ parse_arg $ budget_args)
+      const run $ count_arg $ seed_arg $ props_arg $ json_arg $ quiet_arg
+      $ parse_arg $ budget_args)
 
 let print_cmd =
   let run name =
@@ -841,10 +818,6 @@ let serve_cmd =
       "Concurrent connections admitted; excess peers get one \
        $(b,overloaded) line and are closed."
   in
-  let retry_after_arg =
-    pos_int_opt "retry-after-ms" 100
-      "Back-off hint carried by $(b,overloaded) responses."
-  in
   let default_timeout_arg =
     Arg.(
       value
@@ -865,17 +838,14 @@ let serve_cmd =
   let quiet_arg =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress the stderr log.")
   in
-  let run addr_spec jobs queue_cap cache_cap max_conns retry_after
-      default_timeout_ms allow_crash quiet =
+  let run addr_spec jobs queue_cap cache_cap max_conns default_timeout_ms
+      allow_crash quiet =
     run_checked @@ fun () ->
     let* address = parse_address addr_spec in
     let* () = check_jobs jobs in
     let* () =
-      if queue_cap < 1 || cache_cap < 0 || max_conns < 1 || retry_after < 0
-      then
-        invalid
-          "need --queue-cap >= 1, --cache-cap >= 0, --max-conns >= 1, \
-           --retry-after-ms >= 0"
+      if queue_cap < 1 || cache_cap < 0 || max_conns < 1 then
+        invalid "need --queue-cap >= 1, --cache-cap >= 0, --max-conns >= 1"
       else Ok ()
     in
     let jobs =
@@ -888,7 +858,6 @@ let serve_cmd =
         queue_capacity = queue_cap;
         cache_capacity = cache_cap;
         max_connections = max_conns;
-        retry_after_ms = retry_after;
         default_timeout_ms;
         allow_crash;
         log =
@@ -913,8 +882,7 @@ let serve_cmd =
        ~exits:engine_exits)
     Term.(
       const run $ address_args $ jobs_arg $ queue_cap_arg $ cache_cap_arg
-      $ max_conns_arg $ retry_after_arg $ default_timeout_arg
-      $ allow_crash_arg $ quiet_arg)
+      $ max_conns_arg $ default_timeout_arg $ allow_crash_arg $ quiet_arg)
 
 let client_cmd =
   let op_arg =
@@ -945,37 +913,6 @@ let client_cmd =
              $(b,derivation:2) (stages: cdag_build, pebble_game, \
              cache_sim, derivation).")
   in
-  let retries_arg =
-    Arg.(
-      value
-      & opt int 50
-      & info [ "connect-retries" ] ~docv:"N"
-          ~doc:
-            "Connection attempts (100 ms apart) before giving up; covers \
-             daemons still binding their socket.")
-  in
-  let budget_fields (timeout_ms, max_steps, max_nodes) fault =
-    let opt name v =
-      match v with Some i -> [ (name, Json.Int i) ] | None -> []
-    in
-    let fault_field =
-      match fault with
-      | None -> []
-      | Some (stage, k) ->
-          [
-            ( "fault",
-              Json.Obj
-                [
-                  ("stage", Json.String (Protocol.wire_of_stage stage));
-                  ("k", Json.Int k);
-                ] );
-          ]
-    in
-    opt "timeout_ms" timeout_ms
-    @ opt "max_steps" max_steps
-    @ opt "max_nodes" max_nodes
-    @ fault_field
-  in
   let parse_fault = function
     | None -> Ok None
     | Some spec -> (
@@ -988,78 +925,48 @@ let client_cmd =
             | _ -> invalid "--fault expects STAGE:K, got %S" spec)
         | None -> invalid "--fault expects STAGE:K, got %S" spec)
   in
-  let run addr_spec op arg m n s budget_spec fault retries =
+  let run addr_spec op arg m n s (timeout_ms, max_steps, max_nodes) fault =
     let code = ref 0 in
     let rc =
       run_checked @@ fun () ->
       let* address = parse_address addr_spec in
       let* fault = parse_fault fault in
+      (* OP names a typed request, which [Protocol] encodes; raw lines go
+         out verbatim. *)
       let* line =
-        let fields = budget_fields budget_spec fault in
-        let kernel_fields () =
-          match arg with
-          | Some k -> Ok (("kernel", Json.String k) :: fields)
-          | None -> invalid "%s needs a kernel argument" op
-        in
-        let simple name =
-          Ok
-            (Json.to_string
-               (Json.Obj [ ("id", Json.Null); ("op", Json.String name) ]))
-        in
-        match op with
-        | "ping" | "list" | "stats" | "shutdown" | "crash" -> simple op
-        | "analyze" ->
-            let* fs = kernel_fields () in
-            Ok
-              (Json.to_string
-                 (Json.Obj
-                    (("id", Json.Null) :: ("op", Json.String "analyze") :: fs)))
-        | "eval" ->
-            let* fs = kernel_fields () in
-            Ok
-              (Json.to_string
-                 (Json.Obj
-                    (("id", Json.Null)
-                    :: ("op", Json.String "eval")
-                    :: ("m", Json.Int m) :: ("n", Json.Int n)
-                    :: ("s", Json.Int s) :: fs)))
-        | "source" -> (
+        let budget = { Protocol.timeout_ms; max_steps; max_nodes; fault } in
+        let encode op = Ok (Protocol.encode_request { id = Json.Null; op }) in
+        match (op, arg) with
+        | "raw", Some line -> Ok line
+        | "raw", None -> invalid "raw needs the request line"
+        | "ping", _ -> encode Protocol.Ping
+        | "list", _ -> encode Protocol.List_kernels
+        | "stats", _ -> encode Protocol.Stats
+        | "shutdown", _ -> encode Protocol.Shutdown
+        | "crash", _ -> encode Protocol.Crash
+        | ("analyze" | "eval"), None -> invalid "%s needs a kernel argument" op
+        | "analyze", Some kernel -> encode (Protocol.Analyze { kernel; budget })
+        | "eval", Some kernel ->
+            encode (Protocol.Eval { kernel; m; n; s; empirical = None; budget })
+        | "source", None -> invalid "source needs a DSL file path"
+        | "source", Some path -> (
             (* The file is read client-side; the service never touches the
-               filesystem.  Json.escape keeps the multi-line source on one
-               wire line. *)
-            match arg with
-            | None -> invalid "source needs a DSL file path"
-            | Some path -> (
-                match
-                  let ic = open_in_bin path in
-                  Fun.protect
-                    ~finally:(fun () -> close_in_noerr ic)
-                    (fun () ->
-                      really_input_string ic (in_channel_length ic))
-                with
-                | exception Sys_error msg ->
-                    invalid "cannot read %s: %s" path msg
-                | src ->
-                    Ok
-                      (Json.to_string
-                         (Json.Obj
-                            (("id", Json.Null)
-                            :: ("op", Json.String "source")
-                            :: ("src", Json.String src)
-                            :: fields)))))
-        | "raw" -> (
-            match arg with
-            | Some l -> Ok l
-            | None -> invalid "raw needs the request line")
-        | other ->
+               filesystem. *)
+            let read ic = really_input_string ic (in_channel_length ic) in
+            match In_channel.with_open_bin path read with
+            | exception Sys_error msg -> invalid "cannot read %s: %s" path msg
+            | src -> encode (Protocol.Source { src; budget }))
+        | other, _ ->
             invalid
               "unknown client op %S (ping, list, stats, shutdown, analyze, \
                eval, source, crash, raw)"
               other
       in
+      (* Connection attempts 100 ms apart cover a daemon still binding its
+         socket. *)
       let* client =
         Engine_error.guard (fun () ->
-            Sclient.connect ~attempts:(max 1 retries) ~delay_s:0.1 address)
+            Sclient.connect ~attempts:50 ~delay_s:0.1 address)
       in
       Fun.protect
         ~finally:(fun () -> Sclient.close client)
@@ -1092,7 +999,7 @@ let client_cmd =
        ~exits)
     Term.(
       const run $ address_args $ op_arg $ arg_arg $ m_arg $ n_arg $ s_arg
-      $ budget_args $ fault_arg $ retries_arg)
+      $ budget_args $ fault_arg)
 
 let dot_cmd =
   let out_arg =

@@ -26,38 +26,33 @@ let () =
   let predicted b =
     (0.5 *. float_of_int (m * n * n) /. float_of_int b) +. float_of_int (m * n)
   in
+  (* OPT through one plan run, LRU through the reuse-distance sweep *)
+  let loads trace ~size =
+    ( (Cache.opt_run ~size (Cache.opt_plan trace)).Cache.loads,
+      (Sweep.stats (Sweep.run trace) ~size).Cache.loads )
+  in
   Printf.printf "\n%6s | %10s %10s | %10s | %10s | %8s\n" "B" "opt loads"
     "lru loads" "predicted" "lower bnd" "no-spill";
   List.iter
     (fun b ->
       if n mod b = 0 then begin
         let trace = Trace.of_program ~params:[] (K.Mgs.tiled_spec ~m ~n ~b) in
-        let opt = Cache.opt ~size:s trace in
-        let lru = Cache.lru ~size:s trace in
-        Printf.printf "%6d | %10d %10d | %10.0f | %10.0f | %8b\n" b
-          opt.Cache.loads lru.Cache.loads (predicted b) lower
-          ((m + 1) * b < s)
+        let opt, lru = loads trace ~size:s in
+        Printf.printf "%6d | %10d %10d | %10.0f | %10.0f | %8b\n" b opt lru
+          (predicted b) lower ((m + 1) * b < s)
       end)
     [ 1; 2; 4; 8; 16; 32 ];
   (* The untiled right-looking ordering for contrast. *)
   let untiled =
     Trace.of_program ~params:[ ("M", m); ("N", n) ] analysis.entry.program
   in
-  Printf.printf "\nuntiled right-looking (program order): opt=%d lru=%d\n"
-    (Cache.opt ~size:s untiled).Cache.loads
-    (Cache.lru ~size:s untiled).Cache.loads;
+  let opt, lru = loads untiled ~size:s in
+  Printf.printf "\nuntiled right-looking (program order): opt=%d lru=%d\n" opt
+    lru;
   (* Cache-size sweep at the paper's block: every S below is answered by a
      single reuse-distance pass (LRU, exact hits/stores for all sizes at
      once) plus per-size forward runs over one shared OPT plan. *)
-  let b =
-    (* largest divisor of n within the paper's choice floor(S/M) - 1 *)
-    let bmax = max 1 ((s / m) - 1) in
-    let best = ref 1 in
-    for d = 2 to min n bmax do
-      if n mod d = 0 then best := d
-    done;
-    !best
-  in
+  let b = Iolb.Upper_bounds.paper_block ~m ~n ~s in
   let trace = Trace.of_program ~params:[] (K.Mgs.tiled_spec ~m ~n ~b) in
   let sizes =
     List.filter (fun x -> x > 0) [ s / 8; s / 4; s / 2; s; 2 * s; 4 * s ]

@@ -31,8 +31,8 @@ let () =
         let trace =
           Trace.of_program ~params:[] (K.Householder.tiled_spec ~m ~n ~b)
         in
-        let opt = Cache.opt ~size:s trace in
-        let lru = Cache.lru ~size:s trace in
+        let opt = Cache.opt_run ~size:s (Cache.opt_plan trace) in
+        let lru = Sweep.stats (Sweep.run trace) ~size:s in
         let predicted =
           (0.5
            *. (float_of_int (m * n * n) -. (float_of_int (n * n * n) /. 3.))

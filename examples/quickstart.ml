@@ -3,15 +3,13 @@
 
    Run with:  dune exec examples/quickstart.exe *)
 
-module Program = Iolb_ir.Program
-module Access = Iolb_ir.Access
-module Affine = Iolb_poly.Affine
-
 let () =
   (* 1. A program can come from the kernel registry, which parses the
-        shipped sources (this one is examples/kernels/mgs.iolb)... *)
-  let mgs = (Iolb.Report.find "mgs").program in
-  Format.printf "%a@." Program.pp mgs;
+        shipped sources; printed back as DSL source, this one is
+        examples/kernels/mgs.iolb... *)
+  let entry = Iolb.Report.find "mgs" in
+  let mgs = entry.program in
+  print_endline (Iolb_lang.Front.print ~verify:entry.verify_params mgs);
 
   (* 2. ... or be built directly.  Here is a toy reduce-broadcast loop:
         for k: for j: { SR: acc[j] += A[j][k-ish]...; }  We reuse MGS. *)

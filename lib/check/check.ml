@@ -100,8 +100,10 @@ let cover ~budget cov spec =
             { cov with classical_bounds = cov.classical_bounds + 1 }
           else cov)
 
-let run ?(budget = fun () -> Budget.unlimited) ?(max_failures = 5) ?progress
-    ~count ~seed ~props () =
+(* Counterexamples kept (and shrunk) per run. *)
+let max_failures = 5
+
+let run ?(budget = fun () -> Budget.unlimited) ~count ~seed ~props () =
   let passed = ref 0
   and failed = ref 0
   and skipped = ref 0
@@ -109,7 +111,6 @@ let run ?(budget = fun () -> Budget.unlimited) ?(max_failures = 5) ?progress
   let failures = ref [] in
   let coverage = ref zero_coverage in
   for s = seed to seed + count - 1 do
-    (match progress with Some f -> f s | None -> ());
     let spec = Gen.spec ~seed:s in
     coverage := cover ~budget !coverage spec;
     List.iter

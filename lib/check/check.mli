@@ -34,7 +34,7 @@ type report = {
   failed : int;
   skipped : int;  (** inapplicable or budget-exhausted pairs *)
   budget_skips : int;  (** the budget-exhausted subset of [skipped] *)
-  failures : failure list;  (** at most [max_failures], in seed order *)
+  failures : failure list;  (** at most 5, in seed order *)
   coverage : coverage;
 }
 
@@ -44,12 +44,9 @@ type report = {
     [budget] is called once per (spec, oracle) evaluation - budget state is
     mutable, so sharing one would double-count across properties; budget
     exhaustion is recorded as a skip, never a failure.  Shrinking stops
-    after [max_failures] counterexamples (default 5).  [progress], if
-    given, is called with each seed before it is checked. *)
+    after 5 counterexamples; later failures are only counted. *)
 val run :
   ?budget:(unit -> Iolb_util.Budget.t) ->
-  ?max_failures:int ->
-  ?progress:(int -> unit) ->
   count:int ->
   seed:int ->
   props:Oracle.t list ->

@@ -40,6 +40,10 @@ let a2v_tiled =
 
 let total c = P.add c.reads c.writes
 
+let paper_block ~m ~n ~s =
+  let rec divisor_below d = if n mod d = 0 then d else divisor_below (d - 1) in
+  divisor_below (max 1 (min n ((s / m) - 1)))
+
 let substitute_block p ~num ~den =
   (* p is a polynomial in B and Binv (each appearing with non-negative
      exponents); substitute B = num/den and Binv = den/num. *)

@@ -28,6 +28,12 @@ val a2v_tiled : cost
 (** [total c] is reads + writes, a polynomial in the parameters and [B]. *)
 val total : cost -> Iolb_symbolic.Polynomial.t
 
+(** [paper_block ~m ~n ~s] is the block size the tiled orderings run at
+    for the paper's choice [B = floor(S/M) - 1]: the orderings need
+    [B | N], so it is the largest divisor of [n] that is at most
+    [max 1 (floor(s/m) - 1)]. *)
+val paper_block : m:int -> n:int -> s:int -> int
+
 (** [substitute_block p ~num ~den] composes a polynomial in ["B"] and
     ["Binv"] with the rational block choice [B = num/den], yielding a
     rational function of the remaining parameters (e.g. [num = S - M],

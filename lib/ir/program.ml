@@ -170,27 +170,3 @@ let find_bound info x =
 
 let extent_min info x = extremize ~minimize:true info (trip_count (find_bound info x))
 let extent_max info x = extremize ~minimize:false info (trip_count (find_bound info x))
-
-let pp fmt p =
-  let rec pp_node indent fmt = function
-    | Stmt s ->
-        Format.fprintf fmt "%s%s: %a = f(%a)\n" indent s.name
-          (Format.pp_print_list
-             ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-             Access.pp)
-          s.writes
-          (Format.pp_print_list
-             ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-             Access.pp)
-          s.reads
-    | Loop { var; lo; hi; rev; body } ->
-        if rev then
-          Format.fprintf fmt "%sfor %s = %a downto %a:\n" indent var Affine.pp
-            hi Affine.pp lo
-        else
-          Format.fprintf fmt "%sfor %s = %a .. %a:\n" indent var Affine.pp lo
-            Affine.pp hi;
-        List.iter (pp_node (indent ^ "  ") fmt) body
-  in
-  Format.fprintf fmt "program %s(%s):\n" p.name (String.concat ", " p.params);
-  List.iter (pp_node "  " fmt) p.body

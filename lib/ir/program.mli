@@ -99,5 +99,3 @@ val cardinal : stmt_info -> Iolb_symbolic.Polynomial.t
 val extent_min : stmt_info -> string -> Affine.t
 
 val extent_max : stmt_info -> string -> Affine.t
-
-val pp : Format.formatter -> t -> unit

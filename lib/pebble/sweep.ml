@@ -675,6 +675,12 @@ let hash_space = 4611686018427387904.0 (* 2^62 *)
    matches the 1/rate the estimates scale by. *)
 let min_rate = 1.0 /. hash_space
 
+let check_rate rate =
+  if not (rate > 0.0 && rate <= 1.0) then Error "must be in (0, 1]"
+  else if rate < min_rate then
+    Error "must be at least 2^-62, the sampling hash resolution"
+  else Ok ()
+
 let sampled_exact s = s.s_exact
 let sampled_total_accesses s = s.s_total
 let sampled_kept_accesses s = s.s_kept
@@ -697,12 +703,9 @@ let sampled_degenerate s =
 let groups = 8
 
 let run_sampled ?(budget = Budget.unlimited) ~rate ~seed ~params prog =
-  if not (rate > 0.0 && rate <= 1.0) then
-    invalid_arg "Sweep.run_sampled: rate must be in (0, 1]";
-  if rate < min_rate then
-    invalid_arg
-      "Sweep.run_sampled: rate must be at least 2^-62, the sampling hash \
-       resolution";
+  Result.iter_error
+    (fun rule -> invalid_arg ("Sweep.run_sampled: rate " ^ rule))
+    (check_rate rate);
   if not (Budget.is_unlimited budget) then
     Budget.check_deadline budget Budget.Cache_sim;
   let plan = Cplan.make ~params prog in

@@ -123,11 +123,17 @@ type estimate = { est : float; lo : float; hi : float }
     sampling hash, below which no keep threshold matches the rate. *)
 val min_rate : float
 
+(** [check_rate rate] is [Ok ()] when [rate] is a sampling rate: in
+    (0, 1] and at least {!min_rate}.  Otherwise it is the rule [rate]
+    breaks, worded to follow the rate's name: ["must be in (0, 1]"] or
+    ["must be at least 2^-62, the sampling hash resolution"]. *)
+val check_rate : float -> (unit, string) result
+
 (** [run_sampled ~rate ~seed ~params p] scans the trace of [p] once,
     keeping cells at the given [rate], and sweeps the union sample plus
     8 disjoint sub-samples.  [rate >= 1] falls back to the exact
     {!run_program}.
-    @raise Invalid_argument if [rate] is outside [[min_rate, 1]]. *)
+    @raise Invalid_argument when {!check_rate} rejects [rate]. *)
 val run_sampled :
   ?budget:Iolb_util.Budget.t ->
   rate:float ->

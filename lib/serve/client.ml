@@ -3,31 +3,13 @@ module Json = Iolb_util.Json
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 let connect_once address =
-  match (address : Server.address) with
-  | Server.Unix_sock path ->
-      let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-      (try Unix.connect fd (ADDR_UNIX path)
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
-  | Server.Tcp (host, port) ->
-      let addr =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          match Unix.gethostbyname host with
-          | { h_addr_list = [||]; _ } ->
-              invalid_arg (Printf.sprintf "cannot resolve host %S" host)
-          | { h_addr_list; _ } -> h_addr_list.(0)
-          | exception Not_found ->
-              invalid_arg (Printf.sprintf "cannot resolve host %S" host))
-      in
-      let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-      (try Unix.connect fd (ADDR_INET (addr, port))
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+  let domain, addr = Server.sockaddr address in
+  let fd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
+  (try Unix.connect fd addr
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
 (* Retrying connect: the daemon the caller just started may not have
    bound its socket yet (CI starts it in the background). *)

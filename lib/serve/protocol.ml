@@ -109,15 +109,13 @@ let parse_empirical json =
         | Some _ -> Error "field \"empirical.rate\" must be a number"
         | None -> Error "missing field \"empirical.rate\""
       in
-      if not (rate > 0. && rate <= 1.) then
-        Error "field \"empirical.rate\" must be in (0, 1]"
-      else if rate < Iolb_pebble.Sweep.min_rate then
-        Error
-          "field \"empirical.rate\" must be at least 2^-62, the sampling \
-           hash resolution"
-      else
-        let* seed = int_field_default e "seed" 42 in
-        Ok (Some { rate; seed })
+      let* () =
+        Result.map_error
+          (fun rule -> "field \"empirical.rate\" " ^ rule)
+          (Iolb_pebble.Sweep.check_rate rate)
+      in
+      let* seed = int_field_default e "seed" 42 in
+      Ok (Some { rate; seed })
   | Some _ -> Error "field \"empirical\" must be an object"
 
 let parse_budget json =
@@ -185,6 +183,50 @@ let parse_request line : (request, Json.t * string) result =
       | Some _ -> fail "field \"op\" must be a string"
       | None -> fail "missing field \"op\"")
   | Ok _ -> Error (Json.Null, "request must be a JSON object")
+
+(* ------------------------------------------------------------------ *)
+(* Request encoding (client side): the inverse of [parse_request].     *)
+
+(* Every field the decoder defaults is written out; an absent budget
+   field or rider is left out. *)
+let encode_request { id; op } =
+  let budget b =
+    let int key = Option.map (fun i -> (key, Json.Int i)) in
+    let fault (stage, k) =
+      ( "fault",
+        Json.Obj
+          [ ("stage", Json.String (wire_of_stage stage)); ("k", Json.Int k) ] )
+    in
+    List.filter_map Fun.id
+      [
+        int "timeout_ms" b.timeout_ms;
+        int "max_steps" b.max_steps;
+        int "max_nodes" b.max_nodes;
+        Option.map fault b.fault;
+      ]
+  in
+  let rider { rate; seed } =
+    ( "empirical",
+      Json.Obj [ ("rate", Json.Float rate); ("seed", Json.Int seed) ] )
+  in
+  let name, fields =
+    match op with
+    | Ping -> ("ping", [])
+    | List_kernels -> ("list", [])
+    | Stats -> ("stats", [])
+    | Crash -> ("crash", [])
+    | Shutdown -> ("shutdown", [])
+    | Analyze { kernel; budget = b } ->
+        ("analyze", ("kernel", Json.String kernel) :: budget b)
+    | Source { src; budget = b } ->
+        ("source", ("src", Json.String src) :: budget b)
+    | Eval { kernel; m; n; s; empirical; budget = b } ->
+        ( "eval",
+          ("kernel", Json.String kernel)
+          :: ("m", Json.Int m) :: ("n", Json.Int n) :: ("s", Json.Int s)
+          :: (Option.to_list (Option.map rider empirical) @ budget b) )
+  in
+  Json.to_string (Json.Obj (("id", id) :: ("op", Json.String name) :: fields))
 
 (* ------------------------------------------------------------------ *)
 (* Errors.                                                             *)
@@ -274,18 +316,8 @@ let bound_json (b : Derive.t) =
         | Some r -> Json.String (R.to_string r) );
     ]
 
-let analysis_result ~spec (a : Report.analysis) =
-  Json.Obj
-    [
-      ("kernel", Json.String a.entry.display);
-      ("spec", Json.String spec);
-      ("hourglasses", Json.Int (List.length a.hourglasses));
-      ("degradation", degradation_json a.degradation);
-      ("bounds", Json.List (List.map bound_json a.bounds));
-    ]
-
-(* Result of an inline-source analysis: same shape as [analysis_result],
-   with the parsed kernel's own name. *)
+(* Result of an inline-source analysis, with the parsed kernel's own
+   name; a registry analysis has the same shape. *)
 let source_result ~spec ~kernel ~hourglasses (o : Derive.outcome) =
   Json.Obj
     [
@@ -295,6 +327,11 @@ let source_result ~spec ~kernel ~hourglasses (o : Derive.outcome) =
       ("degradation", degradation_json o.degradation);
       ("bounds", Json.List (List.map bound_json o.bounds));
     ]
+
+let analysis_result ~spec (a : Report.analysis) =
+  source_result ~spec ~kernel:a.entry.display
+    ~hourglasses:(List.length a.hourglasses)
+    { Derive.bounds = a.bounds; degradation = a.degradation }
 
 let eval_result ?empirical ~spec (a : Report.analysis) ~m ~n ~s =
   let best tech =

@@ -34,8 +34,8 @@ val is_unlimited : budget_spec -> bool
     ["empirical": {"rate": r, "seed": k}]): run a sampled ([rate < 1])
     or exact streaming ([rate = 1]) cache sweep of the kernel at the
     evaluation point and report measured loads next to the bounds.
-    [rate] must lie in (0, 1] and be at least
-    {!Iolb_pebble.Sweep.min_rate} (2^-62); [seed] defaults to 42. *)
+    [rate] must pass {!Iolb_pebble.Sweep.check_rate}: in (0, 1] and at
+    least 2^-62; [seed] defaults to 42. *)
 type empirical_spec = { rate : float; seed : int }
 
 type op =
@@ -75,6 +75,12 @@ val stage_of_wire : string -> Budget.stage option
     (64 KiB) of the line. *)
 val max_line_bytes : int
 
+(** [encode_request r] is one request line (no trailing newline) that
+    {!parse_request} decodes to [r], as long as every float in [r] (a
+    [Json.Float] id, the empirical rate) survives {!Iolb_util.Json}'s
+    12-significant-digit rendering. *)
+val encode_request : request -> string
+
 (** [parse_request line] decodes one request line.  The error carries the
     request [id] when the line parsed far enough to contain one
     ([Json.Null] otherwise) so the typed [bad_request] response stays
@@ -112,7 +118,8 @@ val ok_response_raw : id:Json.t -> op:string -> string -> string
 val analysis_result : spec:string -> Iolb.Report.analysis -> Json.t
 
 (** [source_result ~spec ~kernel ~hourglasses o] renders an inline-source
-    ladder outcome with the same field shape as {!analysis_result}. *)
+    ladder outcome; {!analysis_result} is this payload for the analysis's
+    display name, pattern count and outcome. *)
 val source_result :
   spec:string ->
   kernel:string ->

@@ -21,7 +21,6 @@ type config = {
   queue_capacity : int;
   cache_capacity : int;
   max_connections : int;
-  retry_after_ms : int;
   default_timeout_ms : int option;
   allow_crash : bool;
   log : string -> unit;
@@ -34,11 +33,13 @@ let default_config ~address =
     queue_capacity = 64;
     cache_capacity = 128;
     max_connections = 32;
-    retry_after_ms = 100;
     default_timeout_ms = None;
     allow_crash = false;
     log = ignore;
   }
+
+(* The back-off hint carried by [overloaded] responses. *)
+let retry_after_ms = 100
 
 exception Injected_crash
 
@@ -434,8 +435,7 @@ let handle_line t conn line =
             Atomic.incr t.counters.served_error;
             write_line conn
               (Protocol.error_response ~id
-                 (Protocol.Overloaded
-                    { retry_after_ms = t.config.retry_after_ms }));
+                 (Protocol.Overloaded { retry_after_ms }));
             flight_decr conn
           end)
 
@@ -530,12 +530,12 @@ let conn_loop t conn =
 (* ------------------------------------------------------------------ *)
 (* Accept loop.                                                        *)
 
-let refuse_connection t fd =
+let refuse_connection fd =
   let oc = Unix.out_channel_of_descr fd in
   (try
      output_string oc
        (Protocol.error_response ~id:Json.Null
-          (Protocol.Overloaded { retry_after_ms = t.config.retry_after_ms }));
+          (Protocol.Overloaded { retry_after_ms }));
      output_char oc '\n';
      flush oc
    with Sys_error _ | Unix.Unix_error _ -> ());
@@ -555,7 +555,7 @@ let accept_loop t () =
                 Mutex.protect t.conns_mutex (fun () ->
                     List.length t.conns < t.config.max_connections)
               in
-              if not (admitted && not (stopping t)) then refuse_connection t fd
+              if not (admitted && not (stopping t)) then refuse_connection fd
               else begin
                 let conn = make_conn fd in
                 Mutex.protect t.conns_mutex (fun () ->
@@ -569,7 +569,7 @@ let accept_loop t () =
                        dying. *)
                     Mutex.protect t.conns_mutex (fun () ->
                         t.conns <- List.filter (fun c -> c != conn) t.conns);
-                    refuse_connection t fd
+                    refuse_connection fd
               end;
               loop ())
       | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> ()
@@ -580,9 +580,33 @@ let accept_loop t () =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
 
+let sockaddr = function
+  | Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+  | Tcp (host, port) ->
+      let unresolved () =
+        invalid_arg (Printf.sprintf "cannot resolve host %S" host)
+      in
+      let addr =
+        try Unix.inet_addr_of_string host
+        with Failure _ -> (
+          match Unix.gethostbyname host with
+          | { h_addr_list = [||]; _ } | (exception Not_found) -> unresolved ()
+          | { h_addr_list; _ } -> h_addr_list.(0))
+      in
+      (Unix.PF_INET, Unix.ADDR_INET (addr, port))
+
 (* An address the OS refuses is the caller's input, not an engine fault:
    it is reported like an unresolvable host. *)
-let listen_on ~what domain ~prepare addr =
+let bind_listener address =
+  let domain, addr = sockaddr address in
+  let what, prepare =
+    match address with
+    | Unix_sock path ->
+        (path, fun _ -> if Sys.file_exists path then Unix.unlink path)
+    | Tcp (host, port) ->
+        ( Printf.sprintf "%s:%d" host port,
+          fun fd -> Unix.setsockopt fd SO_REUSEADDR true )
+  in
   let fd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
   match
     prepare fd;
@@ -594,26 +618,6 @@ let listen_on ~what domain ~prepare addr =
       Unix.close fd;
       invalid_arg
         (Printf.sprintf "cannot listen on %s: %s" what (Unix.error_message err))
-
-let bind_listener = function
-  | Unix_sock path ->
-      listen_on ~what:path PF_UNIX (ADDR_UNIX path) ~prepare:(fun _ ->
-          if Sys.file_exists path then Unix.unlink path)
-  | Tcp (host, port) ->
-      let addr =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          match Unix.gethostbyname host with
-          | { h_addr_list = [||]; _ } ->
-              invalid_arg (Printf.sprintf "cannot resolve host %S" host)
-          | { h_addr_list; _ } -> h_addr_list.(0)
-          | exception Not_found ->
-              invalid_arg (Printf.sprintf "cannot resolve host %S" host))
-      in
-      listen_on
-        ~what:(Printf.sprintf "%s:%d" host port)
-        PF_INET (ADDR_INET (addr, port))
-        ~prepare:(fun fd -> Unix.setsockopt fd SO_REUSEADDR true)
 
 let start config =
   if config.jobs < 1 then invalid_arg "Server.start: jobs < 1";
@@ -692,10 +696,6 @@ let join t =
   | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ());
   t.config.log "server stopped"
-
-let run config =
-  let t = start config in
-  join t
 
 let respawns t =
   match t.workers with Some w -> Pool.Workers.respawns w | None -> 0

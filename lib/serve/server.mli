@@ -7,7 +7,7 @@
     lines, answers the cheap ops ([ping], [list], [stats], [shutdown])
     inline, and pushes engine ops onto a bounded
     {!Iolb_util.Pool.Bounded_queue} - a full queue sheds the request with
-    a typed [overloaded] response and a retry-after hint instead of
+    a typed [overloaded] response and a 100 ms retry-after hint instead of
     queueing without limit; a {!Iolb_util.Pool.Workers} group drains the
     queue.  Responses for complete (non-degraded, non-fault) analyses,
     and every answer computed with no budget at all (degraded or not:
@@ -30,21 +30,26 @@
 
 type address = Unix_sock of string | Tcp of string * int
 
+(** [sockaddr address] is the socket domain and OS address of [address],
+    the one resolver of the daemon and {!Client}: a TCP host is an IP
+    literal or a name [gethostbyname] resolves.
+    @raise Invalid_argument when the host does not resolve. *)
+val sockaddr : address -> Unix.socket_domain * Unix.sockaddr
+
 type config = {
   address : address;
   jobs : int;  (** worker domains draining the request queue *)
   queue_capacity : int;  (** admission-control bound on queued requests *)
   cache_capacity : int;  (** LRU response-cache entries; [0] disables *)
   max_connections : int;  (** concurrent connections admitted *)
-  retry_after_ms : int;  (** hint carried by [overloaded] responses *)
   default_timeout_ms : int option;
       (** deadline applied to requests that do not set their own *)
   allow_crash : bool;  (** honour the [crash] op (fault testing only) *)
   log : string -> unit;
 }
 
-(** jobs 2, queue 64, cache 128, connections 32, retry-after 100 ms, no
-    default deadline, crash injection off, silent log. *)
+(** jobs 2, queue 64, cache 128, connections 32, no default deadline,
+    crash injection off, silent log. *)
 val default_config : address:address -> config
 
 (** The exception the [crash] op raises inside a worker domain. *)
@@ -67,9 +72,6 @@ val stop : t -> unit
     workers, flush in-flight responses, join every domain, release the
     socket (unlinking a Unix-socket path). *)
 val join : t -> unit
-
-(** [run config] is [join (start config)]. *)
-val run : config -> unit
 
 (** Worker-domain crash respawns so far (also in the [stats] op). *)
 val respawns : t -> int

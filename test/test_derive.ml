@@ -153,8 +153,7 @@ let test_sandwich_tiled_mgs () =
   let a = analysis "mgs" in
   List.iter
     (fun s ->
-      let b = max 1 ((s / m) - 1) in
-      let b = if n mod b = 0 then b else 4 in
+      let b = Iolb.Upper_bounds.paper_block ~m ~n ~s in
       let spec = Iolb_kernels.Mgs.tiled_spec ~m ~n ~b in
       let trace = Iolb_pebble.Trace.of_program ~params:[] spec in
       let stats = Iolb_pebble.Cache.opt ~size:s trace in

@@ -88,18 +88,6 @@ let test_cache_final_flush () =
       ("sweep", Sweep.stats (Sweep.run trace) ~size:4);
     ]
 
-let test_program_pp () =
-  let out = Format.asprintf "%a" Iolb_ir.Program.pp Programs.gemm in
-  Alcotest.(check bool) "mentions loops and statement" true
-    (let contains needle =
-       let rec go i =
-         i + String.length needle <= String.length out
-         && (String.sub out i (String.length needle) = needle || go (i + 1))
-       in
-       go 0
-     in
-     contains "for i = 0 .. M - 1" && contains "SC: C[i][j]")
-
 let suite =
   [
     Alcotest.test_case "pretty printers" `Quick test_printers;
@@ -107,5 +95,4 @@ let suite =
     Alcotest.test_case "leading terms" `Quick test_leading_terms;
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Alcotest.test_case "cache final flush" `Quick test_cache_final_flush;
-    Alcotest.test_case "program pretty-printer" `Quick test_program_pp;
   ]

@@ -104,6 +104,85 @@ let test_parse_request () =
   let id, _ = parse_err "not json" in
   Alcotest.(check bool) "unparsable line has null id" true (id = Json.Null)
 
+(* [encode_request] inverts [parse_request] on random requests of every
+   op.  Json renders floats with 12 significant digits, so the rates and
+   float ids drawn have at most that many; texts mix in the characters
+   the encoder must escape. *)
+let request_gen =
+  let open QCheck2.Gen in
+  let text =
+    string_size (int_range 0 12)
+      ~gen:
+        (oneofl
+           [ 'a'; 'Z'; ' '; '/'; '"'; '\\'; '\n'; '\r'; '\t'; '\001'; '\xc3' ])
+  in
+  let decimal =
+    let+ k = int_range 1 999_999_999_999 and+ p = int_range 12 18 in
+    float_of_string (Printf.sprintf "%de-%d" k p)
+  in
+  let id =
+    fix
+      (fun id depth ->
+        let leaves =
+          [
+            pure Json.Null;
+            map (fun b -> Json.Bool b) bool;
+            map (fun i -> Json.Int i) int;
+            map2 (fun neg x -> Json.Float (if neg then -.x else x)) bool
+              decimal;
+            map (fun s -> Json.String s) text;
+          ]
+        in
+        let items gen = list_size (int_range 0 3) gen in
+        if depth = 0 then oneof leaves
+        else
+          oneof
+            (map (fun l -> Json.List l) (items (id (depth - 1)))
+            :: map (fun fs -> Json.Obj fs) (items (pair text (id (depth - 1))))
+            :: leaves))
+      2
+  in
+  let budget =
+    let stage =
+      oneofl
+        Budget.[ Cdag_build; Pebble_game; Cache_sim; Derivation ]
+    in
+    let+ timeout_ms = option int
+    and+ max_steps = option int
+    and+ max_nodes = option int
+    and+ fault = option (pair stage int) in
+    { Protocol.timeout_ms; max_steps; max_nodes; fault }
+  in
+  let empirical =
+    let+ rate = oneof [ pure 1.0; decimal ] and+ seed = int in
+    { Protocol.rate; seed }
+  in
+  let op =
+    oneof
+      [
+        oneofl Protocol.[ Ping; List_kernels; Stats; Crash; Shutdown ];
+        (let+ kernel = text and+ budget in
+         Protocol.Analyze { kernel; budget });
+        (let+ src = text and+ budget in
+         Protocol.Source { src; budget });
+        (let+ kernel = text
+         and+ m = int
+         and+ n = int
+         and+ s = int
+         and+ empirical = option empirical
+         and+ budget in
+         Protocol.Eval { kernel; m; n; s; empirical; budget });
+      ]
+  in
+  let+ id and+ op in
+  { Protocol.id; op }
+
+let test_encode_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"protocol: parse_request inverts encode_request"
+       ~count:500 ~print:Protocol.encode_request request_gen (fun r ->
+         Protocol.parse_request (Protocol.encode_request r) = Ok r))
+
 let test_stage_wire_roundtrip () =
   let stages =
     [ Budget.Cdag_build; Budget.Pebble_game; Budget.Cache_sim; Budget.Derivation ]
@@ -241,14 +320,15 @@ let fresh_address () =
   Sys.remove path;
   Server.Unix_sock path
 
-let with_server ?(jobs = 2) ?(queue = 64) ?(cache = 128) ?(allow_crash = false)
-    ?(address = fresh_address ()) f =
+let with_server ?(jobs = 2) ?(queue = 64) ?(cache = 128) ?(conns = 32)
+    ?(allow_crash = false) ?(address = fresh_address ()) f =
   let config =
     {
       (Server.default_config ~address) with
       Server.jobs;
       queue_capacity = queue;
       cache_capacity = cache;
+      max_connections = conns;
       allow_crash;
     }
   in
@@ -565,7 +645,8 @@ let test_over_cap_line () =
           | Some line ->
               let r = parsed line in
               Alcotest.(check bool) "over-cap not ok" false r.Protocol.ok;
-              Alcotest.(check bool) "null id" true (r.Protocol.resp_id = Json.Null);
+              Alcotest.(check bool) "null id" true
+                (r.Protocol.resp_id = Json.Null);
               Alcotest.(check bool) "bad_request" true
                 (Json.member "code" r.Protocol.body
                 = Some (Json.String "bad_request"));
@@ -938,6 +1019,49 @@ let test_unbudgeted_degraded_cached () =
           Alcotest.(check (pair int int)) "capped gebd2: two misses"
             (h0, m0 + 2) (counters ())))
 
+(* A daemon admitting one connection refuses a second with one
+   [overloaded] line carrying a null id, then EOF.  The second connection
+   reads with a timeout, so a daemon that admits it fails the test
+   instead of hanging it.  Once the first client has gone a new
+   connection is served; its reader frees the slot while it tears down,
+   so the new client retries until a ping is answered. *)
+let test_connection_cap () =
+  with_server ~conns:1 (fun _ address ->
+      with_client address (fun first ->
+          Alcotest.(check bool) "the first connection is served" true
+            (rpc first ~op:"ping" []).Protocol.ok;
+          let domain, addr = Server.sockaddr address in
+          let fd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
+          Unix.connect fd addr;
+          Unix.setsockopt_float fd SO_RCVTIMEO 10.0;
+          let ic = Unix.in_channel_of_descr fd in
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () ->
+              let next () =
+                try Some (input_line ic) with End_of_file | Sys_error _ -> None
+              in
+              let r =
+                match next () with
+                | Some line -> parsed line
+                | None -> Alcotest.fail "a refused connection got no line"
+              in
+              Alcotest.(check bool) "null id" true
+                (r.Protocol.resp_id = Json.Null);
+              Alcotest.(check bool) "overloaded" true
+                (Json.member "code" r.Protocol.body
+                = Some (Json.String "overloaded"));
+              Alcotest.(check int) "exit code" 6 r.Protocol.exit_code;
+              Alcotest.(check (option string)) "then EOF" None (next ())));
+      wait_for "a new connection to be served" (fun () ->
+          let c = Client.connect address in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              match Client.rpc c ~op:"ping" [] with
+              | Ok r -> r.Protocol.ok
+              | Error _ | (exception Sys_error _) -> false)))
+
 let suite =
   [
     Alcotest.test_case "protocol: request parsing" `Quick test_parse_request;
@@ -967,4 +1091,6 @@ let suite =
       test_baseline_names;
     Alcotest.test_case "server: unbudgeted degraded answers cached" `Quick
       test_unbudgeted_degraded_cached;
+    test_encode_roundtrip;
+    Alcotest.test_case "server: connection cap" `Quick test_connection_cap;
   ]

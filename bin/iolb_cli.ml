@@ -952,10 +952,8 @@ let client_cmd =
         | "source", Some path -> (
             (* The file is read client-side; the service never touches the
                filesystem. *)
-            let read ic = really_input_string ic (in_channel_length ic) in
-            match In_channel.with_open_bin path read with
-            | exception Sys_error msg -> invalid "cannot read %s: %s" path msg
-            | src -> encode (Protocol.Source { src; budget }))
+            let* src = Front.read_file path in
+            encode (Protocol.Source { src; budget }))
         | other, _ ->
             invalid
               "unknown client op %S (ping, list, stats, shutdown, analyze, \

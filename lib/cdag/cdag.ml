@@ -1,4 +1,3 @@
-module Interner = Iolb_ir.Interner
 module Cplan = Iolb_ir.Cplan
 module Budget = Iolb_util.Budget
 
@@ -6,12 +5,20 @@ type kind =
   | Input of string * int array
   | Compute of string * int array
 
-(* Both relations in CSR (offsets + one flat array): node [id]'s
-   predecessors are [preds_flat.(preds_off.(id)) ..
-   preds_flat.(preds_off.(id + 1) - 1)], ascending, and likewise its
-   successors. *)
+(* Nodes are ints all the way down.  Both relations are in CSR (offsets
+   + one flat array): node [id]'s predecessors are [preds_flat.(preds_off.(id))
+   .. preds_flat.(preds_off.(id + 1) - 1)], ascending, and likewise its
+   successors.  A node's payload is two ints: [stmt.(id)] is its
+   statement's index in [plan], or -1 for an input, and [data.(id)] the
+   offset of its iteration vector in [vecs] for a compute, or its cell
+   id in [cells] for an input.  [stmt] and [data] may run past [n]. *)
 type t = {
-  kinds : kind array;
+  plan : Cplan.t;
+  cells : Cplan.cells;
+  n : int;
+  stmt : int array;
+  data : int array;
+  vecs : int array;
   preds_off : int array;
   preds_flat : int array;
   succs_off : int array;
@@ -19,125 +26,130 @@ type t = {
   n_inputs : int;
 }
 
-(* Grows [!arr] to at least [len] slots, doubling, new slots [fill]. *)
-let ensure arr len fill =
-  if len > Array.length !arr then begin
-    let bigger = Array.make (max len (2 * Array.length !arr)) fill in
-    Array.blit !arr 0 bigger 0 (Array.length !arr);
-    arr := bigger
-  end
-
-let dummy_kind = Input ("", [||])
-
-(* Every table below doubles on demand.  They start small so that the
-   small verification CDAGs the derivation builds stay in the minor heap
-   instead of allocating their tables straight into the major one. *)
-let initial_slots = 64
-
 let of_program ?(budget = Budget.unlimited) ~params p =
-  (* Node ids are assigned in program order: input nodes at first read,
-     in load order, before their compute node, so node numbering - and
-     hence every DOT and report output - follows the walk. *)
-  let kinds = ref (Array.make initial_slots dummy_kind) in
+  let plan = Cplan.make ~params p in
+  let { Cplan.instances; reads; coords } = Cplan.totals plan in
+  (* Every instance is a node: a cap below the instance count stops the
+     build before it asks for its arrays. *)
+  Budget.check_node_cap budget Budget.Cdag_build instances;
+  let n_acc = Cplan.n_accesses plan in
+  (* Cell ids stay below the footprint, and each input is a cell first
+     read, so the node slots are the instances plus [min reads
+     max_cells]: exact but for the inputs, which no count knows ahead. *)
+  let max_cells =
+    match Cplan.addr_space plan with Some a -> min a n_acc | None -> n_acc
+  in
+  let slots = instances + min reads max_cells in
+  let stmt = Array.make slots (-1) and data = Array.make slots 0 in
   (* The predecessor CSR, filled as the walk goes: [off.(id + 1)] closes
      node [id]'s slice of [flat], and the reads of the instance being
      walked are pending at [flat.(off.(!n)) .. flat.(!len - 1)]. *)
-  let off = ref (Array.make (initial_slots + 1) 0) in
-  let flat = ref (Array.make initial_slots 0) in
-  let len = ref 0 in
-  let n = ref 0 in
-  (* Data cells are interned to dense ids once, here, so dependence
-     resolution runs on int-indexed arrays instead of hashing
-     (string * int array) keys per access.  [intern_view] probes with the
-     iterator's borrowed buffers and copies only on first sight. *)
-  let cells = Interner.create () in
-  let last_writer = ref (Array.make initial_slots (-1)) in
-  let inputs = ref 0 in
-  (* The next node gets [kind] and the [k] slots after its slice start. *)
-  let add_node kind k =
+  let off = Array.make (slots + 1) 0 and flat = Array.make reads 0 in
+  let vecs = Array.make coords 0 in
+  let last_writer = Array.make max_cells (-1) in
+  let n = ref 0 and len = ref 0 and nv = ref 0 and inputs = ref 0 in
+  (* The instance being walked: its statement (-1 before the first) and
+     the offset of its vector.  Its node is numbered once its reads have
+     numbered their inputs, when the next instance starts or the walk
+     ends; its writes come after its reads, so they already name it
+     [!n]. *)
+  let cur = ref (-1) and cur_vec = ref 0 in
+  let add_node s d k =
     let id = !n in
-    incr n;
+    stmt.(id) <- s;
+    data.(id) <- d;
+    off.(id + 1) <- off.(id) + k;
+    n := id + 1;
     Budget.check_node_cap budget Budget.Cdag_build !n;
-    ensure kinds !n dummy_kind;
-    ensure off (!n + 1) 0;
-    !kinds.(id) <- kind;
-    !off.(id + 1) <- !off.(id) + k;
     id
   in
-  let on_load a idx =
-    let cid = Interner.intern_view cells a idx in
-    ensure last_writer (cid + 1) (-1);
-    let w = !last_writer.(cid) in
-    let pred =
-      if w >= 0 then w
-      else begin
-        (* first sight of this cell: it is a program input.  Its node
-           closes an empty slice just ahead of the pending reads, which
-           then start the reading node's slice.  It shares the
-           interner's owned copy of the index vector. *)
-        let _, owned = Interner.key cells cid in
-        let id = add_node (Input (a, owned)) 0 in
-        incr inputs;
-        !last_writer.(cid) <- id;
-        id
-      end
-    in
-    ensure flat (!len + 1) 0;
-    !flat.(!len) <- pred;
-    incr len
-  in
-  let on_stmt name vec =
-    Budget.checkpoint budget Budget.Cdag_build;
-    (* A value read twice by the same instance is a single dependence:
-       insertion-sort the (tiny) pending slice and drop duplicates in
-       place. *)
-    let b = !flat and lo = !off.(!n) in
-    for i = lo + 1 to !len - 1 do
-      let v = b.(i) in
-      let j = ref i in
-      while !j > lo && b.(!j - 1) > v do
-        b.(!j) <- b.(!j - 1);
-        decr j
+  let close () =
+    if !cur >= 0 then begin
+      Budget.checkpoint budget Budget.Cdag_build;
+      (* A value read twice by the same instance is a single dependence:
+         insertion-sort the (tiny) pending slice and drop duplicates in
+         place. *)
+      let lo = off.(!n) in
+      for i = lo + 1 to !len - 1 do
+        let v = flat.(i) in
+        let j = ref i in
+        while !j > lo && flat.(!j - 1) > v do
+          flat.(!j) <- flat.(!j - 1);
+          decr j
+        done;
+        flat.(!j) <- v
       done;
-      b.(!j) <- v
-    done;
-    let u = ref lo in
-    for i = lo to !len - 1 do
-      if !u = lo || b.(!u - 1) <> b.(i) then begin
-        b.(!u) <- b.(i);
-        incr u
-      end
-    done;
-    len := !u;
-    ignore (add_node (Compute (name, Array.copy vec)) (!u - lo))
+      let u = ref lo in
+      for i = lo to !len - 1 do
+        if !u = lo || flat.(!u - 1) <> flat.(i) then begin
+          flat.(!u) <- flat.(i);
+          incr u
+        end
+      done;
+      len := !u;
+      ignore (add_node !cur !cur_vec (!u - lo))
+    end
   in
-  let on_store a idx =
-    let cid = Interner.intern_view cells a idx in
-    ensure last_writer (cid + 1) (-1);
-    !last_writer.(cid) <- !n - 1
+  let on_instance s vec =
+    close ();
+    cur := s;
+    cur_vec := !nv;
+    for d = 0 to Array.length vec - 1 do
+      vecs.(!nv + d) <- vec.(d)
+    done;
+    nv := !nv + Array.length vec
   in
-  Cplan.iter_cells (Cplan.make ~params p) ~on_load ~on_stmt ~on_store;
-  let nn = !n in
-  let preds_off = Array.sub !off 0 (nn + 1) in
-  let preds_flat = Array.sub !flat 0 !len in
-  (* Successors by counting: in-degrees, offsets, then a fill in id
-     order, so every slice comes out ascending. *)
-  let succs_off = Array.make (nn + 1) 0 in
+  let on_access c is_write =
+    if is_write then last_writer.(c) <- !n
+    else begin
+      let w = last_writer.(c) in
+      let pred =
+        if w >= 0 then w
+        else begin
+          (* first sight of this cell: it is a program input.  Its node
+             closes an empty slice just ahead of the pending reads, which
+             then start the reading node's slice. *)
+          let id = add_node (-1) c 0 in
+          incr inputs;
+          last_writer.(c) <- id;
+          id
+        end
+      in
+      flat.(!len) <- pred;
+      incr len
+    end
+  in
+  let cells = Cplan.iter_instances plan ~on_instance ~on_access in
+  close ();
+  let n = !n and e = !len in
+  let preds_off = if n = slots then off else Array.sub off 0 (n + 1) in
+  let preds_flat = if e = reads then flat else Array.sub flat 0 e in
+  (* Successors by counting: out-degrees shifted one up, offsets, a fill
+     in id order that advances each source's offset to the next one's,
+     then the shift back.  Every slice comes out ascending. *)
+  let succs_off = Array.make (n + 1) 0 and succs_flat = Array.make e 0 in
   Array.iter (fun p -> succs_off.(p + 1) <- succs_off.(p + 1) + 1) preds_flat;
-  for id = 1 to nn do
+  for id = 1 to n do
     succs_off.(id) <- succs_off.(id) + succs_off.(id - 1)
   done;
-  let fill = Array.sub succs_off 0 nn in
-  let succs_flat = Array.make !len 0 in
-  for id = 0 to nn - 1 do
+  for id = 0 to n - 1 do
     for k = preds_off.(id) to preds_off.(id + 1) - 1 do
       let p = preds_flat.(k) in
-      succs_flat.(fill.(p)) <- id;
-      fill.(p) <- fill.(p) + 1
+      succs_flat.(succs_off.(p)) <- id;
+      succs_off.(p) <- succs_off.(p) + 1
     done
   done;
+  for id = n downto 1 do
+    succs_off.(id) <- succs_off.(id - 1)
+  done;
+  succs_off.(0) <- 0;
   {
-    kinds = Array.sub !kinds 0 nn;
+    plan;
+    cells;
+    n;
+    stmt;
+    data;
+    vecs;
     preds_off;
     preds_flat;
     succs_off;
@@ -145,8 +157,31 @@ let of_program ?(budget = Budget.unlimited) ~params p =
     n_inputs = !inputs;
   }
 
-let n_nodes t = Array.length t.kinds
-let kind t id = t.kinds.(id)
+let n_nodes t = t.n
+
+(* The payload arrays may run past [n]: every accessor checks the id. *)
+let stmt_of t id =
+  if id < 0 || id >= t.n then invalid_arg "Cdag: node id out of range";
+  Array.unsafe_get t.stmt id
+
+let is_compute t id = stmt_of t id >= 0
+
+let coord t id d =
+  let s = stmt_of t id in
+  if s < 0 || d < 0 || d >= Cplan.stmt_depth t.plan s then
+    invalid_arg "Cdag.coord: not a coordinate of a compute node";
+  t.vecs.(t.data.(id) + d)
+
+let kind t id =
+  let s = stmt_of t id in
+  if s < 0 then
+    let name, idx = Cplan.cell t.plan t.cells t.data.(id) in
+    Input (name, idx)
+  else
+    Compute
+      ( Cplan.stmt_name t.plan s,
+        Array.sub t.vecs t.data.(id) (Cplan.stmt_depth t.plan s) )
+
 let slice off flat id = Array.sub flat off.(id) (off.(id + 1) - off.(id))
 let preds t id = slice t.preds_off t.preds_flat id
 let succs t id = slice t.succs_off t.succs_flat id
@@ -155,11 +190,14 @@ let succs_csr t = (t.succs_off, t.succs_flat)
 let program_order t = Array.init (n_nodes t) Fun.id
 
 let nodes_of_stmt t name =
+  let named =
+    Array.init (Cplan.n_stmts t.plan) (fun s ->
+        String.equal (Cplan.stmt_name t.plan s) name)
+  in
   let ids = ref [] in
-  for id = n_nodes t - 1 downto 0 do
-    match t.kinds.(id) with
-    | Compute (s, _) when String.equal s name -> ids := id :: !ids
-    | Compute _ | Input _ -> ()
+  for id = t.n - 1 downto 0 do
+    let s = t.stmt.(id) in
+    if s >= 0 && named.(s) then ids := id :: !ids
   done;
   !ids
 

@@ -6,6 +6,8 @@
     board of the red-white pebble game (Section 2 of the paper) and the
     object on which the hourglass properties are validated empirically. *)
 
+(** A node decoded: an input cell (array name, index vector), or a
+    statement instance (statement name, iteration vector). *)
 type kind =
   | Input of string * int array  (** an input array cell *)
   | Compute of string * int array  (** statement name, iteration vector *)
@@ -15,32 +17,56 @@ type t
 (** [of_program ~params p] builds the CDAG by abstract execution with
     last-writer tracking: reads resolve to the most recent write of the same
     cell in program order, which is the exact flow dependence for these
-    (deterministic, unconditionally executed) programs.  The build walks
-    the program's compiled plan ({!Iolb_ir.Cplan.iter_cells}), and cells
-    are interned to dense ids ({!Iolb_ir.Interner}) during it, so
-    dependence resolution runs on int-indexed arrays rather than hashing
-    [(string * int array)] keys.
+    (deterministic, unconditionally executed) programs.  The build is one
+    walk of the program's numbered access stream
+    ({!Iolb_ir.Cplan.iter_instances}): cells arrive as first-occurrence
+    ids, so dependences resolve through one flat [last_writer] array
+    indexed by cell id, with no hashing.  Every array is allocated once,
+    sized from the plan's closed-form counts ({!Iolb_ir.Cplan.totals}).
 
     Both relations are stored once, in CSR form (see {!preds_csr}): the
     walk appends each instance's sorted, deduplicated predecessors to one
     flat array, and the successors are counted into a second one after
-    it.
+    it.  A node's payload is two ints: its statement's index (or none,
+    for an input) and the offset of its iteration vector in one flat
+    array of them (or its cell id, for an input).
 
     Numbering rule: ids are assigned in program order, an input cell's
     node just before the first instance that reads it, so every
     predecessor of a node has a smaller id than the node and every edge
-    runs from a smaller id to a larger one.  {!program_order} and
-    {!reaches} rely on it.
+    runs from a smaller id to a larger one.  Instances without accesses
+    are nodes too, with no edges.  {!program_order} and {!reaches} rely
+    on the rule.
 
-    One [Cdag_build] budget checkpoint is accounted per statement instance,
-    and the budget's node cap bounds the total node count of this CDAG.
-    The result is immutable and safe to share read-only across a
+    One [Cdag_build] budget checkpoint is accounted per statement
+    instance, those without accesses included, and the budget's node cap
+    bounds the total node count of this CDAG, inputs included.  A cap
+    below the instance count raises before anything is allocated.  The
+    result is immutable and safe to share read-only across a
     {!Iolb_util.Pool} fan-out.
     @raise Iolb_util.Budget.Exhausted when the budget runs out. *)
 val of_program :
   ?budget:Iolb_util.Budget.t -> params:(string * int) list -> Iolb_ir.Program.t -> t
 
 val n_nodes : t -> int
+
+(** [is_compute t id]: is node [id] a statement instance (not an input)?
+    O(1), allocates nothing.
+    @raise Invalid_argument if [id] is not a node. *)
+val is_compute : t -> int -> bool
+
+(** [coord t id d] is coordinate [d] (0 = outermost loop) of compute
+    node [id]'s iteration vector.  O(1), allocates nothing.
+    @raise Invalid_argument if [id] is not a compute node or [d] not one
+    of its coordinates. *)
+val coord : t -> int -> int -> int
+
+(** [kind t id] decodes node [id]: a fresh iteration vector copied out of
+    the flat array, or the input's cell decoded from the walk's cells (an
+    address split row-major along its array's hull, or an interned key).
+    It allocates the vector and the constructor on every call; the hot
+    paths use {!is_compute} and {!coord} instead.
+    @raise Invalid_argument if [id] is not a node. *)
 val kind : t -> int -> kind
 
 (** Predecessors (the values a node consumes), as node ids in ascending
@@ -73,7 +99,8 @@ val succs_csr : t -> int array * int array
 val program_order : t -> int array
 
 (** All node ids of instances of the given statement, ascending.  No
-    per-statement table is kept: each call scans the node kinds. *)
+    per-statement table is kept: each call scans the nodes' statement
+    indices. *)
 val nodes_of_stmt : t -> string -> int list
 
 val n_inputs : t -> int

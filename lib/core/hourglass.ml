@@ -145,18 +145,12 @@ let check ~budget cdag reach p h =
   let t_idx = List.map dim_index h.temporal in
   let n_idx = List.map dim_index h.neutral in
   let nodes = Cdag.nodes_of_stmt cdag h.update_stmt in
-  let vec_of id =
-    match Cdag.kind cdag id with
-    | Cdag.Compute (_, vec) -> vec
-    | Cdag.Input _ -> assert false
-  in
-  let key idxs vec = List.map (fun i -> vec.(i)) idxs in
+  let key idxs id = List.map (Cdag.coord cdag id) idxs in
   (* Group instances by (temporal, neutral) coordinates. *)
   let groups = Hashtbl.create 64 in
   List.iter
     (fun id ->
-      let vec = vec_of id in
-      let k = (key t_idx vec, key n_idx vec) in
+      let k = (key t_idx id, key n_idx id) in
       Hashtbl.replace groups k (id :: (try Hashtbl.find groups k with Not_found -> [])))
     nodes;
   (* For each group, find the group with the lexicographically next temporal

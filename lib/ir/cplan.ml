@@ -4,9 +4,10 @@
    flat int environment and every affine expression becomes parallel
    coefficient/slot arrays, so walking the program is flat integer
    arithmetic.  One plan serves every concrete walk of the program: the
-   CDAG builder ([iter_cells]), the numbered exact access stream behind
-   every trace and exact sweep ([iter], with the interned reference walk
-   [iter_interned]) and the sampled scan ([iter_sampled]).
+   numbered exact access stream behind every trace and exact sweep
+   ([iter], with the interned reference walk [iter_interned]), the same
+   stream with every statement instance announced ([iter_instances], the
+   CDAG builder's) and the sampled scan ([iter_sampled]).
 
    On top of that, a plan usually carries a flat address layout.  Every
    array gets a rectangular hull - per-dimension inclusive bounds that
@@ -108,6 +109,7 @@ let span rev lo hi f =
 (* A statement: its access sites are [s0, s0 + nr) (the reads, in
    statement order) and then [s0 + nr, s1) (the writes). *)
 type stmt = {
+  index : int; (* its place in the program text, from 0 *)
   name : string;
   vec : int array; (* slots of the enclosing loop vars, outermost first *)
   s0 : int;
@@ -131,8 +133,16 @@ type cnode =
       (* an innermost loop whose body is one statement: the
          per-iteration site addresses and hashes advance by constants *)
 
+type hull_place = {
+  hname : string;
+  hbase : int; (* address of the hull's low corner *)
+  hlo : int array; (* per dimension: the hull's low bound *)
+  hstride : int array; (* per dimension: its row-major stride *)
+}
+
 type layout = {
   addr_space : int;
+  hulls : hull_place array; (* in address order: decodes an address *)
   addr : caff array; (* per site: composed address form *)
   astep : int array;
       (* per site of an innermost loop: the address step per iteration,
@@ -141,6 +151,7 @@ type layout = {
 
 type t = {
   body : cnode array;
+  stmts : stmt array; (* by index *)
   nslots : int;
   pinits : (int * int) list;
   site_array : string array; (* per site *)
@@ -207,6 +218,17 @@ let n_accesses = total "access" accesses
 (* Instances with at least one access: the ones the exact walks gate. *)
 let n_instances = total "instance" (fun st -> if st.s1 > st.s0 then 1 else 0)
 
+type totals = { instances : int; reads : int; coords : int }
+
+let totals t =
+  let instances = total "instance" (fun _ -> 1) t in
+  let reads = total "read" (fun st -> st.nr) t in
+  { instances; reads; coords = total "loop-variable" (fun st -> Array.length st.vec) t }
+
+let n_stmts t = Array.length t.stmts
+let stmt_name t s = t.stmts.(s).name
+let stmt_depth t s = Array.length t.stmts.(s).vec
+
 let addr_space t = Option.map (fun l -> l.addr_space) t.layout
 
 (* Per site of an innermost loop, the step of its form in [forms] (an
@@ -251,6 +273,7 @@ let compile ~params (p : Program.t) =
   in
   let pinits = List.map (fun (x, v) -> (fresh x, v)) params in
   let sites = ref [] and n_sites = ref 0 in
+  let stmts = ref [] in
   let aff_uses slot a = Array.exists (fun s -> s = slot) a.cslots in
   let rec uses slot = function
     | Cstmt _ -> false
@@ -270,14 +293,18 @@ let compile ~params (p : Program.t) =
         in
         List.iter (site false) s.reads;
         List.iter (site true) s.writes;
-        Cstmt
+        let st =
           {
+            index = List.length !stmts;
             name = s.name;
             vec = Array.of_list (List.rev path);
             s0;
             nr = List.length s.reads;
             s1 = !n_sites;
           }
+        in
+        stmts := st :: !stmts;
+        Cstmt st
     | Program.Loop { var; lo; hi; rev; body } -> (
         (* Bounds are evaluated in the enclosing scope: compile them before
            binding [var]. *)
@@ -304,6 +331,7 @@ let compile ~params (p : Program.t) =
   let sites = Array.of_list (List.rev !sites) in
   {
     body;
+    stmts = Array.of_list (List.rev !stmts);
     nslots = !nslots;
     pinits;
     site_array = Array.map (fun (a, _, _) -> a) sites;
@@ -314,6 +342,7 @@ let compile ~params (p : Program.t) =
 
 type hull = {
   h_order : int; (* first-appearance rank: the hull's place in the layout *)
+  h_name : string;
   h_lo : int array;
   h_hi : int array;
 }
@@ -353,6 +382,7 @@ let layout t =
             let h =
               {
                 h_order = Hashtbl.length hulls;
+                h_name = name;
                 h_lo = Array.make nd max_int;
                 h_hi = Array.make nd min_int;
               }
@@ -388,38 +418,38 @@ let layout t =
   Array.iter walk t.body;
   (* Layout: hulls in first-appearance order, back to back, row-major.
      Every hull was widened by at least one interval, so lo <= hi. *)
-  let n_hulls = Hashtbl.length hulls in
-  let bases = Array.make n_hulls 0 and strides = Array.make n_hulls [||] in
   let base = ref 0 in
-  List.iter
-    (fun h ->
-      let nd = Array.length h.h_lo in
-      let stride = Array.make nd 1 in
-      let size = ref 1 in
-      for d = nd - 1 downto 0 do
-        stride.(d) <- !size;
-        let ext =
-          Rat.add_exn (Rat.add_exn h.h_hi.(d) (Rat.mul_exn (-1) h.h_lo.(d))) 1
-        in
-        size := Rat.mul_exn !size ext
-      done;
-      bases.(h.h_order) <- !base;
-      strides.(h.h_order) <- stride;
-      base := Rat.add_exn !base !size)
-    (List.rev !order);
+  let places =
+    Array.map
+      (fun h ->
+        let nd = Array.length h.h_lo in
+        let stride = Array.make nd 1 in
+        let size = ref 1 in
+        for d = nd - 1 downto 0 do
+          stride.(d) <- !size;
+          let ext =
+            Rat.add_exn (Rat.add_exn h.h_hi.(d) (Rat.mul_exn (-1) h.h_lo.(d))) 1
+          in
+          size := Rat.mul_exn !size ext
+        done;
+        let p = { hname = h.h_name; hbase = !base; hlo = h.h_lo; hstride = stride } in
+        base := Rat.add_exn !base !size;
+        p)
+      (Array.of_list (List.rev !order))
+  in
   (* Compose each site's index forms with the layout into one address
      form: addr = base - sum_d stride_d * hull_lo_d + sum_d stride_d * idx_d. *)
   let addr =
     Array.mapi
       (fun s idx ->
         let h = Hashtbl.find hulls (t.site_array.(s), Array.length idx) in
-        let stride = strides.(h.h_order) in
-        let base = ref bases.(h.h_order) in
-        Array.iteri (fun d lo -> base := !base - (stride.(d) * lo)) h.h_lo;
-        combine t.nslots !base stride idx)
+        let p = places.(h.h_order) in
+        let base = ref p.hbase in
+        Array.iteri (fun d lo -> base := !base - (p.hstride.(d) * lo)) h.h_lo;
+        combine t.nslots !base p.hstride idx)
       t.site_index
   in
-  { addr_space = !base; addr; astep = inner_steps t addr }
+  { addr_space = !base; hulls = places; addr; astep = inner_steps t addr }
 
 let make ~params p =
   let t = compile ~params p in
@@ -505,7 +535,7 @@ let iter_dense t l ~budget ~lo ~hi ~on_access =
         let k = st.s1 - st.s0 in
         if !pos >= hi then raise_notrace Past_range;
         if !pos + k <= lo then pos := !pos + k
-        else begin
+        else if k > 0 then begin
           on_instance ();
           for s = st.s0 to st.s1 - 1 do
             let p = !pos in
@@ -518,9 +548,9 @@ let iter_dense t l ~budget ~lo ~hi ~on_access =
         end
     | Cinner c ->
         let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
-        if hi_v >= lo_v then begin
-          let i0 = c.st.s0 and i1 = c.st.s1 - 1 in
-          let k = i1 - i0 + 1 in
+        let i0 = c.st.s0 and i1 = c.st.s1 - 1 in
+        let k = i1 - i0 + 1 in
+        if hi_v >= lo_v && k > 0 then begin
           let trip = hi_v - lo_v + 1 in
           if !pos + (trip * k) <= lo then pos := !pos + (trip * k)
           else begin
@@ -595,40 +625,16 @@ let iter_dense t l ~budget ~lo ~hi ~on_access =
   (try Array.iter exec t.body with Past_range -> ());
   Addrs (Array.sub nb.addrs 0 nb.n)
 
-let iter_cells t ~on_load ~on_stmt ~on_store =
+(* Every statement instance in program order: [visit env st] with the
+   instance's loop variables in [env]. *)
+let walk_instances t visit =
   let env = fresh_env t in
-  (* borrowed per-call buffers: one index vector per site, one iteration
-     vector per loop depth (at most one per slot) *)
-  let ibuf = Array.map (fun i -> Array.make (Array.length i) 0) t.site_index in
-  let vbuf = Array.init (t.nslots + 1) (fun depth -> Array.make depth 0) in
-  let cell s =
-    let idx = Array.unsafe_get t.site_index s and b = Array.unsafe_get ibuf s in
-    for d = 0 to Array.length idx - 1 do
-      Array.unsafe_set b d (ceval env (Array.unsafe_get idx d))
-    done;
-    b
-  in
-  (* manual loops: no per-instance closures, no per-instance arrays *)
-  let visit st =
-    for s = st.s0 to st.s0 + st.nr - 1 do
-      on_load (Array.unsafe_get t.site_array s) (cell s)
-    done;
-    let vec = st.vec in
-    let b = Array.unsafe_get vbuf (Array.length vec) in
-    for d = 0 to Array.length vec - 1 do
-      Array.unsafe_set b d (Array.unsafe_get env (Array.unsafe_get vec d))
-    done;
-    on_stmt st.name b;
-    for s = st.s0 + st.nr to st.s1 - 1 do
-      on_store (Array.unsafe_get t.site_array s) (cell s)
-    done
-  in
   let rec exec = function
-    | Cstmt st -> visit st
+    | Cstmt st -> visit env st
     | Cinner c ->
         span c.irev (ceval env c.ilo) (ceval env c.ihi) (fun v ->
             env.(c.islot) <- v;
-            visit c.st)
+            visit env c.st)
     | Cloop l ->
         span l.rev (ceval env l.lo) (ceval env l.hi) (fun v ->
             env.(l.slot) <- v;
@@ -636,38 +642,111 @@ let iter_cells t ~on_load ~on_stmt ~on_store =
   in
   Array.iter exec t.body
 
+(* Borrowed per-call buffers: one index vector per site, [cell env s]
+   filling site [s]'s. *)
+let cell_buffers t =
+  let ibuf = Array.map (fun i -> Array.make (Array.length i) 0) t.site_index in
+  fun env s ->
+    let idx = Array.unsafe_get t.site_index s and b = Array.unsafe_get ibuf s in
+    for d = 0 to Array.length idx - 1 do
+      Array.unsafe_set b d (ceval env (Array.unsafe_get idx d))
+    done;
+    b
+
+(* The whole stream, numbered as [iter] numbers it: through the flat
+   table on a dense layout, through a pool otherwise.  Not on [iter]'s
+   seek path: that one never materializes an innermost loop variable
+   (it steps address cursors), so it could not announce vectors. *)
+let iter_instances t ~on_instance ~on_access =
+  let sw = t.site_write in
+  (* borrowed: one iteration vector per loop depth (at most one per slot) *)
+  let vbuf = Array.init (t.nslots + 1) (fun depth -> Array.make depth 0) in
+  let announce env st =
+    let vec = st.vec in
+    let b = Array.unsafe_get vbuf (Array.length vec) in
+    for d = 0 to Array.length vec - 1 do
+      Array.unsafe_set b d (Array.unsafe_get env (Array.unsafe_get vec d))
+    done;
+    on_instance st.index b
+  in
+  match dense_layout t with
+  | Some l ->
+      let nb = numbering l.addr_space in
+      walk_instances t (fun env st ->
+          announce env st;
+          for s = st.s0 to st.s1 - 1 do
+            on_access
+              (id_of nb (ceval env (Array.unsafe_get l.addr s)))
+              (Array.unsafe_get sw s)
+          done);
+      Addrs (Array.sub nb.addrs 0 nb.n)
+  | None ->
+      let pool = Interner.create () and cell = cell_buffers t in
+      walk_instances t (fun env st ->
+          announce env st;
+          for s = st.s0 to st.s1 - 1 do
+            on_access
+              (Interner.intern_view pool (Array.unsafe_get t.site_array s)
+                 (cell env s))
+              (Array.unsafe_get sw s)
+          done);
+      Keys pool
+
+(* An address lies in the last hull whose base is at or below it; its
+   offset there is row-major. *)
+let cell t cells id =
+  match (cells, t.layout) with
+  | Keys p, _ ->
+      let name, idx = Interner.key p id in
+      (name, Array.copy idx)
+  | Addrs a, Some l ->
+      let addr = a.(id) in
+      let h = ref l.hulls.(0) in
+      Array.iter (fun g -> if g.hbase <= addr then h := g) l.hulls;
+      let h = !h in
+      let rest = ref (addr - h.hbase) in
+      ( h.hname,
+        Array.mapi
+          (fun d stride ->
+            let q = !rest / stride in
+            rest := !rest - (q * stride);
+            h.hlo.(d) + q)
+          h.hstride )
+  | Addrs _, None -> invalid_arg "Cplan.cell: cells of another plan"
+
 (* Walks the cells from the program start and interns, in a slice-local
-   pool, only the accesses of [lo, hi).  A load belongs to the instance
-   [on_stmt] announces next, a store to the one it announced last; the
-   gate fires once per instance with an access in the slice, and the walk
-   to the slice only polls the deadline. *)
+   pool, only the accesses of [lo, hi).  The gate fires once per instance
+   with an access in the slice, and the walk to the slice only polls the
+   deadline. *)
 let iter_interned t ~budget ~lo ~hi ~on_access =
   check_range "Cplan.iter_interned" lo hi;
-  let pool = Interner.create () in
+  let pool = Interner.create () and cell = cell_buffers t in
   let gate = instance_gate budget in
   let polls = not (Budget.is_unlimited budget) in
-  let pos = ref 0 and stmts = ref 0 and gated = ref (-1) in
-  let access inst w name idx =
-    let p = !pos in
-    if p >= hi then raise_notrace Past_range;
-    pos := p + 1;
-    if p >= lo then begin
-      if inst > !gated then begin
-        gated := inst;
-        gate ()
-      end;
-      on_access (Interner.intern_view pool name idx) w
-    end
-  in
+  let pos = ref 0 and stmts = ref 0 in
   (try
-     iter_cells t
-       ~on_load:(fun name idx -> access !stmts false name idx)
-       ~on_stmt:(fun _ _ ->
+     walk_instances t (fun env st ->
+         let k = st.s1 - st.s0 in
          incr stmts;
-         if polls && !pos < lo then
-           if !stmts land (Budget.deadline_stride - 1) = 0 then
-             Budget.check_deadline budget Budget.Cdag_build)
-       ~on_store:(fun name idx -> access (!stmts - 1) true name idx)
+         if !pos + k <= lo then begin
+           pos := !pos + k;
+           if polls && !stmts land (Budget.deadline_stride - 1) = 0 then
+             Budget.check_deadline budget Budget.Cdag_build
+         end
+         else if k > 0 then begin
+           if !pos >= hi then raise_notrace Past_range;
+           gate ();
+           for s = st.s0 to st.s1 - 1 do
+             let p = !pos in
+             if p >= lo && p < hi then
+               on_access
+                 (Interner.intern_view pool
+                    (Array.unsafe_get t.site_array s)
+                    (cell env s))
+                 (Array.unsafe_get t.site_write s);
+             pos := p + 1
+           done
+         end)
    with Past_range -> ());
   Keys pool
 

@@ -2,10 +2,11 @@
 
     A plan compiles a program at concrete parameters into flat integer
     slot environments and coefficient arrays, and serves every concrete
-    walk of it: {!iter_cells} (CDAG construction), {!iter} (the numbered
-    exact access stream behind every trace and exact sweep, with
-    {!iter_interned} as its reference walk) and {!iter_sampled} (the
-    SHARDS-style sampled scan).  All of them walk the statement instances
+    walk of it: {!iter} (the numbered exact access stream behind every
+    trace and exact sweep, with {!iter_interned} as its reference walk),
+    {!iter_instances} (the same stream with every statement instance
+    announced: CDAG construction) and {!iter_sampled} (the SHARDS-style
+    sampled scan).  All of them walk the statement instances
     in program (textual/loop) order and, within an instance, its reads in
     statement order and then its writes; that is the access order and the
     position numbering every consumer shares.
@@ -57,6 +58,23 @@ val n_accesses : t -> int
     counted and checked like {!n_accesses}. *)
 val n_instances : t -> int
 
+(** Exact sums over every statement instance, those without accesses
+    included: [instances] counts them, [reads] their read accesses and
+    [coords] their loop variables (the sum of their loop depths).  They
+    size a CDAG's compute nodes, its edges before de-duplication and its
+    iteration vectors.  Counted and checked like {!n_accesses}. *)
+type totals = { instances : int; reads : int; coords : int }
+
+val totals : t -> totals
+
+(** The program's statements, indexed [0 .. n_stmts t - 1] in textual
+    order: their names and loop depths (the length of their iteration
+    vectors). *)
+val n_stmts : t -> int
+
+val stmt_name : t -> int -> string
+val stmt_depth : t -> int -> int
+
 (** Size of the flat address space ([0 <= addr < space]), or [None] when
     the plan has no address layout.  An over-approximation of the
     footprint. *)
@@ -94,8 +112,8 @@ val iter :
   on_access:(int -> bool -> unit) ->
   cells
 
-(** [iter_interned] is {!iter} on the plan's interned cell walk
-    ({!iter_cells} plus a slice-local interner), whatever its layout: the
+(** [iter_interned] is {!iter} on the plan's cells interned in a
+    slice-local pool ({!Interner}), whatever its layout: the
     same ids, the same cells and the same budget charges.  Without a
     closed-form seek it walks the whole stream prefix before [lo],
     polling only the budget's deadline there.  The reference walk of the
@@ -116,22 +134,26 @@ val iter_interned :
     [\[p0, pk)] in one call. *)
 val globalize : t -> cells list -> int array list
 
-(** [iter_cells t ~on_load ~on_stmt ~on_store] streams, for every
-    statement instance in program order: each cell read (in statement
-    order), then the instance itself ([on_stmt name vec], the values of
-    the enclosing loop variables, outermost first), then each cell
-    written.  All index and iteration vectors are {e borrowed} buffers,
-    valid only for the duration of the callback - copy them to keep
-    them.  This is the allocation-free walk of CDAG construction, where
-    input nodes for first-read cells must be numbered before the compute
-    node that reads them, and, plus an interner, {!iter_interned}.  Like
-    {!iter}, safe to call concurrently on one plan. *)
-val iter_cells :
+(** [iter_instances t ~on_instance ~on_access] walks the whole stream
+    and numbers its cells exactly as {!iter} on [\[0, n_accesses t)]
+    does, returning the same cells, and calls [on_instance s vec] before
+    the accesses of every statement instance, those without accesses
+    included: [s] is the statement's index and [vec] the values of its
+    enclosing loop variables, outermost first, in a {e borrowed} buffer
+    valid only for the duration of the callback.  It charges no budget:
+    the caller accounts its own work.  Like {!iter}, safe to call
+    concurrently on one plan. *)
+val iter_instances :
   t ->
-  on_load:(string -> int array -> unit) ->
-  on_stmt:(string -> int array -> unit) ->
-  on_store:(string -> int array -> unit) ->
-  unit
+  on_instance:(int -> int array -> unit) ->
+  on_access:(int -> bool -> unit) ->
+  cells
+
+(** [cell t cells id] is the cell numbered [id] in [cells], which a walk
+    of [t] returned: its array name and a fresh index vector.  Decoded
+    from its address on a dense layout.
+    @raise Invalid_argument if [id] is out of range. *)
+val cell : t -> cells -> int -> string * int array
 
 (** [sample_hash ~seed name index] is the canonical 62-bit spatial hash of
     a concrete cell, uniform on [\[0, 2^62)].  Sampling keeps a cell iff

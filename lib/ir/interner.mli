@@ -1,13 +1,14 @@
 (** Dense interning of [(array-name, index-vector)] keys.
 
-    CDAG construction and the interned exact walk
-    ({!Cplan.iter_interned}) key their inner loops on concrete cells
-    [(string * int array)].  Hashing those polymorphically in every loop
-    iteration (and rebuilding the table on every simulator call)
-    dominates the empirical layer's profile.  An interner maps each
-    distinct key to a dense [int] once - with a specialised
+    Plans without a dense address layout number their cells through an
+    interner: the interned exact walks ({!Cplan.iter_interned}, and
+    {!Cplan.iter_instances} on such a plan) and {!Cplan.globalize} over
+    their slices.  Hand-written event lists ([Trace.of_events]) are the
+    other user.  Hashing [(string * int array)] keys polymorphically in
+    every loop iteration would dominate those walks; an interner maps
+    each distinct key to a dense [int] once - with a specialised
     (non-polymorphic) hash - so downstream passes run on int keys and
-    flat arrays.
+    flat arrays.  Dense layouts number cells by address and need none.
 
     Interners are single-writer: build in one domain, then share the frozen
     result read-only across a pool fan-out. *)

@@ -10,18 +10,19 @@ let parse_string ~file src =
   let* ast = Parser.parse toks in
   Elab.kernel ast
 
-let parse_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+(* Read to the end rather than to [in_channel_length]: a directory opens
+   fine, and its length query fails with EOVERFLOW before the read can
+   say what is wrong. *)
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg ->
       Error
         (Iolb_util.Engine_error.Invalid_input
            (Printf.sprintf "cannot read %s: %s" path msg))
-  | src ->
-      Result.map_error Diag.to_engine_error (parse_string ~file:path src)
+  | src -> Ok src
+
+let parse_file path =
+  Result.bind (read_file path) (fun src ->
+      Result.map_error Diag.to_engine_error (parse_string ~file:path src))
 
 let print = Printer.print

@@ -27,8 +27,14 @@ type source = Elab.source = {
     only used in diagnostic locations. *)
 val parse_string : file:string -> string -> (source, Diag.t) result
 
-(** [parse_file path] reads and parses [path]; unreadable files and all
-    diagnostics are mapped onto the exit-code-2 error convention. *)
+(** [read_file path] is the whole content of [path].  An unreadable
+    path, a directory included, is [Invalid_input] ("cannot read PATH:
+    REASON", exit code 2). *)
+val read_file : string -> (string, Iolb_util.Engine_error.t) result
+
+(** [parse_file path] reads ({!read_file}) and parses [path]; unreadable
+    files and all diagnostics are mapped onto the exit-code-2 error
+    convention. *)
 val parse_file : string -> (source, Iolb_util.Engine_error.t) result
 
 val print : ?verify:(string * int) list -> Iolb_ir.Program.t -> string

@@ -30,16 +30,13 @@ type result = { loads : int; peak_red : int }
 
 let infeasible msg = Engine_error.raise_error (Engine_error.Invalid_input msg)
 
-let is_compute cdag id =
-  match Cdag.kind cdag id with Cdag.Compute _ -> true | Cdag.Input _ -> false
-
 let program_schedule cdag =
   let order = Cdag.program_order cdag in
   let out = Array.make (max (Cdag.n_computes cdag) 1) 0 in
   let k = ref 0 in
   Array.iter
     (fun id ->
-      if is_compute cdag id then begin
+      if Cdag.is_compute cdag id then begin
         out.(!k) <- id;
         incr k
       end)
@@ -52,7 +49,7 @@ let program_schedule cdag =
    topological permutation of the compute nodes. *)
 let is_topological cdag schedule =
   let n = Cdag.n_nodes cdag in
-  let avail = Array.init n (fun id -> not (is_compute cdag id)) in
+  let avail = Array.init n (fun id -> not (Cdag.is_compute cdag id)) in
   let poff, pflat = Cdag.preds_csr cdag in
   let ok = ref (Array.length schedule = Cdag.n_computes cdag) in
   Array.iter
@@ -79,9 +76,9 @@ let kahn cdag =
   let pending = Array.make n 0 in
   let ready = ref [] in
   for id = n - 1 downto 0 do
-    if is_compute cdag id then begin
+    if Cdag.is_compute cdag id then begin
       for k = poff.(id) to poff.(id + 1) - 1 do
-        if is_compute cdag pflat.(k) then pending.(id) <- pending.(id) + 1
+        if Cdag.is_compute cdag pflat.(k) then pending.(id) <- pending.(id) + 1
       done;
       if pending.(id) = 0 then ready := id :: !ready
     end
@@ -89,7 +86,7 @@ let kahn cdag =
   let release id f =
     for k = soff.(id) to soff.(id + 1) - 1 do
       let s = sflat.(k) in
-      if is_compute cdag s then begin
+      if Cdag.is_compute cdag s then begin
         pending.(s) <- pending.(s) - 1;
         if pending.(s) = 0 then f s
       end
@@ -201,7 +198,7 @@ let plan cdag ~schedule =
   done;
   let input_bits = Array.make (bits_words n) 0 in
   for id = 0 to n - 1 do
-    if not (is_compute cdag id) then bset input_bits id
+    if not (Cdag.is_compute cdag id) then bset input_bits id
   done;
   { schedule; n; max_fanin = !max_fanin; step_off; step_preds; step_next;
     node_next; input_bits }

@@ -5,12 +5,9 @@ type result = { loads : int; peak_red : int }
 
 exception Infeasible of string
 
-let is_compute cdag id =
-  match Cdag.kind cdag id with Cdag.Compute _ -> true | Cdag.Input _ -> false
-
 let program_schedule cdag =
   Array.of_list
-    (List.filter (is_compute cdag) (Array.to_list (Cdag.program_order cdag)))
+    (List.filter (Cdag.is_compute cdag) (Array.to_list (Cdag.program_order cdag)))
 
 let is_topological cdag schedule =
   let n = Cdag.n_nodes cdag in
@@ -20,13 +17,13 @@ let is_topological cdag schedule =
   Array.iteri
     (fun i id ->
       (* an in-range compute, listed once (the last occurrence won) *)
-      if id < 0 || id >= n || (not (is_compute cdag id))
+      if id < 0 || id >= n || (not (Cdag.is_compute cdag id))
          || Hashtbl.find pos id <> i
       then ok := false
       else
         Array.iter
           (fun p ->
-            if is_compute cdag p then
+            if Cdag.is_compute cdag p then
               match Hashtbl.find_opt pos p with
               | Some j when j < i -> ()
               | _ -> ok := false)
@@ -35,7 +32,7 @@ let is_topological cdag schedule =
   !ok
   && Array.length schedule
      = List.length
-         (List.filter (is_compute cdag) (Array.to_list (Cdag.program_order cdag)))
+         (List.filter (Cdag.is_compute cdag) (Array.to_list (Cdag.program_order cdag)))
 
 let random_topological ?(seed = 0) cdag =
   let state = Random.State.make [| seed |] in
@@ -43,10 +40,10 @@ let random_topological ?(seed = 0) cdag =
   let remaining_preds = Array.make n 0 in
   let ready = ref [] in
   for id = 0 to n - 1 do
-    if is_compute cdag id then begin
+    if Cdag.is_compute cdag id then begin
       let cnt =
         Array.fold_left
-          (fun acc p -> if is_compute cdag p then acc + 1 else acc)
+          (fun acc p -> if Cdag.is_compute cdag p then acc + 1 else acc)
           0 (Cdag.preds cdag id)
       in
       remaining_preds.(id) <- cnt;
@@ -64,7 +61,7 @@ let random_topological ?(seed = 0) cdag =
     out := id :: !out;
     Array.iter
       (fun s ->
-        if is_compute cdag s then begin
+        if Cdag.is_compute cdag s then begin
           remaining_preds.(s) <- remaining_preds.(s) - 1;
           if remaining_preds.(s) = 0 then begin
             if !ready_len = Array.length !ready then begin
@@ -121,7 +118,7 @@ let run_plan ?(budget = Budget.unlimited) { cdag; schedule; use_positions } ~s =
   let white = Array.make n false in
   (* Inputs start white. *)
   for id = 0 to n - 1 do
-    if not (is_compute cdag id) then white.(id) <- true
+    if not (Cdag.is_compute cdag id) then white.(id) <- true
   done;
   let red_count = ref 0 and peak = ref 0 and loads = ref 0 in
   (* Lazy max-heap of (next use position, node) for Belady discarding. *)

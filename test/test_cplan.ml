@@ -1,9 +1,11 @@
 (* The one loop-nest compiler against the reference interpreter
-   ([Iolb_check.Interp]), access for access: the cell walk ([iter_cells]:
-   reads, then the instance, then writes), and both numbered walks
-   ([iter] and the interned [iter_interned]: the first-occurrence ids of
-   the slice's cells, write flags, footprint, and one budget checkpoint
-   per instance), whatever the plan's layout.  The id comparison is what
+   ([Iolb_check.Interp]), access for access: both numbered walks ([iter]
+   and the interned [iter_interned]: the first-occurrence ids of the
+   slice's cells, write flags, footprint, and one budget checkpoint per
+   instance with an access), and the CDAG builder's walk
+   ([iter_instances]: the same ids with every instance announced,
+   statement and vector, and each cell decoded back), whatever the
+   plan's layout.  The id comparison is what
    checks the layout: addresses that alias two cells merge their ids, and
    the table read that numbers an address is bounds-checked against the
    address space.  The seek contract: producing [0, k) and then the rest -
@@ -22,11 +24,6 @@ module Spec = Iolb_check.Spec
 module Gen = Iolb_check.Gen
 module Budget = Iolb_util.Budget
 
-type event =
-  | Load of string * int array
-  | Inst of string * int array
-  | Store of string * int array
-
 let first_difference what got want =
   let rec go k = function
     | x :: xs, y :: ys when x = y -> go (k + 1) (xs, ys)
@@ -34,24 +31,6 @@ let first_difference what got want =
     | _ -> Alcotest.failf "%s: event %d differs from the reference" what k
   in
   go 0 (got, want)
-
-(* The cell walk, with its borrowed buffers copied. *)
-let check_cells ~what ~params prog plan =
-  let want =
-    List.concat_map
-      (fun (i : Interp.instance) ->
-        List.map (fun (a, x) -> Load (a, x)) i.reads
-        @ Inst (i.stmt, i.vec)
-          :: List.map (fun (a, x) -> Store (a, x)) i.writes)
-      (Interp.instances ~params prog)
-  in
-  let got = ref [] in
-  let push mk name v = got := mk name (Array.copy v) :: !got in
-  C.iter_cells plan
-    ~on_load:(push (fun a x -> Load (a, x)))
-    ~on_stmt:(push (fun s v -> Inst (s, v)))
-    ~on_store:(push (fun a x -> Store (a, x)));
-  first_difference (what ^ ": iter_cells") (List.rev !got) want
 
 (* The reference stream with, per access, the index of its instance. *)
 let reference_instances ~params prog =
@@ -103,8 +82,48 @@ let check_walk ~what full plan (wname, walk) (lo, hi) =
     (Budget.stage_steps budget Budget.Cdag_build);
   (cells, List.map fst got)
 
-(* The count, the cell walk and both numbered walks over the whole
-   stream. *)
+(* The whole stream with every instance announced, statement and
+   vector, before its accesses, those without accesses included; the
+   returned cells decode to the reference's cells in first-occurrence
+   order. *)
+let check_instances ~what ~params prog plan =
+  let got = ref [] in
+  let cells =
+    C.iter_instances plan
+      ~on_instance:(fun s v ->
+        got := `Inst (C.stmt_name plan s, Array.copy v) :: !got)
+      ~on_access:(fun id w -> got := `Access (id, w) :: !got)
+  in
+  let ids = Hashtbl.create 64 and order = ref [] in
+  let id_of cell =
+    match Hashtbl.find_opt ids cell with
+    | Some c -> c
+    | None ->
+        let c = Hashtbl.length ids in
+        Hashtbl.add ids cell c;
+        order := cell :: !order;
+        c
+  in
+  let want =
+    List.concat_map
+      (fun (i : Interp.instance) ->
+        (* the reads number their cells before the writes do *)
+        let reads = List.map (fun c -> `Access (id_of c, false)) i.reads in
+        let writes = List.map (fun c -> `Access (id_of c, true)) i.writes in
+        (`Inst (i.stmt, i.vec) :: reads) @ writes)
+      (Interp.instances ~params prog)
+  in
+  first_difference (what ^ ": iter_instances") (List.rev !got) want;
+  Alcotest.(check int) (what ^ ": iter_instances footprint")
+    (Hashtbl.length ids) (C.footprint cells);
+  List.iteri
+    (fun id (name, idx) ->
+      let name', idx' = C.cell plan cells id in
+      if name' <> name || idx' <> idx then
+        Alcotest.failf "%s: cell %d decodes to %s, not %s" what id name' name)
+    (List.rev !order)
+
+(* The counts and the three numbered walks over the whole stream. *)
 let check_full ?(layout = true) ~what ~params prog =
   let full = reference_instances ~params prog in
   let n = Array.length full in
@@ -118,7 +137,7 @@ let check_full ?(layout = true) ~what ~params prog =
     (C.n_instances plan);
   Alcotest.(check bool) (what ^ ": has a layout") layout
     (C.addr_space plan <> None);
-  check_cells ~what ~params prog plan;
+  check_instances ~what ~params prog plan;
   List.iter (fun w -> ignore (check_walk ~what full plan w (0, n))) walks
 
 (* The seek contract: emitting [0, k) and then [k, n) - or any finer
@@ -206,7 +225,9 @@ let tiled_kernels () =
    exact production, its seeks and the sampled scan.  A skewed subscript
    and a program whose derivation leaves 63-bit rationals still get a
    laid-out plan, and so does a hull of about 9e7 addresses around 42
-   cells, too sparse for a flat numbering table. *)
+   cells, too sparse for a flat numbering table.  Statements without
+   accesses, beside an accessing one or alone in an innermost loop, gate
+   nothing and are skipped by every seek. *)
 let data_programs () =
   List.iter
     (fun name ->
@@ -216,7 +237,10 @@ let data_programs () =
       check_slices ~what:name ~params prog
         [ [ n / 2 ]; [ 1; 2; 3 ]; [ n / 3; (2 * n) / 3; n - 2 ] ];
       check_sampled ~what:name ~params prog)
-    [ "rank_mismatch"; "reverse_inner"; "skew"; "rat_overflow"; "sparse_hull" ]
+    [
+      "rank_mismatch"; "reverse_inner"; "skew"; "rat_overflow"; "sparse_hull";
+      "no_access"; "no_access_loop";
+    ]
 
 (* A hull whose volume is 2^63 leaves the plan without an address layout
    instead of wrapping into a tiny address space; its cell walk, both

@@ -396,6 +396,24 @@ let test_deadline_always_fails () =
           Alcotest.failf "%s: wrong error %s" entry.display (EE.to_string e))
     Report.registry
 
+(* The CDAG's node cap counts every node, inputs included: MGS 4x3 has
+   69 nodes, 57 of them computes, so 68 stops the build and 69 lets it
+   through.  A cap on instances alone would pass 57..68. *)
+let test_cdag_node_cap_counts_inputs () =
+  let params = [ ("M", 4); ("N", 3) ] in
+  let build max_nodes =
+    Cdag.of_program ~budget:(Budget.make ~max_nodes ()) ~params Programs.mgs
+  in
+  let cdag = build 69 in
+  Alcotest.(check (pair int int)) "nodes, computes" (69, 57)
+    (Cdag.n_nodes cdag, Cdag.n_computes cdag);
+  List.iter
+    (fun cap ->
+      match build cap with
+      | _ -> Alcotest.failf "max_nodes %d: built" cap
+      | exception Budget.Exhausted Budget.Cdag_build -> ())
+    [ 68; 57; 56 ]
+
 let suite =
   [
     Alcotest.test_case "ladder faults on paper kernels" `Quick
@@ -416,4 +434,6 @@ let suite =
       test_deadline_always_fails;
     Alcotest.test_case "trace node cap holds before allocation" `Quick
       test_trace_node_cap_first;
+    Alcotest.test_case "CDAG node cap counts inputs" `Quick
+      test_cdag_node_cap_counts_inputs;
   ]

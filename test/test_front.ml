@@ -426,6 +426,24 @@ let test_shrunk_source_parses () =
           Alcotest.failf "shrunk source does not parse: %s" (Diag.to_string d))
     report.Iolb_check.Check.failures
 
+(* A directory where a source file is expected is unreadable input, and
+   the reason says so: the read to the end fails with EISDIR, where a
+   length query would have failed with EOVERFLOW ("Value too large for
+   defined data type"). *)
+let test_directory_path () =
+  let dir = locate "data" in
+  Alcotest.(check bool) "a directory" true (Sys.is_directory dir);
+  let want = Printf.sprintf "cannot read %s: Is a directory" dir in
+  let check what = function
+    | Error (EE.Invalid_input msg as e) ->
+        Alcotest.(check string) what want msg;
+        Alcotest.(check int) (what ^ ": exit code") 2 (EE.exit_code e)
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (EE.to_string e)
+    | Ok _ -> Alcotest.failf "%s: a directory was read" what
+  in
+  check "read_file" (Front.read_file dir);
+  check "parse_file" (Front.parse_file dir)
+
 let suite =
   [
     Alcotest.test_case "text-definitions" `Quick test_text_definitions;
@@ -443,4 +461,5 @@ let suite =
     Alcotest.test_case "shrunk-source-parses" `Quick test_shrunk_source_parses;
     Alcotest.test_case "lookup-point" `Quick test_lookup_point;
     Alcotest.test_case "degraded-reports" `Quick test_degraded_reports;
+    Alcotest.test_case "directory-path" `Quick test_directory_path;
   ]

@@ -71,6 +71,32 @@ let test_dot_export () =
        (Array.init (Iolb_cdag.Cdag.n_nodes cdag) Fun.id))
     (count_sub " -> ")
 
+(* The exact DOT bytes of two CDAGs, as the builder with boxed node
+   kinds wrote them: MGS 3x2 (a dense layout, so its input labels are
+   decoded from addresses) and sparse_hull at N = 6 (about 9e7
+   addresses, so its walk interns its cells). *)
+let test_dot_bytes () =
+  let dot ?highlight cdag =
+    let buf = Buffer.create 4096 in
+    let fmt = Format.formatter_of_buffer buf in
+    Iolb_cdag.Dot.emit ?highlight fmt cdag;
+    Format.pp_print_flush fmt ();
+    Buffer.contents buf
+  in
+  let golden name =
+    In_channel.with_open_bin
+      (Test_front.locate ("data/" ^ name))
+      In_channel.input_all
+  in
+  Alcotest.(check string) "mgs 3x2" (golden "mgs_3x2.dot")
+    (dot ~highlight:[ 0 ]
+       (Iolb_cdag.Cdag.of_program ~params:[ ("M", 3); ("N", 2) ] Programs.mgs));
+  let sparse, _ = Test_cplan.data_program "sparse_hull" in
+  let cdag = Iolb_cdag.Cdag.of_program ~params:[ ("N", 6) ] sparse in
+  Alcotest.(check int) "sparse_hull nodes" 78 (Iolb_cdag.Cdag.n_nodes cdag);
+  Alcotest.(check string) "sparse_hull N=6" (golden "sparse_hull_6.dot")
+    (dot cdag)
+
 let test_cache_final_flush () =
   let open Iolb_pebble in
   let trace =
@@ -95,4 +121,5 @@ let suite =
     Alcotest.test_case "leading terms" `Quick test_leading_terms;
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Alcotest.test_case "cache final flush" `Quick test_cache_final_flush;
+    Alcotest.test_case "dot bytes pinned" `Quick test_dot_bytes;
   ]

@@ -263,6 +263,43 @@ let test_game_matches_reference () =
     ];
   Alcotest.(check (list string)) "compiled = reference" [] (List.rev !mismatches)
 
+(* A statement without accesses still has its instances: each is a
+   node with no edges, numbered in program order like any other. *)
+let test_no_access_nodes () =
+  let prog, _ = Test_cplan.data_program "no_access" in
+  let cdag = Cdag.of_program ~params:[ ("N", 3) ] prog in
+  Alcotest.(check string) "stats"
+    "nodes: 9 (inputs: 3, computes: 6), edges: 3"
+    (Format.asprintf "%a" Cdag.pp_stats cdag);
+  let ts = Cdag.nodes_of_stmt cdag "T" in
+  Alcotest.(check int) "T instances" 3 (List.length ts);
+  List.iter
+    (fun id ->
+      Alcotest.(check int) "T has no predecessor" 0
+        (Array.length (Cdag.preds cdag id)))
+    ts;
+  Alcotest.(check (list int)) "T vectors" [ 0; 1; 2 ]
+    (List.map (fun id -> Cdag.coord cdag id 0) ts)
+
+(* One build's allocation, in words (minor + major - promoted), is
+   deterministic where its time is not.  The builder walking through an
+   interner into doubling tables, with a boxed kind per node, allocated
+   582,000 words at MGS 32x16; sizing every array once from the plan's
+   closed-form counts must keep it under a quarter of that. *)
+let test_build_allocation () =
+  let params = [ ("M", 32); ("N", 16) ] in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  ignore (Cdag.of_program ~params Programs.mgs);
+  let w0 = words () in
+  let cdag = Cdag.of_program ~params Programs.mgs in
+  let w = words () -. w0 in
+  Alcotest.(check int) "nodes" 9368 (Cdag.n_nodes cdag);
+  if w > 582_000. /. 4. then
+    Alcotest.failf "one MGS 32x16 build allocated %.0f words (> 145,500)" w
+
 let suite =
   [
     Alcotest.test_case "cdag node counts" `Quick test_cdag_counts;
@@ -282,4 +319,7 @@ let suite =
       test_rejects_bad_schedule;
     Alcotest.test_case "compiled game = reference under ties and reuse" `Quick
       test_game_matches_reference;
+    Alcotest.test_case "statements without accesses keep their nodes" `Quick
+      test_no_access_nodes;
+    Alcotest.test_case "CDAG build allocation" `Quick test_build_allocation;
   ]

@@ -37,10 +37,15 @@
    numbering addresses by first occurrence numbers cells by first
    occurrence.
 
-   The sampled scan needs no layout: the spatial hash is linear in the
-   index vector before its final mix, so per call it composes with each
-   site's index forms into one affine form and, along an innermost loop,
-   steps by a per-site constant.
+   The sampled scan's spatial hash is linear in the index vector before
+   its final mix, so per call it composes with each site's index forms
+   into one affine form and, along an innermost loop, steps by a per-site
+   constant: without a layout every access costs one addition, one mix
+   and one compare.  On a dense layout that spans no more addresses than
+   its long innermost loops make accesses, the scan hashes every address
+   once instead and finds each such loop's kept accesses in the kept
+   addresses along each site's constant address step, so a dropped
+   access there costs nothing.
 
    A plan is immutable; every walk keeps its mutable state (environment,
    per-site cursors, numbering tables, borrowed buffers) in per-call
@@ -157,6 +162,8 @@ type t = {
   site_array : string array; (* per site *)
   site_index : caff array array; (* per site: index forms *)
   site_write : bool array; (* per site *)
+  site_class : int array;
+      (* per site: its (array, rank) pair, numbered by first appearance *)
   layout : layout option;
 }
 
@@ -172,18 +179,19 @@ let extent lo hi =
   if d < 0 || d = max_int then raise Rat.Overflow;
   d + 1
 
-(* Weighted instance count of a subtree at the current [env], the weight
-   [w st] per instance of [st]: a loop whose body's count does not depend
-   on its variable contributes extent * body-count, so rectangular
-   sub-nests collapse to multiplications and only the variables that
-   shape inner bounds (triangular nests) are enumerated.  Every sum and
-   product is checked.
+(* Weighted instance count of a subtree at the current [env], [w n st]
+   the weight of [n] consecutive instances of [st] (an innermost loop's
+   [n] iterations, or [n = 1] for a statement beside others): a loop
+   whose body's count does not depend on its variable contributes
+   extent * body-count, so rectangular sub-nests collapse to
+   multiplications and only the variables that shape inner bounds
+   (triangular nests) are enumerated.  Every sum and product is checked.
    @raise Rat.Overflow when the count leaves the ints. *)
 let rec count w env = function
-  | Cstmt st -> w st
+  | Cstmt st -> w 1 st
   | Cinner c ->
       let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
-      if hi_v < lo_v then 0 else Rat.mul_exn (extent lo_v hi_v) (w c.st)
+      if hi_v < lo_v then 0 else w (extent lo_v hi_v) c.st
   | Cloop l ->
       let lo_v = ceval env l.lo and hi_v = ceval env l.hi in
       if hi_v < lo_v then 0
@@ -205,8 +213,11 @@ and sum w env body =
 
 let accesses st = st.s1 - st.s0
 
+(* [w] per instance, as a weight of [n] instances for [count] *)
+let per_instance w n st = Rat.mul_exn n (w st)
+
 let total what w t =
-  match sum w (fresh_env t) t.body with
+  match sum (per_instance w) (fresh_env t) t.body with
   | n -> n
   | exception Rat.Overflow ->
       Iolb_util.Engine_error.raise_error
@@ -329,6 +340,16 @@ let compile ~params (p : Program.t) =
   in
   let body = Array.of_list (List.map (cnode []) p.body) in
   let sites = Array.of_list (List.rev !sites) in
+  let classes = Hashtbl.create 8 in
+  let class_of (a, idx, _) =
+    let key = (a, Array.length idx) in
+    match Hashtbl.find_opt classes key with
+    | Some c -> c
+    | None ->
+        let c = Hashtbl.length classes in
+        Hashtbl.add classes key c;
+        c
+  in
   {
     body;
     stmts = Array.of_list (List.rev !stmts);
@@ -337,15 +358,11 @@ let compile ~params (p : Program.t) =
     site_array = Array.map (fun (a, _, _) -> a) sites;
     site_index = Array.map (fun (_, idx, _) -> idx) sites;
     site_write = Array.map (fun (_, _, w) -> w) sites;
+    site_class = Array.map class_of sites;
     layout = None;
   }
 
-type hull = {
-  h_order : int; (* first-appearance rank: the hull's place in the layout *)
-  h_name : string;
-  h_lo : int array;
-  h_hi : int array;
-}
+type hull = { h_name : string; h_lo : int array; h_hi : int array }
 
 (* The flat address layout of a compiled plan.  Every interval bound,
    hull extent and volume and layout base is computed with checked
@@ -369,34 +386,30 @@ let layout t =
     done;
     (!mn, !mx)
   in
-  let hulls : (string * int, hull) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
+  (* One hull per (array, rank) pair, in first-appearance order: the
+     order of the layout. *)
+  let first = Array.make (Array.fold_left max (-1) t.site_class + 1) (-1) in
+  Array.iteri (fun s c -> if first.(c) < 0 then first.(c) <- s) t.site_class;
+  let hulls =
+    Array.map
+      (fun s ->
+        let nd = Array.length t.site_index.(s) in
+        {
+          h_name = t.site_array.(s);
+          h_lo = Array.make nd max_int;
+          h_hi = Array.make nd min_int;
+        })
+      first
+  in
   let widen st =
     for s = st.s0 to st.s1 - 1 do
-      let name = t.site_array.(s) and idx = t.site_index.(s) in
-      let nd = Array.length idx in
-      let h =
-        match Hashtbl.find_opt hulls (name, nd) with
-        | Some h -> h
-        | None ->
-            let h =
-              {
-                h_order = Hashtbl.length hulls;
-                h_name = name;
-                h_lo = Array.make nd max_int;
-                h_hi = Array.make nd min_int;
-              }
-            in
-            Hashtbl.add hulls (name, nd) h;
-            order := h :: !order;
-            h
-      in
+      let h = hulls.(t.site_class.(s)) in
       Array.iteri
         (fun d e ->
           let mn, mx = interval e in
           if mn < h.h_lo.(d) then h.h_lo.(d) <- mn;
           if mx > h.h_hi.(d) then h.h_hi.(d) <- mx)
-        idx
+        t.site_index.(s)
     done
   in
   let bind slot lo hi =
@@ -435,17 +448,16 @@ let layout t =
         let p = { hname = h.h_name; hbase = !base; hlo = h.h_lo; hstride = stride } in
         base := Rat.add_exn !base !size;
         p)
-      (Array.of_list (List.rev !order))
+      hulls
   in
   (* Compose each site's index forms with the layout into one address
      form: addr = base - sum_d stride_d * hull_lo_d + sum_d stride_d * idx_d. *)
   let addr =
     Array.mapi
       (fun s idx ->
-        let h = Hashtbl.find hulls (t.site_array.(s), Array.length idx) in
-        let p = places.(h.h_order) in
+        let p = places.(t.site_class.(s)) in
         let base = ref p.hbase in
-        Array.iteri (fun d lo -> base := !base - (p.hstride.(d) * lo)) h.h_lo;
+        Array.iteri (fun d lo -> base := !base - (p.hstride.(d) * lo)) p.hlo;
         combine t.nslots !base p.hstride idx)
       t.site_index
   in
@@ -524,6 +536,7 @@ let check_range what lo hi =
    indirect call per access. *)
 let iter_dense t l ~budget ~lo ~hi ~on_access =
   let addr = l.addr and astep = l.astep and sw = t.site_write in
+  let weigh = per_instance accesses in
   let on_instance = instance_gate budget in
   let nb = numbering l.addr_space in
   let env = fresh_env t in
@@ -612,7 +625,7 @@ let iter_dense t l ~budget ~lo ~hi ~on_access =
           env.(l.slot) <- v;
           if !pos < lo then begin
             let c =
-              Array.fold_left (fun a n -> a + count accesses env n) 0 l.body
+              Array.fold_left (fun a n -> a + count weigh env n) 0 l.body
             in
             (* [count] mutates slots below ours; restore *)
             env.(l.slot) <- v;
@@ -814,6 +827,181 @@ let sample_hash ~seed name idx =
    the indirect call vanishes from the per-access cost. *)
 let tick_stride = 65_536
 
+(* The ticks of one execution of an innermost loop of [trip >= 1]
+   iterations and [k] sites: after its first iteration, blocks of at
+   most [1 + tick_stride / k] iterations, each charged once [run block]
+   has run it, and the first iteration's [k] last.  Both sampled walks
+   charge these amounts in this order. *)
+let inner_blocks ~trip ~k ~tick run =
+  let left = ref (trip - 1) in
+  while !left > 0 do
+    let block = min !left (1 + (tick_stride / k)) in
+    run block;
+    left := !left - block;
+    tick (block * k)
+  done;
+  tick k
+
+(* The skip index of a dense layout.  Hashing every address of the
+   layout once costs no more than hashing every access when the layout
+   spans no more addresses than the skip walk passes by.  Along an
+   innermost loop a site's address moves by its constant [astep], so its
+   kept iterations are the kept addresses of one arithmetic progression;
+   sorted by (address mod q, address), the kept addresses of any
+   progression of step q form one contiguous run, found by one
+   directory probe instead of one hash per iteration. *)
+
+(* The kept addresses keyed [(a mod q) * width + a / q], [width] bounding
+   [a / q], and sorted; [dir.(b)] is the first position whose key has
+   [key lsr shift >= b], with about one key per bucket. *)
+type run_index = {
+  q : int;
+  width : int;
+  keys : int array;
+  shift : int;
+  dir : int array;
+}
+
+(* Every address of the layout whose cell hash is below [thresh], in
+   ascending order.  Along a hull's row-major odometer the linear part of
+   the hash steps by the moving dimension's multiplier. *)
+let kept_addresses l ~seed0 ~thresh =
+  let kept = ref (Array.make 256 0) and n = ref 0 in
+  let push a =
+    if !n = Array.length !kept then begin
+      let b = Array.make (2 * !n) 0 in
+      Array.blit !kept 0 b 0 !n;
+      kept := b
+    end;
+    Array.unsafe_set !kept !n a;
+    incr n
+  in
+  let nh = Array.length l.hulls in
+  Array.iteri
+    (fun i p ->
+      let size =
+        (if i + 1 < nh then l.hulls.(i + 1).hbase else l.addr_space) - p.hbase
+      in
+      let nd = Array.length p.hlo in
+      let r = Array.init nd (sample_dim_coef seed0) in
+      let h0 = ref (sample_name_hash seed0 p.hname) in
+      Array.iteri (fun d lo -> h0 := !h0 + (r.(d) * lo)) p.hlo;
+      (* [dim d a h ext]: the [ext] values of dimension [d] from address
+         [a], hash linear part [h] *)
+      let rec dim d a h ext =
+        if d = nd - 1 then begin
+          let h = ref h and rd = r.(d) in
+          for a = a to a + ext - 1 do
+            if mix !h < thresh then push a;
+            h := !h + rd
+          done
+        end
+        else
+          let stride = p.hstride.(d) and rd = r.(d) in
+          let inner = stride / p.hstride.(d + 1) in
+          for j = 0 to ext - 1 do
+            dim (d + 1) (a + (j * stride)) (h + (j * rd)) inner
+          done
+      in
+      if nd = 0 then (if mix !h0 < thresh then push p.hbase)
+      else dim 0 p.hbase !h0 (size / p.hstride.(0)))
+    l.hulls;
+  Array.sub !kept 0 !n
+
+let run_index ~space kept q =
+  let n = Array.length kept and width = ((space - 1) / q) + 1 in
+  let keys =
+    if q = 1 then kept
+    else if q <= (2 * n) + 64 then begin
+      (* counting sort by residue: [kept] ascends, so each run does *)
+      let start = Array.make (q + 1) 0 in
+      Array.iter
+        (fun a ->
+          let r = (a mod q) + 1 in
+          start.(r) <- start.(r) + 1)
+        kept;
+      for r = 1 to q do
+        start.(r) <- start.(r) + start.(r - 1)
+      done;
+      let keys = Array.make n 0 in
+      Array.iter
+        (fun a ->
+          let r = a mod q in
+          keys.(start.(r)) <- (r * width) + (a / q);
+          start.(r) <- start.(r) + 1)
+        kept;
+      keys
+    end
+    else begin
+      let keys = Array.map (fun a -> ((a mod q) * width) + (a / q)) kept in
+      Array.sort Int.compare keys;
+      keys
+    end
+  in
+  (* keys lie in [0, q * width); at most max 1 n buckets *)
+  let shift = ref 0 in
+  while ((q * width) - 1) lsr !shift >= max 1 n do
+    incr shift
+  done;
+  let nb = (((q * width) - 1) lsr !shift) + 1 in
+  let dir = Array.make (nb + 1) n and p = ref 0 in
+  for b = 0 to nb - 1 do
+    while !p < n && keys.(!p) lsr !shift < b do
+      incr p
+    done;
+    dir.(b) <- !p
+  done;
+  { q; width; keys; shift = !shift; dir }
+
+(* The first position in [r.keys] whose key is at least [k >= 0]. *)
+let lower_bound r k =
+  let b = k lsr r.shift in
+  if b >= Array.length r.dir - 1 then Array.length r.keys
+  else begin
+    let keys = r.keys in
+    let p = ref (Array.unsafe_get r.dir b) in
+    while !p < Array.length keys && Array.unsafe_get keys !p < k do
+      incr p
+    done;
+    !p
+  end
+
+(* Innermost loops shorter than this are hashed iteration by iteration:
+   there a site's directory probe costs more than its hashes. *)
+let min_skip_trip = 16
+
+(* Accesses of the innermost loop executions of at least [min_skip_trip]
+   iterations, the ones the skip walk passes by, saturating at max_int. *)
+let skippable_accesses t =
+  let w n st = if n < min_skip_trip then 0 else Rat.mul_exn n (accesses st) in
+  match sum w (fresh_env t) t.body with
+  | n -> n
+  | exception Rat.Overflow -> max_int
+
+(* Per site of an innermost loop: the run index of its address step's
+   magnitude (shared by the sites of one step); a dummy for steps of 0. *)
+let skip_index l ~seed0 ~thresh =
+  let kept = kept_addresses l ~seed0 ~thresh in
+  let by_step = Hashtbl.create 4 in
+  let none = { q = 0; width = 0; keys = [||]; shift = 0; dir = [||] } in
+  Array.map
+    (fun q ->
+      let q = abs q in
+      if q = 0 then none
+      else
+        match Hashtbl.find_opt by_step q with
+        | Some r -> r
+        | None ->
+            let r = run_index ~space:l.addr_space kept q in
+            Hashtbl.add by_step q r;
+            r)
+    l.astep
+
+(* Above this keep threshold (a quarter of the hash space) most
+   iterations keep an access, and emitting them from the runs costs more
+   than hashing them. *)
+let max_skip_thresh = 1 lsl 60
+
 let iter_sampled t ~seed ~thresh ~on_tick ~on_access =
   let seed0 = sample_seed0 seed in
   (* Per call, once: each site's hash linear part as an affine form over
@@ -829,8 +1017,9 @@ let iter_sampled t ~seed ~thresh ~on_tick ~on_access =
       t.site_array t.site_index
   in
   let hstep = inner_steps t hform in
-  let sw = t.site_write in
-  let cur = Array.make (Array.length hform) 0 in
+  let sw = t.site_write and cls = t.site_class in
+  let nsites = Array.length hform in
+  let cur = Array.make nsites 0 in
   let env = fresh_env t in
   let pending = ref 0 in
   let tick n =
@@ -840,12 +1029,108 @@ let iter_sampled t ~seed ~thresh ~on_tick ~on_access =
       pending := 0
     end
   in
+  let[@inline] emit s h =
+    on_access h (Array.unsafe_get cls s) (Array.unsafe_get sw s)
+  in
+  (* One execution of an innermost loop, every iteration hashed: the
+     per-access cost is one [mix] and one compare, and the per-site cost
+     of a step one addition. *)
+  let scan i0 i1 trip =
+    let step () =
+      for s = i0 to i1 do
+        let h = mix (Array.unsafe_get cur s) in
+        if h < thresh then emit s h
+      done
+    in
+    step ();
+    inner_blocks ~trip ~k:(i1 - i0 + 1) ~tick (fun block ->
+        for _ = 1 to block do
+          for s = i0 to i1 do
+            Array.unsafe_set cur s
+              (Array.unsafe_get cur s + Array.unsafe_get hstep s)
+          done;
+          step ()
+        done)
+  in
+  let skip =
+    match dense_layout t with
+    | Some l
+      when thresh <= max_skip_thresh && l.addr_space <= skippable_accesses t ->
+        Some (l, skip_index l ~seed0 ~thresh)
+    | Some _ | None -> None
+  in
+  (* The skip walk's per-site cursors: a position in the site's run
+     index, the key of its first iteration and its next kept iteration
+     (max_int when none is left). *)
+  let pos = Array.make nsites 0 in
+  let key0 = Array.make nsites 0 in
+  let next = Array.make nsites max_int in
+  (* One execution of an innermost loop from the kept addresses; [false]
+     (nothing emitted) when a kept loop-invariant site makes it hash every
+     iteration instead.  A site's hash base ([cur]) is evaluated only
+     when it has a kept iteration. *)
+  let skipped l runs i0 i1 trip =
+    let invariant_kept = ref false in
+    for s = i0 to i1 do
+      if Array.unsafe_get l.astep s = 0 then begin
+        let h = ceval env (Array.unsafe_get hform s) in
+        Array.unsafe_set cur s h;
+        if mix h < thresh then invariant_kept := true
+      end
+    done;
+    if !invariant_kept then false
+    else begin
+      (* the next kept iteration of site [s] at position [p] of its run *)
+      let seek s keys p =
+        pos.(s) <- p;
+        let j =
+          if p < 0 || p >= Array.length keys then max_int
+          else if l.astep.(s) > 0 then Array.unsafe_get keys p - key0.(s)
+          else key0.(s) - Array.unsafe_get keys p
+        in
+        next.(s) <- (if j < trip then j else max_int)
+      in
+      for s = i0 to i1 do
+        let q = l.astep.(s) in
+        if q = 0 then next.(s) <- max_int
+        else begin
+          let r = runs.(s) and a = ceval env l.addr.(s) in
+          let quo = a / r.q in
+          let k = ((a - (quo * r.q)) * r.width) + quo in
+          key0.(s) <- k;
+          seek s r.keys
+            (if q > 0 then lower_bound r k else lower_bound r (k + 1) - 1);
+          if next.(s) < max_int then cur.(s) <- ceval env hform.(s)
+        end
+      done;
+      (* merge the sites' kept iterations in (iteration, site) order *)
+      let more = ref true in
+      while !more do
+        let j = ref max_int in
+        for s = i0 to i1 do
+          if next.(s) < !j then j := next.(s)
+        done;
+        let j = !j in
+        if j = max_int then more := false
+        else
+          for s = i0 to i1 do
+            if next.(s) = j then begin
+              emit s (mix (cur.(s) + (j * hstep.(s))));
+              seek s runs.(s).keys
+                (if l.astep.(s) > 0 then pos.(s) + 1 else pos.(s) - 1)
+            end
+          done
+      done;
+      inner_blocks ~trip ~k:(i1 - i0 + 1) ~tick ignore;
+      true
+    end
+  in
   let rec exec = function
     | Cstmt st ->
         tick (st.s1 - st.s0);
         for s = st.s0 to st.s1 - 1 do
           let h = mix (ceval env (Array.unsafe_get hform s)) in
-          if h < thresh then on_access h (Array.unsafe_get sw s)
+          if h < thresh then emit s h
         done
     | Cloop l ->
         span l.rev (ceval env l.lo) (ceval env l.hi) (fun v ->
@@ -854,36 +1139,21 @@ let iter_sampled t ~seed ~thresh ~on_tick ~on_access =
     | Cinner c ->
         let lo_v = ceval env c.ilo and hi_v = ceval env c.ihi in
         let i0 = c.st.s0 and i1 = c.st.s1 - 1 in
-        let k = i1 - i0 + 1 in
-        if hi_v >= lo_v && k > 0 then begin
+        if hi_v >= lo_v && i1 >= i0 then begin
           env.(c.islot) <- (if c.irev then hi_v else lo_v);
-          for s = i0 to i1 do
-            Array.unsafe_set cur s (ceval env (Array.unsafe_get hform s))
-          done;
-          (* Ticks are hoisted out of the iteration and charged per
-             block, so the per-access cost is one [mix] and one compare,
-             and the per-site cost of a step one addition. *)
-          let step () =
-            for s = i0 to i1 do
-              let h = mix (Array.unsafe_get cur s) in
-              if h < thresh then on_access h (Array.unsafe_get sw s)
-            done
+          let trip = hi_v - lo_v + 1 in
+          let skipped =
+            match skip with
+            | Some (l, runs) when trip >= min_skip_trip ->
+                skipped l runs i0 i1 trip
+            | Some _ | None -> false
           in
-          step ();
-          let left = ref (hi_v - lo_v) in
-          while !left > 0 do
-            let block = min !left (1 + (tick_stride / k)) in
-            for _ = 1 to block do
-              for s = i0 to i1 do
-                Array.unsafe_set cur s
-                  (Array.unsafe_get cur s + Array.unsafe_get hstep s)
-              done;
-              step ()
+          if not skipped then begin
+            for s = i0 to i1 do
+              Array.unsafe_set cur s (ceval env (Array.unsafe_get hform s))
             done;
-            left := !left - block;
-            tick (block * k)
-          done;
-          tick k
+            scan i0 i1 trip
+          end
         end
   in
   Array.iter exec t.body;

@@ -28,9 +28,11 @@
     names two disjoint cell sets.  Plans without a layout, or whose layout
     spans more than 2^23 addresses, intern their cells instead.
 
-    The sampled scan needs no layout: the spatial cell hash
-    ({!sample_hash}) composes with the index forms, so a rejected access
-    costs one addition, one mix and one compare. *)
+    The sampled scan serves every plan: the spatial cell hash
+    ({!sample_hash}) composes with the index forms, so a dropped access
+    costs one addition, one mix and one compare, and on a dense layout
+    the scan passes the dropped accesses of long innermost loops without
+    visiting them. *)
 
 type t
 
@@ -166,16 +168,30 @@ val sample_hash : seed:int -> string -> int array -> int
 (** [iter_sampled t ~seed ~thresh ~on_tick ~on_access] visits, in program
     order, exactly the accesses whose cell satisfies
     [sample_hash ~seed name index < thresh], calling
-    [on_access hash is_write] for each.  The hash is advanced
-    incrementally along innermost loops, so a {e rejected} access costs a
-    few nanoseconds - no index evaluation - which is what makes sampled
-    sweeps of billion-access traces feasible.  [on_tick n] fires at least
-    every 64k accesses scanned (kept or not), for budget polling.  Like
-    {!iter}, safe to call concurrently on one plan. *)
+    [on_access hash array is_write] for each.  [array] numbers the
+    program's (array name, rank) pairs from 0 in order of first
+    appearance, so [(array, hash)] tells apart the cells of one array
+    name at two ranks, whose hashes can coincide ([A\[i\]] and
+    [A\[i\]\[0\]]).  [on_tick n] fires at least every 64k accesses
+    passed (kept or not), for budget polling; the amounts it reports are
+    the same whichever way an access is passed, and add up to
+    {!n_accesses}.
+
+    A dropped access in an innermost loop of at least 16 iterations costs
+    nothing on a plan whose dense layout (at most 2^23 addresses) spans no
+    more addresses than such loops make accesses, at keep thresholds up
+    to 2^60 (a quarter of the hash space): the call hashes every address
+    of the layout once, and each site's kept iterations come from one
+    directory probe into the kept addresses along its constant address
+    step.  Shorter loops, loops whose loop-invariant site is kept and
+    every other plan or threshold hash each access, at one addition, one
+    mix and one compare.  Per call the walk holds O(kept addresses +
+    sites) words.  Like {!iter}, safe to call concurrently on one
+    plan. *)
 val iter_sampled :
   t ->
   seed:int ->
   thresh:int ->
   on_tick:(int -> unit) ->
-  on_access:(int -> bool -> unit) ->
+  on_access:(int -> int -> bool -> unit) ->
   unit

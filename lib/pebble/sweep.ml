@@ -669,6 +669,7 @@ type sampled = {
 }
 
 let hash_space = 4611686018427387904.0 (* 2^62 *)
+let hash_mask = (1 lsl 62) - 1
 
 (* A cell is kept iff its hash falls below [rate * 2^62]: below 2^-62 that
    threshold is under one hash value, and the kept window no longer
@@ -732,12 +733,15 @@ let run_sampled ?(budget = Budget.unlimited) ~rate ~seed ~params prog =
     in
     let upass = pass_create budget in
     let gpass = Array.init groups (fun _ -> pass_create budget) in
-    (* Kept cells are identified by their 62-bit spatial hash through an
-       open-addressing table: the hash is already in hand from the keep
-       test, so deduplication costs one probe instead of re-hashing the
-       cell name and index vector.  Two distinct cells alias only on a
-       full 62-bit hash collision (~ footprint^2 / 2^63), far below the
-       sampling error this mode accepts by construction. *)
+    (* Kept cells are identified by their 62-bit spatial hash plus
+       their array's number (name and rank), modulo 2^62, through an
+       open-addressing table: both are already in hand from the scan, so
+       deduplication costs one probe instead of re-hashing the cell name
+       and index vector.  Adding the array tells apart one name's cells
+       at two ranks, whose hashes can coincide (A[i] and A[i][0]); two
+       distinct cells alias only on a full 62-bit collision of the keyed
+       hashes (~ footprint^2 / 2^63), far below the sampling error this
+       mode accepts by construction. *)
     let cap = ref 1024 in
     let keys = ref (Array.make !cap (-1)) in
     let slot = ref (Array.make !cap 0) in
@@ -782,13 +786,14 @@ let run_sampled ?(budget = Budget.unlimited) ~rate ~seed ~params prog =
         Budget.check_deadline budget Budget.Cache_sim
       end
     in
-    let on_access h w =
-      let i = lookup h in
+    let on_access h a w =
+      let k = (h + a) land hash_mask in
+      let i = lookup k in
       let c =
         if Array.unsafe_get !keys i >= 0 then Array.unsafe_get !slot i
         else begin
           let c = !count in
-          !keys.(i) <- h;
+          !keys.(i) <- k;
           !slot.(i) <- c;
           incr count;
           if 2 * !count >= !cap then rehash ();

@@ -108,10 +108,13 @@ val run_program_stream :
     further split into 8 disjoint sub-windows - independent samples at
     [rate/8] - whose estimate spread yields the reported
     error bars.  The scan runs on the compiled plan
-    ({!Iolb_ir.Cplan.iter_sampled}), where a rejected access costs a few
-    nanoseconds, which is what makes billion-access validation runs
-    feasible.  It needs neither a numbering table nor an address layout, so
-    every plan serves. *)
+    ({!Iolb_ir.Cplan.iter_sampled}): every plan serves, and a dropped
+    access costs a few nanoseconds at most - nothing on the long
+    innermost loops of a dense address layout, whose kept accesses come
+    from the kept addresses alone - which is what makes billion-access
+    validation runs feasible.  Kept cells are told apart by array (name
+    and rank) and hash, so one array name at two ranks keeps two cells
+    where their hashes coincide. *)
 
 type sampled
 

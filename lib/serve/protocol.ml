@@ -188,7 +188,8 @@ let parse_request line : (request, Json.t * string) result =
 (* Request encoding (client side): the inverse of [parse_request].     *)
 
 (* Every field the decoder defaults is written out; an absent budget
-   field or rider is left out. *)
+   field or rider is left out.  Floats (a rate, a float id) are written
+   so that they read back exactly. *)
 let encode_request { id; op } =
   let budget b =
     let int key = Option.map (fun i -> (key, Json.Int i)) in
@@ -226,7 +227,8 @@ let encode_request { id; op } =
           :: ("m", Json.Int m) :: ("n", Json.Int n) :: ("s", Json.Int s)
           :: (Option.to_list (Option.map rider empirical) @ budget b) )
   in
-  Json.to_string (Json.Obj (("id", id) :: ("op", Json.String name) :: fields))
+  Json.to_string_exact
+    (Json.Obj (("id", id) :: ("op", Json.String name) :: fields))
 
 (* ------------------------------------------------------------------ *)
 (* Errors.                                                             *)

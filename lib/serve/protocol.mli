@@ -76,9 +76,10 @@ val stage_of_wire : string -> Budget.stage option
 val max_line_bytes : int
 
 (** [encode_request r] is one request line (no trailing newline) that
-    {!parse_request} decodes to [r], as long as every float in [r] (a
-    [Json.Float] id, the empirical rate) survives {!Iolb_util.Json}'s
-    12-significant-digit rendering. *)
+    {!parse_request} decodes to [r]: every float in [r] (a [Json.Float]
+    id, the empirical rate) is written with
+    {!Iolb_util.Json.to_string_exact}, so it reads back bit for bit
+    (non-finite floats excepted: JSON writes them as [null]). *)
 val encode_request : request -> string
 
 (** [parse_request line] decodes one request line.  The error carries the

@@ -26,8 +26,22 @@ let escape buf s =
 let float_repr f =
   if Float.is_finite f then Printf.sprintf "%.12g" f else "null"
 
+(* The shortest of 15, 16 or 17 significant digits that reads back as
+   [f] (17 always does), with a ".0" where it would read back as an
+   [Int]. *)
+let float_exact f =
+  if not (Float.is_finite f) then "null"
+  else
+    let digits n = Printf.sprintf "%.*g" n f in
+    let s =
+      List.fold_left
+        (fun s n -> if float_of_string s = f then s else digits n)
+        (digits 15) [ 16; 17 ]
+    in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
 (* indent < 0: compact; otherwise the current nesting depth. *)
-let rec emit buf ~indent v =
+let rec emit ~float buf ~indent v =
   let nl depth =
     if indent >= 0 then begin
       Buffer.add_char buf '\n';
@@ -38,7 +52,7 @@ let rec emit buf ~indent v =
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
+  | Float f -> Buffer.add_string buf (float f)
   | String s -> escape buf s
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
@@ -47,7 +61,7 @@ let rec emit buf ~indent v =
         (fun i item ->
           if i > 0 then Buffer.add_char buf ',';
           nl (indent + 1);
-          emit buf ~indent:(if indent >= 0 then indent + 1 else indent) item)
+          emit ~float buf ~indent:(if indent >= 0 then indent + 1 else indent) item)
         items;
       nl indent;
       Buffer.add_char buf ']'
@@ -60,19 +74,24 @@ let rec emit buf ~indent v =
           nl (indent + 1);
           escape buf k;
           Buffer.add_string buf (if indent >= 0 then ": " else ":");
-          emit buf ~indent:(if indent >= 0 then indent + 1 else indent) item)
+          emit ~float buf ~indent:(if indent >= 0 then indent + 1 else indent) item)
         fields;
       nl indent;
       Buffer.add_char buf '}'
 
 let to_string v =
   let buf = Buffer.create 256 in
-  emit buf ~indent:(-1) v;
+  emit ~float:float_repr buf ~indent:(-1) v;
+  Buffer.contents buf
+
+let to_string_exact v =
+  let buf = Buffer.create 256 in
+  emit ~float:float_exact buf ~indent:(-1) v;
   Buffer.contents buf
 
 let to_string_pretty v =
   let buf = Buffer.create 1024 in
-  emit buf ~indent:0 v;
+  emit ~float:float_repr buf ~indent:0 v;
   Buffer.add_char buf '\n';
   Buffer.contents buf
 

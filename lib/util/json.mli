@@ -4,8 +4,9 @@
     ([bench --json]) and to read them back ([bench --compare]) without
     pulling a JSON library into the engine.  Serialisation is
     deterministic: object fields print in the order given, floats use a
-    round-trippable ["%.12g"] rendering, and non-finite floats (not
-    representable in JSON) serialise as [null]. *)
+    ["%.12g"] rendering ({!to_string_exact} reads back every finite float
+    exactly), and non-finite floats (not representable in JSON) serialise
+    as [null]. *)
 
 type t =
   | Null
@@ -18,6 +19,12 @@ type t =
 
 (** Compact (single-line) rendering. *)
 val to_string : t -> string
+
+(** {!to_string} with every finite float in the fewest of 15, 16 or 17
+    significant digits that {!of_string} reads back as the same [Float]
+    (["1.0"], not ["1"]).  Bytes differ from {!to_string} only in float
+    fields. *)
+val to_string_exact : t -> string
 
 (** Pretty rendering with two-space indentation and a trailing newline,
     suitable for committed baseline files and readable diffs. *)

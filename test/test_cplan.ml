@@ -175,9 +175,11 @@ let check_slices ~what ~params prog cuts_list =
     cuts_list
 
 (* The sampled scan keeps exactly the reference accesses whose cell hash
-   is below [thresh], in program order, and ticks for every access. *)
+   is below [thresh], in program order, numbers their arrays one to one
+   with the (name, rank) pairs, and ticks for every access.  Rate 1e-3
+   keeps nothing in most loops, 0.99 almost everything. *)
 let check_sampled ~what ~params prog =
-  let plan = C.make ~params prog in
+  let plan = C.make ~params prog and reference = Interp.accesses ~params prog in
   List.iter
     (fun (seed, rate) ->
       let thresh = int_of_float (rate *. 4611686018427387904.0) in
@@ -185,18 +187,28 @@ let check_sampled ~what ~params prog =
         List.filter_map
           (fun (name, idx, w) ->
             let h = C.sample_hash ~seed name idx in
-            if h < thresh then Some (h, w) else None)
-          (Interp.accesses ~params prog)
+            if h < thresh then Some (h, (name, Array.length idx), w) else None)
+          reference
       in
       let got = ref [] and ticked = ref 0 in
       C.iter_sampled plan ~seed ~thresh
         ~on_tick:(fun n -> ticked := !ticked + n)
-        ~on_access:(fun h w -> got := (h, w) :: !got);
+        ~on_access:(fun h a w -> got := (h, a, w) :: !got);
+      let got = List.rev !got in
       let what = Printf.sprintf "%s seed=%d rate=%g" what seed rate in
       Alcotest.(check (list (pair int bool)))
-        (what ^ ": kept") want (List.rev !got);
+        (what ^ ": kept")
+        (List.map (fun (h, _, w) -> (h, w)) want)
+        (List.map (fun (h, _, w) -> (h, w)) got);
+      let pairs =
+        List.sort_uniq compare
+          (List.map2 (fun (_, key, _) (_, a, _) -> (key, a)) want got)
+      in
+      let distinct f = List.length (List.sort_uniq compare (List.map f pairs)) in
+      if distinct fst <> List.length pairs || distinct snd <> List.length pairs
+      then Alcotest.failf "%s: array numbers not one to one with (name, rank)" what;
       Alcotest.(check int) (what ^ ": ticks") (C.n_accesses plan) !ticked)
-    [ (0, 0.05); (7, 0.4); (42, 0.9) ]
+    [ (0, 0.05); (7, 0.4); (42, 0.9); (3, 1e-3); (9, 0.99) ]
 
 (* test/data programs, parsed as [bounds --file] would. *)
 let data_program name =
@@ -222,12 +234,15 @@ let tiled_kernels () =
 
 (* An array name used at two ranks names two disjoint cell sets; an
    innermost loop running downwards steps its cursors backwards, in the
-   exact production, its seeks and the sampled scan.  A skewed subscript
-   and a program whose derivation leaves 63-bit rationals still get a
-   laid-out plan, and so does a hull of about 9e7 addresses around 42
-   cells, too sparse for a flat numbering table.  Statements without
-   accesses, beside an accessing one or alone in an innermost loop, gate
-   nothing and are skipped by every seek. *)
+   exact production, its seeks and the sampled scan.  sampled_strides
+   gives the sampled scan's skip walk a downward loop, stride-2 and
+   stride-4 subscripts, a negative coefficient, loop-invariant sites
+   beside strided ones, and triangular innermost loops down to trips 1
+   and 0.  A skewed subscript and a program whose derivation leaves
+   63-bit rationals still get a laid-out plan, and so does a hull of
+   about 9e7 addresses around 42 cells, too sparse for a flat numbering
+   table.  Statements without accesses, beside an accessing one or alone
+   in an innermost loop, gate nothing and are skipped by every seek. *)
 let data_programs () =
   List.iter
     (fun name ->
@@ -239,7 +254,7 @@ let data_programs () =
       check_sampled ~what:name ~params prog)
     [
       "rank_mismatch"; "reverse_inner"; "skew"; "rat_overflow"; "sparse_hull";
-      "no_access"; "no_access_loop";
+      "no_access"; "no_access_loop"; "sampled_strides";
     ]
 
 (* A hull whose volume is 2^63 leaves the plan without an address layout
@@ -325,6 +340,24 @@ let prop_random_sampled =
          check_sampled ~what:(Spec.to_string spec) ~params prog;
          true))
 
+(* The scan's skip walk takes innermost loops of at least 16 iterations,
+   which the verify points rarely reach: the paper kernels, the baselines
+   and test/data programs at three times their verify point. *)
+let sampled_larger_points () =
+  let x3 params = List.map (fun (x, v) -> (x, 3 * v)) params in
+  List.iter
+    (fun (what, prog, params) ->
+      check_sampled ~what:(what ^ " x3") ~params:(x3 params) prog)
+    (List.map
+       (fun (e : Report.entry) -> (e.display, e.program, e.verify_params))
+       Report.registry
+    @ Report.baselines
+    @ List.map
+        (fun name ->
+          let prog, params = data_program name in
+          (name, prog, params))
+        [ "column_hourglass"; "two_regime"; "reverse_inner"; "skew"; "rank_mismatch" ])
+
 let suite =
   [
     Alcotest.test_case "paper + baseline kernels" `Quick paper_kernels;
@@ -340,4 +373,6 @@ let suite =
     Alcotest.test_case "counts past max_int raise" `Quick count_overflow;
     prop_random_slices;
     prop_random_sampled;
+    Alcotest.test_case "sampled scan = filtered reference (x3 points)" `Quick
+      sampled_larger_points;
   ]

@@ -105,9 +105,10 @@ let test_parse_request () =
   Alcotest.(check bool) "unparsable line has null id" true (id = Json.Null)
 
 (* [encode_request] inverts [parse_request] on random requests of every
-   op.  Json renders floats with 12 significant digits, so the rates and
-   float ids drawn have at most that many; texts mix in the characters
-   the encoder must escape. *)
+   op.  Rates and float ids are drawn at full precision - any finite
+   float for an id, any rate from 2^-62 to 1 - with the extremes 2^-62
+   (the sampling floor), 1 - 2^-53 and 1 pinned; texts mix in the
+   characters the encoder must escape. *)
 let request_gen =
   let open QCheck2.Gen in
   let text =
@@ -116,9 +117,18 @@ let request_gen =
         (oneofl
            [ 'a'; 'Z'; ' '; '/'; '"'; '\\'; '\n'; '\r'; '\t'; '\001'; '\xc3' ])
   in
-  let decimal =
-    let+ k = int_range 1 999_999_999_999 and+ p = int_range 12 18 in
-    float_of_string (Printf.sprintf "%de-%d" k p)
+  let finite =
+    let+ bits = int64 in
+    let f = Int64.float_of_bits bits in
+    if Float.is_finite f then f else Float.of_int (Int64.to_int bits)
+  in
+  let rate =
+    oneof
+      [
+        oneofl [ Float.ldexp 1.0 (-62); Float.pred 1.0; 1.0 ];
+        (let+ m = float_bound_exclusive 1.0 and+ e = int_range 1 62 in
+         Float.ldexp (1.0 +. m) (-e));
+      ]
   in
   let id =
     fix
@@ -128,8 +138,7 @@ let request_gen =
             pure Json.Null;
             map (fun b -> Json.Bool b) bool;
             map (fun i -> Json.Int i) int;
-            map2 (fun neg x -> Json.Float (if neg then -.x else x)) bool
-              decimal;
+            map (fun x -> Json.Float x) finite;
             map (fun s -> Json.String s) text;
           ]
         in
@@ -154,7 +163,7 @@ let request_gen =
     { Protocol.timeout_ms; max_steps; max_nodes; fault }
   in
   let empirical =
-    let+ rate = oneof [ pure 1.0; decimal ] and+ seed = int in
+    let+ rate and+ seed = int in
     { Protocol.rate; seed }
   in
   let op =

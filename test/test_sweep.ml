@@ -264,7 +264,7 @@ let test_data_programs () =
         (S.sampled_kept_accesses sampled);
       Alcotest.(check int) (name ^ ": sampled total") (T.length reference)
         (S.sampled_total_accesses sampled))
-    [ "rank_mismatch"; "hull_overflow"; "sparse_hull"; "skew" ]
+    [ "rank_mismatch"; "hull_overflow"; "sparse_hull"; "skew"; "sampled_strides" ]
 
 (* Below the hash resolution 2^-62 no keep threshold matches the rate,
    so the estimates would scale by a 1/rate the scan never sampled at
@@ -348,6 +348,68 @@ let test_sampled_centre_in_interval () =
   Alcotest.check triple "read hits" (0.0, 0.0, 16.0) (row h);
   Alcotest.check triple "stores" (4.0, 0.0, 16.0) (row st)
 
+(* The scan charges the budget the same amounts in the same order
+   whichever way it passes an access, so a sampled sweep takes as many
+   [Cache_sim] steps as the hash-every-access scan took (the pinned
+   counts): MGS 64x32 at a rate whose innermost loops skip and at one
+   whose loops hash every access, sampled_strides at both, and MGS
+   40000x2, whose innermost loops pass more than one tick's 64k
+   accesses each. *)
+let test_sampled_steps_pinned () =
+  let prog, params = Test_cplan.data_program "sampled_strides" in
+  List.iter
+    (fun (what, prog, params, rate, want) ->
+      let b = Iolb_util.Budget.make ~max_steps:max_int () in
+      ignore (S.run_sampled ~budget:b ~rate ~seed:42 ~params prog);
+      Alcotest.(check int)
+        (Printf.sprintf "%s rate %g: Cache_sim steps" what rate)
+        want
+        (Iolb_util.Budget.stage_steps b Iolb_util.Budget.Cache_sim))
+    [
+      ("mgs 64x32", mgs, [ ("M", 64); ("N", 32) ], 0.05, 27093);
+      ("mgs 64x32", mgs, [ ("M", 64); ("N", 32) ], 0.5, 274801);
+      ("sampled_strides", prog, params, 0.05, 1903);
+      ("sampled_strides", prog, params, 0.5, 10307);
+      ("mgs 40000x2", mgs, [ ("M", 40000); ("N", 2) ], 0.05, 76385);
+    ]
+
+(* Kept cells are told apart by array as well as by hash:
+   rank_mismatch's A[i] and A[i][0] hash alike.  The sampled footprint
+   is the number of distinct kept cells, and where every cell is kept
+   (seed 5, rate 0.999 at N = 4: 24 cells) the union sweep is the exact
+   sweep. *)
+let test_sampled_footprint_by_cell () =
+  List.iter
+    (fun (name, seed, rate) ->
+      let prog, params = Test_cplan.data_program name in
+      let accesses = Iolb_check.Interp.accesses ~params prog in
+      let thresh = int_of_float (rate *. 4611686018427387904.0) in
+      let kept =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (a, idx, _) ->
+               if Iolb_ir.Cplan.sample_hash ~seed a idx < thresh then
+                 Some (a, idx)
+               else None)
+             accesses)
+      in
+      let s = S.run_sampled ~rate ~seed ~params prog in
+      let what = Printf.sprintf "%s seed %d rate %g" name seed rate in
+      Alcotest.(check int) (what ^ ": sampled footprint") (List.length kept)
+        (S.footprint (S.sampled_union s)))
+    [
+      ("rank_mismatch", 5, 0.999); ("rank_mismatch", 3, 0.5);
+      ("sampled_strides", 5, 0.1); ("skew", 7, 0.3);
+    ];
+  let prog, params = Test_cplan.data_program "rank_mismatch" in
+  let s = S.run_sampled ~rate:0.999 ~seed:5 ~params prog in
+  let exact = S.run_program ~params prog in
+  Alcotest.(check int) "every access kept" (S.accesses exact)
+    (S.sampled_kept_accesses s);
+  Alcotest.(check int) "every cell kept" 24 (S.footprint exact);
+  Alcotest.(check bool) "union sweep = exact sweep" true
+    (sweeps_equal exact (S.sampled_union s))
+
 let suite =
   [
     Alcotest.test_case "hand-computed sweep" `Quick test_sweep_hand;
@@ -378,4 +440,8 @@ let suite =
       test_data_programs;
     Alcotest.test_case "sampled centre stays in its interval" `Quick
       test_sampled_centre_in_interval;
+    Alcotest.test_case "sampled Cache_sim steps pinned" `Quick
+      test_sampled_steps_pinned;
+    Alcotest.test_case "sampled footprint counts cells" `Quick
+      test_sampled_footprint_by_cell;
   ]

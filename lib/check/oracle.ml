@@ -367,11 +367,10 @@ let prop_jobs_det c =
 
 (* ------------------------------------------------------------------ *)
 (* sweep-stream: the sharded in-memory sweep ([run ~jobs]) and the
-   program sweeps over both numbered walks ([run_program] on [Cplan.iter],
-   [run_program_stream] on [Cplan.iter_interned]) share one engine, so
+   program sweep ([run_program], over [Cplan.iter]) share one engine, so
    each is checked against the independent per-size LRU simulator, at
-   every jobs width; the three are also compared pairwise on footprint,
-   accesses and reuse histogram.  This is the determinism contract behind
+   every jobs width; the two are also compared on footprint, accesses
+   and reuse histogram.  This is the determinism contract behind
    byte-identical --jobs output. *)
 
 let prop_sweep_stream c =
@@ -392,9 +391,6 @@ let prop_sweep_stream c =
             ( "dense",
               Sweep.run_program ~budget:c.budget ~jobs ~params:c.params c.prog
             );
-            ( "interned",
-              Sweep.run_program_stream ~budget:c.budget ~jobs ~params:c.params
-                c.prog );
           ]
       in
       List.iter
@@ -748,7 +744,7 @@ let all =
     { name = "sweep-lru"; doc = "reuse-distance sweep = per-size LRU" };
     {
       name = "sweep-stream";
-      doc = "sharded/dense/interned sweeps = per-size LRU at every jobs width";
+      doc = "sharded trace and program sweeps = per-size LRU at every jobs width";
     };
     {
       name = "opt-ref";

@@ -5,9 +5,10 @@
    coefficient/slot arrays, so walking the program is flat integer
    arithmetic.  One plan serves every concrete walk of the program: the
    numbered exact access stream behind every trace and exact sweep
-   ([iter], with the interned reference walk [iter_interned]), the same
-   stream with every statement instance announced ([iter_instances], the
-   CDAG builder's) and the sampled scan ([iter_sampled]).
+   ([iter]: the seek walk [iter_dense] on a dense layout, the instance
+   walk [walk] elsewhere), the same stream with every statement instance
+   announced ([iter_instances], the CDAG builder's instance walk) and the
+   sampled scan ([iter_sampled]).
 
    On top of that, a plan usually carries a flat address layout.  Every
    array gets a rectangular hull - per-dimension inclusive bounds that
@@ -515,21 +516,12 @@ let[@inline] id_of nb a =
   let c = nb.ids.(a) in
   if c >= 0 then c else number nb a
 
-(* The budget hook of the exact walks, once per statement instance with
-   an access in the slice: a [Cdag_build] checkpoint, counted against the
-   node cap.  A no-op on an unlimited budget. *)
+(* The seek walk's budget hook, once per statement instance with an
+   access in the slice: a [Cdag_build] checkpoint, a no-op on an
+   unlimited budget.  Callers check node caps: a walk sees one slice. *)
 let instance_gate budget =
   if Budget.is_unlimited budget then ignore
-  else
-    let ninst = ref 0 in
-    fun () ->
-      Budget.checkpoint budget Budget.Cdag_build;
-      incr ninst;
-      Budget.check_node_cap budget Budget.Cdag_build !ninst
-
-let check_range what lo hi =
-  if lo < 0 then invalid_arg (what ^ ": lo < 0");
-  if hi < lo then invalid_arg (what ^ ": hi < lo")
+  else fun () -> Budget.checkpoint budget Budget.Cdag_build
 
 (* The dense walk: the layout's addresses, numbered through a flat
    table inside the loop, so the consumer's closure stays the only
@@ -638,40 +630,77 @@ let iter_dense t l ~budget ~lo ~hi ~on_access =
   (try Array.iter exec t.body with Past_range -> ());
   Addrs (Array.sub nb.addrs 0 nb.n)
 
-(* Every statement instance in program order: [visit env st] with the
-   instance's loop variables in [env]. *)
-let walk_instances t visit =
+(* The instance walk: every instance in program order, its cells
+   numbered through the flat table on a dense layout and through a pool
+   otherwise.  [on_instance env st] precedes every instance not wholly
+   left of [lo], access-free ones included; the instances left of [lo]
+   are passed one by one, polling only the deadline.  The seek walk could
+   not announce vectors: it steps address cursors, not loop variables. *)
+let walk t ~budget ~lo ~hi ~on_instance ~on_access =
+  let dense = dense_layout t in
+  let nb = numbering (match dense with Some l -> l.addr_space | None -> 0) in
+  let pool = Interner.create () in
+  (* borrowed: one index vector per site *)
+  let ibuf = Array.map (fun i -> Array.make (Array.length i) 0) t.site_index in
+  let sw = t.site_write and polls = not (Budget.is_unlimited budget) in
   let env = fresh_env t in
+  let pos = ref 0 and passed = ref 0 in
+  let visit st =
+    let k = st.s1 - st.s0 and p0 = !pos in
+    pos := p0 + k;
+    if p0 < lo && p0 + k <= lo then begin
+      incr passed;
+      if polls && !passed land (Budget.deadline_stride - 1) = 0 then
+        Budget.check_deadline budget Budget.Cdag_build
+    end
+    else begin
+      if p0 >= hi then raise_notrace Past_range;
+      on_instance env st;
+      (* [instance_gate]'s checkpoint, without a call per instance *)
+      if polls && k > 0 then Budget.checkpoint budget Budget.Cdag_build;
+      (* the sites with an access in [lo, hi): all but at the slice's ends *)
+      let s0 = if lo > p0 then st.s0 + (lo - p0) else st.s0 in
+      let s1 = if hi - p0 < k then st.s0 + (hi - p0) else st.s1 in
+      match dense with
+      | Some l ->
+          for s = s0 to s1 - 1 do
+            let a = ceval env (Array.unsafe_get l.addr s) in
+            on_access (id_of nb a) (Array.unsafe_get sw s)
+          done
+      | None ->
+          for s = s0 to s1 - 1 do
+            let e = t.site_index.(s) and b = ibuf.(s) in
+            for d = 0 to Array.length e - 1 do
+              b.(d) <- ceval env e.(d)
+            done;
+            on_access (Interner.intern_view pool t.site_array.(s) b) sw.(s)
+          done
+    end
+  in
   let rec exec = function
-    | Cstmt st -> visit env st
+    | Cstmt st -> visit st
     | Cinner c ->
         span c.irev (ceval env c.ilo) (ceval env c.ihi) (fun v ->
             env.(c.islot) <- v;
-            visit env c.st)
+            visit c.st)
     | Cloop l ->
         span l.rev (ceval env l.lo) (ceval env l.hi) (fun v ->
             env.(l.slot) <- v;
             Array.iter exec l.body)
   in
-  Array.iter exec t.body
+  (try Array.iter exec t.body with Past_range -> ());
+  match dense with
+  | Some _ -> Addrs (Array.sub nb.addrs 0 nb.n)
+  | None -> Keys pool
 
-(* Borrowed per-call buffers: one index vector per site, [cell env s]
-   filling site [s]'s. *)
-let cell_buffers t =
-  let ibuf = Array.map (fun i -> Array.make (Array.length i) 0) t.site_index in
-  fun env s ->
-    let idx = Array.unsafe_get t.site_index s and b = Array.unsafe_get ibuf s in
-    for d = 0 to Array.length idx - 1 do
-      Array.unsafe_set b d (ceval env (Array.unsafe_get idx d))
-    done;
-    b
+let iter t ~budget ~lo ~hi ~on_access =
+  if lo < 0 then invalid_arg "Cplan.iter: lo < 0";
+  if hi < lo then invalid_arg "Cplan.iter: hi < lo";
+  match dense_layout t with
+  | Some l -> iter_dense t l ~budget ~lo ~hi ~on_access
+  | None -> walk t ~budget ~lo ~hi ~on_instance:(fun _ _ -> ()) ~on_access
 
-(* The whole stream, numbered as [iter] numbers it: through the flat
-   table on a dense layout, through a pool otherwise.  Not on [iter]'s
-   seek path: that one never materializes an innermost loop variable
-   (it steps address cursors), so it could not announce vectors. *)
 let iter_instances t ~on_instance ~on_access =
-  let sw = t.site_write in
   (* borrowed: one iteration vector per loop depth (at most one per slot) *)
   let vbuf = Array.init (t.nslots + 1) (fun depth -> Array.make depth 0) in
   let announce env st =
@@ -682,28 +711,8 @@ let iter_instances t ~on_instance ~on_access =
     done;
     on_instance st.index b
   in
-  match dense_layout t with
-  | Some l ->
-      let nb = numbering l.addr_space in
-      walk_instances t (fun env st ->
-          announce env st;
-          for s = st.s0 to st.s1 - 1 do
-            on_access
-              (id_of nb (ceval env (Array.unsafe_get l.addr s)))
-              (Array.unsafe_get sw s)
-          done);
-      Addrs (Array.sub nb.addrs 0 nb.n)
-  | None ->
-      let pool = Interner.create () and cell = cell_buffers t in
-      walk_instances t (fun env st ->
-          announce env st;
-          for s = st.s0 to st.s1 - 1 do
-            on_access
-              (Interner.intern_view pool (Array.unsafe_get t.site_array s)
-                 (cell env s))
-              (Array.unsafe_get sw s)
-          done);
-      Keys pool
+  walk t ~budget:Budget.unlimited ~lo:0 ~hi:max_int ~on_instance:announce
+    ~on_access
 
 (* An address lies in the last hull whose base is at or below it; its
    offset there is row-major. *)
@@ -726,48 +735,6 @@ let cell t cells id =
             h.hlo.(d) + q)
           h.hstride )
   | Addrs _, None -> invalid_arg "Cplan.cell: cells of another plan"
-
-(* Walks the cells from the program start and interns, in a slice-local
-   pool, only the accesses of [lo, hi).  The gate fires once per instance
-   with an access in the slice, and the walk to the slice only polls the
-   deadline. *)
-let iter_interned t ~budget ~lo ~hi ~on_access =
-  check_range "Cplan.iter_interned" lo hi;
-  let pool = Interner.create () and cell = cell_buffers t in
-  let gate = instance_gate budget in
-  let polls = not (Budget.is_unlimited budget) in
-  let pos = ref 0 and stmts = ref 0 in
-  (try
-     walk_instances t (fun env st ->
-         let k = st.s1 - st.s0 in
-         incr stmts;
-         if !pos + k <= lo then begin
-           pos := !pos + k;
-           if polls && !stmts land (Budget.deadline_stride - 1) = 0 then
-             Budget.check_deadline budget Budget.Cdag_build
-         end
-         else if k > 0 then begin
-           if !pos >= hi then raise_notrace Past_range;
-           gate ();
-           for s = st.s0 to st.s1 - 1 do
-             let p = !pos in
-             if p >= lo && p < hi then
-               on_access
-                 (Interner.intern_view pool
-                    (Array.unsafe_get t.site_array s)
-                    (cell env s))
-                 (Array.unsafe_get t.site_write s);
-             pos := p + 1
-           done
-         end)
-   with Past_range -> ());
-  Keys pool
-
-let iter t ~budget ~lo ~hi ~on_access =
-  check_range "Cplan.iter" lo hi;
-  match dense_layout t with
-  | Some l -> iter_dense t l ~budget ~lo ~hi ~on_access
-  | None -> iter_interned t ~budget ~lo ~hi ~on_access
 
 let globalize t slices =
   let nb = lazy (numbering (Option.value (addr_space t) ~default:0)) in

@@ -3,13 +3,12 @@
     A plan compiles a program at concrete parameters into flat integer
     slot environments and coefficient arrays, and serves every concrete
     walk of it: {!iter} (the numbered exact access stream behind every
-    trace and exact sweep, with {!iter_interned} as its reference walk),
-    {!iter_instances} (the same stream with every statement instance
-    announced: CDAG construction) and {!iter_sampled} (the SHARDS-style
-    sampled scan).  All of them walk the statement instances
-    in program (textual/loop) order and, within an instance, its reads in
-    statement order and then its writes; that is the access order and the
-    position numbering every consumer shares.
+    trace and exact sweep), {!iter_instances} (the same stream with every
+    statement instance announced: CDAG construction) and {!iter_sampled}
+    (the SHARDS-style sampled scan).  All of them walk the statement
+    instances in program (textual/loop) order and, within an instance,
+    its reads in statement order and then its writes; that is the access
+    order and the position numbering every consumer shares.
 
     The exact walks emit cell ids, not cells: within a slice of the
     stream, cells are numbered [0, 1, ...] in order of first occurrence,
@@ -27,6 +26,11 @@
     Hulls are keyed by (array, rank), so an array name used at two ranks
     names two disjoint cell sets.  Plans without a layout, or whose layout
     spans more than 2^23 addresses, intern their cells instead.
+
+    Two walks produce the exact streams, with the same ids: a seek walk
+    behind {!iter} on a layout of at most 2^23 addresses, and an instance
+    walk behind {!iter} elsewhere and {!iter_instances} everywhere.  No
+    walk checks a node cap: each sees one slice.
 
     The sampled scan serves every plan: the spatial cell hash
     ({!sample_hash}) composes with the index forms, so a dropped access
@@ -56,8 +60,9 @@ val make : params:(string * int) list -> Program.t -> t
 val n_accesses : t -> int
 
 (** Exact number of statement instances with at least one access - the
-    count the exact walks' node-cap gate reaches on the whole stream -
-    counted and checked like {!n_accesses}. *)
+    [Cdag_build] checkpoints {!iter} makes on the whole stream, and the
+    count a trace or sweep checks against a node cap - counted and
+    checked like {!n_accesses}. *)
 val n_instances : t -> int
 
 (** Exact sums over every statement instance, those without accesses
@@ -93,16 +98,18 @@ val footprint : cells -> int
     [\[lo, hi)], in program order, calling [on_access id is_write] per
     access, and returns the slice's cells.  [id] numbers the slice's
     cells by first occurrence: a cell's first access in the slice gets
-    the next unused id.  Whole loop iterations left of [lo] are skipped
-    by closed-form counting, and iteration stops once [hi] is passed -
-    the [seek] arithmetic: reaching position [k] costs the loop structure
-    around it (O(depth) for rectangular nests), not [k] emissions.  A
-    plan without a layout of at most 2^23 addresses is walked by
-    {!iter_interned} instead, which has no such seek.
+    the next unused id.  On a layout of at most 2^23 addresses, whole
+    loop iterations left of [lo] are skipped by closed-form counting, and
+    iteration stops once [hi] is passed - the [seek] arithmetic: reaching
+    position [k] costs the loop structure around it (O(depth) for
+    rectangular nests), not [k] emissions.  Elsewhere the instance walk
+    interns cells in a slice-local pool ({!Interner}) and, with no such
+    seek, walks the whole stream prefix before [lo], polling only the
+    budget's deadline there.
 
     Budget: one [Cdag_build] checkpoint per statement instance with at
-    least one access in the slice (before its accesses), counted against
-    the node cap.  All mutable iteration state lives in per-call buffers:
+    least one access in the slice (before its accesses); the node cap is
+    not checked.  All mutable iteration state lives in per-call buffers:
     one plan may be iterated concurrently from several domains.
     @raise Invalid_argument if [lo < 0] or [hi < lo].
     @raise Iolb_util.Budget.Exhausted when the budget runs out. *)
@@ -114,26 +121,11 @@ val iter :
   on_access:(int -> bool -> unit) ->
   cells
 
-(** [iter_interned] is {!iter} on the plan's cells interned in a
-    slice-local pool ({!Interner}), whatever its layout: the
-    same ids, the same cells and the same budget charges.  Without a
-    closed-form seek it walks the whole stream prefix before [lo],
-    polling only the budget's deadline there.  The reference walk of the
-    program sweeps. *)
-val iter_interned :
-  t ->
-  budget:Iolb_util.Budget.t ->
-  lo:int ->
-  hi:int ->
-  on_access:(int -> bool -> unit) ->
-  cells
-
 (** [globalize t slices] numbers consecutive slices of [t]'s stream
-    globally: given the cells one walk ({!iter} or {!iter_interned})
-    returned for the slices [\[p0, p1), \[p1, p2), ...], in stream
-    order, its [i]-th array maps slice [i]'s local ids to the whole
-    stream's first-occurrence ids - the ids the walk emits on
-    [\[p0, pk)] in one call. *)
+    globally: given the cells {!iter} returned for the slices
+    [\[p0, p1), \[p1, p2), ...], in stream order, its [i]-th array maps
+    slice [i]'s local ids to the whole stream's first-occurrence ids -
+    the ids {!iter} emits on [\[p0, pk)] in one call. *)
 val globalize : t -> cells list -> int array list
 
 (** [iter_instances t ~on_instance ~on_access] walks the whole stream

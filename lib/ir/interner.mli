@@ -1,9 +1,9 @@
 (** Dense interning of [(array-name, index-vector)] keys.
 
     Plans without a dense address layout number their cells through an
-    interner: the interned exact walks ({!Cplan.iter_interned}, and
-    {!Cplan.iter_instances} on such a plan) and {!Cplan.globalize} over
-    their slices.  Hand-written event lists ([Trace.of_events]) are the
+    interner: the instance walk behind {!Cplan.iter} and
+    {!Cplan.iter_instances} on such a plan, and {!Cplan.globalize} over
+    its slices.  Hand-written event lists ([Trace.of_events]) are the
     other user.  Hashing [(string * int array)] keys polymorphically in
     every loop iteration would dominate those walks; an interner maps
     each distinct key to a dense [int] once - with a specialised

@@ -50,8 +50,8 @@ module Cplan = Iolb_ir.Cplan
      width.
    A sequential sweep of a materialized trace is the one-segment case.  One
    shard driver ([drive]) serves the materialized trace and the compiled
-   plan's numbered walks ({!Cplan.iter}, {!Cplan.iter_interned}): all of
-   them hand a shard its cells under first-occurrence ids. *)
+   plan's numbered walk ({!Cplan.iter}): both hand a shard its cells under
+   first-occurrence ids. *)
 
 type t = {
   accesses : int;
@@ -631,20 +631,21 @@ let run ?(budget = Budget.unlimited) ?(jobs = 1) trace =
       Array.iteri (fun g c -> if c >= 0 then gids.(c) <- g) local;
       gids)
 
-let run_walk walk ~budget ~jobs plan =
-  drive ~budget ~jobs ~n:(Cplan.n_accesses plan)
-    ~globalize:(Cplan.globalize plan) ~shard:(fun ps ~lo ~hi ->
-      walk plan ~budget ~lo ~hi ~on_access:(fun id w -> pass_event ps id w))
-
-let default_jobs = function Some j -> j | None -> Pool.default_jobs ()
-
-let run_program_stream ?(budget = Budget.unlimited) ?jobs ~params prog =
-  run_walk Cplan.iter_interned ~budget ~jobs:(default_jobs jobs)
-    (Cplan.make ~params prog)
+(* The node cap holds for the whole stream, before the fan-out. *)
+let run_walk ~budget ~jobs plan =
+  let n = Cplan.n_accesses plan in
+  if not (Budget.is_unlimited budget) then
+    Budget.check_node_cap budget Budget.Cdag_build (Cplan.n_instances plan);
+  drive ~budget ~jobs ~n ~globalize:(Cplan.globalize plan)
+    ~shard:(fun ps ~lo ~hi ->
+      Cplan.iter plan ~budget ~lo ~hi ~on_access:(fun id w ->
+          pass_event ps id w))
 
 let run_program ?(budget = Budget.unlimited) ?jobs ~params prog =
-  run_walk Cplan.iter ~budget ~jobs:(default_jobs jobs)
-    (Cplan.make ~params prog)
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  run_walk ~budget ~jobs (Cplan.make ~params prog)
+
+let run_program_stream = run_program
 
 (* ------------------------------------------------------------------ *)
 (* Sampled sweeps (SHARDS).  Cells are kept iff their spatial hash     *)
@@ -713,7 +714,7 @@ let run_sampled ?(budget = Budget.unlimited) ~rate ~seed ~params prog =
   let total = Cplan.n_accesses plan in
   let thresh = int_of_float (rate *. hash_space) in
   if rate >= 1.0 || float_of_int thresh >= hash_space then begin
-    let t = run_walk Cplan.iter ~budget ~jobs:(Pool.default_jobs ()) plan in
+    let t = run_walk ~budget ~jobs:(Pool.default_jobs ()) plan in
     {
       s_rate = 1.0;
       s_total = total;

@@ -75,8 +75,11 @@ val parse_sizes : string -> (int list, string) result
     {!Iolb_ir.Cplan.globalize} numbers the slices' cells globally.  Equal
     to [run (Trace.of_program ~params p)] in every field.  Budget
     semantics combine the trace-build stage ([Cdag_build] checkpoints per
-    statement instance, counted against the node cap) and the sweep
-    stage ([Cache_sim] per event). *)
+    statement instance) and the sweep stage ([Cache_sim] per event).  The
+    node cap is checked once, against the whole stream's instance count
+    ({!Iolb_ir.Cplan.n_instances}), before the fan-out, as
+    {!Trace.of_program} checks it: a capped sweep fails or passes at
+    every [jobs] width alike. *)
 val run_program :
   ?budget:Iolb_util.Budget.t ->
   ?jobs:int ->
@@ -84,12 +87,8 @@ val run_program :
   Iolb_ir.Program.t ->
   t
 
-(** {!run_program} on the reference walk
-    ({!Iolb_ir.Cplan.iter_interned}): every shard walks the plan's cells
-    from the program start and interns only the accesses of its own
-    slice, whatever the plan's layout.  Equal to {!run_program} in every
-    field, for any [jobs].  Without a closed-form seek, a shard pays for
-    the whole trace prefix before its slice. *)
+(** [run_program_stream] is {!run_program}, kept under its former name
+    for the bench's frozen golden writer. *)
 val run_program_stream :
   ?budget:Iolb_util.Budget.t ->
   ?jobs:int ->
@@ -135,7 +134,7 @@ val check_rate : float -> (unit, string) result
 (** [run_sampled ~rate ~seed ~params p] scans the trace of [p] once,
     keeping cells at the given [rate], and sweeps the union sample plus
     8 disjoint sub-samples.  [rate >= 1] falls back to the exact
-    {!run_program}.
+    {!run_program}, node cap check included.
     @raise Invalid_argument when {!check_rate} rejects [rate]. *)
 val run_sampled :
   ?budget:Iolb_util.Budget.t ->

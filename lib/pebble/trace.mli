@@ -23,11 +23,10 @@ type t
 (** [of_program ~params p] is the trace of the program executed in textual
     order: for each instance, its reads then its writes, one
     {!Iolb_ir.Cplan.iter} walk.  Instantiation is accounted against the
-    budget's [Cdag_build] stage (one checkpoint per instance, node cap on
-    the instance count); on a budget that is not unlimited, the node cap
-    is first checked against the closed-form instance count
-    ({!Iolb_ir.Cplan.n_instances}), before the event arrays are
-    allocated.
+    budget's [Cdag_build] stage (one checkpoint per instance); on a
+    budget that is not unlimited, the node cap is checked once, against
+    the closed-form instance count ({!Iolb_ir.Cplan.n_instances}), before
+    the event arrays are allocated.
     @raise Iolb_util.Budget.Exhausted when the budget runs out.
     @raise Iolb_util.Engine_error.Error with [Invalid_input] when the
     access count exceeds [max_int]. *)

@@ -2,28 +2,28 @@ module Json = Iolb_util.Json
 
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
-let connect_once address =
-  let domain, addr = Server.sockaddr address in
-  let fd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
-  (try Unix.connect fd addr
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
-
 (* Retrying connect: the daemon the caller just started may not have
-   bound its socket yet (CI starts it in the background). *)
+   bound its socket yet (CI starts it in the background).  An address the
+   OS refuses is the caller's input, as for [serve]. *)
 let connect ?(attempts = 1) ?(delay_s = 0.1) address =
   if attempts < 1 then invalid_arg "Client.connect: attempts < 1";
+  let domain, addr = Server.sockaddr address in
   let rec go n =
-    match connect_once address with
-    | c -> c
-    | exception e ->
-        if n >= attempts then raise e
-        else begin
+    let fd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
+    match Unix.connect fd addr with
+    | () ->
+        let ic = Unix.in_channel_of_descr fd in
+        { fd; ic; oc = Unix.out_channel_of_descr fd }
+    | exception Unix.Unix_error (err, _, _) ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        if n < attempts && (err = ECONNREFUSED || err = ENOENT) then begin
           Unix.sleepf delay_s;
           go (n + 1)
         end
+        else
+          invalid_arg
+            (Format.asprintf "cannot connect to %a: %s" Server.pp_address
+               address (Unix.error_message err))
   in
   go 1
 

@@ -7,7 +7,8 @@ type t
 (** [connect ?attempts ?delay_s address] connects, retrying a refused or
     missing endpoint [attempts] times with [delay_s] between tries (the
     daemon may still be binding its socket).
-    @raise Unix.Unix_error when the last attempt fails too. *)
+    @raise Invalid_argument naming the address and the OS reason when
+    the last attempt fails too, and when {!Server.sockaddr} rejects it. *)
 val connect : ?attempts:int -> ?delay_s:float -> Server.address -> t
 
 val close : t -> unit

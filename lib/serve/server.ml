@@ -59,6 +59,7 @@ type conn = {
   flight_mutex : Mutex.t;
   flight_done : Condition.t;
   mutable outstanding : int;
+  mutable finished : bool; (* the reader is done; under [conns_mutex] *)
 }
 
 let make_conn fd =
@@ -70,6 +71,7 @@ let make_conn fd =
     flight_mutex = Mutex.create ();
     flight_done = Condition.create ();
     outstanding = 0;
+    finished = false;
   }
 
 (* Writes to a peer that vanished (EPIPE, reset) are dropped: the
@@ -118,7 +120,7 @@ type t = {
   counters : counters;
   conns_mutex : Mutex.t;
   mutable conns : conn list;
-  mutable conn_domains : unit Domain.t list;
+  mutable conn_domains : (conn * unit Domain.t) list; (* not joined yet *)
   mutable workers : Pool.Workers.t option;
   mutable accept_domain : unit Domain.t option;
   stop_flag : bool Atomic.t;
@@ -524,7 +526,8 @@ let conn_loop t conn =
       Mutex.protect t.conns_mutex (fun () ->
           t.conns <- List.filter (fun c -> c != conn) t.conns);
       if !over_cap then drain conn;
-      close_out_noerr conn.oc)
+      close_out_noerr conn.oc;
+      Mutex.protect t.conns_mutex (fun () -> conn.finished <- true))
     (fun () -> over_cap := loop ())
 
 (* ------------------------------------------------------------------ *)
@@ -541,8 +544,21 @@ let refuse_connection fd =
    with Sys_error _ | Unix.Unix_error _ -> ());
   close_out_noerr oc
 
+(* Joins the finished readers, so the handles kept follow the live
+   connections.  A reader finishes as its last act, after its drain and
+   close: the join waits only for its domain to exit. *)
+let reap t =
+  Mutex.protect t.conns_mutex (fun () ->
+      let gone, live =
+        List.partition (fun (c, _) -> c.finished) t.conn_domains
+      in
+      t.conn_domains <- live;
+      gone)
+  |> List.iter (fun (_, d) -> try Domain.join d with _ -> ())
+
 let accept_loop t () =
   let rec loop () =
+    reap t;
     if not (stopping t) then
       match Unix.select [ t.listen_fd ] [] [] 0.25 with
       | [], _, _ -> loop ()
@@ -563,7 +579,7 @@ let accept_loop t () =
                 match Domain.spawn (fun () -> conn_loop t conn) with
                 | d ->
                     Mutex.protect t.conns_mutex (fun () ->
-                        t.conn_domains <- d :: t.conn_domains)
+                        t.conn_domains <- (conn, d) :: t.conn_domains)
                 | exception _ ->
                     (* Domain limit: shed this connection instead of
                        dying. *)
@@ -582,6 +598,8 @@ let accept_loop t () =
 
 let sockaddr = function
   | Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+  | Tcp (_, port) when port < 0 || port > 65535 ->
+      invalid_arg (Printf.sprintf "port %d is outside 0..65535" port)
   | Tcp (host, port) ->
       let unresolved () =
         invalid_arg (Printf.sprintf "cannot resolve host %S" host)
@@ -691,7 +709,7 @@ let join t =
   let conn_domains =
     Mutex.protect t.conns_mutex (fun () -> t.conn_domains)
   in
-  List.iter (fun d -> try Domain.join d with _ -> ()) conn_domains;
+  List.iter (fun (_, d) -> try Domain.join d with _ -> ()) conn_domains;
   (match t.config.address with
   | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ());

@@ -33,8 +33,12 @@ type address = Unix_sock of string | Tcp of string * int
 (** [sockaddr address] is the socket domain and OS address of [address],
     the one resolver of the daemon and {!Client}: a TCP host is an IP
     literal or a name [gethostbyname] resolves.
-    @raise Invalid_argument when the host does not resolve. *)
+    @raise Invalid_argument when the port is outside 0..65535 or the host
+    does not resolve. *)
 val sockaddr : address -> Unix.socket_domain * Unix.sockaddr
+
+(** [unix:PATH] or [tcp:HOST:PORT], as the log and {!Client} name it. *)
+val pp_address : Format.formatter -> address -> unit
 
 type config = {
   address : address;

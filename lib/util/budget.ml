@@ -68,6 +68,8 @@ let make ?max_steps ?timeout_ms ?max_nodes ?fault () =
     stage_counts = Array.init n_stages (fun _ -> Atomic.make 0);
   }
 
+let without_node_cap t = { t with max_nodes = None }
+
 let is_unlimited t =
   t.max_steps = None && t.deadline = None && t.max_nodes = None
   && t.fault = None

@@ -51,6 +51,10 @@ val make :
   unit ->
   t
 
+(** [without_node_cap t] is [t] without its node cap, sharing its
+    deadline, step cap, fault hook and counters. *)
+val without_node_cap : t -> t
+
 (** [checkpoint t stage] accounts one unit of work.  Raises {!Exhausted} if
     the step cap is exceeded, the deadline has passed, or the fault hook
     fires.  Step, node and fault caps are exact; the wall clock is only

@@ -1,14 +1,15 @@
 (* The one loop-nest compiler against the reference interpreter
-   ([Iolb_check.Interp]), access for access: both numbered walks ([iter]
-   and the interned [iter_interned]: the first-occurrence ids of the
-   slice's cells, write flags, footprint, and one budget checkpoint per
-   instance with an access), and the CDAG builder's walk
-   ([iter_instances]: the same ids with every instance announced,
-   statement and vector, and each cell decoded back), whatever the
-   plan's layout.  The id comparison is what
-   checks the layout: addresses that alias two cells merge their ids, and
-   the table read that numbers an address is bounds-checked against the
-   address space.  The seek contract: producing [0, k) and then the rest -
+   ([Iolb_check.Interp]), access for access: the numbered walk ([iter]:
+   the first-occurrence ids of the slice's cells, write flags,
+   footprint, and one budget checkpoint per instance with an access),
+   and the CDAG builder's walk ([iter_instances]: the same ids with
+   every instance announced, statement and vector, and each cell decoded
+   back), whatever the plan's layout.  [iter] takes the seek walk on a
+   dense layout and the instance walk otherwise (sparse_hull,
+   hull_overflow); [iter_instances] takes the instance walk on both.
+   The id comparison is what checks the layout: addresses that alias
+   two cells merge their ids, and the table read that numbers an address
+   is bounds-checked against the address space.  The seek contract: producing [0, k) and then the rest -
    or any finer slicing - reproduces the full stream, with [globalize]
    turning the slices' ids into the whole stream's.  The sampled scan
    must keep exactly the reference accesses whose cell hash falls below
@@ -58,7 +59,7 @@ let reference_ids full lo hi =
   in
   (seq, Hashtbl.length ids)
 
-let walks = [ ("iter", C.iter); ("iter_interned", C.iter_interned) ]
+let walks = [ ("iter", C.iter) ]
 
 (* One numbered walk of [lo, hi) against the reference: ids and write
    flags, footprint, and one [Cdag_build] checkpoint per instance with an
@@ -123,7 +124,7 @@ let check_instances ~what ~params prog plan =
         Alcotest.failf "%s: cell %d decodes to %s, not %s" what id name' name)
     (List.rev !order)
 
-(* The counts and the three numbered walks over the whole stream. *)
+(* The counts and the numbered walks over the whole stream. *)
 let check_full ?(layout = true) ~what ~params prog =
   let full = reference_instances ~params prog in
   let n = Array.length full in
@@ -258,8 +259,8 @@ let data_programs () =
     ]
 
 (* A hull whose volume is 2^63 leaves the plan without an address layout
-   instead of wrapping into a tiny address space; its cell walk, both
-   numbered walks, their slicings and the sampled scan still equal the
+   instead of wrapping into a tiny address space; its cell walk, the
+   numbered walk, its slicings and the sampled scan still equal the
    reference. *)
 let hull_overflow () =
   let prog, params = data_program "hull_overflow" in

@@ -414,6 +414,81 @@ let test_cdag_node_cap_counts_inputs () =
       | exception Budget.Exhausted Budget.Cdag_build -> ())
     [ 68; 57; 56 ]
 
+(* A sweep's node cap holds for the whole trace, once, before the shards
+   fan out: MGS 8x4 has 174 instances with an access, so a cap of 173
+   stops every jobs width before its first checkpoint, and 174 lets
+   every width sweep what the uncapped sweep does. *)
+let test_sweep_node_cap_every_width () =
+  let module Sweep = Iolb_pebble.Sweep in
+  let params = [ ("M", 8); ("N", 4) ] in
+  let free = Sweep.run_program ~jobs:1 ~params Programs.mgs in
+  let same a b =
+    Sweep.footprint a = Sweep.footprint b
+    && Sweep.accesses a = Sweep.accesses b
+    && Sweep.distance_histogram a = Sweep.distance_histogram b
+    && List.for_all
+         (fun size -> Sweep.stats a ~size = Sweep.stats b ~size)
+         (List.init (Sweep.footprint b + 1) (fun i -> i + 1))
+  in
+  List.iter
+    (fun jobs ->
+      let what = Printf.sprintf "jobs=%d" jobs in
+      let budget = Budget.make ~max_nodes:173 () in
+      (match Sweep.run_program ~budget ~jobs ~params Programs.mgs with
+      | _ -> Alcotest.failf "%s: a cap of 173 swept" what
+      | exception Budget.Exhausted Budget.Cdag_build -> ());
+      Alcotest.(check int) (what ^ ": no instance walked") 0
+        (Budget.stage_steps budget Budget.Cdag_build);
+      let capped =
+        Sweep.run_program ~budget:(Budget.make ~max_nodes:174 ()) ~jobs
+          ~params Programs.mgs
+      in
+      Alcotest.(check bool) (what ^ ": a cap of 174 = uncapped") true
+        (same capped free))
+    [ 1; 2; 4 ]
+
+(* [without_node_cap] lifts the node cap and nothing else: steps, stage
+   counts, step cap, deadline and fault hook are the original's.  Under
+   it MGS derives undegraded although its verification CDAG is larger
+   than the 69 nodes [simulate mgs -m 4 -n 3 --max-nodes 69] plays. *)
+let test_without_node_cap_shares () =
+  let budget = Budget.make ~max_steps:10 ~max_nodes:5 () in
+  let lifted = Budget.without_node_cap budget in
+  Budget.check_node_cap lifted Budget.Cdag_build 1_000;
+  (match Budget.check_node_cap budget Budget.Cdag_build 6 with
+  | () -> Alcotest.fail "the original lost its cap"
+  | exception Budget.Exhausted Budget.Cdag_build -> ());
+  for _ = 1 to 6 do
+    Budget.checkpoint lifted Budget.Derivation
+  done;
+  for _ = 1 to 4 do
+    Budget.checkpoint budget Budget.Cdag_build
+  done;
+  Alcotest.(check (pair int int)) "steps" (10, 10)
+    (Budget.steps budget, Budget.steps lifted);
+  Alcotest.(check int) "stage steps" 6
+    (Budget.stage_steps budget Budget.Derivation);
+  (match Budget.checkpoint lifted Budget.Cache_sim with
+  | () -> Alcotest.fail "the step cap is not shared"
+  | exception Budget.Exhausted Budget.Cache_sim -> ());
+  let expired = Budget.make ~timeout_ms:0 ~max_nodes:5 () in
+  Unix.sleepf 0.002;
+  (match Budget.check_deadline (Budget.without_node_cap expired) Budget.Derivation with
+  | () -> Alcotest.fail "the deadline is not shared"
+  | exception Budget.Exhausted Budget.Derivation -> ());
+  let faulty = Budget.make ~fault:(Budget.Derivation, 2) ~max_nodes:5 () in
+  Budget.checkpoint faulty Budget.Derivation;
+  (match Budget.checkpoint (Budget.without_node_cap faulty) Budget.Derivation with
+  | () -> Alcotest.fail "the fault hook is not shared"
+  | exception Budget.Exhausted Budget.Derivation -> ());
+  let entry = Report.find "mgs" in
+  let capped = Budget.make ~max_nodes:69 () in
+  Alcotest.(check bool) "capped derivation degrades" true
+    ((Report.analyze ~budget:capped entry).Report.degradation <> None);
+  Alcotest.(check (option string)) "lifted derivation" None
+    (Report.analyze ~budget:(Budget.without_node_cap capped) entry)
+      .Report.degradation
+
 let suite =
   [
     Alcotest.test_case "ladder faults on paper kernels" `Quick
@@ -436,4 +511,8 @@ let suite =
       test_trace_node_cap_first;
     Alcotest.test_case "CDAG node cap counts inputs" `Quick
       test_cdag_node_cap_counts_inputs;
+    Alcotest.test_case "sweep node cap is the same at every width" `Quick
+      test_sweep_node_cap_every_width;
+    Alcotest.test_case "lifted node cap shares the rest" `Quick
+      test_without_node_cap_shares;
   ]

@@ -1071,6 +1071,63 @@ let test_connection_cap () =
               | Ok r -> r.Protocol.ok
               | Error _ | (exception Sys_error _) -> false)))
 
+(* A TCP port outside 0..65535 is rejected, not wrapped to another
+   port: by the resolver, the daemon and the client alike.  A daemon
+   that is not there is the caller's input too, named with the OS
+   reason. *)
+let test_bad_addresses () =
+  let address = Server.Tcp ("127.0.0.1", 70000) in
+  (match Server.sockaddr address with
+  | _ -> Alcotest.fail "port 70000 resolved"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the port" "port 70000 is outside 0..65535"
+        msg);
+  (match Server.start (Server.default_config ~address) with
+  | t ->
+      Server.stop t;
+      Server.join t;
+      Alcotest.fail "listened on port 70000"
+  | exception Invalid_argument _ -> ());
+  (match Client.connect address with
+  | c ->
+      Client.close c;
+      Alcotest.fail "connected to port 70000"
+  | exception Invalid_argument _ -> ());
+  let path = "/nonexistent/d/s.sock" in
+  match Client.connect (Server.Unix_sock path) with
+  | c ->
+      Client.close c;
+      Alcotest.fail "connected to a missing socket"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the address and the reason"
+        ("cannot connect to unix:" ^ path ^ ": No such file or directory")
+        msg
+
+(* A reader's domain is joined once its connection is done, so the
+   handles the daemon keeps follow the live connections: 500 connections
+   one after another leave the live heap where it was, not 20 words per
+   connection higher. *)
+let test_finished_readers_joined () =
+  with_server (fun _ address ->
+      let ping () =
+        with_client address (fun c ->
+            Alcotest.(check bool) "pong" true (rpc c ~op:"ping" []).Protocol.ok)
+      in
+      let live () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      for _ = 1 to 20 do
+        ping ()
+      done;
+      let before = live () in
+      for _ = 1 to 500 do
+        ping ()
+      done;
+      let grown = live () - before in
+      if grown >= 2_000 then
+        Alcotest.failf "500 connections grew the live heap by %d words" grown)
+
 let suite =
   [
     Alcotest.test_case "protocol: request parsing" `Quick test_parse_request;
@@ -1102,4 +1159,8 @@ let suite =
       test_unbudgeted_degraded_cached;
     test_encode_roundtrip;
     Alcotest.test_case "server: connection cap" `Quick test_connection_cap;
+    Alcotest.test_case "server: bad addresses are invalid input" `Quick
+      test_bad_addresses;
+    Alcotest.test_case "server: finished readers are joined" `Quick
+      test_finished_readers_joined;
   ]

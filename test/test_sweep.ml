@@ -199,20 +199,14 @@ let test_segmented_edges () =
     [ []; [ r "A" 0 ]; [ w "A" 0; r "A" 0; r "B" 0 ] ]
 
 let test_run_program_streams () =
-  (* dense-address and interning program sweeps = materialized sweep,
-     across jobs widths *)
+  (* the program sweep = materialized sweep, across jobs widths *)
   let seq = S.run (T.of_program ~params:mgs_params mgs) in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun (what, got) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s jobs=%d" what jobs)
-            true (sweeps_equal seq got))
-        [
-          ("dense", S.run_program ~jobs ~params:mgs_params mgs);
-          ("interned", S.run_program_stream ~jobs ~params:mgs_params mgs);
-        ])
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d" jobs)
+        true
+        (sweeps_equal seq (S.run_program ~jobs ~params:mgs_params mgs)))
     [ 1; 2; 4; 8 ]
 
 (* An array at two ranks, a hull past 63-bit integers (a plan without a
@@ -244,7 +238,6 @@ let test_data_programs () =
             (Printf.sprintf "run_program jobs=%d" jobs)
             (S.run_program ~jobs ~params prog))
         [ 1; 2; 4 ];
-      check "run_program_stream" (S.run_program_stream ~jobs:2 ~params prog);
       check "run of_program" (S.run (T.of_program ~params prog));
       check "run_sampled rate 1"
         (S.sampled_union (S.run_sampled ~rate:1.0 ~seed:5 ~params prog));

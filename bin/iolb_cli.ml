@@ -80,8 +80,9 @@ let budget_args =
             "Cap on the size of any built structure (CDAG nodes, the \
              statement instances of a trace or exact sweep).  $(b,bounds) \
              applies the cap to each kernel (or $(b,--file) source) on its \
-             own.  $(b,simulate) applies it to what it plays or sweeps, \
-             not to its bounds' derivation.")
+             own.  $(b,simulate) applies it to the game or exact sweep it \
+             runs and to a baseline's or source's derivation, not to a \
+             sampled sweep or a paper kernel's derivation.")
   in
   let tuple t s n = (t, s, n) in
   Term.(const tuple $ timeout_arg $ max_steps_arg $ max_nodes_arg)
@@ -416,15 +417,15 @@ let simulate_cmd =
         ~overrides subject ~m ~n
     in
     let program = (Driver.source subject).Front.program in
-    (* The node cap bounds what is played or swept, not the derivation's
-       own verification CDAG. *)
-    let derive_budget = Budget.without_node_cap budget in
+    (* A paper kernel verifies at its own small point, so the node cap
+       bounds only what is played; a program verifies at the point
+       played, where the cap must stop its derivation's CDAG too. *)
     let* degradation, pebble_lines =
       match subject with
       | Driver.Paper entry ->
           let* a =
             Engine_error.guard (fun () ->
-                Report.analyze ~budget:derive_budget entry)
+                Report.analyze ~budget:(Budget.without_node_cap budget) entry)
           in
           let pebble_lines ~s =
             List.filter_map
@@ -440,8 +441,7 @@ let simulate_cmd =
           Ok (a.Report.degradation, pebble_lines)
       | Driver.Program _ ->
           let* (o : D.outcome) =
-            D.analyze_ladder ~budget:derive_budget ~verify_params:params
-              program
+            D.analyze_ladder ~budget ~verify_params:params program
           in
           let pebble_lines ~s =
             match D.best ~params ~s o.D.bounds with
@@ -801,9 +801,7 @@ let parse_address (socket, tcp) =
           let host = String.sub spec 0 i in
           let port = String.sub spec (i + 1) (String.length spec - i - 1) in
           match int_of_string_opt port with
-          | Some p when p > 65535 && host <> "" ->
-              invalid "--tcp port %d is outside 0..65535" p
-          | Some p when p >= 0 && host <> "" -> Ok (Server.Tcp (host, p))
+          | Some p when host <> "" -> Ok (Server.Tcp (host, p))
           | _ -> invalid "--tcp expects HOST:PORT, got %S" spec)
       | None -> invalid "--tcp expects HOST:PORT, got %S" spec)
   | Some _, Some _ -> invalid "--socket and --tcp are exclusive"

@@ -285,11 +285,7 @@ let test_no_access_nodes () =
    deterministic where its time is not.  The builder walking through an
    interner into doubling tables, with a boxed kind per node, allocated
    582,000 words at MGS 32x16; sizing every array once from the plan's
-   closed-form counts must keep it under a quarter of that.  The
-   runtime's counters read a build some thousands of words off, either
-   way, when the collector's work lands inside it (about one build in
-   twenty, more after a long test run), so the reading is the median of
-   five builds. *)
+   closed-form counts must keep it under a quarter of that. *)
 let test_build_allocation () =
   let params = [ ("M", 32); ("N", 16) ] in
   let words () =
@@ -297,15 +293,10 @@ let test_build_allocation () =
     minor +. major -. promoted
   in
   ignore (Cdag.of_program ~params Programs.mgs);
-  let build () =
-    let w0 = words () in
-    let cdag = Cdag.of_program ~params Programs.mgs in
-    (Cdag.n_nodes cdag, words () -. w0)
-  in
-  let builds = List.init 5 (fun _ -> build ()) in
-  Alcotest.(check (list int)) "nodes" (List.init 5 (fun _ -> 9368))
-    (List.map fst builds);
-  let w = List.nth (List.sort compare (List.map snd builds)) 2 in
+  let w0 = words () in
+  let cdag = Cdag.of_program ~params Programs.mgs in
+  let w = words () -. w0 in
+  Alcotest.(check int) "nodes" 9368 (Cdag.n_nodes cdag);
   if w > 582_000. /. 4. then
     Alcotest.failf "one MGS 32x16 build allocated %.0f words (> 145,500)" w
 

@@ -276,7 +276,10 @@ let simulate_cmd =
      pass, exact OPT loads from per-size forward runs over a shared plan.
      The helpers take the program, its concrete sizes, a lower-bound
      evaluator and the audit of exact loads against it, so built-in
-     kernels and parsed --file sources share them. *)
+     kernels and parsed --file sources share them.  Each renders its
+     whole table into a buffer that [simulate] prints only once every
+     row is computed, so a budget that runs out part-way leaves stdout
+     empty. *)
   let run_sweep ~program ~params ~budget ~lb ~audit spec =
     let* sizes = parse_spec spec in
     let* trace =
@@ -284,23 +287,25 @@ let simulate_cmd =
     in
     let* sweep = Engine_error.guard (fun () -> Sweep.run ~budget trace) in
     let* plan = Engine_error.guard (fun () -> Cache.opt_plan ~budget trace) in
-    Printf.printf
-      "cache sweep over %d events, footprint %d cells (program order):\n"
-      (Trace.length trace) (Trace.footprint trace);
-    Printf.printf "  %8s | %9s %9s %9s | %9s | %10s\n" "S" "lru loads" "hits"
-      "stores" "opt loads" "lower bnd";
     Engine_error.guard (fun () ->
+        let out = Buffer.create 4096 in
+        Printf.bprintf out
+          "cache sweep over %d events, footprint %d cells (program order):\n"
+          (Trace.length trace) (Trace.footprint trace);
+        Printf.bprintf out "  %8s | %9s %9s %9s | %9s | %10s\n" "S"
+          "lru loads" "hits" "stores" "opt loads" "lower bnd";
         List.iter
           (fun s ->
             let lru = Sweep.stats sweep ~size:s in
             let opt = Cache.opt_run ~budget ~size:s plan in
             let bound = lb ~s in
-            Printf.printf "  %8d | %9d %9d %9d | %9d | %10.1f\n" s
+            Printf.bprintf out "  %8d | %9d %9d %9d | %9d | %10.1f\n" s
               lru.Cache.loads lru.Cache.read_hits lru.Cache.stores
               opt.Cache.loads bound;
             audit "LRU" ~s lru.Cache.loads ("lower bound", bound);
             audit "OPT" ~s opt.Cache.loads ("lower bound", bound))
-          sizes)
+          sizes;
+        out)
   in
   (* Streaming / sharded variant: the trace is never materialized, so the
      shared OPT plan (which needs the whole trace) is unavailable and its
@@ -312,21 +317,23 @@ let simulate_cmd =
       Engine_error.guard (fun () ->
           Sweep.run_program ~budget ~jobs ~params program)
     in
-    Printf.printf
-      "streamed cache sweep over %d events, footprint %d cells (no OPT \
-       column: the trace is never materialized):\n"
-      (Sweep.accesses sweep) (Sweep.footprint sweep);
     Engine_error.guard (fun () ->
-        Printf.printf "  %8s | %9s %9s %9s | %10s\n" "S" "lru loads" "hits"
-          "stores" "lower bnd";
+        let out = Buffer.create 4096 in
+        Printf.bprintf out
+          "streamed cache sweep over %d events, footprint %d cells (no OPT \
+           column: the trace is never materialized):\n"
+          (Sweep.accesses sweep) (Sweep.footprint sweep);
+        Printf.bprintf out "  %8s | %9s %9s %9s | %10s\n" "S" "lru loads"
+          "hits" "stores" "lower bnd";
         List.iter
           (fun s ->
             let lru = Sweep.stats sweep ~size:s in
             let bound = lb ~s in
-            Printf.printf "  %8d | %9d %9d %9d | %10.1f\n" s lru.Cache.loads
-              lru.Cache.read_hits lru.Cache.stores bound;
+            Printf.bprintf out "  %8d | %9d %9d %9d | %10.1f\n" s
+              lru.Cache.loads lru.Cache.read_hits lru.Cache.stores bound;
             audit "LRU" ~s lru.Cache.loads ("lower bound", bound))
-          sizes)
+          sizes;
+        out)
   in
   (* Sampled variant: below rate 1 every column is an estimate with an
      interval, so none is audited.  At rate 1 the sweep is exact, and its
@@ -338,26 +345,25 @@ let simulate_cmd =
       Engine_error.guard (fun () ->
           Sweep.run_sampled ~budget ~rate ~seed ~params program)
     in
-    Printf.printf
-      "sampled cache sweep: kept %d of %d accesses (rate %g, seed %d), \
-       sampled footprint %d cells%s:\n"
-      (Sweep.sampled_kept_accesses sampled)
-      (Sweep.sampled_total_accesses sampled)
-      rate seed
-      (Sweep.footprint (Sweep.sampled_union sampled))
-      (if Sweep.sampled_degenerate sampled then
-         "; sample too thin for error bars"
-       else "");
     Engine_error.guard (fun () ->
-        Printf.printf "  %8s | %12s [%12s,%12s] | %9s %9s | %10s\n" "S"
+        let out = Buffer.create 4096 in
+        Printf.bprintf out
+          "sampled cache sweep: kept %d of %d accesses (rate %g, seed %d), \
+           sampled footprint %d cells%s:\n"
+          (Sweep.sampled_kept_accesses sampled)
+          (Sweep.sampled_total_accesses sampled)
+          rate seed
+          (Sweep.footprint (Sweep.sampled_union sampled))
+          (if Sweep.sampled_degenerate sampled then
+             "; sample too thin for error bars"
+           else "");
+        Printf.bprintf out "  %8s | %12s [%12s,%12s] | %9s %9s | %10s\n" "S"
           "lru loads" "CI lo" "CI hi" "hits" "stores" "lower bnd";
         List.iter
           (fun s ->
-            let loads, hits, stores =
-              Sweep.sampled_stats sampled ~size:s
-            in
+            let loads, hits, stores = Sweep.sampled_stats sampled ~size:s in
             let bound = lb ~s in
-            Printf.printf
+            Printf.bprintf out
               "  %8d | %12.4g [%12.4g,%12.4g] | %9.4g %9.4g | %10.1f\n" s
               loads.Sweep.est loads.Sweep.lo loads.Sweep.hi hits.Sweep.est
               stores.Sweep.est bound;
@@ -365,7 +371,8 @@ let simulate_cmd =
               audit "LRU" ~s
                 (Sweep.stats (Sweep.sampled_union sampled) ~size:s).Cache.loads
                 ("lower bound", bound))
-          sizes)
+          sizes;
+        out)
   in
   let parse_param spec =
     match String.index_opt spec '=' with
@@ -461,15 +468,20 @@ let simulate_cmd =
         0. (pebble_lines ~s)
     in
     match sizes with
-    | Some spec -> (
+    | Some spec ->
+        let* table =
+          match (sample_rate, jobs) with
+          | Some rate, _ ->
+              run_sweep_sampled ~program ~params ~budget ~rate
+                ~seed:sample_seed ~lb ~audit spec
+          | None, Some jobs ->
+              run_sweep_streamed ~program ~params ~budget ~jobs ~lb ~audit
+                spec
+          | None, None -> run_sweep ~program ~params ~budget ~lb ~audit spec
+        in
         show_degradation ();
-        match (sample_rate, jobs) with
-        | Some rate, _ ->
-            run_sweep_sampled ~program ~params ~budget ~rate
-              ~seed:sample_seed ~lb ~audit spec
-        | None, Some jobs ->
-            run_sweep_streamed ~program ~params ~budget ~jobs ~lb ~audit spec
-        | None, None -> run_sweep ~program ~params ~budget ~lb ~audit spec)
+        Buffer.output_buffer stdout table;
+        Ok ()
     | None ->
         let* cdag =
           Engine_error.guard (fun () -> Cdag.of_program ~budget ~params program)
@@ -818,7 +830,8 @@ let serve_cmd =
   in
   let cache_cap_arg =
     pos_int_opt "cache-cap" 128
-      "Content-addressed LRU response-cache entries (0 disables caching)."
+      "Content-addressed LRU response-cache entries (0 disables caching, \
+       the empirical sweep cache included)."
   in
   let max_conns_arg =
     pos_int_opt "max-conns" 32

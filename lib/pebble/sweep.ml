@@ -688,6 +688,9 @@ let sampled_total_accesses s = s.s_total
 let sampled_kept_accesses s = s.s_kept
 let sampled_union s = s.s_union
 
+let sampled_cells s =
+  Array.fold_left (fun n g -> n + footprint g) (footprint s.s_union) s.s_group
+
 (* Union footprints this small (or fewer than two populated groups)
    cannot support a spread estimate; [sampled_stats] then reports the
    trivially-safe interval instead of a fake tight one. *)

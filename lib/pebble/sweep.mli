@@ -167,6 +167,11 @@ val sampled_kept_accesses : sampled -> int
 (** The sweep of the union sample (footprint = sampled footprint). *)
 val sampled_union : sampled -> t
 
+(** Cells the sampled sweep holds: the union sample's footprint plus the
+    groups' footprints (the footprint alone at rate 1).  Each cell keeps
+    three words of per-size tallies, so this sizes a kept sweep. *)
+val sampled_cells : sampled -> int
+
 (** [true] when the sample cannot support error bars (union footprint
     under 32 cells or fewer than two populated groups): intervals are
     then [0, total accesses]. *)

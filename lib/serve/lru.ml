@@ -1,24 +1,28 @@
-(* Content-addressed LRU cache for rendered response payloads.
+(* Content-addressed, weight-bounded LRU cache.
 
    Doubly-linked recency list threaded through the nodes of a Hashtbl,
    guarded by one mutex: [find] bumps the entry to the front, [add]
-   evicts from the back once over capacity.  Payloads are the rendered
-   [result] fragments, so a hit is a string splice - no re-analysis, no
-   re-rendering, byte-identical output. *)
+   evicts from the back while the entries' total weight is over
+   capacity.  The response cache stores rendered [result] fragments at
+   weight 1, so a hit is a string splice - no re-analysis, no
+   re-rendering, byte-identical output - and its capacity counts
+   entries; the sweep cache weighs each sweep by the cells it holds. *)
 
-type node = {
+type 'a node = {
   key : string;
-  mutable value : string;
-  mutable prev : node option;
-  mutable next : node option;
+  mutable value : 'a;
+  mutable weight : int;
+  mutable prev : 'a node option;
+  mutable next : 'a node option;
 }
 
-type t = {
+type 'a t = {
   capacity : int;
-  table : (string, node) Hashtbl.t;
+  table : (string, 'a node) Hashtbl.t;
   mutex : Mutex.t;
-  mutable front : node option;  (* most recently used *)
-  mutable back : node option;  (* least recently used *)
+  mutable front : 'a node option;  (* most recently used *)
+  mutable back : 'a node option;  (* least recently used *)
+  mutable weight : int;  (* total weight of the entries *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -27,6 +31,7 @@ type t = {
 type stats = {
   capacity : int;
   entries : int;
+  weight : int;
   hits : int;
   misses : int;
   evictions : int;
@@ -36,16 +41,17 @@ let create ~capacity =
   if capacity < 0 then invalid_arg "Lru.create: capacity < 0";
   {
     capacity;
-    table = Hashtbl.create (max 16 capacity);
+    table = Hashtbl.create 16;
     mutex = Mutex.create ();
     front = None;
     back = None;
+    weight = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
   }
 
-let unlink (t : t) node =
+let unlink (t : _ t) node =
   (match node.prev with
   | Some p -> p.next <- node.next
   | None -> t.front <- node.next);
@@ -55,13 +61,13 @@ let unlink (t : t) node =
   node.prev <- None;
   node.next <- None
 
-let push_front (t : t) node =
+let push_front (t : _ t) node =
   node.next <- t.front;
   node.prev <- None;
   (match t.front with Some f -> f.prev <- Some node | None -> t.back <- Some node);
   t.front <- Some node
 
-let find (t : t) key =
+let find (t : _ t) key =
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some node ->
@@ -73,32 +79,40 @@ let find (t : t) key =
           t.misses <- t.misses + 1;
           None)
 
-let add (t : t) key value =
-  if t.capacity > 0 then
+(* The new entry is at the front and weighs at most the capacity, so the
+   eviction loop stops before it reaches it. *)
+let add ?(weight = 1) (t : _ t) key value =
+  let weight = max 1 weight in
+  if weight <= t.capacity then
     Mutex.protect t.mutex (fun () ->
         (match Hashtbl.find_opt t.table key with
         | Some node ->
+            t.weight <- t.weight - node.weight + weight;
             node.value <- value;
+            node.weight <- weight;
             unlink t node;
             push_front t node
         | None ->
-            let node = { key; value; prev = None; next = None } in
+            let node = { key; value; weight; prev = None; next = None } in
             Hashtbl.replace t.table key node;
+            t.weight <- t.weight + weight;
             push_front t node);
-        while Hashtbl.length t.table > t.capacity do
+        while t.weight > t.capacity do
           match t.back with
-          | None -> assert false (* length > 0 implies a back node *)
+          | None -> assert false (* weight > 0 implies a back node *)
           | Some lru ->
               unlink t lru;
               Hashtbl.remove t.table lru.key;
+              t.weight <- t.weight - lru.weight;
               t.evictions <- t.evictions + 1
         done)
 
-let stats (t : t) =
+let stats (t : _ t) =
   Mutex.protect t.mutex (fun () ->
       {
         capacity = t.capacity;
         entries = Hashtbl.length t.table;
+        weight = t.weight;
         hits = t.hits;
         misses = t.misses;
         evictions = t.evictions;

@@ -385,6 +385,17 @@ let spec_key op ~display =
       Some (Printf.sprintf "eval\x00%s\x00%d\x00%d\x00%d%s" display m n s suffix)
   | Ping | List_kernels | Stats | Crash | Shutdown -> None
 
+(* The key of an eval's empirical sweep: what the sweep depends on - the
+   kernel, its concrete parameters, the exact rate and the seed - and not
+   S, which only reads the sweep.  Keyed by the parameters rather than by
+   [m] and [n], so GEHD2 points that differ only in the [m] it ignores
+   share a sweep. *)
+let sweep_key ~display ~params { rate; seed } =
+  let binding (p, v) = Printf.sprintf "%s=%d" p v in
+  Printf.sprintf "sweep\x00%s\x00%s\x00%h\x00%d" display
+    (String.concat "\x00" (List.map binding params))
+    rate seed
+
 let spec_hash key = Digest.to_hex (Digest.string key)
 
 (* ------------------------------------------------------------------ *)

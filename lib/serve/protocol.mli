@@ -148,6 +148,14 @@ val eval_result :
     answer whatever budget produced it. *)
 val spec_key : op -> display:string -> string option
 
+(** [sweep_key ~display ~params e] is the content key of the empirical
+    sweep an [eval] with rider [e] runs at the concrete parameters
+    [params]: the kernel's display name, the parameters, the rate (exact,
+    as [%h] prints it) and the seed.  S is not part of it: one sweep
+    answers every S. *)
+val sweep_key :
+  display:string -> params:(string * int) list -> empirical_spec -> string
+
 (** Hex content hash (the [spec] field of result payloads). *)
 val spec_hash : string -> string
 

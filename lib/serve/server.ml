@@ -112,11 +112,21 @@ type counters = {
 
 type job = { request : Protocol.request; conn : conn }
 
+(* The sweep cache's capacity, in cells ({!Sweep.sampled_cells}).  Each
+   cell keeps three words of per-size tallies, so 2^18 cells are about
+   6 MB of kept sweeps.  A kept sweep also has a fixed part (nine sweep
+   records and their arrays' headers, its key and its cache node: about
+   145 words), charged as [sweep_entry_cells] more, so that sweeps of a
+   few cells cannot hold more than the budget in fixed parts. *)
+let sweep_cache_cells = 1 lsl 18
+let sweep_entry_cells = 48
+
 type t = {
   config : config;
   listen_fd : Unix.file_descr;
   queue : job Pool.Bounded_queue.t;
-  cache : Lru.t;
+  cache : string Lru.t;  (* rendered responses, weight 1 *)
+  sweeps : Sweep.sampled Lru.t;  (* empirical sweeps, weighed in cells *)
   counters : counters;
   conns_mutex : Mutex.t;
   mutable conns : conn list;
@@ -174,17 +184,32 @@ let respond_error t ~id err =
 (* The empirical rider of an eval: a sampled (or, at rate 1, exact
    streaming) cache sweep of the kernel at the evaluation point, under
    the same request budget (including its fault hook) as the analysis.
-   The payload is a pure function of (kernel, m, n, s, rate, seed) -
-   sampling is hash-based, not randomized - so responses stay
-   byte-reproducible and cacheable. *)
+   The sweep is a pure function of (kernel, params, rate, seed) -
+   sampling is hash-based, not randomized - and answers every S, so the
+   sweep cache keeps it under {!Protocol.sweep_key} and an eval at a new
+   S reads only [sampled_stats].  The cache follows the response
+   cache's rule: no lookup or insert under a fault hook (fault-injected
+   requests must exercise the real sweep), and only completed sweeps
+   are stored. *)
 let empirical_for t entry ~params ~s (budget : Protocol.budget_spec)
     (e : Protocol.empirical_spec) =
   let ( let* ) = Result.bind in
-  let* b = make_budget t budget in
+  let key = Protocol.sweep_key ~display:entry.Report.display ~params e in
+  let cached = if budget.fault = None then Lru.find t.sweeps key else None in
   let* sampled =
-    Engine_error.guard (fun () ->
-        Sweep.run_sampled ~budget:b ~rate:e.rate ~seed:e.seed ~params
-          entry.Report.program)
+    match cached with
+    | Some sampled -> Ok sampled
+    | None ->
+        let* b = make_budget t budget in
+        let* sampled =
+          Engine_error.guard (fun () ->
+              Sweep.run_sampled ~budget:b ~rate:e.rate ~seed:e.seed ~params
+                entry.Report.program)
+        in
+        if budget.fault = None then
+          Lru.add t.sweeps key sampled
+            ~weight:(Sweep.sampled_cells sampled + sweep_entry_cells);
+        Ok sampled
   in
   let estimate (a : Sweep.estimate) =
     Json.Obj
@@ -359,6 +384,7 @@ let list_result () =
 
 let stats_result t =
   let cache = Lru.stats t.cache in
+  let sweeps = Lru.stats t.sweeps in
   let memo = Report.cache_stats () in
   let respawns =
     match t.workers with Some w -> Pool.Workers.respawns w | None -> 0
@@ -382,6 +408,15 @@ let stats_result t =
             ("hits", Json.Int cache.hits);
             ("misses", Json.Int cache.misses);
             ("evictions", Json.Int cache.evictions);
+          ] );
+      ( "sweeps",
+        Json.Obj
+          [
+            ("entries", Json.Int sweeps.entries);
+            ("cells", Json.Int sweeps.weight);
+            ("hits", Json.Int sweeps.hits);
+            ("misses", Json.Int sweeps.misses);
+            ("evictions", Json.Int sweeps.evictions);
           ] );
       ( "memo",
         Json.Obj
@@ -651,6 +686,9 @@ let start config =
       listen_fd;
       queue = Pool.Bounded_queue.create ~capacity:config.queue_capacity;
       cache = Lru.create ~capacity:config.cache_capacity;
+      sweeps =
+        Lru.create
+          ~capacity:(if config.cache_capacity = 0 then 0 else sweep_cache_cells);
       counters =
         {
           served_ok = Atomic.make 0;

@@ -13,7 +13,12 @@
     and every answer computed with no budget at all (degraded or not:
     it is the same on every call), are cached in a content-addressed
     {!Lru}, so repeated requests for the same spec are served as
-    byte-identical string splices.  Kernel names
+    byte-identical string splices.  The empirical sweep behind an
+    [eval]'s rider answers every S, so a second {!Lru}, weighed in
+    cells ({!Iolb_pebble.Sweep.sampled_cells}) under a fixed budget of
+    2^18, keeps completed sweeps under {!Protocol.sweep_key}: an eval
+    at a new S reuses the sweep and computes only its estimates.
+    Neither cache is read or filled under a fault hook.  Kernel names
     resolve as on the command line ({!Iolb_front.Driver.lookup}): a
     baseline's [analyze] answers its ladder outcome in the [source]
     payload shape, and its [eval] is [unsupported].  An [eval]
@@ -44,7 +49,8 @@ type config = {
   address : address;
   jobs : int;  (** worker domains draining the request queue *)
   queue_capacity : int;  (** admission-control bound on queued requests *)
-  cache_capacity : int;  (** LRU response-cache entries; [0] disables *)
+  cache_capacity : int;
+      (** LRU response-cache entries; [0] disables it and the sweep cache *)
   max_connections : int;  (** concurrent connections admitted *)
   default_timeout_ms : int option;
       (** deadline applied to requests that do not set their own *)

@@ -321,6 +321,47 @@ let test_lru () =
        false
      with Invalid_argument _ -> true)
 
+(* The weighted form behind the sweep cache: eviction follows weight,
+   not entry count. *)
+let test_lru_weighted () =
+  let c = Lru.create ~capacity:10 in
+  let check_stats what (entries, weight, evictions) =
+    let s = Lru.stats c in
+    Alcotest.(check (list int))
+      (what ^ ": entries, weight, evictions")
+      [ entries; weight; evictions ]
+      [ s.Lru.entries; s.Lru.weight; s.Lru.evictions ]
+  in
+  Lru.add c "a" 1 ~weight:4;
+  Lru.add c "b" 2 ~weight:4;
+  Alcotest.(check (option int)) "hit a" (Some 1) (Lru.find c "a");
+  (* 12 > 10: the least recently used b goes, a stays *)
+  Lru.add c "c" 3 ~weight:4;
+  Alcotest.(check (option int)) "b evicted" None (Lru.find c "b");
+  Alcotest.(check (option int)) "a kept" (Some 1) (Lru.find c "a");
+  check_stats "after c" (2, 8, 1);
+  (* heavier than the capacity: not stored, and nothing is evicted *)
+  Lru.add c "d" 4 ~weight:11;
+  Alcotest.(check (option int)) "over-capacity value not stored" None
+    (Lru.find c "d");
+  check_stats "after d" (2, 8, 1);
+  (* one heavy entry evicts both light ones *)
+  Lru.add c "e" 5 ~weight:10;
+  check_stats "after e" (1, 10, 3);
+  Alcotest.(check (option int)) "e stored at the capacity" (Some 5)
+    (Lru.find c "e");
+  (* a refresh carries its new weight *)
+  Lru.add c "e" 6 ~weight:2;
+  check_stats "after refreshing e" (1, 2, 3);
+  (* capacity 0 stores nothing, whatever the weight *)
+  let off = Lru.create ~capacity:0 in
+  Lru.add off "k" 1 ~weight:1;
+  Lru.add off "z" 2 ~weight:0;
+  Alcotest.(check (option int)) "disabled cache never hits" None
+    (Lru.find off "z");
+  Alcotest.(check (list int)) "disabled cache stays empty" [ 0; 0 ]
+    [ (Lru.stats off).Lru.entries; (Lru.stats off).Lru.weight ]
+
 (* ------------------------------------------------------------------ *)
 (* Server end to end: real sockets, real domains.                      *)
 
@@ -1128,6 +1169,156 @@ let test_finished_readers_joined () =
       if grown >= 2_000 then
         Alcotest.failf "500 connections grew the live heap by %d words" grown)
 
+(* ------------------------------------------------------------------ *)
+(* The sweep cache: one empirical sweep per eval point.                *)
+
+module Sweep = Iolb_pebble.Sweep
+
+let eval_line ?(rate = 0.25) ?(seed = 3) ?(extra = "") ~id ~kernel ~m ~n ~s
+    () =
+  Printf.sprintf
+    {|{"id":%d,"op":"eval","kernel":"%s","m":%d,"n":%d,"s":%d,"empirical":{"rate":%g,"seed":%d}%s}|}
+    id kernel m n s rate seed extra
+
+(* The response an [eval_line] must get, rendered in-process from a fresh
+   sampled sweep: what the daemon sends when it runs the sweep itself. *)
+let expected_eval ?(rate = 0.25) ?(seed = 3) ~id ~kernel ~m ~n ~s () =
+  let entry = Iolb.Report.find kernel in
+  let params = Result.get_ok (Iolb.Report.concrete_params entry ~m ~n) in
+  let sampled = Sweep.run_sampled ~rate ~seed ~params entry.program in
+  let estimate (e : Sweep.estimate) =
+    Json.Obj
+      [ ("est", Json.Float e.est); ("lo", Json.Float e.lo); ("hi", Json.Float e.hi) ]
+  in
+  let loads, read_hits, stores = Sweep.sampled_stats sampled ~size:s in
+  let empirical =
+    Json.Obj
+      [
+        ("rate", Json.Float rate);
+        ("seed", Json.Int seed);
+        ("exact", Json.Bool (Sweep.sampled_exact sampled));
+        ("total_accesses", Json.Int (Sweep.sampled_total_accesses sampled));
+        ("kept_accesses", Json.Int (Sweep.sampled_kept_accesses sampled));
+        ("degenerate", Json.Bool (Sweep.sampled_degenerate sampled));
+        ("loads", estimate loads);
+        ("read_hits", estimate read_hits);
+        ("stores", estimate stores);
+      ]
+  in
+  let key =
+    Protocol.spec_key
+      (Protocol.Eval
+         {
+           kernel;
+           m;
+           n;
+           s;
+           empirical = Some { rate; seed };
+           budget = Protocol.no_budget;
+         })
+      ~display:entry.display
+  in
+  Protocol.ok_response ~id:(Json.Int id) ~op:"eval"
+    (Protocol.eval_result ~empirical
+       ~spec:(Protocol.spec_hash (Option.get key))
+       (Iolb.Report.analyze_cached entry) ~m ~n ~s)
+
+(* [counters c section] reads the [stats] op's entry, hit and miss
+   counts of one cache section. *)
+let counters c section =
+  match Json.member section (rpc c ~op:"stats" []).Protocol.body with
+  | Some o ->
+      List.map
+        (fun k ->
+          match Json.member k o with
+          | Some (Json.Int v) -> v
+          | _ -> Alcotest.failf "stats: missing %s.%s" section k)
+        [ "entries"; "hits"; "misses" ]
+  | None -> Alcotest.failf "stats: missing %s section" section
+
+let check_counters c section what expected =
+  Alcotest.(check (list int))
+    (Printf.sprintf "%s: %s entries, hits, misses" what section)
+    expected (counters c section)
+
+(* An eval at a new S reuses the sweep of its point: the sweep cache
+   misses once, then hits, and both answers are the bytes of a fresh
+   sweep.  The response cache counts as it always has: one miss per new
+   S, one hit per repeat, and a hit never reaches the sweep cache.
+   GEHD2 ignores [m], so two [m] values at one [n] share a sweep; another
+   seed or rate is another sweep. *)
+let test_sweep_cache () =
+  with_server (fun _ address ->
+      with_client address (fun c ->
+          check_counters c "sweeps" "fresh" [ 0; 0; 0 ];
+          let ask ?rate ?seed ~id ~kernel ~m ~n ~s () =
+            let got =
+              raw_line c (eval_line ?rate ?seed ~id ~kernel ~m ~n ~s ())
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s %dx%d at S=%d = a fresh sweep" kernel m n s)
+              (expected_eval ?rate ?seed ~id ~kernel ~m ~n ~s ())
+              got;
+            got
+          in
+          let first = ask ~id:1 ~kernel:"mgs" ~m:32 ~n:16 ~s:64 () in
+          check_counters c "sweeps" "first S" [ 1; 0; 1 ];
+          check_counters c "cache" "first S" [ 1; 0; 1 ];
+          ignore (ask ~id:2 ~kernel:"mgs" ~m:32 ~n:16 ~s:128 ());
+          check_counters c "sweeps" "second S" [ 1; 1; 1 ];
+          check_counters c "cache" "second S" [ 2; 0; 2 ];
+          Alcotest.(check string) "a repeat is the cached response" first
+            (raw_line c (eval_line ~id:1 ~kernel:"mgs" ~m:32 ~n:16 ~s:64 ()));
+          check_counters c "sweeps" "repeat" [ 1; 1; 1 ];
+          check_counters c "cache" "repeat" [ 2; 1; 2 ];
+          ignore (ask ~id:3 ~kernel:"gehd2" ~m:10 ~n:12 ~s:32 ());
+          ignore (ask ~id:4 ~kernel:"gehd2" ~m:20 ~n:12 ~s:48 ());
+          check_counters c "sweeps" "gehd2 at two m" [ 2; 2; 2 ];
+          check_counters c "cache" "gehd2 at two m" [ 4; 1; 4 ];
+          ignore (ask ~seed:4 ~id:5 ~kernel:"mgs" ~m:32 ~n:16 ~s:256 ());
+          ignore (ask ~rate:0.5 ~id:6 ~kernel:"mgs" ~m:32 ~n:16 ~s:256 ());
+          check_counters c "sweeps" "another seed, another rate" [ 4; 2; 4 ]))
+
+(* A fault-injected eval runs the real sweep: it neither reads the sweep
+   cache (no hit, even when the sweep is kept) nor fills it.  A fault
+   hook on a stage the eval never reaches leaves the answer complete. *)
+let test_sweep_cache_fault () =
+  with_server (fun _ address ->
+      with_client address (fun c ->
+          let fault = {|,"fault":{"stage":"pebble_game","k":1}|} in
+          let ask ?extra ~id ~s () =
+            let got =
+              raw_line c (eval_line ~id ~kernel:"mgs" ~m:32 ~n:16 ~s ?extra ())
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "S=%d = a fresh sweep" s)
+              (expected_eval ~id ~kernel:"mgs" ~m:32 ~n:16 ~s ())
+              got
+          in
+          ask ~extra:fault ~id:1 ~s:64 ();
+          check_counters c "sweeps" "fault, nothing kept" [ 0; 0; 0 ];
+          ask ~id:2 ~s:64 ();
+          check_counters c "sweeps" "no fault" [ 1; 0; 1 ];
+          ask ~extra:fault ~id:3 ~s:128 ();
+          check_counters c "sweeps" "fault, sweep kept" [ 1; 0; 1 ];
+          ask ~id:4 ~s:256 ();
+          check_counters c "sweeps" "no fault again" [ 1; 1; 1 ]))
+
+(* [--cache-cap 0] turns the sweep cache off with the response cache:
+   every eval runs its sweep, and nothing is kept. *)
+let test_sweep_cache_off () =
+  with_server ~cache:0 (fun _ address ->
+      with_client address (fun c ->
+          List.iter
+            (fun (id, s) ->
+              Alcotest.(check string)
+                (Printf.sprintf "S=%d = a fresh sweep" s)
+                (expected_eval ~id ~kernel:"mgs" ~m:32 ~n:16 ~s ())
+                (raw_line c (eval_line ~id ~kernel:"mgs" ~m:32 ~n:16 ~s ())))
+            [ (1, 64); (2, 128) ];
+          check_counters c "sweeps" "off" [ 0; 0; 2 ];
+          check_counters c "cache" "off" [ 0; 0; 2 ]))
+
 let suite =
   [
     Alcotest.test_case "protocol: request parsing" `Quick test_parse_request;
@@ -1163,4 +1354,11 @@ let suite =
       test_bad_addresses;
     Alcotest.test_case "server: finished readers are joined" `Quick
       test_finished_readers_joined;
+    Alcotest.test_case "lru: weighted eviction" `Quick test_lru_weighted;
+    Alcotest.test_case "server: evals share their point's sweep" `Quick
+      test_sweep_cache;
+    Alcotest.test_case "server: fault evals bypass the sweeps" `Quick
+      test_sweep_cache_fault;
+    Alcotest.test_case "server: cache-cap 0 keeps no sweep" `Quick
+      test_sweep_cache_off;
   ]
